@@ -17,11 +17,12 @@ use std::time::Instant;
 
 use va_bench::experiments::{
     ablation_choose_cost, ablation_choose_index, ablation_strategies, batch_scaling,
-    calibration_scaling, compaction_growth, fig10_selection_stress, fig11_max_stress,
-    fig12_sum_hotcold, frontend_scaling, max_table_traced, parallel_scaling, recovery_comparison,
-    selection_sweep_traced, server_scaling, sketch_scaling, tenant_scaling, tick_amortization,
-    CALIBRATION_TICKS, CONNECTION_COUNTS, HOT_SHARES, QUERY_COUNTS, ROUND_BATCHES, SELECTIVITIES,
-    STD_DEVS, TENANT_COUNTS, TENANT_SUBSCRIPTIONS, WORKER_COUNTS,
+    calibration_scaling, choose_cost_table, choose_index_table, compaction_growth,
+    fig10_selection_stress, fig11_max_stress, fig12_sum_hotcold, frontend_scaling,
+    max_table_traced, parallel_scaling, recovery_comparison, selection_sweep_traced,
+    server_scaling, sketch_scaling, tenant_scaling, tick_amortization, CALIBRATION_TICKS,
+    CONNECTION_COUNTS, HOT_SHARES, QUERY_COUNTS, ROUND_BATCHES, SELECTIVITIES, STD_DEVS,
+    TENANT_COUNTS, TENANT_SUBSCRIPTIONS, WORKER_COUNTS,
 };
 use va_bench::report::{fmt_speedup, fmt_work, Table, TraceWriter};
 use va_bench::Lab;
@@ -297,33 +298,14 @@ fn main() {
             .copied()
             .filter(|&s| s <= args.bonds.max(25))
             .collect();
-        let rows = ablation_choose_cost(&sizes, args.seed);
-        let mut t = Table::new(&["n", "total_work", "choose_work", "choose_share"]);
-        for r in &rows {
-            t.row(vec![
-                r.n.to_string(),
-                fmt_work(r.total_work),
-                fmt_work(r.choose_work),
-                format!("{:.5}%", r.choose_fraction() * 100.0),
-            ]);
-        }
+        let t = choose_cost_table(&ablation_choose_cost(&sizes, args.seed));
         print!("{}", t.render());
         t.write_csv(&args.out.join("ablation_choose_cost.csv"))
             .expect("write csv");
         println!();
 
         println!("-- Ablation: scan vs heap iteration index on SUM (§5.2) --");
-        let rows = ablation_choose_index(&sizes, args.seed);
-        let mut t = Table::new(&["n", "scan_choose", "heap_choose", "scan_exec", "heap_exec"]);
-        for r in &rows {
-            t.row(vec![
-                r.n.to_string(),
-                fmt_work(r.scan_choose),
-                fmt_work(r.heap_choose),
-                fmt_work(r.scan_exec),
-                fmt_work(r.heap_exec),
-            ]);
-        }
+        let t = choose_index_table(&ablation_choose_index(&sizes, args.seed));
         print!("{}", t.render());
         t.write_csv(&args.out.join("ablation_choose_index.csv"))
             .expect("write csv");

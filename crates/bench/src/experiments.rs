@@ -15,7 +15,7 @@ use vao::precision::PrecisionConstraint;
 use vao::strategy::ChoicePolicy;
 use vao::trace::{CpuEstimation, Recorder};
 
-use crate::report::TraceWriter;
+use crate::report::{Table, TraceWriter};
 
 use va_workloads::{
     constant_for_selectivity, HotColdWeights, SyntheticMapping, TargetDistribution,
@@ -531,6 +531,22 @@ pub fn ablation_choose_cost(sizes: &[usize], seed: u64) -> Vec<ChooseCostRow> {
         .collect()
 }
 
+/// `ablation_choose_cost.csv`: plain integers, so every row parses into as
+/// many fields as the header.
+#[must_use]
+pub fn choose_cost_table(rows: &[ChooseCostRow]) -> Table {
+    let mut t = Table::new(&["n", "total_work", "choose_work", "choose_share"]);
+    for r in rows {
+        t.row(vec![
+            r.n.to_string(),
+            r.total_work.to_string(),
+            r.choose_work.to_string(),
+            format!("{:.5}%", r.choose_fraction() * 100.0),
+        ]);
+    }
+    t
+}
+
 /// One row of the choose-index ablation (scan vs heap, §5.2).
 #[derive(Clone, Copy, Debug)]
 pub struct ChooseIndexRow {
@@ -576,6 +592,22 @@ pub fn ablation_choose_index(sizes: &[usize], seed: u64) -> Vec<ChooseIndexRow> 
             }
         })
         .collect()
+}
+
+/// `ablation_choose_index.csv`, plain integers like [`choose_cost_table`].
+#[must_use]
+pub fn choose_index_table(rows: &[ChooseIndexRow]) -> Table {
+    let mut t = Table::new(&["n", "scan_choose", "heap_choose", "scan_exec", "heap_exec"]);
+    for r in rows {
+        t.row(vec![
+            r.n.to_string(),
+            r.scan_choose.to_string(),
+            r.heap_choose.to_string(),
+            r.scan_exec.to_string(),
+            r.heap_exec.to_string(),
+        ]);
+    }
+    t
 }
 
 /// One tick of the continuous-query amortization experiment.
@@ -1901,6 +1933,10 @@ mod tests {
     #[test]
     fn choose_cost_is_negligible() {
         let rows = ablation_choose_cost(&[8, 16], 7);
+        let index = choose_index_table(&ablation_choose_index(&[8], 7)).csv();
+        for (csv, fields) in [(choose_cost_table(&rows).csv(), 4), (index, 5)] {
+            assert!(csv.lines().all(|l| l.split(',').count() == fields), "{csv}");
+        }
         for r in &rows {
             assert!(
                 r.choose_fraction() < 0.01,

@@ -58,17 +58,25 @@ impl Table {
         out
     }
 
+    /// The table as CSV text: cells joined verbatim, so a cell must not
+    /// contain a comma (write plain integers, not [`fmt_work`]).
+    #[must_use]
+    pub fn csv(&self) -> String {
+        let mut out = self.header.join(",");
+        out.push('\n');
+        for row in &self.rows {
+            out.push_str(&row.join(","));
+            out.push('\n');
+        }
+        out
+    }
+
     /// Writes the table as CSV.
     pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let mut f = std::fs::File::create(path)?;
-        writeln!(f, "{}", self.header.join(","))?;
-        for row in &self.rows {
-            writeln!(f, "{}", row.join(","))?;
-        }
-        Ok(())
+        std::fs::write(path, self.csv())
     }
 }
 

@@ -5,13 +5,19 @@
 //! The parser is a plain recursive-descent scanner over bytes. It accepts
 //! the full JSON grammar the protocol uses (objects, arrays, strings with
 //! escapes, numbers, booleans, null) and reports errors with a byte
-//! offset. Serialization lives with the callers (the server's protocol
+//! offset. Recursion is bounded by [`MAX_DEPTH`]: input arrives from the
+//! network and from disk, and a line of a million `[` must cost an error,
+//! not the process's stack. Serialization lives with the callers (the server's protocol
 //! builders and this crate's [`crate::record`] codecs); this module only
 //! *reads*.
 //!
 //! This module originally lived in `va-server`; it moved here so the
 //! journal and snapshot codecs can share it without a dependency cycle.
 //! `va_server::json` re-exports it unchanged.
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The line protocol
+/// and the journal/snapshot records nest fewer than ten levels.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -37,10 +43,15 @@ pub enum Json {
 
 impl Json {
     /// Parses one JSON document, requiring it to span the whole input.
+    ///
+    /// # Errors
+    ///
+    /// A message with a byte offset for malformed input, and for arrays or
+    /// objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, String> {
         let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing input at byte {pos}"));
@@ -145,12 +156,16 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// `depth` is the number of arrays/objects already open around this value.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -232,18 +247,24 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input came from &str, so
-                // boundaries are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash in
+                // one go. Both are ASCII and never occur inside a multi-byte
+                // sequence, so the run ends on a scalar boundary, and it is
+                // validated once — not the rest of the input per character.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                let text =
+                    std::str::from_utf8(&bytes[*pos..*pos + run]).map_err(|e| e.to_string())?;
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -252,7 +273,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -265,7 +286,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut fields: Vec<(String, Json)> = Vec::new();
     skip_ws(bytes, pos);
@@ -278,7 +299,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         if !fields.iter().any(|(k, _)| *k == key) {
             fields.push((key, value));
         }
@@ -326,6 +347,111 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("\"open").is_err());
         assert!(Json::parse("01abc").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_hostile_depth_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Mixed containers count together.
+        let mixed = format!("{}0{}", "{\"a\":[".repeat(40), "]}".repeat(40));
+        assert!(Json::parse(&mixed).unwrap_err().contains("nesting deeper"));
+        // The request line that used to abort va-server: 900 KB of '['.
+        let err = Json::parse(&"[".repeat(900 * 1024)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(Json::parse(&"{\"k\":".repeat(300_000)).is_err());
+    }
+
+    /// Unescapes a string literal body one scalar at a time — the scan the
+    /// run-copying `parse_string` replaced, as the reference it must match.
+    fn unescape_per_scalar(literal: &str) -> String {
+        let mut out = String::new();
+        let mut chars = literal.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            match chars.next().expect("dangling backslash") {
+                'b' => out.push('\u{0008}'),
+                'f' => out.push('\u{000c}'),
+                'n' => out.push('\n'),
+                'r' => out.push('\r'),
+                't' => out.push('\t'),
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    let code = u32::from_str_radix(&hex, 16).expect("hex escape");
+                    out.push(char::from_u32(code).expect("scalar"));
+                }
+                other => out.push(other), // \" \\ \/
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn string_heavy_documents_parse_in_linear_time() {
+        // Literal bodies as they appear on the wire: long plain runs,
+        // multi-byte UTF-8, and every escape form.
+        let pieces = [
+            "plain ascii run of some length, no escapes at all",
+            r#"café \"quoted\" \\ back\/slash \n\t\r\b\f"#,
+            "日本語のテキスト — ünïcödé ✓ 🚀",
+            r"\u0041\u00e9\u65e5 mixed \u0001 tail",
+        ];
+        // {"<piece 0>":["..",".."],"<piece 1>":[..],..}: a few keys (keys
+        // dedup by linear scan) over > 2 MB of string values.
+        let mut doc = String::from("{");
+        let mut expected: Vec<Vec<String>> = Vec::new();
+        for (k, key) in pieces.iter().enumerate() {
+            if k > 0 {
+                doc.push(',');
+            }
+            doc.push_str(&format!("\"{key}\":["));
+            let mut values = Vec::new();
+            let mut i = 0usize;
+            while values.is_empty() || doc.len() < (k + 1) * 600 * 1024 {
+                let literal = pieces[(i + k) % pieces.len()].repeat(1 + i % 7);
+                if i > 0 {
+                    doc.push(',');
+                }
+                doc.push_str(&format!("\"{literal}\""));
+                values.push(unescape_per_scalar(&literal));
+                i += 1;
+            }
+            doc.push(']');
+            expected.push(values);
+        }
+        doc.push('}');
+        assert!(doc.len() >= 2 * 1024 * 1024, "{} bytes", doc.len());
+
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        let Json::Obj(fields) = parsed else {
+            panic!("not an object");
+        };
+        assert_eq!(fields.len(), pieces.len());
+        for ((key, values), (piece, want)) in fields.iter().zip(pieces.iter().zip(&expected)) {
+            assert_eq!(*key, unescape_per_scalar(piece));
+            let got: Vec<&str> = values
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|v| v.as_str().unwrap())
+                .collect();
+            assert_eq!(got, want.iter().map(String::as_str).collect::<Vec<_>>());
+        }
+        // Revalidating the rest of the input per character is ~10^12 byte
+        // visits for this document — minutes at best. One pass is
+        // milliseconds, even unoptimised on a loaded box.
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "parsing {} bytes took {elapsed:?}",
+            doc.len()
+        );
     }
 
     #[test]

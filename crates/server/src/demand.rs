@@ -16,6 +16,20 @@
 //! [`Answer::Final`]** — the same stopping conditions as the dedicated
 //! operators, including MAX/TOP-K stopping case 2 (everything overlapping
 //! the winner converged ⇒ ties).
+//!
+//! [`demands`] / [`demands_stateful`] are the *stateless recompute*: every
+//! set (member guess, straddlers, unresolved objects, order statistics,
+//! sketch summaries) is re-derived from the pool on each call. The
+//! scheduler does not call them per round any more — it keeps a
+//! [`RoundView`] that repairs the same state for the objects a round
+//! iterated — but they remain the public API and the oracle the maintained
+//! lists are tested against, and both paths score through the *same*
+//! per-object and per-phase functions in this file, so a benefit expression
+//! exists exactly once.
+
+mod round;
+
+pub use round::RoundView;
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -61,11 +75,11 @@ pub struct Demand {
 }
 
 /// Reusable sketch summaries for the sketch-guided demand functions
-/// (PERCENTILE, HEAVYHITTERS). One per session; the scheduler keeps them
-/// across rounds so the rebuild each round reuses allocations. The
-/// summaries are *derived* state — rebuilt from the pool's live bounds on
-/// every call — so they are never journaled: a recovered session simply
-/// rebuilds them on its first tick.
+/// (PERCENTILE, HEAVYHITTERS). One per session; a caller that recomputes
+/// repeatedly keeps them so each rebuild reuses allocations. The summaries
+/// are *derived* state — rebuilt from the pool's live bounds on every call
+/// — so they are never journaled: a recovered session simply rebuilds them
+/// on its first tick.
 #[derive(Clone, Debug, Default)]
 pub struct SketchState {
     quantile: Option<IntervalQuantileSketch>,
@@ -88,15 +102,50 @@ impl HeavySummaries {
             cm_pending: CountMin::new(COUNTMIN_WIDTH, COUNTMIN_DEPTH),
         }
     }
+
+    /// Charges one object's span: a resolved object counts towards its
+    /// cell; an unresolved one charges every cell it might land in (spans
+    /// past [`SPAN_PROBE_CAP`] are never probed, so never charged).
+    fn add(&mut self, span: CellSpan) {
+        match span {
+            CellSpan::Resolved(c) => {
+                self.resolved.offer(c, 1);
+                self.cm_resolved.add(c, 1);
+            }
+            CellSpan::Pending { lo, hi } => {
+                for c in probed_cells(lo, hi) {
+                    self.cm_pending.add(c, 1);
+                }
+            }
+        }
+    }
+
+    /// Takes back what [`HeavySummaries::add`] charged for an unresolved
+    /// span — exactly, the grid being a sum of such charges.
+    fn remove_pending(&mut self, lo: i64, hi: i64) {
+        for c in probed_cells(lo, hi) {
+            self.cm_pending.remove(c, 1);
+        }
+    }
+
+    /// Clears the summaries and charges `spans` in index order.
+    fn rebuild(&mut self, spans: &[CellSpan]) {
+        self.resolved.clear();
+        self.cm_resolved.clear();
+        self.cm_pending.clear();
+        for &span in spans {
+            self.add(span);
+        }
+    }
 }
 
 /// Fills `out` with the query's outstanding demands. Empty ⇔ the query can
 /// answer [`Answer::Final`] from the pool's current bounds.
 ///
 /// Stateless convenience over [`demands_stateful`]: sketch-guided queries
-/// build fresh summaries per call. The scheduler uses the stateful entry
-/// point to reuse per-session summary allocations across rounds; both
-/// produce identical demands.
+/// build fresh summaries per call. The stateful entry point reuses
+/// per-session summary allocations across calls; both produce identical
+/// demands.
 pub fn demands(query: &Query, pool: &SharedPool, out: &mut Vec<Demand>) {
     demands_stateful(query, pool, &mut SketchState::default(), out);
 }
@@ -255,18 +304,43 @@ fn heavy_cells(pool: &SharedPool, k: usize, width: f64) -> (Vec<HeavyCell>, Vec<
     (ranked, ties)
 }
 
-/// The ε-cell an object definitively occupies: whole bounds inside one
-/// cell, or converged (deterministic midpoint assignment at the `minWidth`
-/// floor — the caveat shared with the core operator).
-fn resolved_cell(pool: &SharedPool, i: usize, width: f64) -> Option<i64> {
+/// The cells an unresolved span charges: all of them, or none when the span
+/// is past [`SPAN_PROBE_CAP`] (such an object is contended outright and
+/// never probed).
+fn probed_cells(lo: i64, hi: i64) -> impl Iterator<Item = i64> {
+    (hi.saturating_sub(lo) <= SPAN_PROBE_CAP)
+        .then_some(lo..=hi)
+        .into_iter()
+        .flatten()
+}
+
+/// Where an object stands against the ε-cell grid of a HEAVYHITTERS query.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum CellSpan {
+    /// The cell the object definitively occupies: whole bounds inside one
+    /// cell, or converged (deterministic midpoint assignment at the
+    /// `minWidth` floor — the caveat shared with the core operator).
+    Resolved(i64),
+    /// Still unresolved: the cells of its lower and upper bound.
+    Pending { lo: i64, hi: i64 },
+}
+
+fn cell_span(pool: &SharedPool, i: usize, width: f64) -> CellSpan {
     let b = pool.bounds(i);
     let (c_lo, c_hi) = (cell_of(b.lo(), width), cell_of(b.hi(), width));
     if c_lo == c_hi {
-        Some(c_lo)
+        CellSpan::Resolved(c_lo)
     } else if pool.converged(i) {
-        Some(cell_of(b.mid(), width))
+        CellSpan::Resolved(cell_of(b.mid(), width))
     } else {
-        None
+        CellSpan::Pending { lo: c_lo, hi: c_hi }
+    }
+}
+
+fn resolved_cell(pool: &SharedPool, i: usize, width: f64) -> Option<i64> {
+    match cell_span(pool, i, width) {
+        CellSpan::Resolved(c) => Some(c),
+        CellSpan::Pending { .. } => None,
     }
 }
 
@@ -416,19 +490,40 @@ fn weighted_interval(pool: &SharedPool, w: Weights<'_>) -> Bounds {
     Bounds::new(lo, hi)
 }
 
-fn demands_sum(pool: &SharedPool, w: Weights<'_>, epsilon: f64, out: &mut Vec<Demand>) {
-    if weighted_interval(pool, w).width() <= epsilon {
-        return;
+/// The estimated two-sided shrink of object `i`'s bounds from one more
+/// iteration — the factor every per-object benefit below is built on.
+fn est_shrink(pool: &SharedPool, i: usize) -> f64 {
+    let b = pool.bounds(i);
+    let eb = pool.est_bounds(i);
+    (eb.lo() - b.lo()).max(0.0) + (b.hi() - eb.hi()).max(0.0)
+}
+
+/// SUM/AVE stopping condition. Re-added over the whole pool in index order
+/// every time: the interval's exact bits decide when the query stops.
+fn sum_done(pool: &SharedPool, w: Weights<'_>, epsilon: f64) -> bool {
+    weighted_interval(pool, w).width() <= epsilon
+}
+
+/// Object `i`'s SUM/AVE demand — a function of its own columns only.
+fn sum_entry(pool: &SharedPool, w: Weights<'_>, i: usize) -> Option<Demand> {
+    let wi = w.get(i);
+    if wi == 0.0 || pool.converged(i) {
+        return None;
     }
-    for i in 0..pool.len() {
-        let wi = w.get(i);
-        if wi == 0.0 || pool.converged(i) {
-            continue;
-        }
-        let b = pool.bounds(i);
-        let eb = pool.est_bounds(i);
-        let benefit = wi * ((eb.lo() - b.lo()).max(0.0) + (b.hi() - eb.hi()).max(0.0));
-        out.push(Demand { object: i, benefit });
+    Some(Demand {
+        object: i,
+        benefit: wi * est_shrink(pool, i),
+    })
+}
+
+/// Every object's SUM/AVE entry, in index order.
+fn sum_entries(pool: &SharedPool, w: Weights<'_>, out: &mut Vec<Demand>) {
+    out.extend((0..pool.len()).filter_map(|i| sum_entry(pool, w, i)));
+}
+
+fn demands_sum(pool: &SharedPool, w: Weights<'_>, epsilon: f64, out: &mut Vec<Demand>) {
+    if !sum_done(pool, w, epsilon) {
+        sum_entries(pool, w, out);
     }
 }
 
@@ -460,6 +555,25 @@ fn classify(pool: &SharedPool, op: CmpOp, constant: f64) -> (usize, Vec<usize>) 
     (count_lo, unresolved)
 }
 
+/// Object `i`'s SELECT/COUNT demand — a function of its own columns only:
+/// demanded while undecided, with the decision bonus when the estimate
+/// would settle the predicate.
+fn classify_entry(pool: &SharedPool, op: CmpOp, constant: f64, i: usize) -> Option<Demand> {
+    if satisfied(pool, i, op, constant).is_some() {
+        return None;
+    }
+    let mut benefit = est_shrink(pool, i);
+    if op.decide(&pool.est_bounds(i), constant).is_some() {
+        benefit += pool.bounds(i).width();
+    }
+    Some(Demand { object: i, benefit })
+}
+
+/// Every object's SELECT/COUNT entry, in index order.
+fn classify_entries(pool: &SharedPool, op: CmpOp, constant: f64, out: &mut Vec<Demand>) {
+    out.extend((0..pool.len()).filter_map(|i| classify_entry(pool, op, constant, i)));
+}
+
 fn demands_classify(
     pool: &SharedPool,
     op: CmpOp,
@@ -467,18 +581,9 @@ fn demands_classify(
     slack: usize,
     out: &mut Vec<Demand>,
 ) {
-    let (_, unresolved) = classify(pool, op, constant);
-    if unresolved.len() <= slack {
-        return;
-    }
-    for &i in &unresolved {
-        let b = pool.bounds(i);
-        let eb = pool.est_bounds(i);
-        let mut benefit = (eb.lo() - b.lo()).max(0.0) + (b.hi() - eb.hi()).max(0.0);
-        if op.decide(&eb, constant).is_some() {
-            benefit += b.width();
-        }
-        out.push(Demand { object: i, benefit });
+    classify_entries(pool, op, constant, out);
+    if out.len() <= slack {
+        out.clear();
     }
 }
 
@@ -531,14 +636,24 @@ impl View<'_> {
 /// lower bound, then lower index, the extreme-family VAOs' deterministic
 /// member-guess rule (§5.1). `k = 1` is exactly the MAX/MIN educated guess.
 fn member_guess(v: View<'_>, k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..v.pool.len()).collect();
-    idx.sort_by(|&a, &b| {
-        cmp_desc(v.hi(a), v.hi(b))
-            .then(cmp_desc(v.lo(a), v.lo(b)))
-            .then(a.cmp(&b))
-    });
+    let mut idx = members_sorted(v);
     idx.truncate(k);
     idx
+}
+
+/// Every object in member-guess order.
+fn members_sorted(v: View<'_>) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..v.pool.len()).collect();
+    idx.sort_by(|&a, &b| member_order(v, a, b));
+    idx
+}
+
+/// The member-guess order: a strict total order (the index breaks every
+/// tie), so the sorted sequence is unique however it was produced.
+fn member_order(v: View<'_>, a: usize, b: usize) -> Ordering {
+    cmp_desc(v.hi(a), v.hi(b))
+        .then(cmp_desc(v.lo(a), v.lo(b)))
+        .then(a.cmp(&b))
 }
 
 /// The member holding the boundary θ (lowest lower bound; first on ties,
@@ -599,11 +714,11 @@ fn score_separation(v: View<'_>, theta_holder: usize, straddlers: &[usize], out:
 /// demand while wider than ε, scored by the estimated two-sided shrink.
 /// Benefit is computed on pool bounds — it is flip-invariant.
 fn refine_to_epsilon(pool: &SharedPool, i: usize, epsilon: f64, out: &mut Vec<Demand>) {
-    let b = pool.bounds(i);
-    if b.width() > epsilon && !pool.converged(i) {
-        let eb = pool.est_bounds(i);
-        let benefit = (eb.lo() - b.lo()).max(0.0) + (b.hi() - eb.hi()).max(0.0);
-        out.push(Demand { object: i, benefit });
+    if pool.bounds(i).width() > epsilon && !pool.converged(i) {
+        out.push(Demand {
+            object: i,
+            benefit: est_shrink(pool, i),
+        });
     }
 }
 
@@ -618,13 +733,26 @@ fn demands_rank(pool: &SharedPool, k: usize, epsilon: f64, flip: bool, out: &mut
     }
     let theta_holder = boundary_member(v, &members);
     let unresolved = straddlers(v, &members, theta_holder);
-    if separation_done(pool, theta_holder, &unresolved) {
-        for &m in &members {
-            refine_to_epsilon(pool, m, epsilon, out);
+    rank_phases(v, &members, theta_holder, &unresolved, epsilon, out);
+}
+
+/// The extreme family's two phases over an already-derived member guess,
+/// θ holder and straddler set: separate, then refine every member to ε.
+fn rank_phases(
+    v: View<'_>,
+    members: &[usize],
+    theta_holder: usize,
+    unresolved: &[usize],
+    epsilon: f64,
+    out: &mut Vec<Demand>,
+) {
+    if separation_done(v.pool, theta_holder, unresolved) {
+        for &m in members {
+            refine_to_epsilon(v.pool, m, epsilon, out);
         }
         return;
     }
-    score_separation(v, theta_holder, &unresolved, out);
+    score_separation(v, theta_holder, unresolved, out);
 }
 
 fn extreme_output(pool: &SharedPool, relation: &BondRelation, flip: bool) -> QueryOutput {
@@ -649,21 +777,47 @@ fn demands_median(pool: &SharedPool, epsilon: f64, out: &mut Vec<Demand>) {
     let members = member_guess(v, pool.len().div_ceil(2));
     let theta_holder = boundary_member(v, &members);
     let outer = straddlers(v, &members, theta_holder);
-    if !separation_done(pool, theta_holder, &outer) {
-        score_separation(v, theta_holder, &outer, out);
+    median_phases(
+        pool,
+        &members,
+        theta_holder,
+        &outer,
+        epsilon,
+        &mut Vec::new(),
+        out,
+    );
+}
+
+/// MEDIAN's phases over an already-derived member guess (in member-guess
+/// order — the inner θ benefit sums over it), θ holder and outer straddler
+/// set. `inner` is scratch for the inner contenders.
+fn median_phases(
+    pool: &SharedPool,
+    members: &[usize],
+    theta_holder: usize,
+    outer: &[usize],
+    epsilon: f64,
+    inner: &mut Vec<usize>,
+    out: &mut Vec<Demand>,
+) {
+    let v = View { pool, flip: false };
+    if !separation_done(pool, theta_holder, outer) {
+        score_separation(v, theta_holder, outer, out);
         return;
     }
     // Inner MIN among the members. The min-lo member is exactly the flipped
     // view's educated guess, i.e. θ's holder from the outer phase.
     let vmin = View { pool, flip: true };
     let winner = theta_holder;
-    let inner: Vec<usize> = members
-        .iter()
-        .copied()
-        .filter(|&j| j != winner && vmin.hi(j) >= vmin.lo(winner))
-        .collect();
-    if !separation_done(pool, winner, &inner) {
-        score_separation(vmin, winner, &inner, out);
+    inner.clear();
+    inner.extend(
+        members
+            .iter()
+            .copied()
+            .filter(|&j| j != winner && vmin.hi(j) >= vmin.lo(winner)),
+    );
+    if !separation_done(pool, winner, inner) {
+        score_separation(vmin, winner, inner, out);
         return;
     }
     refine_to_epsilon(pool, winner, epsilon, out);
@@ -691,18 +845,36 @@ fn demands_percentile(
     let sketch = state
         .quantile
         .get_or_insert_with(|| IntervalQuantileSketch::new(SKETCH_ALPHA, SKETCH_BUDGET));
+    fill_sketch(sketch, pool);
+    percentile_scan(pool, rank_band(sketch, k), out);
+}
+
+/// Rebuilds the interval sketch from the pool's current bounds. The sketch
+/// does not depend on φ, so one rebuild serves every PERCENTILE session of
+/// a round; its buckets keep min/max envelopes, which a deletion cannot
+/// restore, so it is rebuilt rather than repaired.
+fn fill_sketch(sketch: &mut IntervalQuantileSketch, pool: &SharedPool) {
     sketch.clear();
     for i in 0..pool.len() {
         let b = pool.bounds(i);
         sketch.insert(b.lo(), b.hi());
     }
-    // The band contains the exact [k-th largest lo, k-th largest hi], so
-    // the straddler set below is a superset of the objects that determine
-    // the output bounds — pruning by it is sound. A `None` band cannot
-    // happen for 1 ≤ k ≤ N; fall back to no pruning if it ever did.
-    let (band_lo, band_hi) = sketch
+}
+
+/// The sketch's rank-`k` band. It contains the exact [k-th largest lo,
+/// k-th largest hi], so the straddler set [`percentile_scan`] derives from
+/// it is a superset of the objects that determine the output bounds —
+/// pruning by it is sound. A `None` band cannot happen for 1 ≤ k ≤ N; fall
+/// back to no pruning if it ever did.
+fn rank_band(sketch: &IntervalQuantileSketch, k: usize) -> (f64, f64) {
+    sketch
         .rank_band_from_top(k as u64)
-        .unwrap_or((f64::MIN, f64::MAX));
+        .unwrap_or((f64::MIN, f64::MAX))
+}
+
+/// Demands every non-converged object overlapping the rank band, scored by
+/// how much of the overlap its estimated shrink could clear.
+fn percentile_scan(pool: &SharedPool, (band_lo, band_hi): (f64, f64), out: &mut Vec<Demand>) {
     for i in 0..pool.len() {
         if pool.converged(i) {
             continue;
@@ -711,12 +883,10 @@ fn demands_percentile(
         if b.hi() < band_lo || b.lo() > band_hi {
             continue; // sketch-pruned: cannot move the rank-k band
         }
-        let eb = pool.est_bounds(i);
-        let shrink = (eb.lo() - b.lo()).max(0.0) + (b.hi() - eb.hi()).max(0.0);
         let overlap = b.hi().min(band_hi) - b.lo().max(band_lo);
         out.push(Demand {
             object: i,
-            benefit: overlap.max(0.0).min(shrink),
+            benefit: overlap.max(0.0).min(est_shrink(pool, i)),
         });
     }
 }
@@ -737,37 +907,31 @@ fn demands_heavy(
     out: &mut Vec<Demand>,
 ) {
     let s = state.heavy.get_or_insert_with(|| HeavySummaries::new(k));
-    s.resolved.clear();
-    s.cm_resolved.clear();
-    s.cm_pending.clear();
-    let mut unresolved: Vec<usize> = Vec::new();
-    for i in 0..pool.len() {
-        match resolved_cell(pool, i, width) {
-            Some(c) => {
-                s.resolved.offer(c, 1);
-                s.cm_resolved.add(c, 1);
-            }
-            None => {
-                unresolved.push(i);
-                let b = pool.bounds(i);
-                let (c_lo, c_hi) = (cell_of(b.lo(), width), cell_of(b.hi(), width));
-                if c_hi.saturating_sub(c_lo) <= SPAN_PROBE_CAP {
-                    for c in c_lo..=c_hi {
-                        s.cm_pending.add(c, 1);
-                    }
-                }
-            }
-        }
-    }
-    if unresolved.is_empty() {
+    let spans: Vec<CellSpan> = (0..pool.len()).map(|i| cell_span(pool, i, width)).collect();
+    s.rebuild(&spans);
+    heavy_scan(pool, &spans, s, k, width, out);
+}
+
+/// Demands the unresolved objects that are still *contended* under the
+/// summaries `s` (which must hold exactly `spans`).
+fn heavy_scan(
+    pool: &SharedPool,
+    spans: &[CellSpan],
+    s: &HeavySummaries,
+    k: usize,
+    width: f64,
+    out: &mut Vec<Demand>,
+) {
+    if !spans.iter().any(|s| matches!(s, CellSpan::Pending { .. })) {
         return;
     }
     // Counts only grow as objects resolve, so the SpaceSaving guarantee on
     // the current k-th count lower-bounds the final one.
     let threshold = s.resolved.kth_guaranteed(k).max(1);
-    for &i in &unresolved {
-        let b = pool.bounds(i);
-        let (c_lo, c_hi) = (cell_of(b.lo(), width), cell_of(b.hi(), width));
+    for (i, span) in spans.iter().enumerate() {
+        let &CellSpan::Pending { lo: c_lo, hi: c_hi } = span else {
+            continue;
+        };
         let contended = c_hi.saturating_sub(c_lo) > SPAN_PROBE_CAP
             || (c_lo..=c_hi)
                 .any(|c| s.cm_resolved.estimate(c) + s.cm_pending.estimate(c) >= threshold);
@@ -775,15 +939,14 @@ fn demands_heavy(
             continue; // sketch-pruned: cannot join or displace a top-k cell
         }
         let eb = pool.est_bounds(i);
-        let shrink = (eb.lo() - b.lo()).max(0.0) + (b.hi() - eb.hi()).max(0.0);
         let resolve_bonus = if cell_of(eb.lo(), width) == cell_of(eb.hi(), width) {
-            b.width()
+            pool.bounds(i).width()
         } else {
             0.0
         };
         out.push(Demand {
             object: i,
-            benefit: shrink + resolve_bonus,
+            benefit: est_shrink(pool, i) + resolve_bonus,
         });
     }
 }

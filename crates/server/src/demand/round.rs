@@ -1,0 +1,586 @@
+//! The scheduler's round view: per-session demand lists kept current by
+//! repairing what a round changed instead of recomputing everything.
+//!
+//! A scheduling round iterates a handful of objects (one, on the serial
+//! schedule). [`RoundView::repair`] takes exactly that set and brings every
+//! session's demand list to what [`super::demands`] would recompute from the
+//! pool — same objects, same order, same benefit bits:
+//!
+//! * **Shared per round** — the two member-guess orders every rank-family
+//!   session (MAX/MIN/TOPK/MEDIAN/PERCENTILE) reads are kept once per tick
+//!   and repaired by re-inserting the iterated objects; members are a
+//!   prefix, straddlers the run behind it, the PERCENTILE output bracket two
+//!   positions. The interval sketch is rebuilt at most once per round for
+//!   all PERCENTILE sessions.
+//! * **Patched per session** — SELECT/COUNT/SUM/AVE entries are functions of
+//!   one object's own columns, so only the iterated objects' entries change;
+//!   a HEAVYHITTERS session keeps each object's cell span and moves its
+//!   count-min charges by exact ±1 deltas.
+//! * **Recomputed per round** — the list-level stopping conditions, and
+//!   every float *sum* (the SUM/AVE interval in index order, a θ holder's
+//!   benefit over its straddlers in index order): those bits decide picks
+//!   and stopping, so they are re-added in the recompute's order, never
+//!   patched by subtract/add.
+//!
+//! State that cannot be proven equal to its rebuild falls back to the
+//! rebuild, selected by the condition that breaks the proof: a SpaceSaving
+//! summary that has replaced a counter is order-dependent, and a resolved
+//! cell that moves cannot be retracted from it.
+
+use va_sketch::IntervalQuantileSketch;
+use va_stream::Query;
+use vao::ops::percentile::{rank_from_top, SKETCH_ALPHA, SKETCH_BUDGET};
+
+use super::{
+    boundary_member, cell_span, classify_entries, classify_entry, fill_sketch, heavy_scan,
+    median_phases, member_order, members_sorted, percentile_scan, rank_band, rank_phases, sum_done,
+    sum_entries, sum_entry, uniform, CellSpan, Demand, HeavySummaries, View, Weights,
+};
+use crate::pool::SharedPool;
+
+/// Every session's outstanding demands over one tick's pool, maintained
+/// across the tick's scheduling rounds. See the module docs for what is
+/// shared, patched and recomputed.
+#[derive(Debug)]
+pub struct RoundView {
+    sessions: Vec<SessionDemand>,
+    /// Built iff some session is rank-family.
+    orders: Option<RankOrders>,
+    /// The PERCENTILE sessions' shared sketch and whether it already holds
+    /// this round's bounds.
+    sketch: Option<IntervalQuantileSketch>,
+    sketch_fresh: bool,
+    straddlers: Vec<usize>,
+    inner: Vec<usize>,
+}
+
+#[derive(Debug)]
+struct SessionDemand {
+    cache: Cache,
+    /// This round's demand list — what [`super::demands`] would return.
+    list: Vec<Demand>,
+}
+
+/// What a session keeps between rounds.
+#[derive(Debug)]
+enum Cache {
+    /// Rank-family sessions read the shared orders.
+    None,
+    /// SELECT/COUNT/SUM/AVE: the per-object entries in index order, before
+    /// the list-level stopping condition is applied.
+    Entries(Vec<Demand>),
+    Heavy(HeavyCache),
+}
+
+#[derive(Debug)]
+struct HeavyCache {
+    spans: Vec<CellSpan>,
+    summaries: HeavySummaries,
+    /// The summaries no longer provably equal a rebuild from `spans`.
+    stale: bool,
+}
+
+/// The member-guess orders: `desc` is the plain view's `(hi desc, lo desc,
+/// idx)`, `asc` the flipped view's — `(lo asc, hi asc, idx)`.
+#[derive(Debug)]
+struct RankOrders {
+    desc: Vec<usize>,
+    asc: Vec<usize>,
+}
+
+impl RankOrders {
+    fn build(pool: &SharedPool) -> Self {
+        Self {
+            desc: members_sorted(View { pool, flip: false }),
+            asc: members_sorted(View { pool, flip: true }),
+        }
+    }
+
+    /// Takes the (distinct) `changed` objects out and re-inserts each at its
+    /// new place. Everything else kept its keys, so it is still sorted, and
+    /// the order is strict: the result is the sequence a full sort gives.
+    fn repair(&mut self, pool: &SharedPool, changed: &[usize]) {
+        for (order, flip) in [(&mut self.desc, false), (&mut self.asc, true)] {
+            let v = View { pool, flip };
+            order.retain(|i| !changed.contains(i));
+            for &i in changed {
+                let at = order.partition_point(|&j| member_order(v, j, i).is_lt());
+                order.insert(at, i);
+            }
+        }
+    }
+
+    fn of(&self, flip: bool) -> &[usize] {
+        if flip {
+            &self.asc
+        } else {
+            &self.desc
+        }
+    }
+}
+
+/// The rank-family parameters of a query: `(k, epsilon, flip)` for the
+/// one-separation shapes.
+fn rank_params(query: &Query) -> Option<(usize, f64, bool)> {
+    match *query {
+        Query::Max { epsilon } => Some((1, epsilon, false)),
+        Query::Min { epsilon } => Some((1, epsilon, true)),
+        Query::TopK { k, epsilon } => Some((k, epsilon, false)),
+        _ => None,
+    }
+}
+
+fn reads_orders(query: &Query) -> bool {
+    rank_params(query).is_some() || matches!(query, Query::Median { .. } | Query::Percentile { .. })
+}
+
+/// Every object's entry for an entry-cached query shape, in index order
+/// (dispatching on the query once, not per object).
+fn all_entries(query: &Query, pool: &SharedPool) -> Vec<Demand> {
+    let mut entries = Vec::new();
+    match query {
+        Query::Selection { op, constant } | Query::Count { op, constant, .. } => {
+            classify_entries(pool, *op, *constant, &mut entries);
+        }
+        Query::Sum { weights, .. } => sum_entries(pool, Weights::Per(weights), &mut entries),
+        Query::Ave { .. } => sum_entries(pool, uniform(pool.len()), &mut entries),
+        _ => {}
+    }
+    entries
+}
+
+/// Object `i`'s entry for an entry-cached query shape.
+fn entry_of(query: &Query, pool: &SharedPool, i: usize) -> Option<Demand> {
+    match query {
+        Query::Selection { op, constant } | Query::Count { op, constant, .. } => {
+            classify_entry(pool, *op, *constant, i)
+        }
+        Query::Sum { weights, .. } => sum_entry(pool, Weights::Per(weights), i),
+        Query::Ave { .. } => sum_entry(pool, uniform(pool.len()), i),
+        _ => None,
+    }
+}
+
+/// The list-level condition of an entry-cached query shape: whether the
+/// query still demands its entries. Re-evaluated every round — the SUM/AVE
+/// interval is re-added over the whole pool, in index order.
+fn entries_demanded(query: &Query, pool: &SharedPool, entries: &[Demand]) -> bool {
+    match query {
+        Query::Count { slack, .. } => entries.len() > *slack,
+        Query::Sum { weights, epsilon } => !sum_done(pool, Weights::Per(weights), *epsilon),
+        Query::Ave { epsilon } => !sum_done(pool, uniform(pool.len()), *epsilon),
+        _ => true,
+    }
+}
+
+/// Replaces, inserts or removes object `i`'s entry in an index-ordered list.
+fn patch(entries: &mut Vec<Demand>, i: usize, entry: Option<Demand>) {
+    let at = entries.partition_point(|d| d.object < i);
+    let present = entries.get(at).is_some_and(|d| d.object == i);
+    match (entry, present) {
+        (Some(d), true) => entries[at] = d,
+        (Some(d), false) => entries.insert(at, d),
+        (None, true) => {
+            entries.remove(at);
+        }
+        (None, false) => {}
+    }
+}
+
+impl HeavyCache {
+    fn build(pool: &SharedPool, k: usize, width: f64) -> Self {
+        let spans: Vec<CellSpan> = (0..pool.len()).map(|i| cell_span(pool, i, width)).collect();
+        let mut summaries = HeavySummaries::new(k);
+        summaries.rebuild(&spans);
+        Self {
+            spans,
+            summaries,
+            stale: false,
+        }
+    }
+
+    /// Moves object `i`'s charges from its old span to its new one. The
+    /// count-min grids are sums of per-object charges, so ±1 is exact. The
+    /// SpaceSaving summary only takes offers: exact (and order-free) until
+    /// it replaces a counter, and a resolved cell cannot be taken back.
+    fn repair(&mut self, pool: &SharedPool, i: usize, width: f64) {
+        let new = cell_span(pool, i, width);
+        let old = std::mem::replace(&mut self.spans[i], new);
+        if old == new || self.stale {
+            return;
+        }
+        match old {
+            CellSpan::Pending { lo, hi } => self.summaries.remove_pending(lo, hi),
+            CellSpan::Resolved(_) => {
+                self.stale = true;
+                return;
+            }
+        }
+        self.summaries.add(new);
+        self.stale = !self.summaries.resolved.is_exact();
+    }
+
+    fn emit(&mut self, pool: &SharedPool, k: usize, width: f64, out: &mut Vec<Demand>) {
+        if self.stale {
+            self.summaries.rebuild(&self.spans);
+            self.stale = false;
+        }
+        heavy_scan(pool, &self.spans, &self.summaries, k, width, out);
+    }
+}
+
+impl RoundView {
+    /// Derives every session's demand list from the pool's current state —
+    /// the one full computation of a tick.
+    #[must_use]
+    pub fn build<'q>(
+        queries: impl IntoIterator<Item = &'q Query> + Clone,
+        pool: &SharedPool,
+    ) -> Self {
+        let sessions = queries
+            .clone()
+            .into_iter()
+            .map(|query| SessionDemand {
+                cache: match query {
+                    Query::Selection { .. }
+                    | Query::Count { .. }
+                    | Query::Sum { .. }
+                    | Query::Ave { .. } => Cache::Entries(all_entries(query, pool)),
+                    Query::HeavyHitters { k, epsilon } => {
+                        Cache::Heavy(HeavyCache::build(pool, *k, *epsilon))
+                    }
+                    _ => Cache::None,
+                },
+                list: Vec::new(),
+            })
+            .collect();
+        let mut view = Self {
+            sessions,
+            orders: queries
+                .clone()
+                .into_iter()
+                .any(reads_orders)
+                .then(|| RankOrders::build(pool)),
+            sketch: None,
+            sketch_fresh: false,
+            straddlers: Vec::new(),
+            inner: Vec::new(),
+        };
+        view.emit(queries, pool);
+        view
+    }
+
+    /// Brings every list up to date after the (distinct) objects `changed`
+    /// were iterated. `queries` must be the sessions the view was built
+    /// over, in the same order.
+    pub fn repair<'q>(
+        &mut self,
+        queries: impl IntoIterator<Item = &'q Query> + Clone,
+        pool: &SharedPool,
+        changed: &[usize],
+    ) {
+        if let Some(orders) = &mut self.orders {
+            orders.repair(pool, changed);
+        }
+        for (sess, query) in self.sessions.iter_mut().zip(queries.clone()) {
+            match (&mut sess.cache, query) {
+                (Cache::Entries(entries), _) => {
+                    for &i in changed {
+                        patch(entries, i, entry_of(query, pool, i));
+                    }
+                }
+                (Cache::Heavy(heavy), Query::HeavyHitters { epsilon, .. }) => {
+                    for &i in changed {
+                        heavy.repair(pool, i, *epsilon);
+                    }
+                }
+                _ => {}
+            }
+        }
+        self.emit(queries, pool);
+    }
+
+    /// Session `s`'s outstanding demands this round. Empty ⇔ the session
+    /// can answer `Final` from the pool's current bounds.
+    #[must_use]
+    pub fn demands(&self, s: usize) -> &[Demand] {
+        &self.sessions[s].list
+    }
+
+    /// This round's list for session `s`, for a per-round adjustment
+    /// (the learned-correlation boost): the next repair re-derives the
+    /// list from the caches, so an edit never carries into a later round.
+    pub(crate) fn demands_mut(&mut self, s: usize) -> &mut [Demand] {
+        &mut self.sessions[s].list
+    }
+
+    /// Sessions whose demand list is non-empty.
+    #[must_use]
+    pub fn outstanding(&self) -> usize {
+        self.sessions.iter().filter(|s| !s.list.is_empty()).count()
+    }
+
+    /// Applies the list-level conditions and the rank-family phases to the
+    /// (already repaired) caches, filling every session's list.
+    fn emit<'q>(&mut self, queries: impl IntoIterator<Item = &'q Query>, pool: &SharedPool) {
+        let Self {
+            sessions,
+            orders,
+            sketch,
+            sketch_fresh,
+            straddlers,
+            inner,
+        } = self;
+        *sketch_fresh = false;
+        let n = pool.len();
+        for (sess, query) in sessions.iter_mut().zip(queries) {
+            let out = &mut sess.list;
+            out.clear();
+            if n == 0 {
+                continue;
+            }
+            match (query, &mut sess.cache) {
+                (_, Cache::Entries(entries)) => {
+                    if entries_demanded(query, pool, entries) {
+                        out.extend_from_slice(entries);
+                    }
+                }
+                (Query::HeavyHitters { k, epsilon }, Cache::Heavy(heavy)) => {
+                    heavy.emit(pool, *k, *epsilon, out);
+                }
+                (Query::Median { epsilon }, _) => {
+                    let Some(orders) = orders else { continue };
+                    let v = View { pool, flip: false };
+                    let members = &orders.desc[..n.div_ceil(2)];
+                    let theta_holder = boundary_member(v, members);
+                    run_behind(v, &orders.desc, members.len(), theta_holder, straddlers);
+                    median_phases(
+                        pool,
+                        members,
+                        theta_holder,
+                        straddlers,
+                        *epsilon,
+                        inner,
+                        out,
+                    );
+                }
+                (Query::Percentile { phi, epsilon }, _) => {
+                    let Some(orders) = orders else { continue };
+                    // The k-th largest hi and lo are positions in the two
+                    // orders (ties carry equal values, so any tie order
+                    // reads the same bits).
+                    let k = rank_from_top(*phi, n);
+                    let at = k.clamp(1, n);
+                    let out_hi = pool.bounds(orders.desc[at - 1]).hi();
+                    let out_lo = pool.bounds(orders.asc[n - at]).lo();
+                    if out_hi - out_lo <= *epsilon {
+                        continue;
+                    }
+                    let sketch = sketch.get_or_insert_with(|| {
+                        IntervalQuantileSketch::new(SKETCH_ALPHA, SKETCH_BUDGET)
+                    });
+                    if !*sketch_fresh {
+                        fill_sketch(sketch, pool);
+                        *sketch_fresh = true;
+                    }
+                    percentile_scan(pool, rank_band(sketch, k), out);
+                }
+                _ => {
+                    let (Some((k, epsilon, flip)), Some(orders)) = (rank_params(query), &orders)
+                    else {
+                        continue;
+                    };
+                    let v = View { pool, flip };
+                    let order = orders.of(flip);
+                    let members = &order[..k.min(n)];
+                    if members.is_empty() {
+                        continue; // k == 0 (rejected at subscribe)
+                    }
+                    let theta_holder = boundary_member(v, members);
+                    run_behind(v, order, members.len(), theta_holder, straddlers);
+                    rank_phases(v, members, theta_holder, straddlers, epsilon, out);
+                }
+            }
+        }
+    }
+}
+
+/// The straddlers of a member prefix: the order is by `hi` descending, so
+/// the non-members reaching θ are the run right behind the `k` members.
+/// Returned in index order — the θ holder's benefit sums over them in that
+/// order.
+fn run_behind(v: View<'_>, order: &[usize], k: usize, theta_holder: usize, out: &mut Vec<usize>) {
+    let theta = v.lo(theta_holder);
+    out.clear();
+    out.extend(order[k..].iter().copied().take_while(|&i| v.hi(i) >= theta));
+    out.sort_unstable();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::demand::demands;
+    use vao::cost::WorkMeter;
+    use vao::interface::ResultObject;
+    use vao::ops::selection::CmpOp;
+    use vao::testkit::ScriptedObject;
+
+    fn pool_of(scripts: &[Vec<(f64, f64)>]) -> SharedPool {
+        let objects = scripts
+            .iter()
+            .map(|s| {
+                Box::new(ScriptedObject::converging(s, 3, 0.01)) as Box<dyn ResultObject + Send>
+            })
+            .collect();
+        SharedPool::from_objects(objects, 0.05)
+    }
+
+    fn assert_matches_recompute(view: &RoundView, queries: &[Query], pool: &SharedPool) {
+        let mut oracle = Vec::new();
+        for (s, query) in queries.iter().enumerate() {
+            demands(query, pool, &mut oracle);
+            let bits = |l: &[Demand]| -> Vec<(usize, u64)> {
+                l.iter().map(|d| (d.object, d.benefit.to_bits())).collect()
+            };
+            assert_eq!(
+                bits(view.demands(s)),
+                bits(&oracle),
+                "session {s} {query:?}"
+            );
+        }
+    }
+
+    /// Iterates the objects in `schedule` (one batch per entry), repairing
+    /// and comparing against the recompute after every batch.
+    fn drive(pool: &mut SharedPool, queries: &[Query], schedule: &[Vec<usize>]) -> RoundView {
+        let mut view = RoundView::build(queries, pool);
+        assert_matches_recompute(&view, queries, pool);
+        for batch in schedule {
+            for &i in batch {
+                pool.iterate(i, &mut WorkMeter::new());
+            }
+            view.repair(queries, pool, batch);
+            assert_matches_recompute(&view, queries, pool);
+        }
+        view
+    }
+
+    fn heavy_cache(view: &RoundView, s: usize) -> &HeavyCache {
+        match &view.sessions[s].cache {
+            Cache::Heavy(h) => h,
+            other => panic!("session {s} keeps {other:?}"),
+        }
+    }
+
+    #[test]
+    fn heavy_summaries_past_capacity_fall_back_to_the_rebuild() {
+        // 80 objects, each straddling a cell boundary of its own and then
+        // resolving into its own cell: more distinct resolved cells than
+        // the SpaceSaving capacity (64 for k ≤ 16), so from the 65th on the
+        // summary replaces counters and depends on offer order. Objects
+        // resolve back to front — the opposite of the rebuild's index order.
+        let scripts: Vec<Vec<(f64, f64)>> = (0..80)
+            .map(|i| {
+                let c = 10.0 + 3.0 * i as f64;
+                vec![(c - 0.2, c + 0.2), (c + 0.05, c + 0.15)]
+            })
+            .collect();
+        let mut pool = pool_of(&scripts);
+        let queries = [
+            Query::HeavyHitters { k: 2, epsilon: 1.0 },
+            Query::HeavyHitters { k: 1, epsilon: 0.5 },
+        ];
+        let schedule: Vec<Vec<usize>> = (0..80).rev().map(|i| vec![i]).collect();
+        let view = drive(&mut pool, &queries, &schedule);
+        assert!(
+            !heavy_cache(&view, 0).summaries.resolved.is_exact(),
+            "the run must have pushed the summary past capacity"
+        );
+    }
+
+    #[test]
+    fn a_resolved_cell_that_moves_is_rebuilt_not_patched() {
+        // Object 0 sits wholly inside cell 10, then (a non-nested script, as
+        // a warm-started adapter could produce) wholly inside cell 11: its
+        // offer to the SpaceSaving summary cannot be taken back.
+        let scripts = vec![
+            vec![(10.1, 10.2), (11.1, 11.2)],
+            vec![(10.3, 10.4)],
+            vec![(9.5, 11.5), (10.6, 11.4), (11.2, 11.3)],
+            vec![(10.9, 11.6), (11.3, 11.4)],
+        ];
+        let mut pool = pool_of(&scripts);
+        let queries = [Query::HeavyHitters { k: 1, epsilon: 1.0 }];
+        drive(&mut pool, &queries, &[vec![2], vec![0], vec![3], vec![2]]);
+    }
+
+    #[test]
+    fn ties_and_batches_keep_the_orders_equal_to_a_sort() {
+        // Identical bounds (ties down to the index), equal endpoints across
+        // objects, and batches that move several tied objects at once.
+        let twin = vec![(95.0, 105.0), (98.0, 102.0), (99.5, 100.5), (99.9, 100.0)];
+        let mut scripts = vec![twin.clone(); 5];
+        scripts.push(vec![(98.0, 105.0), (100.0, 102.0), (100.0, 100.5)]);
+        scripts.push(vec![(95.0, 102.0), (98.0, 100.5), (99.9, 100.0)]);
+        scripts.push(vec![(100.0, 100.0)]);
+        scripts.push(vec![(90.0, 99.0), (95.0, 98.0)]);
+        let mut pool = pool_of(&scripts);
+        let n = scripts.len();
+        let queries = [
+            Query::Max { epsilon: 0.2 },
+            Query::Min { epsilon: 0.2 },
+            Query::TopK { k: 3, epsilon: 0.2 },
+            Query::TopK { k: n, epsilon: 0.2 },
+            Query::Median { epsilon: 0.2 },
+            Query::Percentile {
+                phi: 0.25,
+                epsilon: 0.2,
+            },
+            Query::Percentile {
+                phi: 1.0,
+                epsilon: 0.2,
+            },
+            Query::Selection {
+                op: CmpOp::Ge,
+                constant: 100.0,
+            },
+            Query::Count {
+                op: CmpOp::Lt,
+                constant: 100.0,
+                slack: 2,
+            },
+            Query::Sum {
+                weights: vec![1.0, 0.0, 2.0, 1.0, 0.5, 1.0, 0.0, 1.0, 3.0],
+                epsilon: 4.0,
+            },
+            Query::Ave { epsilon: 0.3 },
+            Query::HeavyHitters { k: 2, epsilon: 1.0 },
+        ];
+        let schedule = vec![
+            vec![0, 1, 2],
+            vec![4],
+            vec![3, 5, 6, 8],
+            vec![0, 1],
+            vec![2, 3, 4, 5, 6],
+            vec![0],
+            vec![1, 2, 3, 4],
+            vec![7], // already converged: iterating it changes nothing
+        ];
+        drive(&mut pool, &queries, &schedule);
+    }
+
+    #[test]
+    fn an_empty_pool_demands_nothing() {
+        let pool = SharedPool::from_objects(Vec::new(), 0.05);
+        let queries = [
+            Query::Max { epsilon: 0.1 },
+            Query::Median { epsilon: 0.1 },
+            Query::Ave { epsilon: 0.1 },
+            Query::HeavyHitters { k: 1, epsilon: 1.0 },
+        ];
+        let mut view = RoundView::build(&queries, &pool);
+        assert_eq!(view.outstanding(), 0);
+        view.repair(&queries, &pool, &[]);
+        assert_matches_recompute(&view, &queries, &pool);
+    }
+}

@@ -51,6 +51,8 @@ pub use error::ServerError;
 pub use net::{FrontEnd, FrontEndConfig, FrontEndStats};
 pub use pool::SharedPool;
 pub use sched::arbitrate_budget;
+#[doc(hidden)]
+pub use sched::{audited_tick, RoundAudit};
 pub use server::{
     durability_fingerprint, pricer_fingerprint, Server, ServerConfig, TickResult,
     DEFAULT_SNAPSHOT_EVERY,

@@ -20,10 +20,24 @@ use vao::Bounds;
 ///
 /// Objects are `Send` (the interface guarantees it) so the batched
 /// scheduler can hand disjoint objects to worker threads via
-/// [`SharedPool::disjoint_mut`].
+/// [`SharedPool::with_disjoint_mut`].
+///
+/// **Flat view.** Everything the demand functions and the scheduler read
+/// per object per round — `bounds`, `est_bounds`, `converged`, `est_cpu` —
+/// is mirrored into plain columns: filled when the pool is built and
+/// refreshed only for objects that were iterated. The accessors read the
+/// columns, so a scheduling round never makes a virtual call (or re-derives
+/// a Richardson prediction) for an object that did not change. The two
+/// mutation paths, [`SharedPool::iterate`] and
+/// [`SharedPool::with_disjoint_mut`], refresh on the way out; no other
+/// method hands out `&mut` access to an object, so the view cannot go stale.
 pub struct SharedPool {
     objects: Vec<Box<dyn ResultObject + Send>>,
     rate: f64,
+    bounds: Vec<Bounds>,
+    est_bounds: Vec<Bounds>,
+    converged: Vec<bool>,
+    est_cpu: Vec<Work>,
 }
 
 impl std::fmt::Debug for SharedPool {
@@ -50,7 +64,7 @@ impl SharedPool {
             .iter()
             .map(|&bond| pricer.invoke(&(rate, bond), meter))
             .collect();
-        Self { objects, rate }
+        Self::from_objects(objects, rate)
     }
 
     /// Like [`SharedPool::invoke`], but wraps every freshly invoked object
@@ -83,14 +97,30 @@ impl SharedPool {
                 Box::new(WarmStarted::new(inner, seed)) as Box<dyn ResultObject + Send>
             })
             .collect();
-        Self { objects, rate }
+        Self::from_objects(objects, rate)
     }
 
     /// Builds a pool from pre-made result objects (testing and tooling; the
     /// server always goes through [`SharedPool::invoke`]).
     #[must_use]
     pub fn from_objects(objects: Vec<Box<dyn ResultObject + Send>>, rate: f64) -> Self {
-        Self { objects, rate }
+        Self {
+            bounds: objects.iter().map(|o| o.bounds()).collect(),
+            est_bounds: objects.iter().map(|o| o.est_bounds()).collect(),
+            converged: objects.iter().map(|o| o.converged()).collect(),
+            est_cpu: objects.iter().map(|o| o.est_cpu()).collect(),
+            objects,
+            rate,
+        }
+    }
+
+    /// Re-reads object `i`'s columns after it was mutated.
+    fn refresh(&mut self, i: usize) {
+        let obj = &self.objects[i];
+        self.bounds[i] = obj.bounds();
+        self.est_bounds[i] = obj.est_bounds();
+        self.converged[i] = obj.converged();
+        self.est_cpu[i] = obj.est_cpu();
     }
 
     /// The rate this pool was invoked at.
@@ -118,9 +148,12 @@ impl SharedPool {
     }
 
     /// Splits the pool into simultaneous `&mut` borrows of the objects at
-    /// `indices`, in that order — the aliasing story that lets a batched
-    /// scheduler iterate disjoint objects on separate worker threads while
-    /// the borrow checker still guarantees no object is handed out twice.
+    /// `indices`, in that order, lends them to `f`, and refreshes those
+    /// objects' columns when `f` returns — the aliasing story that lets a
+    /// batched scheduler iterate disjoint objects on separate worker threads
+    /// while the borrow checker still guarantees no object is handed out
+    /// twice, and the only way to reach the split borrows is one that cannot
+    /// forget the refresh.
     ///
     /// `indices` must be strictly ascending and in range; the scheduler
     /// sorts its batch (batches are distinct by construction) before
@@ -130,39 +163,47 @@ impl SharedPool {
     ///
     /// Panics if `indices` is not strictly ascending or indexes out of
     /// range — both are caller bugs, not data conditions.
-    pub fn disjoint_mut(&mut self, indices: &[usize]) -> Vec<&mut (dyn ResultObject + Send + '_)> {
-        let mut out: Vec<&mut (dyn ResultObject + Send)> = Vec::with_capacity(indices.len());
+    pub fn with_disjoint_mut<R>(
+        &mut self,
+        indices: &[usize],
+        f: impl for<'a> FnOnce(Vec<&'a mut (dyn ResultObject + Send + 'a)>) -> R,
+    ) -> R {
+        let mut parts: Vec<&mut (dyn ResultObject + Send)> = Vec::with_capacity(indices.len());
         let mut rest: &mut [Box<dyn ResultObject + Send>] = &mut self.objects;
         let mut consumed = 0usize; // objects already split off the front
         for &i in indices {
             assert!(
                 i >= consumed,
-                "disjoint_mut indices must be strictly ascending"
+                "with_disjoint_mut indices must be strictly ascending"
             );
             let (head, tail) = rest.split_at_mut(i - consumed + 1);
-            out.push(head[i - consumed].as_mut());
+            parts.push(head[i - consumed].as_mut());
             consumed = i + 1;
             rest = tail;
         }
-        out
+        let result = f(parts);
+        for &i in indices {
+            self.refresh(i);
+        }
+        result
     }
 
     /// Current bounds of object `i`.
     #[must_use]
     pub fn bounds(&self, i: usize) -> Bounds {
-        self.objects[i].bounds()
+        self.bounds[i]
     }
 
     /// Estimated post-iteration bounds of object `i`.
     #[must_use]
     pub fn est_bounds(&self, i: usize) -> Bounds {
-        self.objects[i].est_bounds()
+        self.est_bounds[i]
     }
 
     /// Estimated cost of the next iteration of object `i`.
     #[must_use]
     pub fn est_cpu(&self, i: usize) -> Work {
-        self.objects[i].est_cpu()
+        self.est_cpu[i]
     }
 
     /// The grid shape of object `i`'s next refinement, when that
@@ -178,7 +219,7 @@ impl SharedPool {
     /// Whether object `i` has reached its stopping condition.
     #[must_use]
     pub fn converged(&self, i: usize) -> bool {
-        self.objects[i].converged()
+        self.converged[i]
     }
 
     /// Lifetime work charged by object `i`, including any prior-run cost a
@@ -190,7 +231,9 @@ impl SharedPool {
 
     /// Refines object `i` one step on the shared meter.
     pub fn iterate(&mut self, i: usize, meter: &mut WorkMeter) -> Bounds {
-        self.objects[i].iterate(meter)
+        let after = self.objects[i].iterate(meter);
+        self.refresh(i);
+        after
     }
 }
 
@@ -217,41 +260,48 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_mut_hands_out_distinct_objects() {
+    fn disjoint_borrows_iterate_distinct_objects_and_refresh_the_view() {
         let universe = BondUniverse::generate(5, 7);
         let relation = BondRelation::from_universe(&universe);
         let pricer = BondPricer::default();
         let mut meter = WorkMeter::new();
         let mut pool = SharedPool::invoke(&pricer, &relation, 0.0583, &mut meter);
-        let before: Vec<_> = [0, 2, 4].iter().map(|&i| pool.bounds(i)).collect();
-        {
-            let mut parts = pool.disjoint_mut(&[0, 2, 4]);
+        let before: Vec<_> = (0..pool.len()).map(|i| pool.bounds(i)).collect();
+        let iterated = pool.with_disjoint_mut(&[0, 2, 4], |mut parts| {
             assert_eq!(parts.len(), 3);
             let mut scratch = WorkMeter::new();
             for obj in &mut parts {
                 obj.iterate(&mut scratch);
             }
-            assert_eq!(scratch.iterations(), 3);
+            scratch.iterations()
+        });
+        assert_eq!(iterated, 3);
+        for (i, was) in before.iter().enumerate() {
+            let obj = &pool.objects()[i];
+            assert_eq!(pool.bounds(i), obj.bounds(), "bounds column {i}");
+            assert_eq!(pool.est_bounds(i), obj.est_bounds(), "est column {i}");
+            assert_eq!(pool.converged(i), obj.converged(), "converged column {i}");
+            assert_eq!(pool.est_cpu(i), obj.est_cpu(), "est_cpu column {i}");
+            if [0, 2, 4].contains(&i) {
+                assert!(
+                    pool.bounds(i).width() < was.width(),
+                    "object {i} refined through the disjoint borrow"
+                );
+            } else {
+                assert_eq!(pool.bounds(i), *was, "object {i} untouched");
+            }
         }
-        for (k, &i) in [0usize, 2, 4].iter().enumerate() {
-            assert!(
-                pool.bounds(i).width() <= before[k].width(),
-                "object {i} refined through the disjoint borrow"
-            );
-        }
-        // Untouched objects kept their bounds.
-        assert_eq!(pool.bounds(1), pool.bounds(1));
     }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]
-    fn disjoint_mut_rejects_unsorted_indices() {
+    fn disjoint_borrows_reject_unsorted_indices() {
         let universe = BondUniverse::generate(3, 7);
         let relation = BondRelation::from_universe(&universe);
         let pricer = BondPricer::default();
         let mut meter = WorkMeter::new();
         let mut pool = SharedPool::invoke(&pricer, &relation, 0.0583, &mut meter);
-        let _ = pool.disjoint_mut(&[2, 0]);
+        pool.with_disjoint_mut(&[2, 0], |_| ());
     }
 
     #[test]

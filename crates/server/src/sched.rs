@@ -2,10 +2,12 @@
 //!
 //! §5's operators make a *per-operator* greedy choice: iterate the result
 //! object with the highest estimated benefit per `estCPU`. This module
-//! lifts that choice *across queries*: every registered session recomputes
-//! its outstanding [`Demand`]s over the shared pool each round, the demands
-//! on the same object are accumulated (priority-weighted), and the globally
-//! best iterations run on the shared meter. An iteration that one query
+//! lifts that choice *across queries*: every round, every registered
+//! session's outstanding demands over the shared pool are brought up to
+//! date (a [`RoundView`], repaired for the objects the previous round
+//! iterated — bit-identical to recomputing them), the demands on the same
+//! object are accumulated (priority-weighted), and the globally best
+//! iterations run on the shared meter. An iteration that one query
 //! pays for tightens the same bounds every other query reads — work sharing
 //! falls out of the pooling rather than needing any cross-query
 //! bookkeeping.
@@ -15,9 +17,8 @@
 //! (via [`ChoicePolicy::top_k`]), admits the longest prefix whose summed
 //! `estCPU` fits the remaining budget, and runs the admitted `iterate()`
 //! calls — on `std::thread::scope` worker threads when `workers > 1`,
-//! inline otherwise. Demand is recomputed once per *round* rather than
-//! once per *iteration*, which is where the batch speedup comes from even
-//! on a single core. With `batch = 1` the loop degenerates to exactly the
+//! inline otherwise. Demand and choice run once per *round* rather than
+//! once per *iteration*. With `batch = 1` the loop degenerates to exactly the
 //! historical serial schedule (same picks, same meter charges, same
 //! trace), and for a fixed batch the results are bit-identical regardless
 //! of worker count: workers only change *who* executes an already-chosen
@@ -30,7 +31,7 @@
 //! tick (§7's graceful degradation, applied to scheduling).
 
 use va_numerics::pde::step_batch;
-use va_stream::BondRelation;
+use va_stream::{BondRelation, Query};
 use vao::batch::{BatchLane, GridShape};
 use vao::cost::{Calibrator, Work, WorkBreakdown, WorkMeter};
 use vao::interface::ResultObject;
@@ -42,7 +43,7 @@ use vao::trace::{
 use vao::Bounds;
 
 use crate::answer::Answer;
-use crate::demand::{self, Demand, PredicateStats};
+use crate::demand::{self, PredicateStats, RoundView};
 use crate::error::ServerError;
 use crate::pool::SharedPool;
 use crate::session::{SessionId, SessionRegistry};
@@ -129,6 +130,17 @@ pub(crate) struct Calibration<'a> {
     pub predicates: &'a mut PredicateStats,
 }
 
+/// A probe called with the pool and the round view at the top of every
+/// scheduling round, right after the view was built or repaired (and before
+/// any per-round boost) — the seam the differential tests check the
+/// maintained demand state through. The server passes `None`.
+pub type RoundAudit<'a> = &'a mut dyn FnMut(&SharedPool, &RoundView);
+
+/// The sessions' queries, in registration order.
+fn queries(registry: &SessionRegistry) -> impl Iterator<Item = &Query> + Clone {
+    registry.sessions().iter().map(|s| &s.query)
+}
+
 /// One executed iteration, resolved back into pick order.
 struct IterDone {
     before: Bounds,
@@ -163,6 +175,7 @@ pub(crate) fn run_tick<O: ExecObserver>(
     calibration: Option<Calibration<'_>>,
     meter: &mut WorkMeter,
     observer: &mut O,
+    mut audit: Option<RoundAudit<'_>>,
 ) -> Result<TickOutcome, ServerError> {
     observer.on_operator_start(OperatorKind::SharedPool, pool.len());
     let entry = meter.snapshot();
@@ -173,39 +186,29 @@ pub(crate) fn run_tick<O: ExecObserver>(
         None => (None, None),
     };
     let mut policy = ChoicePolicy::greedy();
-    let mut demands_buf: Vec<Vec<Demand>> =
-        registry.sessions().iter().map(|_| Vec::new()).collect();
-    // Per-session sketch summaries (PERCENTILE/HEAVYHITTERS). Derived state:
-    // rebuilt from the pool every round, kept only to reuse allocations.
-    let mut sketch_states: Vec<demand::SketchState> = registry
-        .sessions()
-        .iter()
-        .map(|_| demand::SketchState::default())
-        .collect();
+    // Every session's demand against the pool's current bounds — the
+    // analogue of the per-operator loops re-deriving their guess/unresolved
+    // sets after each iteration. Derived in full once, here; after each
+    // round the view repairs only what the round's iterations changed (see
+    // `demand::RoundView`). In a batched round that runs once per *batch*,
+    // not once per iteration.
+    let mut view = RoundView::build(queries(registry), pool);
+    let n = pool.len();
+    let mut weighted = vec![0.0f64; n];
+    let mut demanded = vec![false; n];
+    let mut candidates: Vec<Candidate> = Vec::new();
+    let mut raw_ests: Vec<Work> = Vec::new();
     let mut iterations = 0u64;
-    let mut per_object_iterations = vec![0u64; pool.len()];
+    let mut per_object_iterations = vec![0u64; n];
     let mut seq = 0u64;
     let mut round = 0u64;
     let mut budget_exhausted = false;
 
     loop {
-        // Recompute every session's demand against the pool's current
-        // bounds — the stateless analogue of the per-operator loops
-        // re-deriving their guess/unresolved sets after each iteration.
-        // In a batched round this runs once per *batch*, not once per
-        // iteration, which is the main saving over the serial schedule.
-        let mut outstanding = 0usize;
-        for (s_idx, sess) in registry.sessions().iter().enumerate() {
-            demand::demands_stateful(
-                &sess.query,
-                pool,
-                &mut sketch_states[s_idx],
-                &mut demands_buf[s_idx],
-            );
-            if !demands_buf[s_idx].is_empty() {
-                outstanding += 1;
-            }
+        if let Some(audit) = audit.as_deref_mut() {
+            audit(pool, &view);
         }
+        let outstanding = view.outstanding();
         if outstanding == 0 {
             break; // every session can answer Final
         }
@@ -216,10 +219,11 @@ pub(crate) fn run_tick<O: ExecObserver>(
         }
         // Learned-correlation reordering (calibrated servers only): boost
         // the probe demands whose estimated bounds lean the way the
-        // predicate historically decides.
+        // predicate historically decides. The boost edits this round's
+        // lists; the next repair re-derives them, so it never compounds.
         if let Some(preds) = cal_preds.as_deref() {
             for (s_idx, sess) in registry.sessions().iter().enumerate() {
-                preds.boost(&sess.query, pool, &mut demands_buf[s_idx]);
+                preds.boost(&sess.query, pool, view.demands_mut(s_idx));
             }
         }
         let round_snap = meter.snapshot();
@@ -227,12 +231,11 @@ pub(crate) fn run_tick<O: ExecObserver>(
         // Accumulate priority-weighted benefits per object: the global
         // benefit of iterating an object is the sum of what every demanding
         // query expects from it.
-        let n = pool.len();
-        let mut weighted = vec![0.0f64; n];
-        let mut demanded = vec![false; n];
+        weighted.fill(0.0);
+        demanded.fill(false);
         for (s_idx, sess) in registry.sessions().iter().enumerate() {
             let w = f64::from(sess.priority);
-            for d in &demands_buf[s_idx] {
+            for d in view.demands(s_idx) {
                 weighted[d.object] += w * d.benefit;
                 demanded[d.object] = true;
             }
@@ -242,23 +245,21 @@ pub(crate) fn run_tick<O: ExecObserver>(
         // ranking all see `corrected = model(estCPU)`. The raw estimates
         // stay alongside (by candidate position) because the model must be
         // trained on what the object *claimed*, not on its own correction.
-        let mut raw_ests: Vec<Work> = Vec::new();
-        let candidates: Vec<Candidate> = (0..n)
-            .filter(|&i| demanded[i])
-            .map(|i| {
-                let raw = pool.est_cpu(i);
-                raw_ests.push(raw);
-                Candidate {
-                    index: i,
-                    benefit: weighted[i],
-                    est_cpu: match cal_model.as_deref() {
-                        Some(m) => m.correct(raw),
-                        None => raw,
-                    },
-                    width: pool.bounds(i).width(),
-                }
-            })
-            .collect();
+        candidates.clear();
+        raw_ests.clear();
+        for i in (0..n).filter(|&i| demanded[i]) {
+            let raw = pool.est_cpu(i);
+            raw_ests.push(raw);
+            candidates.push(Candidate {
+                index: i,
+                benefit: weighted[i],
+                est_cpu: match cal_model.as_deref() {
+                    Some(m) => m.correct(raw),
+                    None => raw,
+                },
+                width: pool.bounds(i).width(),
+            });
+        }
         meter.charge_choose(candidates.len() as Work);
         if candidates.is_empty() {
             // Outstanding demand names objects, so candidates cannot be
@@ -277,7 +278,7 @@ pub(crate) fn run_tick<O: ExecObserver>(
         // Budget admission, up front for the whole batch: admit the
         // longest prefix (in pick order) whose cumulative estCPU fits.
         // Graceful degradation: if not even the best pick fits, stop the
-        // tick; demands_buf stays fresh for Partial answers.
+        // tick; the view stays current for Partial answers.
         let spent = meter.total();
         let mut admitted: Vec<usize> = Vec::with_capacity(selected.len());
         let mut admitted_est: Work = 0;
@@ -312,7 +313,7 @@ pub(crate) fn run_tick<O: ExecObserver>(
             let mut claimant: Option<usize> = None;
             let mut claim_w = -1.0f64;
             for (s_idx, sess) in registry.sessions().iter().enumerate() {
-                if let Some(d) = demands_buf[s_idx].iter().find(|d| d.object == chosen) {
+                if let Some(d) = view.demands(s_idx).iter().find(|d| d.object == chosen) {
                     let w = f64::from(sess.priority) * d.benefit;
                     if claimant.is_none() || w > claim_w {
                         claimant = Some(s_idx);
@@ -405,6 +406,7 @@ pub(crate) fn run_tick<O: ExecObserver>(
                 work: meter.since(&round_snap).total(),
             });
         }
+        view.repair(queries(registry), pool, &objs);
     }
 
     // Tally every SELECT/COUNT predicate's decided outcomes against the
@@ -418,7 +420,7 @@ pub(crate) fn run_tick<O: ExecObserver>(
 
     let mut answers = Vec::with_capacity(registry.len());
     for (s_idx, sess) in registry.sessions_mut().iter_mut().enumerate() {
-        let done = demands_buf[s_idx].is_empty();
+        let done = view.demands(s_idx).is_empty();
         if done {
             sess.finals += 1;
         } else {
@@ -441,6 +443,44 @@ pub(crate) fn run_tick<O: ExecObserver>(
     })
 }
 
+/// [`run_tick`] over a caller-built registry and pool with a [`RoundAudit`]
+/// attached: the scheduler exactly as the server runs it (unbudgeted, the
+/// default iteration cap, `calibration` as `(cost model, predicate stats)`),
+/// observable round by round. Exists for the differential tests; returns
+/// the tick's answers.
+///
+/// # Errors
+///
+/// Whatever the tick fails with.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)] // mirrors run_tick's knobs
+pub fn audited_tick(
+    registry: &mut SessionRegistry,
+    pool: &mut SharedPool,
+    relation: &BondRelation,
+    workers: usize,
+    batch: usize,
+    batch_solver: bool,
+    calibration: Option<(&mut Calibrator, &mut PredicateStats)>,
+    audit: RoundAudit<'_>,
+) -> Result<Vec<(SessionId, Answer)>, ServerError> {
+    let outcome = run_tick(
+        registry,
+        pool,
+        relation,
+        None,
+        vao::ops::DEFAULT_ITERATION_LIMIT,
+        workers,
+        batch,
+        batch_solver,
+        calibration.map(|(model, predicates)| Calibration { model, predicates }),
+        &mut WorkMeter::new(),
+        &mut vao::trace::NoopObserver,
+        Some(audit),
+    )?;
+    Ok(outcome.answers)
+}
+
 /// Iterates the (distinct) objects `objs` concurrently on up to `workers`
 /// scoped threads, merging each thread's scratch meter into `meter` and
 /// returning per-object results in the same order as `objs`.
@@ -456,42 +496,42 @@ fn run_batch_threaded(
     workers: usize,
     meter: &mut WorkMeter,
 ) -> Result<Vec<IterDone>, ServerError> {
-    // disjoint_mut wants strictly ascending indices; remember each sorted
+    // with_disjoint_mut wants strictly ascending indices; remember each sorted
     // position's slot in pick order so results can be mapped back.
     let mut order: Vec<usize> = (0..objs.len()).collect();
     order.sort_by_key(|&slot| objs[slot]);
     let sorted_objs: Vec<usize> = order.iter().map(|&slot| objs[slot]).collect();
-    let parts = pool.disjoint_mut(&sorted_objs);
-    let mut tagged: Vec<(usize, &mut (dyn ResultObject + Send))> =
-        order.iter().copied().zip(parts).collect();
-
-    let threads = workers.min(tagged.len());
-    let chunk = tagged.len().div_ceil(threads);
-    let joined: Vec<_> = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        while !tagged.is_empty() {
-            let take = chunk.min(tagged.len());
-            let mine: Vec<_> = tagged.drain(..take).collect();
-            handles.push(s.spawn(move || {
-                let mut scratch = WorkMeter::new();
-                let mut out = Vec::with_capacity(mine.len());
-                for (slot, obj) in mine {
-                    let before = obj.bounds();
-                    let snap = scratch.snapshot();
-                    let after = obj.iterate(&mut scratch);
-                    out.push((
-                        slot,
-                        IterDone {
-                            before,
-                            after,
-                            work: scratch.since(&snap),
-                        },
-                    ));
-                }
-                (out, scratch)
-            }));
-        }
-        handles.into_iter().map(|h| h.join()).collect()
+    let threads = workers.min(objs.len());
+    let chunk = objs.len().div_ceil(threads);
+    let joined: Vec<_> = pool.with_disjoint_mut(&sorted_objs, |parts| {
+        let mut tagged: Vec<(usize, &mut (dyn ResultObject + Send))> =
+            order.iter().copied().zip(parts).collect();
+        std::thread::scope(|s| {
+            let mut handles = Vec::with_capacity(threads);
+            while !tagged.is_empty() {
+                let take = chunk.min(tagged.len());
+                let mine: Vec<_> = tagged.drain(..take).collect();
+                handles.push(s.spawn(move || {
+                    let mut scratch = WorkMeter::new();
+                    let mut out = Vec::with_capacity(mine.len());
+                    for (slot, obj) in mine {
+                        let before = obj.bounds();
+                        let snap = scratch.snapshot();
+                        let after = obj.iterate(&mut scratch);
+                        out.push((
+                            slot,
+                            IterDone {
+                                before,
+                                after,
+                                work: scratch.since(&snap),
+                            },
+                        ));
+                    }
+                    (out, scratch)
+                }));
+            }
+            handles.into_iter().map(|h| h.join()).collect()
+        })
     });
 
     let mut done: Vec<Option<IterDone>> = (0..objs.len()).map(|_| None).collect();
@@ -610,18 +650,30 @@ fn run_batch_lanes(
     meter: &mut WorkMeter,
 ) -> Result<Vec<IterDone>, ServerError> {
     // Probe shapes through the shared-borrow API *before* splitting the
-    // pool into disjoint `&mut` borrows (disjoint_mut wants strictly
+    // pool into disjoint `&mut` borrows (with_disjoint_mut wants strictly
     // ascending indices; remember pick-order slots to map results back).
     let mut order: Vec<usize> = (0..objs.len()).collect();
     order.sort_by_key(|&slot| objs[slot]);
     let sorted_objs: Vec<usize> = order.iter().map(|&slot| objs[slot]).collect();
     let shapes: Vec<Option<GridShape>> = sorted_objs.iter().map(|&i| pool.batch_shape(i)).collect();
-    let parts = pool.disjoint_mut(&sorted_objs);
+    pool.with_disjoint_mut(&sorted_objs, |parts| {
+        exec_lane_groups(parts, &order, &shapes, workers, meter)
+    })
+}
 
+/// The body of [`run_batch_lanes`] over the already-split borrows: `parts`,
+/// `order` (each part's pick-order slot) and `shapes` are aligned.
+fn exec_lane_groups(
+    parts: Vec<&mut (dyn ResultObject + Send)>,
+    order: &[usize],
+    shapes: &[Option<GridShape>],
+    workers: usize,
+    meter: &mut WorkMeter,
+) -> Result<Vec<IterDone>, ServerError> {
     // Group same-shape objects; shapeless ones go scalar immediately.
     let mut groups: Vec<(GridShape, Vec<usize>, Vec<&mut (dyn ResultObject + Send)>)> = Vec::new();
     let mut scalars: Vec<(usize, &mut (dyn ResultObject + Send))> = Vec::new();
-    for ((slot, obj), shape) in order.iter().copied().zip(parts).zip(&shapes) {
+    for ((slot, obj), shape) in order.iter().copied().zip(parts).zip(shapes) {
         match shape {
             Some(s) => match groups.iter_mut().find(|(g, _, _)| g == s) {
                 Some((_, slots, members)) => {
@@ -654,7 +706,7 @@ fn run_batch_lanes(
             .map(|(slot, obj)| ExecUnit::Scalar { slot, obj }),
     );
 
-    let mut done: Vec<Option<IterDone>> = (0..objs.len()).map(|_| None).collect();
+    let mut done: Vec<Option<IterDone>> = (0..order.len()).map(|_| None).collect();
     if workers <= 1 || units.len() == 1 {
         for unit in units {
             for (slot, d) in exec_unit(unit, meter) {

@@ -1586,6 +1586,7 @@ fn execute_tenant_tick<O: ExecObserver>(
         calibration,
         &mut meter,
         &mut fan,
+        None,
     )?;
 
     let stats = TickStats {

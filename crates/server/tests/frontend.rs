@@ -282,3 +282,32 @@ fn quit_is_scoped_to_the_issuing_connection() {
     assert_eq!(server.sessions().len(), 2);
     assert!(stats.closed >= 1);
 }
+
+#[test]
+fn hostile_nesting_gets_an_error_and_the_server_keeps_serving() {
+    let harness = Harness::spawn();
+
+    // Just under the 1 MiB line cap: 900 KB of '[' used to recurse the
+    // JSON parser off the end of the stack and abort the whole process.
+    let mut hostile = Client::connect(harness.addr);
+    hostile.send(&"[".repeat(900 * 1024));
+    let reply = hostile.recv();
+    assert!(reply.contains("\"type\":\"ERROR\""), "{reply}");
+    assert!(reply.contains("nesting deeper than"), "{reply}");
+
+    // The same connection is still usable after the error...
+    hostile.send(&format!("{}1{}", "{\"a\":".repeat(100), "}".repeat(100)));
+    assert!(hostile.recv().contains("\"type\":\"ERROR\""));
+    assert_eq!(hostile.subscribe_max(), 1);
+
+    // ...and a second client subscribes and ticks as if nothing happened.
+    let mut second = Client::connect(harness.addr);
+    assert_eq!(second.subscribe_max(), 2);
+    second.send(r#"{"type":"TICK","rate":0.0583}"#);
+    assert!(second.recv().contains("\"type\":\"RESULT\""));
+    assert!(second.recv().contains("\"type\":\"TICK_DONE\""));
+
+    let (server, stats) = harness.stop();
+    assert_eq!(server.ticks(), 1);
+    assert_eq!(stats.accepted, 2);
+}

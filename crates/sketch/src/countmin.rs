@@ -90,6 +90,30 @@ impl CountMin {
         }
     }
 
+    /// Takes back `weight` occurrences of `key` charged by an earlier
+    /// [`CountMin::add`]. The grid is a sum of per-key charges, so (short of
+    /// a saturated counter) the sketch afterwards is cell-for-cell the one a
+    /// rebuild without those occurrences would produce.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more weight is removed than was added — a caller bug.
+    pub fn remove(&mut self, key: i64, weight: u64) {
+        if weight == 0 {
+            return;
+        }
+        self.weight = self
+            .weight
+            .checked_sub(weight)
+            .expect("removed more weight than was added");
+        for row in 0..self.depth {
+            let s = self.slot(row, key);
+            self.grid[s] = self.grid[s]
+                .checked_sub(weight)
+                .expect("removed more weight than was added");
+        }
+    }
+
     /// Estimated frequency of `key`: the minimum over rows. Never less than
     /// the true added weight for `key`.
     #[must_use]
@@ -145,6 +169,24 @@ mod tests {
         }
         for i in -60..60i64 {
             assert_eq!(a.estimate(i), b.estimate(i));
+        }
+    }
+
+    #[test]
+    fn remove_is_the_exact_inverse_of_add() {
+        let mut kept = CountMin::new(16, 3);
+        let mut churned = CountMin::new(16, 3);
+        for k in 0..40i64 {
+            kept.add(k, 2);
+            churned.add(k, 2);
+            churned.add(k * 31 + 7, 1);
+        }
+        for k in 0..40i64 {
+            churned.remove(k * 31 + 7, 1);
+        }
+        assert_eq!(churned.weight(), kept.weight());
+        for k in -50..1400i64 {
+            assert_eq!(churned.estimate(k), kept.estimate(k), "key {k}");
         }
     }
 

@@ -32,6 +32,8 @@ pub struct SpaceSaving {
     /// key → index into `counters`.
     index: HashMap<i64, usize>,
     offers: u64,
+    /// Replacements since construction or the last `clear()`.
+    evictions: u64,
 }
 
 impl SpaceSaving {
@@ -48,6 +50,7 @@ impl SpaceSaving {
             counters: Vec::with_capacity(capacity),
             index: HashMap::with_capacity(capacity),
             offers: 0,
+            evictions: 0,
         }
     }
 
@@ -69,6 +72,15 @@ impl SpaceSaving {
         self.counters.clear();
         self.index.clear();
         self.offers = 0;
+        self.evictions = 0;
+    }
+
+    /// Whether every offered key still has its own counter (no replacement
+    /// has happened): the counts are then the true frequencies, and the
+    /// summary is the same whatever order the offers arrived in.
+    #[must_use]
+    pub fn is_exact(&self) -> bool {
+        self.evictions == 0
     }
 
     /// Offers `weight` occurrences of `key`.
@@ -100,6 +112,7 @@ impl SpaceSaving {
             }
         }
         let evicted = self.counters[min_i];
+        self.evictions += 1;
         self.index.remove(&evicted.key);
         self.index.insert(key, min_i);
         self.counters[min_i] = Counter {
@@ -168,6 +181,7 @@ mod tests {
         assert_eq!(s.kth_guaranteed(1), 5);
         assert_eq!(s.kth_guaranteed(2), 3);
         assert_eq!(s.kth_guaranteed(4), 0);
+        assert!(s.is_exact());
     }
 
     #[test]
@@ -218,7 +232,9 @@ mod tests {
         s.offer(1, 10);
         s.offer(2, 5);
         s.offer(3, 1);
+        assert!(!s.is_exact(), "the third key replaced a counter");
         s.clear();
+        assert!(s.is_exact());
         assert_eq!(s.offers(), 0);
         assert_eq!(s.counters().len(), 0);
         s.offer(7, 2);

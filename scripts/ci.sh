@@ -4,7 +4,7 @@
 #
 #   ./scripts/ci.sh
 #
-# Fourteen stages, all mandatory:
+# Fifteen stages, all mandatory:
 #   1. cargo fmt --check        -- formatting drift fails the gate
 #   2. cargo clippy -D warnings -- lints are errors, across all targets
 #   3. cargo test -q            -- the full workspace test suite
@@ -52,7 +52,16 @@
 #                                  bit-identical to the scalar executor on a
 #                                  small universe (numerics kernel identity +
 #                                  server dispatch identity, by name)
-#  12. cargo doc -D warnings    -- rustdoc must build clean
+#  12. benchmark gate          -- benchmark/check.sh: the standalone benchmark
+#                                  package's fmt, clippy, unit tests and a
+#                                  `run --quick` of all four workloads (lap-0
+#                                  digest repeat + --check). It builds against
+#                                  crates/* by path, so a change to
+#                                  va_server::demand::*, SharedPool,
+#                                  ChoicePolicy/Candidate or va_persist::json
+#                                  that breaks its build or its answers fails
+#                                  here, not in the benchmark run
+#  13. cargo doc -D warnings    -- rustdoc must build clean
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -483,6 +492,9 @@ echo "==> batched SoA solver == scalar executor smoke"
 cargo test -q -p va-numerics --lib tridiag::tests::batched_solve_is_bit_identical_to_scalar_lanes
 cargo test -q -p va-numerics --lib pde::batch::tests::lockstep_solve_is_bit_identical_to_scalar_iterates
 cargo test -q -p va-server --test parallel_determinism batched_solver_matches_scalar_answers
+
+echo "==> benchmark package gate (fmt, clippy, unit tests, run --quick)"
+benchmark/check.sh
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
