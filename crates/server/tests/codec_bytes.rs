@@ -1,0 +1,751 @@
+//! Emitted bytes, pinned.
+//!
+//! Every other codec test goes *through* a parser (round trips, field
+//! probes); none says what the emitters actually write. This file does:
+//! one literal expected string per journal event, snapshot, metadata
+//! file, protocol response and rendered request. A change to field order,
+//! float formatting, escaping or an absent-when-cold field fails here
+//! first, with the exact line in the diff.
+//!
+//! The literals are the contract. Constructor expressions may change when
+//! a type does; the strings may not.
+
+use std::time::Duration;
+
+use va_persist::record::{
+    AnswerEntry, AnswerRecord, BondRecord, CalibrationState, JournalEvent, PredicateCounterRecord,
+    RelationDefRecord, RelationRecord, RelationSnapshot, SegmentPosition, SessionSnapshot,
+    SessionTickRecord, SnapshotRecord, StatsRecord, TickRecord, WarmObjectRecord, WarmRateRecord,
+};
+use va_persist::{Meta, MetaRelation};
+use va_server::proto::{self, RelationSpec, Request, WireBond, WireQuery};
+use va_server::{Answer, RelationId, Server, ServerConfig, Session, SessionId, TickResult};
+use va_stream::{BondRelation, IterHistogram, Query, QueryOutput, TickStats};
+use vao::cost::{CalCell, WorkBreakdown, CAL_CLASSES};
+use vao::ops::heavy::HeavyCell;
+use vao::ops::selection::CmpOp;
+use vao::trace::CpuEstimation;
+use vao::Bounds;
+
+/// Asserts each `(what, emitted, expected)` triple.
+fn check(pins: &[(&str, String, &str)]) {
+    for (what, emitted, expected) in pins {
+        assert_eq!(emitted, expected, "{what}");
+    }
+}
+
+fn bond(id: u32) -> BondRecord {
+    BondRecord {
+        id,
+        coupon: 0.0325 + f64::from(id) * 0.01,
+        maturity: 7.5,
+        face: 100.0,
+    }
+}
+
+fn def(name: &str, seed: Option<u64>, bonds: u32) -> RelationDefRecord {
+    RelationDefRecord {
+        name: name.to_string(),
+        seed,
+        bonds: (0..bonds).map(bond).collect(),
+    }
+}
+
+fn stats() -> StatsRecord {
+    StatsRecord {
+        rate: 0.0583,
+        work: WorkBreakdown {
+            exec_iter: 921_088,
+            get_state: 48,
+            store_state: 415,
+            choose_iter: 13_937,
+        },
+        wall_nanos: 123_456_789,
+        iterations: 319,
+        operator: "shared_pool".to_string(),
+        objects: 48,
+        hist: [1, 2, 3, 4, 5, 6, 7, 8, 9],
+        cpu: CpuEstimation {
+            iterations: 319,
+            pct_iterations: 301,
+            mean_abs_error: 12.5,
+            mean_abs_pct_error: 0.03,
+        },
+    }
+}
+
+fn calibration() -> CalibrationState {
+    let mut cells = vec![CalCell::default(); CAL_CLASSES];
+    cells[7] = CalCell {
+        observations: 41,
+        est_sum: 5_120,
+        actual_sum: 7_730,
+    };
+    CalibrationState {
+        cells,
+        predicates: vec![
+            PredicateCounterRecord {
+                op: CmpOp::Gt,
+                constant: 100.25,
+                pass: 18,
+                fail: 30,
+            },
+            PredicateCounterRecord {
+                op: CmpOp::Le,
+                constant: 99.058_300_000_000_01,
+                pass: 0,
+                fail: 7,
+            },
+        ],
+    }
+}
+
+/// One answer of every [`QueryOutput`] shape, plus a partial.
+fn answers() -> Vec<AnswerEntry> {
+    let outputs = [
+        QueryOutput::Selected(vec![1, 2, 37]),
+        QueryOutput::Extreme {
+            bond_id: 45,
+            bounds: Bounds::new(123.318_127_050_003_1, 123.566_607_748_983_66),
+            ties: vec![2, 9],
+        },
+        QueryOutput::Aggregate {
+            bounds: Bounds::new(5_132.538_654_318_307, 5_174.847_830_908_930_5),
+        },
+        QueryOutput::Ranked {
+            members: vec![
+                (45, Bounds::new(123.3, 123.6)),
+                (9, Bounds::new(88.8, 88.9)),
+            ],
+            ties: vec![3],
+        },
+        QueryOutput::Count { lo: 37, hi: 41 },
+        QueryOutput::Heavy {
+            cells: vec![
+                HeavyCell { cell: -3, count: 7 },
+                HeavyCell { cell: 12, count: 2 },
+            ],
+            ties: vec![-2, 5],
+        },
+    ];
+    let mut entries: Vec<AnswerEntry> = outputs
+        .into_iter()
+        .zip(1..)
+        .map(|(out, session)| AnswerEntry {
+            session,
+            answer: AnswerRecord::Final(out),
+        })
+        .collect();
+    entries.push(AnswerEntry {
+        session: 7,
+        answer: AnswerRecord::Partial {
+            lo: 5132.5,
+            hi: 5174.8,
+        },
+    });
+    entries
+}
+
+fn warm() -> Vec<WarmObjectRecord> {
+    vec![
+        WarmObjectRecord {
+            lo: 88.80101456519986,
+            hi: 88.85679684433053,
+            converged: true,
+            iters: 17,
+            cost: 40_231,
+        },
+        WarmObjectRecord {
+            lo: 90.0,
+            hi: 110.0,
+            converged: false,
+            iters: 0,
+            cost: 512,
+        },
+    ]
+}
+
+fn tick(calibration: Option<CalibrationState>) -> JournalEvent {
+    JournalEvent::Tick(Box::new(TickRecord {
+        relation: 2,
+        tick: 7,
+        rate: 0.0583,
+        shed: 2,
+        budget_exhausted: true,
+        stats: stats(),
+        sessions: vec![
+            SessionTickRecord {
+                session: 1,
+                is_final: true,
+                driven: 100,
+            },
+            SessionTickRecord {
+                session: 7,
+                is_final: false,
+                driven: 0,
+            },
+        ],
+        answers: answers(),
+        warm: warm(),
+        calibration,
+    }))
+}
+
+/// One query of every kind, in a fixed order.
+fn queries() -> Vec<Query> {
+    vec![
+        Query::Selection {
+            op: CmpOp::Gt,
+            constant: 100.0,
+        },
+        Query::Count {
+            op: CmpOp::Le,
+            constant: 99.5,
+            slack: 4,
+        },
+        Query::Sum {
+            weights: vec![1.0, 0.25, 3.5],
+            epsilon: 50.0,
+        },
+        Query::Ave { epsilon: 0.5 },
+        Query::Max { epsilon: 0.0101 },
+        Query::Min { epsilon: 0.25 },
+        Query::TopK { k: 5, epsilon: 1.0 },
+        Query::Median { epsilon: 0.05 },
+        Query::Percentile {
+            phi: 0.95,
+            epsilon: 0.25,
+        },
+        Query::HeavyHitters { k: 3, epsilon: 0.5 },
+    ]
+}
+
+#[test]
+fn journal_lines() {
+    let mut pins = vec![
+        (
+            "create_relation with a seed",
+            JournalEvent::CreateRelation(Box::new(RelationRecord {
+                relation: 2,
+                def: def("energy", Some(1994), 2),
+            }))
+            .to_line(),
+            r#"{"ev":"create_relation","relation":2,"def":{"name":"energy","seed":1994,"bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100},{"id":1,"coupon":0.0425,"maturity":7.5,"face":100}]}}"#,
+        ),
+        (
+            "create_relation without a seed, name needing escapes, no bonds",
+            JournalEvent::CreateRelation(Box::new(RelationRecord {
+                relation: 3,
+                def: def("weird \"name\"\n\t\\", None, 0),
+            }))
+            .to_line(),
+            r#"{"ev":"create_relation","relation":3,"def":{"name":"weird \"name\"\n\t\\","bonds":[]}}"#,
+        ),
+        (
+            "drop_relation",
+            JournalEvent::DropRelation { relation: 2 }.to_line(),
+            r#"{"ev":"drop_relation","relation":2}"#,
+        ),
+        (
+            "add_bond",
+            JournalEvent::AddBond {
+                relation: 3,
+                bond: bond(7),
+            }
+            .to_line(),
+            r#"{"ev":"add_bond","relation":3,"bond":{"id":7,"coupon":0.10250000000000001,"maturity":7.5,"face":100}}"#,
+        ),
+        (
+            "unsubscribe",
+            JournalEvent::Unsubscribe {
+                relation: 1,
+                session: 4,
+            }
+            .to_line(),
+            r#"{"ev":"unsubscribe","relation":1,"session":4}"#,
+        ),
+        (
+            "tick with calibration",
+            tick(Some(calibration())).to_line(),
+            r#"{"ev":"tick","relation":2,"tick":7,"rate":0.0583,"shed":2,"budget_exhausted":true,"stats":{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}},"sessions":[{"session":1,"final":true,"driven":100},{"session":7,"final":false,"driven":0}],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"selected","ids":[1,2,37]}}},{"session":2,"answer":{"status":"final","output":{"shape":"extreme","bond":45,"lo":123.3181270500031,"hi":123.56660774898366,"ties":[2,9]}}},{"session":3,"answer":{"status":"final","output":{"shape":"aggregate","lo":5132.538654318307,"hi":5174.8478309089305}}},{"session":4,"answer":{"status":"final","output":{"shape":"ranked","members":[{"bond":45,"lo":123.3,"hi":123.6},{"bond":9,"lo":88.8,"hi":88.9}],"ties":[3]}}},{"session":5,"answer":{"status":"final","output":{"shape":"count","lo":37,"hi":41}}},{"session":6,"answer":{"status":"final","output":{"shape":"heavy","cells":[{"cell":-3,"count":7},{"cell":12,"count":2}],"ties":[-2,5]}}},{"session":7,"answer":{"status":"partial","lo":5132.5,"hi":5174.8}}],"warm":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[41,5120,7730],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":">","constant":100.25,"pass":18,"fail":30},{"op":"<=","constant":99.05830000000002,"pass":0,"fail":7}]}}"#,
+        ),
+        (
+            "tick without calibration",
+            tick(None).to_line(),
+            r#"{"ev":"tick","relation":2,"tick":7,"rate":0.0583,"shed":2,"budget_exhausted":true,"stats":{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}},"sessions":[{"session":1,"final":true,"driven":100},{"session":7,"final":false,"driven":0}],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"selected","ids":[1,2,37]}}},{"session":2,"answer":{"status":"final","output":{"shape":"extreme","bond":45,"lo":123.3181270500031,"hi":123.56660774898366,"ties":[2,9]}}},{"session":3,"answer":{"status":"final","output":{"shape":"aggregate","lo":5132.538654318307,"hi":5174.8478309089305}}},{"session":4,"answer":{"status":"final","output":{"shape":"ranked","members":[{"bond":45,"lo":123.3,"hi":123.6},{"bond":9,"lo":88.8,"hi":88.9}],"ties":[3]}}},{"session":5,"answer":{"status":"final","output":{"shape":"count","lo":37,"hi":41}}},{"session":6,"answer":{"status":"final","output":{"shape":"heavy","cells":[{"cell":-3,"count":7},{"cell":12,"count":2}],"ties":[-2,5]}}},{"session":7,"answer":{"status":"partial","lo":5132.5,"hi":5174.8}}],"warm":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}]}"#,
+        ),
+        (
+            "snapshot marker",
+            JournalEvent::SnapshotMarker { seq: 12 }.to_line(),
+            r#"{"ev":"snapshot","seq":12}"#,
+        ),
+    ];
+    let subscribes = [
+        r#"{"ev":"subscribe","relation":1,"session":4,"priority":2,"query":{"kind":"selection","op":">","constant":100}}"#,
+        r#"{"ev":"subscribe","relation":1,"session":5,"priority":2,"query":{"kind":"count","op":"<=","constant":99.5,"slack":4}}"#,
+        r#"{"ev":"subscribe","relation":1,"session":6,"priority":2,"query":{"kind":"sum","epsilon":50,"weights":[1,0.25,3.5]}}"#,
+        r#"{"ev":"subscribe","relation":1,"session":7,"priority":2,"query":{"kind":"ave","epsilon":0.5}}"#,
+        r#"{"ev":"subscribe","relation":1,"session":8,"priority":2,"query":{"kind":"max","epsilon":0.0101}}"#,
+        r#"{"ev":"subscribe","relation":1,"session":9,"priority":2,"query":{"kind":"min","epsilon":0.25}}"#,
+        r#"{"ev":"subscribe","relation":1,"session":10,"priority":2,"query":{"kind":"topk","k":5,"epsilon":1}}"#,
+        r#"{"ev":"subscribe","relation":1,"session":11,"priority":2,"query":{"kind":"median","epsilon":0.05}}"#,
+        r#"{"ev":"subscribe","relation":1,"session":12,"priority":2,"query":{"kind":"percentile","phi":0.95,"epsilon":0.25}}"#,
+        r#"{"ev":"subscribe","relation":1,"session":13,"priority":2,"query":{"kind":"heavyhitters","k":3,"epsilon":0.5}}"#,
+    ];
+    for ((query, expected), session) in queries().into_iter().zip(subscribes).zip(4..) {
+        pins.push((
+            "subscribe",
+            JournalEvent::Subscribe {
+                relation: 1,
+                session,
+                priority: 2,
+                query,
+            }
+            .to_line(),
+            expected,
+        ));
+    }
+    check(&pins);
+}
+
+#[test]
+fn snapshot_and_meta_documents() {
+    let snap = SnapshotRecord {
+        seq: 3,
+        journal_events: 41,
+        coverage: Some(SegmentPosition {
+            segment: 4,
+            bytes: 1_234,
+        }),
+        next_relation_id: 4,
+        relations: vec![
+            RelationSnapshot {
+                relation: 1,
+                def: Some(def("default", Some(42), 2)),
+                next_session_id: 9,
+                ticks: 12,
+                shed: 1,
+                sessions: vec![
+                    SessionSnapshot {
+                        session: 2,
+                        priority: 4,
+                        finals: 10,
+                        partials: 2,
+                        driven: 4_021,
+                        query: Query::Max { epsilon: 0.0101 },
+                    },
+                    SessionSnapshot {
+                        session: 8,
+                        priority: 1,
+                        finals: 0,
+                        partials: 0,
+                        driven: 0,
+                        query: Query::Sum {
+                            weights: vec![1.0, 2.0],
+                            epsilon: 0.5,
+                        },
+                    },
+                ],
+                history: vec![stats(), stats()],
+                warm: vec![WarmRateRecord {
+                    rate: 0.0583,
+                    objects: warm(),
+                }],
+                answers: vec![
+                    AnswerEntry {
+                        session: 2,
+                        answer: AnswerRecord::Partial { lo: 1.0, hi: 2.0 },
+                    },
+                    AnswerEntry {
+                        session: 8,
+                        answer: AnswerRecord::Final(QueryOutput::Count { lo: 3, hi: 3 }),
+                    },
+                ],
+                calibration: Some(calibration()),
+            },
+            RelationSnapshot {
+                relation: 3,
+                def: Some(def("fx", None, 1)),
+                next_session_id: 1,
+                ticks: 0,
+                shed: 0,
+                sessions: Vec::new(),
+                history: Vec::new(),
+                warm: Vec::new(),
+                answers: Vec::new(),
+                calibration: None,
+            },
+        ],
+    };
+    let meta = Meta::V2 {
+        pricer: 0xFEED_FACE_CAFE_BEEF,
+        relations: vec![
+            MetaRelation {
+                relation: 1,
+                fingerprint: 77,
+            },
+            MetaRelation {
+                relation: 3,
+                fingerprint: u64::MAX,
+            },
+        ],
+    };
+    let empty_meta = Meta::V2 {
+        pricer: 5,
+        relations: Vec::new(),
+    };
+    check(&[
+        (
+            "two-relation snapshot",
+            snap.to_json(),
+            r#"{"seq":3,"journal_events":41,"segment":4,"segment_bytes":1234,"next_relation_id":4,"relations":[{"relation":1,"def":{"name":"default","seed":42,"bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100},{"id":1,"coupon":0.0425,"maturity":7.5,"face":100}]},"next_session_id":9,"ticks":12,"shed":1,"sessions":[{"session":2,"priority":4,"finals":10,"partials":2,"driven":4021,"query":{"kind":"max","epsilon":0.0101}},{"session":8,"priority":1,"finals":0,"partials":0,"driven":0,"query":{"kind":"sum","epsilon":0.5,"weights":[1,2]}}],"history":[{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}},{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}}],"warm":[{"rate":0.0583,"objects":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}]}],"answers":[{"session":2,"answer":{"status":"partial","lo":1,"hi":2}},{"session":8,"answer":{"status":"final","output":{"shape":"count","lo":3,"hi":3}}}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[41,5120,7730],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":">","constant":100.25,"pass":18,"fail":30},{"op":"<=","constant":99.05830000000002,"pass":0,"fail":7}]}},{"relation":3,"def":{"name":"fx","bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100}]},"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[]}]}"#,
+        ),
+        (
+            "catalog meta",
+            meta.to_json(),
+            r#"{"version":2,"pricer":18369614221190020847,"relations":[{"relation":1,"fingerprint":77},{"relation":3,"fingerprint":18446744073709551615}]}"#,
+        ),
+        (
+            "empty meta",
+            empty_meta.to_json(),
+            r#"{"version":2,"pricer":5,"relations":[]}"#,
+        ),
+    ]);
+}
+
+fn session() -> Session {
+    Session {
+        id: SessionId(4),
+        query: Query::Max { epsilon: 0.5 },
+        priority: 2,
+        finals: 7,
+        partials: 1,
+        driven_iterations: 90,
+    }
+}
+
+fn tick_result() -> TickResult {
+    TickResult {
+        relation: RelationId(1),
+        tick: 9,
+        rate: 0.0601,
+        answers: Vec::new(),
+        stats: TickStats {
+            rate: 0.0601,
+            work: WorkBreakdown {
+                exec_iter: 1_000,
+                get_state: 20,
+                store_state: 30,
+                choose_iter: 4,
+            },
+            wall: Duration::from_nanos(5),
+            iterations: 17,
+            operator: "shared_pool",
+            objects: 4,
+            iter_histogram: IterHistogram::from_buckets([0; 9]),
+            cpu_est: CpuEstimation::default(),
+        },
+        budget_exhausted: true,
+    }
+}
+
+#[test]
+fn protocol_responses() {
+    let partial = Answer::Partial {
+        bounds: Bounds::new(1.0, 2.5),
+    };
+    let fin = Answer::Final(QueryOutput::Extreme {
+        bond_id: 5,
+        bounds: Bounds::new(99.0, 99.5),
+        ties: vec![6, 7],
+    });
+    let mut server = Server::new(
+        bondlab::BondPricer::default(),
+        BondRelation::from_universe(&bondlab::BondUniverse::generate(4, 7)),
+        ServerConfig::default(),
+    );
+    server
+        .create_relation(
+            "fx \"spot\"",
+            BondRelation::from_universe(&bondlab::BondUniverse::generate(3, 9)),
+            Some(9),
+        )
+        .unwrap();
+    server.subscribe(Query::Max { epsilon: 0.5 }, 2).unwrap();
+    server
+        .subscribe(
+            Query::Count {
+                op: CmpOp::Gt,
+                constant: 100.0,
+                slack: 1,
+            },
+            1,
+        )
+        .unwrap();
+    let mut pins = vec![
+        (
+            "SUBSCRIBED",
+            proto::subscribed("default", SessionId(7)),
+            r#"{"type":"SUBSCRIBED","relation":"default","session":7}"#,
+        ),
+        (
+            "UNSUBSCRIBED",
+            proto::unsubscribed("default", 7),
+            r#"{"type":"UNSUBSCRIBED","relation":"default","session":7}"#,
+        ),
+        (
+            "CREATED",
+            proto::created("energy", 2, 16),
+            r#"{"type":"CREATED","relation":"energy","id":2,"bonds":16}"#,
+        ),
+        (
+            "DROPPED",
+            proto::dropped("energy", 2),
+            r#"{"type":"DROPPED","relation":"energy","id":2}"#,
+        ),
+        (
+            "BOND_ADDED",
+            proto::bond_added("default", 8, 9),
+            r#"{"type":"BOND_ADDED","relation":"default","bond":8,"bonds":9}"#,
+        ),
+        (
+            "USING",
+            proto::using("ener\"gy"),
+            r#"{"type":"USING","relation":"ener\"gy"}"#,
+        ),
+        (
+            "RELATIONS",
+            proto::relations(&server),
+            r#"{"type":"RELATIONS","relations":[{"name":"default","id":1,"bonds":4,"sessions":2,"ticks":0},{"name":"fx \"spot\"","id":2,"bonds":3,"sessions":0,"ticks":0}]}"#,
+        ),
+        (
+            "RESUMED, never answered",
+            proto::resumed("default", &session(), 8, None),
+            r#"{"type":"RESUMED","relation":"default","session":4,"operator":"max","priority":2,"finals":7,"partials":1,"tick":8}"#,
+        ),
+        (
+            "RESUMED, partial",
+            proto::resumed("default", &session(), 8, Some(&partial)),
+            r#"{"type":"RESUMED","relation":"default","session":4,"operator":"max","priority":2,"finals":7,"partials":1,"tick":8,"answer":{"status":"partial","lo":1,"hi":2.5}}"#,
+        ),
+        (
+            "RESUMED, final",
+            proto::resumed("default", &session(), 8, Some(&fin)),
+            r#"{"type":"RESUMED","relation":"default","session":4,"operator":"max","priority":2,"finals":7,"partials":1,"tick":8,"answer":{"status":"final","output":{"shape":"extreme","bond":5,"lo":99,"hi":99.5,"ties":[6,7]}}}"#,
+        ),
+        (
+            "ERROR with escapes",
+            proto::error("bad \"thing\"\nhappened\t\\ \u{1}"),
+            r#"{"type":"ERROR","message":"bad \"thing\"\nhappened\t\\ \u0001"}"#,
+        ),
+        ("BYE", proto::bye(), r#"{"type":"BYE"}"#),
+        (
+            "RESULT payload, partial",
+            proto::result_payload("default", 7, 0.0584, &partial),
+            r#""relation":"default","tick":7,"rate":0.0584,"status":"partial","bounds":{"lo":1,"hi":2.5}"#,
+        ),
+        (
+            "RESULT line, final",
+            proto::result("a\\b", 7, 0.0584, SessionId(40), &fin),
+            r#"{"type":"RESULT","session":40,"relation":"a\\b","tick":7,"rate":0.0584,"status":"final","output":{"shape":"extreme","bond":5,"lo":99,"hi":99.5,"ties":[6,7]}}"#,
+        ),
+        (
+            "TICK_DONE",
+            proto::tick_done("default", &tick_result(), 3),
+            r#"{"type":"TICK_DONE","relation":"default","tick":9,"rate":0.0601,"work_units":1054,"iterations":17,"budget_exhausted":true,"shed":3}"#,
+        ),
+        (
+            "STATS",
+            proto::stats(&server, "default"),
+            r#"{"type":"STATS","relation":"default","ticks":0,"shed_ticks":0,"work_units":0,"iterations":0,"calibration":{"observations":0,"gain_ppm":1000000},"sessions":[{"session":1,"operator":"max","priority":2,"finals":0,"partials":0,"driven_iterations":0},{"session":2,"operator":"count","priority":1,"finals":0,"partials":0,"driven_iterations":0}]}"#,
+        ),
+    ];
+    let payloads = [
+        r#""relation":"default","tick":3,"rate":0.0583,"status":"final","output":{"shape":"selected","ids":[1,2,37]}"#,
+        r#""relation":"default","tick":3,"rate":0.0583,"status":"final","output":{"shape":"extreme","bond":45,"lo":123.3181270500031,"hi":123.56660774898366,"ties":[2,9]}"#,
+        r#""relation":"default","tick":3,"rate":0.0583,"status":"final","output":{"shape":"aggregate","lo":5132.538654318307,"hi":5174.8478309089305}"#,
+        r#""relation":"default","tick":3,"rate":0.0583,"status":"final","output":{"shape":"ranked","members":[{"bond":45,"lo":123.3,"hi":123.6},{"bond":9,"lo":88.8,"hi":88.9}],"ties":[3]}"#,
+        r#""relation":"default","tick":3,"rate":0.0583,"status":"final","output":{"shape":"count","lo":37,"hi":41}"#,
+        r#""relation":"default","tick":3,"rate":0.0583,"status":"final","output":{"shape":"heavy","cells":[{"cell":-3,"count":7},{"cell":12,"count":2}],"ties":[-2,5]}"#,
+    ];
+    for (entry, expected) in answers().into_iter().zip(payloads) {
+        let AnswerRecord::Final(out) = entry.answer else {
+            continue;
+        };
+        pins.push((
+            "RESULT payload, final",
+            proto::result_payload("default", 3, 0.0583, &Answer::Final(out)),
+            expected,
+        ));
+    }
+    check(&pins);
+}
+
+/// One wire query of every kind, SUM with and without weights.
+fn wire_queries() -> Vec<WireQuery> {
+    vec![
+        WireQuery::Selection {
+            op: CmpOp::Ge,
+            constant: 100.0,
+        },
+        WireQuery::Count {
+            op: CmpOp::Lt,
+            constant: 101.25,
+            slack: 4,
+        },
+        WireQuery::Sum {
+            weights: None,
+            epsilon: 2.5,
+        },
+        WireQuery::Sum {
+            weights: Some(vec![1.0, 0.0, 2.5]),
+            epsilon: 2.5,
+        },
+        WireQuery::Ave { epsilon: 0.5 },
+        WireQuery::Max { epsilon: 0.0101 },
+        WireQuery::Min { epsilon: 0.25 },
+        WireQuery::TopK { k: 5, epsilon: 1.0 },
+        WireQuery::Median { epsilon: 0.05 },
+        WireQuery::Percentile {
+            phi: 0.95,
+            epsilon: 0.25,
+        },
+        WireQuery::HeavyHitters { k: 3, epsilon: 0.5 },
+    ]
+}
+
+#[test]
+fn rendered_requests() {
+    let wire_bond = WireBond {
+        coupon: 0.0625,
+        maturity: 30.0,
+        face: 1000.0,
+    };
+    let fx = || Some("f\"x".to_string());
+    let mut pins = vec![
+        (
+            "UNSUBSCRIBE",
+            proto::render_request(&Request::Unsubscribe {
+                relation: fx(),
+                session: 12,
+            }),
+            r#"{"type":"UNSUBSCRIBE","session":12,"relation":"f\"x"}"#,
+        ),
+        (
+            "RESUME",
+            proto::render_request(&Request::Resume {
+                relation: None,
+                session: 12,
+            }),
+            r#"{"type":"RESUME","session":12}"#,
+        ),
+        (
+            "TICK",
+            proto::render_request(&Request::Tick {
+                relation: fx(),
+                rate: 0.0583,
+            }),
+            r#"{"type":"TICK","rate":0.0583,"relation":"f\"x"}"#,
+        ),
+        (
+            "TICKS",
+            proto::render_request(&Request::Ticks {
+                relation: None,
+                rates: vec![0.05, 0.0625],
+            }),
+            r#"{"type":"TICKS","rates":[0.05,0.0625]}"#,
+        ),
+        (
+            "TICK_MULTI",
+            proto::render_request(&Request::TickMulti {
+                ticks: vec![("default".to_string(), 0.05), ("f\"x".to_string(), 0.06)],
+            }),
+            r#"{"type":"TICK_MULTI","ticks":[{"relation":"default","rate":0.05},{"relation":"f\"x","rate":0.06}]}"#,
+        ),
+        (
+            "STATS",
+            proto::render_request(&Request::Stats { relation: fx() }),
+            r#"{"type":"STATS","relation":"f\"x"}"#,
+        ),
+        (
+            "CREATE_RELATION, seeded",
+            proto::render_request(&Request::CreateRelation {
+                name: "energy".to_string(),
+                spec: RelationSpec::Seeded { seed: 7, count: 16 },
+            }),
+            r#"{"type":"CREATE_RELATION","name":"energy","seed":7,"count":16}"#,
+        ),
+        (
+            "CREATE_RELATION, bonds",
+            proto::render_request(&Request::CreateRelation {
+                name: "f\"x".to_string(),
+                spec: RelationSpec::Bonds(vec![
+                    WireBond {
+                        coupon: 0.05,
+                        maturity: 10.0,
+                        face: 100.0,
+                    },
+                    wire_bond,
+                ]),
+            }),
+            r#"{"type":"CREATE_RELATION","name":"f\"x","bonds":[{"coupon":0.05,"maturity":10,"face":100},{"coupon":0.0625,"maturity":30,"face":1000}]}"#,
+        ),
+        (
+            "DROP_RELATION",
+            proto::render_request(&Request::DropRelation {
+                name: "f\"x".to_string(),
+            }),
+            r#"{"type":"DROP_RELATION","name":"f\"x"}"#,
+        ),
+        (
+            "ADD_BOND",
+            proto::render_request(&Request::AddBond {
+                relation: fx(),
+                bond: wire_bond,
+            }),
+            r#"{"type":"ADD_BOND","bond":{"coupon":0.0625,"maturity":30,"face":1000},"relation":"f\"x"}"#,
+        ),
+        (
+            "USE",
+            proto::render_request(&Request::Use {
+                name: "energy".to_string(),
+            }),
+            r#"{"type":"USE","name":"energy"}"#,
+        ),
+        (
+            "RELATIONS",
+            proto::render_request(&Request::Relations),
+            r#"{"type":"RELATIONS"}"#,
+        ),
+        (
+            "QUIT",
+            proto::render_request(&Request::Quit),
+            r#"{"type":"QUIT"}"#,
+        ),
+    ];
+    let subscribes = [
+        r#"{"type":"SUBSCRIBE","query":{"kind":"selection","op":">=","constant":100},"priority":3}"#,
+        r#"{"type":"SUBSCRIBE","query":{"kind":"count","op":"<","constant":101.25,"slack":4},"priority":3,"relation":"f\"x"}"#,
+        r#"{"type":"SUBSCRIBE","query":{"kind":"sum","epsilon":2.5},"priority":3}"#,
+        r#"{"type":"SUBSCRIBE","query":{"kind":"sum","epsilon":2.5,"weights":[1,0,2.5]},"priority":3,"relation":"f\"x"}"#,
+        r#"{"type":"SUBSCRIBE","query":{"kind":"ave","epsilon":0.5},"priority":3}"#,
+        r#"{"type":"SUBSCRIBE","query":{"kind":"max","epsilon":0.0101},"priority":3,"relation":"f\"x"}"#,
+        r#"{"type":"SUBSCRIBE","query":{"kind":"min","epsilon":0.25},"priority":3}"#,
+        r#"{"type":"SUBSCRIBE","query":{"kind":"topk","k":5,"epsilon":1},"priority":3,"relation":"f\"x"}"#,
+        r#"{"type":"SUBSCRIBE","query":{"kind":"median","epsilon":0.05},"priority":3}"#,
+        r#"{"type":"SUBSCRIBE","query":{"kind":"percentile","phi":0.95,"epsilon":0.25},"priority":3,"relation":"f\"x"}"#,
+        r#"{"type":"SUBSCRIBE","query":{"kind":"heavyhitters","k":3,"epsilon":0.5},"priority":3}"#,
+    ];
+    for (i, (query, expected)) in wire_queries().into_iter().zip(subscribes).enumerate() {
+        pins.push((
+            "SUBSCRIBE",
+            proto::render_request(&Request::Subscribe {
+                relation: if i % 2 == 0 { None } else { fx() },
+                query,
+                priority: 3,
+            }),
+            expected,
+        ));
+    }
+    check(&pins);
+}
