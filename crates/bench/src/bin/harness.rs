@@ -24,7 +24,7 @@ use va_bench::experiments::{
     CONNECTION_COUNTS, HOT_SHARES, QUERY_COUNTS, ROUND_BATCHES, SELECTIVITIES, STD_DEVS,
     TENANT_COUNTS, TENANT_SUBSCRIPTIONS, WORKER_COUNTS,
 };
-use va_bench::report::{fmt_speedup, fmt_work, Table, TraceWriter};
+use va_bench::report::{fmt_speedup, Table, TraceWriter};
 use va_bench::Lab;
 use vao::ops::hybrid::HybridChoice;
 use vao::ops::selection::CmpOp;
@@ -109,8 +109,8 @@ fn selection_table(rows: &[va_bench::experiments::SelectivityRow]) -> Table {
             format!("{:.2}", r.selectivity),
             format!("{:.2}", r.constant),
             r.selected.to_string(),
-            fmt_work(r.vao_work),
-            fmt_work(r.trad_work),
+            r.vao_work.to_string(),
+            r.trad_work.to_string(),
             fmt_speedup(r.speedup()),
             format!("{:.1}", r.vao_wall.as_secs_f64() * 1e3),
             r.iterations().to_string(),
@@ -127,8 +127,8 @@ fn stress_table(rows: &[va_bench::experiments::StressRow]) -> Table {
     for r in rows {
         t.row(vec![
             format!("{:.2}", r.std_dev),
-            fmt_work(r.vao_work),
-            fmt_work(r.trad_work),
+            r.vao_work.to_string(),
+            r.trad_work.to_string(),
             fmt_speedup(r.speedup()),
             format!("{:.1}", r.vao_wall.as_secs_f64() * 1e3),
         ]);
@@ -152,7 +152,7 @@ fn main() {
         "calibrated {} bonds in {:.1}s (traditional per-tick work: {})\n",
         lab.len(),
         t0.elapsed().as_secs_f64(),
-        fmt_work(lab.traditional_work()),
+        lab.traditional_work(),
     );
 
     if wants(&args, "fig8") {
@@ -213,7 +213,7 @@ fn main() {
         for r in &rows {
             t.row(vec![
                 r.operator.to_string(),
-                fmt_work(r.work),
+                r.work.to_string(),
                 format!("{:.1}", r.wall.as_secs_f64() * 1e3),
                 r.iterations.to_string(),
                 format!("{:.2}", r.mean_iterations_per_object()),
@@ -259,10 +259,10 @@ fn main() {
         for r in &rows {
             t.row(vec![
                 format!("{:.0}%", r.hot_share * 100.0),
-                fmt_work(r.vao_work),
-                fmt_work(r.trad_work),
+                r.vao_work.to_string(),
+                r.trad_work.to_string(),
                 fmt_speedup(r.speedup()),
-                fmt_work(r.hybrid_work),
+                r.hybrid_work.to_string(),
                 match r.hybrid_choice {
                     HybridChoice::Vao => "vao".to_string(),
                     HybridChoice::Traditional => "traditional".to_string(),
@@ -283,8 +283,8 @@ fn main() {
         for r in &rows {
             t.row(vec![
                 r.policy.to_string(),
-                fmt_work(r.max_work),
-                fmt_work(r.sum_work),
+                r.max_work.to_string(),
+                r.sum_work.to_string(),
             ]);
         }
         print!("{}", t.render());
@@ -320,8 +320,8 @@ fn main() {
             t.row(vec![
                 r.tick.to_string(),
                 format!("{:.5}", r.rate),
-                fmt_work(r.vao_work),
-                fmt_work(r.cached_work),
+                r.vao_work.to_string(),
+                r.cached_work.to_string(),
                 r.cache_hits.to_string(),
             ]);
         }
@@ -330,8 +330,8 @@ fn main() {
         let cached: u64 = rows.iter().map(|r| r.cached_work).sum();
         println!(
             "stream total: plain {} vs cached {} ({})",
-            fmt_work(plain),
-            fmt_work(cached),
+            plain,
+            cached,
             fmt_speedup(plain as f64 / cached.max(1) as f64)
         );
         t.write_csv(&args.out.join("ext_tick_amortization.csv"))

@@ -4,6 +4,7 @@
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
+use va_persist::json::escape;
 use vao::trace::TraceEvent;
 
 /// A simple column-aligned text table.
@@ -29,11 +30,17 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Renders the table as aligned text.
+    /// Renders the table as aligned text for the terminal, grouping the
+    /// digits of integer cells by thousands.
     #[must_use]
     pub fn render(&self) -> String {
+        let rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|row| row.iter().map(|cell| group_digits(cell)).collect())
+            .collect();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
-        for row in &self.rows {
+        for row in &rows {
             for (i, cell) in row.iter().enumerate() {
                 widths[i] = widths[i].max(cell.len());
             }
@@ -51,20 +58,25 @@ impl Table {
         out.push('\n');
         out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
         out.push('\n');
-        for row in &self.rows {
+        for row in &rows {
             out.push_str(&fmt_row(row, &widths));
             out.push('\n');
         }
         out
     }
 
-    /// The table as CSV text: cells joined verbatim, so a cell must not
-    /// contain a comma (write plain integers, not [`fmt_work`]).
+    /// The table as CSV text: cells joined verbatim.
+    ///
+    /// # Panics
+    /// When a cell contains a comma — it would shift every later column.
     #[must_use]
     pub fn csv(&self) -> String {
-        let mut out = self.header.join(",");
-        out.push('\n');
-        for row in &self.rows {
+        let mut out = String::new();
+        for row in std::iter::once(&self.header).chain(&self.rows) {
+            assert!(
+                row.iter().all(|cell| !cell.contains(',')),
+                "comma in a CSV cell: {row:?}"
+            );
             out.push_str(&row.join(","));
             out.push('\n');
         }
@@ -78,24 +90,6 @@ impl Table {
         }
         std::fs::write(path, self.csv())
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal (hand-rolled —
-/// the harness has no serialization dependency).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Formats an `f64` as a JSON value: plain decimal when finite, `null`
@@ -141,7 +135,7 @@ impl TraceWriter {
     /// (e.g. `fig8_gt:s=0.10`); `seq` is the event's 0-based position in
     /// that run's stream.
     pub fn event(&mut self, run: &str, seq: usize, e: &TraceEvent) -> std::io::Result<()> {
-        let prefix = format!("{{\"run\":\"{}\",\"seq\":{seq},", json_escape(run));
+        let prefix = format!("{{\"run\":\"{}\",\"seq\":{seq},", escape(run));
         let body = match e {
             TraceEvent::OperatorStart { kind, objects } => {
                 format!("\"event\":\"operator_start\",\"operator\":\"{kind}\",\"objects\":{objects}")
@@ -226,10 +220,11 @@ impl TraceWriter {
     }
 }
 
-/// Formats a work-unit count with thousands separators.
-#[must_use]
-pub fn fmt_work(w: u64) -> String {
-    let s = w.to_string();
+/// `s` with thousands separators when it is a plain integer, else `s`.
+fn group_digits(s: &str) -> String {
+    if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
+        return s.to_string();
+    }
     let mut out = String::with_capacity(s.len() + s.len() / 3);
     for (i, c) in s.chars().enumerate() {
         if i > 0 && (s.len() - i).is_multiple_of(3) {
@@ -261,6 +256,8 @@ mod tests {
         assert!(lines[0].contains("name"));
         assert!(lines[2].ends_with("1"));
         assert!(lines[3].contains("long-name"));
+        assert!(lines[3].ends_with("12,345"), "the terminal groups digits");
+        assert!(t.csv().ends_with("long-name,12345\n"), "the CSV does not");
         // All rows align to the same width.
         assert_eq!(lines[2].len(), lines[3].len());
     }
@@ -285,18 +282,44 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "comma in a CSV cell")]
+    fn csv_refuses_a_cell_that_would_shift_columns() {
+        let mut t = Table::new(&["x", "y"]);
+        t.row(vec!["1,000".into(), "2".into()]);
+        let _ = t.csv();
+    }
+
+    #[test]
+    fn every_checked_in_csv_row_has_the_headers_arity() {
+        let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&results).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "csv") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let arity = text.lines().next().unwrap().split(',').count();
+            for line in text.lines() {
+                assert_eq!(line.split(',').count(), arity, "{}: {line}", path.display());
+            }
+            checked += 1;
+        }
+        assert!(checked > 0, "no CSVs under {}", results.display());
+    }
+
+    #[test]
     fn formats() {
-        assert_eq!(fmt_work(0), "0");
-        assert_eq!(fmt_work(999), "999");
-        assert_eq!(fmt_work(1000), "1,000");
-        assert_eq!(fmt_work(1234567), "1,234,567");
+        assert_eq!(group_digits("0"), "0");
+        assert_eq!(group_digits("999"), "999");
+        assert_eq!(group_digits("1000"), "1,000");
+        assert_eq!(group_digits("1234567"), "1,234,567");
+        assert_eq!(group_digits("12.5"), "12.5");
         assert_eq!(fmt_speedup(12.345), "12.35x");
     }
 
     #[test]
     fn json_helpers() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
         assert_eq!(json_f64(1.5), "1.5");
         assert_eq!(json_f64(f64::INFINITY), "null");
         assert_eq!(json_f64(f64::NAN), "null");

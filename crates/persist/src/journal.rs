@@ -20,10 +20,6 @@
 //! hard [`PersistError::Corrupt`]: the storage lied about previously
 //! fsync'd data, and silently skipping records would change replayed
 //! history.
-//!
-//! Dirs written before segmentation hold a single `journal.jsonl`; it is
-//! migrated in place (an atomic rename to `journal-1.jsonl`) on first
-//! open.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -32,10 +28,6 @@ use std::path::{Path, PathBuf};
 
 use crate::record::{JournalEvent, SegmentPosition};
 use crate::PersistError;
-
-/// Name of the single-file journal used before segmentation. Present only
-/// in legacy data dirs; migrated to `journal-1.jsonl` on open.
-pub const LEGACY_JOURNAL_FILE: &str = "journal.jsonl";
 
 /// File name of journal segment `n`.
 #[must_use]
@@ -68,57 +60,21 @@ fn list_segments(dir: &Path) -> Result<BTreeMap<u64, PathBuf>, PersistError> {
 
 /// Best-effort directory fsync, making renames/creates durable where the
 /// platform allows opening directories.
-fn sync_dir(dir: &Path) {
+pub(crate) fn sync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }
 }
 
-/// Migrates a legacy single-file `journal.jsonl` into segment 1. A dir
-/// holding *both* layouts was not produced by any version of this code
-/// and is refused as corrupt.
-fn migrate_legacy(dir: &Path) -> Result<(), PersistError> {
-    let legacy = dir.join(LEGACY_JOURNAL_FILE);
-    if !legacy.exists() {
-        return Ok(());
-    }
-    if !list_segments(dir)?.is_empty() {
-        return Err(PersistError::corrupt(
-            &legacy,
-            "both a legacy journal.jsonl and journal-<n>.jsonl segments exist".to_string(),
-        ));
-    }
-    let target = dir.join(segment_file(1));
-    fs::rename(&legacy, &target).map_err(|e| PersistError::io(&target, &e))?;
-    sync_dir(dir);
-    Ok(())
-}
-
-/// Where recovery starts reading the journal, derived from the newest
-/// usable snapshot.
+/// Where recovery starts reading the journal, taken from the newest
+/// usable snapshot: replay starts `position.bytes` into
+/// `position.segment`, and segments below it are never opened.
 #[derive(Clone, Copy, Debug)]
-pub enum Coverage {
-    /// Modern snapshot: replay starts `position.bytes` into
-    /// `position.segment`; `events` is the total event count covered since
-    /// genesis. Segments below the position are never opened.
-    Position {
-        /// End of the covered prefix.
-        position: SegmentPosition,
-        /// Total events covered since genesis.
-        events: u64,
-    },
-    /// Legacy snapshot (no segment coordinates): the whole journal is read
-    /// and the first `0..n` events are skipped.
-    Events(u64),
-}
-
-impl Coverage {
-    fn events(&self) -> u64 {
-        match self {
-            Coverage::Position { events, .. } => *events,
-            Coverage::Events(n) => *n,
-        }
-    }
+pub struct Coverage {
+    /// End of the covered prefix.
+    pub position: SegmentPosition,
+    /// Total events covered since genesis.
+    pub events: u64,
 }
 
 /// An open journal, positioned for appending to the active segment.
@@ -190,54 +146,30 @@ impl Journal {
         dir: &Path,
         coverage: Option<&Coverage>,
     ) -> Result<(Journal, JournalLoad), PersistError> {
-        migrate_legacy(dir)?;
-        let segments = list_segments(dir)?;
+        let mut segments = list_segments(dir)?;
 
         if segments.is_empty() {
-            if coverage.is_some_and(|c| c.events() > 0) {
+            if let Some(c) = coverage.filter(|c| c.events > 0) {
                 return Err(PersistError::corrupt(
                     &dir.join(segment_file(1)),
                     format!(
                         "snapshot covers {} journal events but no journal segments exist",
-                        coverage.map_or(0, Coverage::events)
+                        c.events
                     ),
                 ));
             }
+            // A fresh dir: start segment 1 and open it like any other.
             let path = dir.join(segment_file(1));
-            let file = OpenOptions::new()
-                .read(true)
-                .append(true)
-                .create(true)
-                .open(&path)
-                .map_err(|e| PersistError::io(&path, &e))?;
+            File::create(&path).map_err(|e| PersistError::io(&path, &e))?;
             sync_dir(dir);
-            let journal = Journal {
-                dir: dir.to_path_buf(),
-                file,
-                path,
-                segment: 1,
-                segment_bytes: 0,
-                events: 0,
-                poisoned: false,
-                #[cfg(test)]
-                fail_sync_after_write: 0,
-                #[cfg(test)]
-                fail_rollback: false,
-            };
-            return Ok((
-                journal,
-                JournalLoad {
-                    events: Vec::new(),
-                    truncated_bytes: 0,
-                },
-            ));
+            segments.insert(1, path);
         }
 
         let first = *segments.keys().next().expect("non-empty");
         let last = *segments.keys().next_back().expect("non-empty");
 
         let (read_from, skip_bytes, base_events) = match coverage {
-            Some(Coverage::Position { position, events }) => {
+            Some(Coverage { position, events }) => {
                 if !segments.contains_key(&position.segment) {
                     return Err(PersistError::corrupt(
                         &dir.join(segment_file(position.segment)),
@@ -249,7 +181,7 @@ impl Journal {
                 }
                 (position.segment, position.bytes, *events)
             }
-            Some(Coverage::Events(_)) | None => {
+            None => {
                 if first > 1 {
                     return Err(PersistError::corrupt(
                         &dir.join(segment_file(first)),
@@ -314,26 +246,7 @@ impl Journal {
             events.extend(parsed);
         }
 
-        // Translate event-count coverage (legacy snapshots) into a tail.
-        let tail = match coverage {
-            Some(Coverage::Events(n)) => {
-                if *n > events.len() as u64 {
-                    return Err(PersistError::corrupt(
-                        &dir.join(segment_file(first)),
-                        format!(
-                            "snapshot covers {n} journal events but only {} exist",
-                            events.len()
-                        ),
-                    ));
-                }
-                events.split_off(*n as usize)
-            }
-            _ => events,
-        };
-        let total_events = match coverage {
-            Some(Coverage::Events(n)) => n + tail.len() as u64,
-            _ => base_events + tail.len() as u64,
-        };
+        let total_events = base_events + events.len() as u64;
 
         let path = segments[&last].clone();
         let file = OpenOptions::new()
@@ -360,7 +273,7 @@ impl Journal {
         Ok((
             journal,
             JournalLoad {
-                events: tail,
+                events,
                 truncated_bytes,
             },
         ))
@@ -710,7 +623,7 @@ mod tests {
         // Corrupt a segment strictly below the coverage point: recovery
         // must never even open it.
         fs::write(dir.join(segment_file(1)), b"\0garbage\0").unwrap();
-        let coverage = Coverage::Position {
+        let coverage = Coverage {
             position: cover,
             events: 2,
         };
@@ -732,7 +645,7 @@ mod tests {
             // crash-before-rotation shape).
             j.append(&ev(2)).unwrap();
         }
-        let coverage = Coverage::Position {
+        let coverage = Coverage {
             position: cover,
             events: 1,
         };
@@ -773,37 +686,6 @@ mod tests {
         let report = j.compact(cover);
         assert_eq!(report.segments_deleted, 0);
         assert!(dir.join(segment_file(1)).exists());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_journal_is_migrated_to_segment_1() {
-        let dir = tmp_dir("legacy");
-        // Fabricate a pre-segmentation dir: the line format is unchanged,
-        // only the file name moved.
-        let mut lines = String::new();
-        for s in 1..=3 {
-            lines.push_str(&ev(s).to_line());
-            lines.push('\n');
-        }
-        fs::write(dir.join(LEGACY_JOURNAL_FILE), lines).unwrap();
-        let (j, load) = open_fresh(&dir);
-        assert_eq!(load.events, (1..=3).map(ev).collect::<Vec<_>>());
-        assert_eq!(j.events(), 3);
-        assert!(!dir.join(LEGACY_JOURNAL_FILE).exists());
-        assert!(dir.join(segment_file(1)).exists());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn mixed_legacy_and_segmented_layouts_are_corrupt() {
-        let dir = tmp_dir("mixed");
-        fs::write(dir.join(LEGACY_JOURNAL_FILE), b"").unwrap();
-        fs::write(dir.join(segment_file(1)), b"").unwrap();
-        assert!(matches!(
-            Journal::open(&dir, None),
-            Err(PersistError::Corrupt { .. })
-        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 

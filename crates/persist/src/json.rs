@@ -7,13 +7,9 @@
 //! escapes, numbers, booleans, null) and reports errors with a byte
 //! offset. Recursion is bounded by [`MAX_DEPTH`]: input arrives from the
 //! network and from disk, and a line of a million `[` must cost an error,
-//! not the process's stack. Serialization lives with the callers (the server's protocol
-//! builders and this crate's [`crate::record`] codecs); this module only
-//! *reads*.
-//!
-//! This module originally lived in `va-server`; it moved here so the
-//! journal and snapshot codecs can share it without a dependency cycle.
-//! `va_server::json` re-exports it unchanged.
+//! not the process's stack. Serialization lives with the callers (the
+//! shape writers in [`crate::record`] and the server's protocol
+//! envelopes); beyond [`escape`] and [`array()`] this module only *reads*.
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The line protocol
 /// and the journal/snapshot records nest fewer than ten levels.
@@ -121,6 +117,13 @@ impl Json {
             _ => None,
         }
     }
+}
+
+/// Renders `items` as a JSON array, `each` writing one element.
+#[must_use]
+pub fn array<T>(items: &[T], each: impl Fn(&T) -> String) -> String {
+    let rows: Vec<String> = items.iter().map(each).collect();
+    format!("[{}]", rows.join(","))
 }
 
 /// Escapes `s` for embedding in a JSON string literal.

@@ -75,15 +75,16 @@ pub enum PersistError {
         /// The fingerprint persisted in the data dir.
         found: u64,
     },
-    /// The data dir's on-disk layout is ambiguous or mixed-generation —
-    /// e.g. a legacy single-relation `meta.json` alongside catalog journal
-    /// events, or a catalog-format dir opened through a legacy bootstrap
-    /// path. Guessing which generation wins could attach journaled state
-    /// to the wrong relation, so the open is refused.
+    /// The data dir was written in a layout this build does not read — a
+    /// single-file `journal.jsonl`, a `meta.json` that is not
+    /// `"version":2` — or lacks the `"default"` relation a bootstrap open
+    /// asserts. [`Store::open`] refuses the first two before it creates,
+    /// sweeps, truncates or renames anything, so a foreign dir is never
+    /// read as fresh and never modified.
     Layout {
-        /// The directory (or file) whose layout is ambiguous.
+        /// The directory (or file) whose layout is refused.
         path: String,
-        /// What made the layout ambiguous.
+        /// What was found there.
         detail: String,
     },
 }
@@ -100,6 +101,13 @@ impl PersistError {
         PersistError::Corrupt {
             path: path.display().to_string(),
             detail,
+        }
+    }
+
+    fn layout(path: &Path, detail: &str) -> Self {
+        PersistError::Layout {
+            path: path.display().to_string(),
+            detail: detail.to_string(),
         }
     }
 }
@@ -123,7 +131,7 @@ impl std::fmt::Display for PersistError {
                  to recover foreign warm state"
             ),
             PersistError::Layout { path, detail } => {
-                write!(f, "ambiguous data dir layout in {path}: {detail}")
+                write!(f, "unsupported data dir layout in {path}: {detail}")
             }
         }
     }
@@ -212,7 +220,11 @@ impl Recovery {
 /// Name of the fingerprint metadata file inside a data dir.
 pub const META_FILE: &str = "meta.json";
 
-/// One cached relation binding inside a catalog-format [`Meta::V2`].
+/// Name of the single-file journal written before segmentation. Nothing
+/// reads it any more; [`Store::open`] only looks for it to refuse the dir.
+const LEGACY_JOURNAL_FILE: &str = "journal.jsonl";
+
+/// One cached relation binding inside a [`Meta`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MetaRelation {
     /// The relation's catalog id.
@@ -221,140 +233,100 @@ pub struct MetaRelation {
     pub fingerprint: u64,
 }
 
-/// The identity metadata persisted in [`META_FILE`].
+/// The identity metadata persisted in [`META_FILE`]:
+/// `{"version":2,"pricer":P,"relations":[{"relation":N,"fingerprint":F},..]}`.
 ///
-/// Version 1 (PR-4/5 single-relation dirs) binds the whole dir to one
-/// `(pricer, relation)` fingerprint. Version 2 (catalog dirs) records the
-/// pricer fingerprint — strictly validated at open — plus one cached
-/// binding per relation. The per-relation entries are *cached* from the
-/// authoritative journal: a crash between a catalog journal append and
-/// the meta rewrite leaves them stale, and the opener heals them from the
-/// replayed journal rather than refusing the dir.
+/// The pricer fingerprint is strictly validated at open. The per-relation
+/// entries are *cached* from the authoritative journal: a crash between a
+/// catalog journal append and the meta rewrite leaves them stale, and the
+/// opener heals them from the replayed journal rather than refusing the
+/// dir.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Meta {
-    /// Legacy single-relation metadata: `{"fingerprint":F}`.
-    V1 {
-        /// The combined pricer + relation fingerprint.
-        fingerprint: u64,
-    },
-    /// Catalog metadata:
-    /// `{"version":2,"pricer":P,"relations":[{"relation":N,"fingerprint":F},..]}`.
-    V2 {
-        /// FNV-1a fingerprint over the pricer configuration alone.
-        pricer: u64,
-        /// Cached per-relation fingerprint bindings, in relation-id order.
-        relations: Vec<MetaRelation>,
-    },
+pub struct Meta {
+    /// FNV-1a fingerprint over the pricer configuration alone.
+    pub pricer: u64,
+    /// Cached per-relation fingerprint bindings, in relation-id order.
+    pub relations: Vec<MetaRelation>,
 }
 
 impl Meta {
     /// Serializes to the on-disk JSON form (no trailing newline).
     #[must_use]
     pub fn to_json(&self) -> String {
-        match self {
-            Meta::V1 { fingerprint } => format!("{{\"fingerprint\":{fingerprint}}}"),
-            Meta::V2 { pricer, relations } => {
-                let rels: Vec<String> = relations
-                    .iter()
-                    .map(|r| {
-                        format!(
-                            "{{\"relation\":{},\"fingerprint\":{}}}",
-                            r.relation, r.fingerprint
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"version\":2,\"pricer\":{pricer},\"relations\":[{}]}}",
-                    rels.join(",")
-                )
-            }
-        }
+        format!(
+            "{{\"version\":2,\"pricer\":{},\"relations\":{}}}",
+            self.pricer,
+            json::array(&self.relations, |r| format!(
+                "{{\"relation\":{},\"fingerprint\":{}}}",
+                r.relation, r.fingerprint
+            ))
+        )
     }
 
-    /// Parses either metadata generation.
-    pub fn parse(text: &str) -> Result<Meta, String> {
-        let doc = json::Json::parse(text.trim())?;
-        if doc.get("version").is_some() || doc.get("relations").is_some() {
-            let version = doc
-                .get("version")
+    /// Parses the fields of a document already known to be `"version":2`.
+    fn from_doc(doc: &json::Json) -> Result<Meta, String> {
+        let int = |doc: &json::Json, key: &str| {
+            doc.get(key)
                 .and_then(json::Json::as_u64)
-                .ok_or("missing integer \"version\"")?;
-            if version != 2 {
-                return Err(format!("unsupported metadata version {version}"));
-            }
-            let pricer = doc
-                .get("pricer")
-                .and_then(json::Json::as_u64)
-                .ok_or("missing integer \"pricer\"")?;
-            let relations = doc
+                .ok_or_else(|| format!("missing integer \"{key}\""))
+        };
+        Ok(Meta {
+            pricer: int(doc, "pricer")?,
+            relations: doc
                 .get("relations")
                 .and_then(json::Json::as_array)
                 .ok_or("missing array \"relations\"")?
                 .iter()
                 .map(|r| {
                     Ok(MetaRelation {
-                        relation: r
-                            .get("relation")
-                            .and_then(json::Json::as_u64)
-                            .ok_or("missing integer \"relation\"")?,
-                        fingerprint: r
-                            .get("fingerprint")
-                            .and_then(json::Json::as_u64)
-                            .ok_or("missing integer \"fingerprint\"")?,
+                        relation: int(r, "relation")?,
+                        fingerprint: int(r, "fingerprint")?,
                     })
                 })
-                .collect::<Result<Vec<MetaRelation>, String>>()?;
-            Ok(Meta::V2 { pricer, relations })
-        } else {
-            Ok(Meta::V1 {
-                fingerprint: doc
-                    .get("fingerprint")
-                    .and_then(json::Json::as_u64)
-                    .ok_or("missing integer \"fingerprint\"")?,
-            })
-        }
+                .collect::<Result<Vec<MetaRelation>, String>>()?,
+        })
     }
 }
 
-/// Probes a data dir's identity metadata without opening the store.
-///
-/// `None` means the metadata file does not exist (a fresh dir, or one
-/// never opened durably). Callers use this to route between bootstrap
-/// flavours — a [`Meta::V2`] dir is self-describing and must not have a
-/// relation reimposed from command-line flags — before committing to a
-/// full [`Store::open`] with its journal replay.
-pub fn peek_meta(dir: &Path) -> Result<Option<Meta>, PersistError> {
-    read_meta(&dir.join(META_FILE))
-}
-
-/// Reads the persisted metadata, `None` when the file does not exist.
+/// Reads the persisted metadata, `None` when the file does not exist. A
+/// readable document of any other version is a [`PersistError::Layout`];
+/// an unreadable one is corrupt.
 fn read_meta(path: &Path) -> Result<Option<Meta>, PersistError> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(PersistError::io(path, &e)),
     };
-    Meta::parse(&text)
-        .map(Some)
-        .map_err(|e| PersistError::corrupt(path, format!("metadata: {e}")))
+    let corrupt = |e: String| PersistError::corrupt(path, format!("metadata: {e}"));
+    let doc = json::Json::parse(text.trim()).map_err(corrupt)?;
+    if doc.get("version").and_then(json::Json::as_u64) != Some(2) {
+        return Err(PersistError::layout(
+            path,
+            "metadata is not \"version\":2; this build reads no other generation",
+        ));
+    }
+    Meta::from_doc(&doc).map(Some).map_err(corrupt)
 }
 
-/// Writes the metadata atomically (temp file + fsync + rename).
-fn write_meta(dir: &Path, meta: &Meta) -> Result<(), PersistError> {
+/// Writes `dir/name` atomically — `name.tmp`, fsync, rename — so a crash
+/// mid-write can never leave a half-written file under the real name, then
+/// makes the rename itself durable where the platform allows opening
+/// directories (failing that only risks losing the *newest* file to a
+/// crash, which recovery already tolerates).
+fn write_atomic(dir: &Path, name: &str, text: &str) -> Result<PathBuf, PersistError> {
     use std::io::Write;
-    let path = dir.join(META_FILE);
-    let tmp = dir.join("meta.json.tmp");
+    let path = dir.join(name);
+    let tmp = dir.join(format!("{name}.tmp"));
     {
         let mut file = std::fs::File::create(&tmp).map_err(|e| PersistError::io(&tmp, &e))?;
-        file.write_all(format!("{}\n", meta.to_json()).as_bytes())
+        file.write_all(text.as_bytes())
+            .and_then(|()| file.write_all(b"\n"))
             .and_then(|()| file.sync_all())
             .map_err(|e| PersistError::io(&tmp, &e))?;
     }
     std::fs::rename(&tmp, &path).map_err(|e| PersistError::io(&path, &e))?;
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    journal::sync_dir(dir);
+    Ok(path)
 }
 
 /// Sweeps stale `*.tmp` files left behind by a crash between temp-create
@@ -395,34 +367,40 @@ pub struct Store {
 impl Store {
     /// Opens (creating if needed) the data dir at `dir`, recovering
     /// whatever state it holds: newest valid snapshot, journal tail,
-    /// torn-record report, and whatever [`Meta`] generation the dir
-    /// carries (`None` on a fresh dir).
+    /// torn-record report, and the [`Meta`] the dir carries (`None` on a
+    /// fresh dir).
     ///
-    /// Identity *policy* — which fingerprints must match, which metadata
-    /// generation is acceptable, when a legacy dir migrates — lives in the
+    /// Identity *policy* — which fingerprints must match — lives in the
     /// server layer, which knows the pricer and the catalog. This layer
     /// only reports what is on disk; callers that accept the dir should
     /// persist their verdict with [`Store::write_meta`].
     pub fn open(dir: &Path) -> Result<(Store, Recovery, Option<Meta>), PersistError> {
+        // Foreign layouts first, before anything below creates, sweeps,
+        // truncates or renames a file: a dir holding only `journal.jsonl`
+        // lists zero segments and would otherwise open as fresh, with a
+        // new `journal-1.jsonl` beside the history it never read.
+        let legacy = dir.join(LEGACY_JOURNAL_FILE);
+        if legacy.exists() {
+            return Err(PersistError::layout(
+                &legacy,
+                "single-file journal from before segmentation; this build reads only \
+                 journal-<n>.jsonl segments",
+            ));
+        }
+        let meta = read_meta(&dir.join(META_FILE))?;
         std::fs::create_dir_all(dir).map_err(|e| PersistError::io(dir, &e))?;
         let swept_tmp_files = sweep_tmp(dir)?;
         let snapshots = snapshot::load(dir)?;
-        let coverage = snapshots.newest.as_ref().map(|s| match s.coverage {
-            Some(position) => Coverage::Position {
-                position,
-                events: s.journal_events,
-            },
-            // Legacy snapshot (pre-segmentation): coverage is an event
-            // count from the front of the whole journal.
-            None => Coverage::Events(s.journal_events),
+        let coverage = snapshots.newest.as_ref().map(|s| Coverage {
+            position: s.coverage,
+            events: s.journal_events,
         });
         let (journal, load) = Journal::open(dir, coverage.as_ref())?;
-        let meta = read_meta(&dir.join(META_FILE))?;
         // The next snapshot seq must clear every seq still on disk —
         // including an unparseable newest — or the write would collide
         // with the corpse.
         let next_seq = snapshots.max_seq.map_or(1, |seq| seq + 1);
-        let newest_coverage = snapshots.newest.as_ref().and_then(|s| s.coverage);
+        let newest_coverage = snapshots.newest.as_ref().map(|s| s.coverage);
         let skipped_snapshots = snapshots
             .skipped
             .iter()
@@ -447,10 +425,9 @@ impl Store {
         ))
     }
 
-    /// Persists `meta` atomically (temp file + fsync + rename + dir sync),
-    /// replacing any previous metadata generation.
+    /// Persists `meta` atomically (temp file + fsync + rename + dir sync).
     pub fn write_meta(&self, meta: &Meta) -> Result<(), PersistError> {
-        write_meta(&self.dir, meta)
+        write_atomic(&self.dir, META_FILE, &meta.to_json()).map(drop)
     }
 
     /// Appends one event durably (fsync'd before return).
@@ -511,10 +488,9 @@ impl Store {
         snapshot::prune(&self.dir, &self.bad_snapshots);
         self.bad_snapshots.clear();
         self.journal.rotate()?;
-        // Compact up to the *previous* snapshot's coverage. When there is
-        // no previous positional coverage (first snapshot ever, or the
-        // previous one was a legacy record), nothing is deleted — the
-        // whole journal stays until two coverage-bearing snapshots exist.
+        // Compact up to the *previous* snapshot's coverage. After the
+        // first snapshot ever there is none, and nothing is deleted — the
+        // whole journal stays until two snapshots exist.
         let report = match self.newest_coverage {
             Some(oldest_retained) => self.journal.compact(oldest_retained),
             None => CompactionReport {
@@ -522,7 +498,7 @@ impl Store {
                 ..CompactionReport::default()
             },
         };
-        self.newest_coverage = snap.coverage;
+        self.newest_coverage = Some(snap.coverage);
         Ok(report)
     }
 
@@ -545,7 +521,7 @@ mod tests {
         dir
     }
 
-    /// The fingerprint these tests stamp into legacy metadata.
+    /// The fingerprint these tests stamp into metadata.
     const FP: u64 = 0xFEED_FACE_CAFE_BEEF;
 
     fn tick_event(tick: u64, rate: f64, lo: f64) -> JournalEvent {
@@ -582,7 +558,11 @@ mod tests {
     fn relation_section(ticks: u64, warm: Vec<record::WarmRateRecord>) -> record::RelationSnapshot {
         record::RelationSnapshot {
             relation: 1,
-            def: None,
+            def: record::RelationDefRecord {
+                name: "default".to_string(),
+                seed: None,
+                bonds: Vec::new(),
+            },
             next_session_id: 1,
             ticks,
             shed: 0,
@@ -621,7 +601,7 @@ mod tests {
                 .write_snapshot(&SnapshotRecord {
                     seq: 1,
                     journal_events: store.journal_events(),
-                    coverage: Some(store.journal_position()),
+                    coverage: store.journal_position(),
                     next_relation_id: 2,
                     relations: vec![relation_section(
                         2,
@@ -661,7 +641,10 @@ mod tests {
             snapshot: Some(SnapshotRecord {
                 seq: 1,
                 journal_events: 0,
-                coverage: None,
+                coverage: SegmentPosition {
+                    segment: 1,
+                    bytes: 0,
+                },
                 next_relation_id: 3,
                 relations: vec![relation_section(
                     0,
@@ -706,7 +689,7 @@ mod tests {
         SnapshotRecord {
             seq: store.next_snapshot_seq(),
             journal_events: store.journal_events(),
-            coverage: Some(store.journal_position()),
+            coverage: store.journal_position(),
             next_relation_id: 2,
             relations: vec![relation_section(ticks, Vec::new())],
         }
@@ -845,72 +828,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_file_dir_migrates_and_recovers() {
-        let dir = tmp_dir("legacy-store");
-        fs::create_dir_all(&dir).unwrap();
-        // Fabricate a pre-segmentation dir: journal.jsonl + a snapshot
-        // with no coverage fields + meta.json.
-        let mut lines = String::new();
-        for ev in [
-            tick_event(1, 0.05, 1.0),
-            JournalEvent::SnapshotMarker { seq: 1 },
-            tick_event(2, 0.06, 2.0),
-        ] {
-            lines.push_str(&ev.to_line());
-            lines.push('\n');
-        }
-        fs::write(dir.join(journal::LEGACY_JOURNAL_FILE), lines).unwrap();
-        // A v1 snapshot exactly as a PR-4 server serialized it.
-        fs::write(
-            dir.join("snapshot-1.json"),
-            r#"{"seq":1,"journal_events":2,"next_session_id":1,"ticks":1,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[]}"#,
-        )
-        .unwrap();
-        fs::write(dir.join(META_FILE), format!("{{\"fingerprint\":{FP}}}\n")).unwrap();
-
-        let (mut store, rec, meta) = Store::open(&dir).unwrap();
-        assert_eq!(
-            meta,
-            Some(Meta::V1 { fingerprint: FP }),
-            "legacy metadata is surfaced, not silently upgraded"
-        );
-        assert_eq!(rec.snapshot_seq(), Some(1));
-        assert_eq!(rec.replayed_events(), 1, "only the post-snapshot tick");
-        assert_eq!(rec.warm_maps()[&1][&0.06f64.to_bits()][0].lo, 2.0);
-        assert!(!dir.join(journal::LEGACY_JOURNAL_FILE).exists());
-        assert!(dir.join(journal::segment_file(1)).exists());
-        // The dir now participates in segmentation: snapshots carry
-        // coverage and compaction kicks in once two of them exist.
-        store
-            .append(&JournalEvent::SnapshotMarker { seq: 2 })
-            .unwrap();
-        let snap = plain_snapshot(&store, 2);
-        let report = store.write_snapshot(&snap).unwrap();
-        assert_eq!(
-            report.segments_deleted, 0,
-            "legacy snapshot has no coverage floor yet"
-        );
-        store.append(&tick_event(3, 0.05, 3.0)).unwrap();
-        store
-            .append(&JournalEvent::SnapshotMarker { seq: 3 })
-            .unwrap();
-        let snap = plain_snapshot(&store, 3);
-        let report = store.write_snapshot(&snap).unwrap();
-        assert!(report.segments_deleted > 0, "now the old segments can go");
-        let (_, rec, _) = Store::open(&dir).unwrap();
-        assert_eq!(rec.snapshot_seq(), Some(3));
-        assert_eq!(rec.replayed_events(), 0);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn both_meta_generations_round_trip() {
-        let v1 = Meta::V1 { fingerprint: FP };
-        assert_eq!(v1.to_json(), format!("{{\"fingerprint\":{FP}}}"));
-        assert_eq!(Meta::parse(&v1.to_json()).unwrap(), v1);
-
-        let v2 = Meta::V2 {
-            pricer: 77,
+    fn meta_round_trips_through_the_data_dir() {
+        let dir = tmp_dir("meta-rewrite");
+        let (store, _, meta) = Store::open(&dir).unwrap();
+        assert!(meta.is_none());
+        let empty = Meta {
+            pricer: 5,
+            relations: Vec::new(),
+        };
+        store.write_meta(&empty).unwrap();
+        assert_eq!(Store::open(&dir).unwrap().2, Some(empty));
+        let bound = Meta {
+            pricer: 5,
             relations: vec![
                 MetaRelation {
                     relation: 1,
@@ -922,46 +851,27 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(Meta::parse(&v2.to_json()).unwrap(), v2);
-        let empty = Meta::V2 {
-            pricer: 77,
-            relations: Vec::new(),
-        };
-        assert_eq!(Meta::parse(&empty.to_json()).unwrap(), empty);
-    }
-
-    #[test]
-    fn meta_rejects_malformed_or_future_generations() {
-        assert!(Meta::parse("not json").is_err());
-        assert!(Meta::parse("{}").is_err(), "neither generation's fields");
-        assert!(
-            Meta::parse(r#"{"version":3,"pricer":1,"relations":[]}"#).is_err(),
-            "future versions are refused, not guessed at"
-        );
-        assert!(
-            Meta::parse(r#"{"version":2,"relations":[]}"#).is_err(),
-            "v2 requires the pricer fingerprint"
-        );
-        assert!(Meta::parse(r#"{"version":2,"pricer":1,"relations":[{"relation":1}]}"#).is_err());
-    }
-
-    #[test]
-    fn write_meta_replaces_the_previous_generation_atomically() {
-        let dir = tmp_dir("meta-rewrite");
-        let (store, _, meta) = Store::open(&dir).unwrap();
-        assert!(meta.is_none());
-        store.write_meta(&Meta::V1 { fingerprint: FP }).unwrap();
-        let v2 = Meta::V2 {
-            pricer: 5,
-            relations: vec![MetaRelation {
-                relation: 1,
-                fingerprint: FP,
-            }],
-        };
-        store.write_meta(&v2).unwrap();
-        let (_, _, meta) = Store::open(&dir).unwrap();
-        assert_eq!(meta, Some(v2));
+        store.write_meta(&bound).unwrap();
+        assert_eq!(Store::open(&dir).unwrap().2, Some(bound));
         assert!(!dir.join("meta.json.tmp").exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unreadable_version_2_meta_is_corrupt() {
+        let dir = tmp_dir("meta-corrupt");
+        fs::create_dir_all(&dir).unwrap();
+        for text in [
+            "not json",
+            r#"{"version":2,"relations":[]}"#,
+            r#"{"version":2,"pricer":1,"relations":[{"relation":1}]}"#,
+        ] {
+            fs::write(dir.join(META_FILE), text).unwrap();
+            assert!(
+                matches!(Store::open(&dir), Err(PersistError::Corrupt { .. })),
+                "{text}"
+            );
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -987,10 +897,10 @@ mod tests {
         assert!(text.contains("0x0000000000000002"), "{text}");
         let e = PersistError::Layout {
             path: "d".to_string(),
-            detail: "mixed generations".to_string(),
+            detail: "journal.jsonl".to_string(),
         };
         let text = e.to_string();
-        assert!(text.contains("ambiguous data dir layout"), "{text}");
-        assert!(text.contains("mixed generations"), "{text}");
+        assert!(text.contains("unsupported data dir layout"), "{text}");
+        assert!(text.contains("journal.jsonl"), "{text}");
     }
 }

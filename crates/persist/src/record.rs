@@ -21,13 +21,11 @@ use vao::ops::selection::CmpOp;
 use vao::trace::CpuEstimation;
 use vao::Bounds;
 
-use crate::json::{escape, Json};
+use crate::json::{array, escape, Json};
 
 /// One control-plane event in the write-ahead journal.
 ///
-/// Every data-plane event is namespaced by a relation id. Events written
-/// before the catalog existed carry no `relation` field and parse as
-/// relation `1` (the id legacy single-relation dirs migrate onto).
+/// Every data-plane event is namespaced by a relation id.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalEvent {
     /// A relation was created in the catalog: its full definition rides in
@@ -134,16 +132,15 @@ pub struct TickRecord {
     /// End-of-tick state of every pool object, aligned with the relation.
     pub warm: Vec<WarmObjectRecord>,
     /// End-of-tick cost-calibration state, when the relation runs with
-    /// calibration enabled. `None` on legacy (PR 4–9) records and on
-    /// uncalibrated relations — both parse as a cold model.
+    /// calibration enabled. `None` (the field is absent) while the model
+    /// is cold.
     pub calibration: Option<CalibrationState>,
 }
 
 /// Persisted online cost-calibration state: the scheduler's learned
 /// estimated-vs-actual cost model plus the per-predicate pass/fail
-/// frequencies Selection demand ordering learns from. Versioned — the
-/// field is simply absent on records written before calibration existed,
-/// and absent parses as cold/uncalibrated.
+/// frequencies Selection demand ordering learns from. Versioned, and
+/// absent-when-cold: a record without the field parses as a cold model.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CalibrationState {
     /// Per-magnitude-class `(observations, est_sum, actual_sum)` cells,
@@ -259,13 +256,9 @@ pub struct SegmentPosition {
 
 /// A point-in-time capture of the whole server control plane.
 ///
-/// Written as a version-2 document: one section per catalog relation,
-/// each carrying its definition (snapshots must be self-contained —
-/// compaction may delete the `create_relation` journal events that
-/// originally defined a relation). A version-1 document (written before
-/// the catalog existed, no `"relations"` key) parses as one relation-`1`
-/// section with no definition; the recovery fold attaches the migrated
-/// definition separately.
+/// One section per catalog relation, each carrying its definition
+/// (snapshots must be self-contained — compaction may delete the
+/// `create_relation` journal events that originally defined a relation).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SnapshotRecord {
     /// Snapshot sequence number (monotone per data dir).
@@ -273,11 +266,8 @@ pub struct SnapshotRecord {
     /// How many journal events this snapshot covers; recovery replays only
     /// the events after this count.
     pub journal_events: u64,
-    /// Where the coverage ends in the segmented journal. `None` on
-    /// snapshots written before journal segmentation existed (a legacy dir);
-    /// recovery then falls back to skipping `journal_events` events from
-    /// the front of the whole journal.
-    pub coverage: Option<SegmentPosition>,
+    /// Where the coverage ends in the segmented journal.
+    pub coverage: SegmentPosition,
     /// The catalog's next relation id (high-water mark + 1). Never
     /// decreases, even when relations are dropped.
     pub next_relation_id: u64,
@@ -290,10 +280,8 @@ pub struct SnapshotRecord {
 pub struct RelationSnapshot {
     /// Catalog relation id.
     pub relation: u64,
-    /// The relation's definition. `None` only for the synthetic section a
-    /// legacy (version-1) snapshot parses into, where the definition lives
-    /// outside the snapshot.
-    pub def: Option<RelationDefRecord>,
+    /// The relation's definition.
+    pub def: RelationDefRecord,
     /// The registry's next session id (high-water mark + 1). Never
     /// decreases, even when sessions unsubscribe.
     pub next_session_id: u64,
@@ -309,8 +297,8 @@ pub struct RelationSnapshot {
     pub warm: Vec<WarmRateRecord>,
     /// Last delivered answer per session, in registration order.
     pub answers: Vec<AnswerEntry>,
-    /// Cost-calibration state at snapshot time (`None` on legacy snapshots
-    /// and uncalibrated relations; parses as a cold model).
+    /// Cost-calibration state at snapshot time (`None`, and absent from
+    /// the document, while the model is cold).
     pub calibration: Option<CalibrationState>,
 }
 
@@ -341,13 +329,20 @@ pub struct WarmRateRecord {
 }
 
 // ----------------------------------------------------------------- encode
+//
+// The shape writers below (`cmp_op_str`, `query_json`, `ids_json`,
+// `bounds_fields`, `output_json`, `bond_json`, the two answer objects) are
+// the only emitters of those shapes in the workspace: the journal, the
+// snapshot and the wire protocol (`va_server::proto`) all call them.
 
 fn num(x: f64) -> String {
     debug_assert!(x.is_finite(), "persisted floats must be finite");
     format!("{x}")
 }
 
-fn cmp_op_str(op: CmpOp) -> &'static str {
+/// The wire and journal spelling of a comparison operator.
+#[must_use]
+pub fn cmp_op_str(op: CmpOp) -> &'static str {
     match op {
         CmpOp::Gt => ">",
         CmpOp::Ge => ">=",
@@ -356,62 +351,57 @@ fn cmp_op_str(op: CmpOp) -> &'static str {
     }
 }
 
-/// Serializes a [`Query`] to the same `{"kind":...}` object shape the wire
-/// protocol uses (SUM weights always concrete here).
+/// Serializes a [`Query`] to its `{"kind":...}` object shape (SUM weights
+/// always concrete; the wire's weight-less SUM is a protocol envelope).
 #[must_use]
 pub fn query_json(q: &Query) -> String {
     match q {
         Query::Selection { op, constant } => format!(
-            "{{\"kind\":\"selection\",\"op\":\"{}\",\"constant\":{}}}",
-            cmp_op_str(*op),
-            num(*constant)
+            "{{\"kind\":\"selection\",\"op\":\"{}\",\"constant\":{constant}}}",
+            cmp_op_str(*op)
         ),
         Query::Count {
             op,
             constant,
             slack,
         } => format!(
-            "{{\"kind\":\"count\",\"op\":\"{}\",\"constant\":{},\"slack\":{slack}}}",
-            cmp_op_str(*op),
-            num(*constant)
+            "{{\"kind\":\"count\",\"op\":\"{}\",\"constant\":{constant},\"slack\":{slack}}}",
+            cmp_op_str(*op)
         ),
-        Query::Sum { weights, epsilon } => {
-            let ws: Vec<String> = weights.iter().map(|w| num(*w)).collect();
-            format!(
-                "{{\"kind\":\"sum\",\"epsilon\":{},\"weights\":[{}]}}",
-                num(*epsilon),
-                ws.join(",")
-            )
+        Query::Sum { weights, epsilon } => format!(
+            "{{\"kind\":\"sum\",\"epsilon\":{epsilon},\"weights\":{}}}",
+            array(weights, f64::to_string)
+        ),
+        Query::Ave { epsilon } => format!("{{\"kind\":\"ave\",\"epsilon\":{epsilon}}}"),
+        Query::Max { epsilon } => format!("{{\"kind\":\"max\",\"epsilon\":{epsilon}}}"),
+        Query::Min { epsilon } => format!("{{\"kind\":\"min\",\"epsilon\":{epsilon}}}"),
+        Query::TopK { k, epsilon } => {
+            format!("{{\"kind\":\"topk\",\"k\":{k},\"epsilon\":{epsilon}}}")
         }
-        Query::Ave { epsilon } => format!("{{\"kind\":\"ave\",\"epsilon\":{}}}", num(*epsilon)),
-        Query::Max { epsilon } => format!("{{\"kind\":\"max\",\"epsilon\":{}}}", num(*epsilon)),
-        Query::Min { epsilon } => format!("{{\"kind\":\"min\",\"epsilon\":{}}}", num(*epsilon)),
-        Query::TopK { k, epsilon } => format!(
-            "{{\"kind\":\"topk\",\"k\":{k},\"epsilon\":{}}}",
-            num(*epsilon)
-        ),
-        Query::Median { epsilon } => {
-            format!("{{\"kind\":\"median\",\"epsilon\":{}}}", num(*epsilon))
+        Query::Median { epsilon } => format!("{{\"kind\":\"median\",\"epsilon\":{epsilon}}}"),
+        Query::Percentile { phi, epsilon } => {
+            format!("{{\"kind\":\"percentile\",\"phi\":{phi},\"epsilon\":{epsilon}}}")
         }
-        Query::Percentile { phi, epsilon } => format!(
-            "{{\"kind\":\"percentile\",\"phi\":{},\"epsilon\":{}}}",
-            num(*phi),
-            num(*epsilon)
-        ),
-        Query::HeavyHitters { k, epsilon } => format!(
-            "{{\"kind\":\"heavyhitters\",\"k\":{k},\"epsilon\":{}}}",
-            num(*epsilon)
-        ),
+        Query::HeavyHitters { k, epsilon } => {
+            format!("{{\"kind\":\"heavyhitters\",\"k\":{k},\"epsilon\":{epsilon}}}")
+        }
     }
 }
 
-fn ids_json(ids: &[u32]) -> String {
-    let items: Vec<String> = ids.iter().map(u32::to_string).collect();
-    format!("[{}]", items.join(","))
+/// Serializes a bond id list.
+#[must_use]
+pub fn ids_json(ids: &[u32]) -> String {
+    array(ids, u32::to_string)
 }
 
-/// Serializes a [`QueryOutput`] using the wire protocol's `{"shape":...}`
-/// object shapes.
+/// The `"lo":L,"hi":H` field pair of an interval (no braces — the caller
+/// decides what else shares the object).
+#[must_use]
+pub fn bounds_fields(lo: f64, hi: f64) -> String {
+    format!("\"lo\":{lo},\"hi\":{hi}")
+}
+
+/// Serializes a [`QueryOutput`] to its `{"shape":...}` object shape.
 #[must_use]
 pub fn output_json(out: &QueryOutput) -> String {
     match out {
@@ -423,107 +413,89 @@ pub fn output_json(out: &QueryOutput) -> String {
             bounds,
             ties,
         } => format!(
-            "{{\"shape\":\"extreme\",\"bond\":{bond_id},\"lo\":{},\"hi\":{},\"ties\":{}}}",
-            num(bounds.lo()),
-            num(bounds.hi()),
+            "{{\"shape\":\"extreme\",\"bond\":{bond_id},{},\"ties\":{}}}",
+            bounds_fields(bounds.lo(), bounds.hi()),
             ids_json(ties)
         ),
         QueryOutput::Aggregate { bounds } => format!(
-            "{{\"shape\":\"aggregate\",\"lo\":{},\"hi\":{}}}",
-            num(bounds.lo()),
-            num(bounds.hi())
+            "{{\"shape\":\"aggregate\",{}}}",
+            bounds_fields(bounds.lo(), bounds.hi())
         ),
-        QueryOutput::Ranked { members, ties } => {
-            let rows: Vec<String> = members
-                .iter()
-                .map(|(id, b)| {
-                    format!(
-                        "{{\"bond\":{id},\"lo\":{},\"hi\":{}}}",
-                        num(b.lo()),
-                        num(b.hi())
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"shape\":\"ranked\",\"members\":[{}],\"ties\":{}}}",
-                rows.join(","),
-                ids_json(ties)
-            )
-        }
+        QueryOutput::Ranked { members, ties } => format!(
+            "{{\"shape\":\"ranked\",\"members\":{},\"ties\":{}}}",
+            array(members, |(id, b)| format!(
+                "{{\"bond\":{id},{}}}",
+                bounds_fields(b.lo(), b.hi())
+            )),
+            ids_json(ties)
+        ),
         QueryOutput::Count { lo, hi } => {
             format!("{{\"shape\":\"count\",\"lo\":{lo},\"hi\":{hi}}}")
         }
-        QueryOutput::Heavy { cells, ties } => {
-            let rows: Vec<String> = cells
-                .iter()
-                .map(|c| format!("{{\"cell\":{},\"count\":{}}}", c.cell, c.count))
-                .collect();
-            let tie_items: Vec<String> = ties.iter().map(i64::to_string).collect();
-            format!(
-                "{{\"shape\":\"heavy\",\"cells\":[{}],\"ties\":[{}]}}",
-                rows.join(","),
-                tie_items.join(",")
-            )
-        }
+        QueryOutput::Heavy { cells, ties } => format!(
+            "{{\"shape\":\"heavy\",\"cells\":{},\"ties\":{}}}",
+            array(cells, |c| format!(
+                "{{\"cell\":{},\"count\":{}}}",
+                c.cell, c.count
+            )),
+            array(ties, i64::to_string)
+        ),
     }
+}
+
+/// The answer object of a converged query: journal records and `RESUMED`.
+#[must_use]
+pub fn final_answer_json(out: &QueryOutput) -> String {
+    format!("{{\"status\":\"final\",\"output\":{}}}", output_json(out))
+}
+
+/// The answer object of a budget-degraded query: journal records and
+/// `RESUMED` (a `RESULT` line nests the same bounds under `"bounds"`).
+#[must_use]
+pub fn partial_answer_json(lo: f64, hi: f64) -> String {
+    format!("{{\"status\":\"partial\",{}}}", bounds_fields(lo, hi))
 }
 
 fn answer_json(a: &AnswerRecord) -> String {
     match a {
-        AnswerRecord::Final(out) => {
-            format!("{{\"status\":\"final\",\"output\":{}}}", output_json(out))
-        }
-        AnswerRecord::Partial { lo, hi } => format!(
-            "{{\"status\":\"partial\",\"lo\":{},\"hi\":{}}}",
-            num(*lo),
-            num(*hi)
-        ),
+        AnswerRecord::Final(out) => final_answer_json(out),
+        AnswerRecord::Partial { lo, hi } => partial_answer_json(*lo, *hi),
     }
 }
 
 fn answer_entries_json(entries: &[AnswerEntry]) -> String {
-    let rows: Vec<String> = entries
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"session\":{},\"answer\":{}}}",
-                e.session,
-                answer_json(&e.answer)
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(","))
-}
-
-fn warm_object_json(w: &WarmObjectRecord) -> String {
-    format!(
-        "{{\"lo\":{},\"hi\":{},\"converged\":{},\"iters\":{},\"cost\":{}}}",
-        num(w.lo),
-        num(w.hi),
-        w.converged,
-        w.iters,
-        w.cost
-    )
+    array(entries, |e| {
+        format!(
+            "{{\"session\":{},\"answer\":{}}}",
+            e.session,
+            answer_json(&e.answer)
+        )
+    })
 }
 
 fn warm_objects_json(objs: &[WarmObjectRecord]) -> String {
-    let rows: Vec<String> = objs.iter().map(warm_object_json).collect();
-    format!("[{}]", rows.join(","))
+    array(objs, |w| {
+        format!(
+            "{{\"lo\":{},\"hi\":{},\"converged\":{},\"iters\":{},\"cost\":{}}}",
+            num(w.lo),
+            num(w.hi),
+            w.converged,
+            w.iters,
+            w.cost
+        )
+    })
 }
 
-fn bond_json(b: &BondRecord) -> String {
-    format!(
-        "{{\"id\":{},\"coupon\":{},\"maturity\":{},\"face\":{}}}",
-        b.id,
-        num(b.coupon),
-        num(b.maturity),
-        num(b.face)
-    )
+/// Serializes a bond's terms, led by its `"id"` when the bond has one (a
+/// bond on the wire does not: the server assigns ids).
+#[must_use]
+pub fn bond_json(id: Option<u32>, coupon: f64, maturity: f64, face: f64) -> String {
+    let id = id.map_or(String::new(), |id| format!("\"id\":{id},"));
+    format!("{{{id}\"coupon\":{coupon},\"maturity\":{maturity},\"face\":{face}}}")
 }
 
-fn bonds_json(bonds: &[BondRecord]) -> String {
-    let rows: Vec<String> = bonds.iter().map(bond_json).collect();
-    format!("[{}]", rows.join(","))
+fn bond_record_json(b: &BondRecord) -> String {
+    bond_json(Some(b.id), b.coupon, b.maturity, b.face)
 }
 
 /// Serializes a relation definition (without its catalog id).
@@ -534,14 +506,13 @@ pub fn relation_def_json(def: &RelationDefRecord) -> String {
         "{{\"name\":\"{}\",{}\"bonds\":{}}}",
         escape(&def.name),
         seed,
-        bonds_json(&def.bonds)
+        array(&def.bonds, bond_record_json)
     )
 }
 
 fn stats_json(s: &StatsRecord) -> String {
-    let hist: Vec<String> = s.hist.iter().map(u64::to_string).collect();
     format!(
-        "{{\"rate\":{},\"work\":{{\"exec\":{},\"get\":{},\"store\":{},\"choose\":{}}},\"wall_nanos\":{},\"iterations\":{},\"operator\":\"{}\",\"objects\":{},\"hist\":[{}],\"cpu\":{{\"iterations\":{},\"pct_iterations\":{},\"mae\":{},\"mape\":{}}}}}",
+        "{{\"rate\":{},\"work\":{{\"exec\":{},\"get\":{},\"store\":{},\"choose\":{}}},\"wall_nanos\":{},\"iterations\":{},\"operator\":\"{}\",\"objects\":{},\"hist\":{},\"cpu\":{{\"iterations\":{},\"pct_iterations\":{},\"mae\":{},\"mape\":{}}}}}",
         num(s.rate),
         s.work.exec_iter,
         s.work.get_state,
@@ -551,7 +522,7 @@ fn stats_json(s: &StatsRecord) -> String {
         s.iterations,
         escape(&s.operator),
         s.objects,
-        hist.join(","),
+        array(&s.hist, u64::to_string),
         s.cpu.iterations,
         s.cpu.pct_iterations,
         num(s.cpu.mean_abs_error),
@@ -563,34 +534,29 @@ fn stats_json(s: &StatsRecord) -> String {
 /// `[observations, est_sum, actual_sum]` triples; the `"v"` field
 /// versions the object so future layouts can be told apart from this one.
 fn calibration_json(c: &CalibrationState) -> String {
-    let cells: Vec<String> = c
-        .cells
-        .iter()
-        .map(|cell| {
-            format!(
-                "[{},{},{}]",
-                cell.observations, cell.est_sum, cell.actual_sum
-            )
-        })
-        .collect();
-    let preds: Vec<String> = c
-        .predicates
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"op\":\"{}\",\"constant\":{},\"pass\":{},\"fail\":{}}}",
-                cmp_op_str(p.op),
-                num(p.constant),
-                p.pass,
-                p.fail
-            )
-        })
-        .collect();
     format!(
-        "{{\"v\":1,\"cells\":[{}],\"predicates\":[{}]}}",
-        cells.join(","),
-        preds.join(",")
+        "{{\"v\":1,\"cells\":{},\"predicates\":{}}}",
+        array(&c.cells, |cell| format!(
+            "[{},{},{}]",
+            cell.observations, cell.est_sum, cell.actual_sum
+        )),
+        array(&c.predicates, |p| format!(
+            "{{\"op\":\"{}\",\"constant\":{},\"pass\":{},\"fail\":{}}}",
+            cmp_op_str(p.op),
+            num(p.constant),
+            p.pass,
+            p.fail
+        ))
     )
+}
+
+/// The `,"calibration":{..}` tail of a tick record or snapshot section:
+/// empty while the model is cold, so an uncalibrated run writes the bytes
+/// a server without calibration would.
+fn calibration_field(c: Option<&CalibrationState>) -> String {
+    c.map_or(String::new(), |c| {
+        format!(",\"calibration\":{}", calibration_json(c))
+    })
 }
 
 impl JournalEvent {
@@ -608,7 +574,7 @@ impl JournalEvent {
             }
             JournalEvent::AddBond { relation, bond } => format!(
                 "{{\"ev\":\"add_bond\",\"relation\":{relation},\"bond\":{}}}",
-                bond_json(bond)
+                bond_record_json(bond)
             ),
             JournalEvent::Subscribe {
                 relation,
@@ -622,34 +588,22 @@ impl JournalEvent {
             JournalEvent::Unsubscribe { relation, session } => {
                 format!("{{\"ev\":\"unsubscribe\",\"relation\":{relation},\"session\":{session}}}")
             }
-            JournalEvent::Tick(t) => {
-                let sessions: Vec<String> = t
-                    .sessions
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            "{{\"session\":{},\"final\":{},\"driven\":{}}}",
-                            s.session, s.is_final, s.driven
-                        )
-                    })
-                    .collect();
-                let calibration = t.calibration.as_ref().map_or(String::new(), |c| {
-                    format!(",\"calibration\":{}", calibration_json(c))
-                });
-                format!(
-                    "{{\"ev\":\"tick\",\"relation\":{},\"tick\":{},\"rate\":{},\"shed\":{},\"budget_exhausted\":{},\"stats\":{},\"sessions\":[{}],\"answers\":{},\"warm\":{}{}}}",
-                    t.relation,
-                    t.tick,
-                    num(t.rate),
-                    t.shed,
-                    t.budget_exhausted,
-                    stats_json(&t.stats),
-                    sessions.join(","),
-                    answer_entries_json(&t.answers),
-                    warm_objects_json(&t.warm),
-                    calibration,
-                )
-            }
+            JournalEvent::Tick(t) => format!(
+                "{{\"ev\":\"tick\",\"relation\":{},\"tick\":{},\"rate\":{},\"shed\":{},\"budget_exhausted\":{},\"stats\":{},\"sessions\":{},\"answers\":{},\"warm\":{}{}}}",
+                t.relation,
+                t.tick,
+                num(t.rate),
+                t.shed,
+                t.budget_exhausted,
+                stats_json(&t.stats),
+                array(&t.sessions, |s| format!(
+                    "{{\"session\":{},\"final\":{},\"driven\":{}}}",
+                    s.session, s.is_final, s.driven
+                )),
+                answer_entries_json(&t.answers),
+                warm_objects_json(&t.warm),
+                calibration_field(t.calibration.as_ref()),
+            ),
             JournalEvent::SnapshotMarker { seq } => {
                 format!("{{\"ev\":\"snapshot\",\"seq\":{seq}}}")
             }
@@ -658,72 +612,69 @@ impl JournalEvent {
 }
 
 fn relation_snapshot_json(r: &RelationSnapshot) -> String {
-    let sessions: Vec<String> = r
-        .sessions
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"session\":{},\"priority\":{},\"finals\":{},\"partials\":{},\"driven\":{},\"query\":{}}}",
-                s.session, s.priority, s.finals, s.partials, s.driven,
-                query_json(&s.query)
-            )
-        })
-        .collect();
-    let history: Vec<String> = r.history.iter().map(stats_json).collect();
-    let warm: Vec<String> = r
-        .warm
-        .iter()
-        .map(|w| {
-            format!(
-                "{{\"rate\":{},\"objects\":{}}}",
-                num(w.rate),
-                warm_objects_json(&w.objects)
-            )
-        })
-        .collect();
-    let def = r.def.as_ref().map_or(String::new(), |d| {
-        format!("\"def\":{},", relation_def_json(d))
-    });
-    let calibration = r.calibration.as_ref().map_or(String::new(), |c| {
-        format!(",\"calibration\":{}", calibration_json(c))
-    });
     format!(
-        "{{\"relation\":{},{}\"next_session_id\":{},\"ticks\":{},\"shed\":{},\"sessions\":[{}],\"history\":[{}],\"warm\":[{}],\"answers\":{}{}}}",
+        "{{\"relation\":{},\"def\":{},\"next_session_id\":{},\"ticks\":{},\"shed\":{},\"sessions\":{},\"history\":{},\"warm\":{},\"answers\":{}{}}}",
         r.relation,
-        def,
+        relation_def_json(&r.def),
         r.next_session_id,
         r.ticks,
         r.shed,
-        sessions.join(","),
-        history.join(","),
-        warm.join(","),
+        array(&r.sessions, |s| format!(
+            "{{\"session\":{},\"priority\":{},\"finals\":{},\"partials\":{},\"driven\":{},\"query\":{}}}",
+            s.session,
+            s.priority,
+            s.finals,
+            s.partials,
+            s.driven,
+            query_json(&s.query)
+        )),
+        array(&r.history, stats_json),
+        array(&r.warm, |w| format!(
+            "{{\"rate\":{},\"objects\":{}}}",
+            num(w.rate),
+            warm_objects_json(&w.objects)
+        )),
         answer_entries_json(&r.answers),
-        calibration,
+        calibration_field(r.calibration.as_ref()),
     )
 }
 
 impl SnapshotRecord {
-    /// Serializes the snapshot to one JSON document (always version 2).
+    /// Serializes the snapshot to one JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        // Coverage rides as two extra fields so legacy parsers (and legacy
-        // files, which simply omit them) stay compatible.
-        let coverage = self.coverage.map_or(String::new(), |p| {
-            format!("\"segment\":{},\"segment_bytes\":{},", p.segment, p.bytes)
-        });
-        let relations: Vec<String> = self.relations.iter().map(relation_snapshot_json).collect();
         format!(
-            "{{\"seq\":{},\"journal_events\":{},{}\"next_relation_id\":{},\"relations\":[{}]}}",
+            "{{\"seq\":{},\"journal_events\":{},\"segment\":{},\"segment_bytes\":{},\"next_relation_id\":{},\"relations\":{}}}",
             self.seq,
             self.journal_events,
-            coverage,
+            self.coverage.segment,
+            self.coverage.bytes,
             self.next_relation_id,
-            relations.join(","),
+            array(&self.relations, relation_snapshot_json),
         )
     }
 }
 
 // ----------------------------------------------------------------- decode
+//
+// One parser per shape. `parse_cmp_op`, `parse_query` and
+// `parse_bond_terms` are also the wire protocol's, so their error texts
+// are the ones a client reads in an `ERROR` reply.
+
+/// A float that must be present and finite: JSON has no NaN, but `1e999`
+/// parses to infinity, and neither a client nor a journal may supply one.
+pub fn finite(v: Option<f64>, field: &str) -> Result<f64, String> {
+    match v {
+        Some(x) if x.is_finite() => Ok(x),
+        Some(_) => Err(format!("\"{field}\" must be finite")),
+        None => Err(format!("missing \"{field}\"")),
+    }
+}
+
+/// [`finite`] over the object field `key`.
+pub fn finite_field(doc: &Json, key: &str) -> Result<f64, String> {
+    finite(doc.get(key).and_then(Json::as_f64), key)
+}
 
 fn f64_field(doc: &Json, key: &str) -> Result<f64, String> {
     doc.get(key)
@@ -735,15 +686,6 @@ fn u64_field(doc: &Json, key: &str) -> Result<u64, String> {
     doc.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("missing integer \"{key}\""))
-}
-
-/// An integer field that legacy (pre-catalog) records simply omit.
-/// Present-but-malformed is still an error; absent yields `default`.
-fn u64_field_or(doc: &Json, key: &str, default: u64) -> Result<u64, String> {
-    match doc.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_u64().ok_or_else(|| format!("non-integer \"{key}\"")),
-    }
 }
 
 fn bool_field(doc: &Json, key: &str) -> Result<bool, String> {
@@ -758,69 +700,100 @@ fn str_field<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("missing string \"{key}\""))
 }
 
-fn arr_field<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    doc.get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("missing array \"{key}\""))
+fn u32_field(doc: &Json, key: &str) -> Result<u32, String> {
+    u32::try_from(u64_field(doc, key)?).map_err(|e| e.to_string())
 }
 
-fn bounds_fields(doc: &Json) -> Result<Bounds, String> {
+/// Parses every element of the array field `key` with `each`.
+fn list_field<T>(
+    doc: &Json,
+    key: &str,
+    each: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    doc.get(key)
+        .and_then(Json::as_array)
+        .ok_or_else(|| format!("missing array \"{key}\""))?
+        .iter()
+        .map(each)
+        .collect()
+}
+
+/// Parses the `"lo"`/`"hi"` pair of an interval-carrying object.
+pub fn parse_bounds(doc: &Json) -> Result<Bounds, String> {
     Bounds::try_new(f64_field(doc, "lo")?, f64_field(doc, "hi")?).map_err(|e| e.to_string())
 }
 
-fn parse_cmp_op(doc: &Json) -> Result<CmpOp, String> {
-    match str_field(doc, "op")? {
-        ">" => Ok(CmpOp::Gt),
-        ">=" => Ok(CmpOp::Ge),
-        "<" => Ok(CmpOp::Lt),
-        "<=" => Ok(CmpOp::Le),
-        other => Err(format!("unknown op \"{other}\"")),
+/// Parses the `"op"` field of a predicate-carrying object.
+pub fn parse_cmp_op(doc: &Json) -> Result<CmpOp, String> {
+    match doc.get("op").and_then(Json::as_str) {
+        Some(">") => Ok(CmpOp::Gt),
+        Some(">=") => Ok(CmpOp::Ge),
+        Some("<") => Ok(CmpOp::Lt),
+        Some("<=") => Ok(CmpOp::Le),
+        Some(other) => Err(format!("unknown op \"{other}\"")),
+        None => Err("missing \"op\"".to_string()),
     }
 }
 
-/// Parses a [`Query`] from its `{"kind":...}` object shape (SUM weights
-/// required — persisted queries are always resolved).
+/// Parses a [`Query`] from its `{"kind":...}` object shape, every field
+/// the writer emits required (the wire protocol defaults two of them
+/// before it gets here; a stored query is always resolved).
 pub fn parse_query(doc: &Json) -> Result<Query, String> {
-    match str_field(doc, "kind")? {
+    let kind = doc
+        .get("kind")
+        .and_then(Json::as_str)
+        .ok_or("missing query \"kind\"")?;
+    let epsilon = || finite_field(doc, "epsilon");
+    let k = || -> Result<usize, String> {
+        Ok(doc.get("k").and_then(Json::as_u64).ok_or("missing \"k\"")? as usize)
+    };
+    match kind {
         "selection" => Ok(Query::Selection {
             op: parse_cmp_op(doc)?,
-            constant: f64_field(doc, "constant")?,
+            constant: finite_field(doc, "constant")?,
         }),
         "count" => Ok(Query::Count {
             op: parse_cmp_op(doc)?,
-            constant: f64_field(doc, "constant")?,
-            slack: u64_field(doc, "slack")? as usize,
+            constant: finite_field(doc, "constant")?,
+            slack: doc
+                .get("slack")
+                .and_then(Json::as_u64)
+                .ok_or("missing \"slack\"")? as usize,
         }),
         "sum" => Ok(Query::Sum {
-            weights: arr_field(doc, "weights")?
+            weights: doc
+                .get("weights")
+                .ok_or("missing \"weights\"")?
+                .as_array()
+                .ok_or("\"weights\" must be an array")?
                 .iter()
                 .map(|w| w.as_f64().ok_or_else(|| "non-numeric weight".to_string()))
                 .collect::<Result<Vec<f64>, String>>()?,
-            epsilon: f64_field(doc, "epsilon")?,
+            epsilon: epsilon()?,
         }),
         "ave" => Ok(Query::Ave {
-            epsilon: f64_field(doc, "epsilon")?,
+            epsilon: epsilon()?,
         }),
         "max" => Ok(Query::Max {
-            epsilon: f64_field(doc, "epsilon")?,
+            epsilon: epsilon()?,
         }),
         "min" => Ok(Query::Min {
-            epsilon: f64_field(doc, "epsilon")?,
+            epsilon: epsilon()?,
         }),
         "topk" => Ok(Query::TopK {
-            k: u64_field(doc, "k")? as usize,
-            epsilon: f64_field(doc, "epsilon")?,
+            k: k()?,
+            epsilon: epsilon()?,
         }),
         "median" => Ok(Query::Median {
-            epsilon: f64_field(doc, "epsilon")?,
+            epsilon: epsilon()?,
         }),
         "percentile" => Ok(Query::Percentile {
-            phi: f64_field(doc, "phi")?,
-            epsilon: f64_field(doc, "epsilon")?,
+            phi: finite_field(doc, "phi")?,
+            epsilon: epsilon()?,
         }),
         "heavyhitters" => Ok(Query::HeavyHitters {
-            k: u64_field(doc, "k")? as usize,
-            epsilon: f64_field(doc, "epsilon")?,
+            k: k()?,
+            epsilon: epsilon()?,
         }),
         other => Err(format!("unknown query kind \"{other}\"")),
     }
@@ -840,36 +813,27 @@ fn i64_of(v: &Json) -> Option<i64> {
 
 /// Parses a [`QueryOutput`] from its `{"shape":...}` object shape.
 pub fn parse_output(doc: &Json) -> Result<QueryOutput, String> {
-    let ids = |key: &str| -> Result<Vec<u32>, String> {
-        arr_field(doc, key)?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| format!("non-u32 entry in \"{key}\""))
-            })
-            .collect()
+    let ids = |key: &str| {
+        list_field(doc, key, |v| {
+            v.as_u64()
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| format!("non-u32 entry in \"{key}\""))
+        })
     };
     match str_field(doc, "shape")? {
         "selected" => Ok(QueryOutput::Selected(ids("ids")?)),
         "extreme" => Ok(QueryOutput::Extreme {
-            bond_id: u32::try_from(u64_field(doc, "bond")?).map_err(|e| e.to_string())?,
-            bounds: bounds_fields(doc)?,
+            bond_id: u32_field(doc, "bond")?,
+            bounds: parse_bounds(doc)?,
             ties: ids("ties")?,
         }),
         "aggregate" => Ok(QueryOutput::Aggregate {
-            bounds: bounds_fields(doc)?,
+            bounds: parse_bounds(doc)?,
         }),
         "ranked" => Ok(QueryOutput::Ranked {
-            members: arr_field(doc, "members")?
-                .iter()
-                .map(|m| {
-                    Ok((
-                        u32::try_from(u64_field(m, "bond")?).map_err(|e| e.to_string())?,
-                        bounds_fields(m)?,
-                    ))
-                })
-                .collect::<Result<Vec<(u32, Bounds)>, String>>()?,
+            members: list_field(doc, "members", |m| {
+                Ok((u32_field(m, "bond")?, parse_bounds(m)?))
+            })?,
             ties: ids("ties")?,
         }),
         "count" => Ok(QueryOutput::Count {
@@ -877,22 +841,15 @@ pub fn parse_output(doc: &Json) -> Result<QueryOutput, String> {
             hi: u64_field(doc, "hi")? as usize,
         }),
         "heavy" => Ok(QueryOutput::Heavy {
-            cells: arr_field(doc, "cells")?
-                .iter()
-                .map(|c| {
-                    Ok(HeavyCell {
-                        cell: c
-                            .get("cell")
-                            .and_then(i64_of)
-                            .ok_or_else(|| "non-i64 \"cell\"".to_string())?,
-                        count: u64_field(c, "count")?,
-                    })
+            cells: list_field(doc, "cells", |c| {
+                Ok(HeavyCell {
+                    cell: c.get("cell").and_then(i64_of).ok_or("non-i64 \"cell\"")?,
+                    count: u64_field(c, "count")?,
                 })
-                .collect::<Result<Vec<HeavyCell>, String>>()?,
-            ties: arr_field(doc, "ties")?
-                .iter()
-                .map(|t| i64_of(t).ok_or_else(|| "non-i64 entry in \"ties\"".to_string()))
-                .collect::<Result<Vec<i64>, String>>()?,
+            })?,
+            ties: list_field(doc, "ties", |t| {
+                i64_of(t).ok_or_else(|| "non-i64 entry in \"ties\"".to_string())
+            })?,
         }),
         other => Err(format!("unknown output shape \"{other}\"")),
     }
@@ -911,16 +868,14 @@ fn parse_answer(doc: &Json) -> Result<AnswerRecord, String> {
     }
 }
 
-fn parse_answer_entries(items: &[Json]) -> Result<Vec<AnswerEntry>, String> {
-    items
-        .iter()
-        .map(|e| {
-            Ok(AnswerEntry {
-                session: u64_field(e, "session")?,
-                answer: parse_answer(e.get("answer").ok_or("missing \"answer\"")?)?,
-            })
+/// The `"answers"` array of a tick record or snapshot section.
+fn parse_answers(doc: &Json) -> Result<Vec<AnswerEntry>, String> {
+    list_field(doc, "answers", |e| {
+        Ok(AnswerEntry {
+            session: u64_field(e, "session")?,
+            answer: parse_answer(e.get("answer").ok_or("missing \"answer\"")?)?,
         })
-        .collect()
+    })
 }
 
 fn parse_warm_object(doc: &Json) -> Result<WarmObjectRecord, String> {
@@ -936,16 +891,22 @@ fn parse_warm_object(doc: &Json) -> Result<WarmObjectRecord, String> {
     Ok(rec)
 }
 
-fn parse_warm_objects(items: &[Json]) -> Result<Vec<WarmObjectRecord>, String> {
-    items.iter().map(parse_warm_object).collect()
+/// Parses a bond's `(coupon, maturity, face)` terms.
+pub fn parse_bond_terms(doc: &Json) -> Result<(f64, f64, f64), String> {
+    Ok((
+        finite_field(doc, "coupon")?,
+        finite_field(doc, "maturity")?,
+        finite_field(doc, "face")?,
+    ))
 }
 
 fn parse_bond(doc: &Json) -> Result<BondRecord, String> {
+    let (coupon, maturity, face) = parse_bond_terms(doc)?;
     Ok(BondRecord {
-        id: u32::try_from(u64_field(doc, "id")?).map_err(|e| e.to_string())?,
-        coupon: f64_field(doc, "coupon")?,
-        maturity: f64_field(doc, "maturity")?,
-        face: f64_field(doc, "face")?,
+        id: u32_field(doc, "id")?,
+        coupon,
+        maturity,
+        face,
     })
 }
 
@@ -958,27 +919,24 @@ pub fn parse_relation_def(doc: &Json) -> Result<RelationDefRecord, String> {
     Ok(RelationDefRecord {
         name: str_field(doc, "name")?.to_string(),
         seed,
-        bonds: arr_field(doc, "bonds")?
-            .iter()
-            .map(parse_bond)
-            .collect::<Result<Vec<BondRecord>, String>>()?,
+        bonds: list_field(doc, "bonds", parse_bond)?,
     })
 }
 
 fn parse_stats(doc: &Json) -> Result<StatsRecord, String> {
     let work = doc.get("work").ok_or("missing \"work\"")?;
     let cpu = doc.get("cpu").ok_or("missing \"cpu\"")?;
-    let hist_items = arr_field(doc, "hist")?;
-    if hist_items.len() != ITER_BUCKETS {
-        return Err(format!(
+    let hist: [u64; ITER_BUCKETS] = list_field(doc, "hist", |item| {
+        item.as_u64()
+            .ok_or_else(|| "non-integer histogram bucket".to_string())
+    })?
+    .try_into()
+    .map_err(|items: Vec<u64>| {
+        format!(
             "\"hist\" must have {ITER_BUCKETS} buckets, got {}",
-            hist_items.len()
-        ));
-    }
-    let mut hist = [0u64; ITER_BUCKETS];
-    for (slot, item) in hist.iter_mut().zip(hist_items) {
-        *slot = item.as_u64().ok_or("non-integer histogram bucket")?;
-    }
+            items.len()
+        )
+    })?;
     Ok(StatsRecord {
         rate: f64_field(doc, "rate")?,
         work: WorkBreakdown {
@@ -996,10 +954,13 @@ fn parse_stats(doc: &Json) -> Result<StatsRecord, String> {
             let iterations = u64_field(cpu, "iterations")?;
             CpuEstimation {
                 iterations,
-                // Legacy records predate the eligible-iteration count; they
-                // were written when every iteration was weighted equally,
-                // so defaulting to the total preserves their combining math.
-                pct_iterations: u64_field_or(cpu, "pct_iterations", iterations)?,
+                // Records from before the eligible-iteration count weighted
+                // every iteration equally, so an absent field means the total
+                // (`calibration_roundtrip.rs` keeps such a record readable).
+                pct_iterations: match cpu.get("pct_iterations") {
+                    None => iterations,
+                    Some(v) => v.as_u64().ok_or("non-integer \"pct_iterations\"")?,
+                },
                 mean_abs_error: f64_field(cpu, "mae")?,
                 mean_abs_pct_error: f64_field(cpu, "mape")?,
             }
@@ -1011,54 +972,48 @@ fn parse_stats(doc: &Json) -> Result<StatsRecord, String> {
 /// with an unknown version is from a newer build and refused rather than
 /// silently misread.
 fn parse_calibration(doc: &Json) -> Result<CalibrationState, String> {
-    let version = u64_field_or(doc, "v", 1)?;
+    let version = u64_field(doc, "v")?;
     if version != 1 {
         return Err(format!("unknown calibration version {version}"));
     }
-    let cells = arr_field(doc, "cells")?
-        .iter()
-        .map(|c| {
-            let triple = c.as_array().ok_or("non-array calibration cell")?;
-            if triple.len() != 3 {
-                return Err(format!(
-                    "calibration cell needs 3 entries, got {}",
-                    triple.len()
-                ));
-            }
-            let int = |i: usize| -> Result<u64, String> {
-                triple[i]
-                    .as_u64()
-                    .ok_or_else(|| "non-integer calibration cell entry".to_string())
-            };
-            Ok(CalCell {
-                observations: int(0)?,
-                est_sum: int(1)?,
-                actual_sum: int(2)?,
-            })
+    let cells = list_field(doc, "cells", |c| {
+        let triple = c.as_array().ok_or("non-array calibration cell")?;
+        if triple.len() != 3 {
+            return Err(format!(
+                "calibration cell needs 3 entries, got {}",
+                triple.len()
+            ));
+        }
+        let int = |i: usize| -> Result<u64, String> {
+            triple[i]
+                .as_u64()
+                .ok_or_else(|| "non-integer calibration cell entry".to_string())
+        };
+        Ok(CalCell {
+            observations: int(0)?,
+            est_sum: int(1)?,
+            actual_sum: int(2)?,
         })
-        .collect::<Result<Vec<CalCell>, String>>()?;
+    })?;
     if cells.len() != CAL_CLASSES {
         return Err(format!(
             "calibration needs {CAL_CLASSES} cells, got {}",
             cells.len()
         ));
     }
-    let predicates = arr_field(doc, "predicates")?
-        .iter()
-        .map(|p| {
-            Ok(PredicateCounterRecord {
-                op: parse_cmp_op(p)?,
-                constant: f64_field(p, "constant")?,
-                pass: u64_field(p, "pass")?,
-                fail: u64_field(p, "fail")?,
-            })
+    let predicates = list_field(doc, "predicates", |p| {
+        Ok(PredicateCounterRecord {
+            op: parse_cmp_op(p)?,
+            constant: f64_field(p, "constant")?,
+            pass: u64_field(p, "pass")?,
+            fail: u64_field(p, "fail")?,
         })
-        .collect::<Result<Vec<PredicateCounterRecord>, String>>()?;
+    })?;
     Ok(CalibrationState { cells, predicates })
 }
 
 /// The optional `"calibration"` field shared by tick records and snapshot
-/// relation sections: absent (legacy or uncalibrated) parses as `None`.
+/// relation sections: absent (a cold model) parses as `None`.
 fn parse_calibration_opt(doc: &Json) -> Result<Option<CalibrationState>, String> {
     doc.get("calibration").map(parse_calibration).transpose()
 }
@@ -1080,34 +1035,31 @@ impl JournalEvent {
                 bond: parse_bond(doc.get("bond").ok_or("missing \"bond\"")?)?,
             }),
             "subscribe" => Ok(JournalEvent::Subscribe {
-                relation: u64_field_or(&doc, "relation", 1)?,
+                relation: u64_field(&doc, "relation")?,
                 session: u64_field(&doc, "session")?,
-                priority: u32::try_from(u64_field(&doc, "priority")?).map_err(|e| e.to_string())?,
+                priority: u32_field(&doc, "priority")?,
                 query: parse_query(doc.get("query").ok_or("missing \"query\"")?)?,
             }),
             "unsubscribe" => Ok(JournalEvent::Unsubscribe {
-                relation: u64_field_or(&doc, "relation", 1)?,
+                relation: u64_field(&doc, "relation")?,
                 session: u64_field(&doc, "session")?,
             }),
             "tick" => Ok(JournalEvent::Tick(Box::new(TickRecord {
-                relation: u64_field_or(&doc, "relation", 1)?,
+                relation: u64_field(&doc, "relation")?,
                 tick: u64_field(&doc, "tick")?,
                 rate: f64_field(&doc, "rate")?,
                 shed: u64_field(&doc, "shed")?,
                 budget_exhausted: bool_field(&doc, "budget_exhausted")?,
                 stats: parse_stats(doc.get("stats").ok_or("missing \"stats\"")?)?,
-                sessions: arr_field(&doc, "sessions")?
-                    .iter()
-                    .map(|s| {
-                        Ok(SessionTickRecord {
-                            session: u64_field(s, "session")?,
-                            is_final: bool_field(s, "final")?,
-                            driven: u64_field(s, "driven")?,
-                        })
+                sessions: list_field(&doc, "sessions", |s| {
+                    Ok(SessionTickRecord {
+                        session: u64_field(s, "session")?,
+                        is_final: bool_field(s, "final")?,
+                        driven: u64_field(s, "driven")?,
                     })
-                    .collect::<Result<Vec<SessionTickRecord>, String>>()?,
-                answers: parse_answer_entries(arr_field(&doc, "answers")?)?,
-                warm: parse_warm_objects(arr_field(&doc, "warm")?)?,
+                })?,
+                answers: parse_answers(&doc)?,
+                warm: list_field(&doc, "warm", parse_warm_object)?,
                 calibration: parse_calibration_opt(&doc)?,
             }))),
             "snapshot" => Ok(JournalEvent::SnapshotMarker {
@@ -1118,91 +1070,50 @@ impl JournalEvent {
     }
 }
 
-/// Parses the per-relation body fields shared by a v2 relation section
-/// and (at the document's top level) a legacy v1 snapshot.
-fn parse_relation_body(doc: &Json, relation: u64) -> Result<RelationSnapshot, String> {
-    let def = match doc.get("def") {
-        None => None,
-        Some(d) => Some(parse_relation_def(d)?),
-    };
+fn parse_relation_snapshot(doc: &Json) -> Result<RelationSnapshot, String> {
     Ok(RelationSnapshot {
-        relation,
-        def,
+        relation: u64_field(doc, "relation")?,
+        def: parse_relation_def(doc.get("def").ok_or("missing \"def\"")?)?,
         next_session_id: u64_field(doc, "next_session_id")?,
         ticks: u64_field(doc, "ticks")?,
         shed: u64_field(doc, "shed")?,
-        sessions: arr_field(doc, "sessions")?
-            .iter()
-            .map(|s| {
-                Ok(SessionSnapshot {
-                    session: u64_field(s, "session")?,
-                    priority: u32::try_from(u64_field(s, "priority")?)
-                        .map_err(|e| e.to_string())?,
-                    finals: u64_field(s, "finals")?,
-                    partials: u64_field(s, "partials")?,
-                    driven: u64_field(s, "driven")?,
-                    query: parse_query(s.get("query").ok_or("missing \"query\"")?)?,
-                })
+        sessions: list_field(doc, "sessions", |s| {
+            Ok(SessionSnapshot {
+                session: u64_field(s, "session")?,
+                priority: u32_field(s, "priority")?,
+                finals: u64_field(s, "finals")?,
+                partials: u64_field(s, "partials")?,
+                driven: u64_field(s, "driven")?,
+                query: parse_query(s.get("query").ok_or("missing \"query\"")?)?,
             })
-            .collect::<Result<Vec<SessionSnapshot>, String>>()?,
-        history: arr_field(doc, "history")?
-            .iter()
-            .map(parse_stats)
-            .collect::<Result<Vec<StatsRecord>, String>>()?,
-        warm: arr_field(doc, "warm")?
-            .iter()
-            .map(|w| {
-                Ok(WarmRateRecord {
-                    rate: f64_field(w, "rate")?,
-                    objects: parse_warm_objects(arr_field(w, "objects")?)?,
-                })
+        })?,
+        history: list_field(doc, "history", parse_stats)?,
+        warm: list_field(doc, "warm", |w| {
+            Ok(WarmRateRecord {
+                rate: f64_field(w, "rate")?,
+                objects: list_field(w, "objects", parse_warm_object)?,
             })
-            .collect::<Result<Vec<WarmRateRecord>, String>>()?,
-        answers: parse_answer_entries(arr_field(doc, "answers")?)?,
+        })?,
+        answers: parse_answers(doc)?,
         calibration: parse_calibration_opt(doc)?,
     })
 }
 
 impl SnapshotRecord {
-    /// Parses a snapshot document — version 2 (`"relations"` present) or
-    /// legacy version 1, which becomes a single relation-`1` section with
-    /// no inline definition.
+    /// Parses a snapshot document. Every field [`SnapshotRecord::to_json`]
+    /// writes is required except the absent-when-cold `calibration`; a
+    /// document from another generation fails naming the field it lacks.
     pub fn parse(text: &str) -> Result<SnapshotRecord, String> {
         let doc = Json::parse(text)?;
-        let coverage = match (doc.get("segment"), doc.get("segment_bytes")) {
-            (Some(seg), Some(bytes)) => Some(SegmentPosition {
-                segment: seg.as_u64().ok_or("non-integer \"segment\"")?,
-                bytes: bytes.as_u64().ok_or("non-integer \"segment_bytes\"")?,
-            }),
-            // Legacy snapshot: written before journal segmentation.
-            (None, None) => None,
-            _ => {
-                return Err(
-                    "coverage needs both \"segment\" and \"segment_bytes\" or neither".to_string(),
-                )
-            }
-        };
-        let seq = u64_field(&doc, "seq")?;
-        let journal_events = u64_field(&doc, "journal_events")?;
-        let (next_relation_id, relations) = match doc.get("relations") {
-            Some(items) => (
-                u64_field(&doc, "next_relation_id")?,
-                items
-                    .as_array()
-                    .ok_or("non-array \"relations\"")?
-                    .iter()
-                    .map(|r| parse_relation_body(r, u64_field(r, "relation")?))
-                    .collect::<Result<Vec<RelationSnapshot>, String>>()?,
-            ),
-            // Legacy (v1) snapshot: one implicit relation with id 1.
-            None => (2, vec![parse_relation_body(&doc, 1)?]),
-        };
         Ok(SnapshotRecord {
-            seq,
-            journal_events,
-            coverage,
-            next_relation_id,
-            relations,
+            seq: u64_field(&doc, "seq")?,
+            journal_events: u64_field(&doc, "journal_events")?,
+            coverage: SegmentPosition {
+                segment: u64_field(&doc, "segment")?,
+                bytes: u64_field(&doc, "segment_bytes")?,
+            },
+            next_relation_id: u64_field(&doc, "next_relation_id")?,
+            relations: list_field(&doc, "relations", parse_relation_snapshot)?,
         })
     }
 }
@@ -1487,28 +1398,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_events_without_relation_default_to_relation_one() {
-        let sub = JournalEvent::parse(
-            r#"{"ev":"subscribe","session":4,"priority":2,"query":{"kind":"max","epsilon":0.5}}"#,
-        )
-        .unwrap();
-        match sub {
-            JournalEvent::Subscribe { relation, .. } => assert_eq!(relation, 1),
-            other => panic!("{other:?}"),
-        }
-        let unsub = JournalEvent::parse(r#"{"ev":"unsubscribe","session":4}"#).unwrap();
-        assert_eq!(
-            unsub,
-            JournalEvent::Unsubscribe {
-                relation: 1,
-                session: 4
-            }
-        );
-        // Catalog events are new-format only: relation is required there.
-        assert!(JournalEvent::parse(r#"{"ev":"drop_relation"}"#).is_err());
-    }
-
-    #[test]
     fn every_output_shape_round_trips() {
         let outputs = [
             QueryOutput::Selected(vec![1, 2, 37]),
@@ -1541,19 +1430,19 @@ mod tests {
         let snap = SnapshotRecord {
             seq: 3,
             journal_events: 41,
-            coverage: Some(SegmentPosition {
+            coverage: SegmentPosition {
                 segment: 4,
                 bytes: 1_234,
-            }),
+            },
             next_relation_id: 3,
             relations: vec![
                 RelationSnapshot {
                     relation: 1,
-                    def: Some(RelationDefRecord {
+                    def: RelationDefRecord {
                         name: "default".to_string(),
                         seed: Some(42),
                         bonds: sample_def().bonds,
-                    }),
+                    },
                     next_session_id: 9,
                     ticks: 12,
                     shed: 1,
@@ -1578,7 +1467,7 @@ mod tests {
                 },
                 RelationSnapshot {
                     relation: 2,
-                    def: Some(sample_def()),
+                    def: sample_def(),
                     next_session_id: 1,
                     ticks: 0,
                     shed: 0,
@@ -1593,33 +1482,6 @@ mod tests {
         let text = snap.to_json();
         let back = SnapshotRecord::parse(&text).unwrap();
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn legacy_v1_snapshot_parses_as_a_single_default_relation_shell() {
-        // A snapshot exactly as PR-4/5 servers wrote it: flat fields, no
-        // "relations" array, no coverage.
-        let text = r#"{"seq":1,"journal_events":7,"next_session_id":3,"ticks":2,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[]}"#;
-        let snap = SnapshotRecord::parse(text).unwrap();
-        assert_eq!(snap.seq, 1);
-        assert_eq!(snap.journal_events, 7);
-        assert_eq!(snap.coverage, None);
-        assert_eq!(snap.next_relation_id, 2);
-        assert_eq!(snap.relations.len(), 1);
-        let rel = &snap.relations[0];
-        assert_eq!(rel.relation, 1);
-        assert_eq!(rel.def, None, "v1 snapshots carry no inline definition");
-        assert_eq!(rel.next_session_id, 3);
-        assert_eq!(rel.ticks, 2);
-    }
-
-    #[test]
-    fn half_specified_coverage_is_rejected() {
-        let err = SnapshotRecord::parse(
-            r#"{"seq":1,"journal_events":0,"segment":2,"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[]}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("segment_bytes"), "{err}");
     }
 
     #[test]
@@ -1664,18 +1526,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_snapshot_relation_without_calibration_parses_cold() {
-        let text = r#"{"seq":1,"journal_events":0,"next_relation_id":2,"relations":[{"relation":1,"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[]}]}"#;
+    fn snapshot_relation_without_calibration_parses_cold() {
+        let text = r#"{"seq":1,"journal_events":0,"segment":1,"segment_bytes":0,"next_relation_id":2,"relations":[{"relation":1,"def":{"name":"default","bonds":[]},"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[]}]}"#;
         let snap = SnapshotRecord::parse(text).unwrap();
         assert_eq!(snap.relations[0].calibration, None);
     }
 
     #[test]
     fn malformed_calibration_is_rejected_not_defaulted() {
-        let bad_version = r#"{"seq":1,"journal_events":0,"next_relation_id":2,"relations":[{"relation":1,"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[],"calibration":{"v":9,"cells":[],"predicates":[]}}]}"#;
+        let bad_version = r#"{"seq":1,"journal_events":0,"segment":1,"segment_bytes":0,"next_relation_id":2,"relations":[{"relation":1,"def":{"name":"default","bonds":[]},"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[],"calibration":{"v":9,"cells":[],"predicates":[]}}]}"#;
         let err = SnapshotRecord::parse(bad_version).unwrap_err();
         assert!(err.contains("calibration version"), "{err}");
-        let wrong_cells = r#"{"seq":1,"journal_events":0,"next_relation_id":2,"relations":[{"relation":1,"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[],"calibration":{"v":1,"cells":[[1,2,3]],"predicates":[]}}]}"#;
+        let wrong_cells = r#"{"seq":1,"journal_events":0,"segment":1,"segment_bytes":0,"next_relation_id":2,"relations":[{"relation":1,"def":{"name":"default","bonds":[]},"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[],"calibration":{"v":1,"cells":[[1,2,3]],"predicates":[]}}]}"#;
         let err = SnapshotRecord::parse(wrong_cells).unwrap_err();
         assert!(err.contains("cells"), "{err}");
     }

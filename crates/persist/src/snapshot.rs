@@ -11,16 +11,11 @@
 //! durable) and removes unparseable files outright instead of letting
 //! them count toward the two kept.
 
-use std::fs::{self, File};
-use std::io::Write;
+use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::record::SnapshotRecord;
 use crate::PersistError;
-
-fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("snapshot-{seq}.json"))
-}
 
 /// Lists `(seq, path)` for every snapshot file in `dir`, ascending by seq.
 fn list(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
@@ -47,23 +42,7 @@ fn list(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
 /// a separate step ([`prune`]) so the caller controls the ordering of
 /// durability, pruning, and journal compaction.
 pub fn write(dir: &Path, snap: &SnapshotRecord) -> Result<PathBuf, PersistError> {
-    let final_path = snapshot_path(dir, snap.seq);
-    let tmp_path = dir.join(format!("snapshot-{}.json.tmp", snap.seq));
-    {
-        let mut tmp = File::create(&tmp_path).map_err(|e| PersistError::io(&tmp_path, &e))?;
-        tmp.write_all(snap.to_json().as_bytes())
-            .and_then(|()| tmp.write_all(b"\n"))
-            .and_then(|()| tmp.sync_all())
-            .map_err(|e| PersistError::io(&tmp_path, &e))?;
-    }
-    fs::rename(&tmp_path, &final_path).map_err(|e| PersistError::io(&final_path, &e))?;
-    // Make the rename itself durable where the platform allows opening
-    // directories; failure to fsync the directory only risks losing the
-    // *newest* snapshot to a crash, which recovery already tolerates.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(final_path)
+    crate::write_atomic(dir, &format!("snapshot-{}.json", snap.seq), &snap.to_json())
 }
 
 /// What [`load`] found in a data dir.
@@ -143,14 +122,18 @@ mod tests {
         SnapshotRecord {
             seq,
             journal_events: seq * 10,
-            coverage: Some(crate::record::SegmentPosition {
+            coverage: crate::record::SegmentPosition {
                 segment: seq,
                 bytes: seq * 100,
-            }),
+            },
             next_relation_id: 2,
             relations: vec![crate::record::RelationSnapshot {
                 relation: 1,
-                def: None,
+                def: crate::record::RelationDefRecord {
+                    name: "default".to_string(),
+                    seed: None,
+                    bonds: Vec::new(),
+                },
                 next_session_id: 3,
                 ticks: seq,
                 shed: 0,
@@ -198,7 +181,7 @@ mod tests {
         let dir = tmp_dir("fallback");
         write(&dir, &snap(1)).unwrap();
         write(&dir, &snap(2)).unwrap();
-        let corpse = snapshot_path(&dir, 3);
+        let corpse = dir.join("snapshot-3.json");
         fs::write(&corpse, b"{garbage").unwrap();
         let loaded = load(&dir).unwrap();
         assert_eq!(loaded.newest, Some(snap(2)));

@@ -100,7 +100,7 @@ proptest! {
 
         // Snapshot relation-section round-trip rides the same codec.
         let mut section_json = String::from(
-            r#"{"relation":1,"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[]"#,
+            r#"{"relation":1,"def":{"name":"default","bonds":[]},"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[]"#,
         );
         let ev_line = ev.to_line();
         let cal_start = ev_line.find("\"calibration\":").expect("calibration field");
@@ -110,7 +110,7 @@ proptest! {
         section_json.push_str(&ev_line[cal_start..ev_line.len() - 1]);
         section_json.push('}');
         let doc = format!(
-            r#"{{"seq":1,"journal_events":0,"next_relation_id":2,"relations":[{section_json}]}}"#
+            r#"{{"seq":1,"journal_events":0,"segment":1,"segment_bytes":0,"next_relation_id":2,"relations":[{section_json}]}}"#
         );
         let snap = SnapshotRecord::parse(&doc).expect("parse snapshot");
         prop_assert_eq!(snap.relations[0].calibration.as_ref(), Some(&state));
@@ -137,7 +137,7 @@ proptest! {
 
         // And a legacy snapshot section parses cold too.
         let doc = format!(
-            r#"{{"seq":1,"journal_events":{ticks},"next_relation_id":2,"relations":[{{"relation":1,"next_session_id":1,"ticks":{ticks},"shed":0,"sessions":[],"history":[],"warm":[],"answers":[]}}]}}"#
+            r#"{{"seq":1,"journal_events":{ticks},"segment":1,"segment_bytes":0,"next_relation_id":2,"relations":[{{"relation":1,"def":{{"name":"default","bonds":[]}},"next_session_id":1,"ticks":{ticks},"shed":0,"sessions":[],"history":[],"warm":[],"answers":[]}}]}}"#
         );
         let snap = SnapshotRecord::parse(&doc).expect("legacy snapshot must stay parseable");
         prop_assert_eq!(snap.relations[0].calibration.as_ref(), None);

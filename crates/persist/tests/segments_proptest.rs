@@ -24,7 +24,7 @@ fn snapshot_now(store: &Store) -> SnapshotRecord {
     SnapshotRecord {
         seq: store.next_snapshot_seq(),
         journal_events: store.journal_events(),
-        coverage: Some(store.journal_position()),
+        coverage: store.journal_position(),
         next_relation_id: 2,
         relations: Vec::new(),
     }

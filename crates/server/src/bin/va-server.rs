@@ -25,15 +25,15 @@
 //! journaled so recovery resumes it bit-identically (default `off`, which
 //! is bit-identical to the pre-calibration server).
 //!
-//! A data dir already in the catalog layout (version-2 metadata) is
-//! self-describing: every relation definition is replayed from the
-//! journal and `--bonds`/`--seed` are ignored on reopen. `--catalog`
-//! bootstraps a *fresh* data dir that way — it starts empty and
-//! relations are created over the protocol (`CREATE_RELATION`) instead
-//! of from flags. Without `--catalog`, a fresh or legacy dir opens with
-//! the flag-built `"default"` relation (legacy single-relation dirs are
-//! migrated to the catalog layout in place). `--smoke` runs a
-//! self-contained loopback exchange —
+//! A data dir is self-describing: every relation definition is replayed
+//! from the journal, and `--bonds`/`--seed` are ignored on reopen. They
+//! matter once, when the dir comes back fresh (nothing recovered): it is
+//! then given the flag-built `"default"` relation — unless `--catalog`
+//! asks for it to start empty, with relations created over the protocol
+//! (`CREATE_RELATION`) instead. A dir in a layout this build does not
+//! read (a single-file `journal.jsonl`, a `meta.json` that is not
+//! `"version":2`) is refused with a layout error and left untouched.
+//! `--smoke` runs a self-contained loopback exchange —
 //! subscribe, tick, stats, quit against an ephemeral port — and exits
 //! nonzero on any protocol failure; CI uses it as a two-second end-to-end
 //! check. `--client` flips the binary into a line-pipe client: stdin lines
@@ -48,6 +48,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::path::Path;
 
 use bondlab::{BondPricer, BondUniverse};
 use va_server::{net, poll, Server, ServerConfig};
@@ -158,27 +159,16 @@ fn build_server(args: &Args) -> Result<Server, String> {
         let relation = BondRelation::from_universe(&universe);
         return Ok(Server::new(BondPricer::default(), relation, config));
     };
-    let path = std::path::Path::new(dir);
-    // Route on the dir's own metadata before opening it: a catalog dir
-    // (version-2 metadata) is self-describing, so the relation flags must
-    // not reimpose a universe on it. Fresh dirs follow `--catalog`;
-    // legacy version-1 dirs take the migration path through
-    // `open_durable` with the flag-built bootstrap relation.
-    let self_describing =
-        match va_persist::peek_meta(path).map_err(|e| format!("probe {dir}: {e}"))? {
-            Some(va_persist::Meta::V2 { .. }) => true,
-            Some(va_persist::Meta::V1 { .. }) => false,
-            None => args.catalog,
-        };
-    let srv = if self_describing {
-        Server::open_durable_catalog(BondPricer::default(), config, path)
-            .map_err(|e| format!("open {dir}: {e}"))?
-    } else {
+    let mut srv = Server::open_durable_catalog(BondPricer::default(), config, Path::new(dir))
+        .map_err(|e| format!("open {dir}: {e}"))?;
+    // The data dir describes itself; only one that came back fresh is given
+    // the flag-built "default" relation, and `--catalog` leaves even that
+    // one empty.
+    if !args.catalog {
         let universe = BondUniverse::generate(args.bonds, args.seed);
-        let relation = BondRelation::from_universe(&universe);
-        Server::open_durable(BondPricer::default(), relation, config, path)
-            .map_err(|e| format!("open {dir}: {e}"))?
-    };
+        srv.create_default_if_fresh(BondRelation::from_universe(&universe))
+            .map_err(|e| format!("bootstrap {dir}: {e}"))?;
+    }
     if let Some(rec) = srv.last_recovery() {
         eprintln!(
             "va-server: recovered from {dir} ({} relations, snapshot {:?}, {} events replayed, {} torn bytes truncated, {} corrupt snapshots skipped, {} tmp files swept)",

@@ -13,16 +13,15 @@
 //! `ADD BOND`, `DROP RELATION`) journaled by the server before the catalog
 //! commits them, which is what makes a catalog data dir self-describing on
 //! recovery: the journal fold rebuilds every tenant, definitions included,
-//! with zero flag-based reconstruction. During that fold, events may
-//! reference a relation whose `CREATE` lives in an earlier, already-folded
-//! span — `Catalog::shell` materializes an *undefined* tenant that the
-//! definition attaches to later, keeping the fold idempotent across crash
-//! windows.
+//! with zero flag-based reconstruction. A definition always precedes its
+//! first use — snapshots embed one per relation, and the journal tail
+//! carries the `CREATE` of anything newer — so `Catalog::restore` is the
+//! fold's only way to add a tenant.
 
 use bondlab::Bond;
 use va_persist::record::{BondRecord, RelationDefRecord};
 use va_persist::WarmMap;
-use va_stream::{BondRelation, TickStats};
+use va_stream::{BondRelation, QueryRunRow, RunSummary, TickStats};
 use vao::cost::Calibrator;
 
 use crate::answer::Answer;
@@ -59,11 +58,6 @@ pub struct Tenant {
     pub(crate) name: String,
     pub(crate) relation: BondRelation,
     pub(crate) seed: Option<u64>,
-    /// Whether a definition (`CREATE RELATION` or a snapshot `def`) has
-    /// attached. Recovery shells start undefined; serving an undefined
-    /// tenant would price an empty phantom universe, so the server refuses
-    /// to finish an open that leaves one behind.
-    pub(crate) defined: bool,
     pub(crate) registry: SessionRegistry,
     pub(crate) history: Vec<TickStats>,
     pub(crate) ticks: u64,
@@ -85,13 +79,12 @@ pub struct Tenant {
 }
 
 impl Tenant {
-    fn empty(id: RelationId, name: String, relation: BondRelation, seed: Option<u64>) -> Self {
+    fn new(id: RelationId, name: String, relation: BondRelation, seed: Option<u64>) -> Self {
         Self {
             id,
             name,
             relation,
             seed,
-            defined: false,
             registry: SessionRegistry::new(),
             history: Vec::new(),
             ticks: 0,
@@ -110,8 +103,7 @@ impl Tenant {
         self.id
     }
 
-    /// The relation's name (empty on a recovery shell that has not seen
-    /// its definition yet).
+    /// The relation's name.
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
@@ -162,11 +154,24 @@ impl Tenant {
         self.shed
     }
 
-    /// Whether a definition has attached (recovery shells start without
-    /// one).
+    /// Run-level accounting: the fold of every processed tick's stats plus
+    /// one [`QueryRunRow`] per live session.
     #[must_use]
-    pub fn is_defined(&self) -> bool {
-        self.defined
+    pub fn summary(&self) -> RunSummary {
+        let rows: Vec<QueryRunRow> = self
+            .registry
+            .sessions()
+            .iter()
+            .map(|s| QueryRunRow {
+                session: s.id.0,
+                operator: s.query.operator_name(),
+                priority: s.priority,
+                finals: s.finals,
+                partials: s.partials,
+                driven_iterations: s.driven_iterations,
+            })
+            .collect();
+        RunSummary::from_ticks(&self.history).with_per_query(rows)
     }
 
     /// The persisted definition record for this tenant: name, seed, and
@@ -174,46 +179,31 @@ impl Tenant {
     /// embedded in snapshots so the data dir stays self-describing.
     #[must_use]
     pub fn def_record(&self) -> RelationDefRecord {
-        RelationDefRecord {
-            name: self.name.clone(),
-            seed: self.seed,
-            bonds: self
-                .relation
-                .bonds()
-                .iter()
-                .map(|b| BondRecord {
-                    id: b.id,
-                    coupon: b.coupon,
-                    maturity: b.years_to_maturity,
-                    face: b.face,
-                })
-                .collect(),
-        }
+        def_record(&self.name, self.seed, &self.relation)
     }
+}
 
-    /// Attaches a definition to this tenant (a replayed `CREATE RELATION`
-    /// or a snapshot's embedded `def`). Bonds are revalidated on the way
-    /// in: a journal record damaged in a way that still parses must fail
-    /// the open, not panic in [`Bond::new`].
-    pub(crate) fn define(&mut self, def: &RelationDefRecord) -> Result<(), ServerError> {
-        let mut bonds = Vec::with_capacity(def.bonds.len());
-        for b in &def.bonds {
-            bonds.push(
-                try_bond(b.id, b.coupon, b.maturity, b.face).map_err(|detail| {
-                    ServerError::Persist {
-                        detail: format!(
-                            "corrupt relation definition \"{}\": bond {}: {detail}",
-                            def.name, b.id
-                        ),
-                    }
-                })?,
-            );
-        }
-        self.name.clone_from(&def.name);
-        self.seed = def.seed;
-        self.relation = BondRelation::from_bonds(bonds);
-        self.defined = true;
-        Ok(())
+/// The definition record of a relation about to be (or already) hosted
+/// under `name`.
+pub(crate) fn def_record(
+    name: &str,
+    seed: Option<u64>,
+    relation: &BondRelation,
+) -> RelationDefRecord {
+    RelationDefRecord {
+        name: name.to_string(),
+        seed,
+        bonds: relation.bonds().iter().map(bond_record).collect(),
+    }
+}
+
+/// A bond as the journal and snapshots carry it.
+pub(crate) fn bond_record(b: &Bond) -> BondRecord {
+    BondRecord {
+        id: b.id,
+        coupon: b.coupon,
+        maturity: b.years_to_maturity,
+        face: b.face,
     }
 }
 
@@ -223,8 +213,8 @@ impl Tenant {
 pub struct Catalog {
     /// Next relation id to allocate; monotone, never reused.
     next: u64,
-    /// Live tenants in id order (ids are allocated monotonically and the
-    /// recovery fold inserts in sorted order, so a `Vec` stays ordered).
+    /// Live tenants in id order (ids are allocated monotonically, live and
+    /// during the recovery fold, so a `Vec` stays ordered).
     tenants: Vec<Tenant>,
 }
 
@@ -250,7 +240,7 @@ impl Catalog {
         self.next = self.next.max(next);
     }
 
-    /// Creates a defined relation, refusing duplicate live names — names
+    /// Creates a relation, refusing duplicate live names — names
     /// are the protocol's addressing scheme, so a duplicate would shadow
     /// an existing tenant's sessions.
     pub fn create(
@@ -264,10 +254,41 @@ impl Catalog {
         }
         let id = RelationId(self.next);
         self.next += 1;
-        let mut t = Tenant::empty(id, name.to_string(), relation, seed);
-        t.defined = true;
-        self.tenants.push(t);
+        self.tenants
+            .push(Tenant::new(id, name.to_string(), relation, seed));
         Ok(id)
+    }
+
+    /// Re-creates a recovered relation under the id it was journaled with
+    /// (a replayed `CREATE RELATION` or a snapshot's embedded `def`). Ids
+    /// only grow, so one at or below the high-water mark means the history
+    /// defines a relation twice or out of order.
+    pub(crate) fn restore(
+        &mut self,
+        id: u64,
+        def: &RelationDefRecord,
+    ) -> Result<&mut Tenant, ServerError> {
+        if id < self.next {
+            return Err(ServerError::Persist {
+                detail: format!(
+                    "corrupt definition of relation \"{}\": id {id} is below the next free id {}",
+                    def.name, self.next
+                ),
+            });
+        }
+        let bonds = def
+            .bonds
+            .iter()
+            .map(recovered_bond)
+            .collect::<Result<_, _>>()?;
+        self.next = id + 1;
+        self.tenants.push(Tenant::new(
+            RelationId(id),
+            def.name.clone(),
+            BondRelation::from_bonds(bonds),
+            def.seed,
+        ));
+        Ok(self.tenants.last_mut().expect("just pushed"))
     }
 
     /// Removes a tenant by id, returning it. The id stays burned.
@@ -287,52 +308,15 @@ impl Catalog {
         self.tenants.iter_mut().find(|t| t.id == id)
     }
 
-    /// The *defined* tenant named `name`. Recovery shells (no definition
-    /// yet) have no name and are never addressable from the protocol.
+    /// The tenant named `name`.
     #[must_use]
     pub fn by_name(&self, name: &str) -> Option<&Tenant> {
-        self.tenants.iter().find(|t| t.defined && t.name == name)
+        self.tenants.iter().find(|t| t.name == name)
     }
 
-    /// The index of the defined tenant named `name` in [`Catalog::tenants`].
+    /// The index of the tenant named `name` in [`Catalog::tenants`].
     pub(crate) fn index_of_name(&self, name: &str) -> Option<usize> {
-        self.tenants
-            .iter()
-            .position(|t| t.defined && t.name == name)
-    }
-
-    /// Gets or creates the tenant for `relation`, materializing an
-    /// *undefined* shell when the id is new. Recovery only: journal events
-    /// may reference a relation whose `CREATE` was folded into an earlier
-    /// snapshot span, and the shell gives their state somewhere to land
-    /// until the definition attaches.
-    pub(crate) fn shell(&mut self, relation: u64) -> &mut Tenant {
-        self.reserve_through(relation + 1);
-        let at = match self.tenants.iter().position(|t| t.id.0 >= relation) {
-            Some(i) if self.tenants[i].id.0 == relation => i,
-            Some(i) => {
-                self.tenants.insert(
-                    i,
-                    Tenant::empty(
-                        RelationId(relation),
-                        String::new(),
-                        BondRelation::from_bonds(Vec::new()),
-                        None,
-                    ),
-                );
-                i
-            }
-            None => {
-                self.tenants.push(Tenant::empty(
-                    RelationId(relation),
-                    String::new(),
-                    BondRelation::from_bonds(Vec::new()),
-                    None,
-                ));
-                self.tenants.len() - 1
-            }
-        };
-        &mut self.tenants[at]
+        self.tenants.iter().position(|t| t.name == name)
     }
 
     /// The hosted tenants, in relation-id order.
@@ -358,6 +342,15 @@ impl Catalog {
     pub fn is_empty(&self) -> bool {
         self.tenants.is_empty()
     }
+}
+
+/// A journaled or snapshotted bond, revalidated on the way in: a record
+/// damaged in a way that still parses must fail the open, not panic in
+/// [`Bond::new`].
+pub(crate) fn recovered_bond(b: &BondRecord) -> Result<Bond, ServerError> {
+    try_bond(b.id, b.coupon, b.maturity, b.face).map_err(|detail| ServerError::Persist {
+        detail: format!("corrupt journaled bond {}: {detail}", b.id),
+    })
 }
 
 /// Validates bond economics without panicking: [`Bond::new`] asserts on
@@ -416,52 +409,31 @@ mod tests {
     }
 
     #[test]
-    fn shells_materialize_undefined_and_accept_a_late_definition() {
+    fn def_records_round_trip_through_restore() {
         let mut c = Catalog::new();
-        let t = c.shell(5);
-        assert!(!t.is_defined());
-        assert_eq!(t.id(), RelationId(5));
-        t.ticks = 7;
-        // Idempotent: the same id returns the same tenant.
-        assert_eq!(c.shell(5).ticks, 7);
-        // Shell ids raise the allocation floor.
-        assert_eq!(c.next_id(), RelationId(6));
-        // Shells are not addressable by (empty) name.
-        assert!(c.by_name("").is_none());
-        // Attaching the definition makes the tenant live.
-        let def = {
-            let mut probe = Tenant::empty(RelationId(9), "x".into(), rel(3), Some(3));
-            probe.defined = true;
-            probe.def_record()
-        };
-        c.shell(5).define(&def).unwrap();
-        let t = c.by_name("x").unwrap();
-        assert!(t.is_defined());
-        assert_eq!(t.relation().len(), 4);
-        assert_eq!(t.seed(), Some(3));
-        assert_eq!(t.ticks(), 7, "shell state survives the definition");
-        // Shells insert in id order even out of order.
-        c.shell(2);
-        let ids: Vec<u64> = c.tenants().iter().map(|t| t.id().0).collect();
-        assert_eq!(ids, vec![2, 5]);
-    }
-
-    #[test]
-    fn def_records_round_trip_through_define() {
-        let mut c = Catalog::new();
+        c.create("doomed", rel(1), None).unwrap();
         let id = c.create("rates", rel(7), Some(7)).unwrap();
         let def = c.get(id).unwrap().def_record();
         assert_eq!(def.name, "rates");
         assert_eq!(def.seed, Some(7));
         assert_eq!(def.bonds.len(), 4);
         let mut other = Catalog::new();
-        other.shell(id.0).define(&def).unwrap();
+        other.restore(id.0, &def).unwrap().ticks = 7;
         let t = other.by_name("rates").unwrap();
+        assert_eq!(t.id(), id);
+        assert_eq!(t.seed(), Some(7));
+        assert_eq!(t.ticks(), 7);
         assert_eq!(t.relation().bonds(), c.get(id).unwrap().relation().bonds());
+        // The skipped id stays burned, and no id is ever restored twice.
+        assert_eq!(other.next_id(), RelationId(3));
+        assert!(matches!(
+            other.restore(id.0, &def),
+            Err(ServerError::Persist { .. })
+        ));
     }
 
     #[test]
-    fn define_refuses_corrupt_bond_economics() {
+    fn restore_refuses_corrupt_bond_economics() {
         let mut def = {
             let mut c = Catalog::new();
             let id = c.create("r", rel(1), None).unwrap();
@@ -469,12 +441,13 @@ mod tests {
         };
         def.bonds[0].coupon = f64::NAN;
         let mut c = Catalog::new();
-        match c.shell(1).define(&def) {
+        match c.restore(1, &def) {
             Err(ServerError::Persist { detail }) => {
-                assert!(detail.contains("corrupt relation definition"), "{detail}");
+                assert!(detail.contains("corrupt journaled bond 0"), "{detail}");
             }
             other => panic!("expected Persist, got {other:?}"),
         }
+        assert!(c.is_empty());
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod answer;
 pub mod catalog;
 pub mod demand;
 pub mod error;
-pub mod json;
 pub mod net;
 pub mod poll;
 pub mod pool;

@@ -422,11 +422,11 @@ impl FrontEnd {
             }
             Request::Stats { relation } => {
                 let name = self.resolve(i, relation);
-                if server.catalog().by_name(&name).is_none() {
+                let Some(tenant) = server.catalog().by_name(&name) else {
                     self.unknown(i, &name);
                     return true;
-                }
-                let line = proto::stats(server, &name);
+                };
+                let line = proto::stats(tenant);
                 self.queue(i, &line);
             }
             Request::CreateRelation { name, spec } => {
@@ -476,7 +476,7 @@ impl FrontEnd {
                 self.queue(i, &proto::using(&name));
             }
             Request::Relations => {
-                let line = proto::relations(server);
+                let line = proto::relations(server.catalog());
                 self.queue(i, &line);
             }
         }
@@ -615,14 +615,6 @@ fn build_relation(spec: &RelationSpec) -> Result<(BondRelation, Option<u64>), St
             Ok((BondRelation::from_bonds(out), None))
         }
     }
-}
-
-/// Serves connections from `listener` until the process ends, with
-/// default tuning. Connection errors are connection-local; this only
-/// returns on a poll-layer failure. See [`FrontEnd::run`] for a
-/// stoppable loop.
-pub fn serve(listener: &TcpListener, server: &mut Server) -> std::io::Result<()> {
-    FrontEnd::default().run(listener, server, &AtomicBool::new(false))
 }
 
 /// Serves one already-accepted connection to completion (`QUIT` or EOF,

@@ -17,12 +17,17 @@
 //! applies, falling back to `"default"`. Responses echo the resolved
 //! relation so multiplexed clients can demux.
 
-use va_stream::{Query, QueryOutput};
+use va_persist::json::{array, escape, Json};
+use va_persist::record::{
+    self, bond_json, bounds_fields, finite, finite_field, output_json, parse_bond_terms,
+    parse_cmp_op,
+};
+use va_stream::Query;
 use vao::ops::selection::CmpOp;
 
 use crate::answer::Answer;
-use crate::json::{escape, Json};
-use crate::server::{Server, TickResult};
+use crate::catalog::{Catalog, Tenant};
+use crate::server::TickResult;
 use crate::session::SessionId;
 
 /// A parsed client request.
@@ -235,6 +240,35 @@ impl WireQuery {
     }
 }
 
+impl From<Query> for WireQuery {
+    /// A resolved query as the wire carries it (SUM weights present).
+    fn from(query: Query) -> Self {
+        match query {
+            Query::Selection { op, constant } => WireQuery::Selection { op, constant },
+            Query::Count {
+                op,
+                constant,
+                slack,
+            } => WireQuery::Count {
+                op,
+                constant,
+                slack,
+            },
+            Query::Sum { weights, epsilon } => WireQuery::Sum {
+                weights: Some(weights),
+                epsilon,
+            },
+            Query::Ave { epsilon } => WireQuery::Ave { epsilon },
+            Query::Max { epsilon } => WireQuery::Max { epsilon },
+            Query::Min { epsilon } => WireQuery::Min { epsilon },
+            Query::TopK { k, epsilon } => WireQuery::TopK { k, epsilon },
+            Query::Median { epsilon } => WireQuery::Median { epsilon },
+            Query::Percentile { phi, epsilon } => WireQuery::Percentile { phi, epsilon },
+            Query::HeavyHitters { k, epsilon } => WireQuery::HeavyHitters { k, epsilon },
+        }
+    }
+}
+
 /// Parses one request line. Errors are human-readable strings the server
 /// echoes back in an `ERROR` response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
@@ -256,9 +290,14 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             .map(str::to_string)
             .ok_or_else(|| "missing \"name\"".to_string())
     };
+    let session = || {
+        doc.get("session")
+            .and_then(Json::as_u64)
+            .ok_or("missing \"session\"")
+    };
     match kind {
         "SUBSCRIBE" => {
-            let query = parse_query(doc.get("query").ok_or("missing \"query\"")?)?;
+            let query = parse_wire_query(doc.get("query").ok_or("missing \"query\"")?)?;
             let priority = match doc.get("priority") {
                 None => 1,
                 Some(p) => u32::try_from(
@@ -275,21 +314,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
         "UNSUBSCRIBE" => Ok(Request::Unsubscribe {
             relation: relation()?,
-            session: doc
-                .get("session")
-                .and_then(Json::as_u64)
-                .ok_or("missing \"session\"")?,
+            session: session()?,
         }),
         "RESUME" => Ok(Request::Resume {
             relation: relation()?,
-            session: doc
-                .get("session")
-                .and_then(Json::as_u64)
-                .ok_or("missing \"session\"")?,
+            session: session()?,
         }),
         "TICK" => Ok(Request::Tick {
             relation: relation()?,
-            rate: finite(doc.get("rate").and_then(Json::as_f64), "rate")?,
+            rate: finite_field(&doc, "rate")?,
         }),
         "TICKS" => {
             let rates = doc
@@ -320,7 +353,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                         .get("relation")
                         .and_then(Json::as_str)
                         .ok_or("each tick needs a \"relation\"")?;
-                    let rate = finite(t.get("rate").and_then(Json::as_f64), "rate")?;
+                    let rate = finite_field(t, "rate")?;
                     Ok((rel.to_string(), rate))
                 })
                 .collect::<Result<Vec<(String, f64)>, String>>()?;
@@ -343,7 +376,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                         .as_array()
                         .ok_or("\"bonds\" must be an array")?
                         .iter()
-                        .map(parse_bond)
+                        .map(parse_wire_bond)
                         .collect::<Result<Vec<WireBond>, String>>()?;
                     if bonds.is_empty() {
                         return Err("\"bonds\" must not be empty".to_string());
@@ -364,7 +397,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "DROP_RELATION" => Ok(Request::DropRelation { name: name()? }),
         "ADD_BOND" => Ok(Request::AddBond {
             relation: relation()?,
-            bond: parse_bond(doc.get("bond").ok_or("missing \"bond\"")?)?,
+            bond: parse_wire_bond(doc.get("bond").ok_or("missing \"bond\"")?)?,
         }),
         "USE" => Ok(Request::Use { name: name()? }),
         "RELATIONS" => Ok(Request::Relations),
@@ -373,90 +406,32 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-fn parse_bond(doc: &Json) -> Result<WireBond, String> {
+fn parse_wire_bond(doc: &Json) -> Result<WireBond, String> {
+    let (coupon, maturity, face) = parse_bond_terms(doc)?;
     Ok(WireBond {
-        coupon: finite(doc.get("coupon").and_then(Json::as_f64), "coupon")?,
-        maturity: finite(doc.get("maturity").and_then(Json::as_f64), "maturity")?,
-        face: finite(doc.get("face").and_then(Json::as_f64), "face")?,
+        coupon,
+        maturity,
+        face,
     })
 }
 
-fn finite(v: Option<f64>, field: &str) -> Result<f64, String> {
-    match v {
-        Some(x) if x.is_finite() => Ok(x),
-        Some(_) => Err(format!("\"{field}\" must be finite")),
-        None => Err(format!("missing \"{field}\"")),
-    }
-}
-
-fn parse_cmp_op(doc: &Json) -> Result<CmpOp, String> {
-    match doc.get("op").and_then(Json::as_str) {
-        Some(">") => Ok(CmpOp::Gt),
-        Some(">=") => Ok(CmpOp::Ge),
-        Some("<") => Ok(CmpOp::Lt),
-        Some("<=") => Ok(CmpOp::Le),
-        Some(other) => Err(format!("unknown op \"{other}\"")),
-        None => Err("missing \"op\"".to_string()),
-    }
-}
-
-fn parse_query(doc: &Json) -> Result<WireQuery, String> {
-    let kind = doc
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("missing query \"kind\"")?;
-    let epsilon = || finite(doc.get("epsilon").and_then(Json::as_f64), "epsilon");
-    match kind {
-        "selection" => Ok(WireQuery::Selection {
-            op: parse_cmp_op(doc)?,
-            constant: finite(doc.get("constant").and_then(Json::as_f64), "constant")?,
+/// The wire's query grammar is the stored one ([`record::parse_query`])
+/// plus two omissions: a SUM may leave out `weights` (all-ones once the
+/// relation size is known) and a COUNT its `slack` (0).
+fn parse_wire_query(doc: &Json) -> Result<WireQuery, String> {
+    match doc.get("kind").and_then(Json::as_str) {
+        Some("sum") if doc.get("weights").is_none() => Ok(WireQuery::Sum {
+            weights: None,
+            epsilon: finite_field(doc, "epsilon")?,
         }),
-        "count" => Ok(WireQuery::Count {
-            op: parse_cmp_op(doc)?,
-            constant: finite(doc.get("constant").and_then(Json::as_f64), "constant")?,
-            slack: doc.get("slack").and_then(Json::as_u64).unwrap_or(0) as usize,
-        }),
-        "sum" => {
-            let weights = match doc.get("weights") {
-                None => None,
-                Some(w) => Some(
-                    w.as_array()
-                        .ok_or("\"weights\" must be an array")?
-                        .iter()
-                        .map(|x| x.as_f64().ok_or_else(|| "non-numeric weight".to_string()))
-                        .collect::<Result<Vec<f64>, String>>()?,
-                ),
-            };
-            Ok(WireQuery::Sum {
-                weights,
-                epsilon: epsilon()?,
+        Some("count") if doc.get("slack").and_then(Json::as_u64).is_none() => {
+            Ok(WireQuery::Count {
+                op: parse_cmp_op(doc)?,
+                constant: finite_field(doc, "constant")?,
+                slack: 0,
             })
         }
-        "ave" => Ok(WireQuery::Ave {
-            epsilon: epsilon()?,
-        }),
-        "max" => Ok(WireQuery::Max {
-            epsilon: epsilon()?,
-        }),
-        "min" => Ok(WireQuery::Min {
-            epsilon: epsilon()?,
-        }),
-        "topk" => Ok(WireQuery::TopK {
-            k: doc.get("k").and_then(Json::as_u64).ok_or("missing \"k\"")? as usize,
-            epsilon: epsilon()?,
-        }),
-        "median" => Ok(WireQuery::Median {
-            epsilon: epsilon()?,
-        }),
-        "percentile" => Ok(WireQuery::Percentile {
-            phi: finite(doc.get("phi").and_then(Json::as_f64), "phi")?,
-            epsilon: epsilon()?,
-        }),
-        "heavyhitters" => Ok(WireQuery::HeavyHitters {
-            k: doc.get("k").and_then(Json::as_u64).ok_or("missing \"k\"")? as usize,
-            epsilon: epsilon()?,
-        }),
-        other => Err(format!("unknown query kind \"{other}\"")),
+        _ => record::parse_query(doc).map(WireQuery::from),
     }
 }
 
@@ -464,52 +439,13 @@ fn parse_query(doc: &Json) -> Result<WireQuery, String> {
 
 /// Serializes a [`WireQuery`] to the object shape [`parse_request`]
 /// accepts (omitted SUM weights stay omitted).
-#[must_use]
-pub fn query_json(q: &WireQuery) -> String {
-    let op_str = |op: &CmpOp| match op {
-        CmpOp::Gt => ">",
-        CmpOp::Ge => ">=",
-        CmpOp::Lt => "<",
-        CmpOp::Le => "<=",
-    };
+fn wire_query_json(q: &WireQuery) -> String {
     match q {
-        WireQuery::Selection { op, constant } => format!(
-            "{{\"kind\":\"selection\",\"op\":\"{}\",\"constant\":{constant}}}",
-            op_str(op)
-        ),
-        WireQuery::Count {
-            op,
-            constant,
-            slack,
-        } => format!(
-            "{{\"kind\":\"count\",\"op\":\"{}\",\"constant\":{constant},\"slack\":{slack}}}",
-            op_str(op)
-        ),
-        WireQuery::Sum { weights, epsilon } => match weights {
-            None => format!("{{\"kind\":\"sum\",\"epsilon\":{epsilon}}}"),
-            Some(w) => {
-                let items: Vec<String> = w.iter().map(|x| format!("{x}")).collect();
-                format!(
-                    "{{\"kind\":\"sum\",\"epsilon\":{epsilon},\"weights\":[{}]}}",
-                    items.join(",")
-                )
-            }
-        },
-        WireQuery::Ave { epsilon } => format!("{{\"kind\":\"ave\",\"epsilon\":{epsilon}}}"),
-        WireQuery::Max { epsilon } => format!("{{\"kind\":\"max\",\"epsilon\":{epsilon}}}"),
-        WireQuery::Min { epsilon } => format!("{{\"kind\":\"min\",\"epsilon\":{epsilon}}}"),
-        WireQuery::TopK { k, epsilon } => {
-            format!("{{\"kind\":\"topk\",\"k\":{k},\"epsilon\":{epsilon}}}")
-        }
-        WireQuery::Median { epsilon } => {
-            format!("{{\"kind\":\"median\",\"epsilon\":{epsilon}}}")
-        }
-        WireQuery::Percentile { phi, epsilon } => {
-            format!("{{\"kind\":\"percentile\",\"phi\":{phi},\"epsilon\":{epsilon}}}")
-        }
-        WireQuery::HeavyHitters { k, epsilon } => {
-            format!("{{\"kind\":\"heavyhitters\",\"k\":{k},\"epsilon\":{epsilon}}}")
-        }
+        WireQuery::Sum {
+            weights: None,
+            epsilon,
+        } => format!("{{\"kind\":\"sum\",\"epsilon\":{epsilon}}}"),
+        resolved => record::query_json(&resolved.clone().into_query(0)),
     }
 }
 
@@ -529,7 +465,7 @@ pub fn render_request(req: &Request) -> String {
             priority,
         } => format!(
             "{{\"type\":\"SUBSCRIBE\",\"query\":{},\"priority\":{priority}{}}}",
-            query_json(query),
+            wire_query_json(query),
             rel(relation)
         ),
         Request::Unsubscribe { relation, session } => {
@@ -547,44 +483,36 @@ pub fn render_request(req: &Request) -> String {
         Request::Tick { relation, rate } => {
             format!("{{\"type\":\"TICK\",\"rate\":{rate}{}}}", rel(relation))
         }
-        Request::Ticks { relation, rates } => {
-            let items: Vec<String> = rates.iter().map(|r| format!("{r}")).collect();
-            format!(
-                "{{\"type\":\"TICKS\",\"rates\":[{}]{}}}",
-                items.join(","),
-                rel(relation)
-            )
-        }
-        Request::TickMulti { ticks } => {
-            let items: Vec<String> = ticks
-                .iter()
-                .map(|(name, rate)| {
-                    format!("{{\"relation\":\"{}\",\"rate\":{rate}}}", escape(name))
-                })
-                .collect();
-            format!("{{\"type\":\"TICK_MULTI\",\"ticks\":[{}]}}", items.join(","))
-        }
+        Request::Ticks { relation, rates } => format!(
+            "{{\"type\":\"TICKS\",\"rates\":{}{}}}",
+            array(rates, f64::to_string),
+            rel(relation)
+        ),
+        Request::TickMulti { ticks } => format!(
+            "{{\"type\":\"TICK_MULTI\",\"ticks\":{}}}",
+            array(ticks, |(name, rate)| format!(
+                "{{\"relation\":\"{}\",\"rate\":{rate}}}",
+                escape(name)
+            ))
+        ),
         Request::Stats { relation } => format!("{{\"type\":\"STATS\"{}}}", rel(relation)),
         Request::CreateRelation { name, spec } => match spec {
             RelationSpec::Seeded { seed, count } => format!(
                 "{{\"type\":\"CREATE_RELATION\",\"name\":\"{}\",\"seed\":{seed},\"count\":{count}}}",
                 escape(name)
             ),
-            RelationSpec::Bonds(bonds) => {
-                let items: Vec<String> = bonds.iter().map(bond_json).collect();
-                format!(
-                    "{{\"type\":\"CREATE_RELATION\",\"name\":\"{}\",\"bonds\":[{}]}}",
-                    escape(name),
-                    items.join(",")
-                )
-            }
+            RelationSpec::Bonds(bonds) => format!(
+                "{{\"type\":\"CREATE_RELATION\",\"name\":\"{}\",\"bonds\":{}}}",
+                escape(name),
+                array(bonds, wire_bond_json)
+            ),
         },
         Request::DropRelation { name } => {
             format!("{{\"type\":\"DROP_RELATION\",\"name\":\"{}\"}}", escape(name))
         }
         Request::AddBond { relation, bond } => format!(
             "{{\"type\":\"ADD_BOND\",\"bond\":{}{}}}",
-            bond_json(bond),
+            wire_bond_json(bond),
             rel(relation)
         ),
         Request::Use { name } => format!("{{\"type\":\"USE\",\"name\":\"{}\"}}", escape(name)),
@@ -593,13 +521,8 @@ pub fn render_request(req: &Request) -> String {
     }
 }
 
-/// Serializes a [`WireBond`] to the object shape [`parse_request`] accepts.
-#[must_use]
-pub fn bond_json(b: &WireBond) -> String {
-    format!(
-        "{{\"coupon\":{},\"maturity\":{},\"face\":{}}}",
-        b.coupon, b.maturity, b.face
-    )
+fn wire_bond_json(b: &WireBond) -> String {
+    bond_json(None, b.coupon, b.maturity, b.face)
 }
 
 // ------------------------------------------------------------- responses
@@ -660,25 +583,17 @@ pub fn using(relation: &str) -> String {
 
 /// `RELATIONS` response line listing the catalog.
 #[must_use]
-pub fn relations(server: &Server) -> String {
-    let rows: Vec<String> = server
-        .catalog()
-        .tenants()
-        .iter()
-        .map(|t| {
-            format!(
-                "{{\"name\":\"{}\",\"id\":{},\"bonds\":{},\"sessions\":{},\"ticks\":{}}}",
-                escape(t.name()),
-                t.id().0,
-                t.relation().len(),
-                t.sessions().sessions().len(),
-                t.ticks()
-            )
-        })
-        .collect();
+pub fn relations(catalog: &Catalog) -> String {
     format!(
-        "{{\"type\":\"RELATIONS\",\"relations\":[{}]}}",
-        rows.join(",")
+        "{{\"type\":\"RELATIONS\",\"relations\":{}}}",
+        array(catalog.tenants(), |t| format!(
+            "{{\"name\":\"{}\",\"id\":{},\"bonds\":{},\"sessions\":{},\"ticks\":{}}}",
+            escape(t.name()),
+            t.id().0,
+            t.relation().len(),
+            t.sessions().sessions().len(),
+            t.ticks()
+        ))
     )
 }
 
@@ -694,14 +609,10 @@ pub fn resumed(
 ) -> String {
     let answer_field = match answer {
         None => String::new(),
-        Some(Answer::Final(out)) => format!(
-            ",\"answer\":{{\"status\":\"final\",\"output\":{}}}",
-            output_json(out)
-        ),
+        Some(Answer::Final(out)) => format!(",\"answer\":{}", record::final_answer_json(out)),
         Some(Answer::Partial { bounds }) => format!(
-            ",\"answer\":{{\"status\":\"partial\",\"lo\":{},\"hi\":{}}}",
-            bounds.lo(),
-            bounds.hi()
+            ",\"answer\":{}",
+            record::partial_answer_json(bounds.lo(), bounds.hi())
         ),
     };
     format!(
@@ -736,9 +647,8 @@ pub fn result_payload(relation: &str, tick: u64, rate: f64, answer: &Answer) -> 
             output_json(out)
         ),
         Answer::Partial { bounds } => format!(
-            "\"relation\":\"{rel}\",\"tick\":{tick},\"rate\":{rate},\"status\":\"partial\",\"bounds\":{{\"lo\":{},\"hi\":{}}}",
-            bounds.lo(),
-            bounds.hi()
+            "\"relation\":\"{rel}\",\"tick\":{tick},\"rate\":{rate},\"status\":\"partial\",\"bounds\":{{{}}}",
+            bounds_fields(bounds.lo(), bounds.hi())
         ),
     }
 }
@@ -771,107 +681,34 @@ pub fn tick_done(relation: &str, res: &TickResult, shed: u64) -> String {
     )
 }
 
-/// `STATS` response line summarizing one relation's run so far. The
-/// caller has already resolved `relation` (an unknown name is an `ERROR`
-/// before this builder runs).
+/// `STATS` response line summarizing one relation's run so far.
 #[must_use]
-pub fn stats(server: &Server, relation: &str) -> String {
-    let summary = server
-        .summary_in(relation)
-        .expect("caller resolved the relation");
-    let tenant = server
-        .catalog()
-        .by_name(relation)
-        .expect("caller resolved the relation");
-    let shed = tenant.shed();
-    let sessions: Vec<String> = summary
-        .per_query
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"session\":{},\"operator\":\"{}\",\"priority\":{},\"finals\":{},\"partials\":{},\"driven_iterations\":{}}}",
-                r.session, r.operator, r.priority, r.finals, r.partials, r.driven_iterations
-            )
-        })
-        .collect();
+pub fn stats(tenant: &Tenant) -> String {
+    let summary = tenant.summary();
     // Calibration progress rides STATS so an operator (and the CI smoke
     // test) can confirm a recovered server kept its learned model without
     // reading the journal: observation count and the pooled actual/claimed
     // cost ratio in ppm (1e6 = identity/cold).
     format!(
-        "{{\"type\":\"STATS\",\"relation\":\"{}\",\"ticks\":{},\"shed_ticks\":{},\"work_units\":{},\"iterations\":{},\"calibration\":{{\"observations\":{},\"gain_ppm\":{}}},\"sessions\":[{}]}}",
-        escape(relation),
+        "{{\"type\":\"STATS\",\"relation\":\"{}\",\"ticks\":{},\"shed_ticks\":{},\"work_units\":{},\"iterations\":{},\"calibration\":{{\"observations\":{},\"gain_ppm\":{}}},\"sessions\":{}}}",
+        escape(tenant.name()),
         summary.ticks,
-        shed,
+        tenant.shed(),
         summary.work.total(),
         summary.iterations,
         tenant.calibration_observations(),
         tenant.calibration_gain_ppm(),
-        sessions.join(",")
+        array(&summary.per_query, |r| format!(
+            "{{\"session\":{},\"operator\":\"{}\",\"priority\":{},\"finals\":{},\"partials\":{},\"driven_iterations\":{}}}",
+            r.session, r.operator, r.priority, r.finals, r.partials, r.driven_iterations
+        ))
     )
-}
-
-fn bounds_fields(lo: f64, hi: f64) -> String {
-    format!("\"lo\":{lo},\"hi\":{hi}")
-}
-
-fn ids_json(ids: &[u32]) -> String {
-    let items: Vec<String> = ids.iter().map(u32::to_string).collect();
-    format!("[{}]", items.join(","))
-}
-
-/// Serializes a final [`QueryOutput`] to its wire shape.
-#[must_use]
-pub fn output_json(out: &QueryOutput) -> String {
-    match out {
-        QueryOutput::Selected(ids) => {
-            format!("{{\"shape\":\"selected\",\"ids\":{}}}", ids_json(ids))
-        }
-        QueryOutput::Extreme {
-            bond_id,
-            bounds,
-            ties,
-        } => format!(
-            "{{\"shape\":\"extreme\",\"bond\":{bond_id},{},\"ties\":{}}}",
-            bounds_fields(bounds.lo(), bounds.hi()),
-            ids_json(ties)
-        ),
-        QueryOutput::Aggregate { bounds } => format!(
-            "{{\"shape\":\"aggregate\",{}}}",
-            bounds_fields(bounds.lo(), bounds.hi())
-        ),
-        QueryOutput::Ranked { members, ties } => {
-            let rows: Vec<String> = members
-                .iter()
-                .map(|(id, b)| format!("{{\"bond\":{id},{}}}", bounds_fields(b.lo(), b.hi())))
-                .collect();
-            format!(
-                "{{\"shape\":\"ranked\",\"members\":[{}],\"ties\":{}}}",
-                rows.join(","),
-                ids_json(ties)
-            )
-        }
-        QueryOutput::Count { lo, hi } => {
-            format!("{{\"shape\":\"count\",\"lo\":{lo},\"hi\":{hi}}}")
-        }
-        QueryOutput::Heavy { cells, ties } => {
-            let rows: Vec<String> = cells
-                .iter()
-                .map(|c| format!("{{\"cell\":{},\"count\":{}}}", c.cell, c.count))
-                .collect();
-            let tie_items: Vec<String> = ties.iter().map(i64::to_string).collect();
-            format!(
-                "{{\"shape\":\"heavy\",\"cells\":[{}],\"ties\":[{}]}}",
-                rows.join(","),
-                tie_items.join(",")
-            )
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use va_stream::QueryOutput;
     use vao::Bounds;
 
     #[test]
@@ -1014,7 +851,7 @@ mod tests {
 
     #[test]
     fn parses_every_query_kind() {
-        let q = |s: &str| parse_query(&Json::parse(s).unwrap()).unwrap();
+        let q = |s: &str| parse_wire_query(&Json::parse(s).unwrap()).unwrap();
         assert_eq!(
             q(r#"{"kind":"selection","op":">","constant":99.5}"#),
             WireQuery::Selection {

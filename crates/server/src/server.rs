@@ -4,24 +4,21 @@
 //! everything here is testable without sockets.
 //!
 //! A server hosts one or more relations ([`crate::catalog::Catalog`]).
-//! Single-relation construction paths ([`Server::new`],
-//! [`Server::open_durable`]) host exactly one relation named
-//! [`DEFAULT_RELATION`], and the relation-unqualified methods
-//! ([`Server::subscribe`], [`Server::tick`], …) resolve it — existing
-//! callers see the historical single-relation behavior unchanged, down to
-//! the bit.
+//! [`Server::new`] and a bootstrapping [`Server::open_durable`] create one
+//! named [`DEFAULT_RELATION`], and the relation-unqualified methods
+//! ([`Server::subscribe`], [`Server::tick`], …) resolve it.
 
 use std::path::Path;
 use std::time::Instant;
 
 use bondlab::BondPricer;
 use va_persist::record::{
-    AnswerEntry, AnswerRecord, BondRecord, CalibrationState, JournalEvent, PredicateCounterRecord,
-    RelationDefRecord, RelationRecord, RelationSnapshot, SessionSnapshot, SessionTickRecord,
-    SnapshotRecord, StatsRecord, TickRecord, WarmObjectRecord, WarmRateRecord,
+    AnswerEntry, AnswerRecord, CalibrationState, JournalEvent, PredicateCounterRecord,
+    RelationRecord, RelationSnapshot, SessionSnapshot, SessionTickRecord, SnapshotRecord,
+    StatsRecord, TickRecord, WarmObjectRecord, WarmRateRecord,
 };
 use va_persist::{Meta, MetaRelation, PersistError, Recovery, Store, META_FILE};
-use va_stream::{BondRelation, Query, QueryRunRow, RunSummary, TickObserver, TickStats};
+use va_stream::{BondRelation, Query, RunSummary, TickObserver, TickStats};
 use vao::adapters::WarmStart;
 use vao::cost::{CalCell, Calibrator, Work, WorkMeter, CAL_CLASSES};
 use vao::error::VaoError;
@@ -33,7 +30,9 @@ use vao::trace::{
 use vao::{Bounds, PrecisionConstraint};
 
 use crate::answer::Answer;
-use crate::catalog::{Catalog, RelationId, Tenant, DEFAULT_RELATION};
+use crate::catalog::{
+    bond_record, def_record, recovered_bond, Catalog, RelationId, Tenant, DEFAULT_RELATION,
+};
 use crate::demand::{PassFail, PredicateStats};
 use crate::error::ServerError;
 use crate::pool::SharedPool;
@@ -186,7 +185,7 @@ pub struct Server {
     pending_compactions: Vec<CompactionRecord>,
 }
 
-/// The durable half of a server opened with [`Server::open_durable`] or
+/// The durable half of a server opened with
 /// [`Server::open_durable_catalog`]: the on-disk store plus snapshot
 /// cadence bookkeeping. (Per-rate warm caches live in each
 /// [`Tenant`], not here — warm state is relation-scoped.)
@@ -256,9 +255,7 @@ pub fn durability_fingerprint(pricer: &BondPricer, relation: &BondRelation) -> u
 }
 
 /// The pricer-only fingerprint stored in catalog metadata: the same FNV
-/// tail [`durability_fingerprint`] feeds after the relation, so a legacy
-/// combined fingerprint and the catalog's `(pricer, per-relation)` split
-/// bind exactly the same facts between them.
+/// tail [`durability_fingerprint`] feeds after the relation.
 #[must_use]
 pub fn pricer_fingerprint(pricer: &BondPricer) -> u64 {
     let mut h = Fnv::new();
@@ -266,34 +263,14 @@ pub fn pricer_fingerprint(pricer: &BondPricer) -> u64 {
     h.0
 }
 
-/// The definition record a bootstrap (`--bonds`/`--seed`) relation
-/// journals when it first lands in a catalog.
-fn bootstrap_def(relation: &BondRelation) -> RelationDefRecord {
-    RelationDefRecord {
-        name: DEFAULT_RELATION.to_string(),
-        seed: None,
-        bonds: relation
-            .bonds()
-            .iter()
-            .map(|b| BondRecord {
-                id: b.id,
-                coupon: b.coupon,
-                maturity: b.years_to_maturity,
-                face: b.face,
-            })
-            .collect(),
-    }
-}
-
 /// The catalog metadata this server would persist right now: the pricer
-/// fingerprint plus one cached binding per defined relation.
+/// fingerprint plus one cached binding per relation.
 fn catalog_meta(pricer: &BondPricer, catalog: &Catalog) -> Meta {
-    Meta::V2 {
+    Meta {
         pricer: pricer_fingerprint(pricer),
         relations: catalog
             .tenants()
             .iter()
-            .filter(|t| t.is_defined())
             .map(|t| MetaRelation {
                 relation: t.id().0,
                 fingerprint: durability_fingerprint(pricer, t.relation()),
@@ -309,51 +286,6 @@ fn mismatch(dir: &Path, expected: u64, found: u64) -> ServerError {
         found,
     }
     .into()
-}
-
-fn layout(dir: &Path, detail: &str) -> ServerError {
-    PersistError::Layout {
-        path: dir.display().to_string(),
-        detail: detail.to_string(),
-    }
-    .into()
-}
-
-/// Refuses recovered state that references a relation under legacy (V1)
-/// metadata that a single-relation dir cannot legitimately contain. The
-/// one tolerated catalog event is `CreateRelation` for relation 1 — the
-/// footprint of a migration that crashed between the journal append and
-/// the metadata rewrite; its definition is fingerprint-checked by the
-/// caller.
-fn check_legacy_layout(recovered: &Recovery, dir: &Path) -> Result<(), ServerError> {
-    if let Some(snap) = &recovered.snapshot {
-        for rel in &snap.relations {
-            if rel.relation != 1 {
-                return Err(layout(
-                    dir,
-                    "snapshot defines additional relations under legacy single-relation metadata \
-                     (mixed generations)",
-                ));
-            }
-        }
-    }
-    for ev in &recovered.tail {
-        let foreign = match ev {
-            JournalEvent::CreateRelation(rec) => rec.relation != 1,
-            JournalEvent::DropRelation { .. } | JournalEvent::AddBond { .. } => true,
-            JournalEvent::Subscribe { relation, .. }
-            | JournalEvent::Unsubscribe { relation, .. } => *relation != 1,
-            JournalEvent::Tick(t) => t.relation != 1,
-            JournalEvent::SnapshotMarker { .. } => false,
-        };
-        if foreign {
-            return Err(layout(
-                dir,
-                "catalog journal events under legacy single-relation metadata (mixed generations)",
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Captures a tenant's calibration state for persistence, or `None` while
@@ -410,19 +342,28 @@ fn restore_calibration(tenant: &mut Tenant, state: &CalibrationState) -> Result<
     Ok(())
 }
 
+/// The tenant a recovered journal event refers to.
+fn seen(catalog: &mut Catalog, relation: u64) -> Result<&mut Tenant, ServerError> {
+    catalog
+        .get_mut(RelationId(relation))
+        .ok_or_else(|| ServerError::Persist {
+            detail: format!(
+                "corrupt journal: an event for relation {relation}, which no recovered \
+                 definition covers"
+            ),
+        })
+}
+
 /// Replays recovered state into a catalog: the snapshot's per-relation
-/// sections, then the journal tail, then the folded warm maps. Events may
-/// reference relations whose `CREATE` was already folded into the snapshot
-/// span — [`Catalog::shell`] gives their state somewhere to land, and the
-/// caller decides whether a still-undefined shell is acceptable.
+/// sections, then the journal tail, then the folded warm maps. Every
+/// relation's definition reaches the fold before anything that refers to
+/// it — in the snapshot, or as the `CreateRelation` ahead of it in the
+/// tail — so an event for a relation the fold has not seen is corruption
+/// ([`seen`]).
 fn fold_into_catalog(catalog: &mut Catalog, recovered: &Recovery) -> Result<(), ServerError> {
     if let Some(snap) = &recovered.snapshot {
-        catalog.reserve_through(snap.next_relation_id);
         for rel in &snap.relations {
-            let tenant = catalog.shell(rel.relation);
-            if let Some(def) = &rel.def {
-                tenant.define(def)?;
-            }
+            let tenant = catalog.restore(rel.relation, &rel.def)?;
             tenant
                 .registry
                 .reserve_through(SessionId(rel.next_session_id.saturating_sub(1)));
@@ -444,21 +385,20 @@ fn fold_into_catalog(catalog: &mut Catalog, recovered: &Recovery) -> Result<(), 
                 restore_calibration(tenant, cal)?;
             }
         }
+        catalog.reserve_through(snap.next_relation_id);
     }
     for ev in &recovered.tail {
         match ev {
             JournalEvent::CreateRelation(rec) => {
-                catalog.shell(rec.relation).define(&rec.def)?;
+                catalog.restore(rec.relation, &rec.def)?;
             }
             JournalEvent::DropRelation { relation } => {
-                catalog.remove(RelationId(*relation));
+                let id = seen(catalog, *relation)?.id;
+                catalog.remove(id);
             }
             JournalEvent::AddBond { relation, bond } => {
-                let b = crate::catalog::try_bond(bond.id, bond.coupon, bond.maturity, bond.face)
-                    .map_err(|detail| ServerError::Persist {
-                        detail: format!("corrupt journaled bond {}: {detail}", bond.id),
-                    })?;
-                catalog.shell(*relation).relation.push(b);
+                let b = recovered_bond(bond)?;
+                seen(catalog, *relation)?.relation.push(b);
             }
             JournalEvent::Subscribe {
                 relation,
@@ -466,7 +406,7 @@ fn fold_into_catalog(catalog: &mut Catalog, recovered: &Recovery) -> Result<(), 
                 priority,
                 query,
             } => {
-                catalog.shell(*relation).registry.restore(Session {
+                seen(catalog, *relation)?.registry.restore(Session {
                     id: SessionId(*session),
                     query: query.clone(),
                     priority: *priority,
@@ -478,13 +418,12 @@ fn fold_into_catalog(catalog: &mut Catalog, recovered: &Recovery) -> Result<(), 
             JournalEvent::Unsubscribe { relation, session } => {
                 // The id stays burned: the Subscribe replay (or the
                 // snapshot's high-water mark) already advanced `next`.
-                catalog
-                    .shell(*relation)
+                seen(catalog, *relation)?
                     .registry
                     .deregister(SessionId(*session));
             }
             JournalEvent::Tick(t) => {
-                let tenant = catalog.shell(t.relation);
+                let tenant = seen(catalog, t.relation)?;
                 tenant.ticks = t.tick;
                 tenant.shed = t.shed;
                 tenant.history.push(t.stats.to_stats());
@@ -519,25 +458,6 @@ fn fold_into_catalog(catalog: &mut Catalog, recovered: &Recovery) -> Result<(), 
     Ok(())
 }
 
-/// Refuses a fold that left a tenant without a definition: its `CREATE
-/// RELATION` is missing from the journal, so every event that referenced
-/// it is attached to a phantom.
-fn refuse_undefined_shells(catalog: &Catalog, dir: &Path) -> Result<(), ServerError> {
-    for t in catalog.tenants() {
-        if !t.is_defined() {
-            return Err(PersistError::Corrupt {
-                path: dir.display().to_string(),
-                detail: format!(
-                    "journal references relation {} but no definition was recovered",
-                    t.id()
-                ),
-            }
-            .into());
-        }
-    }
-    Ok(())
-}
-
 impl Server {
     /// An in-memory server hosting `relation` as the single
     /// [`DEFAULT_RELATION`], pricing with `pricer`.
@@ -558,9 +478,50 @@ impl Server {
         }
     }
 
-    /// A durable server backed by the data dir at `dir`, hosting
-    /// `relation` as [`DEFAULT_RELATION`] and recovering any state a
-    /// previous incarnation journaled there.
+    /// A durable server over the data dir at `dir`, asserting that its
+    /// [`DEFAULT_RELATION`] is `relation`: [`Server::open_durable_catalog`],
+    /// then one rule. A dir that came back fresh and empty gets `relation`
+    /// created as `"default"` — the same journal bytes as a
+    /// `CREATE_RELATION` over the wire. Anything else must already hold a
+    /// `"default"` whose fingerprint matches `relation`
+    /// ([`PersistError::Mismatch`] otherwise, [`PersistError::Layout`] when
+    /// the catalog has no `"default"` at all).
+    ///
+    /// A bootstrap interrupted after the metadata write reopens fresh and
+    /// bootstraps again; one interrupted after the journal append reopens
+    /// with `"default"` recovered and its stale metadata healed.
+    pub fn open_durable(
+        pricer: BondPricer,
+        relation: BondRelation,
+        config: ServerConfig,
+        dir: &Path,
+    ) -> Result<Self, ServerError> {
+        let mut srv = Self::open_durable_catalog(pricer, config, dir)?;
+        let expected = durability_fingerprint(&srv.pricer, &relation);
+        if srv.create_default_if_fresh(relation)? {
+            return Ok(srv);
+        }
+        let Some(default) = srv.catalog.by_name(DEFAULT_RELATION) else {
+            return Err(PersistError::Layout {
+                path: dir.display().to_string(),
+                detail: "catalog data dir has no \"default\" relation; open it with \
+                         open_durable_catalog instead of a bootstrap relation"
+                    .to_string(),
+            }
+            .into());
+        };
+        let found = durability_fingerprint(&srv.pricer, default.relation());
+        if found != expected {
+            return Err(mismatch(dir, expected, found));
+        }
+        Ok(srv)
+    }
+
+    /// A durable server over the data dir at `dir`, recovering whatever a
+    /// previous incarnation journaled there. The dir is self-describing:
+    /// every relation definition comes from the journal, none from flags,
+    /// and a fresh dir opens with an empty catalog (create relations over
+    /// the protocol, or see [`Server::open_durable`]).
     ///
     /// Recovery loads the newest valid snapshot, replays the journal tail
     /// on top (pure bookkeeping — journal events carry executed *outcomes*,
@@ -568,172 +529,50 @@ impl Server {
     /// per-rate warm cache so the next tick at a recovered rate re-admits
     /// objects at their achieved accuracy. A torn final journal record is
     /// truncated and reported (see [`Server::last_recovery`]); anything
-    /// worse is a hard [`ServerError::Persist`].
+    /// worse is a hard [`ServerError::Persist`]: a dir written under
+    /// another pricer configuration is a [`PersistError::Mismatch`], one in
+    /// a layout this build does not read a [`PersistError::Layout`].
     ///
-    /// Identity is checked per generation. A fresh dir is bootstrapped:
-    /// the relation definition is journaled as a `CreateRelation` event
-    /// and catalog metadata is written, making the dir self-describing
-    /// from its first byte. A legacy single-relation dir (PR-4/5
-    /// `meta.json`) is verified against its combined fingerprint and then
-    /// migrated in place to the catalog layout. A catalog dir is verified
-    /// against the pricer fingerprint and its journaled `"default"`
-    /// definition — which must match `relation`, since the caller is
-    /// asserting this universe. Mixed or ambiguous layouts are refused
-    /// with a typed [`PersistError::Layout`].
-    pub fn open_durable(
-        pricer: BondPricer,
-        relation: BondRelation,
-        config: ServerConfig,
-        dir: &Path,
-    ) -> Result<Self, ServerError> {
-        let (mut store, recovered, meta) = Store::open(dir)?;
-        let mut catalog = Catalog::new();
-        match &meta {
-            None => {
-                if !recovered.is_fresh() {
-                    return Err(PersistError::Corrupt {
-                        path: dir.join(META_FILE).display().to_string(),
-                        detail: "metadata file missing from a non-empty data dir".to_string(),
-                    }
-                    .into());
-                }
-                bootstrap_default(&mut store, &mut catalog, &pricer, relation, true)?;
-            }
-            Some(Meta::V1 { fingerprint }) => {
-                let expected = durability_fingerprint(&pricer, &relation);
-                if *fingerprint != expected {
-                    return Err(mismatch(dir, expected, *fingerprint));
-                }
-                check_legacy_layout(&recovered, dir)?;
-                fold_into_catalog(&mut catalog, &recovered)?;
-                let tenant = catalog.shell(1);
-                if tenant.is_defined() {
-                    // A migration that crashed after journaling the
-                    // definition: accept it only if it describes exactly
-                    // the bootstrap relation.
-                    let found = durability_fingerprint(&pricer, tenant.relation());
-                    if found != expected {
-                        return Err(mismatch(dir, expected, found));
-                    }
-                } else {
-                    let def = bootstrap_def(&relation);
-                    store.append(&JournalEvent::CreateRelation(Box::new(RelationRecord {
-                        relation: 1,
-                        def: def.clone(),
-                    })))?;
-                    catalog.shell(1).define(&def)?;
-                }
-                store.write_meta(&catalog_meta(&pricer, &catalog))?;
-            }
-            Some(Meta::V2 { pricer: stored, .. }) => {
-                let ours = pricer_fingerprint(&pricer);
-                if *stored != ours {
-                    return Err(mismatch(dir, ours, *stored));
-                }
-                fold_into_catalog(&mut catalog, &recovered)?;
-                if catalog.is_empty() && recovered.is_fresh() {
-                    // A fresh bootstrap that crashed after writing catalog
-                    // metadata but before journaling its CreateRelation.
-                    bootstrap_default(&mut store, &mut catalog, &pricer, relation, false)?;
-                } else {
-                    refuse_undefined_shells(&catalog, dir)?;
-                    let expected = durability_fingerprint(&pricer, &relation);
-                    let found = match catalog.by_name(DEFAULT_RELATION) {
-                        Some(t) => durability_fingerprint(&pricer, t.relation()),
-                        None => {
-                            return Err(layout(
-                                dir,
-                                "catalog data dir has no \"default\" relation; open it with \
-                                 open_durable_catalog instead of a bootstrap relation",
-                            ))
-                        }
-                    };
-                    if found != expected {
-                        return Err(mismatch(dir, expected, found));
-                    }
-                    // Heal stale cached bindings (a crash between a catalog
-                    // journal append and the metadata rewrite): the journal
-                    // is authoritative, the metadata is a cache.
-                    let want = catalog_meta(&pricer, &catalog);
-                    if meta.as_ref() != Some(&want) {
-                        store.write_meta(&want)?;
-                    }
-                }
-            }
-        }
-        Ok(Self::finish_durable(
-            pricer, config, store, &recovered, catalog,
-        ))
-    }
-
-    /// A durable server over a *self-describing* catalog data dir: every
-    /// relation definition comes from the journal, none from flags. A
-    /// fresh dir opens with an empty catalog (create relations over the
-    /// protocol); a legacy single-relation dir is refused with
-    /// [`PersistError::Layout`] — open it once via [`Server::open_durable`]
-    /// with its original bootstrap relation to migrate it.
+    /// This is the one place a store is opened, its pricer fingerprint
+    /// checked, its history folded and its cached metadata healed.
     pub fn open_durable_catalog(
         pricer: BondPricer,
         config: ServerConfig,
         dir: &Path,
     ) -> Result<Self, ServerError> {
         let (store, recovered, meta) = Store::open(dir)?;
-        let mut catalog = Catalog::new();
+        let ours = pricer_fingerprint(&pricer);
         match &meta {
-            None => {
-                if !recovered.is_fresh() {
-                    return Err(PersistError::Corrupt {
-                        path: dir.join(META_FILE).display().to_string(),
-                        detail: "metadata file missing from a non-empty data dir".to_string(),
-                    }
-                    .into());
+            Some(meta) if meta.pricer != ours => return Err(mismatch(dir, ours, meta.pricer)),
+            None if !recovered.is_fresh() => {
+                return Err(PersistError::Corrupt {
+                    path: dir.join(META_FILE).display().to_string(),
+                    detail: "metadata file missing from a non-empty data dir".to_string(),
                 }
-                store.write_meta(&Meta::V2 {
-                    pricer: pricer_fingerprint(&pricer),
-                    relations: Vec::new(),
-                })?;
+                .into());
             }
-            Some(Meta::V1 { .. }) => {
-                return Err(layout(
-                    dir,
-                    "legacy single-relation data dir; open it once with its bootstrap relation \
-                     (--bonds/--seed) to migrate it to the catalog layout",
-                ));
-            }
-            Some(Meta::V2 { pricer: stored, .. }) => {
-                let ours = pricer_fingerprint(&pricer);
-                if *stored != ours {
-                    return Err(mismatch(dir, ours, *stored));
-                }
-                fold_into_catalog(&mut catalog, &recovered)?;
-                refuse_undefined_shells(&catalog, dir)?;
-                let want = catalog_meta(&pricer, &catalog);
-                if meta.as_ref() != Some(&want) {
-                    store.write_meta(&want)?;
-                }
-            }
+            _ => {}
         }
-        Ok(Self::finish_durable(
-            pricer, config, store, &recovered, catalog,
-        ))
-    }
-
-    fn finish_durable(
-        pricer: BondPricer,
-        config: ServerConfig,
-        store: Store,
-        recovered: &Recovery,
-        catalog: Catalog,
-    ) -> Self {
-        let events_at_last_snapshot = recovered.snapshot.as_ref().map_or(0, |s| s.journal_events);
-        Self {
+        let mut catalog = Catalog::new();
+        fold_into_catalog(&mut catalog, &recovered)?;
+        // The journal is authoritative and the metadata a cache of it: a
+        // fresh dir has none yet, and a crash between a catalog journal
+        // append and the metadata rewrite leaves it stale.
+        let want = catalog_meta(&pricer, &catalog);
+        if meta.as_ref() != Some(&want) {
+            store.write_meta(&want)?;
+        }
+        Ok(Self {
             pricer,
             config,
             catalog,
             durability: Some(Durability {
                 store,
                 snapshot_every: config.snapshot_every.max(1),
-                events_at_last_snapshot,
+                events_at_last_snapshot: recovered
+                    .snapshot
+                    .as_ref()
+                    .map_or(0, |s| s.journal_events),
             }),
             recovery: Some(RecoveryRecord {
                 snapshot_seq: recovered.snapshot_seq(),
@@ -744,7 +583,7 @@ impl Server {
             }),
             recovery_emitted: false,
             pending_compactions: Vec::new(),
-        }
+        })
     }
 
     /// The relation catalog this server hosts.
@@ -766,12 +605,6 @@ impl Server {
     #[must_use]
     pub fn last_recovery(&self) -> Option<RecoveryRecord> {
         self.recovery
-    }
-
-    /// Whether this server journals to a data dir.
-    #[must_use]
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
     }
 
     fn tenant(&self, name: &str) -> Result<&Tenant, ServerError> {
@@ -811,35 +644,49 @@ impl Server {
         relation: BondRelation,
         seed: Option<u64>,
     ) -> Result<RelationId, ServerError> {
+        let id = self.journal_and_create(name, relation, seed)?;
+        self.maybe_snapshot()?;
+        Ok(id)
+    }
+
+    /// Creates `relation` as [`DEFAULT_RELATION`] when this server has just
+    /// opened a fresh data dir (nothing recovered, nothing hosted), and
+    /// says whether it did. The bootstrap of [`Server::open_durable`] and
+    /// of `va-server --bonds/--seed`: any other dir describes itself.
+    pub fn create_default_if_fresh(&mut self, relation: BondRelation) -> Result<bool, ServerError> {
+        let fresh = self
+            .recovery
+            .is_some_and(|r| r.snapshot_seq.is_none() && r.replayed_events == 0);
+        if !(fresh && self.catalog.is_empty()) {
+            return Ok(false);
+        }
+        self.journal_and_create(DEFAULT_RELATION, relation, None)?;
+        Ok(true)
+    }
+
+    /// [`Server::create_relation`] short of its snapshot check, which a
+    /// bootstrap must not run: a fresh dir holds its metadata and one
+    /// journal line, whatever `snapshot_every`.
+    fn journal_and_create(
+        &mut self,
+        name: &str,
+        relation: BondRelation,
+        seed: Option<u64>,
+    ) -> Result<RelationId, ServerError> {
         if self.catalog.by_name(name).is_some() {
             return Err(ServerError::RelationExists(name.to_string()));
         }
         let id = self.catalog.next_id();
         if let Some(d) = &mut self.durability {
-            let def = RelationDefRecord {
-                name: name.to_string(),
-                seed,
-                bonds: relation
-                    .bonds()
-                    .iter()
-                    .map(|b| BondRecord {
-                        id: b.id,
-                        coupon: b.coupon,
-                        maturity: b.years_to_maturity,
-                        face: b.face,
-                    })
-                    .collect(),
-            };
             d.store
                 .append(&JournalEvent::CreateRelation(Box::new(RelationRecord {
                     relation: id.0,
-                    def,
+                    def: def_record(name, seed, &relation),
                 })))?;
         }
         let created = self.catalog.create(name, relation, seed)?;
         debug_assert_eq!(created, id);
         self.rewrite_meta()?;
-        self.maybe_snapshot()?;
         Ok(id)
     }
 
@@ -882,12 +729,7 @@ impl Server {
         if let Some(d) = &mut self.durability {
             d.store.append(&JournalEvent::AddBond {
                 relation: self.catalog.tenants()[idx].id().0,
-                bond: BondRecord {
-                    id: bond.id,
-                    coupon: bond.coupon,
-                    maturity: bond.years_to_maturity,
-                    face: bond.face,
-                },
+                bond: bond_record(&bond),
             })?;
         }
         self.catalog.tenants_mut()[idx].relation.push(bond);
@@ -981,26 +823,15 @@ impl Server {
     }
 
     /// Run-level accounting for one relation: the fold of every processed
-    /// tick's stats plus one [`QueryRunRow`] per live session.
+    /// tick's stats plus one [`va_stream::QueryRunRow`] per live session.
     pub fn summary_in(&self, name: &str) -> Result<RunSummary, ServerError> {
-        let tenant = self.tenant(name)?;
-        let rows: Vec<QueryRunRow> = tenant
-            .sessions()
-            .sessions()
-            .iter()
-            .map(|s| QueryRunRow {
-                session: s.id.0,
-                operator: s.query.operator_name(),
-                priority: s.priority,
-                finals: s.finals,
-                partials: s.partials,
-                driven_iterations: s.driven_iterations,
-            })
-            .collect();
-        Ok(RunSummary::from_ticks(&tenant.history).with_per_query(rows))
+        Ok(self.tenant(name)?.summary())
     }
 
-    /// Queues a tick for the named relation (see [`Server::offer_tick`]).
+    /// Queues a tick for the named relation, coalescing: when a tick is
+    /// already waiting, the stale rate is shed (only the newest matters —
+    /// the paper's continuous queries answer against the *current* market)
+    /// and the shed counter grows.
     pub fn offer_tick_in(&mut self, name: &str, rate: f64) -> Result<(), ServerError> {
         let idx = self.tenant_index(name)?;
         let tenant = &mut self.catalog.tenants_mut()[idx];
@@ -1297,7 +1128,7 @@ impl Server {
                 journal_events: d.store.journal_events(),
                 // Coverage ends exactly where the journal does right now
                 // (the marker just appended is the last covered byte).
-                coverage: Some(d.store.journal_position()),
+                coverage: d.store.journal_position(),
                 next_relation_id: self.catalog.next_id().0,
                 relations: self
                     .catalog
@@ -1305,7 +1136,7 @@ impl Server {
                     .iter()
                     .map(|t| RelationSnapshot {
                         relation: t.id().0,
-                        def: t.is_defined().then(|| t.def_record()),
+                        def: t.def_record(),
                         next_session_id: t.sessions().next_id(),
                         ticks: t.ticks,
                         shed: t.shed,
@@ -1405,16 +1236,6 @@ impl Server {
         &self.default_tenant().last_answers
     }
 
-    /// Groups the default relation's tick answers by query shape for
-    /// broadcast fan-out.
-    #[must_use]
-    pub fn broadcast_groups<'a>(
-        &self,
-        answers: &'a [(SessionId, Answer)],
-    ) -> Vec<crate::session::Broadcast<'a>> {
-        self.default_tenant().sessions().broadcast_groups(answers)
-    }
-
     /// Processes one rate tick for the default relation.
     pub fn tick(&mut self, rate: f64) -> Result<TickResult, ServerError> {
         self.tick_relation(DEFAULT_RELATION, rate)
@@ -1430,20 +1251,6 @@ impl Server {
         self.tick_relation_with_observer(DEFAULT_RELATION, rate, observer)
     }
 
-    /// Queues a tick for the default relation, coalescing: when a tick is
-    /// already waiting, the stale rate is shed (only the newest matters —
-    /// the paper's continuous queries answer against the *current* market)
-    /// and the shed counter grows.
-    pub fn offer_tick(&mut self, rate: f64) {
-        self.offer_tick_in(DEFAULT_RELATION, rate)
-            .expect("server has no \"default\" relation");
-    }
-
-    /// Runs the default relation's queued tick, if any.
-    pub fn run_queued(&mut self) -> Option<Result<TickResult, ServerError>> {
-        self.run_queued_in(DEFAULT_RELATION)
-    }
-
     /// Ticks shed by coalescing on the default relation so far.
     #[must_use]
     pub fn shed_ticks(&self) -> u64 {
@@ -1455,42 +1262,6 @@ impl Server {
     pub fn ticks(&self) -> u64 {
         self.default_tenant().ticks()
     }
-
-    /// Run-level accounting for the default relation.
-    #[must_use]
-    pub fn summary(&self) -> RunSummary {
-        self.summary_in(DEFAULT_RELATION)
-            .expect("server has no \"default\" relation")
-    }
-}
-
-/// Bootstraps a fresh catalog dir around one `"default"` relation. The
-/// initial empty-catalog metadata (when requested) types the dir *before*
-/// the first journal byte; the definition is then journaled and the
-/// metadata rewritten with its binding. Every crash window in between
-/// reopens cleanly: empty-meta + empty journal resumes here, journaled
-/// definition + stale meta heals at the next open.
-fn bootstrap_default(
-    store: &mut Store,
-    catalog: &mut Catalog,
-    pricer: &BondPricer,
-    relation: BondRelation,
-    write_initial_meta: bool,
-) -> Result<(), ServerError> {
-    if write_initial_meta {
-        store.write_meta(&Meta::V2 {
-            pricer: pricer_fingerprint(pricer),
-            relations: Vec::new(),
-        })?;
-    }
-    let def = bootstrap_def(&relation);
-    store.append(&JournalEvent::CreateRelation(Box::new(RelationRecord {
-        relation: catalog.next_id().0,
-        def,
-    })))?;
-    catalog.create(DEFAULT_RELATION, relation, None)?;
-    store.write_meta(&catalog_meta(pricer, catalog))?;
-    Ok(())
 }
 
 /// Everything [`execute_tenant_tick`] produced, before the commit:
@@ -1954,7 +1725,7 @@ mod tests {
         }
         assert_eq!(res.answers[0].0, a);
         assert_eq!(res.answers[1].0, b);
-        let summary = srv.summary();
+        let summary = srv.summary_in(DEFAULT_RELATION).unwrap();
         assert_eq!(summary.ticks, 1);
         assert_eq!(summary.per_query.len(), 2);
         assert!(summary.per_query.iter().all(|r| r.finals == 1));
@@ -2077,21 +1848,27 @@ mod tests {
             "partial {bounds} must bracket converged mid {mid}"
         );
         assert!(partial.stats.total_work() <= full_work);
-        assert_eq!(tight.summary().per_query[0].partials, 1);
+        assert_eq!(
+            tight.summary_in(DEFAULT_RELATION).unwrap().per_query[0].partials,
+            1
+        );
     }
 
     #[test]
     fn tick_coalescing_sheds_stale_rates() {
         let mut srv = small_server(ServerConfig::default());
         srv.subscribe(Query::Max { epsilon: 0.5 }, 1).unwrap();
-        assert!(srv.run_queued().is_none());
-        srv.offer_tick(0.0583);
-        srv.offer_tick(0.0584);
-        srv.offer_tick(0.0585);
+        assert!(srv.run_queued_in(DEFAULT_RELATION).is_none());
+        for rate in [0.0583, 0.0584, 0.0585] {
+            srv.offer_tick_in(DEFAULT_RELATION, rate).unwrap();
+        }
         assert_eq!(srv.shed_ticks(), 2);
-        let res = srv.run_queued().unwrap().unwrap();
+        let res = srv.run_queued_in(DEFAULT_RELATION).unwrap().unwrap();
         assert_eq!(res.rate, 0.0585, "only the newest rate is priced");
-        assert!(srv.run_queued().is_none(), "queue drained");
+        assert!(
+            srv.run_queued_in(DEFAULT_RELATION).is_none(),
+            "queue drained"
+        );
         assert_eq!(srv.ticks(), 1);
     }
 
@@ -2317,7 +2094,6 @@ mod tests {
                 &dir,
             )
             .unwrap();
-            assert!(srv.is_durable());
             let rec = srv.last_recovery().unwrap();
             assert_eq!(rec.snapshot_seq, None, "fresh dir recovers nothing");
             assert_eq!(rec.replayed_events, 0);
@@ -2416,92 +2192,131 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn mixed_and_mismatched_layouts_are_refused() {
-        // open_durable_catalog refuses a legacy (V1) dir outright.
-        let dir = scratch_dir("v1-refused");
-        let relation = small_relation();
-        let pricer = BondPricer::default();
-        {
-            let fp = durability_fingerprint(&pricer, &relation);
-            let (store, _, _) = va_persist::Store::open(&dir).unwrap();
-            store.write_meta(&Meta::V1 { fingerprint: fp }).unwrap();
-        }
-        match Server::open_durable_catalog(pricer, ServerConfig::default(), &dir) {
-            Err(ServerError::Persist { detail }) => {
-                assert!(detail.contains("ambiguous data dir layout"), "{detail}");
-            }
-            other => panic!("expected Layout refusal, got {other:?}"),
-        }
-        // A V1 dir whose journal already carries catalog-generation events
-        // is a mixed generation: refused by both open paths.
-        {
-            let (mut store, _, _) = va_persist::Store::open(&dir).unwrap();
-            store
-                .append(&JournalEvent::DropRelation { relation: 2 })
-                .unwrap();
-        }
-        match Server::open_durable(pricer, relation.clone(), ServerConfig::default(), &dir) {
-            Err(ServerError::Persist { detail }) => {
-                assert!(detail.contains("ambiguous data dir layout"), "{detail}");
-            }
-            other => panic!("expected Layout refusal, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+    /// Every file in `dir`, by name.
+    fn dir_contents(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                let name = entry.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(entry.path()).unwrap())
+            })
+            .collect()
+    }
 
-        // And a catalog dir with no "default" relation cannot be opened
-        // through the single-relation bootstrap path.
-        let dir2 = scratch_dir("no-default");
+    #[test]
+    fn interrupted_bootstraps_reopen_through_the_one_path() {
+        let pricer = BondPricer::default();
+        let open = |relation: BondRelation, dir: &Path| {
+            Server::open_durable(pricer, relation, ServerConfig::default(), dir)
+        };
+        // The uninterrupted bootstrap every crash window must converge to:
+        // metadata binding "default", one CreateRelation line, no snapshot
+        // — also under snapshot_every = 1, where the create is already one
+        // event past the cadence.
+        let golden_dir = scratch_dir("bootstrap-golden");
+        drop(open(small_relation(), &golden_dir).unwrap());
+        let golden = dir_contents(&golden_dir);
+        assert_eq!(
+            golden.keys().collect::<Vec<_>>(),
+            ["journal-1.jsonl", "meta.json"]
+        );
+        assert_eq!(
+            golden["journal-1.jsonl"]
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count(),
+            1
+        );
+        let eager_dir = scratch_dir("bootstrap-eager");
+        let eager = ServerConfig {
+            snapshot_every: 1,
+            ..ServerConfig::default()
+        };
+        drop(Server::open_durable(pricer, small_relation(), eager, &eager_dir).unwrap());
+        assert_eq!(dir_contents(&eager_dir), golden);
+
+        // (a) stopped after the empty metadata write.
+        let meta_only = scratch_dir("bootstrap-meta-only");
+        drop(Server::open_durable_catalog(pricer, ServerConfig::default(), &meta_only).unwrap());
+        let empty_meta = dir_contents(&meta_only)["meta.json"].clone();
+        assert_ne!(empty_meta, golden["meta.json"]);
+        // (b) stopped after the CreateRelation append, metadata still empty.
+        let journaled = scratch_dir("bootstrap-journaled");
+        drop(open(small_relation(), &journaled).unwrap());
+        std::fs::write(journaled.join(META_FILE), &empty_meta).unwrap();
+        match open(relation_of(8, 43), &journaled) {
+            Err(ServerError::Persist { detail }) => {
+                assert!(detail.contains("fingerprint mismatch"), "{detail}");
+            }
+            other => panic!("expected Mismatch, got {other:?}"),
+        }
+
+        for dir in [&meta_only, &journaled] {
+            let mut srv = open(small_relation(), dir).unwrap();
+            let default = srv.catalog().by_name(DEFAULT_RELATION).unwrap();
+            assert_eq!(default.id(), RelationId(1));
+            assert_eq!(default.relation().bonds(), small_relation().bonds());
+            assert_eq!(srv.catalog().len(), 1);
+            assert_eq!(dir_contents(dir), golden);
+            let id = srv.subscribe(Query::Max { epsilon: 0.5 }, 1).unwrap();
+            assert_eq!(id, SessionId(1));
+        }
+
+        // A catalog dir that never had a "default" is not a bootstrap dir.
+        let no_default = scratch_dir("bootstrap-no-default");
         {
             let mut srv =
-                Server::open_durable_catalog(pricer, ServerConfig::default(), &dir2).unwrap();
+                Server::open_durable_catalog(pricer, ServerConfig::default(), &no_default).unwrap();
             srv.create_relation("energy", relation_of(4, 7), None)
                 .unwrap();
         }
-        match Server::open_durable(pricer, relation, ServerConfig::default(), &dir2) {
+        match open(small_relation(), &no_default) {
             Err(ServerError::Persist { detail }) => {
+                assert!(detail.contains("unsupported data dir layout"), "{detail}");
                 assert!(detail.contains("no \"default\" relation"), "{detail}");
             }
             other => panic!("expected Layout refusal, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&dir2);
+        for dir in [golden_dir, eager_dir, meta_only, journaled, no_default] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]
-    fn legacy_dir_migrates_to_the_catalog_layout() {
-        // A PR-4/5 data dir (V1 meta, bare journal) opens through
-        // open_durable exactly once with its original flags, after which
-        // the dir is self-describing: open_durable_catalog works with no
-        // bootstrap relation at all.
-        let dir = scratch_dir("migrate");
-        let relation = small_relation();
-        let pricer = BondPricer::default();
-        let rate = RateSeries::january_1994().opening_rate();
+    fn an_event_for_an_unseen_relation_is_corrupt_on_the_spot() {
+        let dir = scratch_dir("unseen");
+        drop(
+            Server::open_durable(
+                BondPricer::default(),
+                small_relation(),
+                ServerConfig::default(),
+                &dir,
+            )
+            .unwrap(),
+        );
         {
-            let fp = durability_fingerprint(&pricer, &relation);
-            let (store, _, _) = va_persist::Store::open(&dir).unwrap();
-            store.write_meta(&Meta::V1 { fingerprint: fp }).unwrap();
+            let (mut store, _, _) = va_persist::Store::open(&dir).unwrap();
+            store
+                .append(&JournalEvent::Unsubscribe {
+                    relation: 2,
+                    session: 1,
+                })
+                .unwrap();
         }
-        let first = {
-            let mut srv =
-                Server::open_durable(pricer, relation.clone(), ServerConfig::default(), &dir)
-                    .unwrap();
-            let t = srv.catalog().by_name(DEFAULT_RELATION).unwrap();
-            assert_eq!(t.id(), RelationId(1));
-            srv.subscribe(Query::Max { epsilon: 0.5 }, 1).unwrap();
-            srv.tick(rate).unwrap()
-        };
-        let mut srv = Server::open_durable_catalog(pricer, ServerConfig::default(), &dir).unwrap();
-        assert_eq!(srv.ticks(), 1);
-        let again = srv.tick(rate).unwrap();
-        assert_eq!(again.answers, first.answers, "migrated dir stays warm");
+        match Server::open_durable_catalog(BondPricer::default(), ServerConfig::default(), &dir) {
+            Err(ServerError::Persist { detail }) => {
+                assert!(detail.contains("corrupt journal"), "{detail}");
+                assert!(detail.contains("relation 2"), "{detail}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn no_data_dir_means_no_journal_and_resume_still_works() {
         let mut srv = small_server(ServerConfig::default());
-        assert!(!srv.is_durable());
         assert!(srv.last_recovery().is_none());
         let id = srv.subscribe(Query::Max { epsilon: 0.5 }, 1).unwrap();
         assert!(matches!(
@@ -2585,10 +2400,11 @@ mod tests {
         let relation = small_relation();
         let pricer = BondPricer::default();
         let rate = RateSeries::january_1994().opening_rate();
+        drop(
+            Server::open_durable(pricer, relation.clone(), ServerConfig::default(), &dir).unwrap(),
+        );
         {
-            let fp = durability_fingerprint(&pricer, &relation);
             let (mut store, _, _) = va_persist::Store::open(&dir).unwrap();
-            store.write_meta(&Meta::V1 { fingerprint: fp }).unwrap();
             store
                 .append(&JournalEvent::Tick(Box::new(TickRecord {
                     relation: 1,

@@ -313,15 +313,15 @@ fn snapshot_and_meta_documents() {
     let snap = SnapshotRecord {
         seq: 3,
         journal_events: 41,
-        coverage: Some(SegmentPosition {
+        coverage: SegmentPosition {
             segment: 4,
             bytes: 1_234,
-        }),
+        },
         next_relation_id: 4,
         relations: vec![
             RelationSnapshot {
                 relation: 1,
-                def: Some(def("default", Some(42), 2)),
+                def: def("default", Some(42), 2),
                 next_session_id: 9,
                 ticks: 12,
                 shed: 1,
@@ -365,7 +365,7 @@ fn snapshot_and_meta_documents() {
             },
             RelationSnapshot {
                 relation: 3,
-                def: Some(def("fx", None, 1)),
+                def: def("fx", None, 1),
                 next_session_id: 1,
                 ticks: 0,
                 shed: 0,
@@ -377,7 +377,7 @@ fn snapshot_and_meta_documents() {
             },
         ],
     };
-    let meta = Meta::V2 {
+    let meta = Meta {
         pricer: 0xFEED_FACE_CAFE_BEEF,
         relations: vec![
             MetaRelation {
@@ -390,7 +390,7 @@ fn snapshot_and_meta_documents() {
             },
         ],
     };
-    let empty_meta = Meta::V2 {
+    let empty_meta = Meta {
         pricer: 5,
         relations: Vec::new(),
     };
@@ -515,7 +515,7 @@ fn protocol_responses() {
         ),
         (
             "RELATIONS",
-            proto::relations(&server),
+            proto::relations(server.catalog()),
             r#"{"type":"RELATIONS","relations":[{"name":"default","id":1,"bonds":4,"sessions":2,"ticks":0},{"name":"fx \"spot\"","id":2,"bonds":3,"sessions":0,"ticks":0}]}"#,
         ),
         (
@@ -556,7 +556,7 @@ fn protocol_responses() {
         ),
         (
             "STATS",
-            proto::stats(&server, "default"),
+            proto::stats(server.catalog().by_name("default").unwrap()),
             r#"{"type":"STATS","relation":"default","ticks":0,"shed_ticks":0,"work_units":0,"iterations":0,"calibration":{"observations":0,"gain_ppm":1000000},"sessions":[{"session":1,"operator":"max","priority":2,"finals":0,"partials":0,"driven_iterations":0},{"session":2,"operator":"count","priority":1,"finals":0,"partials":0,"driven_iterations":0}]}"#,
         ),
     ];

@@ -16,9 +16,6 @@
 //! 3. **Mid-rotation crash shapes.** A crash can leave the freshly
 //!    rotated active segment empty on disk, or not yet created at all.
 //!    Both shapes recover bit-identically.
-//! 4. **Legacy migration.** A PR-4-era dir (single `journal.jsonl`)
-//!    opens, migrates to `journal-1.jsonl`, and finishes the stream
-//!    bit-identically.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -265,29 +262,5 @@ fn crash_before_the_rotated_segment_was_created_recovers_bit_identically() {
     }
 
     let _recovered = recover_and_finish(&dir, 2, &golden);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn legacy_single_journal_dir_migrates_and_recovers_bit_identically() {
-    // No snapshots: with the cadence effectively disabled the whole
-    // history lives in one segment, exactly like a PR-4-era mid-run dir.
-    let golden = golden_keys(u64::MAX);
-    let dir = scratch_dir("legacy");
-    crash_prefix(&dir, u64::MAX, &golden);
-    assert_eq!(snapshot_count(&dir), 0, "no snapshot must have been due");
-    assert_eq!(segments(&dir).len(), 1);
-
-    // Rewind the layout to PR 4: one un-numbered `journal.jsonl`.
-    std::fs::rename(dir.join("journal-1.jsonl"), dir.join("journal.jsonl")).expect("rename");
-
-    let recovered = recover_and_finish(&dir, u64::MAX, &golden);
-    let rec = recovered.last_recovery().expect("recovery record");
-    assert!(rec.replayed_events > 0, "the whole history replays");
-    assert!(
-        dir.join("journal-1.jsonl").exists() && !dir.join("journal.jsonl").exists(),
-        "migration renames the legacy journal to segment 1"
-    );
-
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,7 +5,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 
 use bondlab::{BondPricer, BondUniverse};
-use va_server::json::Json;
+use va_persist::json::Json;
 use va_server::{net, Server, ServerConfig};
 use va_stream::BondRelation;
 

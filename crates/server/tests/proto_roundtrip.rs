@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use va_server::json::Json;
+use va_persist::json::Json;
 use va_server::proto::{self, RelationSpec, Request, WireBond, WireQuery};
 use va_server::{
     Answer, RelationId, Server, ServerConfig, Session, SessionId, TickResult, DEFAULT_RELATION,
@@ -335,7 +335,7 @@ fn stats_line_reports_live_counters() {
         .expect("subscribe");
     let res = srv.tick(0.0583).expect("tick");
 
-    let line = proto::stats(&srv, DEFAULT_RELATION);
+    let line = proto::stats(srv.catalog().by_name(DEFAULT_RELATION).expect("default"));
     let doc = Json::parse(&line).expect("stats is valid JSON");
     assert_eq!(doc.get("type").and_then(Json::as_str), Some("STATS"));
     assert_eq!(

@@ -4,7 +4,7 @@
 #
 #   ./scripts/ci.sh
 #
-# Fifteen stages, all mandatory:
+# Sixteen stages; all but the last are mandatory:
 #   1. cargo fmt --check        -- formatting drift fails the gate
 #   2. cargo clippy -D warnings -- lints are errors, across all targets
 #   3. cargo test -q            -- the full workspace test suite
@@ -62,6 +62,10 @@
 #                                  that breaks its build or its answers fails
 #                                  here, not in the benchmark run
 #  13. cargo doc -D warnings    -- rustdoc must build clean
+#  14. line count (informational) -- non-test, non-comment code lines of
+#                                  crates/server/src and crates/persist/src,
+#                                  so a simplicity change has a trajectory
+#                                  to compare against
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -90,58 +94,81 @@ cargo run -q -p va-server -- --smoke --bonds 24 --seed 42
 echo "==> va-server loopback smoke with a 4-worker batched scheduler"
 cargo run -q -p va-server -- --smoke --bonds 24 --seed 42 --workers 4
 
-echo "==> va-server kill-and-recover smoke (SIGKILL mid-stream, RESUME after restart)"
 cargo build -q -p va-server
 VA_SERVER=target/debug/va-server
-DATA_DIR=$(mktemp -d)
-SRV_LOG=$(mktemp)
-cleanup() { kill -9 "${SRV_PID:-0}" 2>/dev/null || true; rm -rf "$DATA_DIR" "$SRV_LOG"; }
-trap cleanup EXIT
+SRV_PID=""
+WEDGE_PID=""
+KILLED=""
+cleanup() {
+  # Unquoted on purpose: an unset pid must vanish, not become `kill -9 ""`.
+  kill -9 $SRV_PID $WEDGE_PID $KILLED 2>/dev/null || true
+  rm -rf "${DATA_DIR:-}" "${SRV_LOG:-}"
+}
 
-"$VA_SERVER" --addr 127.0.0.1:0 --bonds 24 --seed 42 --data-dir "$DATA_DIR" >"$SRV_LOG" 2>&1 &
-SRV_PID=$!
-for _ in $(seq 1 50); do
-  ADDR=$(sed -n 's/^va-server listening on \([0-9.:]*\) .*/\1/p' "$SRV_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "server never printed its address"; cat "$SRV_LOG"; exit 1; }
+# Every smoke below runs on its own scratch data dir and server log.
+begin_smoke() {
+  DATA_DIR=$(mktemp -d)
+  SRV_LOG=$(mktemp)
+  trap cleanup EXIT
+}
 
-# Subscribe and tick, then let the client hang up (no QUIT: the journal,
-# not a clean shutdown, must carry the state across the kill).
-PRE=$(printf '%s\n%s\n' \
+# start_server FLAGS...: launches va-server on an ephemeral port over
+# $DATA_DIR and waits for the address it prints (-> SRV_PID, ADDR).
+start_server() {
+  "$VA_SERVER" --addr 127.0.0.1:0 --data-dir "$DATA_DIR" "$@" >"$SRV_LOG" 2>&1 &
+  SRV_PID=$!
+  for _ in $(seq 1 50); do
+    ADDR=$(sed -n 's/^va-server listening on \([0-9.:]*\) .*/\1/p' "$SRV_LOG")
+    [ -n "$ADDR" ] && return 0
+    sleep 0.1
+  done
+  echo "server never printed its address"; cat "$SRV_LOG"; exit 1
+}
+
+# stop_server: SIGKILL, never a clean shutdown -- the journal, not a final
+# snapshot, must carry the state across.
+stop_server() {
+  kill -9 "$SRV_PID" 2>/dev/null || true
+  wait "$SRV_PID" 2>/dev/null || true
+}
+
+# ask LINE...: one client connection sending the request lines; prints the
+# replies. The client hangs up without QUIT unless a line says so.
+ask() { printf '%s\n' "$@" | "$VA_SERVER" --client "$ADDR"; }
+
+# expect TEXT PATTERN COMPLAINT
+expect() { echo "$1" | grep -q -- "$2" || { echo "$3: $1"; exit 1; }; }
+
+expect_recovery_line() {
+  grep -q "${1:-recovered from}" "$SRV_LOG" || { echo "no recovery line"; cat "$SRV_LOG"; exit 1; }
+}
+
+end_smoke() {
+  stop_server
+  cleanup
+  trap - EXIT
+}
+
+echo "==> va-server kill-and-recover smoke (SIGKILL mid-stream, RESUME after restart)"
+begin_smoke
+start_server --bonds 24 --seed 42
+PRE=$(ask \
   '{"type":"SUBSCRIBE","query":{"kind":"max","epsilon":0.5},"priority":2}' \
-  '{"type":"TICK","rate":0.0583}' \
-  | "$VA_SERVER" --client "$ADDR")
-echo "$PRE" | grep -q '"type":"SUBSCRIBED"' || { echo "no SUBSCRIBED: $PRE"; exit 1; }
-echo "$PRE" | grep -q '"type":"RESULT"'     || { echo "no RESULT: $PRE"; exit 1; }
+  '{"type":"TICK","rate":0.0583}')
+expect "$PRE" '"type":"SUBSCRIBED"' "no SUBSCRIBED"
+expect "$PRE" '"type":"RESULT"' "no RESULT"
+stop_server
 
-kill -9 "$SRV_PID"
-wait "$SRV_PID" 2>/dev/null || true
-
-"$VA_SERVER" --addr 127.0.0.1:0 --bonds 24 --seed 42 --data-dir "$DATA_DIR" >"$SRV_LOG" 2>&1 &
-SRV_PID=$!
-for _ in $(seq 1 50); do
-  ADDR=$(sed -n 's/^va-server listening on \([0-9.:]*\) .*/\1/p' "$SRV_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "restarted server never printed its address"; cat "$SRV_LOG"; exit 1; }
-
-POST=$(printf '%s\n%s\n%s\n' \
+start_server --bonds 24 --seed 42
+POST=$(ask \
   '{"type":"RESUME","session":1}' \
   '{"type":"TICK","rate":0.0584}' \
-  '{"type":"QUIT"}' \
-  | "$VA_SERVER" --client "$ADDR")
-echo "$POST" | grep -q '"type":"RESUMED"' || { echo "no RESUMED: $POST"; exit 1; }
-echo "$POST" | grep -q '"session":1'      || { echo "wrong session: $POST"; exit 1; }
-echo "$POST" | grep -q '"type":"RESULT"'  || { echo "no post-recovery RESULT: $POST"; exit 1; }
-grep -q "recovered from" "$SRV_LOG"       || { echo "no recovery line"; cat "$SRV_LOG"; exit 1; }
-
-kill -9 "$SRV_PID" 2>/dev/null || true
-wait "$SRV_PID" 2>/dev/null || true
-cleanup
-trap - EXIT
+  '{"type":"QUIT"}')
+expect "$POST" '"type":"RESUMED"' "no RESUMED"
+expect "$POST" '"session":1' "wrong session"
+expect "$POST" '"type":"RESULT"' "no post-recovery RESULT"
+expect_recovery_line
+end_smoke
 echo "    kill-and-recover smoke ok (session resumed across SIGKILL)"
 
 echo "==> cost-calibration tests + harness (strict admission-error improvement)"
@@ -155,54 +182,30 @@ cargo run -q -p va-bench --bin harness -- --bonds 24 --seed 7 --out "$CAL_OUT" c
 rm -rf "$CAL_OUT"
 
 echo "==> va-server calibrated kill-and-recover smoke (--calibrate on, model survives SIGKILL)"
-DATA_DIR=$(mktemp -d)
-SRV_LOG=$(mktemp)
-trap cleanup EXIT
-
-"$VA_SERVER" --addr 127.0.0.1:0 --bonds 24 --seed 42 --budget 9000 --calibrate on --data-dir "$DATA_DIR" >"$SRV_LOG" 2>&1 &
-SRV_PID=$!
-for _ in $(seq 1 50); do
-  ADDR=$(sed -n 's/^va-server listening on \([0-9.:]*\) .*/\1/p' "$SRV_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "server never printed its address"; cat "$SRV_LOG"; exit 1; }
-
-# Two ticks warm the cost model; STATS exports its counters. Hang up
-# without QUIT so only the journal carries the model across the kill.
-PRE=$(printf '%s\n%s\n%s\n%s\n' \
+begin_smoke
+start_server --bonds 24 --seed 42 --budget 9000 --calibrate on
+# Two ticks warm the cost model; STATS exports its counters.
+PRE=$(ask \
   '{"type":"SUBSCRIBE","query":{"kind":"max","epsilon":0.5},"priority":2}' \
   '{"type":"TICK","rate":0.0583}' \
   '{"type":"TICK","rate":0.0601}' \
-  '{"type":"STATS"}' \
-  | "$VA_SERVER" --client "$ADDR")
-echo "$PRE" | grep -q '"type":"RESULT"' || { echo "no RESULT: $PRE"; exit 1; }
+  '{"type":"STATS"}')
+expect "$PRE" '"type":"RESULT"' "no RESULT"
 PRE_CAL=$(echo "$PRE" | sed -n 's/.*"calibration":{\([^}]*\)}.*/\1/p')
 [ -n "$PRE_CAL" ] || { echo "no calibration object in STATS: $PRE"; exit 1; }
 if echo "$PRE_CAL" | grep -q '"observations":0,'; then
   echo "calibrated ticks left the model cold: $PRE_CAL"; exit 1
 fi
+stop_server
 
-kill -9 "$SRV_PID"
-wait "$SRV_PID" 2>/dev/null || true
-
-"$VA_SERVER" --addr 127.0.0.1:0 --bonds 24 --seed 42 --budget 9000 --calibrate on --data-dir "$DATA_DIR" >"$SRV_LOG" 2>&1 &
-SRV_PID=$!
-for _ in $(seq 1 50); do
-  ADDR=$(sed -n 's/^va-server listening on \([0-9.:]*\) .*/\1/p' "$SRV_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "restarted server never printed its address"; cat "$SRV_LOG"; exit 1; }
-
+start_server --bonds 24 --seed 42 --budget 9000 --calibrate on
 # STATS *before* any post-restart tick: the counters must come from the
 # journal, bit-identical to the pre-kill model, and the session resumes.
-POST=$(printf '%s\n%s\n%s\n%s\n' \
+POST=$(ask \
   '{"type":"STATS"}' \
   '{"type":"RESUME","session":1}' \
   '{"type":"TICK","rate":0.0584}' \
-  '{"type":"QUIT"}' \
-  | "$VA_SERVER" --client "$ADDR")
+  '{"type":"QUIT"}')
 POST_CAL=$(echo "$POST" | sed -n 's/.*"calibration":{\([^}]*\)}.*/\1/p')
 [ "$PRE_CAL" = "$POST_CAL" ] || {
   echo "calibration state diverged across SIGKILL:"
@@ -210,156 +213,78 @@ POST_CAL=$(echo "$POST" | sed -n 's/.*"calibration":{\([^}]*\)}.*/\1/p')
   echo "  post: $POST_CAL"
   exit 1
 }
-echo "$POST" | grep -q '"type":"RESUMED"' || { echo "no RESUMED: $POST"; exit 1; }
-echo "$POST" | grep -q '"type":"RESULT"'  || { echo "no post-recovery RESULT: $POST"; exit 1; }
-grep -q "recovered from" "$SRV_LOG"       || { echo "no recovery line"; cat "$SRV_LOG"; exit 1; }
-
-kill -9 "$SRV_PID" 2>/dev/null || true
-wait "$SRV_PID" 2>/dev/null || true
-cleanup
-trap - EXIT
+expect "$POST" '"type":"RESUMED"' "no RESUMED"
+expect "$POST" '"type":"RESULT"' "no post-recovery RESULT"
+expect_recovery_line
+end_smoke
 echo "    calibrated kill-and-recover smoke ok (cost model bit-identical across SIGKILL)"
 
 echo "==> va-server sketch-query smoke (PERCENTILE + HEAVYHITTERS across SIGKILL)"
-DATA_DIR=$(mktemp -d)
-SRV_LOG=$(mktemp)
-trap cleanup EXIT
-
-"$VA_SERVER" --addr 127.0.0.1:0 --bonds 24 --seed 42 --data-dir "$DATA_DIR" >"$SRV_LOG" 2>&1 &
-SRV_PID=$!
-for _ in $(seq 1 50); do
-  ADDR=$(sed -n 's/^va-server listening on \([0-9.:]*\) .*/\1/p' "$SRV_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "server never printed its address"; cat "$SRV_LOG"; exit 1; }
-
-# Subscribe the sketch-guided family and tick, then hang up without QUIT:
-# the sketches themselves are derived state and must never need the journal.
-PRE=$(printf '%s\n%s\n%s\n' \
+begin_smoke
+start_server --bonds 24 --seed 42
+# The sketches themselves are derived state and must never need the journal.
+PRE=$(ask \
   '{"type":"SUBSCRIBE","query":{"kind":"percentile","phi":0.5,"epsilon":0.5},"priority":2}' \
   '{"type":"SUBSCRIBE","query":{"kind":"heavyhitters","k":3,"epsilon":1.0},"priority":1}' \
-  '{"type":"TICK","rate":0.0583}' \
-  | "$VA_SERVER" --client "$ADDR")
-echo "$PRE" | grep -q '"type":"SUBSCRIBED"'  || { echo "no SUBSCRIBED: $PRE"; exit 1; }
-echo "$PRE" | grep -q '"shape":"aggregate"'  || { echo "no percentile RESULT: $PRE"; exit 1; }
-echo "$PRE" | grep -q '"shape":"heavy"'      || { echo "no heavyhitters RESULT: $PRE"; exit 1; }
+  '{"type":"TICK","rate":0.0583}')
+expect "$PRE" '"type":"SUBSCRIBED"' "no SUBSCRIBED"
+expect "$PRE" '"shape":"aggregate"' "no percentile RESULT"
+expect "$PRE" '"shape":"heavy"' "no heavyhitters RESULT"
+stop_server
 
-kill -9 "$SRV_PID"
-wait "$SRV_PID" 2>/dev/null || true
-
-"$VA_SERVER" --addr 127.0.0.1:0 --bonds 24 --seed 42 --data-dir "$DATA_DIR" >"$SRV_LOG" 2>&1 &
-SRV_PID=$!
-for _ in $(seq 1 50); do
-  ADDR=$(sed -n 's/^va-server listening on \([0-9.:]*\) .*/\1/p' "$SRV_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "restarted server never printed its address"; cat "$SRV_LOG"; exit 1; }
-
-POST=$(printf '%s\n%s\n%s\n%s\n' \
+start_server --bonds 24 --seed 42
+POST=$(ask \
   '{"type":"RESUME","session":1}' \
   '{"type":"RESUME","session":2}' \
   '{"type":"TICK","rate":0.0584}' \
-  '{"type":"QUIT"}' \
-  | "$VA_SERVER" --client "$ADDR")
-echo "$POST" | grep -q '"type":"RESUMED"'         || { echo "no RESUMED: $POST"; exit 1; }
-echo "$POST" | grep -q '"operator":"percentile"'  || { echo "percentile session lost: $POST"; exit 1; }
-echo "$POST" | grep -q '"operator":"heavyhitters"' || { echo "heavyhitters session lost: $POST"; exit 1; }
-echo "$POST" | grep -q '"shape":"aggregate"'      || { echo "no post-recovery percentile RESULT: $POST"; exit 1; }
-echo "$POST" | grep -q '"shape":"heavy"'          || { echo "no post-recovery heavyhitters RESULT: $POST"; exit 1; }
-grep -q "recovered from" "$SRV_LOG"               || { echo "no recovery line"; cat "$SRV_LOG"; exit 1; }
-
-kill -9 "$SRV_PID" 2>/dev/null || true
-wait "$SRV_PID" 2>/dev/null || true
-cleanup
-trap - EXIT
+  '{"type":"QUIT"}')
+expect "$POST" '"type":"RESUMED"' "no RESUMED"
+expect "$POST" '"operator":"percentile"' "percentile session lost"
+expect "$POST" '"operator":"heavyhitters"' "heavyhitters session lost"
+expect "$POST" '"shape":"aggregate"' "no post-recovery percentile RESULT"
+expect "$POST" '"shape":"heavy"' "no post-recovery heavyhitters RESULT"
+expect_recovery_line
+end_smoke
 echo "    sketch-query smoke ok (percentile + heavyhitters resumed across SIGKILL)"
 
 echo "==> va-server compaction smoke (--snapshot-every 4, bounded dir across SIGKILL)"
-DATA_DIR=$(mktemp -d)
-SRV_LOG=$(mktemp)
-trap cleanup EXIT
-
-"$VA_SERVER" --addr 127.0.0.1:0 --bonds 24 --seed 42 --data-dir "$DATA_DIR" --snapshot-every 4 >"$SRV_LOG" 2>&1 &
-SRV_PID=$!
-for _ in $(seq 1 50); do
-  ADDR=$(sed -n 's/^va-server listening on \([0-9.:]*\) .*/\1/p' "$SRV_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "server never printed its address"; cat "$SRV_LOG"; exit 1; }
-
-# Subscribe and run well past 20x the snapshot cadence in journal events,
-# then hang up without QUIT: the dir must already be compacted when the
-# SIGKILL lands.
-LONG=$( { printf '%s\n' '{"type":"SUBSCRIBE","query":{"kind":"max","epsilon":0.5},"priority":2}';
-          for i in $(seq 1 12); do printf '{"type":"TICK","rate":0.058%d}\n' $((i % 10)); done; } \
-  | "$VA_SERVER" --client "$ADDR")
-echo "$LONG" | grep -q '"type":"SUBSCRIBED"' || { echo "no SUBSCRIBED: $LONG"; exit 1; }
-echo "$LONG" | grep -q '"type":"RESULT"'     || { echo "no RESULT: $LONG"; exit 1; }
-
-kill -9 "$SRV_PID"
-wait "$SRV_PID" 2>/dev/null || true
+begin_smoke
+start_server --bonds 24 --seed 42 --snapshot-every 4
+# Run well past 20x the snapshot cadence in journal events: the dir must
+# already be compacted when the SIGKILL lands.
+LONG=$(ask \
+  '{"type":"SUBSCRIBE","query":{"kind":"max","epsilon":0.5},"priority":2}' \
+  $(for i in $(seq 1 12); do printf '{"type":"TICK","rate":0.058%d}\n' $((i % 10)); done))
+expect "$LONG" '"type":"SUBSCRIBED"' "no SUBSCRIBED"
+expect "$LONG" '"type":"RESULT"' "no RESULT"
+stop_server
 
 SEGMENTS=$(find "$DATA_DIR" -name 'journal-*.jsonl' | wc -l)
 SNAPSHOTS=$(find "$DATA_DIR" -name 'snapshot-*.json' | wc -l)
 [ "$SEGMENTS" -le 3 ] || { echo "journal not compacted: $SEGMENTS segments"; ls "$DATA_DIR"; exit 1; }
 [ "$SNAPSHOTS" -le 2 ] || { echo "snapshots not pruned: $SNAPSHOTS files"; ls "$DATA_DIR"; exit 1; }
-[ ! -e "$DATA_DIR/journal.jsonl" ] || { echo "legacy journal.jsonl present"; ls "$DATA_DIR"; exit 1; }
 [ ! -e "$DATA_DIR/journal-1.jsonl" ] || { echo "segment 1 never compacted away"; ls "$DATA_DIR"; exit 1; }
 
-"$VA_SERVER" --addr 127.0.0.1:0 --bonds 24 --seed 42 --data-dir "$DATA_DIR" --snapshot-every 4 >"$SRV_LOG" 2>&1 &
-SRV_PID=$!
-for _ in $(seq 1 50); do
-  ADDR=$(sed -n 's/^va-server listening on \([0-9.:]*\) .*/\1/p' "$SRV_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "restarted server never printed its address"; cat "$SRV_LOG"; exit 1; }
-
-POST=$(printf '%s\n%s\n%s\n' \
+start_server --bonds 24 --seed 42 --snapshot-every 4
+POST=$(ask \
   '{"type":"RESUME","session":1}' \
   '{"type":"TICK","rate":0.0584}' \
-  '{"type":"QUIT"}' \
-  | "$VA_SERVER" --client "$ADDR")
-echo "$POST" | grep -q '"type":"RESUMED"' || { echo "no RESUMED: $POST"; exit 1; }
-echo "$POST" | grep -q '"type":"RESULT"'  || { echo "no post-recovery RESULT: $POST"; exit 1; }
-grep -q "recovered from" "$SRV_LOG"       || { echo "no recovery line"; cat "$SRV_LOG"; exit 1; }
-
-kill -9 "$SRV_PID" 2>/dev/null || true
-wait "$SRV_PID" 2>/dev/null || true
-cleanup
-trap - EXIT
+  '{"type":"QUIT"}')
+expect "$POST" '"type":"RESUMED"' "no RESUMED"
+expect "$POST" '"type":"RESULT"' "no post-recovery RESULT"
+expect_recovery_line
+end_smoke
 echo "    compaction smoke ok (bounded data dir, session resumed across SIGKILL)"
 
 echo "==> va-server connection-churn soak (20 clients, rude kills, SIGKILL mid-churn)"
-DATA_DIR=$(mktemp -d)
-SRV_LOG=$(mktemp)
-WEDGE_PID=0
-KILLED=""
-cleanup_churn() {
-  kill -9 "${SRV_PID:-0}" "${WEDGE_PID:-0}" $KILLED 2>/dev/null || true
-  rm -rf "$DATA_DIR" "$SRV_LOG"
-}
-trap cleanup_churn EXIT
-
-"$VA_SERVER" --addr 127.0.0.1:0 --bonds 24 --seed 42 --data-dir "$DATA_DIR" >"$SRV_LOG" 2>&1 &
-SRV_PID=$!
-for _ in $(seq 1 50); do
-  ADDR=$(sed -n 's/^va-server listening on \([0-9.:]*\) .*/\1/p' "$SRV_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "server never printed its address"; cat "$SRV_LOG"; exit 1; }
-
+begin_smoke
+start_server --bonds 24 --seed 42
 # Session 1 is the one resumed across the crash; its owner hangs up rudely.
-SETUP=$(printf '%s\n%s\n' \
+SETUP=$(ask \
   '{"type":"SUBSCRIBE","query":{"kind":"max","epsilon":0.5},"priority":2}' \
-  '{"type":"TICK","rate":0.0583}' \
-  | "$VA_SERVER" --client "$ADDR")
-echo "$SETUP" | grep -q '"type":"SUBSCRIBED"' || { echo "no SUBSCRIBED: $SETUP"; exit 1; }
-echo "$SETUP" | grep -q '"type":"RESULT"'     || { echo "no RESULT: $SETUP"; exit 1; }
+  '{"type":"TICK","rate":0.0583}')
+expect "$SETUP" '"type":"SUBSCRIBED"' "no SUBSCRIBED"
+expect "$SETUP" '"type":"RESULT"' "no RESULT"
 
 # A wedge client parks on an open connection for the whole soak: it must
 # neither stall the churn below nor interfere with the crash recovery.
@@ -375,34 +300,26 @@ for i in $(seq 1 20); do
       | "$VA_SERVER" --client "$ADDR" >/dev/null 2>&1 &
     KILLED="$KILLED $!"
   else
-    OUT=$(printf '{"type":"SUBSCRIBE","query":{"kind":"ave","epsilon":0.5}}\n{"type":"TICK","rate":0.058%d}\n' $((i % 10)) \
-      | "$VA_SERVER" --client "$ADDR")
-    echo "$OUT" | grep -q '"type":"SUBSCRIBED"' || { echo "churn client $i: $OUT"; exit 1; }
-    echo "$OUT" | grep -q '"type":"TICK_DONE"'  || { echo "churn client $i lost its tick: $OUT"; exit 1; }
+    OUT=$(ask \
+      '{"type":"SUBSCRIBE","query":{"kind":"ave","epsilon":0.5}}' \
+      "$(printf '{"type":"TICK","rate":0.058%d}' $((i % 10)))")
+    expect "$OUT" '"type":"SUBSCRIBED"' "churn client $i"
+    expect "$OUT" '"type":"TICK_DONE"' "churn client $i lost its tick"
   fi
 done
 for pid in $KILLED; do kill -9 "$pid" 2>/dev/null || true; done
 
 # What session 1 looks like just before the crash...
-PRE=$(printf '{"type":"RESUME","session":1}\n' | "$VA_SERVER" --client "$ADDR")
+PRE=$(ask '{"type":"RESUME","session":1}')
 PRE_LINE=$(echo "$PRE" | grep '"type":"RESUMED"') || { echo "no pre-kill RESUMED: $PRE"; exit 1; }
 
 # ...SIGKILL mid-churn, with the wedge still parked on its connection...
-kill -9 "$SRV_PID"
-wait "$SRV_PID" 2>/dev/null || true
+stop_server
 kill -9 "$WEDGE_PID" 2>/dev/null || true
 
-"$VA_SERVER" --addr 127.0.0.1:0 --bonds 24 --seed 42 --data-dir "$DATA_DIR" >"$SRV_LOG" 2>&1 &
-SRV_PID=$!
-for _ in $(seq 1 50); do
-  ADDR=$(sed -n 's/^va-server listening on \([0-9.:]*\) .*/\1/p' "$SRV_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "restarted server never printed its address"; cat "$SRV_LOG"; exit 1; }
-
+start_server --bonds 24 --seed 42
 # ...and after recovery the same RESUME must produce the same bytes.
-POST=$(printf '{"type":"RESUME","session":1}\n{"type":"QUIT"}\n' | "$VA_SERVER" --client "$ADDR")
+POST=$(ask '{"type":"RESUME","session":1}' '{"type":"QUIT"}')
 POST_LINE=$(echo "$POST" | grep '"type":"RESUMED"') || { echo "no post-kill RESUMED: $POST"; exit 1; }
 [ "$PRE_LINE" = "$POST_LINE" ] || {
   echo "recovery diverged:"
@@ -410,32 +327,19 @@ POST_LINE=$(echo "$POST" | grep '"type":"RESUMED"') || { echo "no post-kill RESU
   echo "  post: $POST_LINE"
   exit 1
 }
-grep -q "recovered from" "$SRV_LOG" || { echo "no recovery line"; cat "$SRV_LOG"; exit 1; }
-
-kill -9 "$SRV_PID" 2>/dev/null || true
-wait "$SRV_PID" 2>/dev/null || true
-cleanup_churn
-trap - EXIT
+expect_recovery_line
+end_smoke
+WEDGE_PID=""
+KILLED=""
 echo "    connection-churn soak ok (20-client churn + wedge survived, RESUME bit-identical across SIGKILL)"
 
 echo "==> va-server multi-relation tenancy smoke (catalog dir, TICK_MULTI, SIGKILL, flagless restart)"
-DATA_DIR=$(mktemp -d)
-SRV_LOG=$(mktemp)
-trap cleanup EXIT
-
-"$VA_SERVER" --addr 127.0.0.1:0 --catalog --data-dir "$DATA_DIR" >"$SRV_LOG" 2>&1 &
-SRV_PID=$!
-for _ in $(seq 1 50); do
-  ADDR=$(sed -n 's/^va-server listening on \([0-9.:]*\) .*/\1/p' "$SRV_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "server never printed its address"; cat "$SRV_LOG"; exit 1; }
-
+begin_smoke
+start_server --catalog
 # Build the catalog over the wire: two live relations, one created and
 # dropped (the journal must keep it dead), sessions in both tenants, and
-# one TICK_MULTI across the pair. No QUIT: the journal carries it all.
-PRE=$(printf '%s\n%s\n%s\n%s\n%s\n%s\n%s\n%s\n' \
+# one TICK_MULTI across the pair.
+PRE=$(ask \
   '{"type":"CREATE_RELATION","name":"alpha","seed":7,"count":12}' \
   '{"type":"CREATE_RELATION","name":"beta","seed":9,"count":8}' \
   '{"type":"CREATE_RELATION","name":"gamma","seed":11,"count":4}' \
@@ -443,49 +347,33 @@ PRE=$(printf '%s\n%s\n%s\n%s\n%s\n%s\n%s\n%s\n' \
   '{"type":"USE","name":"alpha"}' \
   '{"type":"SUBSCRIBE","query":{"kind":"max","epsilon":0.5},"priority":2}' \
   '{"type":"SUBSCRIBE","relation":"beta","query":{"kind":"min","epsilon":0.5}}' \
-  '{"type":"TICK_MULTI","ticks":[{"relation":"alpha","rate":0.0583},{"relation":"beta","rate":0.06}]}' \
-  | "$VA_SERVER" --client "$ADDR")
-echo "$PRE" | grep -q '"type":"CREATED","relation":"alpha"'    || { echo "no CREATED alpha: $PRE"; exit 1; }
-echo "$PRE" | grep -q '"type":"CREATED","relation":"beta"'     || { echo "no CREATED beta: $PRE"; exit 1; }
-echo "$PRE" | grep -q '"type":"DROPPED","relation":"gamma"'    || { echo "no DROPPED gamma: $PRE"; exit 1; }
-echo "$PRE" | grep -q '"type":"USING","relation":"alpha"'      || { echo "no USING alpha: $PRE"; exit 1; }
-echo "$PRE" | grep -q '"type":"SUBSCRIBED","relation":"alpha"' || { echo "USE did not route the subscribe: $PRE"; exit 1; }
-echo "$PRE" | grep -q '"type":"SUBSCRIBED","relation":"beta"'  || { echo "no beta subscribe: $PRE"; exit 1; }
-echo "$PRE" | grep -q '"type":"TICK_DONE","relation":"alpha"'  || { echo "no alpha tick: $PRE"; exit 1; }
-echo "$PRE" | grep -q '"type":"TICK_DONE","relation":"beta"'   || { echo "no beta tick: $PRE"; exit 1; }
-
-kill -9 "$SRV_PID"
-wait "$SRV_PID" 2>/dev/null || true
+  '{"type":"TICK_MULTI","ticks":[{"relation":"alpha","rate":0.0583},{"relation":"beta","rate":0.06}]}')
+expect "$PRE" '"type":"CREATED","relation":"alpha"' "no CREATED alpha"
+expect "$PRE" '"type":"CREATED","relation":"beta"' "no CREATED beta"
+expect "$PRE" '"type":"DROPPED","relation":"gamma"' "no DROPPED gamma"
+expect "$PRE" '"type":"USING","relation":"alpha"' "no USING alpha"
+expect "$PRE" '"type":"SUBSCRIBED","relation":"alpha"' "USE did not route the subscribe"
+expect "$PRE" '"type":"SUBSCRIBED","relation":"beta"' "no beta subscribe"
+expect "$PRE" '"type":"TICK_DONE","relation":"alpha"' "no alpha tick"
+expect "$PRE" '"type":"TICK_DONE","relation":"beta"' "no beta tick"
+stop_server
 
 # Restart with *no* relation flags: the dir alone must describe both
 # tenants (zero flag-based reconstruction).
-"$VA_SERVER" --addr 127.0.0.1:0 --data-dir "$DATA_DIR" >"$SRV_LOG" 2>&1 &
-SRV_PID=$!
-for _ in $(seq 1 50); do
-  ADDR=$(sed -n 's/^va-server listening on \([0-9.:]*\) .*/\1/p' "$SRV_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "restarted server never printed its address"; cat "$SRV_LOG"; exit 1; }
-
-POST=$(printf '%s\n%s\n%s\n%s\n%s\n' \
+start_server
+POST=$(ask \
   '{"type":"RESUME","relation":"alpha","session":1}' \
   '{"type":"RESUME","relation":"beta","session":1}' \
   '{"type":"STATS","relation":"gamma"}' \
   '{"type":"TICK_MULTI","ticks":[{"relation":"alpha","rate":0.0584},{"relation":"beta","rate":0.061}]}' \
-  '{"type":"QUIT"}' \
-  | "$VA_SERVER" --client "$ADDR")
-echo "$POST" | grep -q '"type":"RESUMED","relation":"alpha"'  || { echo "alpha session lost: $POST"; exit 1; }
-echo "$POST" | grep -q '"type":"RESUMED","relation":"beta"'   || { echo "beta session lost: $POST"; exit 1; }
-echo "$POST" | grep -q 'unknown relation \\"gamma\\"'         || { echo "dropped relation resurfaced: $POST"; exit 1; }
-echo "$POST" | grep -q '"type":"TICK_DONE","relation":"alpha"' || { echo "no post-recovery alpha tick: $POST"; exit 1; }
-echo "$POST" | grep -q '"type":"TICK_DONE","relation":"beta"'  || { echo "no post-recovery beta tick: $POST"; exit 1; }
-grep -q "recovered from .* (2 relations" "$SRV_LOG"           || { echo "no 2-relation recovery line"; cat "$SRV_LOG"; exit 1; }
-
-kill -9 "$SRV_PID" 2>/dev/null || true
-wait "$SRV_PID" 2>/dev/null || true
-cleanup
-trap - EXIT
+  '{"type":"QUIT"}')
+expect "$POST" '"type":"RESUMED","relation":"alpha"' "alpha session lost"
+expect "$POST" '"type":"RESUMED","relation":"beta"' "beta session lost"
+expect "$POST" 'unknown relation \\"gamma\\"' "dropped relation resurfaced"
+expect "$POST" '"type":"TICK_DONE","relation":"alpha"' "no post-recovery alpha tick"
+expect "$POST" '"type":"TICK_DONE","relation":"beta"' "no post-recovery beta tick"
+expect_recovery_line "recovered from .* (2 relations"
+end_smoke
 echo "    multi-relation tenancy smoke ok (catalog recovered flag-free across SIGKILL)"
 
 echo "==> batched SoA solver == scalar executor smoke"
@@ -498,5 +386,14 @@ benchmark/check.sh
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
+echo "==> line count (informational): non-test, non-comment code lines"
+count() {
+  for f in "$@"; do
+    awk '/^#\[cfg\(test\)\]/{exit} {l=$0; sub(/^[ \t]+/,"",l); if(l==""||l~/^\/\//)next; n++} END{print n+0}' "$f"
+  done | awk '{s+=$1} END{print s}'
+}
+echo "    crates/server/src:  $(count $(find crates/server/src -name '*.rs'))"
+echo "    crates/persist/src: $(count $(find crates/persist/src -name '*.rs'))"
 
 echo "==> tier-1 gate passed"
