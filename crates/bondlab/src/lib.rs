@@ -25,7 +25,6 @@ pub mod bond;
 pub mod dataset;
 pub mod market;
 pub mod model;
-pub mod model2f;
 pub mod portfolio;
 pub mod pricing;
 

@@ -105,7 +105,7 @@ impl ParabolicPde for BondPde {
         x.max(0.0)
     }
 
-    fn source(&self, _x: f64, _t: f64) -> f64 {
+    fn source(&self, _x: f64) -> f64 {
         self.bond.payment_rate()
     }
 

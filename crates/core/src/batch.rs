@@ -17,11 +17,13 @@
 //!    obtains each group member's lane view via
 //!    [`ResultObject::as_batch_lane`].
 //! 2. A batched stepper (in `va-numerics`) drives the group:
-//!    [`BatchLane::lane_init`] once, [`BatchLane::lane_rhs`] per time step,
-//!    and finally [`BatchLane::lane_commit`] with the converged state plane.
-//! 3. Per-lane failures are isolated: a lane whose elimination dies reports
-//!    a [`LaneFailure`] at commit and degrades exactly as its scalar
-//!    `iterate()` would, while sibling lanes are unaffected.
+//!    [`BatchLane::lane_init`] once, then `nt` sweeps that touch only the
+//!    shared planes — no lane is called while the solve runs — and finally
+//!    [`BatchLane::lane_commit`] with the finished state plane.
+//! 3. Per-lane failures are isolated: a lane whose system turns out
+//!    singular when the stepper factors it is committed with a
+//!    [`LaneFailure`] and degrades exactly as its scalar `iterate()` would,
+//!    while sibling lanes are unaffected.
 //!
 //! **Bit-identity.** The protocol is designed so a lane performs the *same
 //! floating-point operations in the same order* as the scalar path — lanes
@@ -75,20 +77,18 @@ impl std::fmt::Display for GridShape {
     }
 }
 
-/// Where a lane's elimination first broke down inside a batched sweep.
+/// Where the factorization of a lane's system broke down.
 ///
-/// Sibling lanes keep computing (IEEE arithmetic never traps), so the
-/// stepper records the *first* failing position per lane and keeps going;
-/// the failed lane's plane entries are garbage from this point on and must
-/// never escape — [`BatchLane::lane_commit`] receives the failure instead
-/// of trusting the state plane. The position matches what the scalar
-/// solver would report: identical per-lane arithmetic fails at the
-/// identical spot.
+/// The system is the same at every time step, so a lane is known to be
+/// singular as soon as the stepper has factored it, before the first
+/// sweep. Sibling lanes keep computing (IEEE arithmetic never traps); the
+/// failed lane's plane entries are garbage and must never escape —
+/// [`BatchLane::lane_commit`] receives the failure instead of trusting the
+/// state plane. The row matches what the scalar solver would report:
+/// identical per-lane arithmetic fails at the identical spot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LaneFailure {
-    /// 1-based backward time step whose linear system was singular.
-    pub step: u32,
-    /// Row of the (numerically) zero pivot within that system.
+    /// Row of the first (numerically) zero pivot.
     pub row: usize,
 }
 
@@ -106,9 +106,10 @@ pub struct LaneFailure {
 ///   [`batch_shape`](crate::interface::ResultObject::batch_shape), and both
 ///   return `Some` only when the next `iterate()` would run one fresh
 ///   full-grid solve (not a cache hit, not converged, not capped).
-/// * The `lane_init` → `lane_rhs`* → `lane_commit` sequence must charge and
-///   mutate exactly what one scalar `iterate()` would: same meter charges
-///   in the same categories, same cache and model updates, same bounds.
+/// * The `lane_init` → `nt` sweeps → `lane_commit` sequence must charge
+///   and mutate exactly what one scalar `iterate()` would: same meter
+///   charges in the same categories, same cache and model updates, same
+///   bounds.
 /// * `lane_commit` with a [`LaneFailure`] must leave the object in the
 ///   state its scalar `iterate()` enters when *its* solve fails (for the
 ///   PDE objects: refinement stops, bounds unchanged, nothing charged).
@@ -118,29 +119,24 @@ pub trait BatchLane {
     /// impossible).
     fn lane_shape(&self) -> Option<GridShape>;
 
-    /// Writes this lane's time-independent system coefficients into the
-    /// `sub`/`diag`/`sup` band planes and its terminal (initial-sweep)
-    /// values into the `state` plane.
-    #[allow(clippy::too_many_arguments)] // the four planes ARE the interface
+    /// Writes everything the solve needs from this lane, all of it
+    /// independent of the time step: the system coefficients into the
+    /// `sub`/`diag`/`sup` band planes, the per-step source term (already
+    /// scaled by the time step) into the `src` plane, and the terminal
+    /// values into the `state` plane. Every step then solves
+    /// `T·state' = state + src` for the lane's system `T`.
+    ///
+    /// The planes may hold leftovers: all `shape.rows()` entries of this
+    /// lane must be written in each of the five.
+    #[allow(clippy::too_many_arguments)] // the five planes ARE the interface
     fn lane_init(
         &self,
         shape: GridShape,
         sub: &mut [f64],
         diag: &mut [f64],
         sup: &mut [f64],
+        src: &mut [f64],
         state: &mut [f64],
-        stride: usize,
-        offset: usize,
-    );
-
-    /// Fills this lane's right-hand side for backward step `step`
-    /// (1-based), reading the lane's current `state` plane.
-    fn lane_rhs(
-        &self,
-        shape: GridShape,
-        step: u32,
-        state: &[f64],
-        rhs: &mut [f64],
         stride: usize,
         offset: usize,
     );

@@ -22,10 +22,11 @@
 //! * [`roots`] — root finding (§4.4): bisection, whose bracket *is* its
 //!   error bound.
 //! * [`tridiag`] — the Thomas algorithm shared by the finite-difference
-//!   solvers, both the scalar [`tridiag::ThomasSolver`] and the
-//!   lane-parallel [`tridiag::BatchThomasSolver`] over struct-of-arrays
-//!   [`tridiag::TridiagBatch`] planes (bit-identical per lane, but with the
-//!   per-row division latency chain pipelined across lanes).
+//!   solvers, as factor-once / sweep-per-right-hand-side: the scalar
+//!   [`tridiag::ThomasSolver`] and the lane-parallel
+//!   [`tridiag::BatchThomasSolver`] over struct-of-arrays planes
+//!   (bit-identical per lane, but with the per-row division latency chain
+//!   pipelined across lanes).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

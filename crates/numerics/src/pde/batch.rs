@@ -3,19 +3,21 @@
 //! One `iterate()` of a [`PdeResultObject`] is one fresh mesh solve: `nt`
 //! backward time steps, each a tridiagonal solve over `nx + 1` mesh
 //! columns. When K objects' next solves share a [`GridShape`], this module
-//! advances all K in lockstep: their bands, states and right-hand sides
-//! live as interleaved lanes in struct-of-arrays planes, and every time
-//! step runs **one** lane-parallel [`BatchThomasSolver`] sweep instead of K
-//! scalar ones.
+//! advances all K in lockstep: their bands, sources and states live as
+//! interleaved lanes in struct-of-arrays planes. The bands are factored
+//! once, and every time step is then **one** lane-parallel
+//! [`BatchThomasSolver::sweep`] over the state plane, with no call into
+//! any lane.
 //!
 //! Per lane, the arithmetic is exactly the scalar
 //! [`solve_on_mesh`](crate::pde::solver::solve_on_mesh) sequence in the
 //! same order, so committed values, bounds and meter charges are
-//! bit-identical to K independent `iterate()` calls. A lane whose
-//! elimination goes singular is isolated: the sweep keeps computing through
-//! its (garbage, but IEEE-safe) entries, the first failure is recorded, and
-//! the lane's [`BatchLane::lane_commit`] receives the failure so the object
-//! degrades exactly as its scalar path would — sibling lanes never notice.
+//! bit-identical to K independent `iterate()` calls. A lane whose system
+//! is singular is isolated: the factorization records its first zero
+//! pivot, the sweeps keep computing through its (garbage, but IEEE-safe)
+//! entries, and the lane's [`BatchLane::lane_commit`] receives the failure
+//! so the object degrades exactly as its scalar path would — sibling lanes
+//! never notice.
 //!
 //! [`PdeResultObject`]: crate::pde::vao::PdeResultObject
 
@@ -23,7 +25,7 @@ use vao::batch::{BatchLane, GridShape, LaneFailure};
 use vao::cost::WorkMeter;
 use vao::Bounds;
 
-use crate::tridiag::{BatchThomasSolver, TridiagBatch, TridiagError};
+use crate::tridiag::BatchThomasSolver;
 
 /// Advances every lane through one full refinement solve (`shape.nt` time
 /// steps in lockstep), committing each lane's result on its own meter, and
@@ -31,9 +33,8 @@ use crate::tridiag::{BatchThomasSolver, TridiagBatch, TridiagError};
 ///
 /// Every lane must currently report `lane_shape() == Some(shape)`; the
 /// caller (e.g. the server's round scheduler) is responsible for grouping.
-/// Failed lanes are committed with their [`LaneFailure`] instead of a
-/// value, exactly once, at the step where the scalar solver would have
-/// aborted.
+/// A lane whose system is singular is committed with its [`LaneFailure`]
+/// instead of a value.
 ///
 /// # Panics
 ///
@@ -54,50 +55,36 @@ pub fn step_batch(
     );
 
     let rows = shape.rows();
-    let mut batch = TridiagBatch::new(rows, k);
+    let mut src = vec![0.0; rows * k];
     let mut state = vec![0.0; rows * k];
-    let mut next = vec![0.0; rows * k];
-    let mut status: Vec<Result<(), TridiagError>> = vec![Ok(()); k];
-    let mut failures: Vec<Option<LaneFailure>> = vec![None; k];
     let mut solver = BatchThomasSolver::new();
-
-    {
-        let (sub, diag, sup, _) = batch.planes_mut();
+    solver.factor(rows, k, |sub, diag, sup| {
         for (idx, lane) in lanes.iter().enumerate() {
-            lane.lane_init(shape, sub, diag, sup, &mut state, k, idx);
+            lane.lane_init(shape, sub, diag, sup, &mut src, &mut state, k, idx);
         }
-    }
-    for step in 1..=shape.nt {
-        {
-            let rhs = batch.rhs_mut();
-            for (idx, lane) in lanes.iter().enumerate() {
-                lane.lane_rhs(shape, step, &state, rhs, k, idx);
-            }
-        }
-        solver
-            .solve(&batch, &mut next, &mut status)
-            .expect("stepper sized the planes");
-        for (idx, s) in status.iter().enumerate() {
-            if let Err(TridiagError::ZeroPivot { row }) = *s {
-                failures[idx].get_or_insert(LaneFailure { step, row });
-            }
-        }
-        std::mem::swap(&mut state, &mut next);
+    });
+    for _ in 0..shape.nt {
+        solver.sweep(&src, &mut state);
     }
 
     lanes
         .iter_mut()
         .zip(meters.iter_mut())
         .enumerate()
-        .map(|(idx, (lane, meter))| lane.lane_commit(shape, &state, k, idx, failures[idx], meter))
+        .map(|(idx, (lane, meter))| {
+            let failure = solver.first_bad_row(idx).map(|row| LaneFailure { row });
+            lane.lane_commit(shape, &state, k, idx, failure, meter)
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pde::problem::DecayProblem;
+    use crate::pde::problem::{DecayProblem, ParabolicPde};
+    use crate::pde::solver::{solve_on_mesh, SolveError, SolverConfig};
     use crate::pde::vao::{PdeResultObject, PdeVaoConfig};
+    use crate::tridiag::TridiagError;
     use vao::interface::ResultObject;
 
     fn problems() -> Vec<DecayProblem> {
@@ -111,21 +98,140 @@ mod tests {
             .collect()
     }
 
-    /// Builds the objects and drains the trio's cache-hit refinements so
-    /// the next iterate() on each is a fresh, batchable solve.
-    fn fresh_objects() -> Vec<PdeResultObject<DecayProblem>> {
+    /// Builds the object and drains the trio's cache-hit refinements so
+    /// the next iterate() is a fresh, batchable solve.
+    fn fresh<P: ParabolicPde>(p: P) -> PdeResultObject<P> {
         let mut meter = WorkMeter::new();
-        problems()
-            .into_iter()
-            .map(|p| {
-                let mut obj = PdeResultObject::new(p, PdeVaoConfig::default(), &mut meter).unwrap();
-                while !obj.converged() && obj.batch_shape().is_none() {
-                    obj.iterate(&mut meter);
-                }
-                assert!(obj.batch_shape().is_some(), "object must become batchable");
-                obj
-            })
-            .collect()
+        let mut obj = PdeResultObject::new(p, PdeVaoConfig::default(), &mut meter).unwrap();
+        while !obj.converged() && obj.batch_shape().is_none() {
+            obj.iterate(&mut meter);
+        }
+        assert!(obj.batch_shape().is_some(), "object must become batchable");
+        obj
+    }
+
+    fn fresh_objects() -> Vec<PdeResultObject<DecayProblem>> {
+        problems().into_iter().map(fresh).collect()
+    }
+
+    /// A decay problem that is singular on exactly the meshes with
+    /// `nt == nt_star`: the discount at the lower boundary is
+    /// `−nt_star/horizon`, so there `Δt·r = −1` and, with no drift,
+    /// `diag[0] = 1 + Δt·r` is zero. `horizon` and `nt_star` are powers of
+    /// two, which makes that cancellation exact and every other `nt`
+    /// regular. Without diffusion or drift the columns do not couple, so
+    /// away from that boundary this is the plain decay problem.
+    struct SingularAt {
+        decay: DecayProblem,
+        nt_star: u32,
+    }
+
+    impl ParabolicPde for SingularAt {
+        fn domain(&self) -> (f64, f64) {
+            self.decay.domain()
+        }
+        fn horizon(&self) -> f64 {
+            self.decay.horizon
+        }
+        fn diffusion(&self, _: f64) -> f64 {
+            0.0
+        }
+        fn drift(&self, _: f64) -> f64 {
+            0.0
+        }
+        fn discount(&self, x: f64) -> f64 {
+            if x == self.domain().0 {
+                -f64::from(self.nt_star) / self.decay.horizon
+            } else {
+                self.decay.rate
+            }
+        }
+        fn source(&self, x: f64) -> f64 {
+            self.decay.source(x)
+        }
+        fn terminal(&self, x: f64) -> f64 {
+            self.decay.terminal(x)
+        }
+        fn x_query(&self) -> f64 {
+            self.decay.x_query()
+        }
+    }
+
+    fn singular_at(nt_star: u32) -> SingularAt {
+        SingularAt {
+            decay: DecayProblem {
+                rate: 0.05,
+                coupon: 6.0,
+                terminal_value: 100.0,
+                horizon: 8.0,
+            },
+            nt_star,
+        }
+    }
+
+    #[test]
+    fn singular_lane_caps_alone_and_siblings_match_scalar() {
+        // The first fresh solve of every default-config object is this
+        // shape; the planted problem is singular exactly there.
+        let shape = fresh_objects()[0].batch_shape().unwrap();
+        let planted = || fresh(singular_at(shape.nt));
+        assert_eq!(planted().batch_shape(), Some(shape));
+
+        // The factorization names the row the per-step elimination named.
+        assert_eq!(
+            solve_on_mesh(
+                &singular_at(shape.nt),
+                shape.nx,
+                shape.nt,
+                &SolverConfig::default()
+            ),
+            Err(SolveError::Singular(TridiagError::ZeroPivot { row: 0 }))
+        );
+        assert!(solve_on_mesh(
+            &singular_at(shape.nt),
+            shape.nx,
+            shape.nt * 2,
+            &SolverConfig::default()
+        )
+        .is_ok());
+
+        // Scalar: capped, bounds unchanged, nothing charged.
+        let mut scalar_bad = planted();
+        let before = scalar_bad.bounds();
+        let mut meter = WorkMeter::new();
+        assert_eq!(scalar_bad.iterate(&mut meter), before);
+        assert!(scalar_bad.capped());
+        assert_eq!(meter.total(), 0);
+        assert_eq!(meter.iterations(), 0);
+
+        // Lane: the same, between two siblings that must not notice.
+        let mut scalar = fresh_objects();
+        let mut siblings = fresh_objects();
+        let mut bad = planted();
+        let mut meters = vec![WorkMeter::new(); 3];
+        let (left, right) = siblings.split_at_mut(1);
+        let mut lanes: Vec<&mut dyn BatchLane> = vec![&mut left[0], &mut bad, &mut right[0]];
+        let bounds = step_batch(shape, &mut lanes, &mut meters);
+        drop(lanes);
+
+        assert_eq!(bounds[1], before);
+        assert_eq!(bad.bounds().lo().to_bits(), before.lo().to_bits());
+        assert_eq!(bad.bounds().hi().to_bits(), before.hi().to_bits());
+        assert!(bad.capped());
+        assert_eq!(bad.mesh(), scalar_bad.mesh());
+        assert_eq!(bad.cumulative_cost(), scalar_bad.cumulative_cost());
+        assert_eq!(meters[1].total(), 0);
+        assert_eq!(meters[1].iterations(), 0);
+
+        for (lane, i) in [(0usize, 0usize), (2, 1)] {
+            let mut m = WorkMeter::new();
+            let expect = scalar[i].iterate(&mut m);
+            assert_eq!(bounds[lane].lo().to_bits(), expect.lo().to_bits());
+            assert_eq!(bounds[lane].hi().to_bits(), expect.hi().to_bits());
+            assert_eq!(siblings[i].mesh(), scalar[i].mesh());
+            assert_eq!(meters[lane].breakdown(), m.breakdown());
+            assert_eq!(meters[lane].iterations(), m.iterations());
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! parabolic PDE of the form
 //!
 //! ```text
-//! a(x)·F_xx + b(x)·F_x + F_t − r(x)·F + c(x,t) = 0 ,   F(x, T) given,
+//! a(x)·F_xx + b(x)·F_x + F_t − r(x)·F + c(x) = 0 ,   F(x, T) given,
 //! ```
 //!
 //! evaluated at `F(x_query, 0)`. [`problem`] defines that problem shape,
@@ -21,12 +21,10 @@ pub mod batch;
 pub mod extrapolation;
 pub mod problem;
 pub mod solver;
-pub mod two_factor;
 pub mod vao;
 
 pub use batch::step_batch;
 pub use extrapolation::{StepKind, TwoTermErrorModel};
 pub use problem::ParabolicPde;
 pub use solver::{solve_on_mesh, MeshSolution, SolverConfig};
-pub use two_factor::{solve_adi, TwoFactorPde, TwoFactorResultObject, TwoFactorVaoConfig};
 pub use vao::{PdeResultObject, PdeVaoConfig};

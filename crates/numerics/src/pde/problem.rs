@@ -1,7 +1,7 @@
 //! Problem definition for parabolic PDEs.
 
 /// A parabolic PDE terminal-value problem
-/// `a(x)·F_xx + b(x)·F_x + F_t − r(x)·F + c(x,t) = 0` on
+/// `a(x)·F_xx + b(x)·F_x + F_t − r(x)·F + c(x) = 0` on
 /// `x ∈ [x_min, x_max]`, `t ∈ [0, T]`, with `F(x, T)` given, queried at
 /// `F(x_query, 0)`.
 ///
@@ -25,8 +25,10 @@ pub trait ParabolicPde {
     /// Discount rate `r(x)` multiplying `−F`.
     fn discount(&self, x: f64) -> f64;
 
-    /// Source term `c(x, t)` (e.g. continuous coupon flow).
-    fn source(&self, x: f64, t: f64) -> f64;
+    /// Source term `c(x)` (e.g. continuous coupon flow). Like the other
+    /// coefficients it does not depend on `t`, so a solver evaluates it
+    /// once per mesh column, not once per cell.
+    fn source(&self, x: f64) -> f64;
 
     /// Terminal condition `F(x, T)`.
     fn terminal(&self, x: f64) -> f64;
@@ -105,7 +107,7 @@ impl ParabolicPde for DecayProblem {
         self.rate
     }
 
-    fn source(&self, _x: f64, _t: f64) -> f64 {
+    fn source(&self, _x: f64) -> f64 {
         self.coupon
     }
 
@@ -165,7 +167,7 @@ mod tests {
             fn discount(&self, _: f64) -> f64 {
                 0.0
             }
-            fn source(&self, _: f64, _: f64) -> f64 {
+            fn source(&self, _: f64) -> f64 {
                 0.0
             }
             fn terminal(&self, _: f64) -> f64 {
@@ -194,7 +196,7 @@ mod tests {
             fn discount(&self, _: f64) -> f64 {
                 0.0
             }
-            fn source(&self, _: f64, _: f64) -> f64 {
+            fn source(&self, _: f64) -> f64 {
                 0.0
             }
             fn terminal(&self, _: f64) -> f64 {

@@ -51,7 +51,8 @@ pub enum SolveError {
         /// The configured cap.
         max: u64,
     },
-    /// A time step's tridiagonal system was singular.
+    /// The implicit step's tridiagonal system (the same at every time
+    /// step) was singular.
     Singular(TridiagError),
 }
 
@@ -132,20 +133,16 @@ pub fn solve_on_mesh<P: ParabolicPde>(
         sub[n - 1] = -dt * b / h;
     }
 
-    let mut g: Vec<f64> = xs.iter().map(|&x| problem.terminal(x)).collect();
-    let mut rhs = vec![0.0; n];
-    let mut next = vec![0.0; n];
+    // Neither the bands nor the source depend on the step: factor and
+    // evaluate once, so a time step is one sweep, `g ← T⁻¹(g + src)`.
     let mut thomas = ThomasSolver::new();
-
-    for k in 1..=n_t {
-        let t = horizon - dt * f64::from(k);
-        for i in 0..n {
-            rhs[i] = g[i] + dt * problem.source(xs[i], t);
-        }
-        thomas
-            .solve(&sub, &diag, &sup, &rhs, &mut next)
-            .map_err(SolveError::Singular)?;
-        std::mem::swap(&mut g, &mut next);
+    thomas
+        .factor(&sub, &diag, &sup)
+        .map_err(SolveError::Singular)?;
+    let src: Vec<f64> = xs.iter().map(|&x| dt * problem.source(x)).collect();
+    let mut g: Vec<f64> = xs.iter().map(|&x| problem.terminal(x)).collect();
+    for _ in 0..n_t {
+        thomas.sweep(&src, &mut g);
     }
 
     // Linear interpolation at the query point.
@@ -230,7 +227,7 @@ mod tests {
             fn discount(&self, _: f64) -> f64 {
                 0.0
             }
-            fn source(&self, _: f64, _: f64) -> f64 {
+            fn source(&self, _: f64) -> f64 {
                 0.0
             }
             fn terminal(&self, x: f64) -> f64 {
@@ -295,7 +292,7 @@ mod tests {
             fn discount(&self, _: f64) -> f64 {
                 0.0
             }
-            fn source(&self, _: f64, _: f64) -> f64 {
+            fn source(&self, _: f64) -> f64 {
                 0.0
             }
             fn terminal(&self, x: f64) -> f64 {

@@ -308,6 +308,7 @@ impl<P: ParabolicPde> BatchLane for PdeResultObject<P> {
         sub: &mut [f64],
         diag: &mut [f64],
         sup: &mut [f64],
+        src: &mut [f64],
         state: &mut [f64],
         stride: usize,
         offset: usize,
@@ -348,28 +349,8 @@ impl<P: ParabolicPde> BatchLane for PdeResultObject<P> {
             sup[at(n - 1)] = 0.0;
         }
         for i in 0..n {
+            src[at(i)] = dt * self.problem.source(x_at(i));
             state[at(i)] = self.problem.terminal(x_at(i));
-        }
-    }
-
-    fn lane_rhs(
-        &self,
-        shape: GridShape,
-        step: u32,
-        state: &[f64],
-        rhs: &mut [f64],
-        stride: usize,
-        offset: usize,
-    ) {
-        let n = shape.rows();
-        let (x_lo, h, dt) = self.geometry(shape);
-        let t = self.problem.horizon() - dt * f64::from(step);
-        // `x_lo + h·i` is the identical expression behind the scalar
-        // solver's precomputed `xs[i]`, so sources are evaluated at
-        // bit-identical coordinates.
-        for i in 0..n {
-            let at = i * stride + offset;
-            rhs[at] = state[at] + dt * self.problem.source(x_lo + h * i as f64, t);
         }
     }
 

@@ -32,12 +32,31 @@ impl std::fmt::Display for TridiagError {
 
 impl std::error::Error for TridiagError {}
 
-/// A reusable tridiagonal solver holding its scratch buffers, so repeated
-/// time steps allocate nothing.
+/// Pivots smaller than this in magnitude count as zero.
+const PIVOT_EPS: f64 = 1e-300;
+
+/// The state a one-shot solve sweeps from. `−0.0 + r` is `r` bit for bit
+/// for every `r` (`+0.0 + −0.0` would turn a `−0.0` right-hand side into
+/// `+0.0`), so sweeping from it with `src = rhs` solves for exactly `rhs`.
+const ADDITIVE_IDENTITY: f64 = -0.0;
+
+/// A reusable tridiagonal solver that factors the bands once and then
+/// solves for any number of right-hand sides.
+///
+/// The forward elimination of the Thomas algorithm splits into a part that
+/// depends only on the bands — the pivots `denom[i] = diag[i] −
+/// sub[i]·c'[i−1]` and the scaled superdiagonal `c'[i] = sup[i]/denom[i]`
+/// — and a part that depends on the right-hand side. [`factor`] does the
+/// first once; [`sweep`] does the second, one division per row. A time
+/// stepper whose bands do not change factors once and sweeps `nt` times.
+///
+/// [`factor`]: ThomasSolver::factor
+/// [`sweep`]: ThomasSolver::sweep
 #[derive(Clone, Debug, Default)]
 pub struct ThomasSolver {
+    sub: Vec<f64>,
+    denom: Vec<f64>,
     c_prime: Vec<f64>,
-    d_prime: Vec<f64>,
 }
 
 impl ThomasSolver {
@@ -47,10 +66,67 @@ impl ThomasSolver {
         Self::default()
     }
 
-    /// Solves the system in place: on success `x` holds the solution.
+    /// Factors the bands, replacing any earlier factorization.
     ///
     /// Conventions: `sub[0]` and `sup[n-1]` are ignored (there is no
-    /// element left of row 0 or right of row n-1).
+    /// element left of row 0 or right of row n-1). On `Err` the solver
+    /// holds no usable factorization.
+    pub fn factor(&mut self, sub: &[f64], diag: &[f64], sup: &[f64]) -> Result<(), TridiagError> {
+        let n = diag.len();
+        if n == 0 || sub.len() != n || sup.len() != n {
+            return Err(TridiagError::BadShape);
+        }
+        self.sub.clear();
+        self.sub.extend_from_slice(sub);
+        self.denom.resize(n, 0.0);
+        self.c_prime.resize(n, 0.0);
+
+        if diag[0].abs() < PIVOT_EPS {
+            return Err(TridiagError::ZeroPivot { row: 0 });
+        }
+        self.denom[0] = diag[0];
+        self.c_prime[0] = sup[0] / diag[0];
+        for i in 1..n {
+            let denom = diag[i] - sub[i] * self.c_prime[i - 1];
+            if denom.abs() < PIVOT_EPS {
+                return Err(TridiagError::ZeroPivot { row: i });
+            }
+            self.denom[i] = denom;
+            self.c_prime[i] = sup[i] / denom;
+        }
+        Ok(())
+    }
+
+    /// Solves the factored system for the right-hand side `x + src`, in
+    /// place: on return `x` holds the solution.
+    ///
+    /// This is one implicit time step, fused: the state `x` is read, the
+    /// step's source `src` added, and the new state written back, with the
+    /// eliminated right-hand side `d'[i] = ((x[i] + src[i]) −
+    /// sub[i]·d'[i−1]) / denom[i]` kept in `x` itself between the forward
+    /// and the backward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` or `x` differ in length from the factored system.
+    pub fn sweep(&self, src: &[f64], x: &mut [f64]) {
+        let n = self.denom.len();
+        assert!(
+            n > 0 && src.len() == n && x.len() == n,
+            "sweep needs a factored system and planes of its {n} rows"
+        );
+        let (sub, denom, c) = (&self.sub[..n], &self.denom[..n], &self.c_prime[..n]);
+        x[0] = (x[0] + src[0]) / denom[0];
+        for i in 1..n {
+            x[i] = ((x[i] + src[i]) - sub[i] * x[i - 1]) / denom[i];
+        }
+        for i in (0..n - 1).rev() {
+            x[i] -= c[i] * x[i + 1];
+        }
+    }
+
+    /// Factors and solves in one call: on success `x` holds the solution
+    /// of the system with right-hand side `rhs`; on `Err`, `x` is untouched.
     pub fn solve(
         &mut self,
         sub: &[f64],
@@ -59,31 +135,12 @@ impl ThomasSolver {
         rhs: &[f64],
         x: &mut [f64],
     ) -> Result<(), TridiagError> {
-        let n = diag.len();
-        if n == 0 || sub.len() != n || sup.len() != n || rhs.len() != n || x.len() != n {
+        if rhs.len() != diag.len() || x.len() != diag.len() {
             return Err(TridiagError::BadShape);
         }
-        self.c_prime.resize(n, 0.0);
-        self.d_prime.resize(n, 0.0);
-
-        let pivot_eps = 1e-300;
-        if diag[0].abs() < pivot_eps {
-            return Err(TridiagError::ZeroPivot { row: 0 });
-        }
-        self.c_prime[0] = sup[0] / diag[0];
-        self.d_prime[0] = rhs[0] / diag[0];
-        for i in 1..n {
-            let denom = diag[i] - sub[i] * self.c_prime[i - 1];
-            if denom.abs() < pivot_eps {
-                return Err(TridiagError::ZeroPivot { row: i });
-            }
-            self.c_prime[i] = sup[i] / denom;
-            self.d_prime[i] = (rhs[i] - sub[i] * self.d_prime[i - 1]) / denom;
-        }
-        x[n - 1] = self.d_prime[n - 1];
-        for i in (0..n - 1).rev() {
-            x[i] = self.d_prime[i] - self.c_prime[i] * x[i + 1];
-        }
+        self.factor(sub, diag, sup)?;
+        x.fill(ADDITIVE_IDENTITY);
+        self.sweep(rhs, x);
         Ok(())
     }
 }
@@ -138,20 +195,7 @@ impl TridiagBatch {
         self.lanes
     }
 
-    /// Mutable views of all four planes (`sub`, `diag`, `sup`, `rhs`) for
-    /// strided per-lane filling.
-    pub fn planes_mut(&mut self) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
-        (&mut self.sub, &mut self.diag, &mut self.sup, &mut self.rhs)
-    }
-
-    /// Mutable view of the right-hand-side plane alone (refilled every
-    /// time step while the bands stay fixed).
-    pub fn rhs_mut(&mut self) -> &mut [f64] {
-        &mut self.rhs
-    }
-
-    /// Copies one lane's scalar system into the planes (tests and one-off
-    /// callers; hot paths fill the planes strided in place).
+    /// Copies one lane's scalar system into the planes.
     ///
     /// # Panics
     ///
@@ -174,41 +218,165 @@ impl TridiagBatch {
     }
 }
 
-/// A reusable lane-parallel Thomas solver over [`TridiagBatch`] planes.
+/// A reusable lane-parallel Thomas solver: [`ThomasSolver`] over
+/// struct-of-arrays planes (row `i` of lane `l` at `i * lanes + l`), one
+/// factorization and any number of sweeps for `lanes` systems at once.
 ///
 /// Per lane it performs exactly the floating-point operations of
-/// [`ThomasSolver::solve`] in exactly the same order — lanes are
-/// interleaved in memory, never combined arithmetically, and IEEE
+/// [`ThomasSolver`] in exactly the same order — lanes are interleaved in
+/// memory, never combined arithmetically, and IEEE
 /// division/multiplication round identically whether issued scalar or
 /// SIMD — so results are **bit-identical** to solving each lane
 /// independently.
+///
+/// A lane whose factorization hits a numerically zero pivot is remembered
+/// by [`first_bad_row`](BatchThomasSolver::first_bad_row), naming the row
+/// the scalar solver would report. Sweeps keep computing through the dead
+/// lane (IEEE arithmetic never traps): its entries are unspecified garbage
+/// that the caller must not read, and sibling lanes are unaffected.
 #[derive(Clone, Debug, Default)]
 pub struct BatchThomasSolver {
+    rows: usize,
+    lanes: usize,
+    sub: Vec<f64>,
+    /// `diag` while the bands are being filled, the pivots afterwards.
+    denom: Vec<f64>,
+    /// `sup` while the bands are being filled, `c'` afterwards.
     c_prime: Vec<f64>,
-    d_prime: Vec<f64>,
     /// First failing row per lane as an `f64` (∞ = no failure): keeping the
     /// pivot bookkeeping in the same element type as the arithmetic lets
-    /// the hot loop stay branch-free and vectorizable.
+    /// the factor loop stay branch-free and vectorizable.
     first_bad: Vec<f64>,
 }
 
 impl BatchThomasSolver {
-    /// Creates a solver; scratch planes grow on first use.
+    /// Creates a solver; planes grow on first use.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Solves every lane of `batch`: on return `x` (a `rows × lanes`
-    /// plane) holds each successful lane's solution and `status` (one
-    /// entry per lane) each lane's outcome.
+    /// Factors `lanes` systems of `rows` rows, replacing any earlier
+    /// factorization. `fill` receives the solver's own `sub`, `diag` and
+    /// `sup` planes (holding leftovers — it must write every entry of
+    /// every lane, the ignored `sub` of row 0 and `sup` of the last row
+    /// included); they are then factored where they lie.
     ///
-    /// A lane whose elimination hits a numerically zero pivot gets
+    /// # Panics
+    ///
+    /// Panics if `rows` or `lanes` is zero.
+    pub fn factor(
+        &mut self,
+        rows: usize,
+        lanes: usize,
+        fill: impl FnOnce(&mut [f64], &mut [f64], &mut [f64]),
+    ) {
+        assert!(rows > 0 && lanes > 0, "batch must have rows and lanes");
+        let (n, l) = (rows, lanes);
+        self.rows = n;
+        self.lanes = l;
+        self.sub.resize(n * l, 0.0);
+        self.denom.resize(n * l, 0.0);
+        self.c_prime.resize(n * l, 0.0);
+        self.first_bad.resize(l, f64::INFINITY);
+        let sub = &mut self.sub[..n * l];
+        let denom = &mut self.denom[..n * l];
+        let c = &mut self.c_prime[..n * l];
+        let bad = &mut self.first_bad[..l];
+        fill(sub, denom, c);
+
+        // Row 0: `sub[0]` is ignored, exactly as in the scalar solver.
+        for lane in 0..l {
+            bad[lane] = if denom[lane].abs() < PIVOT_EPS {
+                0.0
+            } else {
+                f64::INFINITY
+            };
+            c[lane] /= denom[lane];
+        }
+        // One row across all lanes at a time. The pivot check is a
+        // branch-free min against the row index so the loop carries no
+        // per-lane control flow.
+        for i in 1..n {
+            let row = i * l;
+            let fi = i as f64;
+            let sub = &sub[row..row + l];
+            let denom = &mut denom[row..row + l];
+            let (c_prev, c_row) = c[row - l..row + l].split_at_mut(l);
+            for lane in 0..l {
+                let pivot = denom[lane] - sub[lane] * c_prev[lane];
+                let cand = if pivot.abs() < PIVOT_EPS {
+                    fi
+                } else {
+                    f64::INFINITY
+                };
+                bad[lane] = bad[lane].min(cand);
+                denom[lane] = pivot;
+                c_row[lane] /= pivot;
+            }
+        }
+    }
+
+    /// The row at which `lane`'s factorization hit a zero pivot, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not a lane of the last factorization.
+    #[must_use]
+    pub fn first_bad_row(&self, lane: usize) -> Option<usize> {
+        let bad = self.first_bad[..self.lanes][lane];
+        bad.is_finite().then_some(bad as usize)
+    }
+
+    /// [`ThomasSolver::sweep`] for every lane at once: `x` and `src` are
+    /// `rows × lanes` planes, `x` is advanced in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing was factored or a plane is not `rows × lanes`.
+    pub fn sweep(&self, src: &[f64], x: &mut [f64]) {
+        let (n, l) = (self.rows, self.lanes);
+        assert!(
+            n > 0 && src.len() == n * l && x.len() == n * l,
+            "sweep needs a factored batch and {n}x{l} planes"
+        );
+        let (sub, denom, c) = (
+            &self.sub[..n * l],
+            &self.denom[..n * l],
+            &self.c_prime[..n * l],
+        );
+        {
+            let (x, src, denom) = (&mut x[..l], &src[..l], &denom[..l]);
+            for lane in 0..l {
+                x[lane] = (x[lane] + src[lane]) / denom[lane];
+            }
+        }
+        for i in 1..n {
+            let row = i * l;
+            let (sub, denom, src) = (&sub[row..row + l], &denom[row..row + l], &src[row..row + l]);
+            let (x_prev, x_row) = x[row - l..row + l].split_at_mut(l);
+            for lane in 0..l {
+                x_row[lane] = ((x_row[lane] + src[lane]) - sub[lane] * x_prev[lane]) / denom[lane];
+            }
+        }
+        for i in (0..n - 1).rev() {
+            let row = i * l;
+            let (x_row, x_next) = x[row..row + 2 * l].split_at_mut(l);
+            let c = &c[row..row + l];
+            for lane in 0..l {
+                x_row[lane] -= c[lane] * x_next[lane];
+            }
+        }
+    }
+
+    /// Factors and solves every lane of `batch` in one call: on return `x`
+    /// (a `rows × lanes` plane) holds each successful lane's solution and
+    /// `status` (one entry per lane) each lane's outcome.
+    ///
+    /// A lane whose factorization hits a numerically zero pivot gets
     /// `Err(ZeroPivot)` naming the same first failing row the scalar
     /// solver would report; its `x` entries are unspecified garbage, while
-    /// sibling lanes are completely unaffected (the sweep keeps computing
-    /// through the dead lane — IEEE arithmetic never traps — and only the
-    /// status stops its garbage from escaping). The outer `Result` is
+    /// sibling lanes are completely unaffected. The outer `Result` is
     /// `Err(BadShape)` only when `x` or `status` are sized wrong.
     pub fn solve(
         &mut self,
@@ -216,79 +384,21 @@ impl BatchThomasSolver {
         x: &mut [f64],
         status: &mut [Result<(), TridiagError>],
     ) -> Result<(), TridiagError> {
-        let n = batch.rows;
-        let l = batch.lanes;
+        let (n, l) = (batch.rows, batch.lanes);
         if x.len() != n * l || status.len() != l {
             return Err(TridiagError::BadShape);
         }
-        self.c_prime.resize(n * l, 0.0);
-        self.d_prime.resize(n * l, 0.0);
-        self.first_bad.resize(l, f64::INFINITY);
-
-        let pivot_eps = 1e-300;
-        let (sub, diag, sup, rhs) = (&batch.sub, &batch.diag, &batch.sup, &batch.rhs);
-        let c = &mut self.c_prime[..n * l];
-        let d = &mut self.d_prime[..n * l];
-        let bad = &mut self.first_bad[..l];
-
-        // Row 0: `sub[0]` is ignored, exactly as in the scalar solver.
-        {
-            let (diag, sup, rhs) = (&diag[..l], &sup[..l], &rhs[..l]);
-            for lane in 0..l {
-                let denom = diag[lane];
-                bad[lane] = if denom.abs() < pivot_eps {
-                    0.0
-                } else {
-                    f64::INFINITY
-                };
-                c[lane] = sup[lane] / denom;
-                d[lane] = rhs[lane] / denom;
-            }
-        }
-        // Forward elimination, one row across all lanes at a time. The
-        // pivot check is a branch-free min against the row index so the
-        // loop carries no per-lane control flow.
-        for i in 1..n {
-            let row = i * l;
-            let fi = i as f64;
-            let (sub, diag, sup, rhs) = (
-                &sub[row..row + l],
-                &diag[row..row + l],
-                &sup[row..row + l],
-                &rhs[row..row + l],
-            );
-            let (c_prev, c_row) = c[row - l..row + l].split_at_mut(l);
-            let (d_prev, d_row) = d[row - l..row + l].split_at_mut(l);
-            for lane in 0..l {
-                let denom = diag[lane] - sub[lane] * c_prev[lane];
-                let cand = if denom.abs() < pivot_eps {
-                    fi
-                } else {
-                    f64::INFINITY
-                };
-                bad[lane] = bad[lane].min(cand);
-                c_row[lane] = sup[lane] / denom;
-                d_row[lane] = (rhs[lane] - sub[lane] * d_prev[lane]) / denom;
-            }
-        }
-        // Back substitution.
-        let last = (n - 1) * l;
-        x[last..last + l].copy_from_slice(&d[last..last + l]);
-        for i in (0..n - 1).rev() {
-            let row = i * l;
-            let (x_row, x_next) = x[row..row + 2 * l].split_at_mut(l);
-            let (c_row, d_row) = (&c[row..row + l], &d[row..row + l]);
-            for lane in 0..l {
-                x_row[lane] = d_row[lane] - c_row[lane] * x_next[lane];
-            }
-        }
-        for lane in 0..l {
-            status[lane] = if bad[lane].is_finite() {
-                Err(TridiagError::ZeroPivot {
-                    row: bad[lane] as usize,
-                })
-            } else {
-                Ok(())
+        self.factor(n, l, |sub, diag, sup| {
+            sub.copy_from_slice(&batch.sub);
+            diag.copy_from_slice(&batch.diag);
+            sup.copy_from_slice(&batch.sup);
+        });
+        x.fill(ADDITIVE_IDENTITY);
+        self.sweep(&batch.rhs, x);
+        for (lane, s) in status.iter_mut().enumerate() {
+            *s = match self.first_bad_row(lane) {
+                Some(row) => Err(TridiagError::ZeroPivot { row }),
+                None => Ok(()),
             };
         }
         Ok(())
@@ -451,6 +561,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn factor_once_and_sweep_equals_a_fresh_solve_per_step() {
+        let mut rnd = rng(0xFAC7);
+        let (rows, lanes, steps) = (9usize, 5usize, 4);
+        let mut batch = BatchThomasSolver::new();
+        let mut systems = Vec::new();
+        let mut src_plane = vec![0.0; rows * lanes];
+        let mut x_plane = vec![0.0; rows * lanes];
+        batch.factor(rows, lanes, |sub_p, diag_p, sup_p| {
+            for lane in 0..lanes {
+                let sub: Vec<f64> = (0..rows).map(|_| rnd() - 0.5).collect();
+                let sup: Vec<f64> = (0..rows).map(|_| rnd() - 0.5).collect();
+                let diag: Vec<f64> = (0..rows)
+                    .map(|i| 1.5 + sub[i].abs() + sup[i].abs() + rnd())
+                    .collect();
+                let src: Vec<f64> = (0..rows).map(|_| rnd() - 0.5).collect();
+                let x0: Vec<f64> = (0..rows).map(|_| rnd() * 10.0 - 5.0).collect();
+                for i in 0..rows {
+                    let at = i * lanes + lane;
+                    sub_p[at] = sub[i];
+                    diag_p[at] = diag[i];
+                    sup_p[at] = sup[i];
+                    src_plane[at] = src[i];
+                    x_plane[at] = x0[i];
+                }
+                systems.push((sub, diag, sup, src, x0));
+            }
+        });
+        for _ in 0..steps {
+            batch.sweep(&src_plane, &mut x_plane);
+        }
+
+        for (lane, (sub, diag, sup, src, x0)) in systems.iter().enumerate() {
+            assert_eq!(batch.first_bad_row(lane), None);
+            // Reference: a full solve per step on an explicit right-hand side.
+            let mut reference = x0.clone();
+            for _ in 0..steps {
+                let rhs: Vec<f64> = reference.iter().zip(src).map(|(g, s)| g + s).collect();
+                reference = solve_tridiagonal(sub, diag, sup, &rhs).unwrap();
+            }
+            let mut scalar = ThomasSolver::new();
+            scalar.factor(sub, diag, sup).unwrap();
+            let mut x = x0.clone();
+            for _ in 0..steps {
+                scalar.sweep(src, &mut x);
+            }
+            for i in 0..rows {
+                assert_eq!(x[i].to_bits(), reference[i].to_bits(), "scalar row {i}");
+                assert_eq!(
+                    x_plane[i * lanes + lane].to_bits(),
+                    reference[i].to_bits(),
+                    "lane {lane} row {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_shot_solve_keeps_the_sign_of_a_zero_right_hand_side() {
+        let x = solve_tridiagonal(&[0.0, 0.0], &[2.0, 2.0], &[0.0, 0.0], &[-0.0, 0.0]).unwrap();
+        assert_eq!(x[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(x[1].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -515,17 +515,7 @@ fn run_batch_threaded(
                     let mut scratch = WorkMeter::new();
                     let mut out = Vec::with_capacity(mine.len());
                     for (slot, obj) in mine {
-                        let before = obj.bounds();
-                        let snap = scratch.snapshot();
-                        let after = obj.iterate(&mut scratch);
-                        out.push((
-                            slot,
-                            IterDone {
-                                before,
-                                after,
-                                work: scratch.since(&snap),
-                            },
-                        ));
+                        out.push((slot, iterate_scalar(obj, &mut scratch)));
                     }
                     (out, scratch)
                 }));
@@ -570,6 +560,18 @@ enum ExecUnit<'p> {
     },
 }
 
+/// Steps one object through plain `iterate()`, charging `scratch`.
+fn iterate_scalar(obj: &mut (dyn ResultObject + Send), scratch: &mut WorkMeter) -> IterDone {
+    let before = obj.bounds();
+    let snap = scratch.snapshot();
+    let after = obj.iterate(scratch);
+    IterDone {
+        before,
+        after,
+        work: scratch.since(&snap),
+    }
+}
+
 /// Executes one unit, charging `scratch`, and returns per-object results
 /// tagged with their pick-order slots.
 ///
@@ -579,21 +581,13 @@ enum ExecUnit<'p> {
 /// post-iteration bounds are re-read through the pool object — not taken
 /// from the lane commit — because adapters (negation, shifts) transform
 /// bounds *outside* the lane protocol's inner frame.
+///
+/// A group with a member that reports a `batch_shape()` but hands out no
+/// lane has broken the protocol's promise; the group is stepped scalar,
+/// which computes the same thing.
 fn exec_unit(unit: ExecUnit<'_>, scratch: &mut WorkMeter) -> Vec<(usize, IterDone)> {
     match unit {
-        ExecUnit::Scalar { slot, obj } => {
-            let before = obj.bounds();
-            let snap = scratch.snapshot();
-            let after = obj.iterate(scratch);
-            vec![(
-                slot,
-                IterDone {
-                    before,
-                    after,
-                    work: scratch.since(&snap),
-                },
-            )]
-        }
+        ExecUnit::Scalar { slot, obj } => vec![(slot, iterate_scalar(obj, scratch))],
         ExecUnit::Lanes {
             shape,
             slots,
@@ -601,16 +595,17 @@ fn exec_unit(unit: ExecUnit<'_>, scratch: &mut WorkMeter) -> Vec<(usize, IterDon
         } => {
             let befores: Vec<Bounds> = objs.iter().map(|o| o.bounds()).collect();
             let mut meters: Vec<WorkMeter> = objs.iter().map(|_| WorkMeter::new()).collect();
-            {
-                let mut lanes: Vec<&mut dyn BatchLane> = objs
-                    .iter_mut()
-                    .map(|o| {
-                        o.as_batch_lane()
-                            .expect("batch_shape() == Some promises a lane")
-                    })
+            let lanes: Option<Vec<&mut dyn BatchLane>> =
+                objs.iter_mut().map(|o| o.as_batch_lane()).collect();
+            let Some(mut lanes) = lanes else {
+                return slots
+                    .into_iter()
+                    .zip(objs)
+                    .map(|(slot, obj)| (slot, iterate_scalar(obj, scratch)))
                     .collect();
-                step_batch(shape, &mut lanes, &mut meters);
-            }
+            };
+            step_batch(shape, &mut lanes, &mut meters);
+            drop(lanes);
             slots
                 .into_iter()
                 .zip(&objs)
@@ -757,7 +752,68 @@ fn exec_lane_groups(
 
 #[cfg(test)]
 mod tests {
-    use super::arbitrate_budget;
+    use super::{arbitrate_budget, exec_unit, ExecUnit};
+    use vao::batch::GridShape;
+    use vao::cost::{Work, WorkMeter};
+    use vao::interface::ResultObject;
+    use vao::testkit::ScriptedObject;
+    use vao::Bounds;
+
+    /// Reports a batch shape but, like every object that does not
+    /// override `as_batch_lane`, hands out no lane.
+    struct ShapeWithoutLane(ScriptedObject);
+
+    impl ResultObject for ShapeWithoutLane {
+        fn bounds(&self) -> Bounds {
+            self.0.bounds()
+        }
+        fn min_width(&self) -> f64 {
+            self.0.min_width()
+        }
+        fn iterate(&mut self, meter: &mut WorkMeter) -> Bounds {
+            self.0.iterate(meter)
+        }
+        fn est_cpu(&self) -> Work {
+            self.0.est_cpu()
+        }
+        fn est_bounds(&self) -> Bounds {
+            self.0.est_bounds()
+        }
+        fn standalone_cost(&self) -> Work {
+            self.0.standalone_cost()
+        }
+        fn cumulative_cost(&self) -> Work {
+            self.0.cumulative_cost()
+        }
+        fn batch_shape(&self) -> Option<GridShape> {
+            Some(GridShape { nt: 4, nx: 8 })
+        }
+    }
+
+    #[test]
+    fn lane_group_without_lanes_is_stepped_scalar() {
+        let script =
+            |lo: f64| ScriptedObject::converging(&[(lo, lo + 4.0), (lo + 1.0, lo + 2.0)], 7, 0.01);
+        let mut a = ShapeWithoutLane(script(0.0));
+        let mut b = ShapeWithoutLane(script(10.0));
+        let unit = ExecUnit::Lanes {
+            shape: GridShape { nt: 4, nx: 8 },
+            slots: vec![1, 0],
+            objs: vec![&mut a, &mut b],
+        };
+        let mut scratch = WorkMeter::new();
+        let done = exec_unit(unit, &mut scratch);
+
+        let slots: Vec<usize> = done.iter().map(|(slot, _)| *slot).collect();
+        assert_eq!(slots, vec![1, 0]);
+        for ((_, d), lo) in done.iter().zip([0.0, 10.0]) {
+            assert_eq!(d.before, Bounds::new(lo, lo + 4.0));
+            assert_eq!(d.after, Bounds::new(lo + 1.0, lo + 2.0));
+            assert_eq!(d.work.exec_iter, 7);
+        }
+        assert_eq!(scratch.breakdown().exec_iter, 14);
+        assert_eq!(scratch.iterations(), 2);
+    }
 
     #[test]
     fn slices_are_proportional_and_sum_exactly() {

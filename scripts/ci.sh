@@ -51,7 +51,11 @@
 #  11. batched-solver smoke    -- the SoA lane solver must produce answers
 #                                  bit-identical to the scalar executor on a
 #                                  small universe (numerics kernel identity +
-#                                  server dispatch identity, by name)
+#                                  server dispatch identity, by name), both
+#                                  must reproduce the literal bit patterns of
+#                                  tests/solver_bits.rs (a joint drift passes
+#                                  every scalar-vs-lane comparison), and a
+#                                  singular lane must cap alone
 #  12. benchmark gate          -- benchmark/check.sh: the standalone benchmark
 #                                  package's fmt, clippy, unit tests and a
 #                                  `run --quick` of all four workloads (lap-0
@@ -380,6 +384,8 @@ echo "==> batched SoA solver == scalar executor smoke"
 cargo test -q -p va-numerics --lib tridiag::tests::batched_solve_is_bit_identical_to_scalar_lanes
 cargo test -q -p va-numerics --lib pde::batch::tests::lockstep_solve_is_bit_identical_to_scalar_iterates
 cargo test -q -p va-server --test parallel_determinism batched_solver_matches_scalar_answers
+cargo test -q -p vao-repro --test solver_bits
+cargo test -q -p va-numerics --lib pde::batch::tests::singular_lane_caps_alone_and_siblings_match_scalar
 
 echo "==> benchmark package gate (fmt, clippy, unit tests, run --quick)"
 benchmark/check.sh
