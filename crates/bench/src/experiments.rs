@@ -1,21 +1,33 @@
 //! Drivers regenerating every table and figure of §6.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bondlab::{BondUniverse, RateSeries};
+use va_server::net::FrontEnd;
+use va_server::{arbitrate_budget, proto, Server, ServerConfig, TickResult, DEFAULT_RELATION};
+use va_stream::casper::CachedSelectionEngine;
+use va_stream::{BondRelation, ContinuousQueryEngine, ExecutionMode, Query, QueryOutput};
 use vao::cost::WorkMeter;
 use vao::ops::hybrid::{hybrid_weighted_sum, HybridChoice, HybridConfig};
 use vao::ops::minmax::{max_vao, max_vao_traced, max_vao_with, AggregateConfig};
 use vao::ops::oracle::oracle_max;
+use vao::ops::percentile::rank_from_top;
 use vao::ops::selection::{CmpOp, SelectionVao};
 use vao::ops::sum::{weighted_sum_vao, weighted_sum_vao_with};
+use vao::ops::sum_heap::weighted_sum_vao_heap;
 use vao::ops::traditional::{
     traditional_max, traditional_select, traditional_weighted_sum, BlackBoxSpec,
 };
 use vao::precision::PrecisionConstraint;
 use vao::strategy::ChoicePolicy;
-use vao::trace::{CpuEstimation, Recorder};
+use vao::trace::{CpuEstimation, Recorder, TraceEvent};
 
-use crate::report::{Table, TraceWriter};
+use crate::report::{fmt_speedup, Table, TraceWriter};
 
 use va_workloads::{
     constant_for_selectivity, HotColdWeights, SyntheticMapping, TargetDistribution,
@@ -76,6 +88,31 @@ impl SelectivityRow {
             self.cpu_est.iterations as f64 / self.objects as f64
         }
     }
+}
+
+/// `fig8_selection_gt.csv` / `fig9_selection_lt.csv`.
+#[must_use]
+pub fn selection_table(rows: &[SelectivityRow]) -> Table {
+    Table::of(
+        "selectivity,constant,selected,vao_work,trad_work,speedup,vao_wall_ms,iterations,\
+         iters_per_obj,cpu_mae,cpu_mape_pct",
+        rows,
+        |r| {
+            vec![
+                format!("{:.2}", r.selectivity),
+                format!("{:.2}", r.constant),
+                r.selected.to_string(),
+                r.vao_work.to_string(),
+                r.trad_work.to_string(),
+                fmt_speedup(r.speedup()),
+                format!("{:.1}", r.vao_wall.as_secs_f64() * 1e3),
+                r.iterations().to_string(),
+                format!("{:.2}", r.mean_iterations_per_object()),
+                format!("{:.1}", r.cpu_est.mean_abs_error),
+                format!("{:.2}", r.cpu_est.mean_abs_pct_error * 100.0),
+            ]
+        },
+    )
 }
 
 /// Runs one selection query over fresh VAO objects, returning
@@ -176,6 +213,24 @@ impl StressRow {
     }
 }
 
+/// `fig10_selection_stress.csv` / `fig11_max_stress.csv`.
+#[must_use]
+pub fn stress_table(rows: &[StressRow]) -> Table {
+    Table::of(
+        "std_dev,vao_work,trad_work,speedup,vao_wall_ms",
+        rows,
+        |r| {
+            vec![
+                format!("{:.2}", r.std_dev),
+                r.vao_work.to_string(),
+                r.trad_work.to_string(),
+                fmt_speedup(r.speedup()),
+                format!("{:.1}", r.vao_wall.as_secs_f64() * 1e3),
+            ]
+        },
+    )
+}
+
 /// Figure 10: selection stress. Gaussian result distributions centered on
 /// the selection constant, σ sweeping from the pathological 0 upward.
 pub fn fig10_selection_stress(lab: &Lab, std_devs: &[f64], seed: u64) -> Vec<StressRow> {
@@ -238,6 +293,26 @@ impl MaxTableRow {
             self.iterations as f64 / self.objects as f64
         }
     }
+}
+
+/// `max_table.csv`.
+#[must_use]
+pub fn max_rows_table(rows: &[MaxTableRow]) -> Table {
+    Table::of(
+        "operator,work,wall_ms,iterations,iters_per_obj,cpu_mae,cpu_mape_pct",
+        rows,
+        |r| {
+            vec![
+                r.operator.to_string(),
+                r.work.to_string(),
+                format!("{:.1}", r.wall.as_secs_f64() * 1e3),
+                r.iterations.to_string(),
+                format!("{:.2}", r.mean_iterations_per_object()),
+                format!("{:.1}", r.cpu_est.mean_abs_error),
+                format!("{:.2}", r.cpu_est.mean_abs_pct_error * 100.0),
+            ]
+        },
+    )
 }
 
 /// The §6.2 table: Optimal vs VAO vs Traditional on the real-data MAX
@@ -382,6 +457,29 @@ impl HotColdRow {
     }
 }
 
+/// `fig12_sum_hotcold.csv`.
+#[must_use]
+pub fn hot_cold_table(rows: &[HotColdRow]) -> Table {
+    Table::of(
+        "hot_share,vao_work,trad_work,speedup,hybrid_work,hybrid_choice,vao_wall_ms",
+        rows,
+        |r| {
+            vec![
+                format!("{:.0}%", r.hot_share * 100.0),
+                r.vao_work.to_string(),
+                r.trad_work.to_string(),
+                fmt_speedup(r.speedup()),
+                r.hybrid_work.to_string(),
+                match r.hybrid_choice {
+                    HybridChoice::Vao => "vao".to_string(),
+                    HybridChoice::Traditional => "traditional".to_string(),
+                },
+                format!("{:.1}", r.vao_wall.as_secs_f64() * 1e3),
+            ]
+        },
+    )
+}
+
 /// Figure 12: SUM with hot–cold weights. Total weight = n, hot set = 10 %
 /// of bonds, ε = n·\$0.01 (the paper's 500·\$.01 = \$5), sweeping the hot
 /// set's weight share. Also runs the §6.3 hybrid extension.
@@ -441,6 +539,18 @@ pub struct StrategyRow {
     pub max_work: u64,
     /// SUM query work units (uniform weights, ε = n·\$0.01).
     pub sum_work: u64,
+}
+
+/// `ablation_strategies.csv`.
+#[must_use]
+pub fn strategy_table(rows: &[StrategyRow]) -> Table {
+    Table::of("policy,max_work,sum_work", rows, |r| {
+        vec![
+            r.policy.to_string(),
+            r.max_work.to_string(),
+            r.sum_work.to_string(),
+        ]
+    })
 }
 
 /// Ablation: the paper's greedy strategy vs round-robin, random and
@@ -535,16 +645,14 @@ pub fn ablation_choose_cost(sizes: &[usize], seed: u64) -> Vec<ChooseCostRow> {
 /// many fields as the header.
 #[must_use]
 pub fn choose_cost_table(rows: &[ChooseCostRow]) -> Table {
-    let mut t = Table::new(&["n", "total_work", "choose_work", "choose_share"]);
-    for r in rows {
-        t.row(vec![
+    Table::of("n,total_work,choose_work,choose_share", rows, |r| {
+        vec![
             r.n.to_string(),
             r.total_work.to_string(),
             r.choose_work.to_string(),
             format!("{:.5}%", r.choose_fraction() * 100.0),
-        ]);
-    }
-    t
+        ]
+    })
 }
 
 /// One row of the choose-index ablation (scan vs heap, §5.2).
@@ -565,7 +673,6 @@ pub struct ChooseIndexRow {
 /// Ablation: §5.2's heap-queue iteration index vs the baseline scan, on a
 /// uniform-weight SUM run to the floor.
 pub fn ablation_choose_index(sizes: &[usize], seed: u64) -> Vec<ChooseIndexRow> {
-    use vao::ops::sum_heap::weighted_sum_vao_heap;
     sizes
         .iter()
         .map(|&n| {
@@ -597,17 +704,15 @@ pub fn ablation_choose_index(sizes: &[usize], seed: u64) -> Vec<ChooseIndexRow> 
 /// `ablation_choose_index.csv`, plain integers like [`choose_cost_table`].
 #[must_use]
 pub fn choose_index_table(rows: &[ChooseIndexRow]) -> Table {
-    let mut t = Table::new(&["n", "scan_choose", "heap_choose", "scan_exec", "heap_exec"]);
-    for r in rows {
-        t.row(vec![
+    Table::of("n,scan_choose,heap_choose,scan_exec,heap_exec", rows, |r| {
+        vec![
             r.n.to_string(),
             r.scan_choose.to_string(),
             r.heap_choose.to_string(),
             r.scan_exec.to_string(),
             r.heap_exec.to_string(),
-        ]);
-    }
-    t
+        ]
+    })
 }
 
 /// One tick of the continuous-query amortization experiment.
@@ -625,15 +730,25 @@ pub struct TickRow {
     pub cache_hits: usize,
 }
 
+/// `ext_tick_amortization.csv`.
+#[must_use]
+pub fn tick_table(rows: &[TickRow]) -> Table {
+    Table::of("tick,rate,vao_work,cached_work,cache_hits", rows, |r| {
+        vec![
+            r.tick.to_string(),
+            format!("{:.5}", r.rate),
+            r.vao_work.to_string(),
+            r.cached_work.to_string(),
+            r.cache_hits.to_string(),
+        ]
+    })
+}
+
 /// Extension experiment: a continuous selection over a stream of rate
 /// ticks, with and without predicate result-range caching (the §2 CASPER
 /// integration). The uncached VAO pays per tick; the cache amortizes
 /// revisited rate bands toward zero.
 pub fn tick_amortization(lab: &Lab, ticks: usize, seed: u64) -> Vec<TickRow> {
-    use bondlab::RateSeries;
-    use va_stream::casper::CachedSelectionEngine;
-    use va_stream::relation::BondRelation;
-
     let relation = BondRelation::from_universe(&lab.universe);
     let mut cached =
         CachedSelectionEngine::new(lab.pricer, relation, CmpOp::Gt, 100.0).expect("valid query");
@@ -695,8 +810,7 @@ impl ServerScalingRow {
 /// watchers at two precisions, portfolio SUMs at two tolerances, a
 /// selection/count pair on one predicate, MIN and a top-5 — the overlap
 /// profile of §1.2's many-users-one-relation scenario.
-fn server_workload(n: usize, count: usize) -> Vec<va_stream::Query> {
-    use va_stream::Query;
+fn server_workload(n: usize, count: usize) -> Vec<Query> {
     let k = 5.min(n).max(1);
     let templates = [
         Query::Max { epsilon: 1.0 },
@@ -726,9 +840,71 @@ fn server_workload(n: usize, count: usize) -> Vec<va_stream::Query> {
         .collect()
 }
 
+/// Subscribes every query of `queries`, in order, at priority 1.
+fn subscribe_all(server: &mut Server, queries: &[Query]) {
+    for q in queries {
+        server.subscribe(q.clone(), 1).expect("subscribe");
+    }
+}
+
+/// An in-memory server over `relation` with `queries` subscribed.
+fn subscribed(
+    lab: &Lab,
+    relation: &BondRelation,
+    config: ServerConfig,
+    queries: &[Query],
+) -> Server {
+    let mut server = Server::new(lab.pricer, relation.clone(), config);
+    subscribe_all(&mut server, queries);
+    server
+}
+
+/// Everything observable about a tick except wall time (measured, not
+/// derived): the bit-identity key of the tenancy and calibration sweeps.
+fn tick_key(res: &TickResult) -> String {
+    let s = &res.stats;
+    format!(
+        "tick={} rate={:?} answers={:?} exhausted={} stats=({:?} {:?} {} {} {} {:?} {:?})",
+        res.tick,
+        res.rate,
+        res.answers,
+        res.budget_exhausted,
+        s.rate,
+        s.work,
+        s.iterations,
+        s.operator,
+        s.objects,
+        s.iter_histogram,
+        s.cpu_est
+    )
+}
+
+/// Answers of `res` that degraded to anytime `Partial` bounds.
+fn partials(res: &TickResult) -> u64 {
+    res.answers.iter().filter(|(_, a)| !a.is_final()).count() as u64
+}
+
+/// `server_scaling.csv`.
+#[must_use]
+pub fn server_scaling_table(rows: &[ServerScalingRow]) -> Table {
+    Table::of(
+        "mode,queries,work_units,work_per_query,partial_answers",
+        rows,
+        |r| {
+            vec![
+                r.mode.to_string(),
+                r.queries.to_string(),
+                r.work_units.to_string(),
+                r.work_per_query().to_string(),
+                r.partial_answers.to_string(),
+            ]
+        },
+    )
+}
+
 /// Compares shared-pool execution against independent per-query engines
 /// across a query-count sweep. Three modes per count: `independent` sums
-/// one [`ContinuousQueryEngine`](va_stream::ContinuousQueryEngine) tick per
+/// one [`ContinuousQueryEngine`] tick per
 /// query, `shared` answers the same queries off one `va-server` pool, and
 /// `shared_budgeted` caps the shared tick at half its converged cost so
 /// some answers degrade to anytime bounds. With `trace`, each shared tick's
@@ -738,15 +914,8 @@ pub fn server_scaling(
     counts: &[usize],
     mut trace: Option<&mut TraceWriter>,
 ) -> Vec<ServerScalingRow> {
-    use va_server::{Server, ServerConfig};
-    use va_stream::relation::BondRelation;
-    use va_stream::{ContinuousQueryEngine, ExecutionMode};
-
     let relation = BondRelation::from_universe(&lab.universe);
     let n = relation.len();
-    let partials = |res: &va_server::TickResult| {
-        res.answers.iter().filter(|(_, a)| !a.is_final()).count() as u64
-    };
 
     let mut rows = Vec::new();
     for &count in counts {
@@ -772,10 +941,7 @@ pub fn server_scaling(
             partial_answers: 0,
         });
 
-        let mut shared = Server::new(lab.pricer, relation.clone(), ServerConfig::default());
-        for q in &queries {
-            shared.subscribe(q.clone(), 1).expect("subscribe");
-        }
+        let mut shared = subscribed(lab, &relation, ServerConfig::default(), &queries);
         let mut rec = Recorder::new();
         let full = shared
             .tick_with_observer(lab.rate, &mut rec)
@@ -792,14 +958,8 @@ pub fn server_scaling(
             partial_answers: partials(&full),
         });
 
-        let mut capped = Server::new(
-            lab.pricer,
-            relation.clone(),
-            ServerConfig::budgeted(shared_work / 2),
-        );
-        for q in &queries {
-            capped.subscribe(q.clone(), 1).expect("subscribe");
-        }
+        let budget = ServerConfig::budgeted(shared_work / 2);
+        let mut capped = subscribed(lab, &relation, budget, &queries);
         let mut rec = Recorder::new();
         let res = capped
             .tick_with_observer(lab.rate, &mut rec)
@@ -850,6 +1010,26 @@ impl ParallelScalingRow {
     }
 }
 
+/// `parallel_scaling.csv`; speedups are relative to the first row.
+#[must_use]
+pub fn parallel_scaling_table(rows: &[ParallelScalingRow]) -> Table {
+    Table::of(
+        "workers,wall_ms,speedup,work_units,iterations,rounds,matches_serial",
+        rows,
+        |r| {
+            vec![
+                r.workers.to_string(),
+                format!("{:.1}", r.wall.as_secs_f64() * 1e3),
+                format!("{:.2}", r.speedup_over(&rows[0])),
+                r.work_units.to_string(),
+                r.iterations.to_string(),
+                r.rounds.to_string(),
+                r.matches_serial.to_string(),
+            ]
+        },
+    )
+}
+
 /// Sweeps the batched scheduler's worker count over the 8-query workload
 /// on the lab relation: one tick per worker count, `batch = workers`.
 ///
@@ -860,17 +1040,11 @@ impl ParallelScalingRow {
 /// The `workers = 1` row is asserted against a dedicated serial run so
 /// the sweep doubles as a regression check that batching is opt-in.
 pub fn parallel_scaling(lab: &Lab, worker_counts: &[usize]) -> Vec<ParallelScalingRow> {
-    use va_server::{Server, ServerConfig};
-    use va_stream::relation::BondRelation;
-
     let relation = BondRelation::from_universe(&lab.universe);
     let queries = server_workload(relation.len(), 8);
 
     let run = |config: ServerConfig| {
-        let mut srv = Server::new(lab.pricer, relation.clone(), config);
-        for q in &queries {
-            srv.subscribe(q.clone(), 1).expect("subscribe");
-        }
+        let mut srv = subscribed(lab, &relation, config, &queries);
         let mut rec = Recorder::new();
         let res = srv
             .tick_with_observer(lab.rate, &mut rec)
@@ -954,6 +1128,29 @@ impl BatchScalingRow {
     }
 }
 
+/// `batch_scaling.csv`.
+#[must_use]
+pub fn batch_scaling_table(rows: &[BatchScalingRow]) -> Table {
+    Table::of(
+        "round_batch,scalar_wall_ms,batched_wall_ms,work_units,iterations,scalar_tput,\
+         batched_tput,speedup,identical",
+        rows,
+        |r| {
+            vec![
+                r.round_batch.to_string(),
+                format!("{:.1}", r.scalar_wall.as_secs_f64() * 1e3),
+                format!("{:.1}", r.batched_wall.as_secs_f64() * 1e3),
+                r.work_units.to_string(),
+                r.iterations.to_string(),
+                format!("{:.0}", r.scalar_throughput()),
+                format!("{:.0}", r.batched_throughput()),
+                format!("{:.2}", r.speedup()),
+                r.identical.to_string(),
+            ]
+        },
+    )
+}
+
 /// Measures what the struct-of-arrays solver is worth on the 8-query
 /// workload: for each round batch B, one tick runs every admitted round as
 /// per-object scalar solves (`batch_solver: false`) and one groups
@@ -962,27 +1159,19 @@ impl BatchScalingRow {
 /// kernel: same schedule, same work units, same answers — only the
 /// arithmetic layout (and hence the wall clock) differs.
 pub fn batch_scaling(lab: &Lab, round_batches: &[usize]) -> Vec<BatchScalingRow> {
-    use va_server::{Server, ServerConfig};
-    use va_stream::relation::BondRelation;
-
     let relation = BondRelation::from_universe(&lab.universe);
     let queries = server_workload(relation.len(), 8);
 
     let run = |round_batch: usize, batch_solver: bool| {
-        let mut srv = Server::new(
-            lab.pricer,
-            relation.clone(),
-            ServerConfig {
-                workers: 1,
-                batch: Some(round_batch),
-                batch_solver,
-                ..ServerConfig::default()
-            },
-        );
-        for q in &queries {
-            srv.subscribe(q.clone(), 1).expect("subscribe");
-        }
-        srv.tick(lab.rate).expect("batch-scaling tick")
+        let config = ServerConfig {
+            workers: 1,
+            batch: Some(round_batch),
+            batch_solver,
+            ..ServerConfig::default()
+        };
+        subscribed(lab, &relation, config, &queries)
+            .tick(lab.rate)
+            .expect("batch-scaling tick")
     };
 
     round_batches
@@ -1021,6 +1210,19 @@ pub struct RecoveryRow {
     pub ratio: f64,
 }
 
+/// `recovery.csv`.
+#[must_use]
+pub fn recovery_table(rows: &[RecoveryRow]) -> Table {
+    Table::of("mode,iterations,work_units,ratio", rows, |r| {
+        vec![
+            r.mode.to_string(),
+            r.iterations.to_string(),
+            r.work_units.to_string(),
+            format!("{:.4}", r.ratio),
+        ]
+    })
+}
+
 /// Simulates a crash-and-restart against `dir` and measures what recovery
 /// saves. One durable server subscribes the 8-query workload plus a
 /// tight-ε MAX (ε just above the model's minimum refinable width, so at
@@ -1029,13 +1231,10 @@ pub struct RecoveryRow {
 /// exactly as after a SIGKILL. A second server recovers from the journal
 /// and repeats the tick warm; a third starts cold in a fresh state and
 /// pays the full price. Returns the cold and warm rows, cold first.
-pub fn recovery_comparison(lab: &Lab, dir: &std::path::Path) -> Vec<RecoveryRow> {
-    use va_server::{Server, ServerConfig};
-    use va_stream::relation::BondRelation;
-
+pub fn recovery_comparison(lab: &Lab, dir: &Path) -> Vec<RecoveryRow> {
     let relation = BondRelation::from_universe(&lab.universe);
     let mut queries = server_workload(relation.len(), 8);
-    queries.push(va_stream::Query::Max { epsilon: 0.0101 });
+    queries.push(Query::Max { epsilon: 0.0101 });
 
     let data_dir = dir.join("journal");
     let mut doomed = Server::open_durable(
@@ -1045,9 +1244,7 @@ pub fn recovery_comparison(lab: &Lab, dir: &std::path::Path) -> Vec<RecoveryRow>
         &data_dir,
     )
     .expect("open durable server");
-    for q in &queries {
-        doomed.subscribe(q.clone(), 1).expect("subscribe");
-    }
+    subscribe_all(&mut doomed, &queries);
     doomed.tick(lab.rate).expect("pre-crash tick");
     drop(doomed); // the "SIGKILL": no shutdown, no final snapshot
 
@@ -1060,11 +1257,9 @@ pub fn recovery_comparison(lab: &Lab, dir: &std::path::Path) -> Vec<RecoveryRow>
     .expect("recover server");
     let warm = recovered.tick(lab.rate).expect("warm tick");
 
-    let mut fresh = Server::new(lab.pricer, relation, ServerConfig::default());
-    for q in &queries {
-        fresh.subscribe(q.clone(), 1).expect("subscribe");
-    }
-    let cold = fresh.tick(lab.rate).expect("cold tick");
+    let cold = subscribed(lab, &relation, ServerConfig::default(), &queries)
+        .tick(lab.rate)
+        .expect("cold tick");
 
     let cold_work = cold.stats.total_work().max(1);
     vec![
@@ -1107,9 +1302,31 @@ pub struct CompactionRow {
     pub recover_wall_us: u64,
 }
 
+/// `compaction.csv`.
+#[must_use]
+pub fn compaction_table(rows: &[CompactionRow]) -> Table {
+    Table::of(
+        "mode,snapshot_every,ticks,journal_bytes,segments,snapshots,replayed_events,\
+         recover_wall_us",
+        rows,
+        |r| {
+            vec![
+                r.mode.to_string(),
+                r.snapshot_every.to_string(),
+                r.ticks.to_string(),
+                r.journal_bytes.to_string(),
+                r.segments.to_string(),
+                r.snapshots.to_string(),
+                r.replayed_events.to_string(),
+                r.recover_wall_us.to_string(),
+            ]
+        },
+    )
+}
+
 /// Sizes the on-disk journal state under `dir`: total segment bytes,
 /// segment count, snapshot count.
-fn journal_disk_stats(dir: &std::path::Path) -> (u64, u64, u64) {
+fn journal_disk_stats(dir: &Path) -> (u64, u64, u64) {
     let (mut bytes, mut segments, mut snapshots) = (0, 0, 0);
     let Ok(entries) = std::fs::read_dir(dir) else {
         return (0, 0, 0);
@@ -1135,10 +1352,7 @@ fn journal_disk_stats(dir: &std::path::Path) -> (u64, u64, u64) {
 /// compaction keeps only the post-snapshot tail; `unbounded` never
 /// snapshots mid-run, so its single segment grows linearly with the tick
 /// count — the PR-4-era behaviour this experiment exists to retire.
-pub fn compaction_growth(lab: &Lab, dir: &std::path::Path) -> Vec<CompactionRow> {
-    use va_server::{Server, ServerConfig};
-    use va_stream::relation::BondRelation;
-
+pub fn compaction_growth(lab: &Lab, dir: &Path) -> Vec<CompactionRow> {
     const TICK_COUNTS: [u64; 4] = [10, 20, 40, 80];
     const RATES: [f64; 3] = [0.0583, 0.0601, 0.0592];
 
@@ -1154,9 +1368,7 @@ pub fn compaction_growth(lab: &Lab, dir: &std::path::Path) -> Vec<CompactionRow>
             };
             let mut doomed = Server::open_durable(lab.pricer, relation.clone(), config, &data_dir)
                 .expect("open durable server");
-            for q in &queries {
-                doomed.subscribe(q.clone(), 1).expect("subscribe");
-            }
+            subscribe_all(&mut doomed, &queries);
             for i in 0..ticks {
                 doomed
                     .tick(RATES[(i % RATES.len() as u64) as usize])
@@ -1223,6 +1435,27 @@ impl SketchScalingRow {
     }
 }
 
+/// `sketch_scaling.csv`.
+#[must_use]
+pub fn sketch_scaling_table(rows: &[SketchScalingRow]) -> Table {
+    Table::of(
+        "phi,epsilon,lo,hi,exact,contained,sketch_work,exact_work",
+        rows,
+        |r| {
+            vec![
+                format!("{:.2}", r.phi),
+                format!("{:.2}", r.epsilon),
+                format!("{:.4}", r.lo),
+                format!("{:.4}", r.hi),
+                format!("{:.4}", r.exact),
+                r.contained.to_string(),
+                r.sketch_work.to_string(),
+                r.exact_work.to_string(),
+            ]
+        },
+    )
+}
+
 /// Compares sketch-guided PERCENTILE execution against the full-relation
 /// exact quantile baseline. One shared server subscribes all
 /// [`SKETCH_PHIS`] at `epsilon` and ticks once: the per-round
@@ -1235,20 +1468,11 @@ impl SketchScalingRow {
 /// checked against the lab's calibrated prices, slackened by the widest
 /// calibration interval (the reference values are only known that well).
 pub fn sketch_scaling(lab: &Lab, epsilon: f64) -> Vec<SketchScalingRow> {
-    use va_server::{Server, ServerConfig};
-    use va_stream::relation::BondRelation;
-    use vao::ops::percentile::rank_from_top;
-
     let relation = BondRelation::from_universe(&lab.universe);
-    let mut srv = Server::new(lab.pricer, relation, ServerConfig::default());
-    let ids: Vec<_> = SKETCH_PHIS
-        .iter()
-        .map(|&phi| {
-            srv.subscribe(va_stream::Query::Percentile { phi, epsilon }, 1)
-                .expect("subscribe percentile")
-        })
-        .collect();
-    let res = srv.tick(lab.rate).expect("shared sketch tick");
+    let queries = SKETCH_PHIS.map(|phi| Query::Percentile { phi, epsilon });
+    let res = subscribed(lab, &relation, ServerConfig::default(), &queries)
+        .tick(lab.rate)
+        .expect("shared sketch tick");
     let sketch_work = res.stats.total_work();
     let exact_work = lab.traditional_work();
 
@@ -1260,17 +1484,13 @@ pub fn sketch_scaling(lab: &Lab, epsilon: f64) -> Vec<SketchScalingRow> {
         .map(|s| s.final_width)
         .fold(0.0f64, f64::max);
 
+    // Answers come back in registration order: one per φ.
     SKETCH_PHIS
         .iter()
-        .zip(&ids)
-        .map(|(&phi, id)| {
-            let out = res
-                .answers
-                .iter()
-                .find(|(s, _)| s == id)
-                .and_then(|(_, a)| a.final_output())
-                .expect("unbudgeted tick converges");
-            let va_stream::QueryOutput::Aggregate { bounds } = out else {
+        .zip(&res.answers)
+        .map(|(&phi, (_, answer))| {
+            let out = answer.final_output().expect("unbudgeted tick converges");
+            let QueryOutput::Aggregate { bounds } = out else {
                 panic!("percentile answers Aggregate, got {out:?}");
             };
             let exact = sorted[rank_from_top(phi, sorted.len()) - 1];
@@ -1315,6 +1535,35 @@ pub struct FrontendScalingRow {
     pub identical: bool,
 }
 
+/// `frontend_scaling.csv`.
+#[must_use]
+pub fn frontend_scaling_table(rows: &[FrontendScalingRow]) -> Table {
+    Table::of(
+        "connections,ticks,results,payloads,p50_us,p99_us,max_us,identical",
+        rows,
+        |r| {
+            vec![
+                r.connections.to_string(),
+                r.ticks.to_string(),
+                r.results.to_string(),
+                r.payloads.to_string(),
+                r.p50.as_micros().to_string(),
+                r.p99.as_micros().to_string(),
+                r.max.as_micros().to_string(),
+                r.identical.to_string(),
+            ]
+        },
+    )
+}
+
+/// Sends one request line as a single `write`: a separate `"\n"` segment
+/// would park behind Nagle until the server's delayed ACK (~40 ms).
+fn send_line(stream: &mut TcpStream, line: &str) {
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send request line");
+}
+
 /// Drives N concurrent loopback clients through the nonblocking
 /// front-end and measures tick-to-`RESULT` delivery latency per client
 /// per tick, comparing every line byte-for-byte against a serial
@@ -1326,15 +1575,6 @@ pub struct FrontendScalingRow {
 /// the latency samples dominated by the front-end, which is what this
 /// experiment measures.
 pub fn frontend_scaling(lab: &Lab, counts: &[usize]) -> Vec<FrontendScalingRow> {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    use bondlab::{BondUniverse, RateSeries};
-    use va_server::{net::FrontEnd, proto, Server, ServerConfig};
-    use va_stream::relation::BondRelation;
-
     let universe = BondUniverse::generate(32, 1994);
     let relation = BondRelation::from_universe(&universe);
     let rates: Vec<f64> = RateSeries::january_1994().daily_opens()[..12].to_vec();
@@ -1344,25 +1584,19 @@ pub fn frontend_scaling(lab: &Lab, counts: &[usize]) -> Vec<FrontendScalingRow> 
     for &count in counts {
         // Serial golden run: same universe, same registrations, same
         // rates, rendered with the same protocol serializers.
-        let mut golden = Server::new(lab.pricer, relation.clone(), ServerConfig::default());
-        for _ in 0..count {
-            golden
-                .subscribe(va_stream::Query::Max { epsilon: 0.05 }, 1)
-                .expect("golden subscribe");
-        }
+        let queries = vec![Query::Max { epsilon: 0.05 }; count];
+        let mut golden = subscribed(lab, &relation, ServerConfig::default(), &queries);
         let mut expected: Vec<(Vec<String>, String)> = Vec::new();
         for &rate in &rates {
             let res = golden.tick(rate).expect("golden tick");
             let lines = res
                 .answers
                 .iter()
-                .map(|(id, a)| {
-                    proto::result(va_server::DEFAULT_RELATION, res.tick, res.rate, *id, a)
-                })
+                .map(|(id, a)| proto::result(DEFAULT_RELATION, res.tick, res.rate, *id, a))
                 .collect();
             expected.push((
                 lines,
-                proto::tick_done(va_server::DEFAULT_RELATION, &res, golden.shed_ticks()),
+                proto::tick_done(DEFAULT_RELATION, &res, golden.shed_ticks()),
             ));
         }
 
@@ -1393,7 +1627,7 @@ pub fn frontend_scaling(lab: &Lab, counts: &[usize]) -> Vec<FrontendScalingRow> 
                 .expect("read timeout");
             writers.push(stream.try_clone().expect("clone"));
             let mut reader = BufReader::new(stream);
-            writeln!(writers.last_mut().expect("writer"), "{subscribe}").expect("subscribe");
+            send_line(writers.last_mut().expect("writer"), subscribe);
             let mut ack = String::new();
             reader.read_line(&mut ack).expect("subscribed ack");
             assert!(ack.contains("\"type\":\"SUBSCRIBED\""), "{ack}");
@@ -1404,7 +1638,10 @@ pub fn frontend_scaling(lab: &Lab, counts: &[usize]) -> Vec<FrontendScalingRow> 
         let mut identical = true;
         for (ti, &rate) in rates.iter().enumerate() {
             let sent = Instant::now();
-            writeln!(writers[0], "{{\"type\":\"TICK\",\"rate\":{rate}}}").expect("tick");
+            send_line(
+                &mut writers[0],
+                &format!("{{\"type\":\"TICK\",\"rate\":{rate}}}"),
+            );
             for (ci, reader) in readers.iter_mut().enumerate() {
                 let mut line = String::new();
                 reader.read_line(&mut line).expect("result line");
@@ -1475,6 +1712,29 @@ impl TenantScalingRow {
     }
 }
 
+/// `tenant_scaling.csv`.
+#[must_use]
+pub fn tenant_scaling_table(rows: &[TenantScalingRow]) -> Table {
+    Table::of(
+        "relations,subscriptions,shared_wall_ms,isolated_wall_ms,shard_speedup,\
+         shared_work,isolated_work,budget_exhausted,identical",
+        rows,
+        |r| {
+            vec![
+                r.relations.to_string(),
+                r.subscriptions.to_string(),
+                format!("{:.1}", r.shared_wall.as_secs_f64() * 1e3),
+                format!("{:.1}", r.isolated_wall.as_secs_f64() * 1e3),
+                format!("{:.2}", r.shard_speedup()),
+                r.shared_work.to_string(),
+                r.isolated_work.to_string(),
+                r.budget_exhausted.to_string(),
+                r.identical.to_string(),
+            ]
+        },
+    )
+}
+
 /// Sweeps co-hosted relation counts: each round builds one shared server
 /// with `count` relations (16 bonds each, distinct universes), registers
 /// [`TENANT_SUBSCRIPTIONS`] queries per relation at a per-tenant priority,
@@ -1485,32 +1745,9 @@ impl TenantScalingRow {
 /// also the system-level proof of the tenancy invariant: co-hosting
 /// changes wall-clock, never answers.
 pub fn tenant_scaling(lab: &Lab, counts: &[usize], seed: u64) -> Vec<TenantScalingRow> {
-    use bondlab::BondUniverse;
-    use va_server::{arbitrate_budget, Server, ServerConfig, TickResult};
-    use va_stream::relation::BondRelation;
-
     const BONDS_PER_RELATION: usize = 16;
     const BUDGET_PER_RELATION: u64 = 30_000;
 
-    // Everything observable about a tick except wall time (measured, not
-    // derived): the bit-identity key.
-    let key = |res: &TickResult| {
-        let s = &res.stats;
-        format!(
-            "tick={} rate={:?} answers={:?} exhausted={} stats=({:?} {:?} {} {} {} {:?} {:?})",
-            res.tick,
-            res.rate,
-            res.answers,
-            res.budget_exhausted,
-            s.rate,
-            s.work,
-            s.iterations,
-            s.operator,
-            s.objects,
-            s.iter_histogram,
-            s.cpu_est
-        )
-    };
     let relation = |i: usize| {
         BondRelation::from_universe(&BondUniverse::generate(
             BONDS_PER_RELATION,
@@ -1587,7 +1824,7 @@ pub fn tenant_scaling(lab: &Lab, counts: &[usize], seed: u64) -> Vec<TenantScali
             let res = isolated.tick(rate(i)).expect("isolated tick");
             isolated_wall += t0.elapsed();
             isolated_work += res.stats.total_work();
-            identical &= key(&res) == key(&shared_results[i]);
+            identical &= tick_key(&res) == tick_key(&shared_results[i]);
         }
 
         rows.push(TenantScalingRow {
@@ -1652,6 +1889,32 @@ impl CalibrationScalingRow {
     }
 }
 
+/// `calibration.csv`.
+#[must_use]
+pub fn calibration_table(rows: &[CalibrationScalingRow]) -> Table {
+    Table::of(
+        "tick,raw_rounds,raw_abs_error,raw_mean_error,raw_partials,cal_rounds,\
+         cal_abs_error,cal_mean_error,cal_partials,observations,gain_ppm,off_identical",
+        rows,
+        |r| {
+            vec![
+                r.tick.to_string(),
+                r.raw_rounds.to_string(),
+                r.raw_abs_error.to_string(),
+                format!("{:.3}", r.raw_mean_error()),
+                r.raw_partials.to_string(),
+                r.calibrated_rounds.to_string(),
+                r.calibrated_abs_error.to_string(),
+                format!("{:.3}", r.calibrated_mean_error()),
+                r.calibrated_partials.to_string(),
+                r.observations.to_string(),
+                r.gain_ppm.to_string(),
+                r.off_identical.to_string(),
+            ]
+        },
+    )
+}
+
 /// Runs the cost-calibration comparison: three servers over the same
 /// 16-bond relation and subscription set — calibration off, off again
 /// (the determinism control), and on — ticked through the same rate
@@ -1661,35 +1924,11 @@ impl CalibrationScalingRow {
 /// gain, so the emitted table shows the admission error closing as the
 /// per-class model warms while the budget and answers stay comparable.
 pub fn calibration_scaling(lab: &Lab, ticks: usize, seed: u64) -> Vec<CalibrationScalingRow> {
-    use bondlab::BondUniverse;
-    use va_server::{Answer, Server, ServerConfig, TickResult, DEFAULT_RELATION};
-    use va_stream::relation::BondRelation;
-    use vao::trace::TraceEvent;
-
     const BONDS: usize = 16;
     const SUBSCRIPTIONS: usize = 8;
     const BUDGET: u64 = 12_000;
 
-    // Everything observable about a tick: the bit-identity key for the
-    // calibrate-off golden contract.
-    let key = |res: &TickResult| {
-        let s = &res.stats;
-        format!(
-            "tick={} rate={:?} answers={:?} exhausted={} stats=({:?} {:?} {} {} {} {:?} {:?})",
-            res.tick,
-            res.rate,
-            res.answers,
-            res.budget_exhausted,
-            s.rate,
-            s.work,
-            s.iterations,
-            s.operator,
-            s.objects,
-            s.iter_histogram,
-            s.cpu_est
-        )
-    };
-    let relation = || BondRelation::from_universe(&BondUniverse::generate(BONDS, seed));
+    let relation = BondRelation::from_universe(&BondUniverse::generate(BONDS, seed));
     let config = |calibrate: bool| {
         ServerConfig {
             budget: Some(BUDGET),
@@ -1701,23 +1940,10 @@ pub fn calibration_scaling(lab: &Lab, ticks: usize, seed: u64) -> Vec<Calibratio
     };
     let workload = server_workload(BONDS, SUBSCRIPTIONS);
 
-    let mut raw = Server::new(lab.pricer, relation(), config(false));
-    let mut golden = Server::new(lab.pricer, relation(), config(false));
-    let mut calibrated = Server::new(lab.pricer, relation(), config(true));
-    for q in &workload {
-        raw.subscribe(q.clone(), 1).expect("subscribe raw");
-        golden.subscribe(q.clone(), 1).expect("subscribe golden");
-        calibrated
-            .subscribe(q.clone(), 1)
-            .expect("subscribe calibrated");
-    }
+    let mut raw = subscribed(lab, &relation, config(false), &workload);
+    let mut golden = subscribed(lab, &relation, config(false), &workload);
+    let mut calibrated = subscribed(lab, &relation, config(true), &workload);
 
-    let partials = |res: &TickResult| {
-        res.answers
-            .iter()
-            .filter(|(_, a)| matches!(a, Answer::Partial { .. }))
-            .count() as u64
-    };
     // Per-round admission error: how far the summed estCPU the budget
     // gate admitted landed from the work the meter then charged.
     let round_error = |rec: &Recorder| {
@@ -1761,7 +1987,7 @@ pub fn calibration_scaling(lab: &Lab, ticks: usize, seed: u64) -> Vec<Calibratio
             calibrated_partials: partials(&cal_res),
             observations: tenant.calibration_observations(),
             gain_ppm: tenant.calibration_gain_ppm(),
-            off_identical: key(&golden_res) == key(&raw_res),
+            off_identical: tick_key(&golden_res) == tick_key(&raw_res),
         });
     }
     rows

@@ -1,10 +1,11 @@
 //! # va-bench — experiment drivers for every table and figure in §6
 //!
-//! Each function in [`experiments`] regenerates one of the paper's
-//! artifacts (Figures 8–12 and the §6.2 MAX runtime table) plus ablations,
-//! returning structured rows. The `harness` binary prints them and writes
-//! CSVs; the Criterion benches wrap the same drivers for wall-clock
-//! measurement.
+//! Each driver in [`experiments`] regenerates one of the paper's artifacts
+//! (Figures 8–12 and the §6.2 MAX runtime table), an ablation or an
+//! extension sweep, returning structured rows; the `*_table` function
+//! beside each row type is its CSV column mapping. The `harness` binary
+//! holds the one table of targets (name → CSVs → driver), prints each
+//! table and writes its CSV.
 //!
 //! Runtimes are reported in deterministic **work units** (mesh entries
 //! computed — see `vao::cost`) as the primary metric, with wall-clock as a

@@ -24,6 +24,17 @@ impl Table {
         }
     }
 
+    /// A table under `header` — the CSV header line, comma-separated — with
+    /// one line per element of `rows`, rendered by `cells`.
+    #[must_use]
+    pub fn of<R>(header: &str, rows: &[R], cells: impl Fn(&R) -> Vec<String>) -> Self {
+        let mut t = Self::new(&header.split(',').collect::<Vec<_>>());
+        for r in rows {
+            t.row(cells(r));
+        }
+        t
+    }
+
     /// Appends a row (must match the header arity).
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len(), "row arity mismatch");

@@ -130,7 +130,7 @@ impl Lab {
     /// *Actually executes* one traditional pass: re-solves each bond's PDE
     /// at its calibrated mesh (the paper's "run the PDE solvers with the
     /// corresponding step sizes"). Returns `(values, work, wall)` — this is
-    /// the honest wall-clock baseline for the Criterion benches, whereas
+    /// the honest wall-clock baseline (`harness fig8` reports it), whereas
     /// [`Lab::traditional_work`] only replays the accounted work.
     #[must_use]
     pub fn traditional_execute(&self) -> (Vec<f64>, u64, Duration) {

@@ -16,7 +16,6 @@
 //!   Jan 3–31 1994 daily yields with ~2-minute intra-day tick arrivals).
 //! * [`dataset`] — a deterministic generator of the 500-bond universe
 //!   (documented substitution for the proprietary data set).
-//! * [`portfolio`] — holdings with share weights for SUM/AVE queries.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -25,12 +24,10 @@ pub mod bond;
 pub mod dataset;
 pub mod market;
 pub mod model;
-pub mod portfolio;
 pub mod pricing;
 
 pub use bond::Bond;
 pub use dataset::BondUniverse;
 pub use market::{RateSeries, RateTick};
 pub use model::{BondPde, ShortRateModel};
-pub use portfolio::Portfolio;
 pub use pricing::BondPricer;

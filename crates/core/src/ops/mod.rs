@@ -20,8 +20,6 @@
 //!   sketch-guided demand pruning (va-sketch rank bands).
 //! * [`heavy`] — extension: top-k ε-cell heavy hitters with
 //!   SpaceSaving/count-min demand pruning.
-//! * [`project`] — §3.2's precision-constrained projection of function
-//!   results into query output.
 
 pub mod count;
 pub mod heavy;
@@ -29,7 +27,6 @@ pub mod hybrid;
 pub mod minmax;
 pub mod oracle;
 pub mod percentile;
-pub mod project;
 pub mod quantile;
 pub mod selection;
 pub mod sum;

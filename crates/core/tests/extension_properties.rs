@@ -1,12 +1,10 @@
 //! Property-based tests for the extension operators (Top-K, quantile,
-//! COUNT, heap SUM, projection) against ground truth on sound nested
-//! scripts.
+//! COUNT, heap SUM) against ground truth on sound nested scripts.
 
 use proptest::prelude::*;
 
 use vao::cost::WorkMeter;
 use vao::ops::count::count_vao;
-use vao::ops::project::project_all;
 use vao::ops::quantile::quantile_vao;
 use vao::ops::selection::CmpOp;
 use vao::ops::sum::weighted_sum_vao;
@@ -162,30 +160,5 @@ proptest! {
         prop_assert!(ra.bounds.contains(true_sum));
         prop_assert!(rb.bounds.contains(true_sum));
         prop_assert_eq!(ma.breakdown().exec_iter, mb.breakdown().exec_iter);
-    }
-
-    #[test]
-    fn projection_meets_epsilon_and_contains_truth(
-        objs in objects_strategy(8),
-        eps_scale in 1.0f64..50.0,
-    ) {
-        let epsilon = PrecisionConstraint::new(MIN_WIDTH * eps_scale).unwrap();
-        let mut scripted = build(&objs);
-        let mut meter = WorkMeter::new();
-        let out = project_all(&mut scripted, epsilon, &mut meter).unwrap();
-        for (p, (truth, _)) in out.iter().zip(&objs) {
-            prop_assert!(p.bounds.width() <= epsilon.epsilon() + 1e-12);
-            prop_assert!(p.bounds.contains(*truth));
-        }
-        // Looser ε can only reduce work: rerun with 2x ε.
-        let mut scripted2 = build(&objs);
-        let mut meter2 = WorkMeter::new();
-        let _ = project_all(
-            &mut scripted2,
-            PrecisionConstraint::new(MIN_WIDTH * eps_scale * 2.0).unwrap(),
-            &mut meter2,
-        )
-        .unwrap();
-        prop_assert!(meter2.breakdown().exec_iter <= meter.breakdown().exec_iter);
     }
 }

@@ -3,17 +3,15 @@
 //! Integrals `∫ₐᵇ f(x)dx` estimated by composite quadrature. [`rules`]
 //! implements the composite trapezoid and Simpson rules plus the
 //! interval-halving *ladder* that reuses every previous function
-//! evaluation; [`adaptive`] is a classic run-to-tolerance integrator (the
-//! "traditional solver" §4.3 compares against); [`vao`] exposes the ladder
-//! through the [`::vao::ResultObject`] interface, where each `iterate()`
-//! halves all intervals — doubling the evaluation count — and tightens the
+//! evaluation; [`vao`] exposes the ladder through the
+//! [`::vao::ResultObject`] interface, where each `iterate()` halves all
+//! intervals — doubling the evaluation count — and tightens the
 //! `|Tₖ − Tₖ₊₁|`-based error bound by roughly 4× (trapezoid) or 16×
-//! (Simpson).
+//! (Simpson). The run-to-tolerance "traditional solver" §4.3 compares
+//! against is `vao::ops::traditional::BlackBoxSpec`.
 
-pub mod adaptive;
 pub mod rules;
 pub mod vao;
 
-pub use adaptive::adaptive_trapezoid;
-pub use rules::{composite_simpson, composite_trapezoid, RombergTable, TrapezoidLadder};
+pub use rules::{composite_simpson, composite_trapezoid, TrapezoidLadder};
 pub use vao::{QuadratureResultObject, QuadratureRule, QuadratureVaoConfig};

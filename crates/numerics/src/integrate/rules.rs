@@ -101,71 +101,6 @@ impl<F: Fn(f64) -> f64> TrapezoidLadder<F> {
     }
 }
 
-/// A Romberg tableau built on the trapezoid ladder: column `m` of row `k`
-/// removes the `O(h^{2m})` error term by Richardson extrapolation, giving
-/// spectral-like convergence for smooth integrands. Column 0 is the plain
-/// trapezoid value, column 1 is Simpson, column 2 is Boole, and so on —
-/// §4.3's "the techniques discussed here apply to other rules as well",
-/// taken to its limit.
-pub struct RombergTable<F> {
-    ladder: TrapezoidLadder<F>,
-    /// The most recent tableau row `R[k][0..=k]`.
-    row: Vec<f64>,
-}
-
-impl<F: Fn(f64) -> f64> RombergTable<F> {
-    /// Starts the tableau at row 0 (a single trapezoid).
-    pub fn new(f: F, a: f64, b: f64) -> Self {
-        let ladder = TrapezoidLadder::new(f, a, b);
-        let row = vec![ladder.estimate()];
-        Self { ladder, row }
-    }
-
-    /// Current best estimate (the last entry of the deepest row).
-    #[must_use]
-    pub fn estimate(&self) -> f64 {
-        *self.row.last().expect("row is never empty")
-    }
-
-    /// Number of completed rows minus one (equals the ladder level).
-    #[must_use]
-    pub fn depth(&self) -> u32 {
-        self.ladder.level()
-    }
-
-    /// Total integrand evaluations.
-    #[must_use]
-    pub fn evaluations(&self) -> u64 {
-        self.ladder.evaluations()
-    }
-
-    /// Adds one row: halves the trapezoid intervals and extrapolates
-    /// across all columns. Returns the new best estimate.
-    pub fn advance(&mut self) -> f64 {
-        let t = self.ladder.advance();
-        let mut new_row = Vec::with_capacity(self.row.len() + 1);
-        new_row.push(t);
-        let mut factor = 1.0;
-        for m in 0..self.row.len() {
-            factor *= 4.0;
-            let higher = new_row[m] + (new_row[m] - self.row[m]) / (factor - 1.0);
-            new_row.push(higher);
-        }
-        self.row = new_row;
-        self.estimate()
-    }
-
-    /// Difference between the two most accurate entries of the current
-    /// row — the standard Romberg error proxy.
-    #[must_use]
-    pub fn error_estimate(&self) -> f64 {
-        match self.row.len() {
-            0 | 1 => f64::INFINITY,
-            n => (self.row[n - 1] - self.row[n - 2]).abs(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,58 +158,6 @@ mod tests {
         }
         assert_eq!(ladder.level(), 8);
         assert_eq!(ladder.evaluations(), (1 << 8) + 1);
-    }
-
-    #[test]
-    fn romberg_converges_dramatically_faster_than_trapezoid() {
-        // ∫₀¹ e^x dx = e − 1.
-        let exact = std::f64::consts::E - 1.0;
-        let mut romberg = RombergTable::new(|x: f64| x.exp(), 0.0, 1.0);
-        for _ in 0..5 {
-            romberg.advance();
-        }
-        // 33 evaluations get ~1e-12; plain trapezoid at 32 intervals is
-        // ~1e-4.
-        assert!(
-            (romberg.estimate() - exact).abs() < 1e-11,
-            "{}",
-            romberg.estimate()
-        );
-        assert_eq!(romberg.evaluations(), 33);
-        let trap = composite_trapezoid(&|x: f64| x.exp(), 0.0, 1.0, 32);
-        assert!((trap - exact).abs() > 1e-5);
-    }
-
-    #[test]
-    fn romberg_column_one_is_simpson() {
-        let f = |x: f64| x.sin() + x * x;
-        let mut romberg = RombergTable::new(f, 0.0, 2.0);
-        romberg.advance(); // row 1: [T1, S1]
-        let simpson = composite_simpson(&f, 0.0, 2.0, 2);
-        assert!((romberg.estimate() - simpson).abs() < 1e-12);
-    }
-
-    #[test]
-    fn romberg_error_estimate_tracks_true_error() {
-        let exact = 2.0; // ∫₀^π sin
-        let mut romberg = RombergTable::new(|x: f64| x.sin(), 0.0, std::f64::consts::PI);
-        romberg.advance();
-        for _ in 0..4 {
-            romberg.advance();
-            let err = (romberg.estimate() - exact).abs();
-            assert!(
-                err <= romberg.error_estimate() + 1e-15,
-                "true err {err} vs estimate {}",
-                romberg.error_estimate()
-            );
-        }
-    }
-
-    #[test]
-    fn romberg_initial_error_estimate_is_infinite() {
-        let romberg = RombergTable::new(|x: f64| x, 0.0, 1.0);
-        assert!(romberg.error_estimate().is_infinite());
-        assert_eq!(romberg.depth(), 0);
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! extrapolation machinery a one-term `K·h²` model.
 
 pub mod bvp;
-pub mod ivp;
 pub mod vao;
 
 pub use bvp::{solve_bvp, BeamProblem, BvpError, LinearBvp};
-pub use ivp::{solve_ivp, InitialValueProblem, IvpMethod, IvpResultObject, IvpVaoConfig};
 pub use vao::{OdeResultObject, OdeVaoConfig};

@@ -249,6 +249,12 @@ fn main() {
     );
 }
 
+/// Sends one request line as a single `write`: a separate `"\n"` segment
+/// would park behind Nagle until the server's delayed ACK (~40 ms).
+fn send_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
+    stream.write_all(format!("{line}\n").as_bytes())
+}
+
 /// Line-pipe client mode: forwards stdin lines to the server at `addr` and
 /// prints every reply line. The reader thread drains replies until the
 /// server closes the connection or goes quiet, so scripted callers can
@@ -278,7 +284,7 @@ fn client(addr: &str) {
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {
         let line = line.expect("read stdin");
-        if writeln!(writer, "{line}").is_err() {
+        if send_line(&mut writer, &line).is_err() {
             break; // server gone mid-script (e.g. the kill-recover smoke)
         }
     }
@@ -298,7 +304,7 @@ fn smoke(server: &mut Server) {
         let mut reader = BufReader::new(stream);
         let mut replies = Vec::new();
         let mut ask = |line: &str, expect_lines: usize| {
-            writeln!(writer, "{line}").expect("write");
+            send_line(&mut writer, line).expect("write");
             for _ in 0..expect_lines {
                 let mut reply = String::new();
                 reader.read_line(&mut reply).expect("read");

@@ -35,6 +35,7 @@ use va_stream::{BondRelation, Query};
 use vao::batch::{BatchLane, GridShape};
 use vao::cost::{Calibrator, Work, WorkBreakdown, WorkMeter};
 use vao::interface::ResultObject;
+use vao::ops::DEFAULT_ITERATION_LIMIT;
 use vao::strategy::{Candidate, ChoicePolicy};
 use vao::trace::{
     BudgetExhaustedRecord, CalibrationRecord, ExecObserver, IterationRecord, OperatorEndRecord,
@@ -161,14 +162,14 @@ struct IterDone {
 /// clamped to at least 1. `batch_solver` routes admitted objects whose
 /// next refinements share a grid shape through one lane-parallel SoA
 /// solve ([`run_batch_lanes`]); per-lane arithmetic is bit-identical to
-/// the scalar path, so this too never affects results.
+/// the scalar path, so this too never affects results. The defensive
+/// `iterate()` cap is [`DEFAULT_ITERATION_LIMIT`].
 #[allow(clippy::too_many_arguments)] // one call site; the knobs are the API
 pub(crate) fn run_tick<O: ExecObserver>(
     registry: &mut SessionRegistry,
     pool: &mut SharedPool,
     relation: &BondRelation,
     budget: Option<Work>,
-    iteration_limit: u64,
     workers: usize,
     batch: usize,
     batch_solver: bool,
@@ -212,9 +213,9 @@ pub(crate) fn run_tick<O: ExecObserver>(
         if outstanding == 0 {
             break; // every session can answer Final
         }
-        if iterations >= iteration_limit {
+        if iterations >= DEFAULT_ITERATION_LIMIT {
             return Err(ServerError::Stalled {
-                limit: iteration_limit,
+                limit: DEFAULT_ITERATION_LIMIT,
             });
         }
         // Learned-correlation reordering (calibrated servers only): boost
@@ -272,7 +273,7 @@ pub(crate) fn run_tick<O: ExecObserver>(
 
         // Select up to `batch` distinct objects, best first (never past the
         // defensive iteration cap).
-        let room = (iteration_limit - iterations).min(batch as u64) as usize;
+        let room = (DEFAULT_ITERATION_LIMIT - iterations).min(batch as u64) as usize;
         let selected = policy.top_k_traced(&candidates, room, observer);
 
         // Budget admission, up front for the whole batch: admit the
@@ -326,29 +327,22 @@ pub(crate) fn run_tick<O: ExecObserver>(
             }
         }
 
-        // Execute the batch. With the batched solver on, group the
-        // admitted objects by the grid shape of their next refinement and
-        // run each group as lanes of one SoA sweep (bit-identical to the
-        // scalar iterates, so this is purely a throughput choice).
-        // Otherwise: inline when there is nothing to fan out, scoped
-        // worker threads over disjoint `&mut` borrows when there is.
-        let done: Vec<IterDone> = if batch_solver && objs.len() > 1 {
-            run_batch_lanes(pool, &objs, workers, meter)?
-        } else if workers <= 1 || objs.len() == 1 {
-            let mut done = Vec::with_capacity(objs.len());
-            for &chosen in &objs {
-                let before = pool.bounds(chosen);
-                let snap = meter.snapshot();
-                let after = pool.iterate(chosen, meter);
-                done.push(IterDone {
-                    before,
-                    after,
-                    work: meter.since(&snap),
-                });
-            }
-            done
+        // Execute the batch. One admitted object (every round of the
+        // default config) iterates inline; anything wider goes through the
+        // round executor, which groups same-shape refinements into SoA
+        // lanes when the batched solver is on and fans the units out over
+        // scoped worker threads when there are workers to fan out to.
+        let done: Vec<IterDone> = if let [chosen] = objs[..] {
+            let before = pool.bounds(chosen);
+            let snap = meter.snapshot();
+            let after = pool.iterate(chosen, meter);
+            vec![IterDone {
+                before,
+                after,
+                work: meter.since(&snap),
+            }]
         } else {
-            run_batch_threaded(pool, &objs, workers, meter)?
+            run_batch_lanes(pool, &objs, workers, batch_solver, meter)?
         };
 
         // Emit records and check the progress contract in pick order, so
@@ -372,7 +366,7 @@ pub(crate) fn run_tick<O: ExecObserver>(
             // would loop forever: the object broke its progress contract.
             if d.after == d.before && !pool.converged(chosen) {
                 return Err(ServerError::Stalled {
-                    limit: iteration_limit,
+                    limit: DEFAULT_ITERATION_LIMIT,
                 });
             }
         }
@@ -469,7 +463,6 @@ pub fn audited_tick(
         pool,
         relation,
         None,
-        vao::ops::DEFAULT_ITERATION_LIMIT,
         workers,
         batch,
         batch_solver,
@@ -481,71 +474,9 @@ pub fn audited_tick(
     Ok(outcome.answers)
 }
 
-/// Iterates the (distinct) objects `objs` concurrently on up to `workers`
-/// scoped threads, merging each thread's scratch meter into `meter` and
-/// returning per-object results in the same order as `objs`.
-///
-/// Determinism: each object's `iterate()` is a pure function of that
-/// object's own state, the per-object work charges are exact integers
-/// merged by addition, and results are re-sorted into pick order before
-/// use — so the outcome is bit-identical to inline execution of the same
-/// batch.
-fn run_batch_threaded(
-    pool: &mut SharedPool,
-    objs: &[usize],
-    workers: usize,
-    meter: &mut WorkMeter,
-) -> Result<Vec<IterDone>, ServerError> {
-    // with_disjoint_mut wants strictly ascending indices; remember each sorted
-    // position's slot in pick order so results can be mapped back.
-    let mut order: Vec<usize> = (0..objs.len()).collect();
-    order.sort_by_key(|&slot| objs[slot]);
-    let sorted_objs: Vec<usize> = order.iter().map(|&slot| objs[slot]).collect();
-    let threads = workers.min(objs.len());
-    let chunk = objs.len().div_ceil(threads);
-    let joined: Vec<_> = pool.with_disjoint_mut(&sorted_objs, |parts| {
-        let mut tagged: Vec<(usize, &mut (dyn ResultObject + Send))> =
-            order.iter().copied().zip(parts).collect();
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(threads);
-            while !tagged.is_empty() {
-                let take = chunk.min(tagged.len());
-                let mine: Vec<_> = tagged.drain(..take).collect();
-                handles.push(s.spawn(move || {
-                    let mut scratch = WorkMeter::new();
-                    let mut out = Vec::with_capacity(mine.len());
-                    for (slot, obj) in mine {
-                        out.push((slot, iterate_scalar(obj, &mut scratch)));
-                    }
-                    (out, scratch)
-                }));
-            }
-            handles.into_iter().map(|h| h.join()).collect()
-        })
-    });
-
-    let mut done: Vec<Option<IterDone>> = (0..objs.len()).map(|_| None).collect();
-    for j in joined {
-        let (out, scratch) = j.map_err(|_| ServerError::Internal {
-            detail: "worker thread panicked during iterate",
-        })?;
-        meter.absorb(&scratch);
-        for (slot, d) in out {
-            done[slot] = Some(d);
-        }
-    }
-    done.into_iter()
-        .map(|d| {
-            d.ok_or(ServerError::Internal {
-                detail: "worker batch lost an object result",
-            })
-        })
-        .collect()
-}
-
-/// One schedulable piece of an admitted round under the batched solver:
-/// either a group of same-shape objects advanced as lanes of one SoA
-/// sweep, or a single object stepped through plain `iterate()`.
+/// One schedulable piece of an admitted round: either a group of
+/// same-shape objects advanced as lanes of one SoA sweep, or a single
+/// object stepped through plain `iterate()`.
 ///
 /// `slots` / `slot` index back into the round's pick order.
 enum ExecUnit<'p> {
@@ -627,21 +558,27 @@ fn exec_unit(unit: ExecUnit<'_>, scratch: &mut WorkMeter) -> Vec<(usize, IterDon
     }
 }
 
-/// Executes an admitted round with the batched SoA solver: objects whose
-/// next refinements share a [`GridShape`] advance in lockstep as lanes of
-/// one lane-parallel Thomas sweep per time step; everything else (shapeless
-/// objects, singleton groups) falls back to scalar `iterate()`.
+/// Executes an admitted round of distinct objects. With `batch_solver`,
+/// objects whose next refinements share a [`GridShape`] advance in lockstep
+/// as lanes of one lane-parallel Thomas sweep per time step; everything else
+/// (shapeless objects, singleton groups, and every object when the batched
+/// solver is off) steps through scalar `iterate()`. Units run on up to
+/// `workers` scoped threads.
 ///
-/// Returns per-object results in pick order, exactly like the scalar
-/// paths: per-lane arithmetic, meter charges and failure handling are
-/// bit-identical to K independent iterations, so callers cannot observe
-/// which route ran beyond wall-clock time. A lane that goes singular is
-/// committed failed (capped) without touching its siblings — the same
-/// degradation the scalar solver produces.
+/// Returns per-object results in pick order. Determinism: each object's
+/// refinement is a pure function of that object's own state, per-lane
+/// arithmetic, meter charges and failure handling are bit-identical to K
+/// independent iterations, the per-object work charges are exact integers
+/// merged by addition, and results are re-sorted into pick order before
+/// use — so callers cannot observe which route or thread ran beyond
+/// wall-clock time. A lane that goes singular is committed failed (capped)
+/// without touching its siblings — the same degradation the scalar solver
+/// produces.
 fn run_batch_lanes(
     pool: &mut SharedPool,
     objs: &[usize],
     workers: usize,
+    batch_solver: bool,
     meter: &mut WorkMeter,
 ) -> Result<Vec<IterDone>, ServerError> {
     // Probe shapes through the shared-borrow API *before* splitting the
@@ -650,7 +587,11 @@ fn run_batch_lanes(
     let mut order: Vec<usize> = (0..objs.len()).collect();
     order.sort_by_key(|&slot| objs[slot]);
     let sorted_objs: Vec<usize> = order.iter().map(|&slot| objs[slot]).collect();
-    let shapes: Vec<Option<GridShape>> = sorted_objs.iter().map(|&i| pool.batch_shape(i)).collect();
+    let shapes: Vec<Option<GridShape>> = if batch_solver {
+        sorted_objs.iter().map(|&i| pool.batch_shape(i)).collect()
+    } else {
+        vec![None; objs.len()]
+    };
     pool.with_disjoint_mut(&sorted_objs, |parts| {
         exec_lane_groups(parts, &order, &shapes, workers, meter)
     })
@@ -709,9 +650,9 @@ fn exec_lane_groups(
             }
         }
     } else {
-        // Fan the units out over scoped threads, run_batch_threaded-style:
-        // scratch meters merge by addition, results re-sort by slot, so
-        // the outcome is bit-identical to inline execution.
+        // Fan the units out over scoped threads: scratch meters merge by
+        // addition, results re-sort by slot, so the outcome is
+        // bit-identical to inline execution.
         let threads = workers.min(units.len());
         let chunk = units.len().div_ceil(threads);
         let mut units = units;
@@ -733,7 +674,7 @@ fn exec_lane_groups(
         });
         for j in joined {
             let (out, scratch) = j.map_err(|_| ServerError::Internal {
-                detail: "worker thread panicked during batched solve",
+                detail: "worker thread panicked during a scheduling round",
             })?;
             meter.absorb(&scratch);
             for (slot, d) in out {
@@ -744,7 +685,7 @@ fn exec_lane_groups(
     done.into_iter()
         .map(|d| {
             d.ok_or(ServerError::Internal {
-                detail: "batched round lost an object result",
+                detail: "scheduling round lost an object result",
             })
         })
         .collect()

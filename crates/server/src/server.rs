@@ -22,10 +22,10 @@ use va_stream::{BondRelation, Query, RunSummary, TickObserver, TickStats};
 use vao::adapters::WarmStart;
 use vao::cost::{CalCell, Calibrator, Work, WorkMeter, CAL_CLASSES};
 use vao::error::VaoError;
-use vao::ops::DEFAULT_ITERATION_LIMIT;
 use vao::trace::{
-    BudgetExhaustedRecord, ChoiceRecord, CompactionRecord, ExecObserver, HybridDecisionRecord,
-    IterationRecord, NoopObserver, OperatorEndRecord, OperatorKind, RecoveryRecord, RoundRecord,
+    BudgetExhaustedRecord, CalibrationRecord, ChoiceRecord, CompactionRecord, ExecObserver,
+    HybridDecisionRecord, IterationRecord, NoopObserver, OperatorEndRecord, OperatorKind,
+    RecoveryRecord, RoundRecord,
 };
 use vao::{Bounds, PrecisionConstraint};
 
@@ -48,8 +48,6 @@ pub struct ServerConfig {
     /// arbitrated across the ticked relations by
     /// [`crate::sched::arbitrate_budget`].
     pub budget: Option<Work>,
-    /// Defensive cap on scheduler iterations per tick.
-    pub iteration_limit: u64,
     /// Worker threads used to execute an admitted batch (and, on a
     /// multi-relation tick, to shard independent relations). Workers never
     /// change *what* the scheduler computes — only how an already-chosen
@@ -97,7 +95,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             budget: None,
-            iteration_limit: DEFAULT_ITERATION_LIMIT,
             workers: 1,
             batch: None,
             batch_solver: true,
@@ -1350,7 +1347,6 @@ fn execute_tenant_tick<O: ExecObserver>(
         &mut pool,
         &tenant.relation,
         budget,
-        config.iteration_limit,
         workers,
         config.effective_batch(),
         config.batch_solver,
@@ -1623,6 +1619,14 @@ impl<A: ExecObserver, B: ExecObserver> ExecObserver for Fanout<'_, A, B> {
         }
         if self.1.is_enabled() {
             self.1.on_round(round);
+        }
+    }
+    fn on_calibration(&mut self, record: &CalibrationRecord) {
+        if self.0.is_enabled() {
+            self.0.on_calibration(record);
+        }
+        if self.1.is_enabled() {
+            self.1.on_calibration(record);
         }
     }
     fn on_operator_end(&mut self, end: &OperatorEndRecord) {

@@ -187,3 +187,50 @@ fn calibration_is_off_by_default_and_matches_an_explicit_off() {
         assert_eq!((obs, gain), (0, 1_000_000), "off mode must not learn");
     }
 }
+
+#[test]
+fn calibrated_ticks_trace_one_calibration_event_per_iteration() {
+    use vao::trace::{Recorder, TraceEvent};
+
+    for calibrate in [true, false] {
+        let mut srv = Server::new(
+            BondPricer::default(),
+            relation(),
+            config().with_calibration(calibrate),
+        );
+        subscribe_workload(&mut srv);
+        let mut rec = Recorder::new();
+        srv.tick_with_observer(RATE, &mut rec).expect("traced tick");
+
+        let iterations = rec
+            .events()
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Iteration(_)))
+            .count();
+        let observations: Vec<u64> = rec
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Calibration(c) => Some(c.observations),
+                _ => None,
+            })
+            .collect();
+        assert!(iterations > 0, "the tick must refine something");
+        if calibrate {
+            assert_eq!(
+                observations.len(),
+                iterations,
+                "one calibration event per admitted iteration"
+            );
+            assert!(
+                observations.windows(2).all(|w| w[0] < w[1]),
+                "observation counts must strictly increase: {observations:?}"
+            );
+        } else {
+            assert!(
+                observations.is_empty(),
+                "an uncalibrated tick emits no calibration events"
+            );
+        }
+    }
+}

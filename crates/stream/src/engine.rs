@@ -16,7 +16,6 @@ use std::time::Instant;
 
 use bondlab::market::RateTick;
 use bondlab::BondPricer;
-use vao::adapters::{WarmStart, WarmStarted};
 use vao::cost::WorkMeter;
 use vao::error::VaoError;
 use vao::interface::{ResultObject, VariableAccuracyFn};
@@ -124,18 +123,6 @@ impl ContinuousQueryEngine {
         self.mode
     }
 
-    /// The logical plan this engine executes: the traditional two-module
-    /// plan (Figure 2) in [`ExecutionMode::Traditional`], the fused VAO
-    /// plan (Figures 1/3) otherwise.
-    #[must_use]
-    pub fn plan(&self) -> crate::plan::LogicalPlan {
-        let traditional = crate::plan::LogicalPlan::traditional(&self.query);
-        match self.mode {
-            ExecutionMode::Traditional => traditional,
-            ExecutionMode::Vao | ExecutionMode::Hybrid => traditional.fuse(),
-        }
-    }
-
     /// Evaluates the query at one rate, returning the answer and what it
     /// cost.
     ///
@@ -145,36 +132,13 @@ impl ContinuousQueryEngine {
     /// the work totals. The traditional path never calls `iterate()` on
     /// the clock, so its histogram is empty.
     pub fn process_rate(&self, rate: f64) -> Result<(QueryOutput, TickStats), EngineError> {
-        self.process_rate_inner(rate, None)
-    }
-
-    /// Like [`ContinuousQueryEngine::process_rate`], but wraps every result
-    /// object in a [`WarmStarted`] adapter seeded from `seeds` — the warm
-    /// hook a recovering caller uses to re-admit objects at the accuracy a
-    /// previous run had already achieved. Seeds whose length does not match
-    /// the relation are ignored wholesale (a stale seed set must never
-    /// corrupt answers). [`ExecutionMode::Traditional`] ignores seeds: its
-    /// black boxes always run to full accuracy.
-    pub fn process_rate_seeded(
-        &self,
-        rate: f64,
-        seeds: &[WarmStart],
-    ) -> Result<(QueryOutput, TickStats), EngineError> {
-        self.process_rate_inner(rate, Some(seeds))
-    }
-
-    fn process_rate_inner(
-        &self,
-        rate: f64,
-        seeds: Option<&[WarmStart]>,
-    ) -> Result<(QueryOutput, TickStats), EngineError> {
         let start = Instant::now();
         let mut meter = WorkMeter::new();
         let mut obs = TickObserver::new();
         let output = match self.mode {
-            ExecutionMode::Vao => self.eval_vao(rate, seeds, &mut meter, &mut obs)?,
+            ExecutionMode::Vao => self.eval_vao(rate, &mut meter, &mut obs)?,
             ExecutionMode::Traditional => self.eval_traditional(rate, &mut meter)?,
-            ExecutionMode::Hybrid => self.eval_hybrid(rate, seeds, &mut meter, &mut obs)?,
+            ExecutionMode::Hybrid => self.eval_hybrid(rate, &mut meter, &mut obs)?,
         };
         let stats = TickStats {
             rate,
@@ -194,26 +158,11 @@ impl ContinuousQueryEngine {
         ticks.iter().map(|t| self.process_rate(t.rate)).collect()
     }
 
-    fn objects(
-        &self,
-        rate: f64,
-        seeds: Option<&[WarmStart]>,
-        meter: &mut WorkMeter,
-    ) -> Vec<Box<dyn ResultObject + Send>> {
-        let seeds = seeds.filter(|s| s.len() == self.relation.bonds().len());
+    fn objects(&self, rate: f64, meter: &mut WorkMeter) -> Vec<Box<dyn ResultObject + Send>> {
         self.relation
             .bonds()
             .iter()
-            .enumerate()
-            .map(|(i, &bond)| {
-                let inner = self.pricer.invoke(&(rate, bond), meter);
-                match seeds {
-                    Some(s) => {
-                        Box::new(WarmStarted::new(inner, s[i])) as Box<dyn ResultObject + Send>
-                    }
-                    None => inner,
-                }
-            })
+            .map(|&bond| self.pricer.invoke(&(rate, bond), meter))
             .collect()
     }
 
@@ -224,27 +173,16 @@ impl ContinuousQueryEngine {
     fn eval_vao(
         &self,
         rate: f64,
-        seeds: Option<&[WarmStart]>,
         meter: &mut WorkMeter,
         obs: &mut TickObserver,
     ) -> Result<QueryOutput, EngineError> {
         match &self.query {
             Query::Selection { op, constant } => {
                 let vao = SelectionVao::new(*op, *constant)?;
-                let seeds = seeds.filter(|s| s.len() == self.relation.bonds().len());
                 let mut selected = Vec::new();
                 for (i, bond) in self.relation.bonds().iter().enumerate() {
-                    let inner = self.pricer.invoke(&(rate, *bond), meter);
-                    let satisfied = match seeds {
-                        Some(s) => {
-                            let mut obj = WarmStarted::new(inner, s[i]);
-                            vao.evaluate_traced(&mut obj, meter, obs)?.satisfied
-                        }
-                        None => {
-                            let mut obj = inner;
-                            vao.evaluate_traced(&mut obj, meter, obs)?.satisfied
-                        }
-                    };
+                    let mut obj = self.pricer.invoke(&(rate, *bond), meter);
+                    let satisfied = vao.evaluate_traced(&mut obj, meter, obs)?.satisfied;
                     if satisfied {
                         selected.push(self.bond_id(i));
                     }
@@ -252,7 +190,7 @@ impl ContinuousQueryEngine {
                 Ok(QueryOutput::Selected(selected))
             }
             Query::Max { epsilon } => {
-                let mut objs = self.objects(rate, seeds, meter);
+                let mut objs = self.objects(rate, meter);
                 let res = max_vao_traced(
                     &mut objs,
                     PrecisionConstraint::new(*epsilon)?,
@@ -267,7 +205,7 @@ impl ContinuousQueryEngine {
                 })
             }
             Query::Min { epsilon } => {
-                let mut objs = self.objects(rate, seeds, meter);
+                let mut objs = self.objects(rate, meter);
                 let res = min_vao_traced(
                     &mut objs,
                     PrecisionConstraint::new(*epsilon)?,
@@ -282,7 +220,7 @@ impl ContinuousQueryEngine {
                 })
             }
             Query::Sum { weights, epsilon } => {
-                let mut objs = self.objects(rate, seeds, meter);
+                let mut objs = self.objects(rate, meter);
                 let res = weighted_sum_vao_traced(
                     &mut objs,
                     weights,
@@ -294,7 +232,7 @@ impl ContinuousQueryEngine {
                 Ok(QueryOutput::Aggregate { bounds: res.bounds })
             }
             Query::Ave { epsilon } => {
-                let mut objs = self.objects(rate, seeds, meter);
+                let mut objs = self.objects(rate, meter);
                 // Mirrors `ave_vao`: a weighted sum with uniform weights
                 // 1/n, routed through the traced entry point.
                 let w = 1.0 / objs.len().max(1) as f64;
@@ -312,7 +250,7 @@ impl ContinuousQueryEngine {
             // TopK and Count have no traced entry points yet; their ticks
             // report work totals but an empty iteration histogram.
             Query::TopK { k, epsilon } => {
-                let mut objs = self.objects(rate, seeds, meter);
+                let mut objs = self.objects(rate, meter);
                 let res = topk_vao(&mut objs, *k, PrecisionConstraint::new(*epsilon)?, meter)?;
                 Ok(QueryOutput::Ranked {
                     members: res
@@ -329,7 +267,7 @@ impl ContinuousQueryEngine {
                 constant,
                 slack,
             } => {
-                let mut objs = self.objects(rate, seeds, meter);
+                let mut objs = self.objects(rate, meter);
                 let res = count_vao(&mut objs, *op, *constant, *slack, meter)?;
                 Ok(QueryOutput::Count {
                     lo: res.count_lo,
@@ -337,7 +275,7 @@ impl ContinuousQueryEngine {
                 })
             }
             Query::Median { epsilon } => {
-                let mut objs = self.objects(rate, seeds, meter);
+                let mut objs = self.objects(rate, meter);
                 let res = median_vao(&mut objs, PrecisionConstraint::new(*epsilon)?, meter)?;
                 Ok(QueryOutput::Extreme {
                     bond_id: self.bond_id(res.argext),
@@ -346,13 +284,13 @@ impl ContinuousQueryEngine {
                 })
             }
             Query::Percentile { phi, epsilon } => {
-                let mut objs = self.objects(rate, seeds, meter);
+                let mut objs = self.objects(rate, meter);
                 let res =
                     percentile_vao(&mut objs, *phi, PrecisionConstraint::new(*epsilon)?, meter)?;
                 Ok(QueryOutput::Aggregate { bounds: res.bounds })
             }
             Query::HeavyHitters { k, epsilon } => {
-                let mut objs = self.objects(rate, seeds, meter);
+                let mut objs = self.objects(rate, meter);
                 let res =
                     heavy_hitters_vao(&mut objs, *k, PrecisionConstraint::new(*epsilon)?, meter)?;
                 Ok(QueryOutput::Heavy {
@@ -368,7 +306,6 @@ impl ContinuousQueryEngine {
     fn eval_hybrid(
         &self,
         rate: f64,
-        seeds: Option<&[WarmStart]>,
         meter: &mut WorkMeter,
         obs: &mut TickObserver,
     ) -> Result<QueryOutput, EngineError> {
@@ -384,7 +321,7 @@ impl ContinuousQueryEngine {
                         calibrate(&mut obj, &mut off_clock)
                     })
                     .collect::<Result<_, _>>()?;
-                let mut objs = self.objects(rate, seeds, meter);
+                let mut objs = self.objects(rate, meter);
                 let (res, _decision) = hybrid_weighted_sum_traced(
                     &mut objs,
                     weights,
@@ -397,7 +334,7 @@ impl ContinuousQueryEngine {
                 )?;
                 Ok(QueryOutput::Aggregate { bounds: res.bounds })
             }
-            _ => self.eval_vao(rate, seeds, meter, obs),
+            _ => self.eval_vao(rate, meter, obs),
         }
     }
 
@@ -661,19 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_plans_match_their_mode() {
-        let q = Query::Selection {
-            op: CmpOp::Gt,
-            constant: 100.0,
-        };
-        let trad = small_engine(q.clone(), ExecutionMode::Traditional).plan();
-        assert!(trad.has_black_box());
-        let vao = small_engine(q, ExecutionMode::Vao).plan();
-        assert!(!vao.has_black_box());
-        assert!(vao.explain().contains("VaoSelection"));
-    }
-
-    #[test]
     fn topk_modes_agree_on_the_ranking() {
         // eps loose enough that VAO can stop refining once the top three
         // separate; at 0.01 the whole universe converges and the work
@@ -756,56 +680,6 @@ mod tests {
         let vb = vao_out.bounds().unwrap();
         // Both bound the same true sum: the intervals must overlap.
         assert!(hb.overlaps(&vb), "{hb} vs {vb}");
-    }
-
-    #[test]
-    fn seeded_ticks_skip_converged_work_but_agree_on_the_winner() {
-        let universe = BondUniverse::generate(8, 42);
-        let relation = BondRelation::from_universe(&universe);
-        let pricer = BondPricer::default();
-
-        // Build converged seeds by refining every object to its floor —
-        // the state a recovered run would re-admit.
-        let mut off_clock = WorkMeter::new();
-        let seeds: Vec<WarmStart> = relation
-            .bonds()
-            .iter()
-            .map(|&bond| {
-                let mut obj = pricer.invoke(&(0.0583, bond), &mut off_clock);
-                while !obj.converged() {
-                    obj.iterate(&mut off_clock);
-                }
-                WarmStart {
-                    bounds: obj.bounds(),
-                    converged: true,
-                    prior_cost: obj.cumulative_cost(),
-                }
-            })
-            .collect();
-
-        let engine = ContinuousQueryEngine::new(
-            pricer,
-            relation,
-            Query::Max { epsilon: 0.05 },
-            ExecutionMode::Vao,
-        );
-        let (cold_out, cold_stats) = engine.process_rate(0.0583).unwrap();
-        let (warm_out, warm_stats) = engine.process_rate_seeded(0.0583, &seeds).unwrap();
-        let (cold_id, _, _) = cold_out.as_extreme().unwrap();
-        let (warm_id, warm_bounds, _) = warm_out.as_extreme().unwrap();
-        assert_eq!(cold_id, warm_id, "seeding never changes the winner");
-        assert!(
-            warm_stats.iterations < cold_stats.iterations,
-            "warm {} vs cold {} iterations",
-            warm_stats.iterations,
-            cold_stats.iterations
-        );
-        assert!(warm_bounds.width() <= 0.05);
-
-        // Mismatched seed sets are ignored — same result as a cold tick.
-        let (stale_out, stale_stats) = engine.process_rate_seeded(0.0583, &seeds[..3]).unwrap();
-        assert_eq!(stale_out, cold_out);
-        assert_eq!(stale_stats.iterations, cold_stats.iterations);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! price every bond at every new rate, and an operator (selection, MAX,
 //! SUM, …) evaluates the results. This crate provides that scaffolding:
 //!
-//! * [`value`] / [`mod@tuple`] / [`schema`] — a small typed tuple layer.
 //! * [`relation`] — the bond relation (`BD` in the paper's predicate
 //!   `model(IR.rate, BD) > 100`).
 //! * [`query`] — query definitions (Q1–Q3 of §1.2) and their outputs.
@@ -13,20 +12,17 @@
 //!   query under either the VAO or the traditional execution mode and
 //!   records per-tick statistics.
 //! * [`stats`] — work/time accounting per tick.
+//! * [`casper`] — a CASPER-style predicate result-range cache over
+//!   selection ticks (§2's related work, integrated as an extension).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod casper;
 pub mod engine;
-pub mod fncache;
-pub mod plan;
 pub mod query;
 pub mod relation;
-pub mod schema;
 pub mod stats;
-pub mod tuple;
-pub mod value;
 
 pub use engine::{ContinuousQueryEngine, EngineError, ExecutionMode};
 pub use query::{Query, QueryOutput};

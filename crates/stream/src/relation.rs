@@ -2,15 +2,9 @@
 
 use bondlab::{Bond, BondUniverse};
 
-use crate::schema::Schema;
-use crate::tuple::Tuple;
-use crate::value::{Value, ValueType};
-
-/// A relational view over a bond universe: one tuple per bond with fields
-/// `id`, `coupon`, `maturity`, `face`.
+/// The bonds a query ranges over: one row per bond, in insertion order.
 #[derive(Clone, Debug)]
 pub struct BondRelation {
-    schema: Schema,
     bonds: Vec<Bond>,
 }
 
@@ -18,10 +12,7 @@ impl BondRelation {
     /// Builds the relation from a universe.
     #[must_use]
     pub fn from_universe(universe: &BondUniverse) -> Self {
-        Self {
-            schema: Self::schema_def(),
-            bonds: universe.bonds().to_vec(),
-        }
+        Self::from_bonds(universe.bonds().to_vec())
     }
 
     /// Builds the relation from an explicit bond list (catalog-defined
@@ -29,30 +20,12 @@ impl BondRelation {
     /// seeded universe).
     #[must_use]
     pub fn from_bonds(bonds: Vec<Bond>) -> Self {
-        Self {
-            schema: Self::schema_def(),
-            bonds,
-        }
+        Self { bonds }
     }
 
     /// Appends one bond (the catalog's `ADD BOND`).
     pub fn push(&mut self, bond: Bond) {
         self.bonds.push(bond);
-    }
-
-    /// The relation's schema.
-    #[must_use]
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn schema_def() -> Schema {
-        Schema::new(&[
-            ("id", ValueType::Int),
-            ("coupon", ValueType::Float),
-            ("maturity", ValueType::Float),
-            ("face", ValueType::Float),
-        ])
     }
 
     /// The underlying bonds (the model arguments).
@@ -71,49 +44,5 @@ impl BondRelation {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.bonds.is_empty()
-    }
-
-    /// Materializes bond `i` as a tuple.
-    #[must_use]
-    pub fn tuple(&self, i: usize) -> Tuple {
-        let b = &self.bonds[i];
-        Tuple::new(vec![
-            Value::Int(i64::from(b.id)),
-            Value::Float(b.coupon),
-            Value::Float(b.years_to_maturity),
-            Value::Float(b.face),
-        ])
-    }
-
-    /// Iterates all tuples.
-    pub fn tuples(&self) -> impl Iterator<Item = Tuple> + '_ {
-        (0..self.bonds.len()).map(|i| self.tuple(i))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tuples_match_schema_and_bonds() {
-        let u = BondUniverse::generate(5, 1);
-        let r = BondRelation::from_universe(&u);
-        assert_eq!(r.len(), 5);
-        assert!(!r.is_empty());
-        for (i, t) in r.tuples().enumerate() {
-            assert!(r.schema().validate(&t).is_ok());
-            assert_eq!(t.int(0), Some(i as i64));
-            assert_eq!(t.float(1), Some(u[i].coupon));
-        }
-    }
-
-    #[test]
-    fn schema_has_expected_fields() {
-        let u = BondUniverse::generate(1, 1);
-        let r = BondRelation::from_universe(&u);
-        assert_eq!(r.schema().index_of("coupon"), Some(1));
-        assert_eq!(r.schema().index_of("face"), Some(3));
-        assert_eq!(r.schema().arity(), 4);
     }
 }

@@ -21,7 +21,9 @@
 #   6b. calibration gate        -- the cost-calibration tests by name, then
 #                                  the calibration-scaling harness target
 #                                  (which asserts a strict admission-error
-#                                  improvement and off-mode bit-identity)
+#                                  improvement and off-mode bit-identity);
+#                                  a mistyped harness target must exit
+#                                  non-zero, not run nothing and exit 0
 #   6c. calibrated recovery     -- stage 6 again with --calibrate on: the
 #                                  STATS calibration counters must be
 #                                  bit-identical across the SIGKILL before
@@ -67,9 +69,9 @@
 #                                  here, not in the benchmark run
 #  13. cargo doc -D warnings    -- rustdoc must build clean
 #  14. line count (informational) -- non-test, non-comment code lines of
-#                                  crates/server/src and crates/persist/src,
-#                                  so a simplicity change has a trajectory
-#                                  to compare against
+#                                  every crate under crates/, so a
+#                                  simplicity change has a trajectory to
+#                                  compare against
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -184,6 +186,9 @@ CAL_OUT=$(mktemp -d)
 cargo run -q -p va-bench --bin harness -- --bonds 24 --seed 7 --out "$CAL_OUT" calibration-scaling
 [ -s "$CAL_OUT/calibration.csv" ] || { echo "harness wrote no calibration.csv"; ls "$CAL_OUT"; exit 1; }
 rm -rf "$CAL_OUT"
+if cargo run -q -p va-bench --bin harness -- no-such-target 2>/dev/null; then
+  echo "harness accepted an unknown target"; exit 1
+fi
 
 echo "==> va-server calibrated kill-and-recover smoke (--calibrate on, model survives SIGKILL)"
 begin_smoke
@@ -399,7 +404,9 @@ count() {
     awk '/^#\[cfg\(test\)\]/{exit} {l=$0; sub(/^[ \t]+/,"",l); if(l==""||l~/^\/\//)next; n++} END{print n+0}' "$f"
   done | awk '{s+=$1} END{print s}'
 }
-echo "    crates/server/src:  $(count $(find crates/server/src -name '*.rs'))"
-echo "    crates/persist/src: $(count $(find crates/persist/src -name '*.rs'))"
+for crate in crates/*; do
+  printf '    %-21s %s\n' "$crate/src:" "$(count $(find "$crate/src" -name '*.rs'))"
+done
+echo "    crates/ total:        $(count $(find crates/*/src -name '*.rs'))"
 
 echo "==> tier-1 gate passed"
