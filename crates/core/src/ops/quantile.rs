@@ -259,18 +259,23 @@ mod tests {
         let values = [95.0, 105.0, 99.0, 101.0];
         let eps = PrecisionConstraint::new(0.01).unwrap();
 
-        let mut a = converging_to(&values);
-        let mut meter = WorkMeter::new();
-        let q1 = quantile_vao(&mut a, 1, eps, &mut meter).unwrap();
-        let mut b = converging_to(&values);
-        let mx = max_vao(&mut b, eps, &mut meter).unwrap();
-        assert_eq!(values[q1.argext], values[mx.argext]);
+        // Not merely the same answer: the same execution (result with its
+        // iteration count, every work component, every object's bounds).
+        let run = |op: &dyn Fn(&mut [ScriptedObject], &mut WorkMeter) -> ExtremeResult| {
+            let mut objs = converging_to(&values);
+            let mut meter = WorkMeter::new();
+            let res = op(&mut objs, &mut meter);
+            let bounds: Vec<_> = objs.iter().map(ResultObject::bounds).collect();
+            (res, meter.breakdown(), bounds)
+        };
 
-        let mut c = converging_to(&values);
-        let qn = quantile_vao(&mut c, 4, eps, &mut meter).unwrap();
-        let mut d = converging_to(&values);
-        let mn = min_vao(&mut d, eps, &mut meter).unwrap();
-        assert_eq!(values[qn.argext], values[mn.argext]);
+        let q1 = run(&|o, m| quantile_vao(o, 1, eps, m).unwrap());
+        assert_eq!(values[q1.0.argext], 105.0);
+        assert_eq!(q1, run(&|o, m| max_vao(o, eps, m).unwrap()));
+
+        let qn = run(&|o, m| quantile_vao(o, 4, eps, m).unwrap());
+        assert_eq!(values[qn.0.argext], 95.0);
+        assert_eq!(qn, run(&|o, m| min_vao(o, eps, m).unwrap()));
     }
 
     #[test]

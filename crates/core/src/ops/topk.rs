@@ -228,6 +228,12 @@ mod tests {
 
         assert_eq!(top1.members, vec![max.argext]);
         assert_eq!(top1.members[0], 1);
+        // Not merely the same answer: the same execution.
+        assert_eq!(top1.iterations, max.iterations);
+        assert_eq!(meter.breakdown(), meter2.breakdown());
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.bounds(), y.bounds());
+        }
     }
 
     #[test]
