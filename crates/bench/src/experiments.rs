@@ -20,9 +20,7 @@ use vao::ops::percentile::rank_from_top;
 use vao::ops::selection::{CmpOp, SelectionVao};
 use vao::ops::sum::{weighted_sum_vao, weighted_sum_vao_with};
 use vao::ops::sum_heap::weighted_sum_vao_heap;
-use vao::ops::traditional::{
-    traditional_max, traditional_select, traditional_weighted_sum, BlackBoxSpec,
-};
+use vao::ops::traditional::{traditional_max, traditional_weighted_sum};
 use vao::precision::PrecisionConstraint;
 use vao::strategy::ChoicePolicy;
 use vao::trace::{CpuEstimation, Recorder, TraceEvent};
@@ -1993,22 +1991,10 @@ pub fn calibration_scaling(lab: &Lab, ticks: usize, seed: u64) -> Vec<Calibratio
     rows
 }
 
-/// Runs the traditional selection for completeness/answer checking
-/// (its work is query-independent; see [`Lab::traditional_work`]).
-pub fn traditional_selection_answer(lab: &Lab, op: CmpOp, constant: f64) -> Vec<usize> {
-    let mut meter = WorkMeter::new();
-    traditional_select(&lab.specs, op, constant, &mut meter)
-}
-
-/// Convenience wrapper used by tests: the black-box specs of a lab.
-#[must_use]
-pub fn specs(lab: &Lab) -> &[BlackBoxSpec] {
-    &lab.specs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vao::ops::traditional::traditional_select;
 
     fn lab() -> Lab {
         Lab::new(24, 7)
@@ -2376,9 +2362,9 @@ mod tests {
     fn traditional_answers_match_vao_selection() {
         let lab = lab();
         let constant = constant_for_selectivity(&lab.converged, CmpOp::Gt, 0.4);
-        let trad = traditional_selection_answer(&lab, CmpOp::Gt, constant);
+        let trad = traditional_select(&lab.specs, CmpOp::Gt, constant, &mut WorkMeter::new());
         let (count, _, _) = run_selection_vao(&lab, CmpOp::Gt, constant);
         assert_eq!(trad.len(), count);
-        assert_eq!(specs(&lab).len(), lab.len());
+        assert_eq!(lab.specs.len(), lab.len());
     }
 }

@@ -8,12 +8,14 @@
 //! trade-off of §5 (the paper's precision constraints bound *value* widths;
 //! here the constraint bounds the count's width).
 
-use crate::cost::{Work, WorkMeter};
+use crate::cost::WorkMeter;
 use crate::error::VaoError;
 use crate::interface::ResultObject;
+use crate::ops::drive::Driver;
 use crate::ops::minmax::AggregateConfig;
 use crate::ops::selection::CmpOp;
 use crate::strategy::Candidate;
+use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
 
 /// Result of a COUNT evaluation.
 #[derive(Clone, Debug, PartialEq)]
@@ -44,34 +46,43 @@ pub fn count_vao<R: ResultObject>(
     slack: usize,
     meter: &mut WorkMeter,
 ) -> Result<CountResult, VaoError> {
-    count_vao_with(
+    count_vao_traced(
         objs,
         op,
         constant,
         slack,
         &mut AggregateConfig::default(),
         meter,
+        &mut NoopObserver,
     )
 }
 
-/// Evaluates COUNT with an explicit configuration.
+/// Evaluates COUNT with an explicit configuration and an [`ExecObserver`]
+/// receiving the execution trace.
 ///
 /// Iterates until at most `slack` objects remain unable to be classified,
 /// greedily spending work where the estimated bounds shrink most per CPU
 /// cycle. `slack = 0` gives the exact count (every object classified,
 /// `minWidth`-resolution included).
-pub fn count_vao_with<R: ResultObject>(
+pub fn count_vao_traced<R: ResultObject, O: ExecObserver>(
     objs: &mut [R],
     op: CmpOp,
     constant: f64,
     slack: usize,
     config: &mut AggregateConfig,
     meter: &mut WorkMeter,
+    observer: &mut O,
 ) -> Result<CountResult, VaoError> {
     if !constant.is_finite() {
         return Err(VaoError::NonFiniteConstant { value: constant });
     }
-    let mut iterations = 0u64;
+    let mut drive = Driver::begin(
+        OperatorKind::Count,
+        objs.len(),
+        config.iteration_limit,
+        meter,
+        observer,
+    );
 
     loop {
         // Classify.
@@ -98,7 +109,7 @@ pub fn count_vao_with<R: ResultObject>(
                 count_lo,
                 count_hi: count_lo + unresolved.len(),
                 unresolved,
-                iterations,
+                iterations: drive.finish(),
             });
         }
 
@@ -113,34 +124,11 @@ pub fn count_vao_with<R: ResultObject>(
                 if op.decide(&eb, constant).is_some() {
                     benefit += b.width();
                 }
-                Candidate {
-                    index: i,
-                    benefit,
-                    est_cpu: objs[i].est_cpu(),
-                    width: b.width(),
-                }
+                Candidate::of(i, &objs[i], benefit)
             })
             .collect();
-        meter.charge_choose(candidates.len() as Work);
-        let pick = config
-            .policy
-            .pick(&candidates)
-            .expect("unresolved set is non-empty");
-        let chosen = candidates[pick].index;
-
-        if iterations >= config.iteration_limit {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        }
-        let before = objs[chosen].bounds();
-        let after = objs[chosen].iterate(meter);
-        iterations += 1;
-        if after == before && !objs[chosen].converged() {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        }
+        let chosen = drive.choose(&mut config.policy, &candidates)?;
+        drive.step(&mut objs[chosen], chosen)?;
     }
 }
 

@@ -29,12 +29,14 @@ use std::collections::BTreeMap;
 
 use va_sketch::{CountMin, SpaceSaving};
 
-use crate::cost::{Work, WorkMeter};
+use crate::cost::WorkMeter;
 use crate::error::VaoError;
 use crate::interface::ResultObject;
+use crate::ops::drive::Driver;
 use crate::ops::minmax::AggregateConfig;
 use crate::precision::PrecisionConstraint;
 use crate::strategy::Candidate;
+use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
 
 /// Widest unresolved span (in cells) charged cell-by-cell to the pending
 /// count-min; anything wider is treated as contended outright.
@@ -98,39 +100,37 @@ pub fn heavy_hitters_vao<R: ResultObject>(
     cell: PrecisionConstraint,
     meter: &mut WorkMeter,
 ) -> Result<HeavyResult, VaoError> {
-    heavy_hitters_vao_with(objs, k, cell, &mut AggregateConfig::default(), meter)
+    heavy_hitters_vao_traced(
+        objs,
+        k,
+        cell,
+        &mut AggregateConfig::default(),
+        meter,
+        &mut NoopObserver,
+    )
 }
 
-/// Evaluates the `k` heaviest ε-cells with an explicit configuration.
-pub fn heavy_hitters_vao_with<R: ResultObject>(
+/// Evaluates the `k` heaviest ε-cells with an explicit configuration and an
+/// [`ExecObserver`] receiving the execution trace.
+pub fn heavy_hitters_vao_traced<R: ResultObject, O: ExecObserver>(
     objs: &mut [R],
     k: usize,
     cell: PrecisionConstraint,
     config: &mut AggregateConfig,
     meter: &mut WorkMeter,
+    observer: &mut O,
 ) -> Result<HeavyResult, VaoError> {
     if objs.is_empty() || k == 0 {
         return Err(VaoError::EmptyInput);
     }
     let width = cell.epsilon();
-
-    let mut iterations = 0u64;
-    let step = |objs: &mut [R], idx: usize, iterations: &mut u64, meter: &mut WorkMeter| {
-        if *iterations >= config.iteration_limit {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        }
-        let before = objs[idx].bounds();
-        let after = objs[idx].iterate(meter);
-        *iterations += 1;
-        if after == before && !objs[idx].converged() {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        }
-        Ok(())
-    };
+    let mut drive = Driver::begin(
+        OperatorKind::HeavyHitters,
+        objs.len(),
+        config.iteration_limit,
+        meter,
+        observer,
+    );
 
     let mut ss = SpaceSaving::new((4 * k).max(64));
     let mut cm_resolved = CountMin::new(COUNTMIN_WIDTH, COUNTMIN_DEPTH);
@@ -184,26 +184,15 @@ pub fn heavy_hitters_vao_with<R: ResultObject>(
             } else {
                 0.0
             };
-            candidates.push(Candidate {
-                index: i,
-                benefit: shrink + resolve_bonus,
-                est_cpu: objs[i].est_cpu(),
-                width: b.width(),
-            });
+            candidates.push(Candidate::of(i, &objs[i], shrink + resolve_bonus));
         }
         if candidates.is_empty() {
             // Every unresolved object is provably clear of the top-k: the
             // membership and the member counts are already final.
             break;
         }
-        meter.charge_choose(candidates.len() as Work);
-        let Some(pick) = config.policy.pick(&candidates) else {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        };
-        let idx = candidates[pick].index;
-        step(objs, idx, &mut iterations, meter)?;
+        let idx = drive.choose(&mut config.policy, &candidates)?;
+        drive.step(&mut objs[idx], idx)?;
         touched[idx] = true;
     }
 
@@ -231,7 +220,7 @@ pub fn heavy_hitters_vao_with<R: ResultObject>(
     Ok(HeavyResult {
         cells: ranked,
         ties,
-        iterations,
+        iterations: drive.finish(),
         refined: touched.iter().filter(|&&t| t).count(),
     })
 }

@@ -8,20 +8,21 @@
 //! an **educated guess** `o'_max` (the object with the highest upper bound)
 //! and greedily picks the iteration with the highest estimated
 //! overlap-reduction per CPU cycle between `o'_max` and the rest, revising
-//! the guess whenever it loses the highest upper bound. MIN is symmetric
-//! and implemented by running MAX over negated views of the objects.
+//! the guess whenever it loses the highest upper bound. That is the shared
+//! rank separation with `k = 1`, followed by refining the winner to ε. MIN
+//! is symmetric and implemented by running MAX over negated views of the
+//! objects.
 
 use crate::adapters::Negated;
 use crate::bounds::Bounds;
-use crate::cost::{Work, WorkBreakdown, WorkMeter};
+use crate::cost::WorkMeter;
 use crate::error::VaoError;
 use crate::interface::ResultObject;
+use crate::ops::drive::{refine, separate_top, validate_rank, Driver};
 use crate::ops::DEFAULT_ITERATION_LIMIT;
 use crate::precision::PrecisionConstraint;
-use crate::strategy::{Candidate, ChoicePolicy};
-use crate::trace::{
-    observe_iteration, ExecObserver, NoopObserver, OperatorEndRecord, OperatorKind,
-};
+use crate::strategy::ChoicePolicy;
+use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
 
 /// Result of a MIN/MAX evaluation.
 #[derive(Clone, Debug, PartialEq)]
@@ -90,26 +91,22 @@ pub fn min_vao<R: ResultObject>(
     epsilon: PrecisionConstraint,
     meter: &mut WorkMeter,
 ) -> Result<ExtremeResult, VaoError> {
-    min_vao_with(objs, epsilon, &mut AggregateConfig::default(), meter)
+    min_vao_traced(
+        objs,
+        epsilon,
+        &mut AggregateConfig::default(),
+        meter,
+        &mut NoopObserver,
+    )
 }
 
-/// Evaluates MIN by running MAX over negated views of the objects and
-/// reflecting the resulting bounds back.
-pub fn min_vao_with<R: ResultObject>(
-    objs: &mut [R],
-    epsilon: PrecisionConstraint,
-    config: &mut AggregateConfig,
-    meter: &mut WorkMeter,
-) -> Result<ExtremeResult, VaoError> {
-    min_vao_traced(objs, epsilon, config, meter, &mut NoopObserver)
-}
-
-/// [`min_vao_with`] with an [`ExecObserver`] receiving the execution trace.
+/// Evaluates MIN with an explicit configuration and an [`ExecObserver`]
+/// receiving the execution trace, by running MAX over negated views of the
+/// objects and reflecting the resulting bounds back.
 ///
-/// MIN runs MAX over negated views, and trace events are emitted from
-/// inside that MAX loop: bounds in [`crate::trace::IterationRecord`]s are
-/// in the **negated** domain (the operator kind is still reported as
-/// [`OperatorKind::Min`]).
+/// Trace events are emitted from inside that MAX loop: bounds in
+/// [`crate::trace::IterationRecord`]s are in the **negated** domain (the
+/// operator kind is still reported as [`OperatorKind::Min`]).
 pub fn min_vao_traced<R: ResultObject, O: ExecObserver>(
     objs: &mut [R],
     epsilon: PrecisionConstraint,
@@ -118,7 +115,7 @@ pub fn min_vao_traced<R: ResultObject, O: ExecObserver>(
     observer: &mut O,
 ) -> Result<ExtremeResult, VaoError> {
     let mut negated: Vec<Negated<&mut R>> = objs.iter_mut().map(Negated).collect();
-    let res = max_impl(
+    let res = extreme(
         &mut negated,
         epsilon,
         config,
@@ -127,10 +124,8 @@ pub fn min_vao_traced<R: ResultObject, O: ExecObserver>(
         OperatorKind::Min,
     )?;
     Ok(ExtremeResult {
-        argext: res.argext,
         bounds: res.bounds.negate(),
-        ties: res.ties,
-        iterations: res.iterations,
+        ..res
     })
 }
 
@@ -164,10 +159,10 @@ pub fn max_vao_traced<R: ResultObject, O: ExecObserver>(
     meter: &mut WorkMeter,
     observer: &mut O,
 ) -> Result<ExtremeResult, VaoError> {
-    max_impl(objs, epsilon, config, meter, observer, OperatorKind::Max)
+    extreme(objs, epsilon, config, meter, observer, OperatorKind::Max)
 }
 
-fn max_impl<R: ResultObject, O: ExecObserver>(
+fn extreme<R: ResultObject, O: ExecObserver>(
     objs: &mut [R],
     epsilon: PrecisionConstraint,
     config: &mut AggregateConfig,
@@ -175,116 +170,21 @@ fn max_impl<R: ResultObject, O: ExecObserver>(
     observer: &mut O,
     kind: OperatorKind,
 ) -> Result<ExtremeResult, VaoError> {
-    if objs.is_empty() {
-        return Err(VaoError::EmptyInput);
-    }
-    epsilon.validate_single_object(objs)?;
-
-    if observer.is_enabled() {
-        observer.on_operator_start(kind, objs.len());
-    }
-    let work_start = meter.snapshot();
-    let mut iterations = 0u64;
+    validate_rank(objs, 1, epsilon)?;
+    let mut drive = Driver::begin(kind, objs.len(), config.iteration_limit, meter, observer);
 
     // Phase 1: identify the maximum object.
-    let (winner, ties) = loop {
-        let guess = guess_max(objs);
-        let guess_lo = objs[guess].bounds().lo();
+    let (winner, ties) = separate_top(objs, 1, &mut config.policy, &mut drive)?;
+    let winner = winner[0];
+    // Phase 2: refine the winner's bounds to the precision constraint
+    // (cheap once the argmax is known).
+    refine(&mut objs[winner], winner, epsilon, &mut drive)?;
 
-        // Objects not provably below the guess (violating o'_max.L > o_i.H).
-        let unresolved: Vec<usize> = (0..objs.len())
-            .filter(|&i| i != guess && objs[i].bounds().hi() >= guess_lo)
-            .collect();
-
-        if unresolved.is_empty() {
-            break (guess, Vec::new());
-        }
-        if objs[guess].converged() && unresolved.iter().all(|&i| objs[i].converged()) {
-            // Stopping case 2: the guess and everything overlapping it hit
-            // their stopping conditions — indistinguishable at full accuracy.
-            break (guess, unresolved);
-        }
-
-        let candidates = score_candidates(objs, guess, &unresolved);
-        // §5.1: choosing an iteration costs O(N) in the number of objects
-        // still in contention.
-        meter.charge_choose(candidates.len() as Work);
-
-        let Some(pick) = config.policy.pick_traced(&candidates, observer) else {
-            // No non-converged candidates should be impossible given the
-            // stopping checks above; treat as a stall.
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        };
-        let chosen = candidates[pick].index;
-
-        if iterations >= config.iteration_limit {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        }
-        let (est_cpu, snapshot) = if observer.is_enabled() {
-            (objs[chosen].est_cpu(), meter.snapshot())
-        } else {
-            (0, WorkBreakdown::default())
-        };
-        let before = objs[chosen].bounds();
-        let after = objs[chosen].iterate(meter);
-        iterations += 1;
-        if observer.is_enabled() {
-            observe_iteration(
-                observer, chosen, iterations, before, after, est_cpu, meter, &snapshot,
-            );
-        }
-        if after == before && !objs[chosen].converged() {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        }
-    };
-
-    // Phase 2: refine the winner's bounds to the precision constraint.
-    // (Cheap once the argmax is known; footnote 10 guarantees ε is
-    // achievable because ε ≥ minWidth.)
-    while objs[winner].bounds().width() > epsilon.epsilon() && !objs[winner].converged() {
-        if iterations >= config.iteration_limit {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        }
-        let (est_cpu, snapshot) = if observer.is_enabled() {
-            (objs[winner].est_cpu(), meter.snapshot())
-        } else {
-            (0, WorkBreakdown::default())
-        };
-        let before = objs[winner].bounds();
-        let after = objs[winner].iterate(meter);
-        iterations += 1;
-        if observer.is_enabled() {
-            observe_iteration(
-                observer, winner, iterations, before, after, est_cpu, meter, &snapshot,
-            );
-        }
-        if after == before && !objs[winner].converged() {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        }
-    }
-
-    if observer.is_enabled() {
-        observer.on_operator_end(&OperatorEndRecord {
-            kind,
-            iterations,
-            work: meter.since(&work_start),
-        });
-    }
     Ok(ExtremeResult {
         argext: winner,
         bounds: objs[winner].bounds(),
         ties,
-        iterations,
+        iterations: drive.finish(),
     })
 }
 
@@ -324,73 +224,10 @@ pub fn min_envelope<R: ResultObject>(objs: &[R]) -> Result<Bounds, VaoError> {
     Ok(Bounds::new(lo, hi))
 }
 
-/// The educated guess `o'_max`: highest upper bound, ties broken by higher
-/// lower bound and then lower index (deterministic).
-fn guess_max<R: ResultObject>(objs: &[R]) -> usize {
-    let mut best = 0;
-    let mut best_b = objs[0].bounds();
-    for (i, o) in objs.iter().enumerate().skip(1) {
-        let b = o.bounds();
-        if b.hi() > best_b.hi() || (b.hi() == best_b.hi() && b.lo() > best_b.lo()) {
-            best = i;
-            best_b = b;
-        }
-    }
-    best
-}
-
-/// Scores one candidate iteration per non-converged object in contention.
-///
-/// For an object `o_i ≠ o'_max`, only lowering `o_i.H` toward `estH` reduces
-/// its overlap with the guess, and the reduction is capped by the current
-/// overlap `o_i.H − o'_max.L` (§5.1's worked example). For the guess
-/// itself, raising `L` toward `estL` reduces its overlap with *every*
-/// unresolved object simultaneously.
-fn score_candidates<R: ResultObject>(
-    objs: &[R],
-    guess: usize,
-    unresolved: &[usize],
-) -> Vec<Candidate> {
-    let guess_bounds = objs[guess].bounds();
-    let mut candidates = Vec::with_capacity(unresolved.len() + 1);
-
-    if !objs[guess].converged() {
-        let est_raise = (objs[guess].est_bounds().lo() - guess_bounds.lo()).max(0.0);
-        let benefit: f64 = unresolved
-            .iter()
-            .map(|&j| {
-                let overlap = (objs[j].bounds().hi() - guess_bounds.lo()).max(0.0);
-                overlap.min(est_raise)
-            })
-            .sum();
-        candidates.push(Candidate {
-            index: guess,
-            benefit,
-            est_cpu: objs[guess].est_cpu(),
-            width: guess_bounds.width(),
-        });
-    }
-
-    for &i in unresolved {
-        if objs[i].converged() {
-            continue;
-        }
-        let b = objs[i].bounds();
-        let overlap = (b.hi() - guess_bounds.lo()).max(0.0);
-        let est_drop = (b.hi() - objs[i].est_bounds().hi()).max(0.0);
-        candidates.push(Candidate {
-            index: i,
-            benefit: overlap.min(est_drop),
-            est_cpu: objs[i].est_cpu(),
-            width: b.width(),
-        });
-    }
-    candidates
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::drive::{by_hi_then_lo, contest, score};
     use crate::testkit::{ScriptedObject, ScriptedStep};
 
     /// The three objects of the paper's Table 2, with perfect estimates for
@@ -438,10 +275,11 @@ mod tests {
         // §5.1 computes estimated overlap reductions 1, 2 and 3 for o1, o2,
         // o3 and — with equal estCPU — picks o3 (the guess itself).
         let objs = table2_objects();
-        let guess = guess_max(&objs);
-        assert_eq!(guess, 2, "o3 has the highest upper bound");
-        let unresolved: Vec<usize> = vec![0, 1];
-        let cands = score_candidates(&objs, guess, &unresolved);
+        let (guess, holder, unresolved) = contest(&objs, &[0, 1, 2], 1, by_hi_then_lo);
+        assert_eq!(guess, vec![2], "o3 has the highest upper bound");
+        assert_eq!(holder, 2);
+        assert_eq!(unresolved, vec![0, 1]);
+        let cands = score(&objs, holder, &unresolved);
         let find = |idx: usize| cands.iter().find(|c| c.index == idx).unwrap();
         // o1: min(101-100, 101-99) = 1. o2: min(103-100, 103-101) = 2.
         // o3: raising L from 100 to estL 102 clears min(1,2)+min(3,2) = 3.

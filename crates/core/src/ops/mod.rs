@@ -1,27 +1,40 @@
 //! The Variable-Accuracy Operators of §5, their baselines, and extensions.
 //!
+//! §5 describes one iteration strategy — score the candidate iterations by
+//! benefit / `estCPU`, iterate the best, stop on the operator's condition —
+//! and that loop exists once, in the private `drive` module: the charged and
+//! traced choice, the guarded `iterate()` call, and the guess-and-reduce rank
+//! separation that MAX, MIN, Top-K and the order statistics share. An
+//! operator module holds what is its own: input validation, the benefit
+//! function, the stopping rule. Every VAO but the heap-indexed SUM has a
+//! default entry point (`*_vao`: greedy policy, no observer) and a
+//! `*_traced` one taking the [`minmax::AggregateConfig`] and an
+//! [`ExecObserver`](crate::trace::ExecObserver).
+//!
 //! * [`selection`] — predicate evaluation against a constant (§3.2's running
 //!   example; evaluated per result object).
 //! * [`minmax`] — the MIN/MAX aggregate VAOs with the guess-and-reduce
-//!   greedy strategy of §5.1.
+//!   greedy strategy of §5.1 (the rank separation at `k = 1`).
 //! * [`sum`] — the weighted SUM/AVE aggregate VAO of §5.2.
 //! * [`traditional`] — the "black box" baseline operators of §3.1/§6, plus
 //!   the calibration procedure the paper uses to build them.
 //! * [`oracle`] — the theoretically optimal MAX iteration strategy of §6.2.
 //! * [`hybrid`] — the hybrid SUM operator sketched as future work in §6.3.
-//! * [`topk`] — extension: Top-K by the MAX VAO's guess-and-reduce scheme.
+//! * [`topk`] — extension: Top-K, the rank separation at `k` followed by
+//!   refining every member.
 //! * [`count`] — extension: predicate COUNT with a bounded-slack early
 //!   stop.
 //! * [`sum_heap`] — §5.2's heap-indexed iteration choice (`O(log N)` per
 //!   pick instead of the baseline scan's `O(N)`).
-//! * [`quantile`] — extension: MEDIAN/rank-k by two-phase separation
-//!   (k = 1 ≡ MAX, k = N ≡ MIN).
+//! * [`quantile`] — extension: MEDIAN/rank-k by two separations, top-`k`
+//!   then the minimum of the members (k = 1 ≡ MAX, k = N ≡ MIN).
 //! * [`percentile`] — extension: φ-quantile *value* bounds with
 //!   sketch-guided demand pruning (va-sketch rank bands).
 //! * [`heavy`] — extension: top-k ε-cell heavy hitters with
 //!   SpaceSaving/count-min demand pruning.
 
 pub mod count;
+mod drive;
 pub mod heavy;
 pub mod hybrid;
 pub mod minmax;

@@ -10,6 +10,7 @@
 use crate::cost::WorkMeter;
 use crate::error::VaoError;
 use crate::interface::ResultObject;
+use crate::ops::drive::{refine, Driver};
 use crate::ops::minmax::ExtremeResult;
 use crate::ops::DEFAULT_ITERATION_LIMIT;
 use crate::precision::PrecisionConstraint;
@@ -39,41 +40,22 @@ pub fn oracle_max<R: ResultObject>(
     );
     epsilon.validate_single_object(objs)?;
 
-    let mut iterations = 0u64;
-    let step = |obj: &mut R, meter: &mut WorkMeter, iterations: &mut u64| {
-        let before = obj.bounds();
-        let after = obj.iterate(meter);
-        *iterations += 1;
-        if after == before && !obj.converged() {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: DEFAULT_ITERATION_LIMIT,
-            });
-        }
-        if *iterations >= DEFAULT_ITERATION_LIMIT {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: DEFAULT_ITERATION_LIMIT,
-            });
-        }
-        Ok(())
-    };
+    let mut drive = Driver::unobserved(DEFAULT_ITERATION_LIMIT, meter);
 
     // 1. Run the known maximum to the requested precision.
-    while objs[true_argmax].bounds().width() > epsilon.epsilon() && !objs[true_argmax].converged() {
-        step(&mut objs[true_argmax], meter, &mut iterations)?;
-    }
+    refine(&mut objs[true_argmax], true_argmax, epsilon, &mut drive)?;
     let winner_lo = objs[true_argmax].bounds().lo();
 
     // 2. Iterate every other object until it no longer overlaps.
     let mut ties = Vec::new();
-    #[allow(clippy::needless_range_loop)] // indexing sidesteps iter_mut borrow vs step()
-    for i in 0..objs.len() {
+    for (i, obj) in objs.iter_mut().enumerate() {
         if i == true_argmax {
             continue;
         }
-        while objs[i].bounds().hi() >= winner_lo && !objs[i].converged() {
-            step(&mut objs[i], meter, &mut iterations)?;
+        while obj.bounds().hi() >= winner_lo && !obj.converged() {
+            drive.step(obj, i)?;
         }
-        if objs[i].bounds().hi() >= winner_lo {
+        if obj.bounds().hi() >= winner_lo {
             // Converged but still overlapping: genuinely indistinguishable.
             ties.push(i);
         }
@@ -83,7 +65,7 @@ pub fn oracle_max<R: ResultObject>(
         argext: true_argmax,
         bounds: objs[true_argmax].bounds(),
         ties,
-        iterations,
+        iterations: drive.finish(),
     })
 }
 

@@ -26,12 +26,14 @@ pub use va_sketch::rank_from_top;
 use va_sketch::IntervalQuantileSketch;
 
 use crate::bounds::Bounds;
-use crate::cost::{Work, WorkMeter};
+use crate::cost::WorkMeter;
 use crate::error::VaoError;
 use crate::interface::ResultObject;
+use crate::ops::drive::Driver;
 use crate::ops::minmax::AggregateConfig;
 use crate::precision::PrecisionConstraint;
 use crate::strategy::Candidate;
+use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
 
 /// Relative-error parameter of the guiding sketch. Shared with the server's
 /// demand functions so offline and online evaluation prune identically.
@@ -65,16 +67,25 @@ pub fn percentile_vao<R: ResultObject>(
     epsilon: PrecisionConstraint,
     meter: &mut WorkMeter,
 ) -> Result<PercentileResult, VaoError> {
-    percentile_vao_with(objs, phi, epsilon, &mut AggregateConfig::default(), meter)
+    percentile_vao_traced(
+        objs,
+        phi,
+        epsilon,
+        &mut AggregateConfig::default(),
+        meter,
+        &mut NoopObserver,
+    )
 }
 
-/// Evaluates the φ-quantile value with an explicit configuration.
-pub fn percentile_vao_with<R: ResultObject>(
+/// Evaluates the φ-quantile value with an explicit configuration and an
+/// [`ExecObserver`] receiving the execution trace.
+pub fn percentile_vao_traced<R: ResultObject, O: ExecObserver>(
     objs: &mut [R],
     phi: f64,
     epsilon: PrecisionConstraint,
     config: &mut AggregateConfig,
     meter: &mut WorkMeter,
+    observer: &mut O,
 ) -> Result<PercentileResult, VaoError> {
     if objs.is_empty() {
         return Err(VaoError::EmptyInput);
@@ -85,24 +96,13 @@ pub fn percentile_vao_with<R: ResultObject>(
     epsilon.validate_single_object(objs)?;
     let n = objs.len();
     let k = rank_from_top(phi, n);
-
-    let mut iterations = 0u64;
-    let step = |objs: &mut [R], idx: usize, iterations: &mut u64, meter: &mut WorkMeter| {
-        if *iterations >= config.iteration_limit {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        }
-        let before = objs[idx].bounds();
-        let after = objs[idx].iterate(meter);
-        *iterations += 1;
-        if after == before && !objs[idx].converged() {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        }
-        Ok(())
-    };
+    let mut drive = Driver::begin(
+        OperatorKind::Percentile,
+        n,
+        config.iteration_limit,
+        meter,
+        observer,
+    );
 
     let mut sketch = IntervalQuantileSketch::new(SKETCH_ALPHA, SKETCH_BUDGET);
     let mut touched = vec![false; n];
@@ -138,33 +138,22 @@ pub fn percentile_vao_with<R: ResultObject>(
             let overlap = b.hi().min(band_hi) - b.lo().max(band_lo);
             let est = o.est_bounds();
             let shrink = (est.lo() - b.lo()).max(0.0) + (b.hi() - est.hi()).max(0.0);
-            candidates.push(Candidate {
-                index: i,
-                benefit: overlap.max(0.0).min(shrink),
-                est_cpu: o.est_cpu(),
-                width: b.width(),
-            });
+            candidates.push(Candidate::of(i, o, overlap.max(0.0).min(shrink)));
         }
         if candidates.is_empty() {
             // Every straddler is at its minWidth floor: ε is unsatisfiable,
             // report the tightest sound interval (SUM's floor behavior).
             break Bounds::new(out_lo, out_hi);
         }
-        meter.charge_choose(candidates.len() as Work);
-        let Some(pick) = config.policy.pick(&candidates) else {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        };
-        let idx = candidates[pick].index;
-        step(objs, idx, &mut iterations, meter)?;
+        let idx = drive.choose(&mut config.policy, &candidates)?;
+        drive.step(&mut objs[idx], idx)?;
         touched[idx] = true;
     };
 
     Ok(PercentileResult {
         bounds,
         rank: k,
-        iterations,
+        iterations: drive.finish(),
         refined: touched.iter().filter(|&&t| t).count(),
     })
 }

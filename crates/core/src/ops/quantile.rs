@@ -1,25 +1,32 @@
 //! Order statistics: MEDIAN and general quantiles (extension).
 //!
 //! The rank-`k`-from-top object generalizes both MAX (`k = 1`) and MIN
-//! (`k = N`). The operator runs in two phases, each a guess-and-reduce
-//! separation in the style of §5.1:
+//! (`k = N`). The operator runs the shared guess-and-reduce separation of
+//! §5.1 twice:
 //!
 //! 1. **Outer separation** — split the objects into the presumed top-`k`
 //!    member set and the rest, iterating until no outsider's upper bound
 //!    reaches above the members' boundary (exactly the Top-K phase).
 //! 2. **Inner separation** — find the *minimum* of the member set (the
-//!    rank-`k` object itself), iterating until no other member's lower
-//!    bound dips below it.
+//!    rank-`k` object itself): the same separation with `k = 1`, over
+//!    negated views and restricted to the members, iterating until no
+//!    other member's lower bound dips below it.
 //!
-//! Ties at `minWidth` resolution are reported, as in MAX. MEDIAN is the
-//! rank `⌈N/2⌉` from the top.
+//! With `k = 1` the inner phase has nobody to separate and the operator *is*
+//! MAX; with `k = N` the outer phase has nobody to separate and it is MIN
+//! (up to the guess between members that tie exactly on their lower bound,
+//! which this phase leaves to the member order where MIN looks at the upper
+//! bound). Ties at `minWidth` resolution are reported, as in MAX. MEDIAN is
+//! the rank `⌈N/2⌉` from the top.
 
-use crate::cost::{Work, WorkMeter};
+use crate::adapters::Negated;
+use crate::cost::WorkMeter;
 use crate::error::VaoError;
 use crate::interface::ResultObject;
+use crate::ops::drive::{by_hi, refine, separate, separate_top, validate_rank, Driver};
 use crate::ops::minmax::{AggregateConfig, ExtremeResult};
 use crate::precision::PrecisionConstraint;
-use crate::strategy::Candidate;
+use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
 
 /// Evaluates the median (rank `⌈N/2⌉` from the top) with the default
 /// greedy configuration.
@@ -40,178 +47,65 @@ pub fn quantile_vao<R: ResultObject>(
     epsilon: PrecisionConstraint,
     meter: &mut WorkMeter,
 ) -> Result<ExtremeResult, VaoError> {
-    quantile_vao_with(objs, k, epsilon, &mut AggregateConfig::default(), meter)
+    quantile_vao_traced(
+        objs,
+        k,
+        epsilon,
+        &mut AggregateConfig::default(),
+        meter,
+        &mut NoopObserver,
+    )
 }
 
-/// Evaluates the rank-`k`-from-top object with an explicit configuration.
-pub fn quantile_vao_with<R: ResultObject>(
+/// Evaluates the rank-`k`-from-top object with an explicit configuration
+/// and an [`ExecObserver`] receiving the execution trace. Every rank
+/// reports as [`OperatorKind::Median`]; object indices are positions in
+/// `objs` in both phases, and the inner phase's events carry bounds in the
+/// **negated** domain (as MIN's do).
+pub fn quantile_vao_traced<R: ResultObject, O: ExecObserver>(
     objs: &mut [R],
     k: usize,
     epsilon: PrecisionConstraint,
     config: &mut AggregateConfig,
     meter: &mut WorkMeter,
+    observer: &mut O,
 ) -> Result<ExtremeResult, VaoError> {
-    if objs.is_empty() || k == 0 || k > objs.len() {
-        return Err(VaoError::EmptyInput);
-    }
-    epsilon.validate_single_object(objs)?;
+    validate_rank(objs, k, epsilon)?;
+    let mut drive = Driver::begin(
+        OperatorKind::Median,
+        objs.len(),
+        config.iteration_limit,
+        meter,
+        observer,
+    );
 
-    let mut iterations = 0u64;
-    let step = |objs: &mut [R], idx: usize, iterations: &mut u64, meter: &mut WorkMeter| {
-        if *iterations >= config.iteration_limit {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        }
-        let before = objs[idx].bounds();
-        let after = objs[idx].iterate(meter);
-        *iterations += 1;
-        if after == before && !objs[idx].converged() {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        }
-        Ok(())
+    // Phase 1: outer separation of the top-k member set.
+    let (members, mut ties) = separate_top(objs, k, &mut config.policy, &mut drive)?;
+    // Phase 2: inner MIN separation within the member set.
+    let (winner, inner_ties) = {
+        let mut negated: Vec<Negated<&mut R>> = objs.iter_mut().map(Negated).collect();
+        separate(
+            &mut negated,
+            &members,
+            1,
+            by_hi,
+            &mut config.policy,
+            &mut drive,
+        )?
     };
+    let winner = winner[0];
+    // Phase 3: refine the rank-k object to ε.
+    refine(&mut objs[winner], winner, epsilon, &mut drive)?;
 
-    // ---- Phase 1: outer separation (identical in spirit to Top-K). ----
-    let (members, mut ties) = loop {
-        let members = top_by_hi(objs, k);
-        let &theta_holder = members
-            .iter()
-            .min_by(|&&a, &&b| objs[a].bounds().lo().total_cmp(&objs[b].bounds().lo()))
-            .expect("k >= 1");
-        let theta = objs[theta_holder].bounds().lo();
-        let unresolved: Vec<usize> = (0..objs.len())
-            .filter(|&i| !members.contains(&i) && objs[i].bounds().hi() >= theta)
-            .collect();
-        if unresolved.is_empty() {
-            break (members, Vec::new());
-        }
-        if objs[theta_holder].converged() && unresolved.iter().all(|&i| objs[i].converged()) {
-            break (members, unresolved);
-        }
-        let mut candidates = Vec::with_capacity(unresolved.len() + 1);
-        if !objs[theta_holder].converged() {
-            let est_raise = (objs[theta_holder].est_bounds().lo() - theta).max(0.0);
-            let benefit: f64 = unresolved
-                .iter()
-                .map(|&j| (objs[j].bounds().hi() - theta).max(0.0).min(est_raise))
-                .sum();
-            candidates.push(Candidate {
-                index: theta_holder,
-                benefit,
-                est_cpu: objs[theta_holder].est_cpu(),
-                width: objs[theta_holder].bounds().width(),
-            });
-        }
-        for &i in &unresolved {
-            if objs[i].converged() {
-                continue;
-            }
-            let b = objs[i].bounds();
-            candidates.push(Candidate {
-                index: i,
-                benefit: (b.hi() - theta)
-                    .max(0.0)
-                    .min((b.hi() - objs[i].est_bounds().hi()).max(0.0)),
-                est_cpu: objs[i].est_cpu(),
-                width: b.width(),
-            });
-        }
-        meter.charge_choose(candidates.len() as Work);
-        let Some(pick) = config.policy.pick(&candidates) else {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        };
-        step(objs, candidates[pick].index, &mut iterations, meter)?;
-    };
-
-    // ---- Phase 2: inner MIN separation within the member set. ----
-    let winner = loop {
-        // Guess: the member with the lowest lower bound.
-        let &guess = members
-            .iter()
-            .min_by(|&&a, &&b| objs[a].bounds().lo().total_cmp(&objs[b].bounds().lo()))
-            .expect("k >= 1");
-        let guess_hi = objs[guess].bounds().hi();
-        let unresolved: Vec<usize> = members
-            .iter()
-            .copied()
-            .filter(|&i| i != guess && objs[i].bounds().lo() <= guess_hi)
-            .collect();
-        if unresolved.is_empty() {
-            break guess;
-        }
-        if objs[guess].converged() && unresolved.iter().all(|&i| objs[i].converged()) {
-            ties.extend(unresolved.iter().copied());
-            break guess;
-        }
-        let mut candidates = Vec::with_capacity(unresolved.len() + 1);
-        if !objs[guess].converged() {
-            let est_drop = (guess_hi - objs[guess].est_bounds().hi()).max(0.0);
-            let benefit: f64 = unresolved
-                .iter()
-                .map(|&j| (guess_hi - objs[j].bounds().lo()).max(0.0).min(est_drop))
-                .sum();
-            candidates.push(Candidate {
-                index: guess,
-                benefit,
-                est_cpu: objs[guess].est_cpu(),
-                width: objs[guess].bounds().width(),
-            });
-        }
-        for &i in &unresolved {
-            if objs[i].converged() {
-                continue;
-            }
-            let b = objs[i].bounds();
-            candidates.push(Candidate {
-                index: i,
-                benefit: (guess_hi - b.lo())
-                    .max(0.0)
-                    .min((objs[i].est_bounds().lo() - b.lo()).max(0.0)),
-                est_cpu: objs[i].est_cpu(),
-                width: b.width(),
-            });
-        }
-        meter.charge_choose(candidates.len() as Work);
-        let Some(pick) = config.policy.pick(&candidates) else {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        };
-        step(objs, candidates[pick].index, &mut iterations, meter)?;
-    };
-
-    // ---- Phase 3: refine the rank-k object to ε. ----
-    while objs[winner].bounds().width() > epsilon.epsilon() && !objs[winner].converged() {
-        step(objs, winner, &mut iterations, meter)?;
-    }
-
+    ties.extend(inner_ties);
     ties.sort_unstable();
     ties.dedup();
     Ok(ExtremeResult {
         argext: winner,
         bounds: objs[winner].bounds(),
         ties,
-        iterations,
+        iterations: drive.finish(),
     })
-}
-
-/// The `k` indices with the highest upper bounds (deterministic ties).
-fn top_by_hi<R: ResultObject>(objs: &[R], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..objs.len()).collect();
-    idx.sort_by(|&a, &b| {
-        let (ba, bb) = (objs[a].bounds(), objs[b].bounds());
-        bb.hi()
-            .total_cmp(&ba.hi())
-            .then(bb.lo().total_cmp(&ba.lo()))
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx
 }
 
 #[cfg(test)]

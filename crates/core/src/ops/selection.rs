@@ -7,13 +7,12 @@
 //! resolved accordingly (paper, §3.2).
 
 use crate::bounds::Bounds;
-use crate::cost::{WorkBreakdown, WorkMeter};
+use crate::cost::WorkMeter;
 use crate::error::VaoError;
 use crate::interface::ResultObject;
+use crate::ops::drive::Driver;
 use crate::ops::DEFAULT_ITERATION_LIMIT;
-use crate::trace::{
-    observe_iteration, ExecObserver, NoopObserver, OperatorEndRecord, OperatorKind,
-};
+use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
 
 /// Comparison operator of a selection predicate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -204,70 +203,31 @@ impl SelectionVao {
         meter: &mut WorkMeter,
         observer: &mut O,
     ) -> Result<SelectionOutcome, VaoError> {
-        if observer.is_enabled() {
-            observer.on_operator_start(OperatorKind::Selection, 1);
-        }
-        let work_start = meter.snapshot();
-        let mut iterations = 0u64;
-        loop {
+        let mut drive = Driver::begin(
+            OperatorKind::Selection,
+            1,
+            self.iteration_limit,
+            meter,
+            observer,
+        );
+        let (satisfied, decided_at_min_width, final_bounds) = loop {
             let bounds = obj.bounds();
             if let Some(satisfied) = self.op.decide(&bounds, self.constant) {
-                if observer.is_enabled() {
-                    observer.on_operator_end(&OperatorEndRecord {
-                        kind: OperatorKind::Selection,
-                        iterations,
-                        work: meter.since(&work_start),
-                    });
-                }
-                return Ok(SelectionOutcome {
-                    satisfied,
-                    decided_at_min_width: false,
-                    iterations,
-                    final_bounds: bounds,
-                });
+                break (satisfied, false, bounds);
             }
             if obj.converged() {
                 // Bounds still contain the constant but are as accurate as
                 // possible: treat the value as equal to the constant.
-                if observer.is_enabled() {
-                    observer.on_operator_end(&OperatorEndRecord {
-                        kind: OperatorKind::Selection,
-                        iterations,
-                        work: meter.since(&work_start),
-                    });
-                }
-                return Ok(SelectionOutcome {
-                    satisfied: self.op.outcome_at_equality(),
-                    decided_at_min_width: true,
-                    iterations,
-                    final_bounds: bounds,
-                });
+                break (self.op.outcome_at_equality(), true, bounds);
             }
-            if iterations >= self.iteration_limit {
-                return Err(VaoError::IterationLimitExceeded {
-                    limit: self.iteration_limit,
-                });
-            }
-            let (est_cpu, snapshot) = if observer.is_enabled() {
-                (obj.est_cpu(), meter.snapshot())
-            } else {
-                (0, WorkBreakdown::default())
-            };
-            let refined = obj.iterate(meter);
-            iterations += 1;
-            if observer.is_enabled() {
-                observe_iteration(
-                    observer, 0, iterations, bounds, refined, est_cpu, meter, &snapshot,
-                );
-            }
-            // Contract defense: a non-converged object whose iterate() left
-            // the bounds unchanged will never decide the predicate.
-            if refined == bounds && !obj.converged() {
-                return Err(VaoError::IterationLimitExceeded {
-                    limit: self.iteration_limit,
-                });
-            }
-        }
+            drive.step(obj, 0)?;
+        };
+        Ok(SelectionOutcome {
+            satisfied,
+            decided_at_min_width,
+            iterations: drive.finish(),
+            final_bounds,
+        })
     }
 }
 

@@ -8,15 +8,14 @@
 //! weights this is SUM; with weights `1/N` it is AVE.
 
 use crate::bounds::Bounds;
-use crate::cost::{Work, WorkBreakdown, WorkMeter};
+use crate::cost::WorkMeter;
 use crate::error::VaoError;
 use crate::interface::ResultObject;
+use crate::ops::drive::Driver;
 use crate::ops::minmax::AggregateConfig;
 use crate::precision::PrecisionConstraint;
 use crate::strategy::Candidate;
-use crate::trace::{
-    observe_iteration, ExecObserver, NoopObserver, OperatorEndRecord, OperatorKind,
-};
+use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
 
 /// Result of a SUM/AVE evaluation.
 #[derive(Clone, Debug, PartialEq)]
@@ -37,14 +36,7 @@ pub fn sum_vao<R: ResultObject>(
     epsilon: PrecisionConstraint,
     meter: &mut WorkMeter,
 ) -> Result<SumResult, VaoError> {
-    let weights = vec![1.0; objs.len()];
-    weighted_sum_vao_with(
-        objs,
-        &weights,
-        epsilon,
-        &mut AggregateConfig::default(),
-        meter,
-    )
+    weighted_sum_vao(objs, &vec![1.0; objs.len()], epsilon, meter)
 }
 
 /// Evaluates AVE (weights `1/N`) with the default greedy configuration.
@@ -57,14 +49,7 @@ pub fn ave_vao<R: ResultObject>(
         return Err(VaoError::EmptyInput);
     }
     let w = 1.0 / objs.len() as f64;
-    let weights = vec![w; objs.len()];
-    weighted_sum_vao_with(
-        objs,
-        &weights,
-        epsilon,
-        &mut AggregateConfig::default(),
-        meter,
-    )
+    weighted_sum_vao(objs, &vec![w; objs.len()], epsilon, meter)
 }
 
 /// Evaluates a weighted SUM with the default greedy configuration.
@@ -138,48 +123,19 @@ pub fn weighted_sum_vao_traced<R: ResultObject, O: ExecObserver>(
     meter: &mut WorkMeter,
     observer: &mut O,
 ) -> Result<SumResult, VaoError> {
-    if objs.is_empty() {
-        return Err(VaoError::EmptyInput);
-    }
-    for (i, &w) in weights.iter().enumerate() {
-        if !w.is_finite() || w < 0.0 {
-            return Err(VaoError::InvalidWeight {
-                index: i,
-                weight: w,
-            });
-        }
-    }
-    epsilon.validate_weighted(objs, weights)?;
+    validate_sum_input(objs, weights, epsilon)?;
+    let mut drive = Driver::begin(
+        OperatorKind::Sum,
+        objs.len(),
+        config.iteration_limit,
+        meter,
+        observer,
+    );
+    let (mut lo_sum, mut hi_sum) = weighted_total(objs, weights);
 
-    if observer.is_enabled() {
-        observer.on_operator_start(OperatorKind::Sum, objs.len());
-    }
-    let work_start = meter.snapshot();
-    let mut iterations = 0u64;
-    let total = |objs: &[R]| -> (f64, f64) {
-        objs.iter()
-            .zip(weights)
-            .fold((0.0, 0.0), |(lo, hi), (o, &w)| {
-                let b = o.bounds();
-                (lo + w * b.lo(), hi + w * b.hi())
-            })
-    };
-    let (mut lo_sum, mut hi_sum) = total(objs);
-
-    loop {
+    let stopped_at_floor = loop {
         if hi_sum - lo_sum <= epsilon.epsilon() {
-            if observer.is_enabled() {
-                observer.on_operator_end(&OperatorEndRecord {
-                    kind: OperatorKind::Sum,
-                    iterations,
-                    work: meter.since(&work_start),
-                });
-            }
-            return Ok(SumResult {
-                bounds: Bounds::new(lo_sum.min(hi_sum), hi_sum.max(lo_sum)),
-                iterations,
-                stopped_at_floor: false,
-            });
+            break false;
         }
 
         // Candidates: every object that can still be refined; benefit is the
@@ -193,69 +149,63 @@ pub fn weighted_sum_vao_traced<R: ResultObject, O: ExecObserver>(
             let b = o.bounds();
             let eb = o.est_bounds();
             let reduction = (eb.lo() - b.lo()).max(0.0) + (b.hi() - eb.hi()).max(0.0);
-            candidates.push(Candidate {
-                index: i,
-                benefit: weights[i] * reduction,
-                est_cpu: o.est_cpu(),
-                width: b.width(),
-            });
+            candidates.push(Candidate::of(i, o, weights[i] * reduction));
         }
         if candidates.is_empty() {
             // Every object at its stopping condition: the floor.
-            if observer.is_enabled() {
-                observer.on_operator_end(&OperatorEndRecord {
-                    kind: OperatorKind::Sum,
-                    iterations,
-                    work: meter.since(&work_start),
-                });
-            }
-            return Ok(SumResult {
-                bounds: Bounds::new(lo_sum.min(hi_sum), hi_sum.max(lo_sum)),
-                iterations,
-                stopped_at_floor: true,
-            });
+            break true;
         }
-        meter.charge_choose(candidates.len() as Work);
-        let pick = config
-            .policy
-            .pick_traced(&candidates, observer)
-            .expect("candidates is non-empty");
-        let chosen = candidates[pick].index;
-
-        if iterations >= config.iteration_limit {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        }
-        let (est_cpu, snapshot) = if observer.is_enabled() {
-            (objs[chosen].est_cpu(), meter.snapshot())
-        } else {
-            (0, WorkBreakdown::default())
-        };
-        let before = objs[chosen].bounds();
-        let after = objs[chosen].iterate(meter);
-        iterations += 1;
-        if observer.is_enabled() {
-            observe_iteration(
-                observer, chosen, iterations, before, after, est_cpu, meter, &snapshot,
-            );
-        }
-        if after == before && !objs[chosen].converged() {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        }
+        let chosen = drive.choose(&mut config.policy, &candidates)?;
+        let (before, after) = drive.step(&mut objs[chosen], chosen)?;
         // Incremental update of the running totals; resynchronized
         // periodically to cap floating-point drift.
         let w = weights[chosen];
         lo_sum += w * (after.lo() - before.lo());
         hi_sum += w * (after.hi() - before.hi());
-        if iterations.is_multiple_of(1024) {
-            let (l, h) = total(objs);
-            lo_sum = l;
-            hi_sum = h;
+        if drive.iterations().is_multiple_of(1024) {
+            (lo_sum, hi_sum) = weighted_total(objs, weights);
         }
+    };
+    Ok(SumResult {
+        bounds: Bounds::new(lo_sum.min(hi_sum), hi_sum.max(lo_sum)),
+        iterations: drive.finish(),
+        stopped_at_floor,
+    })
+}
+
+/// Every weight finite and nonnegative.
+pub(super) fn validate_weights(weights: &[f64]) -> Result<(), VaoError> {
+    match weights.iter().position(|w| !w.is_finite() || *w < 0.0) {
+        Some(index) => Err(VaoError::InvalidWeight {
+            index,
+            weight: weights[index],
+        }),
+        None => Ok(()),
     }
+}
+
+/// What a weighted SUM checks before it touches an object: a non-empty
+/// set, well-formed weights, one per object, and a reachable ε.
+pub(super) fn validate_sum_input<R: ResultObject>(
+    objs: &[R],
+    weights: &[f64],
+    epsilon: PrecisionConstraint,
+) -> Result<(), VaoError> {
+    if objs.is_empty() {
+        return Err(VaoError::EmptyInput);
+    }
+    validate_weights(weights)?;
+    epsilon.validate_weighted(objs, weights)
+}
+
+/// The output interval `[Σ wᵢ·Lᵢ, Σ wᵢ·Hᵢ]`, summed in object order.
+pub(super) fn weighted_total<R: ResultObject>(objs: &[R], weights: &[f64]) -> (f64, f64) {
+    objs.iter()
+        .zip(weights)
+        .fold((0.0, 0.0), |(lo, hi), (o, &w)| {
+            let b = o.bounds();
+            (lo + w * b.lo(), hi + w * b.hi())
+        })
 }
 
 #[cfg(test)]

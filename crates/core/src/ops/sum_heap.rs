@@ -17,7 +17,8 @@ use crate::bounds::Bounds;
 use crate::cost::{Work, WorkMeter};
 use crate::error::VaoError;
 use crate::interface::ResultObject;
-use crate::ops::sum::SumResult;
+use crate::ops::drive::Driver;
+use crate::ops::sum::{validate_sum_input, weighted_total, SumResult};
 use crate::ops::DEFAULT_ITERATION_LIMIT;
 use crate::precision::PrecisionConstraint;
 
@@ -73,27 +74,10 @@ pub fn weighted_sum_vao_heap<R: ResultObject>(
     epsilon: PrecisionConstraint,
     meter: &mut WorkMeter,
 ) -> Result<SumResult, VaoError> {
-    if objs.is_empty() {
-        return Err(VaoError::EmptyInput);
-    }
-    for (i, &w) in weights.iter().enumerate() {
-        if !w.is_finite() || w < 0.0 {
-            return Err(VaoError::InvalidWeight {
-                index: i,
-                weight: w,
-            });
-        }
-    }
-    epsilon.validate_weighted(objs, weights)?;
+    validate_sum_input(objs, weights, epsilon)?;
 
     let n = objs.len();
-    let (mut lo_sum, mut hi_sum) =
-        objs.iter()
-            .zip(weights)
-            .fold((0.0, 0.0), |(lo, hi), (o, &w)| {
-                let b = o.bounds();
-                (lo + w * b.lo(), hi + w * b.hi())
-            });
+    let (mut lo_sum, mut hi_sum) = weighted_total(objs, weights);
 
     let mut versions = vec![0u64; n];
     let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(n);
@@ -111,12 +95,12 @@ pub fn weighted_sum_vao_heap<R: ResultObject>(
     // Building the index is one O(N) pass (heapify), charged like a scan.
     meter.charge_choose(n as Work);
 
-    let mut iterations = 0u64;
+    let mut drive = Driver::unobserved(DEFAULT_ITERATION_LIMIT, meter);
     loop {
         if hi_sum - lo_sum <= epsilon.epsilon() {
             return Ok(SumResult {
                 bounds: Bounds::new(lo_sum.min(hi_sum), hi_sum.max(lo_sum)),
-                iterations,
+                iterations: drive.iterations(),
                 stopped_at_floor: false,
             });
         }
@@ -126,12 +110,12 @@ pub fn weighted_sum_vao_heap<R: ResultObject>(
                 None => {
                     return Ok(SumResult {
                         bounds: Bounds::new(lo_sum.min(hi_sum), hi_sum.max(lo_sum)),
-                        iterations,
+                        iterations: drive.iterations(),
                         stopped_at_floor: true,
                     });
                 }
                 Some(e) => {
-                    meter.charge_choose(1);
+                    drive.meter.charge_choose(1);
                     if e.version == versions[e.index] && !objs[e.index].converged() {
                         break e.index;
                     }
@@ -139,32 +123,12 @@ pub fn weighted_sum_vao_heap<R: ResultObject>(
             }
         };
 
-        if iterations >= DEFAULT_ITERATION_LIMIT {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: DEFAULT_ITERATION_LIMIT,
-            });
-        }
-        let before = objs[chosen].bounds();
-        let after = objs[chosen].iterate(meter);
-        iterations += 1;
-        if after == before && !objs[chosen].converged() {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: DEFAULT_ITERATION_LIMIT,
-            });
-        }
+        let (before, after) = drive.step(&mut objs[chosen], chosen)?;
         let w = weights[chosen];
         lo_sum += w * (after.lo() - before.lo());
         hi_sum += w * (after.hi() - before.hi());
-        if iterations.is_multiple_of(1024) {
-            let (l, h) = objs
-                .iter()
-                .zip(weights)
-                .fold((0.0, 0.0), |(lo, hi), (o, &ww)| {
-                    let b = o.bounds();
-                    (lo + ww * b.lo(), hi + ww * b.hi())
-                });
-            lo_sum = l;
-            hi_sum = h;
+        if drive.iterations().is_multiple_of(1024) {
+            (lo_sum, hi_sum) = weighted_total(objs, weights);
         }
 
         versions[chosen] += 1;
@@ -176,7 +140,7 @@ pub fn weighted_sum_vao_heap<R: ResultObject>(
                 version: versions[chosen],
                 index: chosen,
             });
-            meter.charge_choose(1);
+            drive.meter.charge_choose(1);
         }
     }
 }

@@ -11,12 +11,13 @@
 //! to MAX and performs the same iterations.
 
 use crate::bounds::Bounds;
-use crate::cost::{Work, WorkMeter};
+use crate::cost::WorkMeter;
 use crate::error::VaoError;
 use crate::interface::ResultObject;
+use crate::ops::drive::{refine, separate_top, validate_rank, Driver};
 use crate::ops::minmax::AggregateConfig;
 use crate::precision::PrecisionConstraint;
-use crate::strategy::Candidate;
+use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
 
 /// Result of a Top-K evaluation.
 #[derive(Clone, Debug, PartialEq)]
@@ -40,10 +41,20 @@ pub fn topk_vao<R: ResultObject>(
     epsilon: PrecisionConstraint,
     meter: &mut WorkMeter,
 ) -> Result<TopKResult, VaoError> {
-    topk_vao_with(objs, k, epsilon, &mut AggregateConfig::default(), meter)
+    topk_vao_traced(
+        objs,
+        k,
+        epsilon,
+        &mut AggregateConfig::default(),
+        meter,
+        &mut NoopObserver,
+    )
 }
 
-/// Evaluates Top-K with an explicit configuration.
+/// Evaluates Top-K with an explicit configuration and an [`ExecObserver`]
+/// receiving the execution trace (one choice event per separation
+/// decision, one iteration event per `iterate()` call, member refinement
+/// included).
 ///
 /// # Errors
 ///
@@ -52,141 +63,38 @@ pub fn topk_vao<R: ResultObject>(
 ///   operator).
 /// * [`VaoError::PrecisionTooTight`] if ε < max(minWidth).
 /// * [`VaoError::IterationLimitExceeded`] on stalled objects.
-pub fn topk_vao_with<R: ResultObject>(
+pub fn topk_vao_traced<R: ResultObject, O: ExecObserver>(
     objs: &mut [R],
     k: usize,
     epsilon: PrecisionConstraint,
     config: &mut AggregateConfig,
     meter: &mut WorkMeter,
+    observer: &mut O,
 ) -> Result<TopKResult, VaoError> {
-    if objs.is_empty() || k == 0 || k > objs.len() {
-        return Err(VaoError::EmptyInput);
-    }
-    epsilon.validate_single_object(objs)?;
-
-    let mut iterations = 0u64;
-    let step = |objs: &mut [R], idx: usize, iterations: &mut u64, meter: &mut WorkMeter| {
-        if *iterations >= config.iteration_limit {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        }
-        let before = objs[idx].bounds();
-        let after = objs[idx].iterate(meter);
-        *iterations += 1;
-        if after == before && !objs[idx].converged() {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        }
-        Ok(())
-    };
+    validate_rank(objs, k, epsilon)?;
+    let mut drive = Driver::begin(
+        OperatorKind::TopK,
+        objs.len(),
+        config.iteration_limit,
+        meter,
+        observer,
+    );
 
     // Phase 1: separate the member set.
-    let (members, ties) = loop {
-        let members = guess_members(objs, k);
-        // The boundary member: the presumed member with the lowest L.
-        let &theta_holder = members
-            .iter()
-            .min_by(|&&a, &&b| {
-                objs[a]
-                    .bounds()
-                    .lo()
-                    .partial_cmp(&objs[b].bounds().lo())
-                    .expect("finite bounds")
-            })
-            .expect("k >= 1");
-        let theta = objs[theta_holder].bounds().lo();
-
-        let in_members = |i: usize| members.contains(&i);
-        let unresolved: Vec<usize> = (0..objs.len())
-            .filter(|&i| !in_members(i) && objs[i].bounds().hi() >= theta)
-            .collect();
-
-        if unresolved.is_empty() {
-            break (members, Vec::new());
-        }
-        if objs[theta_holder].converged() && unresolved.iter().all(|&i| objs[i].converged()) {
-            break (members, unresolved);
-        }
-
-        // Score candidates: boundary holder + non-converged unresolved.
-        let mut candidates = Vec::with_capacity(unresolved.len() + 1);
-        if !objs[theta_holder].converged() {
-            let est_raise = (objs[theta_holder].est_bounds().lo() - theta).max(0.0);
-            let benefit: f64 = unresolved
-                .iter()
-                .map(|&j| (objs[j].bounds().hi() - theta).max(0.0).min(est_raise))
-                .sum();
-            candidates.push(Candidate {
-                index: theta_holder,
-                benefit,
-                est_cpu: objs[theta_holder].est_cpu(),
-                width: objs[theta_holder].bounds().width(),
-            });
-        }
-        for &i in &unresolved {
-            if objs[i].converged() {
-                continue;
-            }
-            let b = objs[i].bounds();
-            let overlap = (b.hi() - theta).max(0.0);
-            let est_drop = (b.hi() - objs[i].est_bounds().hi()).max(0.0);
-            candidates.push(Candidate {
-                index: i,
-                benefit: overlap.min(est_drop),
-                est_cpu: objs[i].est_cpu(),
-                width: b.width(),
-            });
-        }
-        meter.charge_choose(candidates.len() as Work);
-        let Some(pick) = config.policy.pick(&candidates) else {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: config.iteration_limit,
-            });
-        };
-        let chosen = candidates[pick].index;
-        step(objs, chosen, &mut iterations, meter)?;
-    };
-
+    let (mut members, ties) = separate_top(objs, k, &mut config.policy, &mut drive)?;
     // Phase 2: refine each member to ε.
     for &m in &members {
-        while objs[m].bounds().width() > epsilon.epsilon() && !objs[m].converged() {
-            step(objs, m, &mut iterations, meter)?;
-        }
+        refine(&mut objs[m], m, epsilon, &mut drive)?;
     }
 
-    let mut ordered = members;
-    ordered.sort_by(|&a, &b| {
-        objs[b]
-            .bounds()
-            .hi()
-            .partial_cmp(&objs[a].bounds().hi())
-            .expect("finite bounds")
-    });
-    let bounds = ordered.iter().map(|&i| objs[i].bounds()).collect();
+    members.sort_by(|&a, &b| objs[b].bounds().hi().total_cmp(&objs[a].bounds().hi()));
+    let bounds = members.iter().map(|&i| objs[i].bounds()).collect();
     Ok(TopKResult {
-        members: ordered,
+        members,
         bounds,
         ties,
-        iterations,
+        iterations: drive.finish(),
     })
-}
-
-/// The K objects with the highest upper bounds (ties to higher lower
-/// bound, then lower index).
-fn guess_members<R: ResultObject>(objs: &[R], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..objs.len()).collect();
-    idx.sort_by(|&a, &b| {
-        let (ba, bb) = (objs[a].bounds(), objs[b].bounds());
-        bb.hi()
-            .partial_cmp(&ba.hi())
-            .expect("finite bounds")
-            .then(bb.lo().partial_cmp(&ba.lo()).expect("finite bounds"))
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx
 }
 
 #[cfg(test)]

@@ -13,7 +13,9 @@
 use crate::cost::{Work, WorkMeter};
 use crate::error::VaoError;
 use crate::interface::ResultObject;
+use crate::ops::drive::Driver;
 use crate::ops::selection::CmpOp;
+use crate::ops::sum::validate_weights;
 use crate::ops::DEFAULT_ITERATION_LIMIT;
 
 /// The outcome of calibrating one function call: the accurate value and the
@@ -38,21 +40,9 @@ pub fn calibrate<R: ResultObject>(
     obj: &mut R,
     calibration_meter: &mut WorkMeter,
 ) -> Result<BlackBoxSpec, VaoError> {
-    let mut iterations = 0u64;
+    let mut drive = Driver::unobserved(DEFAULT_ITERATION_LIMIT, calibration_meter);
     while !obj.converged() {
-        if iterations >= DEFAULT_ITERATION_LIMIT {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: DEFAULT_ITERATION_LIMIT,
-            });
-        }
-        let before = obj.bounds();
-        let after = obj.iterate(calibration_meter);
-        iterations += 1;
-        if after == before && !obj.converged() {
-            return Err(VaoError::IterationLimitExceeded {
-                limit: DEFAULT_ITERATION_LIMIT,
-            });
-        }
+        drive.step(obj, 0)?;
     }
     let bounds = obj.bounds();
     Ok(BlackBoxSpec {
@@ -138,14 +128,7 @@ pub fn traditional_weighted_sum(
             weights: weights.len(),
         });
     }
-    for (i, &w) in weights.iter().enumerate() {
-        if !w.is_finite() || w < 0.0 {
-            return Err(VaoError::InvalidWeight {
-                index: i,
-                weight: w,
-            });
-        }
-    }
+    validate_weights(weights)?;
     Ok(specs
         .iter()
         .zip(weights)

@@ -10,6 +10,7 @@
 //! benchmarks to quantify how much the greedy choice matters.
 
 use crate::cost::Work;
+use crate::interface::ResultObject;
 use crate::trace::{ChoiceRecord, ExecObserver};
 
 /// A scored iteration choice offered to a policy.
@@ -31,6 +32,19 @@ pub struct Candidate {
 }
 
 impl Candidate {
+    /// The candidate "iterate `obj` (object `index`) next", worth `benefit`:
+    /// the cost estimate and the fallback width are the object's own, so
+    /// operators differ in the benefit alone.
+    #[must_use]
+    pub fn of<R: ResultObject>(index: usize, obj: &R, benefit: f64) -> Self {
+        Candidate {
+            index,
+            benefit,
+            est_cpu: obj.est_cpu(),
+            width: obj.bounds().width(),
+        }
+    }
+
     /// Benefit per unit of estimated CPU, the greedy score of §5.
     ///
     /// A zero cost estimate is clamped to one work unit so that essentially

@@ -2,15 +2,18 @@
 //!
 //! The operators of §5 make hundreds of small decisions per evaluation —
 //! which object to iterate, how much benefit they expected, how much CPU the
-//! iteration actually cost — and the aggregate numbers in a [`WorkMeter`]
-//! flatten all of that away. This module exposes the decision stream itself:
+//! iteration actually cost — and the aggregate numbers in a
+//! [`WorkMeter`](crate::cost::WorkMeter) flatten all of that away. This
+//! module exposes the decision stream itself:
 //!
 //! * [`ExecObserver`] — a callback trait the traced operator entry points
 //!   ([`crate::ops::selection::select_traced`],
 //!   [`crate::ops::minmax::max_vao_traced`],
-//!   [`crate::ops::sum::weighted_sum_vao_traced`], …) thread through their
-//!   evaluation loops. Every hook has an empty `#[inline]` default and the
-//!   loops guard event construction behind [`ExecObserver::is_enabled`], so
+//!   [`crate::ops::sum::weighted_sum_vao_traced`], … — every VAO of
+//!   [`crate::ops`] but the heap-indexed SUM has one) thread through the
+//!   evaluation loop they share. Every hook has an empty `#[inline]`
+//!   default and the loop guards event construction behind
+//!   [`ExecObserver::is_enabled`], so
 //!   with the [`NoopObserver`] the whole layer monomorphizes to nothing:
 //!   the untraced entry points stay exactly as fast as before the layer
 //!   existed, and charge the exact same logical work either way (observers
@@ -40,7 +43,7 @@
 //! ```
 
 use crate::bounds::Bounds;
-use crate::cost::{Work, WorkBreakdown, WorkMeter};
+use crate::cost::{Work, WorkBreakdown};
 
 /// Which operator produced a trace event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,6 +58,17 @@ pub enum OperatorKind {
     Sum,
     /// Hybrid SUM (§6.3).
     HybridSum,
+    /// Top-K (extension of §5.1).
+    TopK,
+    /// Predicate COUNT with bounded slack (extension).
+    Count,
+    /// MEDIAN and the rank-`k` order statistics (extension; every rank
+    /// reports under this one name).
+    Median,
+    /// Sketch-guided PERCENTILE value bounds (extension).
+    Percentile,
+    /// Sketch-guided HEAVY-HITTERS (extension).
+    HeavyHitters,
     /// Cross-query shared-pool scheduler (the `va-server` extension of §5's
     /// greedy choice to every registered query at once).
     SharedPool,
@@ -70,6 +84,11 @@ impl OperatorKind {
             OperatorKind::Min => "min",
             OperatorKind::Sum => "sum",
             OperatorKind::HybridSum => "hybrid_sum",
+            OperatorKind::TopK => "topk",
+            OperatorKind::Count => "count",
+            OperatorKind::Median => "median",
+            OperatorKind::Percentile => "percentile",
+            OperatorKind::HeavyHitters => "heavyhitters",
             OperatorKind::SharedPool => "shared_pool",
         }
     }
@@ -645,31 +664,6 @@ impl ExecObserver for Recorder {
     }
 }
 
-/// Helper for the operator loops: observes one `iterate()` call, measuring
-/// its actual CPU via meter snapshots. Only call when
-/// [`ExecObserver::is_enabled`] — the snapshot diff is the one piece of
-/// per-iteration bookkeeping that is not already needed by the loop itself.
-#[allow(clippy::too_many_arguments)] // internal helper mirroring the loop-site locals
-pub(crate) fn observe_iteration<O: ExecObserver>(
-    observer: &mut O,
-    object: usize,
-    seq: u64,
-    before: Bounds,
-    after: Bounds,
-    est_cpu: Work,
-    meter: &WorkMeter,
-    snapshot: &WorkBreakdown,
-) {
-    observer.on_iteration(&IterationRecord {
-        object,
-        seq,
-        before,
-        after,
-        est_cpu,
-        actual_cpu: meter.since(snapshot).total(),
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -842,6 +836,11 @@ mod tests {
         assert_eq!(OperatorKind::Selection.name(), "selection");
         assert_eq!(OperatorKind::Max.to_string(), "max");
         assert_eq!(OperatorKind::HybridSum.name(), "hybrid_sum");
+        assert_eq!(OperatorKind::TopK.name(), "topk");
+        assert_eq!(OperatorKind::Count.name(), "count");
+        assert_eq!(OperatorKind::Median.name(), "median");
+        assert_eq!(OperatorKind::Percentile.name(), "percentile");
+        assert_eq!(OperatorKind::HeavyHitters.name(), "heavyhitters");
         assert_eq!(OperatorKind::SharedPool.name(), "shared_pool");
     }
 

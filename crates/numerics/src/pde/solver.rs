@@ -98,40 +98,12 @@ pub fn solve_on_mesh<P: ParabolicPde>(
         });
     }
 
-    let (x_lo, x_hi) = problem.domain();
-    let horizon = problem.horizon();
     let n = n_x as usize + 1; // mesh columns
-    let h = (x_hi - x_lo) / f64::from(n_x);
-    let dt = horizon / f64::from(n_t);
-
-    let xs: Vec<f64> = (0..n).map(|i| x_lo + h * i as f64).collect();
-
-    // Coefficients are time-independent; precompute the tridiagonal bands.
-    let mut sub = vec![0.0; n];
-    let mut diag = vec![0.0; n];
-    let mut sup = vec![0.0; n];
-    for i in 1..n - 1 {
-        let a = problem.diffusion(xs[i]);
-        let b = problem.drift(xs[i]);
-        let r = problem.discount(xs[i]);
-        let alpha = dt * a / (h * h);
-        let beta = dt * b / (2.0 * h);
-        sub[i] = -(alpha - beta);
-        diag[i] = 1.0 + 2.0 * alpha + dt * r;
-        sup[i] = -(alpha + beta);
-    }
-    {
-        // Lower boundary: no diffusion; inward (positive) drift one-sided.
-        let b = problem.drift(xs[0]).max(0.0);
-        let r = problem.discount(xs[0]);
-        diag[0] = 1.0 + dt * r + dt * b / h;
-        sup[0] = -dt * b / h;
-        // Upper boundary: no diffusion; inward (negative) drift one-sided.
-        let b = (-problem.drift(xs[n - 1])).max(0.0);
-        let r = problem.discount(xs[n - 1]);
-        diag[n - 1] = 1.0 + dt * r + dt * b / h;
-        sub[n - 1] = -dt * b / h;
-    }
+    let (mut sub, mut diag, mut sup) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    let (mut src, mut g) = (vec![0.0; n], vec![0.0; n]);
+    fill_mesh(
+        problem, n_x, n_t, &mut sub, &mut diag, &mut sup, &mut src, &mut g, 1, 0,
+    );
 
     // Neither the bands nor the source depend on the step: factor and
     // evaluate once, so a time step is one sweep, `g ← T⁻¹(g + src)`.
@@ -139,20 +111,88 @@ pub fn solve_on_mesh<P: ParabolicPde>(
     thomas
         .factor(&sub, &diag, &sup)
         .map_err(SolveError::Singular)?;
-    let src: Vec<f64> = xs.iter().map(|&x| dt * problem.source(x)).collect();
-    let mut g: Vec<f64> = xs.iter().map(|&x| problem.terminal(x)).collect();
     for _ in 0..n_t {
         thomas.sweep(&src, &mut g);
     }
 
-    // Linear interpolation at the query point.
-    let xq = problem.x_query();
-    let pos = ((xq - x_lo) / h).clamp(0.0, (n - 1) as f64);
+    Ok(MeshSolution {
+        value: interpolate(problem, n_x, &g, 1, 0),
+        work: cells,
+    })
+}
+
+/// Assembles one mesh system: the tridiagonal bands of the implicit step,
+/// the per-step source `Δt·c(x)` and the terminal state, for mesh column
+/// `i` at slot `i * stride + offset` of each plane (`(1, 0)` is a dense
+/// vector; the lane solver interleaves its systems). Coefficients are
+/// time-independent, so this runs once per solve. The planes may hold
+/// leftovers: all `n_x + 1` slots are written in each of the five.
+#[allow(clippy::too_many_arguments)] // the five planes ARE the interface
+pub(crate) fn fill_mesh<P: ParabolicPde>(
+    problem: &P,
+    n_x: u32,
+    n_t: u32,
+    sub: &mut [f64],
+    diag: &mut [f64],
+    sup: &mut [f64],
+    src: &mut [f64],
+    state: &mut [f64],
+    stride: usize,
+    offset: usize,
+) {
+    let (x_lo, x_hi) = problem.domain();
+    let n = n_x as usize + 1;
+    let h = (x_hi - x_lo) / f64::from(n_x);
+    let dt = problem.horizon() / f64::from(n_t);
+    let at = |i: usize| i * stride + offset;
+    let x_at = |i: usize| x_lo + h * i as f64;
+    for i in 1..n - 1 {
+        let x = x_at(i);
+        let a = problem.diffusion(x);
+        let b = problem.drift(x);
+        let r = problem.discount(x);
+        let alpha = dt * a / (h * h);
+        let beta = dt * b / (2.0 * h);
+        sub[at(i)] = -(alpha - beta);
+        diag[at(i)] = 1.0 + 2.0 * alpha + dt * r;
+        sup[at(i)] = -(alpha + beta);
+    }
+    {
+        // Lower boundary: no diffusion; inward (positive) drift one-sided.
+        let b = problem.drift(x_at(0)).max(0.0);
+        let r = problem.discount(x_at(0));
+        sub[at(0)] = 0.0;
+        diag[at(0)] = 1.0 + dt * r + dt * b / h;
+        sup[at(0)] = -dt * b / h;
+        // Upper boundary: no diffusion; inward (negative) drift one-sided.
+        let b = (-problem.drift(x_at(n - 1))).max(0.0);
+        let r = problem.discount(x_at(n - 1));
+        sub[at(n - 1)] = -dt * b / h;
+        diag[at(n - 1)] = 1.0 + dt * r + dt * b / h;
+        sup[at(n - 1)] = 0.0;
+    }
+    for i in 0..n {
+        src[at(i)] = dt * problem.source(x_at(i));
+        state[at(i)] = problem.terminal(x_at(i));
+    }
+}
+
+/// `F(x_query, 0)` from the `t = 0` column held strided in `state`: linear
+/// interpolation between the two nearest mesh columns.
+pub(crate) fn interpolate<P: ParabolicPde>(
+    problem: &P,
+    n_x: u32,
+    state: &[f64],
+    stride: usize,
+    offset: usize,
+) -> f64 {
+    let (x_lo, x_hi) = problem.domain();
+    let n = n_x as usize + 1;
+    let h = (x_hi - x_lo) / f64::from(n_x);
+    let pos = ((problem.x_query() - x_lo) / h).clamp(0.0, (n - 1) as f64);
     let i0 = (pos.floor() as usize).min(n - 2);
     let frac = pos - i0 as f64;
-    let value = g[i0] * (1.0 - frac) + g[i0 + 1] * frac;
-
-    Ok(MeshSolution { value, work: cells })
+    state[i0 * stride + offset] * (1.0 - frac) + state[(i0 + 1) * stride + offset] * frac
 }
 
 #[cfg(test)]

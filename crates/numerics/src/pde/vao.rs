@@ -21,7 +21,7 @@ use vao::Bounds;
 
 use crate::pde::extrapolation::{StepKind, TwoTermErrorModel};
 use crate::pde::problem::ParabolicPde;
-use crate::pde::solver::{solve_on_mesh, SolveError, SolverConfig};
+use crate::pde::solver::{fill_mesh, interpolate, solve_on_mesh, SolveError, SolverConfig};
 
 /// Construction parameters for [`PdeResultObject`].
 #[derive(Clone, Copy, Debug)]
@@ -161,11 +161,41 @@ impl<P: ParabolicPde> PdeResultObject<P> {
             return Ok(v);
         }
         let sol = solve_on_mesh(&self.problem, nx, nt, &self.config.solver)?;
-        meter.charge_exec(sol.work);
-        meter.charge_store_state(1);
-        self.cumulative += sol.work;
-        self.cache.push((nt, nx, sol.value));
+        self.store(nt, nx, sol.value, sol.work, meter);
         Ok(sol.value)
+    }
+
+    /// Charges and caches one fresh solve.
+    fn store(&mut self, nt: u32, nx: u32, value: f64, work: Work, meter: &mut WorkMeter) {
+        meter.charge_exec(work);
+        meter.charge_store_state(1);
+        self.cumulative += work;
+        self.cache.push((nt, nx, value));
+    }
+
+    /// Adopts the solution at the refined mesh `(nt, nx)` — one of the two
+    /// counts doubled — as the current one: counts the iteration, re-fits
+    /// the halved dimension's error coefficient and re-centers the bounds.
+    fn accept(&mut self, nt: u32, nx: u32, new_value: f64, meter: &mut WorkMeter) -> Bounds {
+        meter.count_iteration();
+        let (old_dt, old_dx) = self.steps(self.nt, self.nx);
+        if nt != self.nt {
+            self.model.refit_k1(self.value, new_value, old_dt);
+        } else {
+            self.model.refit_k2(self.value, new_value, old_dx);
+        }
+        self.nt = nt;
+        self.nx = nx;
+        self.value = new_value;
+        self.last_solve_work = self.mesh_cells(nt, nx);
+
+        let (dt, dx) = self.steps(nt, nx);
+        let fresh = self.model.bounds_around(new_value, dt, dx);
+        // Successive bound sets are each individually valid; intersect to
+        // shrink monotonically. If a bad early fit made them disjoint,
+        // trust the finer solve.
+        self.bounds = self.bounds.intersect(&fresh).unwrap_or(fresh);
+        self.bounds
     }
 
     /// The mesh the next refinement would use, per the error model.
@@ -182,18 +212,6 @@ impl<P: ParabolicPde> PdeResultObject<P> {
             && nt < u32::MAX / 2
             && nx < u32::MAX / 2
     }
-
-    /// Mesh geometry shared by the lane protocol and the scalar solver:
-    /// space step `h` and the lower domain edge. Grid coordinates are
-    /// recomputed as `x_lo + h·i` — the identical expression
-    /// `solve_on_mesh` evaluates, so lane and scalar solves see
-    /// bit-identical coefficients.
-    fn geometry(&self, shape: GridShape) -> (f64, f64, f64) {
-        let (x_lo, x_hi) = self.problem.domain();
-        let h = (x_hi - x_lo) / f64::from(shape.nx);
-        let dt = self.problem.horizon() / f64::from(shape.nt);
-        (x_lo, h, dt)
-    }
 }
 
 impl<P: ParabolicPde> ResultObject for PdeResultObject<P> {
@@ -209,41 +227,20 @@ impl<P: ParabolicPde> ResultObject for PdeResultObject<P> {
         if self.converged() || self.capped {
             return self.bounds;
         }
-        let (new_nt, new_nx, kind) = self.next_mesh();
+        let (new_nt, new_nx, _) = self.next_mesh();
         if !self.refinement_possible(new_nt, new_nx) {
             self.capped = true;
             return self.bounds;
         }
-
-        let old_value = self.value;
-        let (old_dt, old_dx) = self.steps(self.nt, self.nx);
-        let new_value = match self.solve(new_nt, new_nx, meter) {
-            Ok(v) => v,
+        match self.solve(new_nt, new_nx, meter) {
+            Ok(new_value) => self.accept(new_nt, new_nx, new_value, meter),
             Err(_) => {
                 // A singular step at a finer mesh: stop refining rather
                 // than report bogus bounds.
                 self.capped = true;
-                return self.bounds;
+                self.bounds
             }
-        };
-        meter.count_iteration();
-
-        match kind {
-            StepKind::Time => self.model.refit_k1(old_value, new_value, old_dt),
-            StepKind::Space => self.model.refit_k2(old_value, new_value, old_dx),
         }
-        self.nt = new_nt;
-        self.nx = new_nx;
-        self.value = new_value;
-        self.last_solve_work = self.mesh_cells(new_nt, new_nx);
-
-        let (dt, dx) = self.steps(self.nt, self.nx);
-        let fresh = self.model.bounds_around(new_value, dt, dx);
-        // Successive bound sets are each individually valid; intersect to
-        // shrink monotonically. If a bad early fit made them disjoint,
-        // trust the finer solve.
-        self.bounds = self.bounds.intersect(&fresh).unwrap_or(fresh);
-        self.bounds
     }
 
     fn est_cpu(&self) -> Work {
@@ -313,45 +310,18 @@ impl<P: ParabolicPde> BatchLane for PdeResultObject<P> {
         stride: usize,
         offset: usize,
     ) {
-        // The band setup of `solve_on_mesh`, written strided. The planes
-        // may hold another group's leftovers, so the convention entries the
-        // scalar path leaves at their vec![0.0] initialization (`sub[0]`,
-        // `sup[n-1]`) are written explicitly here.
-        let n = shape.rows();
-        let (x_lo, h, dt) = self.geometry(shape);
-        let at = |i: usize| i * stride + offset;
-        let x_at = |i: usize| x_lo + h * i as f64;
-        for i in 1..n - 1 {
-            let x = x_at(i);
-            let a = self.problem.diffusion(x);
-            let b = self.problem.drift(x);
-            let r = self.problem.discount(x);
-            let alpha = dt * a / (h * h);
-            let beta = dt * b / (2.0 * h);
-            sub[at(i)] = -(alpha - beta);
-            diag[at(i)] = 1.0 + 2.0 * alpha + dt * r;
-            sup[at(i)] = -(alpha + beta);
-        }
-        {
-            // Lower boundary: no diffusion; inward (positive) drift
-            // one-sided.
-            let b = self.problem.drift(x_at(0)).max(0.0);
-            let r = self.problem.discount(x_at(0));
-            sub[at(0)] = 0.0;
-            diag[at(0)] = 1.0 + dt * r + dt * b / h;
-            sup[at(0)] = -dt * b / h;
-            // Upper boundary: no diffusion; inward (negative) drift
-            // one-sided.
-            let b = (-self.problem.drift(x_at(n - 1))).max(0.0);
-            let r = self.problem.discount(x_at(n - 1));
-            sub[at(n - 1)] = -dt * b / h;
-            diag[at(n - 1)] = 1.0 + dt * r + dt * b / h;
-            sup[at(n - 1)] = 0.0;
-        }
-        for i in 0..n {
-            src[at(i)] = dt * self.problem.source(x_at(i));
-            state[at(i)] = self.problem.terminal(x_at(i));
-        }
+        fill_mesh(
+            &self.problem,
+            shape.nx,
+            shape.nt,
+            sub,
+            diag,
+            sup,
+            src,
+            state,
+            stride,
+            offset,
+        );
     }
 
     fn lane_commit(
@@ -372,42 +342,10 @@ impl<P: ParabolicPde> BatchLane for PdeResultObject<P> {
             self.capped = true;
             return self.bounds;
         }
-        let (nt, nx) = (shape.nt, shape.nx);
-
-        // Interpolation at the query point, as in `solve_on_mesh`.
-        let n = shape.rows();
-        let (x_lo, h, _) = self.geometry(shape);
-        let xq = self.problem.x_query();
-        let pos = ((xq - x_lo) / h).clamp(0.0, (n - 1) as f64);
-        let i0 = (pos.floor() as usize).min(n - 2);
-        let frac = pos - i0 as f64;
-        let new_value =
-            state[i0 * stride + offset] * (1.0 - frac) + state[(i0 + 1) * stride + offset] * frac;
-
-        // The post-solve bookkeeping of `iterate()`, charge for charge.
-        let cells = self.mesh_cells(nt, nx);
-        meter.charge_exec(cells);
-        meter.charge_store_state(1);
-        self.cumulative += cells;
-        self.cache.push((nt, nx, new_value));
-        meter.count_iteration();
-
-        let old_value = self.value;
-        let (old_dt, old_dx) = self.steps(self.nt, self.nx);
-        if nt != self.nt {
-            self.model.refit_k1(old_value, new_value, old_dt);
-        } else {
-            self.model.refit_k2(old_value, new_value, old_dx);
-        }
-        self.nt = nt;
-        self.nx = nx;
-        self.value = new_value;
-        self.last_solve_work = cells;
-
-        let (dt, dx) = self.steps(nt, nx);
-        let fresh = self.model.bounds_around(new_value, dt, dx);
-        self.bounds = self.bounds.intersect(&fresh).unwrap_or(fresh);
-        self.bounds
+        let new_value = interpolate(&self.problem, shape.nx, state, stride, offset);
+        let cells = self.mesh_cells(shape.nt, shape.nx);
+        self.store(shape.nt, shape.nx, new_value, cells, meter);
+        self.accept(shape.nt, shape.nx, new_value, meter)
     }
 }
 

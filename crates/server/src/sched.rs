@@ -54,13 +54,9 @@ use crate::session::{SessionId, SessionRegistry};
 pub(crate) struct TickOutcome {
     /// Per-session answers, in registration order.
     pub answers: Vec<(SessionId, Answer)>,
-    /// Pool `iterate()` calls the scheduler issued this tick (the tick's
-    /// meter counts the same number; kept for scheduler-level assertions).
-    #[allow(dead_code)]
-    pub iterations: u64,
     /// Iterations issued per pool object this tick, aligned with the pool.
     /// The durability layer folds these into its per-rate warm-start
-    /// records; sums to `iterations`.
+    /// records; sums to the `iterate()` calls the tick's meter counted.
     pub per_object_iterations: Vec<u64>,
     /// Whether the work budget ran out with demand still outstanding.
     pub budget_exhausted: bool,
@@ -431,7 +427,6 @@ pub(crate) fn run_tick<O: ExecObserver>(
 
     Ok(TickOutcome {
         answers,
-        iterations,
         per_object_iterations,
         budget_exhausted,
     })

@@ -19,15 +19,15 @@ use bondlab::BondPricer;
 use vao::cost::WorkMeter;
 use vao::error::VaoError;
 use vao::interface::{ResultObject, VariableAccuracyFn};
-use vao::ops::count::count_vao;
-use vao::ops::heavy::{cell_of, heavy_hitters_vao, HeavyCell};
+use vao::ops::count::count_vao_traced;
+use vao::ops::heavy::{cell_of, heavy_hitters_vao_traced, HeavyCell};
 use vao::ops::hybrid::{hybrid_weighted_sum_traced, HybridConfig};
 use vao::ops::minmax::{max_vao_traced, min_vao_traced, AggregateConfig};
-use vao::ops::percentile::{percentile_vao, rank_from_top};
-use vao::ops::quantile::median_vao;
+use vao::ops::percentile::{percentile_vao_traced, rank_from_top};
+use vao::ops::quantile::quantile_vao_traced;
 use vao::ops::selection::SelectionVao;
 use vao::ops::sum::weighted_sum_vao_traced;
-use vao::ops::topk::topk_vao;
+use vao::ops::topk::topk_vao_traced;
 use vao::ops::traditional::{
     calibrate, traditional_max, traditional_min, traditional_select, traditional_weighted_sum,
     BlackBoxSpec,
@@ -176,6 +176,7 @@ impl ContinuousQueryEngine {
         meter: &mut WorkMeter,
         obs: &mut TickObserver,
     ) -> Result<QueryOutput, EngineError> {
+        let config = &mut AggregateConfig::default();
         match &self.query {
             Query::Selection { op, constant } => {
                 let vao = SelectionVao::new(*op, *constant)?;
@@ -189,69 +190,39 @@ impl ContinuousQueryEngine {
                 }
                 Ok(QueryOutput::Selected(selected))
             }
-            Query::Max { epsilon } => {
+            Query::Max { epsilon } | Query::Min { epsilon } | Query::Median { epsilon } => {
                 let mut objs = self.objects(rate, meter);
-                let res = max_vao_traced(
-                    &mut objs,
-                    PrecisionConstraint::new(*epsilon)?,
-                    &mut AggregateConfig::default(),
-                    meter,
-                    obs,
-                )?;
+                let eps = PrecisionConstraint::new(*epsilon)?;
+                let res = match &self.query {
+                    Query::Max { .. } => max_vao_traced(&mut objs, eps, config, meter, obs),
+                    Query::Min { .. } => min_vao_traced(&mut objs, eps, config, meter, obs),
+                    _ => {
+                        let k = objs.len().div_ceil(2);
+                        quantile_vao_traced(&mut objs, k, eps, config, meter, obs)
+                    }
+                }?;
                 Ok(QueryOutput::Extreme {
                     bond_id: self.bond_id(res.argext),
                     bounds: res.bounds,
                     ties: res.ties.iter().map(|&i| self.bond_id(i)).collect(),
                 })
             }
-            Query::Min { epsilon } => {
+            Query::Sum { epsilon, .. } | Query::Ave { epsilon } => {
                 let mut objs = self.objects(rate, meter);
-                let res = min_vao_traced(
-                    &mut objs,
-                    PrecisionConstraint::new(*epsilon)?,
-                    &mut AggregateConfig::default(),
-                    meter,
-                    obs,
-                )?;
-                Ok(QueryOutput::Extreme {
-                    bond_id: self.bond_id(res.argext),
-                    bounds: res.bounds,
-                    ties: res.ties.iter().map(|&i| self.bond_id(i)).collect(),
-                })
-            }
-            Query::Sum { weights, epsilon } => {
-                let mut objs = self.objects(rate, meter);
-                let res = weighted_sum_vao_traced(
-                    &mut objs,
-                    weights,
-                    PrecisionConstraint::new(*epsilon)?,
-                    &mut AggregateConfig::default(),
-                    meter,
-                    obs,
-                )?;
+                // AVE is the weighted sum with weights 1/n (`ave_vao`).
+                let uniform = vec![1.0 / objs.len().max(1) as f64; objs.len()];
+                let weights = match &self.query {
+                    Query::Sum { weights, .. } => weights,
+                    _ => &uniform,
+                };
+                let eps = PrecisionConstraint::new(*epsilon)?;
+                let res = weighted_sum_vao_traced(&mut objs, weights, eps, config, meter, obs)?;
                 Ok(QueryOutput::Aggregate { bounds: res.bounds })
             }
-            Query::Ave { epsilon } => {
-                let mut objs = self.objects(rate, meter);
-                // Mirrors `ave_vao`: a weighted sum with uniform weights
-                // 1/n, routed through the traced entry point.
-                let w = 1.0 / objs.len().max(1) as f64;
-                let weights = vec![w; objs.len()];
-                let res = weighted_sum_vao_traced(
-                    &mut objs,
-                    &weights,
-                    PrecisionConstraint::new(*epsilon)?,
-                    &mut AggregateConfig::default(),
-                    meter,
-                    obs,
-                )?;
-                Ok(QueryOutput::Aggregate { bounds: res.bounds })
-            }
-            // TopK and Count have no traced entry points yet; their ticks
-            // report work totals but an empty iteration histogram.
             Query::TopK { k, epsilon } => {
                 let mut objs = self.objects(rate, meter);
-                let res = topk_vao(&mut objs, *k, PrecisionConstraint::new(*epsilon)?, meter)?;
+                let eps = PrecisionConstraint::new(*epsilon)?;
+                let res = topk_vao_traced(&mut objs, *k, eps, config, meter, obs)?;
                 Ok(QueryOutput::Ranked {
                     members: res
                         .members
@@ -268,31 +239,22 @@ impl ContinuousQueryEngine {
                 slack,
             } => {
                 let mut objs = self.objects(rate, meter);
-                let res = count_vao(&mut objs, *op, *constant, *slack, meter)?;
+                let res = count_vao_traced(&mut objs, *op, *constant, *slack, config, meter, obs)?;
                 Ok(QueryOutput::Count {
                     lo: res.count_lo,
                     hi: res.count_hi,
                 })
             }
-            Query::Median { epsilon } => {
-                let mut objs = self.objects(rate, meter);
-                let res = median_vao(&mut objs, PrecisionConstraint::new(*epsilon)?, meter)?;
-                Ok(QueryOutput::Extreme {
-                    bond_id: self.bond_id(res.argext),
-                    bounds: res.bounds,
-                    ties: res.ties.iter().map(|&i| self.bond_id(i)).collect(),
-                })
-            }
             Query::Percentile { phi, epsilon } => {
                 let mut objs = self.objects(rate, meter);
-                let res =
-                    percentile_vao(&mut objs, *phi, PrecisionConstraint::new(*epsilon)?, meter)?;
+                let eps = PrecisionConstraint::new(*epsilon)?;
+                let res = percentile_vao_traced(&mut objs, *phi, eps, config, meter, obs)?;
                 Ok(QueryOutput::Aggregate { bounds: res.bounds })
             }
             Query::HeavyHitters { k, epsilon } => {
                 let mut objs = self.objects(rate, meter);
-                let res =
-                    heavy_hitters_vao(&mut objs, *k, PrecisionConstraint::new(*epsilon)?, meter)?;
+                let eps = PrecisionConstraint::new(*epsilon)?;
+                let res = heavy_hitters_vao_traced(&mut objs, *k, eps, config, meter, obs)?;
                 Ok(QueryOutput::Heavy {
                     cells: res.cells,
                     ties: res.ties,
@@ -680,6 +642,54 @@ mod tests {
         let vb = vao_out.bounds().unwrap();
         // Both bound the same true sum: the intervals must overlap.
         assert!(hb.overlaps(&vb), "{hb} vs {vb}");
+    }
+
+    #[test]
+    fn every_query_kind_is_traced_in_vao_mode() {
+        let n = 8;
+        let eps = 0.05;
+        let queries = [
+            Query::Selection {
+                op: CmpOp::Gt,
+                constant: 100.0,
+            },
+            Query::Sum {
+                weights: vec![1.0; n],
+                epsilon: n as f64 * eps,
+            },
+            Query::Ave { epsilon: eps },
+            Query::Max { epsilon: eps },
+            Query::Min { epsilon: eps },
+            Query::TopK { k: 3, epsilon: eps },
+            Query::Count {
+                op: CmpOp::Gt,
+                constant: 100.0,
+                slack: 0,
+            },
+            Query::Median { epsilon: eps },
+            Query::Percentile {
+                phi: 0.5,
+                epsilon: eps,
+            },
+            Query::HeavyHitters { k: 2, epsilon: 1.0 },
+        ];
+        for q in queries {
+            let (_, stats) = small_engine(q.clone(), ExecutionMode::Vao)
+                .process_rate(0.0583)
+                .unwrap();
+            let op = stats.operator;
+            assert_eq!(op, q.operator_name());
+            assert!(stats.iterations > 0, "{op} must have refined something");
+            // Every object of every operator evaluation is accounted for
+            // (selection: n evaluations of one object each) ...
+            assert_eq!(stats.objects, n as u64, "{op} objects");
+            assert_eq!(stats.iter_histogram.total_objects(), stats.objects, "{op}");
+            // ... and so is every iterate() call the meter counted.
+            assert_eq!(
+                stats.cpu_est.iterations, stats.iterations,
+                "{op} iterations"
+            );
+        }
     }
 
     #[test]

@@ -105,8 +105,8 @@ pub struct TickStats {
     /// (`"selection"`, `"max"`, …).
     pub operator: &'static str,
     /// Result objects whose per-object iteration counts were traced this
-    /// tick (zero for operators without traced entry points and for the
-    /// traditional path, which never calls `iterate()` on the clock).
+    /// tick (zero for the traditional path, which never calls `iterate()`
+    /// on the clock).
     pub objects: u64,
     /// Iterations-per-result-object distribution for the traced objects.
     pub iter_histogram: IterHistogram,
@@ -227,14 +227,10 @@ impl RunSummary {
         if self.objects == 0 {
             0.0
         } else {
-            self.iter_histogram_weighted_iterations() / self.objects as f64
+            // The histogram only knows bucket membership, so the mean uses
+            // the exact iteration total.
+            self.iterations as f64 / self.objects as f64
         }
-    }
-
-    // The histogram only knows bucket membership, not exact counts, so the
-    // run mean uses the exact iteration totals instead.
-    fn iter_histogram_weighted_iterations(&self) -> f64 {
-        self.iterations as f64
     }
 
     /// Attaches per-query rows (builder-style, for multi-query runs).

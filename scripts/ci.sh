@@ -57,7 +57,12 @@
 #                                  must reproduce the literal bit patterns of
 #                                  tests/solver_bits.rs (a joint drift passes
 #                                  every scalar-vs-lane comparison), and a
-#                                  singular lane must cap alone
+#                                  singular lane must cap alone; beside it,
+#                                  by name, the operator goldens of
+#                                  tests/ops_bits.rs (every vao::ops operator's
+#                                  answer, iterations, work components, final
+#                                  bounds and trace as literals: a golden must
+#                                  never be filtered out)
 #  12. benchmark gate          -- benchmark/check.sh: the standalone benchmark
 #                                  package's fmt, clippy, unit tests and a
 #                                  `run --quick` of all four workloads (lap-0
@@ -69,7 +74,8 @@
 #                                  here, not in the benchmark run
 #  13. cargo doc -D warnings    -- rustdoc must build clean
 #  14. line count (informational) -- non-test, non-comment code lines of
-#                                  every crate under crates/, so a
+#                                  every crate under crates/, and of
+#                                  crates/core/src/ops on its own line, so a
 #                                  simplicity change has a trajectory to
 #                                  compare against
 set -euo pipefail
@@ -385,11 +391,12 @@ expect_recovery_line "recovered from .* (2 relations"
 end_smoke
 echo "    multi-relation tenancy smoke ok (catalog recovered flag-free across SIGKILL)"
 
-echo "==> batched SoA solver == scalar executor smoke"
+echo "==> batched SoA solver == scalar executor smoke, solver and operator goldens"
 cargo test -q -p va-numerics --lib tridiag::tests::batched_solve_is_bit_identical_to_scalar_lanes
 cargo test -q -p va-numerics --lib pde::batch::tests::lockstep_solve_is_bit_identical_to_scalar_iterates
 cargo test -q -p va-server --test parallel_determinism batched_solver_matches_scalar_answers
 cargo test -q -p vao-repro --test solver_bits
+cargo test -q -p vao-repro --test ops_bits
 cargo test -q -p va-numerics --lib pde::batch::tests::singular_lane_caps_alone_and_siblings_match_scalar
 
 echo "==> benchmark package gate (fmt, clippy, unit tests, run --quick)"
@@ -407,6 +414,7 @@ count() {
 for crate in crates/*; do
   printf '    %-21s %s\n' "$crate/src:" "$(count $(find "$crate/src" -name '*.rs'))"
 done
+echo "    crates/core/src/ops:  $(count crates/core/src/ops/*.rs)"
 echo "    crates/ total:        $(count $(find crates/*/src -name '*.rs'))"
 
 echo "==> tier-1 gate passed"

@@ -2,16 +2,25 @@
 //! event stream the operators produce, and attaching an observer must not
 //! change a single bit of any answer or any work total.
 
+use vao_repro::bondlab::BondPde;
+use vao_repro::numerics::pde::PdeResultObject;
 use vao_repro::vao::cost::WorkMeter;
+use vao_repro::vao::ops::count::{count_vao, count_vao_traced};
+use vao_repro::vao::ops::heavy::{heavy_hitters_vao, heavy_hitters_vao_traced};
 use vao_repro::vao::ops::minmax::{max_vao, max_vao_traced, AggregateConfig};
+use vao_repro::vao::ops::percentile::{percentile_vao, percentile_vao_traced};
+use vao_repro::vao::ops::quantile::{median_vao, quantile_vao_traced};
 use vao_repro::vao::ops::selection::{select_traced, CmpOp, SelectionVao};
 use vao_repro::vao::ops::sum::{weighted_sum_vao, weighted_sum_vao_traced};
+use vao_repro::vao::ops::topk::{topk_vao, topk_vao_traced};
 use vao_repro::vao::precision::PrecisionConstraint;
 use vao_repro::vao::testkit::ScriptedObject;
 use vao_repro::vao::trace::{OperatorKind, Recorder, TraceEvent};
-use vao_repro::vao::Bounds;
+use vao_repro::vao::{Bounds, VaoError};
 
 use va_bench::Lab;
+
+type BondObject = PdeResultObject<BondPde>;
 
 /// A scripted selection produces the exact expected event sequence: one
 /// operator start, one iteration (with the scripted bounds and perfectly
@@ -168,6 +177,88 @@ fn observer_on_and_off_are_bit_identical() {
     assert_eq!(plain.iterations, traced.iterations);
     assert_eq!(plain_meter.breakdown(), traced_meter.breakdown());
     assert_eq!(rec.cpu_estimation().iterations, traced.iterations);
+
+    // The extension operators, same workload: the whole result (answer and
+    // `iterations`), every work component, and the recorder's iteration
+    // total against the meter's.
+    let wide = PrecisionConstraint::new(0.05).unwrap();
+    on_vs_off(
+        &lab,
+        OperatorKind::TopK,
+        |o, m| topk_vao(o, 3, eps, m),
+        |o, c, m, r| topk_vao_traced(o, 3, eps, c, m, r),
+    );
+    on_vs_off(
+        &lab,
+        OperatorKind::Count,
+        |o, m| count_vao(o, CmpOp::Gt, 100.0, 1, m),
+        |o, c, m, r| count_vao_traced(o, CmpOp::Gt, 100.0, 1, c, m, r),
+    );
+    on_vs_off(
+        &lab,
+        OperatorKind::Median,
+        |o, m| median_vao(o, eps, m),
+        |o, c, m, r| quantile_vao_traced(o, n.div_ceil(2), eps, c, m, r),
+    );
+    on_vs_off(
+        &lab,
+        OperatorKind::Percentile,
+        |o, m| percentile_vao(o, 0.9, wide, m),
+        |o, c, m, r| percentile_vao_traced(o, 0.9, wide, c, m, r),
+    );
+    let cell = PrecisionConstraint::new(1.0).unwrap();
+    on_vs_off(
+        &lab,
+        OperatorKind::HeavyHitters,
+        |o, m| heavy_hitters_vao(o, 2, cell, m),
+        |o, c, m, r| heavy_hitters_vao_traced(o, 2, cell, c, m, r),
+    );
+}
+
+/// Runs one operator untraced and traced over fresh copies of the lab's
+/// objects and requires bit-identical executions.
+fn on_vs_off<T: PartialEq + std::fmt::Debug>(
+    lab: &Lab,
+    kind: OperatorKind,
+    plain: impl Fn(&mut [BondObject], &mut WorkMeter) -> Result<T, VaoError>,
+    traced: impl Fn(
+        &mut [BondObject],
+        &mut AggregateConfig,
+        &mut WorkMeter,
+        &mut Recorder,
+    ) -> Result<T, VaoError>,
+) {
+    let mut plain_meter = WorkMeter::new();
+    let mut objs = lab.objects(&mut plain_meter);
+    let off = plain(&mut objs, &mut plain_meter).unwrap();
+
+    let mut traced_meter = WorkMeter::new();
+    let mut objs = lab.objects(&mut traced_meter);
+    let mut rec = Recorder::new();
+    let on = traced(
+        &mut objs,
+        &mut AggregateConfig::default(),
+        &mut traced_meter,
+        &mut rec,
+    )
+    .unwrap();
+
+    assert_eq!(off, on, "{kind}");
+    assert_eq!(plain_meter.breakdown(), traced_meter.breakdown(), "{kind}");
+    assert!(traced_meter.iterations() > 0, "{kind} refined nothing");
+    assert_eq!(
+        rec.iterations_per_object().iter().sum::<u64>(),
+        traced_meter.iterations(),
+        "{kind}"
+    );
+    assert!(matches!(
+        rec.events().first(),
+        Some(TraceEvent::OperatorStart { kind: k, objects }) if *k == kind && *objects == lab.len()
+    ));
+    assert!(
+        matches!(rec.events().last(), Some(TraceEvent::OperatorEnd(e))
+        if e.kind == kind && e.iterations == traced_meter.iterations())
+    );
 }
 
 /// Same property for the per-object selection path used by the stream
