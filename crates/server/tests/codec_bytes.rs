@@ -5,7 +5,9 @@
 //! one literal expected string per journal event, snapshot, metadata
 //! file, protocol response and rendered request. A change to field order,
 //! float formatting, escaping or an absent-when-cold field fails here
-//! first, with the exact line in the diff.
+//! first, with the exact line in the diff. The journal and snapshot
+//! literals are also read back: each must parse, and what it parses to
+//! must write the bytes it came from.
 //!
 //! The literals are the contract. Constructor expressions may change when
 //! a type does; the strings may not.
@@ -220,8 +222,8 @@ fn queries() -> Vec<Query> {
     ]
 }
 
-#[test]
-fn journal_lines() {
+/// Every journal event kind as `(what, emitted, expected)`.
+fn journal_pins() -> Vec<(&'static str, String, &'static str)> {
     let mut pins = vec![
         (
             "create_relation with a seed",
@@ -305,11 +307,16 @@ fn journal_lines() {
             expected,
         ));
     }
-    check(&pins);
+    pins
 }
 
 #[test]
-fn snapshot_and_meta_documents() {
+fn journal_lines() {
+    check(&journal_pins());
+}
+
+/// The two-relation snapshot as `(what, emitted, expected)`.
+fn snapshot_pin() -> (&'static str, String, &'static str) {
     let snap = SnapshotRecord {
         seq: 3,
         journal_events: 41,
@@ -377,6 +384,15 @@ fn snapshot_and_meta_documents() {
             },
         ],
     };
+    (
+        "two-relation snapshot",
+        snap.to_json(),
+        r#"{"seq":3,"journal_events":41,"segment":4,"segment_bytes":1234,"next_relation_id":4,"relations":[{"relation":1,"def":{"name":"default","seed":42,"bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100},{"id":1,"coupon":0.0425,"maturity":7.5,"face":100}]},"next_session_id":9,"ticks":12,"shed":1,"sessions":[{"session":2,"priority":4,"finals":10,"partials":2,"driven":4021,"query":{"kind":"max","epsilon":0.0101}},{"session":8,"priority":1,"finals":0,"partials":0,"driven":0,"query":{"kind":"sum","epsilon":0.5,"weights":[1,2]}}],"history":[{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}},{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}}],"warm":[{"rate":0.0583,"objects":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}]}],"answers":[{"session":2,"answer":{"status":"partial","lo":1,"hi":2}},{"session":8,"answer":{"status":"final","output":{"shape":"count","lo":3,"hi":3}}}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[41,5120,7730],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":">","constant":100.25,"pass":18,"fail":30},{"op":"<=","constant":99.05830000000002,"pass":0,"fail":7}]}},{"relation":3,"def":{"name":"fx","bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100}]},"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[]}]}"#,
+    )
+}
+
+#[test]
+fn snapshot_and_meta_documents() {
     let meta = Meta {
         pricer: 0xFEED_FACE_CAFE_BEEF,
         relations: vec![
@@ -395,11 +411,7 @@ fn snapshot_and_meta_documents() {
         relations: Vec::new(),
     };
     check(&[
-        (
-            "two-relation snapshot",
-            snap.to_json(),
-            r#"{"seq":3,"journal_events":41,"segment":4,"segment_bytes":1234,"next_relation_id":4,"relations":[{"relation":1,"def":{"name":"default","seed":42,"bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100},{"id":1,"coupon":0.0425,"maturity":7.5,"face":100}]},"next_session_id":9,"ticks":12,"shed":1,"sessions":[{"session":2,"priority":4,"finals":10,"partials":2,"driven":4021,"query":{"kind":"max","epsilon":0.0101}},{"session":8,"priority":1,"finals":0,"partials":0,"driven":0,"query":{"kind":"sum","epsilon":0.5,"weights":[1,2]}}],"history":[{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}},{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}}],"warm":[{"rate":0.0583,"objects":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}]}],"answers":[{"session":2,"answer":{"status":"partial","lo":1,"hi":2}},{"session":8,"answer":{"status":"final","output":{"shape":"count","lo":3,"hi":3}}}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[41,5120,7730],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":">","constant":100.25,"pass":18,"fail":30},{"op":"<=","constant":99.05830000000002,"pass":0,"fail":7}]}},{"relation":3,"def":{"name":"fx","bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100}]},"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[]}]}"#,
-        ),
+        snapshot_pin(),
         (
             "catalog meta",
             meta.to_json(),
@@ -411,6 +423,20 @@ fn snapshot_and_meta_documents() {
             r#"{"version":2,"pricer":5,"relations":[]}"#,
         ),
     ]);
+}
+
+/// The decoder, pinned against the same literals: every journal line and
+/// the snapshot document parse, and what they parse to writes back the
+/// bytes it was read from.
+#[test]
+fn pinned_records_parse_back_to_their_bytes() {
+    for (what, _, line) in journal_pins() {
+        let event = JournalEvent::parse(line).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(event.to_line(), line, "{what}");
+    }
+    let (what, _, text) = snapshot_pin();
+    let snap = SnapshotRecord::parse(text).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(snap.to_json(), text, "{what}");
 }
 
 fn session() -> Session {

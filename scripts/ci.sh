@@ -10,9 +10,9 @@
 #   3. cargo test -q            -- the full workspace test suite
 #   4. cargo test -p va-server  -- the server crate's own suite, explicitly,
 #                                  plus the batched-scheduler determinism,
-#                                  crash-recovery and empty-relation tests by
-#                                  name (golden serial equivalence must never
-#                                  be filtered out)
+#                                  crash-recovery, emitted-and-decoded-bytes
+#                                  (codec_bytes) and empty-relation tests by
+#                                  name (a golden must never be filtered out)
 #   5. va-server --smoke        -- loopback TCP exchange of the line protocol,
 #                                  serial and again with --workers 4
 #   6. kill-and-recover smoke   -- start a --data-dir server, subscribe and
@@ -94,10 +94,11 @@ cargo test --workspace -q
 echo "==> cargo test -p va-server -q"
 cargo test -p va-server -q
 
-echo "==> batched-scheduler determinism + crash-recovery + empty-relation tests"
+echo "==> batched-scheduler determinism + crash-recovery + codec-bytes + empty-relation tests"
 cargo test -q -p va-server --test parallel_determinism
 cargo test -q -p va-server --test recovery
 cargo test -q -p va-server --test compaction
+cargo test -q -p va-server --test codec_bytes
 cargo test -q -p va-server --lib demand::tests::empty_pool_yields_typed_errors_not_panics
 
 echo "==> va-server loopback smoke (subscribe -> tick -> result -> quit)"
