@@ -22,33 +22,47 @@ pub struct Bond {
 }
 
 impl Bond {
-    /// Creates a bond, validating its economics.
+    /// Creates a bond, validating its economics: the one definition of
+    /// what a priceable bond is, for wire input and journaled records.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on non-positive coupon, maturity, or face value — bonds come
-    /// from the deterministic generator and bad values are programmer
-    /// errors.
-    #[must_use]
-    pub fn new(id: u32, coupon: f64, years_to_maturity: f64, face: f64) -> Self {
-        assert!(
-            coupon.is_finite() && coupon > 0.0 && coupon < 1.0,
-            "coupon must be a rate in (0, 1), got {coupon}"
-        );
-        assert!(
-            years_to_maturity.is_finite() && years_to_maturity > 0.0,
-            "maturity must be positive, got {years_to_maturity}"
-        );
-        assert!(
-            face.is_finite() && face > 0.0,
-            "face must be positive, got {face}"
-        );
-        Self {
+    /// A non-finite or out-of-range coupon, maturity or face value, named
+    /// in the message.
+    pub fn try_new(
+        id: u32,
+        coupon: f64,
+        years_to_maturity: f64,
+        face: f64,
+    ) -> Result<Self, String> {
+        if !(coupon.is_finite() && coupon > 0.0 && coupon < 1.0) {
+            return Err(format!("coupon must be a rate in (0, 1), got {coupon}"));
+        }
+        if !(years_to_maturity.is_finite() && years_to_maturity > 0.0) {
+            return Err(format!(
+                "maturity must be positive, got {years_to_maturity}"
+            ));
+        }
+        if !(face.is_finite() && face > 0.0) {
+            return Err(format!("face must be positive, got {face}"));
+        }
+        Ok(Self {
             id,
             coupon,
             years_to_maturity,
             face,
-        }
+        })
+    }
+
+    /// [`Bond::try_new`] for generators and tests, where bad values are
+    /// programmer errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`Bond::try_new`]'s message.
+    #[must_use]
+    pub fn new(id: u32, coupon: f64, years_to_maturity: f64, face: f64) -> Self {
+        Self::try_new(id, coupon, years_to_maturity, face).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The continuous level payment rate (per year) that fully amortizes
@@ -117,6 +131,18 @@ mod tests {
         let b = Bond::new(0, 0.08, 25.0, 100.0);
         let pv0 = b.flat_rate_value(0.0);
         assert!((pv0 - b.payment_rate() * 25.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn try_new_mirrors_the_constructor_contract() {
+        assert!(Bond::try_new(0, 0.07, 10.0, 100.0).is_ok());
+        assert!(Bond::try_new(0, 0.0, 10.0, 100.0).is_err());
+        assert!(Bond::try_new(0, 1.0, 10.0, 100.0).is_err());
+        assert!(Bond::try_new(0, f64::NAN, 10.0, 100.0).is_err());
+        assert!(Bond::try_new(0, 0.07, 0.0, 100.0).is_err());
+        assert!(Bond::try_new(0, 0.07, f64::INFINITY, 100.0).is_err());
+        assert!(Bond::try_new(0, 0.07, 10.0, 0.0).is_err());
+        assert!(Bond::try_new(0, 0.07, 10.0, -5.0).is_err());
     }
 
     #[test]

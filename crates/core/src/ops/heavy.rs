@@ -132,7 +132,9 @@ pub fn heavy_hitters_vao_traced<R: ResultObject, O: ExecObserver>(
         observer,
     );
 
-    let mut ss = SpaceSaving::new((4 * k).max(64));
+    // At most one cell per object can be occupied, so `k` beyond that sizes
+    // nothing (and a hostile `k` allocates nothing).
+    let mut ss = SpaceSaving::new(k.min(objs.len()).saturating_mul(4).max(64));
     let mut cm_resolved = CountMin::new(COUNTMIN_WIDTH, COUNTMIN_DEPTH);
     let mut cm_pending = CountMin::new(COUNTMIN_WIDTH, COUNTMIN_DEPTH);
     let mut touched = vec![false; objs.len()];

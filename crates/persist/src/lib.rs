@@ -139,8 +139,11 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// Warm-start state per rate, keyed by `f64::to_bits` of the rate so the
-/// map is exact and deterministically ordered.
+/// One relation's warm-start state per rate, keyed by `f64::to_bits` of the
+/// rate so the map is exact and deterministically ordered. The recovery
+/// fold fills it: a snapshot section's per-rate entries, then each replayed
+/// tick's end-of-tick state replacing the entry for its rate — the map an
+/// uninterrupted server holds in memory.
 pub type WarmMap = BTreeMap<u64, Vec<WarmObjectRecord>>;
 
 /// What [`Store::open`] recovered from disk.
@@ -187,33 +190,6 @@ impl Recovery {
     #[must_use]
     pub fn skipped_snapshot_count(&self) -> u64 {
         self.skipped_snapshots.len() as u64
-    }
-
-    /// Folds the recovered warm-start state, one map per relation: each
-    /// relation's snapshot per-rate entries, then each replayed tick's
-    /// end-of-tick state replacing the entry for its relation and rate.
-    /// The result is identical to the maps an uninterrupted server would
-    /// hold in memory — which is what makes post-recovery ticks
-    /// bit-identical to the golden run.
-    #[must_use]
-    pub fn warm_maps(&self) -> BTreeMap<u64, WarmMap> {
-        let mut maps: BTreeMap<u64, WarmMap> = BTreeMap::new();
-        if let Some(snap) = &self.snapshot {
-            for rel in &snap.relations {
-                let map = maps.entry(rel.relation).or_default();
-                for entry in &rel.warm {
-                    map.insert(entry.rate.to_bits(), entry.objects.clone());
-                }
-            }
-        }
-        for ev in &self.tail {
-            if let JournalEvent::Tick(t) = ev {
-                maps.entry(t.relation)
-                    .or_default()
-                    .insert(t.rate.to_bits(), t.warm.clone());
-            }
-        }
-        maps
     }
 }
 
@@ -531,21 +507,20 @@ mod tests {
             rate,
             shed: 0,
             budget_exhausted: false,
-            stats: record::StatsRecord {
+            stats: va_stream::TickStats {
                 rate,
                 work: vao::cost::WorkBreakdown::default(),
-                wall_nanos: 1,
+                wall: std::time::Duration::from_nanos(1),
                 iterations: 0,
-                operator: "shared_pool".to_string(),
+                operator: "shared_pool",
                 objects: 0,
-                hist: [0; va_stream::stats::ITER_BUCKETS],
-                cpu: vao::trace::CpuEstimation::default(),
+                iter_histogram: va_stream::IterHistogram::new(),
+                cpu_est: vao::trace::CpuEstimation::default(),
             },
             sessions: Vec::new(),
             answers: Vec::new(),
             warm: vec![record::WarmObjectRecord {
-                lo,
-                hi: lo + 1.0,
+                bounds: vao::Bounds::new(lo, lo + 1.0),
                 converged: false,
                 iters: tick,
                 cost: 10 * tick,
@@ -608,8 +583,7 @@ mod tests {
                         vec![record::WarmRateRecord {
                             rate: 0.05,
                             objects: vec![record::WarmObjectRecord {
-                                lo: 10.0,
-                                hi: 11.0,
+                                bounds: vao::Bounds::new(10.0, 11.0),
                                 converged: false,
                                 iters: 1,
                                 cost: 10,
@@ -624,64 +598,14 @@ mod tests {
         assert_eq!(rec.snapshot_seq(), Some(1));
         assert_eq!(rec.replayed_events(), 1, "only the post-snapshot tick");
         assert_eq!(store.next_snapshot_seq(), 2);
-        // The replayed tick's warm state replaces the snapshot's for 0.05.
-        let warm = &rec.warm_maps()[&1];
-        assert_eq!(warm.len(), 1, "only rate 0.05 present");
-        assert_eq!(warm[&0.05f64.to_bits()][0].lo, 30.0);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn warm_maps_fold_snapshot_then_tail_per_relation() {
-        let mut second = tick_event(5, 0.05, 7.0);
-        if let JournalEvent::Tick(t) = &mut second {
-            t.relation = 2;
+        // The replayed tick carries the warm state that replaces the
+        // snapshot's for 0.05 when the server folds the two.
+        assert_eq!(rec.snapshot.unwrap().relations[0].warm.len(), 1);
+        match &rec.tail[0] {
+            JournalEvent::Tick(t) => assert_eq!(t.warm[0].bounds.lo(), 30.0),
+            other => panic!("{other:?}"),
         }
-        let rec = Recovery {
-            snapshot: Some(SnapshotRecord {
-                seq: 1,
-                journal_events: 0,
-                coverage: SegmentPosition {
-                    segment: 1,
-                    bytes: 0,
-                },
-                next_relation_id: 3,
-                relations: vec![relation_section(
-                    0,
-                    vec![
-                        record::WarmRateRecord {
-                            rate: 0.05,
-                            objects: vec![record::WarmObjectRecord {
-                                lo: 1.0,
-                                hi: 2.0,
-                                converged: true,
-                                iters: 4,
-                                cost: 40,
-                            }],
-                        },
-                        record::WarmRateRecord {
-                            rate: 0.07,
-                            objects: Vec::new(),
-                        },
-                    ],
-                )],
-            }),
-            tail: vec![tick_event(5, 0.05, 99.0), second],
-            truncated_bytes: 0,
-            skipped_snapshots: Vec::new(),
-            swept_tmp_files: 0,
-        };
-        let maps = rec.warm_maps();
-        assert_eq!(maps.len(), 2, "relation 2 appears from its tail tick");
-        let warm = &maps[&1];
-        assert_eq!(warm.len(), 2);
-        assert_eq!(warm[&0.05f64.to_bits()][0].lo, 99.0, "tail wins");
-        assert!(warm[&0.07f64.to_bits()].is_empty(), "snapshot entry kept");
-        assert_eq!(
-            maps[&2][&0.05f64.to_bits()][0].lo,
-            7.0,
-            "relations never share warm state"
-        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A minimal snapshot carrying the store's current coverage.
@@ -791,6 +715,75 @@ mod tests {
         let (_, rec, _) = Store::open(&dir).unwrap();
         assert_eq!(rec.snapshot_seq(), Some(3));
         assert_eq!(rec.skipped_snapshot_count(), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Well-formed JSON that fails a domain check (bond economics): refused
+    /// by the parsers like any other malformed record.
+    const BAD_BOND: &str = r#"{"id":0,"coupon":1.5,"maturity":7.5,"face":100}"#;
+
+    #[test]
+    fn a_domain_invalid_line_is_torn_at_the_tail_and_corrupt_mid_segment() {
+        use std::io::Write;
+        let dir = tmp_dir("domain-line");
+        {
+            let (mut store, _, _) = Store::open(&dir).unwrap();
+            store.append(&tick_event(1, 0.05, 1.0)).unwrap();
+        }
+        let segment = dir.join(journal::segment_file(1));
+        let good_len = fs::metadata(&segment).unwrap().len();
+        let bad = format!("{{\"ev\":\"add_bond\",\"relation\":1,\"bond\":{BAD_BOND}}}\n");
+        let append = |text: &str| {
+            let mut file = fs::OpenOptions::new().append(true).open(&segment).unwrap();
+            file.write_all(text.as_bytes()).unwrap();
+        };
+        // (i) The last line of the active segment: the torn-record rule.
+        append(&bad);
+        let (_, rec, _) = Store::open(&dir).unwrap();
+        assert_eq!(rec.truncated_bytes, bad.len() as u64);
+        assert!(rec.truncated_bytes > 0);
+        assert_eq!(rec.replayed_events(), 1, "the events before it recovered");
+        assert_eq!(fs::metadata(&segment).unwrap().len(), good_len);
+        // (ii) The same line with a record after it: fsync'd history lied.
+        append(&bad);
+        append(&format!("{}\n", tick_event(2, 0.06, 2.0).to_line()));
+        match Store::open(&dir) {
+            Err(PersistError::Corrupt { detail, .. }) => {
+                assert!(detail.contains(&format!("at byte {good_len}")), "{detail}");
+                assert!(detail.contains("coupon must be a rate"), "{detail}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_domain_invalid_newest_snapshot_is_skipped_and_reported() {
+        let dir = tmp_dir("domain-snapshot");
+        {
+            let (mut store, _, _) = Store::open(&dir).unwrap();
+            store.append(&tick_event(1, 0.05, 1.0)).unwrap();
+            store
+                .append(&JournalEvent::SnapshotMarker { seq: 1 })
+                .unwrap();
+            let snap = plain_snapshot(&store, 1);
+            store.write_snapshot(&snap).unwrap();
+            store.append(&tick_event(2, 0.06, 2.0)).unwrap();
+            let newer = plain_snapshot(&store, 2).to_json();
+            let bad = newer.replace("\"bonds\":[]", &format!("\"bonds\":[{BAD_BOND}]"));
+            assert_ne!(bad, newer);
+            assert!(SnapshotRecord::parse(&newer).is_ok());
+            fs::write(dir.join("snapshot-2.json"), bad).unwrap();
+        }
+        let (_, rec, _) = Store::open(&dir).unwrap();
+        assert_eq!(rec.snapshot_seq(), Some(1), "fell back to the older one");
+        assert_eq!(
+            rec.replayed_events(),
+            1,
+            "and replays what it does not cover"
+        );
+        assert_eq!(rec.skipped_snapshot_count(), 1);
+        assert!(rec.skipped_snapshots[0].contains("snapshot-2.json"));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -12,9 +12,21 @@
 //! object. Replay is therefore pure bookkeeping — no model is re-invoked
 //! and no iteration re-run — which is what makes recovered accounting
 //! bit-identical to the uninterrupted run.
+//!
+//! **One type per fact.** The records carry the domain types themselves —
+//! [`Answer`], [`Session`], [`TickStats`], [`Bond`], [`Bounds`],
+//! [`PassFail`] — and the ones both sides of the durability seam need but
+//! no lower crate defines ([`Answer`], [`Session`], [`SessionId`],
+//! [`PassFail`]) are defined here and re-exported by `va-server`. Every
+//! domain check (interval order, bond economics, ids that were never
+//! issued, the calibration cell count) is made once, by the parsers below:
+//! a record that parsed holds only valid values, and the recovery fold
+//! trusts it.
+
+use std::time::Duration;
 
 use va_stream::stats::{IterHistogram, TickStats, ITER_BUCKETS};
-use va_stream::{Query, QueryOutput};
+use va_stream::{Bond, Query, QueryOutput};
 use vao::cost::{CalCell, WorkBreakdown, CAL_CLASSES};
 use vao::ops::heavy::HeavyCell;
 use vao::ops::selection::CmpOp;
@@ -22,6 +34,94 @@ use vao::trace::CpuEstimation;
 use vao::Bounds;
 
 use crate::json::{array, escape, Json};
+
+/// Identifies one registered query for its lifetime.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SessionId(pub u64);
+
+impl std::fmt::Display for SessionId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.0)
+    }
+}
+
+/// One registered continuous query plus its execution counters: what the
+/// live registry holds and what a snapshot's `sessions` array persists.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Session {
+    /// Server-assigned id (monotone, never reused).
+    pub id: SessionId,
+    /// The registered query; its ε rides inside the variant.
+    pub query: Query,
+    /// Scheduling priority (≥ 1). A session's estimated benefits are
+    /// multiplied by this in the global greedy score, so a priority-2 query
+    /// wins contended iterations over an equal-benefit priority-1 query.
+    pub priority: u32,
+    /// Ticks this session answered exactly (converged to its ε).
+    pub finals: u64,
+    /// Ticks the work budget degraded to anytime `Partial` answers.
+    pub partials: u64,
+    /// Pool iterations this session's demand drove: it was the
+    /// highest-weighted-benefit claimant when the scheduler iterated the
+    /// object.
+    pub driven_iterations: u64,
+}
+
+/// What a session receives for one tick.
+///
+/// When the scheduler converges a query to its ε within the tick's work
+/// budget, the session gets the same [`QueryOutput`] a dedicated engine
+/// would produce. When the budget runs out first, the session gets a sound
+/// interval instead of blocking — the *anytime* answer.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Answer {
+    /// The query reached its stopping condition within budget.
+    Final(QueryOutput),
+    /// The work budget was exhausted first.
+    Partial {
+        /// Sound bounds on the converged answer *value*: the aggregate for
+        /// SUM/AVE, the extreme value for MAX/MIN (the footnote-9
+        /// envelope), the k-th price for TOP-K, and the result cardinality
+        /// for the set-valued SELECT/COUNT queries. Guaranteed to contain
+        /// the value a budget-free evaluation would converge to.
+        bounds: Bounds,
+    },
+}
+
+impl Answer {
+    /// Whether the answer is exact.
+    #[must_use]
+    pub fn is_final(&self) -> bool {
+        matches!(self, Answer::Final(_))
+    }
+
+    /// The final output, when the answer is exact.
+    #[must_use]
+    pub fn final_output(&self) -> Option<&QueryOutput> {
+        match self {
+            Answer::Final(out) => Some(out),
+            Answer::Partial { .. } => None,
+        }
+    }
+
+    /// The anytime bounds, when the answer is partial.
+    #[must_use]
+    pub fn partial_bounds(&self) -> Option<Bounds> {
+        match self {
+            Answer::Partial { bounds } => Some(*bounds),
+            Answer::Final(_) => None,
+        }
+    }
+}
+
+/// Pass/fail tallies for one `(op, constant)` predicate.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PassFail {
+    /// Objects whose bounds decided the predicate *true*.
+    pub pass: u64,
+    /// Objects whose bounds decided the predicate *false*.
+    pub fail: u64,
+}
 
 /// One control-plane event in the write-ahead journal.
 ///
@@ -42,7 +142,7 @@ pub enum JournalEvent {
         /// The relation the bond was appended to.
         relation: u64,
         /// The appended bond.
-        bond: BondRecord,
+        bond: Bond,
     },
     /// A session was admitted (validated) with this id.
     Subscribe {
@@ -94,20 +194,7 @@ pub struct RelationDefRecord {
     /// provenance / operator display; the `bonds` list is authoritative).
     pub seed: Option<u64>,
     /// Every bond, in relation order.
-    pub bonds: Vec<BondRecord>,
-}
-
-/// One persisted bond.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BondRecord {
-    /// Bond id within its relation.
-    pub id: u32,
-    /// Annual coupon rate (fraction of face).
-    pub coupon: f64,
-    /// Years to maturity.
-    pub maturity: f64,
-    /// Face value.
-    pub face: f64,
+    pub bonds: Vec<Bond>,
 }
 
 /// The outcome of one executed tick.
@@ -123,12 +210,14 @@ pub struct TickRecord {
     pub shed: u64,
     /// Whether the work budget ran out mid-tick.
     pub budget_exhausted: bool,
-    /// The tick's execution statistics.
-    pub stats: StatsRecord,
+    /// The tick's execution statistics (`wall` rides as `"wall_nanos"`,
+    /// the `operator` tag as a string mapped back to the known static
+    /// names on load).
+    pub stats: TickStats,
     /// Per-session outcome deltas, in registration order.
     pub sessions: Vec<SessionTickRecord>,
     /// Per-session answers, in registration order.
-    pub answers: Vec<AnswerEntry>,
+    pub answers: Vec<(SessionId, Answer)>,
     /// End-of-tick state of every pool object, aligned with the relation.
     pub warm: Vec<WarmObjectRecord>,
     /// End-of-tick cost-calibration state, when the relation runs with
@@ -144,25 +233,12 @@ pub struct TickRecord {
 #[derive(Clone, Debug, PartialEq)]
 pub struct CalibrationState {
     /// Per-magnitude-class `(observations, est_sum, actual_sum)` cells,
-    /// exactly [`CAL_CLASSES`] of them, aligned with
-    /// [`vao::cost::Calibrator::cells`].
-    pub cells: Vec<CalCell>,
-    /// Learned per-predicate pass/fail counters, ascending by `(op,
-    /// constant)` key order.
-    pub predicates: Vec<PredicateCounterRecord>,
-}
-
-/// One predicate's accumulated pass/fail counts across ticks.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PredicateCounterRecord {
-    /// The predicate's comparison operator.
-    pub op: CmpOp,
-    /// The predicate's constant (bit-exact through the decimal codec).
-    pub constant: f64,
-    /// Objects observed satisfying the predicate.
-    pub pass: u64,
-    /// Objects observed failing the predicate.
-    pub fail: u64,
+    /// aligned with [`vao::cost::Calibrator::cells`].
+    pub cells: [CalCell; CAL_CLASSES],
+    /// Learned pass/fail counters per `(op, constant)` predicate (the
+    /// constant bit-exact through the decimal codec), ascending by the
+    /// counters' key order.
+    pub predicates: Vec<(CmpOp, f64, PassFail)>,
 }
 
 /// One session's outcome delta for one tick.
@@ -177,38 +253,12 @@ pub struct SessionTickRecord {
     pub driven: u64,
 }
 
-/// A `(session, answer)` pair.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AnswerEntry {
-    /// Session id.
-    pub session: u64,
-    /// The answer delivered.
-    pub answer: AnswerRecord,
-}
-
-/// A persisted answer — mirrors `va_server::Answer` without depending on
-/// the server crate (the dependency points the other way).
-#[derive(Clone, Debug, PartialEq)]
-pub enum AnswerRecord {
-    /// The query converged within budget.
-    Final(QueryOutput),
-    /// The budget ran out; sound anytime bounds.
-    Partial {
-        /// Lower bound.
-        lo: f64,
-        /// Upper bound.
-        hi: f64,
-    },
-}
-
 /// End-of-tick state of one pool object: everything a recovered server
 /// needs to re-admit the object at its achieved accuracy.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WarmObjectRecord {
-    /// Last lower bound.
-    pub lo: f64,
-    /// Last upper bound.
-    pub hi: f64,
+    /// Last bounds.
+    pub bounds: Bounds,
     /// Whether the object had reached its stopping condition.
     pub converged: bool,
     /// Cumulative `iterate()` calls across the object's lifetime at this
@@ -217,29 +267,6 @@ pub struct WarmObjectRecord {
     /// Cumulative work units the object charged (accumulated across warm
     /// re-admissions).
     pub cost: u64,
-}
-
-/// A persisted [`TickStats`] (the `operator` tag rides as a string and is
-/// mapped back to the known static names on load).
-#[derive(Clone, Debug, PartialEq)]
-pub struct StatsRecord {
-    /// The rate processed.
-    pub rate: f64,
-    /// Logical work, by component.
-    pub work: WorkBreakdown,
-    /// Wall-clock nanoseconds (restored for bookkeeping; never compared —
-    /// wall time is not deterministic).
-    pub wall_nanos: u64,
-    /// Total `iterate()` calls.
-    pub iterations: u64,
-    /// Operator tag.
-    pub operator: String,
-    /// Traced result objects.
-    pub objects: u64,
-    /// Iterations-per-object histogram buckets.
-    pub hist: [u64; ITER_BUCKETS],
-    /// Estimated-vs-actual CPU error summary.
-    pub cpu: CpuEstimation,
 }
 
 /// Where in the segmented journal a snapshot's coverage ends: the last
@@ -290,33 +317,16 @@ pub struct RelationSnapshot {
     /// Ticks shed by load coalescing so far.
     pub shed: u64,
     /// Live sessions, in registration order.
-    pub sessions: Vec<SessionSnapshot>,
+    pub sessions: Vec<Session>,
     /// Per-tick statistics history.
-    pub history: Vec<StatsRecord>,
+    pub history: Vec<TickStats>,
     /// Warm-start state per rate (rates in ascending bit order).
     pub warm: Vec<WarmRateRecord>,
     /// Last delivered answer per session, in registration order.
-    pub answers: Vec<AnswerEntry>,
+    pub answers: Vec<(SessionId, Answer)>,
     /// Cost-calibration state at snapshot time (`None`, and absent from
     /// the document, while the model is cold).
     pub calibration: Option<CalibrationState>,
-}
-
-/// One registered session as captured by a snapshot.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SessionSnapshot {
-    /// Session id.
-    pub session: u64,
-    /// Scheduling priority.
-    pub priority: u32,
-    /// Ticks answered exactly.
-    pub finals: u64,
-    /// Ticks degraded to partial answers.
-    pub partials: u64,
-    /// Pool iterations this session drove.
-    pub driven: u64,
-    /// The registered query.
-    pub query: Query,
 }
 
 /// The warm-start objects for one rate.
@@ -331,9 +341,10 @@ pub struct WarmRateRecord {
 // ----------------------------------------------------------------- encode
 //
 // The shape writers below (`cmp_op_str`, `query_json`, `ids_json`,
-// `bounds_fields`, `output_json`, `bond_json`, the two answer objects) are
-// the only emitters of those shapes in the workspace: the journal, the
-// snapshot and the wire protocol (`va_server::proto`) all call them.
+// `bounds_fields`, `output_json`, `bond_json`, `answer_json`) are the only
+// emitters of those shapes in the workspace: the journal, the snapshot and
+// the wire protocol (`va_server::proto`) all call them. Field names and
+// their order are theirs, not the structs'.
 
 fn num(x: f64) -> String {
     debug_assert!(x.is_finite(), "persisted floats must be finite");
@@ -397,8 +408,8 @@ pub fn ids_json(ids: &[u32]) -> String {
 /// The `"lo":L,"hi":H` field pair of an interval (no braces — the caller
 /// decides what else shares the object).
 #[must_use]
-pub fn bounds_fields(lo: f64, hi: f64) -> String {
-    format!("\"lo\":{lo},\"hi\":{hi}")
+pub fn bounds_fields(b: &Bounds) -> String {
+    format!("\"lo\":{},\"hi\":{}", b.lo(), b.hi())
 }
 
 /// Serializes a [`QueryOutput`] to its `{"shape":...}` object shape.
@@ -414,18 +425,17 @@ pub fn output_json(out: &QueryOutput) -> String {
             ties,
         } => format!(
             "{{\"shape\":\"extreme\",\"bond\":{bond_id},{},\"ties\":{}}}",
-            bounds_fields(bounds.lo(), bounds.hi()),
+            bounds_fields(bounds),
             ids_json(ties)
         ),
-        QueryOutput::Aggregate { bounds } => format!(
-            "{{\"shape\":\"aggregate\",{}}}",
-            bounds_fields(bounds.lo(), bounds.hi())
-        ),
+        QueryOutput::Aggregate { bounds } => {
+            format!("{{\"shape\":\"aggregate\",{}}}", bounds_fields(bounds))
+        }
         QueryOutput::Ranked { members, ties } => format!(
             "{{\"shape\":\"ranked\",\"members\":{},\"ties\":{}}}",
             array(members, |(id, b)| format!(
                 "{{\"bond\":{id},{}}}",
-                bounds_fields(b.lo(), b.hi())
+                bounds_fields(b)
             )),
             ids_json(ties)
         ),
@@ -443,32 +453,23 @@ pub fn output_json(out: &QueryOutput) -> String {
     }
 }
 
-/// The answer object of a converged query: journal records and `RESUMED`.
+/// The answer object of journal records, snapshots and `RESUMED` (a
+/// `RESULT` line nests a partial answer's bounds under `"bounds"` instead).
 #[must_use]
-pub fn final_answer_json(out: &QueryOutput) -> String {
-    format!("{{\"status\":\"final\",\"output\":{}}}", output_json(out))
-}
-
-/// The answer object of a budget-degraded query: journal records and
-/// `RESUMED` (a `RESULT` line nests the same bounds under `"bounds"`).
-#[must_use]
-pub fn partial_answer_json(lo: f64, hi: f64) -> String {
-    format!("{{\"status\":\"partial\",{}}}", bounds_fields(lo, hi))
-}
-
-fn answer_json(a: &AnswerRecord) -> String {
+pub fn answer_json(a: &Answer) -> String {
     match a {
-        AnswerRecord::Final(out) => final_answer_json(out),
-        AnswerRecord::Partial { lo, hi } => partial_answer_json(*lo, *hi),
+        Answer::Final(out) => format!("{{\"status\":\"final\",\"output\":{}}}", output_json(out)),
+        Answer::Partial { bounds } => {
+            format!("{{\"status\":\"partial\",{}}}", bounds_fields(bounds))
+        }
     }
 }
 
-fn answer_entries_json(entries: &[AnswerEntry]) -> String {
-    array(entries, |e| {
+fn answers_json(answers: &[(SessionId, Answer)]) -> String {
+    array(answers, |(session, answer)| {
         format!(
-            "{{\"session\":{},\"answer\":{}}}",
-            e.session,
-            answer_json(&e.answer)
+            "{{\"session\":{session},\"answer\":{}}}",
+            answer_json(answer)
         )
     })
 }
@@ -476,9 +477,8 @@ fn answer_entries_json(entries: &[AnswerEntry]) -> String {
 fn warm_objects_json(objs: &[WarmObjectRecord]) -> String {
     array(objs, |w| {
         format!(
-            "{{\"lo\":{},\"hi\":{},\"converged\":{},\"iters\":{},\"cost\":{}}}",
-            num(w.lo),
-            num(w.hi),
+            "{{{},\"converged\":{},\"iters\":{},\"cost\":{}}}",
+            bounds_fields(&w.bounds),
             w.converged,
             w.iters,
             w.cost
@@ -494,8 +494,8 @@ pub fn bond_json(id: Option<u32>, coupon: f64, maturity: f64, face: f64) -> Stri
     format!("{{{id}\"coupon\":{coupon},\"maturity\":{maturity},\"face\":{face}}}")
 }
 
-fn bond_record_json(b: &BondRecord) -> String {
-    bond_json(Some(b.id), b.coupon, b.maturity, b.face)
+fn stored_bond_json(b: &Bond) -> String {
+    bond_json(Some(b.id), b.coupon, b.years_to_maturity, b.face)
 }
 
 /// Serializes a relation definition (without its catalog id).
@@ -506,11 +506,11 @@ pub fn relation_def_json(def: &RelationDefRecord) -> String {
         "{{\"name\":\"{}\",{}\"bonds\":{}}}",
         escape(&def.name),
         seed,
-        array(&def.bonds, bond_record_json)
+        array(&def.bonds, stored_bond_json)
     )
 }
 
-fn stats_json(s: &StatsRecord) -> String {
+fn stats_json(s: &TickStats) -> String {
     format!(
         "{{\"rate\":{},\"work\":{{\"exec\":{},\"get\":{},\"store\":{},\"choose\":{}}},\"wall_nanos\":{},\"iterations\":{},\"operator\":\"{}\",\"objects\":{},\"hist\":{},\"cpu\":{{\"iterations\":{},\"pct_iterations\":{},\"mae\":{},\"mape\":{}}}}}",
         num(s.rate),
@@ -518,15 +518,15 @@ fn stats_json(s: &StatsRecord) -> String {
         s.work.get_state,
         s.work.store_state,
         s.work.choose_iter,
-        s.wall_nanos,
+        u64::try_from(s.wall.as_nanos()).unwrap_or(u64::MAX),
         s.iterations,
-        escape(&s.operator),
+        escape(s.operator),
         s.objects,
-        array(&s.hist, u64::to_string),
-        s.cpu.iterations,
-        s.cpu.pct_iterations,
-        num(s.cpu.mean_abs_error),
-        num(s.cpu.mean_abs_pct_error),
+        array(s.iter_histogram.buckets(), u64::to_string),
+        s.cpu_est.iterations,
+        s.cpu_est.pct_iterations,
+        num(s.cpu_est.mean_abs_error),
+        num(s.cpu_est.mean_abs_pct_error),
     )
 }
 
@@ -540,12 +540,12 @@ fn calibration_json(c: &CalibrationState) -> String {
             "[{},{},{}]",
             cell.observations, cell.est_sum, cell.actual_sum
         )),
-        array(&c.predicates, |p| format!(
+        array(&c.predicates, |(op, constant, pf)| format!(
             "{{\"op\":\"{}\",\"constant\":{},\"pass\":{},\"fail\":{}}}",
-            cmp_op_str(p.op),
-            num(p.constant),
-            p.pass,
-            p.fail
+            cmp_op_str(*op),
+            num(*constant),
+            pf.pass,
+            pf.fail
         ))
     )
 }
@@ -574,7 +574,7 @@ impl JournalEvent {
             }
             JournalEvent::AddBond { relation, bond } => format!(
                 "{{\"ev\":\"add_bond\",\"relation\":{relation},\"bond\":{}}}",
-                bond_record_json(bond)
+                stored_bond_json(bond)
             ),
             JournalEvent::Subscribe {
                 relation,
@@ -600,7 +600,7 @@ impl JournalEvent {
                     "{{\"session\":{},\"final\":{},\"driven\":{}}}",
                     s.session, s.is_final, s.driven
                 )),
-                answer_entries_json(&t.answers),
+                answers_json(&t.answers),
                 warm_objects_json(&t.warm),
                 calibration_field(t.calibration.as_ref()),
             ),
@@ -621,11 +621,11 @@ fn relation_snapshot_json(r: &RelationSnapshot) -> String {
         r.shed,
         array(&r.sessions, |s| format!(
             "{{\"session\":{},\"priority\":{},\"finals\":{},\"partials\":{},\"driven\":{},\"query\":{}}}",
-            s.session,
+            s.id,
             s.priority,
             s.finals,
             s.partials,
-            s.driven,
+            s.driven_iterations,
             query_json(&s.query)
         )),
         array(&r.history, stats_json),
@@ -634,7 +634,7 @@ fn relation_snapshot_json(r: &RelationSnapshot) -> String {
             num(w.rate),
             warm_objects_json(&w.objects)
         )),
-        answer_entries_json(&r.answers),
+        answers_json(&r.answers),
         calibration_field(r.calibration.as_ref()),
     )
 }
@@ -702,6 +702,16 @@ fn str_field<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
 
 fn u32_field(doc: &Json, key: &str) -> Result<u32, String> {
     u32::try_from(u64_field(doc, key)?).map_err(|e| e.to_string())
+}
+
+/// A relation or session id. Ids are issued from 1 upward, so `u64::MAX`
+/// was never issued; refusing it here is what lets every `id + 1` behind a
+/// parsed record stay unchecked.
+fn id_field(doc: &Json, key: &str) -> Result<u64, String> {
+    match u64_field(doc, key)? {
+        u64::MAX => Err(format!("\"{key}\" {} was never issued", u64::MAX)),
+        id => Ok(id),
+    }
 }
 
 /// Parses every element of the array field `key` with `each`.
@@ -855,40 +865,35 @@ pub fn parse_output(doc: &Json) -> Result<QueryOutput, String> {
     }
 }
 
-fn parse_answer(doc: &Json) -> Result<AnswerRecord, String> {
+fn parse_answer(doc: &Json) -> Result<Answer, String> {
     match str_field(doc, "status")? {
-        "final" => Ok(AnswerRecord::Final(parse_output(
+        "final" => Ok(Answer::Final(parse_output(
             doc.get("output").ok_or("missing \"output\"")?,
         )?)),
-        "partial" => Ok(AnswerRecord::Partial {
-            lo: f64_field(doc, "lo")?,
-            hi: f64_field(doc, "hi")?,
+        "partial" => Ok(Answer::Partial {
+            bounds: parse_bounds(doc)?,
         }),
         other => Err(format!("unknown answer status \"{other}\"")),
     }
 }
 
 /// The `"answers"` array of a tick record or snapshot section.
-fn parse_answers(doc: &Json) -> Result<Vec<AnswerEntry>, String> {
+fn parse_answers(doc: &Json) -> Result<Vec<(SessionId, Answer)>, String> {
     list_field(doc, "answers", |e| {
-        Ok(AnswerEntry {
-            session: u64_field(e, "session")?,
-            answer: parse_answer(e.get("answer").ok_or("missing \"answer\"")?)?,
-        })
+        Ok((
+            SessionId(id_field(e, "session")?),
+            parse_answer(e.get("answer").ok_or("missing \"answer\"")?)?,
+        ))
     })
 }
 
 fn parse_warm_object(doc: &Json) -> Result<WarmObjectRecord, String> {
-    let rec = WarmObjectRecord {
-        lo: f64_field(doc, "lo")?,
-        hi: f64_field(doc, "hi")?,
+    Ok(WarmObjectRecord {
+        bounds: parse_bounds(doc)?,
         converged: bool_field(doc, "converged")?,
         iters: u64_field(doc, "iters")?,
         cost: u64_field(doc, "cost")?,
-    };
-    // Validate the interval once here so every consumer can trust it.
-    Bounds::try_new(rec.lo, rec.hi).map_err(|e| e.to_string())?;
-    Ok(rec)
+    })
 }
 
 /// Parses a bond's `(coupon, maturity, face)` terms.
@@ -900,14 +905,11 @@ pub fn parse_bond_terms(doc: &Json) -> Result<(f64, f64, f64), String> {
     ))
 }
 
-fn parse_bond(doc: &Json) -> Result<BondRecord, String> {
+fn parse_bond(doc: &Json) -> Result<Bond, String> {
     let (coupon, maturity, face) = parse_bond_terms(doc)?;
-    Ok(BondRecord {
-        id: u32_field(doc, "id")?,
-        coupon,
-        maturity,
-        face,
-    })
+    let id = u32_field(doc, "id")?;
+    Bond::try_new(id, coupon, maturity, face)
+        .map_err(|detail| format!("corrupt journaled bond {id}: {detail}"))
 }
 
 /// Parses a relation definition from its `{"name":...}` object shape.
@@ -923,7 +925,7 @@ pub fn parse_relation_def(doc: &Json) -> Result<RelationDefRecord, String> {
     })
 }
 
-fn parse_stats(doc: &Json) -> Result<StatsRecord, String> {
+fn parse_stats(doc: &Json) -> Result<TickStats, String> {
     let work = doc.get("work").ok_or("missing \"work\"")?;
     let cpu = doc.get("cpu").ok_or("missing \"cpu\"")?;
     let hist: [u64; ITER_BUCKETS] = list_field(doc, "hist", |item| {
@@ -937,7 +939,7 @@ fn parse_stats(doc: &Json) -> Result<StatsRecord, String> {
             items.len()
         )
     })?;
-    Ok(StatsRecord {
+    Ok(TickStats {
         rate: f64_field(doc, "rate")?,
         work: WorkBreakdown {
             exec_iter: u64_field(work, "exec")?,
@@ -945,12 +947,12 @@ fn parse_stats(doc: &Json) -> Result<StatsRecord, String> {
             store_state: u64_field(work, "store")?,
             choose_iter: u64_field(work, "choose")?,
         },
-        wall_nanos: u64_field(doc, "wall_nanos")?,
+        wall: Duration::from_nanos(u64_field(doc, "wall_nanos")?),
         iterations: u64_field(doc, "iterations")?,
-        operator: str_field(doc, "operator")?.to_string(),
+        operator: static_operator(str_field(doc, "operator")?),
         objects: u64_field(doc, "objects")?,
-        hist,
-        cpu: {
+        iter_histogram: IterHistogram::from_buckets(hist),
+        cpu_est: {
             let iterations = u64_field(cpu, "iterations")?;
             CpuEstimation {
                 iterations,
@@ -976,7 +978,7 @@ fn parse_calibration(doc: &Json) -> Result<CalibrationState, String> {
     if version != 1 {
         return Err(format!("unknown calibration version {version}"));
     }
-    let cells = list_field(doc, "cells", |c| {
+    let cells: [CalCell; CAL_CLASSES] = list_field(doc, "cells", |c| {
         let triple = c.as_array().ok_or("non-array calibration cell")?;
         if triple.len() != 3 {
             return Err(format!(
@@ -994,20 +996,20 @@ fn parse_calibration(doc: &Json) -> Result<CalibrationState, String> {
             est_sum: int(1)?,
             actual_sum: int(2)?,
         })
+    })?
+    .try_into()
+    .map_err(|cells: Vec<CalCell>| {
+        format!("calibration needs {CAL_CLASSES} cells, got {}", cells.len())
     })?;
-    if cells.len() != CAL_CLASSES {
-        return Err(format!(
-            "calibration needs {CAL_CLASSES} cells, got {}",
-            cells.len()
-        ));
-    }
     let predicates = list_field(doc, "predicates", |p| {
-        Ok(PredicateCounterRecord {
-            op: parse_cmp_op(p)?,
-            constant: f64_field(p, "constant")?,
-            pass: u64_field(p, "pass")?,
-            fail: u64_field(p, "fail")?,
-        })
+        Ok((
+            parse_cmp_op(p)?,
+            f64_field(p, "constant")?,
+            PassFail {
+                pass: u64_field(p, "pass")?,
+                fail: u64_field(p, "fail")?,
+            },
+        ))
     })?;
     Ok(CalibrationState { cells, predicates })
 }
@@ -1024,28 +1026,28 @@ impl JournalEvent {
         let doc = Json::parse(line)?;
         match str_field(&doc, "ev")? {
             "create_relation" => Ok(JournalEvent::CreateRelation(Box::new(RelationRecord {
-                relation: u64_field(&doc, "relation")?,
+                relation: id_field(&doc, "relation")?,
                 def: parse_relation_def(doc.get("def").ok_or("missing \"def\"")?)?,
             }))),
             "drop_relation" => Ok(JournalEvent::DropRelation {
-                relation: u64_field(&doc, "relation")?,
+                relation: id_field(&doc, "relation")?,
             }),
             "add_bond" => Ok(JournalEvent::AddBond {
-                relation: u64_field(&doc, "relation")?,
+                relation: id_field(&doc, "relation")?,
                 bond: parse_bond(doc.get("bond").ok_or("missing \"bond\"")?)?,
             }),
             "subscribe" => Ok(JournalEvent::Subscribe {
-                relation: u64_field(&doc, "relation")?,
-                session: u64_field(&doc, "session")?,
+                relation: id_field(&doc, "relation")?,
+                session: id_field(&doc, "session")?,
                 priority: u32_field(&doc, "priority")?,
                 query: parse_query(doc.get("query").ok_or("missing \"query\"")?)?,
             }),
             "unsubscribe" => Ok(JournalEvent::Unsubscribe {
-                relation: u64_field(&doc, "relation")?,
-                session: u64_field(&doc, "session")?,
+                relation: id_field(&doc, "relation")?,
+                session: id_field(&doc, "session")?,
             }),
             "tick" => Ok(JournalEvent::Tick(Box::new(TickRecord {
-                relation: u64_field(&doc, "relation")?,
+                relation: id_field(&doc, "relation")?,
                 tick: u64_field(&doc, "tick")?,
                 rate: f64_field(&doc, "rate")?,
                 shed: u64_field(&doc, "shed")?,
@@ -1053,7 +1055,7 @@ impl JournalEvent {
                 stats: parse_stats(doc.get("stats").ok_or("missing \"stats\"")?)?,
                 sessions: list_field(&doc, "sessions", |s| {
                     Ok(SessionTickRecord {
-                        session: u64_field(s, "session")?,
+                        session: id_field(s, "session")?,
                         is_final: bool_field(s, "final")?,
                         driven: u64_field(s, "driven")?,
                     })
@@ -1072,19 +1074,19 @@ impl JournalEvent {
 
 fn parse_relation_snapshot(doc: &Json) -> Result<RelationSnapshot, String> {
     Ok(RelationSnapshot {
-        relation: u64_field(doc, "relation")?,
+        relation: id_field(doc, "relation")?,
         def: parse_relation_def(doc.get("def").ok_or("missing \"def\"")?)?,
         next_session_id: u64_field(doc, "next_session_id")?,
         ticks: u64_field(doc, "ticks")?,
         shed: u64_field(doc, "shed")?,
         sessions: list_field(doc, "sessions", |s| {
-            Ok(SessionSnapshot {
-                session: u64_field(s, "session")?,
+            Ok(Session {
+                id: SessionId(id_field(s, "session")?),
+                query: parse_query(s.get("query").ok_or("missing \"query\"")?)?,
                 priority: u32_field(s, "priority")?,
                 finals: u64_field(s, "finals")?,
                 partials: u64_field(s, "partials")?,
-                driven: u64_field(s, "driven")?,
-                query: parse_query(s.get("query").ok_or("missing \"query\"")?)?,
+                driven_iterations: u64_field(s, "driven")?,
             })
         })?,
         history: list_field(doc, "history", parse_stats)?,
@@ -1118,8 +1120,6 @@ impl SnapshotRecord {
     }
 }
 
-// ------------------------------------------------- TickStats conversions
-
 /// Maps a persisted operator tag back to the known static names (the
 /// in-memory [`TickStats`] carries `&'static str`). Unrecognized tags fall
 /// back to `"shared_pool"`, the only operator the server's shared scheduler
@@ -1142,45 +1142,12 @@ pub fn static_operator(name: &str) -> &'static str {
     }
 }
 
-impl StatsRecord {
-    /// Captures in-memory tick statistics for persistence.
-    #[must_use]
-    pub fn from_stats(stats: &TickStats) -> Self {
-        Self {
-            rate: stats.rate,
-            work: stats.work,
-            wall_nanos: u64::try_from(stats.wall.as_nanos()).unwrap_or(u64::MAX),
-            iterations: stats.iterations,
-            operator: stats.operator.to_string(),
-            objects: stats.objects,
-            hist: *stats.iter_histogram.buckets(),
-            cpu: stats.cpu_est,
-        }
-    }
-
-    /// Restores the in-memory tick statistics.
-    #[must_use]
-    pub fn to_stats(&self) -> TickStats {
-        TickStats {
-            rate: self.rate,
-            work: self.work,
-            wall: std::time::Duration::from_nanos(self.wall_nanos),
-            iterations: self.iterations,
-            operator: static_operator(&self.operator),
-            objects: self.objects,
-            iter_histogram: IterHistogram::from_buckets(self.hist),
-            cpu_est: self.cpu,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
-    fn sample_stats() -> StatsRecord {
-        StatsRecord {
+    fn sample_stats() -> TickStats {
+        TickStats {
             rate: 0.0583,
             work: WorkBreakdown {
                 exec_iter: 921_088,
@@ -1188,12 +1155,12 @@ mod tests {
                 store_state: 415,
                 choose_iter: 13_937,
             },
-            wall_nanos: 123_456_789,
+            wall: Duration::from_nanos(123_456_789),
             iterations: 319,
-            operator: "shared_pool".to_string(),
+            operator: "shared_pool",
             objects: 48,
-            hist: [1, 2, 3, 4, 5, 6, 7, 8, 9],
-            cpu: CpuEstimation {
+            iter_histogram: IterHistogram::from_buckets([1, 2, 3, 4, 5, 6, 7, 8, 9]),
+            cpu_est: CpuEstimation {
                 iterations: 319,
                 pct_iterations: 301,
                 mean_abs_error: 12.5,
@@ -1203,7 +1170,7 @@ mod tests {
     }
 
     fn sample_calibration() -> CalibrationState {
-        let mut cells = vec![CalCell::default(); CAL_CLASSES];
+        let mut cells = [CalCell::default(); CAL_CLASSES];
         cells[7] = CalCell {
             observations: 41,
             est_sum: 5_120,
@@ -1217,18 +1184,12 @@ mod tests {
         CalibrationState {
             cells,
             predicates: vec![
-                PredicateCounterRecord {
-                    op: CmpOp::Gt,
-                    constant: 100.25,
-                    pass: 18,
-                    fail: 30,
-                },
-                PredicateCounterRecord {
-                    op: CmpOp::Le,
-                    constant: 99.058_300_000_000_01,
-                    pass: 0,
-                    fail: 7,
-                },
+                (CmpOp::Gt, 100.25, PassFail { pass: 18, fail: 30 }),
+                (
+                    CmpOp::Le,
+                    99.058_300_000_000_01,
+                    PassFail { pass: 0, fail: 7 },
+                ),
             ],
         }
     }
@@ -1254,33 +1215,30 @@ mod tests {
                 },
             ],
             answers: vec![
-                AnswerEntry {
-                    session: 1,
-                    answer: AnswerRecord::Final(QueryOutput::Extreme {
+                (
+                    SessionId(1),
+                    Answer::Final(QueryOutput::Extreme {
                         bond_id: 45,
                         bounds: Bounds::new(123.318_127_050_003_1, 123.566_607_748_983_66),
                         ties: vec![2, 9],
                     }),
-                },
-                AnswerEntry {
-                    session: 3,
-                    answer: AnswerRecord::Partial {
-                        lo: 5132.5,
-                        hi: 5174.8,
+                ),
+                (
+                    SessionId(3),
+                    Answer::Partial {
+                        bounds: Bounds::new(5132.5, 5174.8),
                     },
-                },
+                ),
             ],
             warm: vec![
                 WarmObjectRecord {
-                    lo: 88.80101456519986,
-                    hi: 88.85679684433053,
+                    bounds: Bounds::new(88.80101456519986, 88.85679684433053),
                     converged: true,
                     iters: 17,
                     cost: 40_231,
                 },
                 WarmObjectRecord {
-                    lo: 90.0,
-                    hi: 110.0,
+                    bounds: Bounds::new(90.0, 110.0),
                     converged: false,
                     iters: 0,
                     cost: 512,
@@ -1295,18 +1253,8 @@ mod tests {
             name: "energy".to_string(),
             seed: Some(1994),
             bonds: vec![
-                BondRecord {
-                    id: 0,
-                    coupon: 0.05,
-                    maturity: 7.5,
-                    face: 100.0,
-                },
-                BondRecord {
-                    id: 1,
-                    coupon: 0.0325,
-                    maturity: 30.0,
-                    face: 1_000.0,
-                },
+                Bond::new(0, 0.05, 7.5, 100.0),
+                Bond::new(1, 0.0325, 30.0, 1_000.0),
             ],
         }
     }
@@ -1329,12 +1277,7 @@ mod tests {
             JournalEvent::DropRelation { relation: 2 },
             JournalEvent::AddBond {
                 relation: 3,
-                bond: BondRecord {
-                    id: 7,
-                    coupon: 0.041,
-                    maturity: 12.0,
-                    face: 250.0,
-                },
+                bond: Bond::new(7, 0.041, 12.0, 250.0),
             },
             JournalEvent::Subscribe {
                 relation: 1,
@@ -1446,23 +1389,25 @@ mod tests {
                     next_session_id: 9,
                     ticks: 12,
                     shed: 1,
-                    sessions: vec![SessionSnapshot {
-                        session: 2,
+                    sessions: vec![Session {
+                        id: SessionId(2),
+                        query: Query::Max { epsilon: 0.0101 },
                         priority: 4,
                         finals: 10,
                         partials: 2,
-                        driven: 4_021,
-                        query: Query::Max { epsilon: 0.0101 },
+                        driven_iterations: 4_021,
                     }],
                     history: vec![sample_stats(), sample_stats()],
                     warm: vec![WarmRateRecord {
                         rate: 0.0583,
                         objects: sample_tick().warm,
                     }],
-                    answers: vec![AnswerEntry {
-                        session: 2,
-                        answer: AnswerRecord::Partial { lo: 1.0, hi: 2.0 },
-                    }],
+                    answers: vec![(
+                        SessionId(2),
+                        Answer::Partial {
+                            bounds: Bounds::new(1.0, 2.0),
+                        },
+                    )],
                     calibration: Some(sample_calibration()),
                 },
                 RelationSnapshot {
@@ -1500,12 +1445,11 @@ mod tests {
     #[test]
     fn stats_record_restores_tick_stats() {
         let rec = sample_stats();
-        let stats = rec.to_stats();
+        let stats = parse_stats(&Json::parse(&stats_json(&rec)).unwrap()).unwrap();
         assert_eq!(stats.operator, "shared_pool");
         assert_eq!(stats.wall, Duration::from_nanos(123_456_789));
         assert_eq!(stats.iter_histogram.buckets(), &[1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        let back = StatsRecord::from_stats(&stats);
-        assert_eq!(back, rec);
+        assert_eq!(stats, rec);
     }
 
     #[test]
@@ -1517,7 +1461,7 @@ mod tests {
             JournalEvent::Tick(t) => {
                 assert_eq!(t.calibration, None, "legacy ticks are uncalibrated");
                 assert_eq!(
-                    t.stats.cpu.pct_iterations, 4,
+                    t.stats.cpu_est.pct_iterations, 4,
                     "legacy pct weighting defaults to the total iteration count"
                 );
             }
@@ -1550,8 +1494,8 @@ mod tests {
         assert_eq!(back, cal);
         // The predicate constant is float: assert bit identity explicitly.
         assert_eq!(
-            back.predicates[1].constant.to_bits(),
-            cal.predicates[1].constant.to_bits()
+            back.predicates[1].1.to_bits(),
+            cal.predicates[1].1.to_bits()
         );
     }
 
@@ -1572,5 +1516,66 @@ mod tests {
             &Json::parse(r#"{"lo":2,"hi":1,"converged":false,"iters":0,"cost":0}"#).unwrap()
         )
         .is_err());
+        // Likewise every other domain check: a record that parses holds
+        // only values the fold can apply without looking at them again.
+        let tick = JournalEvent::Tick(Box::new(sample_tick())).to_line();
+        let inverted = tick.replace(r#""lo":5132.5,"hi":5174.8"#, r#""lo":5174.8,"hi":5132.5"#);
+        assert_ne!(inverted, tick);
+        assert!(JournalEvent::parse(&inverted).is_err());
+        let create = r#"{"ev":"create_relation","relation":2,"def":{"name":"x","bonds":[{"id":0,"coupon":1.5,"maturity":7.5,"face":100}]}}"#;
+        assert!(JournalEvent::parse(create).is_err());
+        assert!(JournalEvent::parse(&create.replace("1.5", "0.5")).is_ok());
+        let add = r#"{"ev":"add_bond","relation":3,"bond":{"id":7,"coupon":1.5,"maturity":7.5,"face":100}}"#;
+        assert!(JournalEvent::parse(add).is_err());
+        // Ids are issued from 1 upward: u64::MAX was never issued, and the
+        // registry and catalog compute `id + 1` on what they restore.
+        let max = u64::MAX;
+        for line in [
+            format!(
+                r#"{{"ev":"subscribe","relation":1,"session":{max},"priority":1,"query":{{"kind":"max","epsilon":0.5}}}}"#
+            ),
+            format!(
+                r#"{{"ev":"subscribe","relation":{max},"session":1,"priority":1,"query":{{"kind":"max","epsilon":0.5}}}}"#
+            ),
+            format!(
+                r#"{{"ev":"create_relation","relation":{max},"def":{{"name":"x","bonds":[]}}}}"#
+            ),
+        ] {
+            assert!(JournalEvent::parse(&line).is_err(), "{line}");
+            assert!(JournalEvent::parse(&line.replace(&max.to_string(), "7")).is_ok());
+        }
+    }
+
+    /// Moved from `va_server::catalog` with the check it pins: bond
+    /// economics are refused where a record enters, not where it is folded.
+    #[test]
+    fn parse_refuses_corrupt_bond_economics() {
+        let good = JournalEvent::CreateRelation(Box::new(RelationRecord {
+            relation: 1,
+            def: sample_def(),
+        }))
+        .to_line();
+        let bad = good.replace(r#""coupon":0.05"#, r#""coupon":-0.05"#);
+        assert_ne!(bad, good);
+        let detail = JournalEvent::parse(&bad).unwrap_err();
+        assert!(detail.contains("corrupt journaled bond 0"), "{detail}");
+    }
+
+    /// Moved from `va_server::answer` with the type.
+    #[test]
+    fn accessors_distinguish_variants() {
+        let f = Answer::Final(QueryOutput::Aggregate {
+            bounds: Bounds::new(1.0, 2.0),
+        });
+        assert!(f.is_final());
+        assert!(f.final_output().is_some());
+        assert_eq!(f.partial_bounds(), None);
+
+        let p = Answer::Partial {
+            bounds: Bounds::new(0.0, 4.0),
+        };
+        assert!(!p.is_final());
+        assert_eq!(p.partial_bounds(), Some(Bounds::new(0.0, 4.0)));
+        assert!(p.final_output().is_none());
     }
 }

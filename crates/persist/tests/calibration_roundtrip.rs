@@ -5,24 +5,22 @@
 
 use proptest::prelude::*;
 use va_persist::json::Json;
-use va_persist::record::{
-    CalibrationState, JournalEvent, PredicateCounterRecord, SnapshotRecord, StatsRecord, TickRecord,
-};
-use va_stream::stats::ITER_BUCKETS;
+use va_persist::record::{CalibrationState, JournalEvent, PassFail, SnapshotRecord, TickRecord};
+use va_stream::{IterHistogram, TickStats};
 use vao::cost::{CalCell, WorkBreakdown, CAL_CLASSES};
 use vao::ops::selection::CmpOp;
 use vao::trace::CpuEstimation;
 
-fn stats(iterations: u64, pct_iterations: u64) -> StatsRecord {
-    StatsRecord {
+fn stats(iterations: u64, pct_iterations: u64) -> TickStats {
+    TickStats {
         rate: 0.05,
         work: WorkBreakdown::default(),
-        wall_nanos: 1,
+        wall: std::time::Duration::from_nanos(1),
         iterations,
-        operator: "shared_pool".to_string(),
+        operator: "shared_pool",
         objects: 1,
-        hist: [0; ITER_BUCKETS],
-        cpu: CpuEstimation {
+        iter_histogram: IterHistogram::new(),
+        cpu_est: CpuEstimation {
             iterations,
             pct_iterations,
             mean_abs_error: 1.5,
@@ -63,23 +61,27 @@ proptest! {
         seeds in prop::collection::vec(any::<u64>(), CAL_CLASSES),
         pred_seeds in prop::collection::vec(any::<u64>(), 0..6),
     ) {
-        let cells: Vec<CalCell> = seeds
-            .iter()
-            .map(|&s| CalCell {
+        let cells: [CalCell; CAL_CLASSES] = std::array::from_fn(|i| {
+            let s = seeds[i];
+            CalCell {
                 observations: s % 1_000,
                 est_sum: (s >> 10) % 1_000_000,
                 actual_sum: (s >> 30) % 1_000_000,
-            })
-            .collect();
-        let predicates: Vec<PredicateCounterRecord> = pred_seeds
+            }
+        });
+        let predicates: Vec<(CmpOp, f64, PassFail)> = pred_seeds
             .iter()
-            .map(|&s| PredicateCounterRecord {
-                op: op_of(s as u8),
-                // Exercise awkward decimals: the codec must round-trip the
-                // exact bits through shortest-display formatting.
-                constant: (s % 100_000) as f64 / 7.0,
-                pass: s % 977,
-                fail: (s >> 16) % 977,
+            .map(|&s| {
+                (
+                    op_of(s as u8),
+                    // Exercise awkward decimals: the codec must round-trip
+                    // the exact bits through shortest-display formatting.
+                    (s % 100_000) as f64 / 7.0,
+                    PassFail {
+                        pass: s % 977,
+                        fail: (s >> 16) % 977,
+                    },
+                )
             })
             .collect();
         let state = CalibrationState { cells, predicates };
@@ -92,7 +94,7 @@ proptest! {
             JournalEvent::Tick(t) => {
                 let restored = t.calibration.expect("calibration present");
                 for (a, b) in restored.predicates.iter().zip(&state.predicates) {
-                    prop_assert_eq!(a.constant.to_bits(), b.constant.to_bits());
+                    prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
                 }
             }
             other => prop_assert!(false, "unexpected event {:?}", other),
@@ -130,7 +132,7 @@ proptest! {
         match parsed {
             JournalEvent::Tick(t) => {
                 prop_assert_eq!(t.calibration, None);
-                prop_assert_eq!(t.stats.cpu.pct_iterations, iterations);
+                prop_assert_eq!(t.stats.cpu_est.pct_iterations, iterations);
             }
             other => prop_assert!(false, "unexpected event {:?}", other),
         }

@@ -1,73 +1,5 @@
-//! Anytime answers: the server's graceful-degradation output type.
+//! Anytime answers: the server's graceful-degradation output type. The
+//! journal persists the answers a tick delivered, so the type is defined
+//! beside its codec.
 
-use va_stream::QueryOutput;
-use vao::Bounds;
-
-/// What a session receives for one tick.
-///
-/// When the scheduler converges a query to its ε within the tick's work
-/// budget, the session gets the same [`QueryOutput`] a dedicated engine
-/// would produce. When the budget runs out first, the session gets a sound
-/// interval instead of blocking — the *anytime* answer.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Answer {
-    /// The query reached its stopping condition within budget.
-    Final(QueryOutput),
-    /// The work budget was exhausted first.
-    Partial {
-        /// Sound bounds on the converged answer *value*: the aggregate for
-        /// SUM/AVE, the extreme value for MAX/MIN (the footnote-9
-        /// envelope), the k-th price for TOP-K, and the result cardinality
-        /// for the set-valued SELECT/COUNT queries. Guaranteed to contain
-        /// the value a budget-free evaluation would converge to.
-        bounds: Bounds,
-    },
-}
-
-impl Answer {
-    /// Whether the answer is exact.
-    #[must_use]
-    pub fn is_final(&self) -> bool {
-        matches!(self, Answer::Final(_))
-    }
-
-    /// The final output, when the answer is exact.
-    #[must_use]
-    pub fn final_output(&self) -> Option<&QueryOutput> {
-        match self {
-            Answer::Final(out) => Some(out),
-            Answer::Partial { .. } => None,
-        }
-    }
-
-    /// The anytime bounds, when the answer is partial.
-    #[must_use]
-    pub fn partial_bounds(&self) -> Option<Bounds> {
-        match self {
-            Answer::Partial { bounds } => Some(*bounds),
-            Answer::Final(_) => None,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn accessors_distinguish_variants() {
-        let f = Answer::Final(QueryOutput::Aggregate {
-            bounds: Bounds::new(1.0, 2.0),
-        });
-        assert!(f.is_final());
-        assert!(f.final_output().is_some());
-        assert_eq!(f.partial_bounds(), None);
-
-        let p = Answer::Partial {
-            bounds: Bounds::new(0.0, 4.0),
-        };
-        assert!(!p.is_final());
-        assert_eq!(p.partial_bounds(), Some(Bounds::new(0.0, 4.0)));
-        assert!(p.final_output().is_none());
-    }
-}
+pub use va_persist::record::Answer;

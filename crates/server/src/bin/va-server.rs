@@ -34,7 +34,8 @@
 //! read (a single-file `journal.jsonl`, a `meta.json` that is not
 //! `"version":2`) is refused with a layout error and left untouched.
 //! `--smoke` runs a self-contained loopback exchange —
-//! subscribe, tick, stats, quit against an ephemeral port — and exits
+//! subscribe, tick, stats, the catalog requests, three requests that must
+//! be refused with an `ERROR`, quit, against an ephemeral port — and exits
 //! nonzero on any protocol failure; CI uses it as a two-second end-to-end
 //! check. `--client` flips the binary into a line-pipe client: stdin lines
 //! go to the server, reply lines to stdout — which is how the CI
@@ -341,6 +342,19 @@ fn smoke(server: &mut Server) {
             5,
         );
         ask(r#"{"type":"RELATIONS"}"#, 1);
+        // Three requests that each used to abort the process: a rate off
+        // the pricer grid, a relation and a summary sized by the client.
+        // One ERROR apiece, and the server ticks on.
+        ask(r#"{"type":"TICK","rate":7}"#, 1);
+        ask(
+            r#"{"type":"CREATE_RELATION","name":"x","seed":1,"count":1000000000000}"#,
+            1,
+        );
+        ask(
+            r#"{"type":"SUBSCRIBE","query":{"kind":"heavyhitters","k":1000000000000,"epsilon":1.0}}"#,
+            1,
+        );
+        ask(r#"{"type":"TICK","rate":0.0588}"#, 3);
         ask(r#"{"type":"QUIT"}"#, 1);
         replies
     });
@@ -382,7 +396,13 @@ fn smoke(server: &mut Server) {
     expect(15, "\"relation\":\"alt\"");
     expect(16, "\"type\":\"RELATIONS\"");
     expect(16, "\"name\":\"alt\"");
-    expect(17, "\"type\":\"BYE\"");
-    assert_eq!(server.ticks(), 3);
+    for refused in 17..20 {
+        expect(refused, "\"type\":\"ERROR\"");
+    }
+    expect(20, "\"type\":\"RESULT\"");
+    expect(21, "\"type\":\"RESULT\"");
+    expect(22, "\"type\":\"TICK_DONE\"");
+    expect(23, "\"type\":\"BYE\"");
+    assert_eq!(server.ticks(), 4);
     println!("va-server smoke: {} replies ok over {addr}", replies.len());
 }

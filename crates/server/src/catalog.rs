@@ -18,10 +18,9 @@
 //! carries the `CREATE` of anything newer — so `Catalog::restore` is the
 //! fold's only way to add a tenant.
 
-use bondlab::Bond;
-use va_persist::record::{BondRecord, RelationDefRecord};
+use va_persist::record::RelationDefRecord;
 use va_persist::WarmMap;
-use va_stream::{BondRelation, QueryRunRow, RunSummary, TickStats};
+use va_stream::{BondRelation, RunSummary, TickStats};
 use vao::cost::Calibrator;
 
 use crate::answer::Answer;
@@ -154,24 +153,11 @@ impl Tenant {
         self.shed
     }
 
-    /// Run-level accounting: the fold of every processed tick's stats plus
-    /// one [`QueryRunRow`] per live session.
+    /// Run-level accounting: the fold of every processed tick's stats
+    /// (the per-session counters are [`Tenant::sessions`]).
     #[must_use]
     pub fn summary(&self) -> RunSummary {
-        let rows: Vec<QueryRunRow> = self
-            .registry
-            .sessions()
-            .iter()
-            .map(|s| QueryRunRow {
-                session: s.id.0,
-                operator: s.query.operator_name(),
-                priority: s.priority,
-                finals: s.finals,
-                partials: s.partials,
-                driven_iterations: s.driven_iterations,
-            })
-            .collect();
-        RunSummary::from_ticks(&self.history).with_per_query(rows)
+        RunSummary::from_ticks(&self.history)
     }
 
     /// The persisted definition record for this tenant: name, seed, and
@@ -193,17 +179,7 @@ pub(crate) fn def_record(
     RelationDefRecord {
         name: name.to_string(),
         seed,
-        bonds: relation.bonds().iter().map(bond_record).collect(),
-    }
-}
-
-/// A bond as the journal and snapshots carry it.
-pub(crate) fn bond_record(b: &Bond) -> BondRecord {
-    BondRecord {
-        id: b.id,
-        coupon: b.coupon,
-        maturity: b.years_to_maturity,
-        face: b.face,
+        bonds: relation.bonds().to_vec(),
     }
 }
 
@@ -262,11 +238,13 @@ impl Catalog {
     /// Re-creates a recovered relation under the id it was journaled with
     /// (a replayed `CREATE RELATION` or a snapshot's embedded `def`). Ids
     /// only grow, so one at or below the high-water mark means the history
-    /// defines a relation twice or out of order.
+    /// defines a relation twice or out of order. The definition's content
+    /// was checked when it parsed (and `id + 1` cannot overflow: the parser
+    /// refuses the one id that was never issued).
     pub(crate) fn restore(
         &mut self,
         id: u64,
-        def: &RelationDefRecord,
+        def: RelationDefRecord,
     ) -> Result<&mut Tenant, ServerError> {
         if id < self.next {
             return Err(ServerError::Persist {
@@ -276,16 +254,11 @@ impl Catalog {
                 ),
             });
         }
-        let bonds = def
-            .bonds
-            .iter()
-            .map(recovered_bond)
-            .collect::<Result<_, _>>()?;
         self.next = id + 1;
         self.tenants.push(Tenant::new(
             RelationId(id),
-            def.name.clone(),
-            BondRelation::from_bonds(bonds),
+            def.name,
+            BondRelation::from_bonds(def.bonds),
             def.seed,
         ));
         Ok(self.tenants.last_mut().expect("just pushed"))
@@ -344,32 +317,6 @@ impl Catalog {
     }
 }
 
-/// A journaled or snapshotted bond, revalidated on the way in: a record
-/// damaged in a way that still parses must fail the open, not panic in
-/// [`Bond::new`].
-pub(crate) fn recovered_bond(b: &BondRecord) -> Result<Bond, ServerError> {
-    try_bond(b.id, b.coupon, b.maturity, b.face).map_err(|detail| ServerError::Persist {
-        detail: format!("corrupt journaled bond {}: {detail}", b.id),
-    })
-}
-
-/// Validates bond economics without panicking: [`Bond::new`] asserts on
-/// nonsense (its callers are generators and tests), but catalog bonds
-/// arrive over the wire or from a journal, where bad data must surface as
-/// a protocol `ERROR` or a [`ServerError::Persist`], never a server abort.
-pub fn try_bond(id: u32, coupon: f64, maturity: f64, face: f64) -> Result<Bond, String> {
-    if !(coupon.is_finite() && coupon > 0.0 && coupon < 1.0) {
-        return Err(format!("coupon must be a rate in (0, 1), got {coupon}"));
-    }
-    if !(maturity.is_finite() && maturity > 0.0) {
-        return Err(format!("maturity must be positive, got {maturity}"));
-    }
-    if !(face.is_finite() && face > 0.0) {
-        return Err(format!("face must be positive, got {face}"));
-    }
-    Ok(Bond::new(id, coupon, maturity, face))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,7 +365,7 @@ mod tests {
         assert_eq!(def.seed, Some(7));
         assert_eq!(def.bonds.len(), 4);
         let mut other = Catalog::new();
-        other.restore(id.0, &def).unwrap().ticks = 7;
+        other.restore(id.0, def.clone()).unwrap().ticks = 7;
         let t = other.by_name("rates").unwrap();
         assert_eq!(t.id(), id);
         assert_eq!(t.seed(), Some(7));
@@ -427,38 +374,8 @@ mod tests {
         // The skipped id stays burned, and no id is ever restored twice.
         assert_eq!(other.next_id(), RelationId(3));
         assert!(matches!(
-            other.restore(id.0, &def),
+            other.restore(id.0, def),
             Err(ServerError::Persist { .. })
         ));
-    }
-
-    #[test]
-    fn restore_refuses_corrupt_bond_economics() {
-        let mut def = {
-            let mut c = Catalog::new();
-            let id = c.create("r", rel(1), None).unwrap();
-            c.get(id).unwrap().def_record()
-        };
-        def.bonds[0].coupon = f64::NAN;
-        let mut c = Catalog::new();
-        match c.restore(1, &def) {
-            Err(ServerError::Persist { detail }) => {
-                assert!(detail.contains("corrupt journaled bond 0"), "{detail}");
-            }
-            other => panic!("expected Persist, got {other:?}"),
-        }
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn try_bond_mirrors_the_constructor_contract() {
-        assert!(try_bond(0, 0.07, 10.0, 100.0).is_ok());
-        assert!(try_bond(0, 0.0, 10.0, 100.0).is_err());
-        assert!(try_bond(0, 1.0, 10.0, 100.0).is_err());
-        assert!(try_bond(0, f64::NAN, 10.0, 100.0).is_err());
-        assert!(try_bond(0, 0.07, 0.0, 100.0).is_err());
-        assert!(try_bond(0, 0.07, f64::INFINITY, 100.0).is_err());
-        assert!(try_bond(0, 0.07, 10.0, 0.0).is_err());
-        assert!(try_bond(0, 0.07, 10.0, -5.0).is_err());
     }
 }

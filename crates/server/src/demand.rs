@@ -30,6 +30,7 @@
 mod round;
 
 pub use round::RoundView;
+pub use va_persist::record::PassFail;
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -95,9 +96,12 @@ struct HeavySummaries {
 }
 
 impl HeavySummaries {
-    fn new(k: usize) -> Self {
+    /// Summaries for the `k` heaviest cells of `n` objects. At most `n`
+    /// cells can be occupied, so a `k` beyond `n` (a journaled subscription
+    /// can carry one) sizes nothing.
+    fn new(k: usize, n: usize) -> Self {
         Self {
-            resolved: SpaceSaving::new((4 * k).max(64)),
+            resolved: SpaceSaving::new(k.min(n).saturating_mul(4).max(64)),
             cm_resolved: CountMin::new(COUNTMIN_WIDTH, COUNTMIN_DEPTH),
             cm_pending: CountMin::new(COUNTMIN_WIDTH, COUNTMIN_DEPTH),
         }
@@ -279,12 +283,7 @@ pub fn final_output(query: &Query, pool: &SharedPool, relation: &BondRelation) -
 /// Exact top-`k` ε-cell ranking over the pool's *resolved* objects — the
 /// final counting pass the sketches only ever steer towards, never decide.
 fn heavy_cells(pool: &SharedPool, k: usize, width: f64) -> (Vec<HeavyCell>, Vec<i64>) {
-    let mut counts: BTreeMap<i64, u64> = BTreeMap::new();
-    for i in 0..pool.len() {
-        if let Some(c) = resolved_cell(pool, i, width) {
-            *counts.entry(c).or_default() += 1;
-        }
-    }
+    let (counts, _) = cell_counts(pool, width);
     let mut ranked: Vec<HeavyCell> = counts
         .into_iter()
         .map(|(cell, count)| HeavyCell { cell, count })
@@ -337,11 +336,17 @@ fn cell_span(pool: &SharedPool, i: usize, width: f64) -> CellSpan {
     }
 }
 
-fn resolved_cell(pool: &SharedPool, i: usize, width: f64) -> Option<i64> {
-    match cell_span(pool, i, width) {
-        CellSpan::Resolved(c) => Some(c),
-        CellSpan::Pending { .. } => None,
+/// Resolved objects per ε-cell, and how many objects are still unresolved.
+fn cell_counts(pool: &SharedPool, width: f64) -> (BTreeMap<i64, u64>, u64) {
+    let mut counts: BTreeMap<i64, u64> = BTreeMap::new();
+    let mut unresolved = 0u64;
+    for i in 0..pool.len() {
+        match cell_span(pool, i, width) {
+            CellSpan::Resolved(c) => *counts.entry(c).or_default() += 1,
+            CellSpan::Pending { .. } => unresolved += 1,
+        }
     }
+    (counts, unresolved)
 }
 
 /// Sound anytime bounds on the query's converged answer value, from the
@@ -364,14 +369,7 @@ fn resolved_cell(pool: &SharedPool, i: usize, width: f64) -> Option<i64> {
 /// set/aggregate shapes answer `[0, 0]` over ∅ instead.
 pub fn partial_bounds(query: &Query, pool: &SharedPool) -> Result<Bounds, ServerError> {
     match query {
-        Query::Selection { op, constant } => {
-            let (count_lo, unresolved) = classify(pool, *op, *constant);
-            Ok(Bounds::new(
-                count_lo as f64,
-                (count_lo + unresolved.len()) as f64,
-            ))
-        }
-        Query::Count { op, constant, .. } => {
+        Query::Selection { op, constant } | Query::Count { op, constant, .. } => {
             let (count_lo, unresolved) = classify(pool, *op, *constant);
             Ok(Bounds::new(
                 count_lo as f64,
@@ -388,14 +386,7 @@ pub fn partial_bounds(query: &Query, pool: &SharedPool) -> Result<Bounds, Server
         Query::HeavyHitters { k, epsilon } => {
             // The k-th resolved count can only grow; `u` still-unresolved
             // objects can raise it by at most `u`.
-            let mut counts: BTreeMap<i64, u64> = BTreeMap::new();
-            let mut unresolved = 0u64;
-            for i in 0..pool.len() {
-                match resolved_cell(pool, i, *epsilon) {
-                    Some(c) => *counts.entry(c).or_default() += 1,
-                    None => unresolved += 1,
-                }
-            }
+            let (counts, unresolved) = cell_counts(pool, *epsilon);
             let mut ranked: Vec<u64> = counts.into_values().collect();
             ranked.sort_unstable_by(|a, b| b.cmp(a));
             let kth = k
@@ -906,7 +897,9 @@ fn demands_heavy(
     state: &mut SketchState,
     out: &mut Vec<Demand>,
 ) {
-    let s = state.heavy.get_or_insert_with(|| HeavySummaries::new(k));
+    let s = state
+        .heavy
+        .get_or_insert_with(|| HeavySummaries::new(k, pool.len()));
     let spans: Vec<CellSpan> = (0..pool.len()).map(|i| cell_span(pool, i, width)).collect();
     s.rebuild(&spans);
     heavy_scan(pool, &spans, s, k, width, out);
@@ -957,15 +950,6 @@ fn heavy_scan(
 /// trusted to reorder probe demands. Below this the boost is inert, so a
 /// couple of early coin-flip outcomes cannot skew the schedule.
 pub const PRED_MIN_OUTCOMES: u64 = 16;
-
-/// Pass/fail tallies for one `(op, constant)` predicate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PassFail {
-    /// Objects whose bounds decided the predicate *true*.
-    pub pass: u64,
-    /// Objects whose bounds decided the predicate *false*.
-    pub fail: u64,
-}
 
 /// Per-predicate pass/fail frequencies accumulated across ticks, keyed by
 /// the exact `(op, constant)` pair — the constant by bit pattern, so two

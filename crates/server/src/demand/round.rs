@@ -190,7 +190,7 @@ fn patch(entries: &mut Vec<Demand>, i: usize, entry: Option<Demand>) {
 impl HeavyCache {
     fn build(pool: &SharedPool, k: usize, width: f64) -> Self {
         let spans: Vec<CellSpan> = (0..pool.len()).map(|i| cell_span(pool, i, width)).collect();
-        let mut summaries = HeavySummaries::new(k);
+        let mut summaries = HeavySummaries::new(k, pool.len());
         summaries.rebuild(&spans);
         Self {
             spans,

@@ -23,6 +23,17 @@ pub enum ServerError {
     /// (0, 1), or a non-positive maturity/face. Refused at the protocol
     /// boundary so `Bond::new`'s assertions can never fire on wire input.
     InvalidBond(String),
+    /// A tick's rate lies outside the grid the pricing model solves on.
+    /// Refused before any relation executes so `BondPde::new`'s assertion
+    /// can never fire on a request.
+    RateOutOfRange {
+        /// The rate offered.
+        rate: f64,
+        /// The grid's lower edge (`ShortRateModel::x_min`).
+        min: f64,
+        /// The grid's upper edge (`ShortRateModel::x_max`).
+        max: f64,
+    },
     /// The server's relation (or the shared pool derived from it) has no
     /// bonds, so extreme/top-k queries have no answer to bound. Raised at
     /// subscribe and tick time instead of panicking deep in the
@@ -63,6 +74,9 @@ impl std::fmt::Display for ServerError {
                 write!(f, "relation \"{name}\" already exists")
             }
             ServerError::InvalidBond(detail) => write!(f, "invalid bond: {detail}"),
+            ServerError::RateOutOfRange { rate, min, max } => {
+                write!(f, "rate {rate} outside the pricer grid [{min}, {max}]")
+            }
             ServerError::EmptyRelation => {
                 write!(f, "empty relation: no bonds to price or bound")
             }

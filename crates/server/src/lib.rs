@@ -45,7 +45,7 @@ pub mod server;
 pub mod session;
 
 pub use answer::Answer;
-pub use catalog::{try_bond, Catalog, RelationId, Tenant, DEFAULT_RELATION};
+pub use catalog::{Catalog, RelationId, Tenant, DEFAULT_RELATION};
 pub use error::ServerError;
 pub use net::{FrontEnd, FrontEndConfig, FrontEndStats};
 pub use pool::SharedPool;

@@ -34,10 +34,10 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use bondlab::BondUniverse;
+use bondlab::{Bond, BondUniverse};
 use va_stream::BondRelation;
 
-use crate::catalog::{try_bond, DEFAULT_RELATION};
+use crate::catalog::DEFAULT_RELATION;
 use crate::poll::{self, PollSet};
 use crate::proto::{self, RelationSpec, Request};
 use crate::server::{Server, TickResult};
@@ -591,12 +591,23 @@ impl FrontEnd {
     }
 }
 
+/// The most bonds a seeded `CREATE_RELATION` may ask the generator for.
+/// Bond ids are `u32` and the `create_relation` journal line carries every
+/// bond: this keeps that line near 4 MB and the request from allocating
+/// whatever a client names.
+const MAX_SEEDED_BONDS: u64 = 1 << 16;
+
 /// Materializes a `CREATE_RELATION` spec into a relation, validating
 /// wire bonds so a malformed bond is a protocol `ERROR`, never a panic
 /// inside `Bond::new`. Returns the provenance seed for seeded specs.
 fn build_relation(spec: &RelationSpec) -> Result<(BondRelation, Option<u64>), String> {
     match spec {
         RelationSpec::Seeded { seed, count } => {
+            if *count > MAX_SEEDED_BONDS {
+                return Err(format!(
+                    "\"count\" {count} exceeds the {MAX_SEEDED_BONDS} bonds a seeded relation may hold"
+                ));
+            }
             let count = usize::try_from(*count).map_err(|_| "\"count\" out of range")?;
             Ok((
                 BondRelation::from_universe(&BondUniverse::generate(count, *seed)),
@@ -608,7 +619,7 @@ fn build_relation(spec: &RelationSpec) -> Result<(BondRelation, Option<u64>), St
             for (idx, b) in bonds.iter().enumerate() {
                 let id = u32::try_from(idx).map_err(|_| "too many bonds".to_string())?;
                 out.push(
-                    try_bond(id, b.coupon, b.maturity, b.face)
+                    Bond::try_new(id, b.coupon, b.maturity, b.face)
                         .map_err(|detail| format!("invalid bond: {detail}"))?,
                 );
             }

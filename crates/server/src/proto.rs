@@ -607,14 +607,9 @@ pub fn resumed(
     tick: u64,
     answer: Option<&Answer>,
 ) -> String {
-    let answer_field = match answer {
-        None => String::new(),
-        Some(Answer::Final(out)) => format!(",\"answer\":{}", record::final_answer_json(out)),
-        Some(Answer::Partial { bounds }) => format!(
-            ",\"answer\":{}",
-            record::partial_answer_json(bounds.lo(), bounds.hi())
-        ),
-    };
+    let answer_field = answer.map_or(String::new(), |a| {
+        format!(",\"answer\":{}", record::answer_json(a))
+    });
     format!(
         "{{\"type\":\"RESUMED\",\"relation\":\"{}\",\"session\":{},\"operator\":\"{}\",\"priority\":{},\"finals\":{},\"partials\":{},\"tick\":{}{answer_field}}}",
         escape(relation), sess.id, sess.query.operator_name(), sess.priority, sess.finals, sess.partials, tick
@@ -648,7 +643,7 @@ pub fn result_payload(relation: &str, tick: u64, rate: f64, answer: &Answer) -> 
         ),
         Answer::Partial { bounds } => format!(
             "\"relation\":\"{rel}\",\"tick\":{tick},\"rate\":{rate},\"status\":\"partial\",\"bounds\":{{{}}}",
-            bounds_fields(bounds.lo(), bounds.hi())
+            bounds_fields(bounds)
         ),
     }
 }
@@ -698,9 +693,9 @@ pub fn stats(tenant: &Tenant) -> String {
         summary.iterations,
         tenant.calibration_observations(),
         tenant.calibration_gain_ppm(),
-        array(&summary.per_query, |r| format!(
+        array(tenant.sessions().sessions(), |s| format!(
             "{{\"session\":{},\"operator\":\"{}\",\"priority\":{},\"finals\":{},\"partials\":{},\"driven_iterations\":{}}}",
-            r.session, r.operator, r.priority, r.finals, r.partials, r.driven_iterations
+            s.id, s.query.operator_name(), s.priority, s.finals, s.partials, s.driven_iterations
         ))
     )
 }

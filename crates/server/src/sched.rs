@@ -31,6 +31,7 @@
 //! tick (§7's graceful degradation, applied to scheduling).
 
 use va_numerics::pde::step_batch;
+use va_persist::record::SessionTickRecord;
 use va_stream::{BondRelation, Query};
 use vao::batch::{BatchLane, GridShape};
 use vao::cost::{Calibrator, Work, WorkBreakdown, WorkMeter};
@@ -49,11 +50,17 @@ use crate::error::ServerError;
 use crate::pool::SharedPool;
 use crate::session::{SessionId, SessionRegistry};
 
-/// What one scheduled tick produced.
+/// What one scheduled tick produced. The tick itself changes nothing but
+/// the pool: what it means for the sessions' counters travels here, for
+/// the caller to apply once the tick is journaled.
 #[derive(Clone, Debug)]
 pub(crate) struct TickOutcome {
     /// Per-session answers, in registration order.
     pub answers: Vec<(SessionId, Answer)>,
+    /// Per-session outcome deltas (final or partial, iterations driven),
+    /// in registration order: the journal record's `sessions` array and
+    /// the argument of [`SessionRegistry::apply_tick`].
+    pub sessions: Vec<SessionTickRecord>,
     /// Iterations issued per pool object this tick, aligned with the pool.
     /// The durability layer folds these into its per-rate warm-start
     /// records; sums to the `iterate()` calls the tick's meter counted.
@@ -113,10 +120,11 @@ pub fn arbitrate_budget(total: Option<Work>, weights: &[u64]) -> Vec<Option<Work
     out.into_iter().map(Some).collect()
 }
 
-/// The tenant's mutable calibration state, threaded through a tick when
-/// the server runs with calibration enabled (`None` reproduces the
-/// uncalibrated schedule bit-identically — no corrected estimates, no
-/// observations, no demand reordering).
+/// The calibration state a tick trains, threaded through when the server
+/// runs with calibration enabled (`None` reproduces the uncalibrated
+/// schedule bit-identically — no corrected estimates, no observations, no
+/// demand reordering). The server passes tick-local copies of the tenant's
+/// state and installs them once the tick is journaled.
 ///
 /// `model` corrects `estCPU` before admission and budget accounting and is
 /// fed every `(raw estimate, measured cost)` pair the tick executes;
@@ -162,7 +170,7 @@ struct IterDone {
 /// `iterate()` cap is [`DEFAULT_ITERATION_LIMIT`].
 #[allow(clippy::too_many_arguments)] // one call site; the knobs are the API
 pub(crate) fn run_tick<O: ExecObserver>(
-    registry: &mut SessionRegistry,
+    registry: &SessionRegistry,
     pool: &mut SharedPool,
     relation: &BondRelation,
     budget: Option<Work>,
@@ -196,6 +204,7 @@ pub(crate) fn run_tick<O: ExecObserver>(
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut raw_ests: Vec<Work> = Vec::new();
     let mut iterations = 0u64;
+    let mut driven = vec![0u64; registry.len()];
     let mut per_object_iterations = vec![0u64; n];
     let mut seq = 0u64;
     let mut round = 0u64;
@@ -319,7 +328,7 @@ pub(crate) fn run_tick<O: ExecObserver>(
                 }
             }
             if let Some(s_idx) = claimant {
-                registry.sessions_mut()[s_idx].driven_iterations += 1;
+                driven[s_idx] += 1;
             }
         }
 
@@ -409,14 +418,15 @@ pub(crate) fn run_tick<O: ExecObserver>(
     }
 
     let mut answers = Vec::with_capacity(registry.len());
-    for (s_idx, sess) in registry.sessions_mut().iter_mut().enumerate() {
+    let mut sessions = Vec::with_capacity(registry.len());
+    for (s_idx, sess) in registry.sessions().iter().enumerate() {
         let done = view.demands(s_idx).is_empty();
-        if done {
-            sess.finals += 1;
-        } else {
-            sess.partials += 1;
-        }
         answers.push((sess.id, demand::answer(&sess.query, pool, relation, done)?));
+        sessions.push(SessionTickRecord {
+            session: sess.id.0,
+            is_final: done,
+            driven: driven[s_idx],
+        });
     }
 
     observer.on_operator_end(&OperatorEndRecord {
@@ -427,6 +437,7 @@ pub(crate) fn run_tick<O: ExecObserver>(
 
     Ok(TickOutcome {
         answers,
+        sessions,
         per_object_iterations,
         budget_exhausted,
     })
@@ -435,8 +446,9 @@ pub(crate) fn run_tick<O: ExecObserver>(
 /// [`run_tick`] over a caller-built registry and pool with a [`RoundAudit`]
 /// attached: the scheduler exactly as the server runs it (unbudgeted, the
 /// default iteration cap, `calibration` as `(cost model, predicate stats)`),
-/// observable round by round. Exists for the differential tests; returns
-/// the tick's answers.
+/// observable round by round, the session counters applied as a commit
+/// applies them. Exists for the differential tests; returns the tick's
+/// answers.
 ///
 /// # Errors
 ///
@@ -466,6 +478,7 @@ pub fn audited_tick(
         &mut vao::trace::NoopObserver,
         Some(audit),
     )?;
+    registry.apply_tick(&outcome.sessions);
     Ok(outcome.answers)
 }
 

@@ -11,29 +11,26 @@
 use std::path::Path;
 use std::time::Instant;
 
-use bondlab::BondPricer;
+use bondlab::{Bond, BondPricer};
 use va_persist::record::{
-    AnswerEntry, AnswerRecord, CalibrationState, JournalEvent, PredicateCounterRecord,
-    RelationRecord, RelationSnapshot, SessionSnapshot, SessionTickRecord, SnapshotRecord,
-    StatsRecord, TickRecord, WarmObjectRecord, WarmRateRecord,
+    CalibrationState, JournalEvent, RelationRecord, RelationSnapshot, SnapshotRecord, TickRecord,
+    WarmObjectRecord, WarmRateRecord,
 };
 use va_persist::{Meta, MetaRelation, PersistError, Recovery, Store, META_FILE};
 use va_stream::{BondRelation, Query, RunSummary, TickObserver, TickStats};
 use vao::adapters::WarmStart;
-use vao::cost::{CalCell, Calibrator, Work, WorkMeter, CAL_CLASSES};
+use vao::cost::{Calibrator, Work, WorkMeter};
 use vao::error::VaoError;
 use vao::trace::{
     BudgetExhaustedRecord, CalibrationRecord, ChoiceRecord, CompactionRecord, ExecObserver,
     HybridDecisionRecord, IterationRecord, NoopObserver, OperatorEndRecord, OperatorKind,
     RecoveryRecord, RoundRecord,
 };
-use vao::{Bounds, PrecisionConstraint};
+use vao::PrecisionConstraint;
 
 use crate::answer::Answer;
-use crate::catalog::{
-    bond_record, def_record, recovered_bond, Catalog, RelationId, Tenant, DEFAULT_RELATION,
-};
-use crate::demand::{PassFail, PredicateStats};
+use crate::catalog::{def_record, Catalog, RelationId, Tenant, DEFAULT_RELATION};
+use crate::demand::PredicateStats;
 use crate::error::ServerError;
 use crate::pool::SharedPool;
 use crate::sched;
@@ -285,58 +282,30 @@ fn mismatch(dir: &Path, expected: u64, found: u64) -> ServerError {
     .into()
 }
 
-/// Captures a tenant's calibration state for persistence, or `None` while
-/// the state is trivially cold. The cold case is deliberately *absent*
-/// rather than serialized: an uncalibrated run's journal bytes are
-/// bit-identical to a pre-calibration server's, and parsing an absent
-/// field already restores cold state.
-fn calibration_state(tenant: &Tenant) -> Option<CalibrationState> {
-    if tenant.calibrator.is_cold() && tenant.predicates.is_empty() {
+/// Captures calibration state for persistence, or `None` while the state
+/// is trivially cold. The cold case is deliberately *absent* rather than
+/// serialized: an uncalibrated run's journal bytes are bit-identical to a
+/// pre-calibration server's, and parsing an absent field already restores
+/// cold state.
+fn calibration_state(model: &Calibrator, predicates: &PredicateStats) -> Option<CalibrationState> {
+    if model.is_cold() && predicates.is_empty() {
         return None;
     }
     Some(CalibrationState {
-        cells: tenant.calibrator.cells().to_vec(),
-        predicates: tenant
-            .predicates
-            .entries()
-            .map(|(op, constant, pf)| PredicateCounterRecord {
-                op,
-                constant,
-                pass: pf.pass,
-                fail: pf.fail,
-            })
-            .collect(),
+        cells: *model.cells(),
+        predicates: predicates.entries().collect(),
     })
 }
 
 /// Restores a persisted calibration state into its tenant, replacing
 /// whatever was there (journal replay is last-wins: a later tick's state
 /// supersedes the snapshot's).
-fn restore_calibration(tenant: &mut Tenant, state: &CalibrationState) -> Result<(), ServerError> {
-    let cells: [CalCell; CAL_CLASSES] =
-        state
-            .cells
-            .clone()
-            .try_into()
-            .map_err(|_| ServerError::Persist {
-                detail: format!(
-                    "calibration state has {} cells, expected {CAL_CLASSES}",
-                    state.cells.len()
-                ),
-            })?;
-    tenant.calibrator = Calibrator::from_cells(cells);
+fn restore_calibration(tenant: &mut Tenant, state: &CalibrationState) {
+    tenant.calibrator = Calibrator::from_cells(state.cells);
     tenant.predicates = PredicateStats::new();
-    for p in &state.predicates {
-        tenant.predicates.restore_counter(
-            p.op,
-            p.constant,
-            PassFail {
-                pass: p.pass,
-                fail: p.fail,
-            },
-        );
+    for &(op, constant, counters) in &state.predicates {
+        tenant.predicates.restore_counter(op, constant, counters);
     }
-    Ok(())
 }
 
 /// The tenant a recovered journal event refers to.
@@ -352,50 +321,49 @@ fn seen(catalog: &mut Catalog, relation: u64) -> Result<&mut Tenant, ServerError
 }
 
 /// Replays recovered state into a catalog: the snapshot's per-relation
-/// sections, then the journal tail, then the folded warm maps. Every
-/// relation's definition reaches the fold before anything that refers to
-/// it — in the snapshot, or as the `CreateRelation` ahead of it in the
-/// tail — so an event for a relation the fold has not seen is corruption
-/// ([`seen`]).
-fn fold_into_catalog(catalog: &mut Catalog, recovered: &Recovery) -> Result<(), ServerError> {
-    if let Some(snap) = &recovered.snapshot {
-        for rel in &snap.relations {
-            let tenant = catalog.restore(rel.relation, &rel.def)?;
+/// sections, then the journal tail, each tick's warm state replacing its
+/// relation's entry for its rate. Every relation's definition reaches the
+/// fold before anything that refers to it — in the snapshot, or as the
+/// `CreateRelation` ahead of it in the tail — so an event for a relation
+/// the fold has not seen is corruption ([`seen`]). That and a definition at
+/// or below the id high-water mark are the only ways to fail: the *content*
+/// of a record was checked when it parsed.
+fn fold_into_catalog(catalog: &mut Catalog, recovered: Recovery) -> Result<(), ServerError> {
+    if let Some(snap) = recovered.snapshot {
+        for rel in snap.relations {
+            let tenant = catalog.restore(rel.relation, rel.def)?;
             tenant
                 .registry
                 .reserve_through(SessionId(rel.next_session_id.saturating_sub(1)));
-            for s in &rel.sessions {
-                tenant.registry.restore(Session {
-                    id: SessionId(s.session),
-                    query: s.query.clone(),
-                    priority: s.priority,
-                    finals: s.finals,
-                    partials: s.partials,
-                    driven_iterations: s.driven,
-                });
+            for session in rel.sessions {
+                tenant.registry.restore(session);
             }
             tenant.ticks = rel.ticks;
             tenant.shed = rel.shed;
-            tenant.history = rel.history.iter().map(StatsRecord::to_stats).collect();
-            tenant.last_answers = restore_answers(&rel.answers)?;
+            tenant.history = rel.history;
+            tenant.last_answers = rel.answers;
+            tenant.warm = rel
+                .warm
+                .into_iter()
+                .map(|w| (w.rate.to_bits(), w.objects))
+                .collect();
             if let Some(cal) = &rel.calibration {
-                restore_calibration(tenant, cal)?;
+                restore_calibration(tenant, cal);
             }
         }
         catalog.reserve_through(snap.next_relation_id);
     }
-    for ev in &recovered.tail {
+    for ev in recovered.tail {
         match ev {
             JournalEvent::CreateRelation(rec) => {
-                catalog.restore(rec.relation, &rec.def)?;
+                catalog.restore(rec.relation, rec.def)?;
             }
             JournalEvent::DropRelation { relation } => {
-                let id = seen(catalog, *relation)?.id;
+                let id = seen(catalog, relation)?.id;
                 catalog.remove(id);
             }
             JournalEvent::AddBond { relation, bond } => {
-                let b = recovered_bond(bond)?;
-                seen(catalog, *relation)?.relation.push(b);
+                seen(catalog, relation)?.relation.push(bond);
             }
             JournalEvent::Subscribe {
                 relation,
@@ -403,10 +371,10 @@ fn fold_into_catalog(catalog: &mut Catalog, recovered: &Recovery) -> Result<(), 
                 priority,
                 query,
             } => {
-                seen(catalog, *relation)?.registry.restore(Session {
-                    id: SessionId(*session),
-                    query: query.clone(),
-                    priority: *priority,
+                seen(catalog, relation)?.registry.restore(Session {
+                    id: SessionId(session),
+                    query,
+                    priority,
                     finals: 0,
                     partials: 0,
                     driven_iterations: 0,
@@ -415,41 +383,23 @@ fn fold_into_catalog(catalog: &mut Catalog, recovered: &Recovery) -> Result<(), 
             JournalEvent::Unsubscribe { relation, session } => {
                 // The id stays burned: the Subscribe replay (or the
                 // snapshot's high-water mark) already advanced `next`.
-                seen(catalog, *relation)?
+                seen(catalog, relation)?
                     .registry
-                    .deregister(SessionId(*session));
+                    .deregister(SessionId(session));
             }
             JournalEvent::Tick(t) => {
                 let tenant = seen(catalog, t.relation)?;
                 tenant.ticks = t.tick;
                 tenant.shed = t.shed;
-                tenant.history.push(t.stats.to_stats());
-                for delta in &t.sessions {
-                    if let Some(sess) = tenant
-                        .registry
-                        .sessions_mut()
-                        .iter_mut()
-                        .find(|s| s.id.0 == delta.session)
-                    {
-                        if delta.is_final {
-                            sess.finals += 1;
-                        } else {
-                            sess.partials += 1;
-                        }
-                        sess.driven_iterations += delta.driven;
-                    }
-                }
-                tenant.last_answers = restore_answers(&t.answers)?;
+                tenant.history.push(t.stats);
+                tenant.registry.apply_tick(&t.sessions);
+                tenant.last_answers = t.answers;
+                tenant.warm.insert(t.rate.to_bits(), t.warm);
                 if let Some(cal) = &t.calibration {
-                    restore_calibration(tenant, cal)?;
+                    restore_calibration(tenant, cal);
                 }
             }
             JournalEvent::SnapshotMarker { .. } => {}
-        }
-    }
-    for (relation, warm) in recovered.warm_maps() {
-        if let Some(tenant) = catalog.get_mut(RelationId(relation)) {
-            tenant.warm = warm;
         }
     }
     Ok(())
@@ -550,8 +500,16 @@ impl Server {
             }
             _ => {}
         }
+        let report = RecoveryRecord {
+            snapshot_seq: recovered.snapshot_seq(),
+            replayed_events: recovered.replayed_events(),
+            truncated_bytes: recovered.truncated_bytes,
+            skipped_snapshots: recovered.skipped_snapshot_count(),
+            swept_tmp_files: recovered.swept_tmp_files,
+        };
+        let events_at_last_snapshot = recovered.snapshot.as_ref().map_or(0, |s| s.journal_events);
         let mut catalog = Catalog::new();
-        fold_into_catalog(&mut catalog, &recovered)?;
+        fold_into_catalog(&mut catalog, recovered)?;
         // The journal is authoritative and the metadata a cache of it: a
         // fresh dir has none yet, and a crash between a catalog journal
         // append and the metadata rewrite leaves it stale.
@@ -566,18 +524,9 @@ impl Server {
             durability: Some(Durability {
                 store,
                 snapshot_every: config.snapshot_every.max(1),
-                events_at_last_snapshot: recovered
-                    .snapshot
-                    .as_ref()
-                    .map_or(0, |s| s.journal_events),
+                events_at_last_snapshot,
             }),
-            recovery: Some(RecoveryRecord {
-                snapshot_seq: recovered.snapshot_seq(),
-                replayed_events: recovered.replayed_events(),
-                truncated_bytes: recovered.truncated_bytes,
-                skipped_snapshots: recovered.skipped_snapshot_count(),
-                swept_tmp_files: recovered.swept_tmp_files,
-            }),
+            recovery: Some(report),
             recovery_emitted: false,
             pending_compactions: Vec::new(),
         })
@@ -721,12 +670,12 @@ impl Server {
                     detail: "relation grew past u32 bond ids",
                 }
             })?;
-        let bond = crate::catalog::try_bond(bond_id, coupon, maturity, face)
-            .map_err(ServerError::InvalidBond)?;
+        let bond =
+            Bond::try_new(bond_id, coupon, maturity, face).map_err(ServerError::InvalidBond)?;
         if let Some(d) = &mut self.durability {
             d.store.append(&JournalEvent::AddBond {
                 relation: self.catalog.tenants()[idx].id().0,
-                bond: bond_record(&bond),
+                bond,
             })?;
         }
         self.catalog.tenants_mut()[idx].relation.push(bond);
@@ -820,7 +769,7 @@ impl Server {
     }
 
     /// Run-level accounting for one relation: the fold of every processed
-    /// tick's stats plus one [`va_stream::QueryRunRow`] per live session.
+    /// tick's stats.
     pub fn summary_in(&self, name: &str) -> Result<RunSummary, ServerError> {
         Ok(self.tenant(name)?.summary())
     }
@@ -882,57 +831,70 @@ impl Server {
             }
         }
         let idx = self.tenant_index(name)?;
-        let durable = self.durability.is_some();
         let exec = execute_tenant_tick(
             &self.pricer,
             &self.config,
-            &mut self.catalog.tenants_mut()[idx],
+            &self.catalog.tenants()[idx],
             rate,
             self.config.budget,
             self.config.workers,
-            durable,
+            self.durability.is_some(),
             observer,
         )?;
-        let result = self.commit_tick(idx, rate, exec)?;
+        let result = self.commit_tick(idx, exec)?;
         self.maybe_snapshot()?;
         Ok(result)
     }
 
     /// Journals (durable servers) and commits one executed tick into its
-    /// tenant. Write-ahead order: the tick record is fsync'd before the
-    /// tenant's counters move, matching the single-relation contract.
-    fn commit_tick(
-        &mut self,
-        idx: usize,
-        rate: f64,
-        exec: TickExec,
-    ) -> Result<TickResult, ServerError> {
+    /// tenant. Write-ahead order: the tick record is fsync'd before
+    /// anything of the tenant moves — session counters, cost model, warm
+    /// state, history — so a failed append leaves the tenant exactly as the
+    /// journal describes it.
+    fn commit_tick(&mut self, idx: usize, exec: TickExec) -> Result<TickResult, ServerError> {
         let TickExec {
-            answers,
+            outcome,
             stats,
-            budget_exhausted,
             warm_now,
-            record,
+            trained,
         } = exec;
-        if let Some(d) = &mut self.durability {
-            if let Some(record) = record {
-                d.store.append(&JournalEvent::Tick(record))?;
-            }
-        }
         let tenant = &mut self.catalog.tenants_mut()[idx];
+        if let (Some(d), Some(warm)) = (&mut self.durability, &warm_now) {
+            let (model, predicates) = match &trained {
+                Some((model, predicates)) => (model, predicates),
+                None => (&tenant.calibrator, &tenant.predicates),
+            };
+            d.store.append(&JournalEvent::Tick(Box::new(TickRecord {
+                relation: tenant.id.0,
+                tick: tenant.ticks + 1,
+                rate: stats.rate,
+                shed: tenant.shed,
+                budget_exhausted: outcome.budget_exhausted,
+                stats,
+                sessions: outcome.sessions.clone(),
+                answers: outcome.answers.clone(),
+                warm: warm.clone(),
+                calibration: calibration_state(model, predicates),
+            })))?;
+        }
+        tenant.registry.apply_tick(&outcome.sessions);
+        if let Some((model, predicates)) = trained {
+            tenant.calibrator = model;
+            tenant.predicates = predicates;
+        }
         if let Some(warm) = warm_now {
-            tenant.warm.insert(rate.to_bits(), warm);
+            tenant.warm.insert(stats.rate.to_bits(), warm);
         }
         tenant.history.push(stats);
         tenant.ticks += 1;
-        tenant.last_answers = answers.clone();
+        tenant.last_answers = outcome.answers.clone();
         Ok(TickResult {
             relation: tenant.id,
             tick: tenant.ticks,
-            rate,
-            answers,
+            rate: stats.rate,
+            answers: outcome.answers,
             stats,
-            budget_exhausted,
+            budget_exhausted: outcome.budget_exhausted,
         })
     }
 
@@ -952,10 +914,12 @@ impl Server {
     /// Journal appends happen after execution, in the caller's tick order,
     /// so the journal stays deterministic regardless of sharding.
     pub fn tick_multi(&mut self, ticks: &[(&str, f64)]) -> Result<Vec<TickResult>, ServerError> {
-        // Resolve everything up front: an unknown or duplicate relation
-        // fails the whole request before any relation executes.
+        // Resolve everything up front: an unknown or duplicate relation or
+        // an unpriceable rate fails the whole request before any relation
+        // executes or anything is journaled.
         let mut indices = Vec::with_capacity(ticks.len());
-        for (name, _) in ticks {
+        for &(name, rate) in ticks {
+            check_rate(&self.pricer, rate)?;
             let idx = self.tenant_index(name)?;
             if indices.contains(&idx) {
                 return Err(ServerError::Internal {
@@ -994,85 +958,53 @@ impl Server {
         let durable = self.durability.is_some();
         let workers = self.config.workers.max(1);
 
-        let mut execs: Vec<Option<Result<TickExec, ServerError>>> =
-            (0..ticks.len()).map(|_| None).collect();
-        if workers <= 1 || indices.len() == 1 {
-            for (slot, &idx) in indices.iter().enumerate() {
-                execs[slot] = Some(execute_tenant_tick(
-                    &self.pricer,
-                    &self.config,
-                    &mut self.catalog.tenants_mut()[idx],
-                    ticks[slot].1,
-                    budgets[slot],
-                    workers,
-                    durable,
-                    &mut NoopObserver,
-                ));
-            }
+        // Execution only reads its tenant, so independent relations shard
+        // across the scoped worker pool by shared reference. Each shard
+        // executes with workers = 1, which cannot change results: the
+        // schedule is fixed by the (unchanged) batch size, and workers only
+        // decide who runs an admitted batch.
+        let tenants = self.catalog.tenants();
+        let run = |slot: usize, inner_workers: usize| {
+            execute_tenant_tick(
+                &self.pricer,
+                &self.config,
+                &tenants[indices[slot]],
+                ticks[slot].1,
+                budgets[slot],
+                inner_workers,
+                durable,
+                &mut NoopObserver,
+            )
+        };
+        let execs: Vec<Result<TickExec, ServerError>> = if workers <= 1 || indices.len() == 1 {
+            (0..indices.len()).map(|slot| run(slot, workers)).collect()
         } else {
-            // Shard independent relations across the scoped worker pool.
-            // Each shard executes with workers = 1, which cannot change
-            // results: the schedule is fixed by the (unchanged) batch
-            // size, and workers only decide who runs an admitted batch.
-            let mut slot_of = vec![None; self.catalog.len()];
-            for (slot, &idx) in indices.iter().enumerate() {
-                slot_of[idx] = Some(slot);
-            }
-            let pricer = &self.pricer;
-            let config = &self.config;
-            let budgets = &budgets;
-            let mut jobs: Vec<(usize, &mut Tenant, f64)> = self
-                .catalog
-                .tenants_mut()
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(i, t)| slot_of[i].map(|slot| (slot, t, ticks[slot].1)))
-                .collect();
-            let threads = workers.min(jobs.len()).max(1);
-            let chunk = jobs.len().div_ceil(threads);
-            // One sharded tenant tick outcome, tagged with its `ticks` slot.
-            type ShardOutcome = (usize, Result<TickExec, ServerError>);
-            let joined: Result<Vec<Vec<ShardOutcome>>, _> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                while !jobs.is_empty() {
-                    let take = chunk.min(jobs.len());
-                    let mine: Vec<_> = jobs.drain(..take).collect();
-                    handles.push(scope.spawn(move || {
-                        mine.into_iter()
-                            .map(|(slot, tenant, rate)| {
-                                let exec = execute_tenant_tick(
-                                    pricer,
-                                    config,
-                                    tenant,
-                                    rate,
-                                    budgets[slot],
-                                    1,
-                                    durable,
-                                    &mut NoopObserver,
-                                );
-                                (slot, exec)
-                            })
-                            .collect::<Vec<_>>()
-                    }));
-                }
+            let slots: Vec<usize> = (0..indices.len()).collect();
+            let chunk = slots.len().div_ceil(workers.min(slots.len()));
+            let run = &run;
+            let joined: Result<Vec<Vec<_>>, _> = std::thread::scope(|scope| {
+                let handles: Vec<_> = slots
+                    .chunks(chunk)
+                    .map(|mine| {
+                        scope.spawn(move || {
+                            mine.iter().map(|&slot| run(slot, 1)).collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
                 handles.into_iter().map(|h| h.join()).collect()
             });
-            let joined = joined.map_err(|_| ServerError::Internal {
+            let shards = joined.map_err(|_| ServerError::Internal {
                 detail: "worker thread panicked during a multi-relation tick",
             })?;
-            for shard in joined {
-                for (slot, exec) in shard {
-                    execs[slot] = Some(exec);
-                }
-            }
-        }
+            // Contiguous slot ranges, joined in spawn order: slot order.
+            shards.into_iter().flatten().collect()
+        };
 
         // Commit in the caller's tick order: journal appends, then tenant
         // state, one relation at a time.
         let mut out = Vec::with_capacity(ticks.len());
-        for (slot, &idx) in indices.iter().enumerate() {
-            let exec = execs[slot].take().expect("every slot executed")?;
-            out.push(self.commit_tick(idx, ticks[slot].1, exec)?);
+        for (exec, &idx) in execs.into_iter().zip(&indices) {
+            out.push(self.commit_tick(idx, exec?)?);
         }
         self.maybe_snapshot()?;
         Ok(out)
@@ -1137,20 +1069,8 @@ impl Server {
                         next_session_id: t.sessions().next_id(),
                         ticks: t.ticks,
                         shed: t.shed,
-                        sessions: t
-                            .sessions()
-                            .sessions()
-                            .iter()
-                            .map(|s| SessionSnapshot {
-                                session: s.id.0,
-                                priority: s.priority,
-                                finals: s.finals,
-                                partials: s.partials,
-                                driven: s.driven_iterations,
-                                query: s.query.clone(),
-                            })
-                            .collect(),
-                        history: t.history.iter().map(StatsRecord::from_stats).collect(),
+                        sessions: t.sessions().sessions().to_vec(),
+                        history: t.history.clone(),
                         warm: t
                             .warm
                             .iter()
@@ -1159,15 +1079,8 @@ impl Server {
                                 objects: objects.clone(),
                             })
                             .collect(),
-                        answers: t
-                            .last_answers
-                            .iter()
-                            .map(|(id, a)| AnswerEntry {
-                                session: id.0,
-                                answer: answer_record(a),
-                            })
-                            .collect(),
-                        calibration: calibration_state(t),
+                        answers: t.last_answers.clone(),
+                        calibration: calibration_state(&t.calibrator, &t.predicates),
                     })
                     .collect(),
             }
@@ -1261,35 +1174,48 @@ impl Server {
     }
 }
 
-/// Everything [`execute_tenant_tick`] produced, before the commit:
-/// answers and stats for the caller, plus (durable servers) the journal
-/// record and end-of-tick warm state. Committing — journal append, then
-/// tenant counters — is the caller's job, preserving write-ahead order
-/// across both the single- and multi-relation tick paths.
+/// Everything [`execute_tenant_tick`] produced. Nothing of the tenant has
+/// moved yet: committing — journal append, then session counters, cost
+/// model, warm state and history — is the caller's job, preserving
+/// write-ahead order across both the single- and multi-relation tick paths.
 struct TickExec {
-    answers: Vec<(SessionId, Answer)>,
+    outcome: sched::TickOutcome,
     stats: TickStats,
-    budget_exhausted: bool,
+    /// End-of-tick state of every pool object (durable servers).
     warm_now: Option<Vec<WarmObjectRecord>>,
-    record: Option<Box<TickRecord>>,
+    /// The cost model and predicate counters as this tick trained them
+    /// (calibrated servers).
+    trained: Option<(Calibrator, PredicateStats)>,
+}
+
+/// The rates the pricer's grid covers: anything else is refused here, as a
+/// typed error, instead of reaching `BondPde::new`'s assertion.
+fn check_rate(pricer: &BondPricer, rate: f64) -> Result<(), ServerError> {
+    let (min, max) = (pricer.model.x_min, pricer.model.x_max);
+    if rate >= min && rate <= max {
+        Ok(())
+    } else {
+        Err(ServerError::RateOutOfRange { rate, min, max })
+    }
 }
 
 /// Executes one relation's tick: pool invocation (warm-seeded when the
 /// tenant has journaled this rate), floor validation, the budgeted
-/// scheduler, and stats/record assembly. Mutates only `tenant` — never
-/// the journal or another relation — so independent tenants can execute
-/// on separate threads.
+/// scheduler, and stats assembly. Only reads `tenant` — the scheduler trains
+/// tick-local copies of its cost model — so independent tenants execute on
+/// separate threads and a tick that fails to journal leaves no trace.
 #[allow(clippy::too_many_arguments)] // two call sites; the knobs are the API
 fn execute_tenant_tick<O: ExecObserver>(
     pricer: &BondPricer,
     config: &ServerConfig,
-    tenant: &mut Tenant,
+    tenant: &Tenant,
     rate: f64,
     budget: Option<Work>,
     workers: usize,
     durable: bool,
     observer: &mut O,
 ) -> Result<TickExec, ServerError> {
+    check_rate(pricer, rate)?;
     if tenant.relation.bonds().is_empty() {
         return Err(ServerError::EmptyRelation);
     }
@@ -1304,53 +1230,41 @@ fn execute_tenant_tick<O: ExecObserver>(
     // A prior that is not aligned with the relation (a journal record
     // damaged in a way that still parses) is discarded wholesale, both
     // for seeding and for the per-object accumulation below.
-    let warm_prior: Option<Vec<WarmObjectRecord>> = if durable {
-        tenant
-            .warm
-            .get(&rate.to_bits())
-            .filter(|p| p.len() == tenant.relation.bonds().len())
-            .cloned()
-    } else {
-        None
-    };
-    let mut pool = match &warm_prior {
-        Some(objs) => {
-            let seeds = warm_seeds(objs)?;
-            SharedPool::invoke_warm(pricer, &tenant.relation, rate, &seeds, &mut meter)
-        }
+    let warm_prior: Option<&Vec<WarmObjectRecord>> = tenant
+        .warm
+        .get(&rate.to_bits())
+        .filter(|p| durable && p.len() == tenant.relation.bonds().len());
+    let mut pool = match warm_prior {
+        Some(objs) => SharedPool::invoke_warm(
+            pricer,
+            &tenant.relation,
+            rate,
+            &warm_seeds(objs),
+            &mut meter,
+        ),
         None => SharedPool::invoke(pricer, &tenant.relation, rate, &mut meter),
     };
     validate_floor(&tenant.registry, &pool)?;
 
-    let driven_before: Vec<u64> = tenant
-        .registry
-        .sessions()
-        .iter()
-        .map(|s| s.driven_iterations)
-        .collect();
-
     let mut tick_obs = TickObserver::new();
     let mut fan = Fanout(&mut tick_obs, observer);
-    // Calibration threads the tenant's own model through the scheduler —
-    // `None` (the default) leaves every admission decision bit-identical
-    // to the uncalibrated server.
-    let calibration = if config.calibrate {
-        Some(sched::Calibration {
-            model: &mut tenant.calibrator,
-            predicates: &mut tenant.predicates,
-        })
-    } else {
-        None
-    };
+    // Calibration threads copies of the tenant's own model through the
+    // scheduler — `None` (the default) leaves every admission decision
+    // bit-identical to the uncalibrated server.
+    let mut trained = config
+        .calibrate
+        .then(|| (tenant.calibrator.clone(), tenant.predicates.clone()));
     let outcome = sched::run_tick(
-        &mut tenant.registry,
+        &tenant.registry,
         &mut pool,
         &tenant.relation,
         budget,
         workers,
         config.effective_batch(),
         config.batch_solver,
-        calibration,
+        trained
+            .as_mut()
+            .map(|(model, predicates)| sched::Calibration { model, predicates }),
         &mut meter,
         &mut fan,
         None,
@@ -1367,64 +1281,24 @@ fn execute_tenant_tick<O: ExecObserver>(
         cpu_est: tick_obs.cpu_estimation(),
     };
 
-    let (warm_now, record) = if durable {
-        // End-of-tick object state, with lifetime counters accumulated
-        // across warm re-admissions at this rate.
-        let warm_now: Vec<WarmObjectRecord> = (0..pool.len())
-            .map(|i| {
-                let b = pool.bounds(i);
-                WarmObjectRecord {
-                    lo: b.lo(),
-                    hi: b.hi(),
-                    converged: pool.converged(i),
-                    iters: warm_prior.as_ref().map_or(0, |p| p[i].iters)
-                        + outcome.per_object_iterations[i],
-                    cost: pool.cumulative_cost(i),
-                }
+    // End-of-tick object state, with lifetime counters accumulated across
+    // warm re-admissions at this rate.
+    let warm_now = durable.then(|| {
+        (0..pool.len())
+            .map(|i| WarmObjectRecord {
+                bounds: pool.bounds(i),
+                converged: pool.converged(i),
+                iters: warm_prior.map_or(0, |p| p[i].iters) + outcome.per_object_iterations[i],
+                cost: pool.cumulative_cost(i),
             })
-            .collect();
-        let sessions: Vec<SessionTickRecord> = tenant
-            .registry
-            .sessions()
-            .iter()
-            .zip(&driven_before)
-            .zip(&outcome.answers)
-            .map(|((s, &before), (_, ans))| SessionTickRecord {
-                session: s.id.0,
-                is_final: ans.is_final(),
-                driven: s.driven_iterations - before,
-            })
-            .collect();
-        let record = TickRecord {
-            relation: tenant.id.0,
-            tick: tenant.ticks + 1,
-            rate,
-            shed: tenant.shed,
-            budget_exhausted: outcome.budget_exhausted,
-            stats: StatsRecord::from_stats(&stats),
-            sessions,
-            answers: outcome
-                .answers
-                .iter()
-                .map(|(id, a)| AnswerEntry {
-                    session: id.0,
-                    answer: answer_record(a),
-                })
-                .collect(),
-            warm: warm_now.clone(),
-            calibration: calibration_state(tenant),
-        };
-        (Some(warm_now), Some(Box::new(record)))
-    } else {
-        (None, None)
-    };
+            .collect()
+    });
 
     Ok(TickExec {
-        answers: outcome.answers,
+        outcome,
         stats,
-        budget_exhausted: outcome.budget_exhausted,
         warm_now,
-        record,
+        trained,
     })
 }
 
@@ -1454,7 +1328,10 @@ fn validate_query_structure(query: &Query, n: usize) -> Result<(), ServerError> 
         Query::Ave { epsilon } | Query::Max { epsilon } | Query::Min { epsilon } => {
             PrecisionConstraint::new(*epsilon)?;
         }
-        Query::TopK { k, epsilon } => {
+        // HEAVYHITTERS' ε is the cell width, but the same positivity and
+        // finiteness rules apply; like a rank, its `k` cannot exceed the
+        // relation (at most `n` cells are ever occupied).
+        Query::TopK { k, epsilon } | Query::HeavyHitters { k, epsilon } => {
             PrecisionConstraint::new(*epsilon)?;
             if *k == 0 || *k > n {
                 return Err(VaoError::EmptyInput.into());
@@ -1467,14 +1344,6 @@ fn validate_query_structure(query: &Query, n: usize) -> Result<(), ServerError> 
             PrecisionConstraint::new(*epsilon)?;
             if !phi.is_finite() || !(0.0..=1.0).contains(phi) {
                 return Err(VaoError::InvalidQuantile { phi: *phi }.into());
-            }
-        }
-        Query::HeavyHitters { k, epsilon } => {
-            // ε is the cell width here, but the same positivity and
-            // finiteness rules apply.
-            PrecisionConstraint::new(*epsilon)?;
-            if *k == 0 {
-                return Err(VaoError::EmptyInput.into());
             }
         }
     }
@@ -1510,45 +1379,17 @@ fn validate_floor(registry: &SessionRegistry, pool: &SharedPool) -> Result<(), S
     Ok(())
 }
 
-/// Converts a delivered [`Answer`] into its persisted form.
-fn answer_record(a: &Answer) -> AnswerRecord {
-    match a {
-        Answer::Final(out) => AnswerRecord::Final(out.clone()),
-        Answer::Partial { bounds } => AnswerRecord::Partial {
-            lo: bounds.lo(),
-            hi: bounds.hi(),
-        },
-    }
-}
-
-/// Rebuilds in-memory answers from their persisted form.
-fn restore_answers(entries: &[AnswerEntry]) -> Result<Vec<(SessionId, Answer)>, ServerError> {
-    entries
-        .iter()
-        .map(|e| {
-            let answer = match &e.answer {
-                AnswerRecord::Final(out) => Answer::Final(out.clone()),
-                AnswerRecord::Partial { lo, hi } => Answer::Partial {
-                    bounds: Bounds::try_new(*lo, *hi)?,
-                },
-            };
-            Ok((SessionId(e.session), answer))
-        })
-        .collect()
-}
-
-/// Converts journaled per-object records into [`WarmStart`] seeds.
-fn warm_seeds(objs: &[WarmObjectRecord]) -> Result<Vec<WarmStart>, ServerError> {
+/// Projects journaled per-object records onto [`WarmStart`] seeds.
+fn warm_seeds(objs: &[WarmObjectRecord]) -> Vec<WarmStart> {
     objs.iter()
-        .map(|w| {
-            Ok(WarmStart {
-                bounds: Bounds::try_new(w.lo, w.hi)?,
-                converged: w.converged,
-                prior_cost: w.cost,
-            })
+        .map(|w| WarmStart {
+            bounds: w.bounds,
+            converged: w.converged,
+            prior_cost: w.cost,
         })
         .collect()
 }
+
 /// Fans trace events out to the server's internal [`TickObserver`] and the
 /// caller's observer in one pass.
 struct Fanout<'a, A: ExecObserver, B: ExecObserver>(&'a mut A, &'a mut B);
@@ -1643,6 +1484,8 @@ impl<A: ExecObserver, B: ExecObserver> ExecObserver for Fanout<'_, A, B> {
 mod tests {
     use super::*;
     use bondlab::{BondUniverse, RateSeries};
+    use vao::cost::{CalCell, CAL_CLASSES};
+    use vao::Bounds;
 
     fn small_server(config: ServerConfig) -> Server {
         let universe = BondUniverse::generate(8, 42);
@@ -1731,17 +1574,11 @@ mod tests {
         assert_eq!(res.answers[1].0, b);
         let summary = srv.summary_in(DEFAULT_RELATION).unwrap();
         assert_eq!(summary.ticks, 1);
-        assert_eq!(summary.per_query.len(), 2);
-        assert!(summary.per_query.iter().all(|r| r.finals == 1));
+        let per_session = srv.sessions().sessions();
+        assert_eq!(per_session.len(), 2);
+        assert!(per_session.iter().all(|r| r.finals == 1));
         // Someone must have driven the refinement work.
-        assert!(
-            summary
-                .per_query
-                .iter()
-                .map(|r| r.driven_iterations)
-                .sum::<u64>()
-                > 0
-        );
+        assert!(per_session.iter().map(|r| r.driven_iterations).sum::<u64>() > 0);
     }
 
     #[test]
@@ -1852,10 +1689,7 @@ mod tests {
             "partial {bounds} must bracket converged mid {mid}"
         );
         assert!(partial.stats.total_work() <= full_work);
-        assert_eq!(
-            tight.summary_in(DEFAULT_RELATION).unwrap().per_query[0].partials,
-            1
-        );
+        assert_eq!(tight.sessions().sessions()[0].partials, 1);
     }
 
     #[test]
@@ -2394,6 +2228,46 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A tick record as a server would have journaled it, carrying only
+    /// what the tests below look at: the warm state.
+    fn forged_tick(
+        relation: u64,
+        tick: u64,
+        rate: f64,
+        warm: Vec<WarmObjectRecord>,
+    ) -> JournalEvent {
+        JournalEvent::Tick(Box::new(TickRecord {
+            relation,
+            tick,
+            rate,
+            shed: 0,
+            budget_exhausted: false,
+            stats: TickStats {
+                rate,
+                work: vao::cost::WorkBreakdown::default(),
+                wall: std::time::Duration::from_nanos(1),
+                iterations: 0,
+                operator: "shared_pool",
+                objects: 0,
+                iter_histogram: va_stream::IterHistogram::new(),
+                cpu_est: vao::trace::CpuEstimation::default(),
+            },
+            sessions: Vec::new(),
+            answers: Vec::new(),
+            warm,
+            calibration: None,
+        }))
+    }
+
+    fn warm_object(lo: f64, hi: f64, converged: bool, iters: u64, cost: u64) -> WarmObjectRecord {
+        WarmObjectRecord {
+            bounds: Bounds::new(lo, hi),
+            converged,
+            iters,
+            cost,
+        }
+    }
+
     #[test]
     fn misaligned_warm_record_falls_back_to_a_cold_tick() {
         // A journal record can be damaged in a way that still parses —
@@ -2409,35 +2283,8 @@ mod tests {
         );
         {
             let (mut store, _, _) = va_persist::Store::open(&dir).unwrap();
-            store
-                .append(&JournalEvent::Tick(Box::new(TickRecord {
-                    relation: 1,
-                    tick: 1,
-                    rate,
-                    shed: 0,
-                    budget_exhausted: false,
-                    stats: StatsRecord {
-                        rate,
-                        work: vao::cost::WorkBreakdown::default(),
-                        wall_nanos: 1,
-                        iterations: 0,
-                        operator: "shared_pool".to_string(),
-                        objects: 0,
-                        hist: [0; va_stream::stats::ITER_BUCKETS],
-                        cpu: vao::trace::CpuEstimation::default(),
-                    },
-                    sessions: Vec::new(),
-                    answers: Vec::new(),
-                    warm: vec![WarmObjectRecord {
-                        lo: 0.0,
-                        hi: 1.0,
-                        converged: true,
-                        iters: 3,
-                        cost: 5,
-                    }],
-                    calibration: None,
-                })))
-                .unwrap();
+            let short = vec![warm_object(0.0, 1.0, true, 3, 5)];
+            store.append(&forged_tick(1, 1, rate, short)).unwrap();
         }
         let mut srv =
             Server::open_durable(pricer, relation, ServerConfig::default(), &dir).unwrap();
@@ -2445,6 +2292,187 @@ mod tests {
         srv.subscribe(Query::Max { epsilon: 0.5 }, 1).unwrap();
         let res = srv.tick(rate).unwrap();
         assert!(res.answers[0].1.is_final(), "cold fallback still answers");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Moved from `va_persist` with the fold it checks: the per-relation
+    /// warm maps are filled by `fold_into_catalog`'s one pass.
+    #[test]
+    fn warm_state_folds_snapshot_then_tail_per_relation() {
+        let def = |name: &str| def_record(name, None, &relation_of(1, 7));
+        let recovered = Recovery {
+            snapshot: Some(SnapshotRecord {
+                seq: 1,
+                journal_events: 0,
+                coverage: va_persist::record::SegmentPosition {
+                    segment: 1,
+                    bytes: 0,
+                },
+                next_relation_id: 2,
+                relations: vec![RelationSnapshot {
+                    relation: 1,
+                    def: def("default"),
+                    next_session_id: 1,
+                    ticks: 0,
+                    shed: 0,
+                    sessions: Vec::new(),
+                    history: Vec::new(),
+                    warm: vec![
+                        WarmRateRecord {
+                            rate: 0.05,
+                            objects: vec![warm_object(1.0, 2.0, true, 4, 40)],
+                        },
+                        WarmRateRecord {
+                            rate: 0.07,
+                            objects: Vec::new(),
+                        },
+                    ],
+                    answers: Vec::new(),
+                    calibration: None,
+                }],
+            }),
+            tail: vec![
+                forged_tick(1, 5, 0.05, vec![warm_object(99.0, 100.0, false, 5, 50)]),
+                JournalEvent::CreateRelation(Box::new(RelationRecord {
+                    relation: 2,
+                    def: def("second"),
+                })),
+                forged_tick(2, 5, 0.05, vec![warm_object(7.0, 8.0, false, 5, 50)]),
+            ],
+            truncated_bytes: 0,
+            skipped_snapshots: Vec::new(),
+            swept_tmp_files: 0,
+        };
+        let mut catalog = Catalog::new();
+        fold_into_catalog(&mut catalog, recovered).unwrap();
+        assert_eq!(catalog.len(), 2, "relation 2 appears from its tail");
+        let warm = &catalog.get(RelationId(1)).unwrap().warm;
+        assert_eq!(warm.len(), 2);
+        assert_eq!(warm[&0.05f64.to_bits()][0].bounds.lo(), 99.0, "tail wins");
+        assert!(warm[&0.07f64.to_bits()].is_empty(), "snapshot entry kept");
+        assert_eq!(
+            catalog.get(RelationId(2)).unwrap().warm[&0.05f64.to_bits()][0]
+                .bounds
+                .lo(),
+            7.0,
+            "relations never share warm state"
+        );
+    }
+
+    #[test]
+    fn a_tick_moves_its_tenant_only_at_commit() {
+        let rate = RateSeries::january_1994().opening_rate();
+        let build = || {
+            let mut srv = small_server(ServerConfig::budgeted(6_000).with_calibration(true));
+            srv.subscribe(Query::Max { epsilon: 0.05 }, 2).unwrap();
+            let predicate = Query::Selection {
+                op: vao::ops::selection::CmpOp::Gt,
+                constant: 100.0,
+            };
+            srv.subscribe(predicate, 1).unwrap();
+            srv
+        };
+        let mut srv = build();
+        let fresh = srv.sessions().sessions().to_vec();
+        let tenant = &srv.catalog.tenants()[0];
+        let exec = execute_tenant_tick(
+            &srv.pricer,
+            &srv.config,
+            tenant,
+            rate,
+            srv.config.budget,
+            1,
+            false,
+            &mut NoopObserver,
+        )
+        .unwrap();
+        // Executed, not committed: what a failed journal append leaves.
+        assert_eq!(tenant.registry.sessions(), fresh);
+        assert!(tenant.calibrator.is_cold() && tenant.predicates.is_empty());
+        assert_eq!((tenant.ticks, tenant.history.len()), (0, 0));
+        srv.commit_tick(0, exec).unwrap();
+        // Committed: the state an ordinary tick leaves.
+        let mut twin = build();
+        twin.tick(rate).unwrap();
+        let (tenant, expected) = (&srv.catalog.tenants()[0], &twin.catalog.tenants()[0]);
+        assert_eq!(tenant.registry.sessions(), expected.registry.sessions());
+        assert_eq!(tenant.calibrator, expected.calibrator);
+        assert_eq!(tenant.predicates, expected.predicates);
+        assert_eq!(tenant.last_answers, expected.last_answers);
+        let sessions = tenant.registry.sessions();
+        assert!(sessions.iter().all(|s| s.finals + s.partials == 1));
+        assert!(sessions.iter().any(|s| s.driven_iterations > 0));
+        assert!(tenant.calibrator.observations() > 0 && !tenant.predicates.is_empty());
+    }
+
+    #[test]
+    fn a_rate_off_the_pricer_grid_is_refused_before_anything_executes() {
+        let mut srv = small_server(ServerConfig::default());
+        srv.create_relation("energy", relation_of(4, 7), None)
+            .unwrap();
+        srv.subscribe(Query::Max { epsilon: 0.5 }, 1).unwrap();
+        for rate in [7.0, -0.01, f64::NAN] {
+            match srv.tick(rate) {
+                Err(ServerError::RateOutOfRange { min, max, .. }) => {
+                    assert_eq!((min, max), (0.0, 0.3));
+                }
+                other => panic!("rate {rate}: expected RateOutOfRange, got {other:?}"),
+            }
+        }
+        srv.offer_tick_in(DEFAULT_RELATION, 7.0).unwrap();
+        assert!(matches!(
+            srv.run_queued_in(DEFAULT_RELATION),
+            Some(Err(ServerError::RateOutOfRange { .. }))
+        ));
+        // One bad rate fails the whole multi-tick, the good relation included.
+        assert!(matches!(
+            srv.tick_multi(&[(DEFAULT_RELATION, 0.0583), ("energy", 7.0)]),
+            Err(ServerError::RateOutOfRange { .. })
+        ));
+        assert_eq!(srv.ticks(), 0);
+        assert_eq!(
+            srv.tick(0.3).unwrap().tick,
+            1,
+            "the grid's edge is priceable"
+        );
+    }
+
+    #[test]
+    fn a_journaled_heavyhitters_k_beyond_the_relation_opens_and_ticks() {
+        // What a server without the subscribe-time bound could journal: a
+        // `k` no relation can fill, which used to size the tick's summary.
+        let dir = scratch_dir("huge-k");
+        let open = || {
+            Server::open_durable(
+                BondPricer::default(),
+                small_relation(),
+                ServerConfig::default(),
+                &dir,
+            )
+        };
+        drop(open().unwrap());
+        {
+            let (mut store, _, _) = va_persist::Store::open(&dir).unwrap();
+            let query = Query::HeavyHitters {
+                k: usize::MAX,
+                epsilon: 1.0,
+            };
+            store
+                .append(&JournalEvent::Subscribe {
+                    relation: 1,
+                    session: 1,
+                    priority: 1,
+                    query,
+                })
+                .unwrap();
+        }
+        let mut srv = open().unwrap();
+        let res = srv.tick(0.0583).unwrap();
+        assert!(res.answers[0].1.is_final());
+        assert!(matches!(
+            srv.subscribe(Query::HeavyHitters { k: 9, epsilon: 1.0 }, 1),
+            Err(ServerError::Vao(VaoError::EmptyInput))
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

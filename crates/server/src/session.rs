@@ -2,40 +2,11 @@
 //! own precision constraint ε (carried inside the [`Query`]) and a
 //! scheduling priority.
 
+use va_persist::record::SessionTickRecord;
+pub use va_persist::record::{Session, SessionId};
 use va_stream::Query;
 
 use crate::answer::Answer;
-
-/// Identifies one registered query for its lifetime.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SessionId(pub u64);
-
-impl std::fmt::Display for SessionId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// One registered continuous query plus its execution counters.
-#[derive(Clone, Debug)]
-pub struct Session {
-    /// Server-assigned id (monotone, never reused).
-    pub id: SessionId,
-    /// The registered query; its ε rides inside the variant.
-    pub query: Query,
-    /// Scheduling priority (≥ 1). A session's estimated benefits are
-    /// multiplied by this in the global greedy score, so a priority-2 query
-    /// wins contended iterations over an equal-benefit priority-1 query.
-    pub priority: u32,
-    /// Ticks this session answered exactly (converged to its ε).
-    pub finals: u64,
-    /// Ticks the work budget degraded to anytime `Partial` answers.
-    pub partials: u64,
-    /// Pool iterations this session's demand drove: it was the
-    /// highest-weighted-benefit claimant when the scheduler iterated the
-    /// object.
-    pub driven_iterations: u64,
-}
 
 /// Registry of live sessions, in deterministic registration order.
 #[derive(Clone, Debug)]
@@ -81,7 +52,9 @@ impl SessionRegistry {
     /// its original id and counters. The id high-water mark advances past
     /// the restored id so the recovered server never re-issues it — even
     /// when the session itself was unsubscribed before the crash and only
-    /// its id survives (see [`SessionRegistry::reserve_through`]).
+    /// its id survives (see [`SessionRegistry::reserve_through`]). Ids are
+    /// issued from 1 upward and the record parsers refuse `u64::MAX`, the
+    /// one id `+ 1` would overflow on.
     pub fn restore(&mut self, session: Session) {
         self.next = self.next.max(session.id.0 + 1);
         self.sessions.push(session);
@@ -121,9 +94,21 @@ impl SessionRegistry {
         &self.sessions
     }
 
-    /// Mutable access for the scheduler's counters.
-    pub(crate) fn sessions_mut(&mut self) -> &mut [Session] {
-        &mut self.sessions
+    /// Applies one executed tick's per-session outcome deltas: the one
+    /// accounting step behind a live commit (after the tick is journaled)
+    /// and behind the replay of its journal record. A delta for a session
+    /// that has since unsubscribed has nothing to count against.
+    pub fn apply_tick(&mut self, deltas: &[SessionTickRecord]) {
+        for delta in deltas {
+            if let Some(sess) = self.sessions.iter_mut().find(|s| s.id.0 == delta.session) {
+                if delta.is_final {
+                    sess.finals += 1;
+                } else {
+                    sess.partials += 1;
+                }
+                sess.driven_iterations += delta.driven;
+            }
+        }
     }
 
     /// Number of live sessions.

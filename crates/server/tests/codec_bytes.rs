@@ -14,10 +14,11 @@
 
 use std::time::Duration;
 
+use bondlab::Bond;
 use va_persist::record::{
-    AnswerEntry, AnswerRecord, BondRecord, CalibrationState, JournalEvent, PredicateCounterRecord,
-    RelationDefRecord, RelationRecord, RelationSnapshot, SegmentPosition, SessionSnapshot,
-    SessionTickRecord, SnapshotRecord, StatsRecord, TickRecord, WarmObjectRecord, WarmRateRecord,
+    CalibrationState, JournalEvent, PassFail, RelationDefRecord, RelationRecord, RelationSnapshot,
+    SegmentPosition, SessionTickRecord, SnapshotRecord, TickRecord, WarmObjectRecord,
+    WarmRateRecord,
 };
 use va_persist::{Meta, MetaRelation};
 use va_server::proto::{self, RelationSpec, Request, WireBond, WireQuery};
@@ -36,13 +37,8 @@ fn check(pins: &[(&str, String, &str)]) {
     }
 }
 
-fn bond(id: u32) -> BondRecord {
-    BondRecord {
-        id,
-        coupon: 0.0325 + f64::from(id) * 0.01,
-        maturity: 7.5,
-        face: 100.0,
-    }
+fn bond(id: u32) -> Bond {
+    Bond::new(id, 0.0325 + f64::from(id) * 0.01, 7.5, 100.0)
 }
 
 fn def(name: &str, seed: Option<u64>, bonds: u32) -> RelationDefRecord {
@@ -53,8 +49,8 @@ fn def(name: &str, seed: Option<u64>, bonds: u32) -> RelationDefRecord {
     }
 }
 
-fn stats() -> StatsRecord {
-    StatsRecord {
+fn stats() -> TickStats {
+    TickStats {
         rate: 0.0583,
         work: WorkBreakdown {
             exec_iter: 921_088,
@@ -62,12 +58,12 @@ fn stats() -> StatsRecord {
             store_state: 415,
             choose_iter: 13_937,
         },
-        wall_nanos: 123_456_789,
+        wall: Duration::from_nanos(123_456_789),
         iterations: 319,
-        operator: "shared_pool".to_string(),
+        operator: "shared_pool",
         objects: 48,
-        hist: [1, 2, 3, 4, 5, 6, 7, 8, 9],
-        cpu: CpuEstimation {
+        iter_histogram: IterHistogram::from_buckets([1, 2, 3, 4, 5, 6, 7, 8, 9]),
+        cpu_est: CpuEstimation {
             iterations: 319,
             pct_iterations: 301,
             mean_abs_error: 12.5,
@@ -77,7 +73,7 @@ fn stats() -> StatsRecord {
 }
 
 fn calibration() -> CalibrationState {
-    let mut cells = vec![CalCell::default(); CAL_CLASSES];
+    let mut cells = [CalCell::default(); CAL_CLASSES];
     cells[7] = CalCell {
         observations: 41,
         est_sum: 5_120,
@@ -86,24 +82,18 @@ fn calibration() -> CalibrationState {
     CalibrationState {
         cells,
         predicates: vec![
-            PredicateCounterRecord {
-                op: CmpOp::Gt,
-                constant: 100.25,
-                pass: 18,
-                fail: 30,
-            },
-            PredicateCounterRecord {
-                op: CmpOp::Le,
-                constant: 99.058_300_000_000_01,
-                pass: 0,
-                fail: 7,
-            },
+            (CmpOp::Gt, 100.25, PassFail { pass: 18, fail: 30 }),
+            (
+                CmpOp::Le,
+                99.058_300_000_000_01,
+                PassFail { pass: 0, fail: 7 },
+            ),
         ],
     }
 }
 
 /// One answer of every [`QueryOutput`] shape, plus a partial.
-fn answers() -> Vec<AnswerEntry> {
+fn answers() -> Vec<(SessionId, Answer)> {
     let outputs = [
         QueryOutput::Selected(vec![1, 2, 37]),
         QueryOutput::Extreme {
@@ -130,36 +120,30 @@ fn answers() -> Vec<AnswerEntry> {
             ties: vec![-2, 5],
         },
     ];
-    let mut entries: Vec<AnswerEntry> = outputs
+    let mut entries: Vec<(SessionId, Answer)> = outputs
         .into_iter()
         .zip(1..)
-        .map(|(out, session)| AnswerEntry {
-            session,
-            answer: AnswerRecord::Final(out),
-        })
+        .map(|(out, session)| (SessionId(session), Answer::Final(out)))
         .collect();
-    entries.push(AnswerEntry {
-        session: 7,
-        answer: AnswerRecord::Partial {
-            lo: 5132.5,
-            hi: 5174.8,
+    entries.push((
+        SessionId(7),
+        Answer::Partial {
+            bounds: Bounds::new(5132.5, 5174.8),
         },
-    });
+    ));
     entries
 }
 
 fn warm() -> Vec<WarmObjectRecord> {
     vec![
         WarmObjectRecord {
-            lo: 88.80101456519986,
-            hi: 88.85679684433053,
+            bounds: Bounds::new(88.80101456519986, 88.85679684433053),
             converged: true,
             iters: 17,
             cost: 40_231,
         },
         WarmObjectRecord {
-            lo: 90.0,
-            hi: 110.0,
+            bounds: Bounds::new(90.0, 110.0),
             converged: false,
             iters: 0,
             cost: 512,
@@ -333,24 +317,24 @@ fn snapshot_pin() -> (&'static str, String, &'static str) {
                 ticks: 12,
                 shed: 1,
                 sessions: vec![
-                    SessionSnapshot {
-                        session: 2,
+                    Session {
+                        id: SessionId(2),
+                        query: Query::Max { epsilon: 0.0101 },
                         priority: 4,
                         finals: 10,
                         partials: 2,
-                        driven: 4_021,
-                        query: Query::Max { epsilon: 0.0101 },
+                        driven_iterations: 4_021,
                     },
-                    SessionSnapshot {
-                        session: 8,
-                        priority: 1,
-                        finals: 0,
-                        partials: 0,
-                        driven: 0,
+                    Session {
+                        id: SessionId(8),
                         query: Query::Sum {
                             weights: vec![1.0, 2.0],
                             epsilon: 0.5,
                         },
+                        priority: 1,
+                        finals: 0,
+                        partials: 0,
+                        driven_iterations: 0,
                     },
                 ],
                 history: vec![stats(), stats()],
@@ -359,14 +343,16 @@ fn snapshot_pin() -> (&'static str, String, &'static str) {
                     objects: warm(),
                 }],
                 answers: vec![
-                    AnswerEntry {
-                        session: 2,
-                        answer: AnswerRecord::Partial { lo: 1.0, hi: 2.0 },
-                    },
-                    AnswerEntry {
-                        session: 8,
-                        answer: AnswerRecord::Final(QueryOutput::Count { lo: 3, hi: 3 }),
-                    },
+                    (
+                        SessionId(2),
+                        Answer::Partial {
+                            bounds: Bounds::new(1.0, 2.0),
+                        },
+                    ),
+                    (
+                        SessionId(8),
+                        Answer::Final(QueryOutput::Count { lo: 3, hi: 3 }),
+                    ),
                 ],
                 calibration: Some(calibration()),
             },
@@ -594,13 +580,10 @@ fn protocol_responses() {
         r#""relation":"default","tick":3,"rate":0.0583,"status":"final","output":{"shape":"count","lo":37,"hi":41}"#,
         r#""relation":"default","tick":3,"rate":0.0583,"status":"final","output":{"shape":"heavy","cells":[{"cell":-3,"count":7},{"cell":12,"count":2}],"ties":[-2,5]}"#,
     ];
-    for (entry, expected) in answers().into_iter().zip(payloads) {
-        let AnswerRecord::Final(out) = entry.answer else {
-            continue;
-        };
+    for ((_, answer), expected) in answers().into_iter().zip(payloads) {
         pins.push((
             "RESULT payload, final",
-            proto::result_payload("default", 3, 0.0583, &Answer::Final(out)),
+            proto::result_payload("default", 3, 0.0583, &answer),
             expected,
         ));
     }

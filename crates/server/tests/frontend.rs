@@ -311,3 +311,62 @@ fn hostile_nesting_gets_an_error_and_the_server_keeps_serving() {
     assert_eq!(server.ticks(), 1);
     assert_eq!(stats.accepted, 2);
 }
+
+/// Sends each request line on one connection, expecting an `ERROR` naming
+/// `needle` for every one, then has a second connection subscribe and tick:
+/// a refused request costs its sender a reply, never anyone else the server.
+fn refused_and_still_serving(lines: &[&str], needle: &str) {
+    let harness = Harness::spawn();
+    let mut hostile = Client::connect(harness.addr);
+    for line in lines {
+        hostile.send(line);
+        let reply = hostile.recv();
+        assert!(reply.contains("\"type\":\"ERROR\""), "{line}: {reply}");
+        assert!(reply.contains(needle), "{line}: {reply}");
+    }
+
+    let mut second = Client::connect(harness.addr);
+    assert_eq!(second.subscribe_max(), 1);
+    second.send(r#"{"type":"TICK","rate":0.0583}"#);
+    assert!(second.recv().contains("\"type\":\"RESULT\""));
+    assert!(second.recv().contains("\"type\":\"TICK_DONE\""));
+
+    let (server, _) = harness.stop();
+    assert_eq!(server.ticks(), 1, "no refused tick executed");
+    assert_eq!(server.sessions().len(), 1, "no refused query registered");
+    assert_eq!(server.catalog().len(), 1, "no refused relation created");
+}
+
+#[test]
+fn a_rate_off_the_pricer_grid_gets_an_error_on_every_tick_request() {
+    // Used to reach `BondPde::new`'s assertion on the serving thread.
+    refused_and_still_serving(
+        &[
+            r#"{"type":"TICK","rate":7}"#,
+            r#"{"type":"TICKS","rates":[0.0583,7]}"#,
+            r#"{"type":"TICK_MULTI","ticks":[{"relation":"default","rate":-0.5}]}"#,
+        ],
+        "outside the pricer grid [0, 0.3]",
+    );
+}
+
+#[test]
+fn a_seeded_relation_of_a_trillion_bonds_gets_an_error() {
+    // Used to abort the process allocating the universe.
+    refused_and_still_serving(
+        &[r#"{"type":"CREATE_RELATION","name":"x","seed":1,"count":1000000000000}"#],
+        "exceeds the 65536 bonds a seeded relation may hold",
+    );
+}
+
+#[test]
+fn a_heavyhitters_k_beyond_the_relation_gets_an_error() {
+    // Used to be SUBSCRIBED (and journaled), then abort the next tick
+    // allocating a summary of 4k counters.
+    refused_and_still_serving(
+        &[
+            r#"{"type":"SUBSCRIBE","query":{"kind":"heavyhitters","k":1000000000000,"epsilon":1.0}}"#,
+        ],
+        "operator requires at least one result object",
+    );
+}

@@ -24,7 +24,10 @@ pub mod query;
 pub mod relation;
 pub mod stats;
 
+/// The relation's tuple type, named here so crates below `bondlab` in the
+/// dependency order (`va-persist`) can carry it.
+pub use bondlab::Bond;
 pub use engine::{ContinuousQueryEngine, EngineError, ExecutionMode};
 pub use query::{Query, QueryOutput};
 pub use relation::BondRelation;
-pub use stats::{IterHistogram, QueryRunRow, RunSummary, TickObserver, TickStats};
+pub use stats::{IterHistogram, RunSummary, TickObserver, TickStats};

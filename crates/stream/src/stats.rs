@@ -133,28 +133,6 @@ impl TickStats {
     }
 }
 
-/// One query's share of a multi-query (shared-pool) run.
-///
-/// A single-engine run has exactly one implicit query, so [`RunSummary`]
-/// leaves `per_query` empty there; the `va-server` scheduler fills one row
-/// per registered session.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct QueryRunRow {
-    /// Server-assigned session id (0 for single-engine runs).
-    pub session: u64,
-    /// Stable operator name of the session's query (`"max"`, `"sum"`, …).
-    pub operator: &'static str,
-    /// Scheduling priority the session registered with.
-    pub priority: u32,
-    /// Ticks answered exactly (converged to the session's ε).
-    pub finals: u64,
-    /// Ticks degraded to anytime `Partial` answers by the work budget.
-    pub partials: u64,
-    /// Pool iterations this session's demand drove (it was the
-    /// highest-benefit claimant when the scheduler picked the object).
-    pub driven_iterations: u64,
-}
-
 /// Aggregates a run of tick stats.
 #[derive(Clone, Debug, Default)]
 pub struct RunSummary {
@@ -174,9 +152,6 @@ pub struct RunSummary {
     /// Run-level CPU estimation error: per-tick means combined weighted by
     /// each tick's traced iteration count.
     pub cpu_est: CpuEstimation,
-    /// Per-query execution shares (empty for single-query engine runs; one
-    /// row per registered session for shared-pool server runs).
-    pub per_query: Vec<QueryRunRow>,
 }
 
 impl RunSummary {
@@ -231,13 +206,6 @@ impl RunSummary {
             // the exact iteration total.
             self.iterations as f64 / self.objects as f64
         }
-    }
-
-    /// Attaches per-query rows (builder-style, for multi-query runs).
-    #[must_use]
-    pub fn with_per_query(mut self, rows: Vec<QueryRunRow>) -> Self {
-        self.per_query = rows;
-        self
     }
 }
 
@@ -419,23 +387,6 @@ mod tests {
         let s = RunSummary::from_ticks(&[zero_cost]);
         assert_eq!(s.cpu_est.mean_abs_pct_error, 0.0);
         assert!(s.cpu_est.mean_abs_pct_error.is_finite());
-    }
-
-    #[test]
-    fn per_query_rows_attach_to_a_summary() {
-        let s = RunSummary::from_ticks(&[tick(100)]);
-        assert!(s.per_query.is_empty(), "single-engine runs have no rows");
-        let s = s.with_per_query(vec![QueryRunRow {
-            session: 1,
-            operator: "max",
-            priority: 2,
-            finals: 3,
-            partials: 1,
-            driven_iterations: 42,
-        }]);
-        assert_eq!(s.per_query.len(), 1);
-        assert_eq!(s.per_query[0].operator, "max");
-        assert_eq!(s.per_query[0].partials, 1);
     }
 
     #[test]

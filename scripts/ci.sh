@@ -14,7 +14,13 @@
 #                                  (codec_bytes) and empty-relation tests by
 #                                  name (a golden must never be filtered out)
 #   5. va-server --smoke        -- loopback TCP exchange of the line protocol,
-#                                  serial and again with --workers 4
+#                                  serial and again with --workers 4; after
+#                                  RELATIONS it sends the three one-line
+#                                  requests that used to abort the process
+#                                  (a rate off the pricer grid, a seeded
+#                                  relation of 10^12 bonds, HEAVYHITTERS with
+#                                  k = 10^12), expects one ERROR each, and
+#                                  ticks once more
 #   6. kill-and-recover smoke   -- start a --data-dir server, subscribe and
 #                                  tick over TCP, SIGKILL it, restart on the
 #                                  same dir, RESUME the session and tick again
@@ -74,8 +80,10 @@
 #                                  here, not in the benchmark run
 #  13. cargo doc -D warnings    -- rustdoc must build clean
 #  14. line count (informational) -- non-test, non-comment code lines of
-#                                  every crate under crates/, and of
-#                                  crates/core/src/ops on its own line, so a
+#                                  every crate under crates/, of
+#                                  crates/core/src/ops on its own line, and of
+#                                  crates/server/src + crates/persist/src as
+#                                  one line beside the ROADMAP's target, so a
 #                                  simplicity change has a trajectory to
 #                                  compare against
 set -euo pipefail
@@ -416,6 +424,7 @@ for crate in crates/*; do
   printf '    %-21s %s\n' "$crate/src:" "$(count $(find "$crate/src" -name '*.rs'))"
 done
 echo "    crates/core/src/ops:  $(count crates/core/src/ops/*.rs)"
+echo "    server + persist:     $(count $(find crates/server/src crates/persist/src -name '*.rs')) (ROADMAP target: <= 5562)"
 echo "    crates/ total:        $(count $(find crates/*/src -name '*.rs'))"
 
 echo "==> tier-1 gate passed"
