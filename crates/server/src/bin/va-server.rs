@@ -219,9 +219,13 @@ fn main() {
     let bound = listener
         .local_addr()
         .map_or_else(|_| args.addr.clone(), |a| a.to_string());
+    // What is hosted, not what the flags asked for: `--bonds` only ever
+    // shapes a fresh non-catalog dir.
+    let tenants = server.catalog().tenants();
     println!(
-        "va-server listening on {bound} ({} bonds, budget {:?}, workers {}, data dir {})",
-        args.bonds,
+        "va-server listening on {bound} ({} relations, {} bonds, budget {:?}, workers {}, data dir {})",
+        tenants.len(),
+        tenants.iter().map(|t| t.relation().len()).sum::<usize>(),
         args.budget,
         args.workers,
         args.data_dir.as_deref().unwrap_or("none")
@@ -241,9 +245,10 @@ fn main() {
         std::process::exit(1);
     }
     let stats = front.stats();
+    // Over every hosted relation: a catalog server need not have a "default".
+    let ticks: u64 = server.catalog().tenants().iter().map(|t| t.ticks()).sum();
     eprintln!(
-        "va-server: stopped after {} ticks ({} connections served, {} slow evictions, {} io drops)",
-        server.ticks(),
+        "va-server: stopped after {ticks} ticks ({} connections served, {} slow evictions, {} io drops)",
         stats.accepted,
         stats.evicted_slow,
         stats.dropped_io

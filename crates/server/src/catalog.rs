@@ -10,15 +10,20 @@
 //! what an isolated single-relation server with budget `B` would.
 //!
 //! Relation *definitions* are control-plane events (`CREATE RELATION`,
-//! `ADD BOND`, `DROP RELATION`) journaled by the server before the catalog
-//! commits them, which is what makes a catalog data dir self-describing on
-//! recovery: the journal fold rebuilds every tenant, definitions included,
-//! with zero flag-based reconstruction. A definition always precedes its
-//! first use — snapshots embed one per relation, and the journal tail
-//! carries the `CREATE` of anything newer — so `Catalog::restore` is the
-//! fold's only way to add a tenant.
+//! `ADD BOND`, `DROP RELATION`), and like every other state change they
+//! reach a tenant one way: as a [`JournalEvent`] handed to
+//! [`Catalog::apply`]. A live server builds the event, journals it when it
+//! is durable, and applies it; recovery restores the newest snapshot's
+//! sections ([`Catalog::restore_snapshot`]) and applies the journal tail.
+//! Nothing outside this file assigns tenant state, so the recovered catalog
+//! is the uninterrupted one by construction, and a data dir is
+//! self-describing: a definition always precedes its first use — snapshots
+//! embed one per relation, and the tail carries the `CREATE` of anything
+//! newer.
 
-use va_persist::record::RelationDefRecord;
+use va_persist::record::{
+    CalibrationState, JournalEvent, RelationDefRecord, RelationSnapshot, WarmRateRecord,
+};
 use va_persist::WarmMap;
 use va_stream::{BondRelation, RunSummary, TickStats};
 use vao::cost::Calibrator;
@@ -26,7 +31,7 @@ use vao::cost::Calibrator;
 use crate::answer::Answer;
 use crate::demand::PredicateStats;
 use crate::error::ServerError;
-use crate::session::{SessionId, SessionRegistry};
+use crate::session::{Session, SessionId, SessionRegistry};
 
 /// The name every single-relation compatibility path resolves: servers
 /// built with [`crate::Server::new`] or bootstrapped from `--bonds/--seed`
@@ -51,6 +56,10 @@ impl std::fmt::Display for RelationId {
 /// isolated single-relation server would, so a tenant's journaled session
 /// ids are bit-identical to the isolated run's. The wire protocol
 /// disambiguates with the `(relation, session)` pair.
+///
+/// Every field but the tick queue (`queued`; the `shed` count it drives is
+/// recorded by the next tick) is what [`Tenant::snapshot`] captures, and
+/// moves only inside [`Catalog::apply`] and [`Catalog::restore_snapshot`].
 #[derive(Debug)]
 pub struct Tenant {
     pub(crate) id: RelationId,
@@ -78,12 +87,12 @@ pub struct Tenant {
 }
 
 impl Tenant {
-    fn new(id: RelationId, name: String, relation: BondRelation, seed: Option<u64>) -> Self {
+    fn new(id: RelationId, def: RelationDefRecord) -> Self {
         Self {
             id,
-            name,
-            relation,
-            seed,
+            name: def.name,
+            relation: BondRelation::from_bonds(def.bonds),
+            seed: def.seed,
             registry: SessionRegistry::new(),
             history: Vec::new(),
             ticks: 0,
@@ -167,6 +176,42 @@ impl Tenant {
     pub fn def_record(&self) -> RelationDefRecord {
         def_record(&self.name, self.seed, &self.relation)
     }
+
+    /// This tenant's snapshot section: every field
+    /// [`Catalog::restore_snapshot`] reads back, written beside it so a new
+    /// tenant field is added to both in one place.
+    #[must_use]
+    pub fn snapshot(&self) -> RelationSnapshot {
+        RelationSnapshot {
+            relation: self.id.0,
+            def: self.def_record(),
+            next_session_id: self.registry.next_id(),
+            ticks: self.ticks,
+            shed: self.shed,
+            sessions: self.registry.sessions().to_vec(),
+            history: self.history.clone(),
+            warm: self
+                .warm
+                .iter()
+                .map(|(&bits, objects)| WarmRateRecord {
+                    rate: f64::from_bits(bits),
+                    objects: objects.clone(),
+                })
+                .collect(),
+            answers: self.last_answers.clone(),
+            calibration: calibration_state(&self.calibrator, &self.predicates),
+        }
+    }
+
+    /// Replaces the calibration state with a persisted one (a later tick's
+    /// state supersedes the snapshot's: last wins).
+    fn restore_calibration(&mut self, state: &CalibrationState) {
+        self.calibrator = Calibrator::from_cells(state.cells);
+        self.predicates = PredicateStats::new();
+        for &(op, constant, counters) in &state.predicates {
+            self.predicates.restore_counter(op, constant, counters);
+        }
+    }
 }
 
 /// The definition record of a relation about to be (or already) hosted
@@ -181,6 +226,23 @@ pub(crate) fn def_record(
         seed,
         bonds: relation.bonds().to_vec(),
     }
+}
+
+/// Captures calibration state for persistence, or `None` while the state
+/// is trivially cold. The cold case is deliberately *absent* rather than
+/// serialized: an uncalibrated run's journal bytes are bit-identical to a
+/// pre-calibration server's, and an absent field leaves cold state cold.
+pub(crate) fn calibration_state(
+    model: &Calibrator,
+    predicates: &PredicateStats,
+) -> Option<CalibrationState> {
+    if model.is_cold() && predicates.is_empty() {
+        return None;
+    }
+    Some(CalibrationState {
+        cells: *model.cells(),
+        predicates: predicates.entries().collect(),
+    })
 }
 
 /// The set of relations one server hosts, addressed by name (protocol) or
@@ -204,48 +266,118 @@ impl Catalog {
         }
     }
 
-    /// The id the next [`Catalog::create`] will assign.
+    /// The id a `CreateRelation` event must carry to be applied next.
     #[must_use]
     pub fn next_id(&self) -> RelationId {
         RelationId(self.next)
     }
 
-    /// Raises the allocation high-water mark (recovery: snapshots persist
-    /// `next_relation_id` so dropped relations stay burned).
-    pub(crate) fn reserve_through(&mut self, next: u64) {
-        self.next = self.next.max(next);
-    }
-
-    /// Creates a relation, refusing duplicate live names — names
-    /// are the protocol's addressing scheme, so a duplicate would shadow
-    /// an existing tenant's sessions.
-    pub fn create(
-        &mut self,
-        name: &str,
-        relation: BondRelation,
-        seed: Option<u64>,
-    ) -> Result<RelationId, ServerError> {
-        if self.by_name(name).is_some() {
-            return Err(ServerError::RelationExists(name.to_string()));
+    /// The one transition function: every change of tenant state, on a
+    /// live server (after the event is journaled, when durable) and on
+    /// journal replay alike, is one event applied here. The event is taken
+    /// by value and its contents move into the tenant.
+    ///
+    /// Events carry executed *outcomes* — assigned ids, clamped priorities,
+    /// a tick's answers, counters, warm bounds and trained cost model — so
+    /// applying one never validates a request or prices anything. The only
+    /// refusals are structural, and on a live server unreachable (requests
+    /// are validated before their event is built, let alone journaled): a
+    /// definition at or below the id high-water mark, and an event for a
+    /// relation no definition covers.
+    pub fn apply(&mut self, event: JournalEvent) -> Result<(), ServerError> {
+        match event {
+            JournalEvent::CreateRelation(rec) => {
+                self.define(rec.relation, rec.def)?;
+            }
+            JournalEvent::DropRelation { relation } => {
+                // The id stays burned: `next` never moves back.
+                self.tenant_mut(relation)?;
+                self.tenants.retain(|t| t.id.0 != relation);
+            }
+            JournalEvent::AddBond { relation, bond } => {
+                self.tenant_mut(relation)?.relation.push(bond);
+            }
+            JournalEvent::Subscribe {
+                relation,
+                session,
+                priority,
+                query,
+            } => self.tenant_mut(relation)?.registry.restore(Session {
+                id: SessionId(session),
+                query,
+                priority,
+                finals: 0,
+                partials: 0,
+                driven_iterations: 0,
+            }),
+            JournalEvent::Unsubscribe { relation, session } => {
+                // The session id stays burned: its `Subscribe` (or the
+                // snapshot's high-water mark) already advanced `next`.
+                self.tenant_mut(relation)?
+                    .registry
+                    .deregister(SessionId(session));
+            }
+            JournalEvent::Tick(t) => {
+                let tenant = self.tenant_mut(t.relation)?;
+                tenant.ticks = t.tick;
+                tenant.shed = t.shed;
+                tenant.history.push(t.stats);
+                tenant.registry.apply_tick(&t.sessions);
+                tenant.last_answers = t.answers;
+                // An in-memory server's ticks carry no warm state.
+                if !t.warm.is_empty() {
+                    tenant.warm.insert(t.rate.to_bits(), t.warm);
+                }
+                if let Some(cal) = &t.calibration {
+                    tenant.restore_calibration(cal);
+                }
+            }
+            JournalEvent::SnapshotMarker { .. } => {}
         }
-        let id = RelationId(self.next);
-        self.next += 1;
-        self.tenants
-            .push(Tenant::new(id, name.to_string(), relation, seed));
-        Ok(id)
+        Ok(())
     }
 
-    /// Re-creates a recovered relation under the id it was journaled with
-    /// (a replayed `CREATE RELATION` or a snapshot's embedded `def`). Ids
+    /// Seeds an empty catalog from a snapshot's per-relation sections — the
+    /// inverse of [`Tenant::snapshot`] — and raises the id high-water mark
+    /// to the snapshot's, so relations dropped before it stay burned.
+    pub fn restore_snapshot(
+        &mut self,
+        relations: Vec<RelationSnapshot>,
+        next_relation_id: u64,
+    ) -> Result<(), ServerError> {
+        for rel in relations {
+            let tenant = self.define(rel.relation, rel.def)?;
+            // Ids of sessions that unsubscribed before the snapshot stay
+            // burned too.
+            tenant
+                .registry
+                .reserve_through(SessionId(rel.next_session_id.saturating_sub(1)));
+            for session in rel.sessions {
+                tenant.registry.restore(session);
+            }
+            tenant.ticks = rel.ticks;
+            tenant.shed = rel.shed;
+            tenant.history = rel.history;
+            tenant.last_answers = rel.answers;
+            tenant.warm = rel
+                .warm
+                .into_iter()
+                .map(|w| (w.rate.to_bits(), w.objects))
+                .collect();
+            if let Some(cal) = &rel.calibration {
+                tenant.restore_calibration(cal);
+            }
+        }
+        self.next = self.next.max(next_relation_id);
+        Ok(())
+    }
+
+    /// Adds a tenant under the id its definition was journaled with. Ids
     /// only grow, so one at or below the high-water mark means the history
     /// defines a relation twice or out of order. The definition's content
     /// was checked when it parsed (and `id + 1` cannot overflow: the parser
     /// refuses the one id that was never issued).
-    pub(crate) fn restore(
-        &mut self,
-        id: u64,
-        def: RelationDefRecord,
-    ) -> Result<&mut Tenant, ServerError> {
+    fn define(&mut self, id: u64, def: RelationDefRecord) -> Result<&mut Tenant, ServerError> {
         if id < self.next {
             return Err(ServerError::Persist {
                 detail: format!(
@@ -255,30 +387,28 @@ impl Catalog {
             });
         }
         self.next = id + 1;
-        self.tenants.push(Tenant::new(
-            RelationId(id),
-            def.name,
-            BondRelation::from_bonds(def.bonds),
-            def.seed,
-        ));
+        self.tenants.push(Tenant::new(RelationId(id), def));
         Ok(self.tenants.last_mut().expect("just pushed"))
     }
 
-    /// Removes a tenant by id, returning it. The id stays burned.
-    pub(crate) fn remove(&mut self, id: RelationId) -> Option<Tenant> {
-        let at = self.tenants.iter().position(|t| t.id == id)?;
-        Some(self.tenants.remove(at))
+    /// The tenant an event refers to. Every relation's definition is
+    /// applied before anything that names it, so a miss is corruption.
+    fn tenant_mut(&mut self, relation: u64) -> Result<&mut Tenant, ServerError> {
+        self.tenants
+            .iter_mut()
+            .find(|t| t.id.0 == relation)
+            .ok_or_else(|| ServerError::Persist {
+                detail: format!(
+                    "corrupt journal: an event for relation {relation}, which no recovered \
+                     definition covers"
+                ),
+            })
     }
 
     /// The tenant with catalog id `id`.
     #[must_use]
     pub fn get(&self, id: RelationId) -> Option<&Tenant> {
         self.tenants.iter().find(|t| t.id == id)
-    }
-
-    /// Mutable access by id.
-    pub(crate) fn get_mut(&mut self, id: RelationId) -> Option<&mut Tenant> {
-        self.tenants.iter_mut().find(|t| t.id == id)
     }
 
     /// The tenant named `name`.
@@ -298,8 +428,8 @@ impl Catalog {
         &self.tenants
     }
 
-    /// Mutable access to every tenant (the multi-relation tick path shards
-    /// disjoint `&mut Tenant` borrows across worker threads from this).
+    /// Mutable access to every tenant: the tick queue, which is not
+    /// journaled state, and tests.
     pub(crate) fn tenants_mut(&mut self) -> &mut [Tenant] {
         &mut self.tenants
     }
@@ -321,22 +451,35 @@ impl Catalog {
 mod tests {
     use super::*;
     use bondlab::BondUniverse;
+    use va_persist::record::RelationRecord;
 
     fn rel(seed: u64) -> BondRelation {
         BondRelation::from_universe(&BondUniverse::generate(4, seed))
     }
 
+    /// Applies the `CreateRelation` a live server would build for `name`.
+    fn create(
+        c: &mut Catalog,
+        name: &str,
+        relation: BondRelation,
+        seed: Option<u64>,
+    ) -> RelationId {
+        let id = c.next_id();
+        c.apply(JournalEvent::CreateRelation(Box::new(RelationRecord {
+            relation: id.0,
+            def: def_record(name, seed, &relation),
+        })))
+        .unwrap();
+        id
+    }
+
     #[test]
-    fn create_assigns_monotone_ids_and_refuses_duplicates() {
+    fn definitions_get_monotone_ids() {
         let mut c = Catalog::new();
-        let a = c.create("rates", rel(1), Some(1)).unwrap();
-        let b = c.create("credit", rel(2), Some(2)).unwrap();
+        let a = create(&mut c, "rates", rel(1), Some(1));
+        let b = create(&mut c, "credit", rel(2), Some(2));
         assert_eq!(a, RelationId(1));
         assert_eq!(b, RelationId(2));
-        assert!(matches!(
-            c.create("rates", rel(3), None),
-            Err(ServerError::RelationExists(n)) if n == "rates"
-        ));
         assert_eq!(c.len(), 2);
         assert_eq!(c.by_name("rates").unwrap().id(), a);
         assert_eq!(c.get(b).unwrap().name(), "credit");
@@ -346,35 +489,52 @@ mod tests {
     #[test]
     fn dropped_ids_stay_burned() {
         let mut c = Catalog::new();
-        let a = c.create("rates", rel(1), None).unwrap();
-        c.remove(a).unwrap();
+        let a = create(&mut c, "rates", rel(1), None);
+        c.apply(JournalEvent::DropRelation { relation: a.0 })
+            .unwrap();
         assert!(c.by_name("rates").is_none());
         // Re-creating the name allocates a fresh id.
-        let b = c.create("rates", rel(1), None).unwrap();
+        let b = create(&mut c, "rates", rel(1), None);
         assert_eq!(b, RelationId(2));
         assert!(c.get(a).is_none());
+        // An event for the dropped id has nothing to apply to.
+        assert!(matches!(
+            c.apply(JournalEvent::DropRelation { relation: a.0 }),
+            Err(ServerError::Persist { .. })
+        ));
     }
 
     #[test]
-    fn def_records_round_trip_through_restore() {
+    fn snapshot_sections_round_trip_through_restore() {
         let mut c = Catalog::new();
-        c.create("doomed", rel(1), None).unwrap();
-        let id = c.create("rates", rel(7), Some(7)).unwrap();
-        let def = c.get(id).unwrap().def_record();
-        assert_eq!(def.name, "rates");
-        assert_eq!(def.seed, Some(7));
-        assert_eq!(def.bonds.len(), 4);
+        create(&mut c, "doomed", rel(1), None);
+        let id = create(&mut c, "rates", rel(7), Some(7));
+        c.apply(JournalEvent::DropRelation { relation: 1 }).unwrap();
+        c.apply(JournalEvent::Subscribe {
+            relation: id.0,
+            session: 4,
+            priority: 2,
+            query: va_stream::Query::Max { epsilon: 0.5 },
+        })
+        .unwrap();
+        let section = c.get(id).unwrap().snapshot();
+        assert_eq!(section.def.name, "rates");
+        assert_eq!(section.def.seed, Some(7));
+        assert_eq!(section.def.bonds.len(), 4);
+        assert_eq!(section.next_session_id, 5);
         let mut other = Catalog::new();
-        other.restore(id.0, def.clone()).unwrap().ticks = 7;
+        other
+            .restore_snapshot(vec![section.clone()], c.next_id().0)
+            .unwrap();
         let t = other.by_name("rates").unwrap();
         assert_eq!(t.id(), id);
         assert_eq!(t.seed(), Some(7));
-        assert_eq!(t.ticks(), 7);
         assert_eq!(t.relation().bonds(), c.get(id).unwrap().relation().bonds());
-        // The skipped id stays burned, and no id is ever restored twice.
+        assert_eq!(t.snapshot(), section, "restore is snapshot's inverse");
+        // The skipped id stays burned, and no id is ever defined twice.
         assert_eq!(other.next_id(), RelationId(3));
         assert!(matches!(
-            other.restore(id.0, def),
+            other.restore_snapshot(vec![section], 3),
             Err(ServerError::Persist { .. })
         ));
     }

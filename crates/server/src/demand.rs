@@ -37,6 +37,7 @@ use std::collections::BTreeMap;
 
 use va_sketch::{CountMin, IntervalQuantileSketch, SpaceSaving};
 use va_stream::{BondRelation, Query, QueryOutput};
+use vao::error::VaoError;
 use vao::ops::heavy::{cell_of, HeavyCell, COUNTMIN_DEPTH, COUNTMIN_WIDTH, SPAN_PROBE_CAP};
 use vao::ops::minmax::{max_envelope, min_envelope};
 use vao::ops::percentile::{rank_from_top, SKETCH_ALPHA, SKETCH_BUDGET};
@@ -470,7 +471,7 @@ fn uniform(n: usize) -> Weights<'static> {
     Weights::Uniform(1.0 / n.max(1) as f64)
 }
 
-fn weighted_interval(pool: &SharedPool, w: Weights<'_>) -> Bounds {
+fn weighted_endpoints(pool: &SharedPool, w: Weights<'_>) -> (f64, f64) {
     let (mut lo, mut hi) = (0.0f64, 0.0f64);
     for i in 0..pool.len() {
         let b = pool.bounds(i);
@@ -478,7 +479,22 @@ fn weighted_interval(pool: &SharedPool, w: Weights<'_>) -> Bounds {
         lo += wi * b.lo();
         hi += wi * b.hi();
     }
+    (lo, hi)
+}
+
+fn weighted_interval(pool: &SharedPool, w: Weights<'_>) -> Bounds {
+    let (lo, hi) = weighted_endpoints(pool, w);
     Bounds::new(lo, hi)
+}
+
+/// SUM's interval over a freshly invoked pool, or the typed error when the
+/// weights carry it past `f64` (`weights` already sized to the pool). The
+/// tick's floor validation asks once: per-object bounds only shrink within a
+/// tick, so an interval that starts finite stays finite, and every later
+/// [`weighted_interval`] of the tick may build its `Bounds` unchecked.
+pub(crate) fn checked_sum_interval(pool: &SharedPool, weights: &[f64]) -> Result<Bounds, VaoError> {
+    let (lo, hi) = weighted_endpoints(pool, Weights::Per(weights));
+    Bounds::try_new(lo, hi)
 }
 
 /// The estimated two-sided shrink of object `i`'s bounds from one more

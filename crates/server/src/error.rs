@@ -23,6 +23,10 @@ pub enum ServerError {
     /// (0, 1), or a non-positive maturity/face. Refused at the protocol
     /// boundary so `Bond::new`'s assertions can never fire on wire input.
     InvalidBond(String),
+    /// A `SUM` subscription's weights are each finite but add up past
+    /// `f64`, so the query's bounds could never be. Refused at subscribe;
+    /// `Bounds::new`'s assertion can never fire on them mid-tick.
+    WeightSumOverflow,
     /// A tick's rate lies outside the grid the pricing model solves on.
     /// Refused before any relation executes so `BondPde::new`'s assertion
     /// can never fire on a request.
@@ -74,6 +78,9 @@ impl std::fmt::Display for ServerError {
                 write!(f, "relation \"{name}\" already exists")
             }
             ServerError::InvalidBond(detail) => write!(f, "invalid bond: {detail}"),
+            ServerError::WeightSumOverflow => {
+                write!(f, "SUM weights must add up to a finite number")
+            }
             ServerError::RateOutOfRange { rate, min, max } => {
                 write!(f, "rate {rate} outside the pricer grid [{min}, {max}]")
             }

@@ -37,7 +37,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use bondlab::{Bond, BondUniverse};
 use va_stream::BondRelation;
 
-use crate::catalog::DEFAULT_RELATION;
+use crate::catalog::{Tenant, DEFAULT_RELATION};
+use crate::error::ServerError;
 use crate::poll::{self, PollSet};
 use crate::proto::{self, RelationSpec, Request};
 use crate::server::{Server, TickResult};
@@ -335,9 +336,7 @@ impl FrontEnd {
                 query,
                 priority,
             } => {
-                let name = self.resolve(i, relation);
-                let Some(tenant) = server.catalog().by_name(&name) else {
-                    self.unknown(i, &name);
+                let Some((name, tenant)) = self.tenant(i, server, relation) else {
                     return true;
                 };
                 let (rel_id, n) = (tenant.id().0, tenant.relation().len());
@@ -351,12 +350,12 @@ impl FrontEnd {
                 }
             }
             Request::Unsubscribe { relation, session } => {
-                let name = self.resolve(i, relation);
-                let id = SessionId(session);
-                let rel_id = server.catalog().by_name(&name).map(|t| t.id().0);
-                match server.unsubscribe_in(&name, id) {
+                let Some((name, tenant)) = self.tenant(i, server, relation) else {
+                    return true;
+                };
+                let key = (tenant.id().0, SessionId(session));
+                match server.unsubscribe_in(&name, key.1) {
                     Ok(()) => {
-                        let key = (rel_id.expect("unsubscribe resolved"), id);
                         for conn in &mut self.conns {
                             conn.sessions.retain(|&s| s != key);
                         }
@@ -366,20 +365,17 @@ impl FrontEnd {
                 }
             }
             Request::Resume { relation, session } => {
-                let name = self.resolve(i, relation);
-                let id = SessionId(session);
-                let ticks = server
-                    .catalog()
-                    .by_name(&name)
-                    .map(|t| (t.id().0, t.ticks()));
-                match server.resume_in(&name, id) {
+                let Some((name, tenant)) = self.tenant(i, server, relation) else {
+                    return true;
+                };
+                let key = (tenant.id().0, SessionId(session));
+                match server.resume_in(&name, key.1) {
                     Ok((sess, answer)) => {
-                        let (rel_id, ticks) = ticks.expect("resume resolved");
-                        let line = proto::resumed(&name, sess, ticks, answer);
+                        let line = proto::resumed(&name, sess, tenant.ticks(), answer);
                         // Re-attach: future RESULTs for the session are
                         // delivered here.
-                        if !self.conns[i].sessions.contains(&(rel_id, id)) {
-                            self.conns[i].sessions.push((rel_id, id));
+                        if !self.conns[i].sessions.contains(&key) {
+                            self.conns[i].sessions.push(key);
                         }
                         self.queue(i, &line);
                     }
@@ -421,13 +417,9 @@ impl FrontEnd {
                 }
             }
             Request::Stats { relation } => {
-                let name = self.resolve(i, relation);
-                let Some(tenant) = server.catalog().by_name(&name) else {
-                    self.unknown(i, &name);
-                    return true;
-                };
-                let line = proto::stats(tenant);
-                self.queue(i, &line);
+                if let Some((_, tenant)) = self.tenant(i, server, relation) {
+                    self.queue(i, &proto::stats(tenant));
+                }
             }
             Request::CreateRelation { name, spec } => {
                 let (relation, seed) = match build_relation(&spec) {
@@ -457,23 +449,18 @@ impl FrontEnd {
             Request::AddBond { relation, bond } => {
                 let name = self.resolve(i, relation);
                 match server.add_bond(&name, bond.coupon, bond.maturity, bond.face) {
+                    // Bond ids are positions: the new one is the last.
                     Ok(bond_id) => {
-                        let bonds = server
-                            .catalog()
-                            .by_name(&name)
-                            .map_or(0, |t| t.relation().len());
-                        self.queue(i, &proto::bond_added(&name, bond_id, bonds));
+                        self.queue(i, &proto::bond_added(&name, bond_id, bond_id as usize + 1));
                     }
                     Err(e) => self.queue(i, &proto::error(&e.to_string())),
                 }
             }
             Request::Use { name } => {
-                if server.catalog().by_name(&name).is_none() {
-                    self.unknown(i, &name);
-                    return true;
+                if let Some((name, _)) = self.tenant(i, server, Some(name)) {
+                    self.queue(i, &proto::using(&name));
+                    self.conns[i].use_relation = Some(name);
                 }
-                self.conns[i].use_relation = Some(name.clone());
-                self.queue(i, &proto::using(&name));
             }
             Request::Relations => {
                 let line = proto::relations(server.catalog());
@@ -495,20 +482,32 @@ impl FrontEnd {
         })
     }
 
-    /// Queues the typed unknown-relation `ERROR` line.
-    fn unknown(&mut self, i: usize, name: &str) {
-        let e = crate::error::ServerError::UnknownRelation(name.to_string());
-        self.queue(i, &proto::error(&e.to_string()));
+    /// The tenant a request addresses, under the name [`FrontEnd::resolve`]
+    /// gives it: the request's one catalog lookup. A miss queues the typed
+    /// unknown-relation `ERROR` line.
+    fn tenant<'s>(
+        &mut self,
+        i: usize,
+        server: &'s Server,
+        explicit: Option<String>,
+    ) -> Option<(String, &'s Tenant)> {
+        let name = self.resolve(i, explicit);
+        let tenant = server.catalog().by_name(&name);
+        if tenant.is_none() {
+            let e = ServerError::UnknownRelation(name.clone());
+            self.queue(i, &proto::error(&e.to_string()));
+        }
+        tenant.map(|t| (name, t))
     }
 
     /// Fans one relation's tick answers out to every attached connection,
-    /// one serialized payload per query shape, and the `TICK_DONE` trailer
-    /// to the connection that drove the tick.
+    /// one serialized payload per query shape (see
+    /// [`crate::SessionRegistry::broadcast_groups`]), and the `TICK_DONE`
+    /// trailer to the connection that drove the tick.
     fn broadcast(&mut self, server: &Server, name: &str, res: &TickResult, origin: usize) {
         let rel_id = res.relation.0;
-        let groups = server
-            .broadcast_groups_in(name, &res.answers)
-            .unwrap_or_default();
+        let tenant = server.catalog().get(res.relation);
+        let groups = tenant.map_or_else(Vec::new, |t| t.sessions().broadcast_groups(&res.answers));
         for group in groups {
             let payload = proto::result_payload(name, res.tick, res.rate, group.answer);
             self.stats.payloads_serialized += 1;
@@ -527,8 +526,7 @@ impl FrontEnd {
                 }
             }
         }
-        let shed = server.catalog().by_name(name).map_or(0, |t| t.shed());
-        let done = proto::tick_done(name, res, shed);
+        let done = proto::tick_done(name, res, tenant.map_or(0, Tenant::shed));
         self.queue(origin, &done);
     }
 

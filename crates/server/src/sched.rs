@@ -446,9 +446,9 @@ pub(crate) fn run_tick<O: ExecObserver>(
 /// [`run_tick`] over a caller-built registry and pool with a [`RoundAudit`]
 /// attached: the scheduler exactly as the server runs it (unbudgeted, the
 /// default iteration cap, `calibration` as `(cost model, predicate stats)`),
-/// observable round by round, the session counters applied as a commit
-/// applies them. Exists for the differential tests; returns the tick's
-/// answers.
+/// observable round by round. Exists for the differential tests; returns
+/// the tick's answers (the per-session counter deltas are a commit's to
+/// apply, and nothing here commits).
 ///
 /// # Errors
 ///
@@ -478,7 +478,6 @@ pub fn audited_tick(
         &mut vao::trace::NoopObserver,
         Some(audit),
     )?;
-    registry.apply_tick(&outcome.sessions);
     Ok(outcome.answers)
 }
 

@@ -13,8 +13,7 @@ use std::time::Instant;
 
 use bondlab::{Bond, BondPricer};
 use va_persist::record::{
-    CalibrationState, JournalEvent, RelationRecord, RelationSnapshot, SnapshotRecord, TickRecord,
-    WarmObjectRecord, WarmRateRecord,
+    JournalEvent, RelationRecord, SnapshotRecord, TickRecord, WarmObjectRecord,
 };
 use va_persist::{Meta, MetaRelation, PersistError, Recovery, Store, META_FILE};
 use va_stream::{BondRelation, Query, RunSummary, TickObserver, TickStats};
@@ -29,8 +28,10 @@ use vao::trace::{
 use vao::PrecisionConstraint;
 
 use crate::answer::Answer;
-use crate::catalog::{def_record, Catalog, RelationId, Tenant, DEFAULT_RELATION};
-use crate::demand::PredicateStats;
+use crate::catalog::{
+    calibration_state, def_record, Catalog, RelationId, Tenant, DEFAULT_RELATION,
+};
+use crate::demand::{checked_sum_interval, PredicateStats};
 use crate::error::ServerError;
 use crate::pool::SharedPool;
 use crate::sched;
@@ -282,127 +283,20 @@ fn mismatch(dir: &Path, expected: u64, found: u64) -> ServerError {
     .into()
 }
 
-/// Captures calibration state for persistence, or `None` while the state
-/// is trivially cold. The cold case is deliberately *absent* rather than
-/// serialized: an uncalibrated run's journal bytes are bit-identical to a
-/// pre-calibration server's, and parsing an absent field already restores
-/// cold state.
-fn calibration_state(model: &Calibrator, predicates: &PredicateStats) -> Option<CalibrationState> {
-    if model.is_cold() && predicates.is_empty() {
-        return None;
-    }
-    Some(CalibrationState {
-        cells: *model.cells(),
-        predicates: predicates.entries().collect(),
-    })
-}
-
-/// Restores a persisted calibration state into its tenant, replacing
-/// whatever was there (journal replay is last-wins: a later tick's state
-/// supersedes the snapshot's).
-fn restore_calibration(tenant: &mut Tenant, state: &CalibrationState) {
-    tenant.calibrator = Calibrator::from_cells(state.cells);
-    tenant.predicates = PredicateStats::new();
-    for &(op, constant, counters) in &state.predicates {
-        tenant.predicates.restore_counter(op, constant, counters);
-    }
-}
-
-/// The tenant a recovered journal event refers to.
-fn seen(catalog: &mut Catalog, relation: u64) -> Result<&mut Tenant, ServerError> {
-    catalog
-        .get_mut(RelationId(relation))
-        .ok_or_else(|| ServerError::Persist {
-            detail: format!(
-                "corrupt journal: an event for relation {relation}, which no recovered \
-                 definition covers"
-            ),
-        })
-}
-
-/// Replays recovered state into a catalog: the snapshot's per-relation
-/// sections, then the journal tail, each tick's warm state replacing its
-/// relation's entry for its rate. Every relation's definition reaches the
-/// fold before anything that refers to it — in the snapshot, or as the
-/// `CreateRelation` ahead of it in the tail — so an event for a relation
-/// the fold has not seen is corruption ([`seen`]). That and a definition at
-/// or below the id high-water mark are the only ways to fail: the *content*
+/// Rebuilds a catalog from recovered state: the newest snapshot's sections,
+/// then the journal tail through [`Catalog::apply`] — the function a live
+/// server commits through, so the recovered catalog is the uninterrupted
+/// one. It can fail only on catalog structure (see `apply`): the *content*
 /// of a record was checked when it parsed.
-fn fold_into_catalog(catalog: &mut Catalog, recovered: Recovery) -> Result<(), ServerError> {
+fn fold_into_catalog(recovered: Recovery) -> Result<Catalog, ServerError> {
+    let mut catalog = Catalog::new();
     if let Some(snap) = recovered.snapshot {
-        for rel in snap.relations {
-            let tenant = catalog.restore(rel.relation, rel.def)?;
-            tenant
-                .registry
-                .reserve_through(SessionId(rel.next_session_id.saturating_sub(1)));
-            for session in rel.sessions {
-                tenant.registry.restore(session);
-            }
-            tenant.ticks = rel.ticks;
-            tenant.shed = rel.shed;
-            tenant.history = rel.history;
-            tenant.last_answers = rel.answers;
-            tenant.warm = rel
-                .warm
-                .into_iter()
-                .map(|w| (w.rate.to_bits(), w.objects))
-                .collect();
-            if let Some(cal) = &rel.calibration {
-                restore_calibration(tenant, cal);
-            }
-        }
-        catalog.reserve_through(snap.next_relation_id);
+        catalog.restore_snapshot(snap.relations, snap.next_relation_id)?;
     }
-    for ev in recovered.tail {
-        match ev {
-            JournalEvent::CreateRelation(rec) => {
-                catalog.restore(rec.relation, rec.def)?;
-            }
-            JournalEvent::DropRelation { relation } => {
-                let id = seen(catalog, relation)?.id;
-                catalog.remove(id);
-            }
-            JournalEvent::AddBond { relation, bond } => {
-                seen(catalog, relation)?.relation.push(bond);
-            }
-            JournalEvent::Subscribe {
-                relation,
-                session,
-                priority,
-                query,
-            } => {
-                seen(catalog, relation)?.registry.restore(Session {
-                    id: SessionId(session),
-                    query,
-                    priority,
-                    finals: 0,
-                    partials: 0,
-                    driven_iterations: 0,
-                });
-            }
-            JournalEvent::Unsubscribe { relation, session } => {
-                // The id stays burned: the Subscribe replay (or the
-                // snapshot's high-water mark) already advanced `next`.
-                seen(catalog, relation)?
-                    .registry
-                    .deregister(SessionId(session));
-            }
-            JournalEvent::Tick(t) => {
-                let tenant = seen(catalog, t.relation)?;
-                tenant.ticks = t.tick;
-                tenant.shed = t.shed;
-                tenant.history.push(t.stats);
-                tenant.registry.apply_tick(&t.sessions);
-                tenant.last_answers = t.answers;
-                tenant.warm.insert(t.rate.to_bits(), t.warm);
-                if let Some(cal) = &t.calibration {
-                    restore_calibration(tenant, cal);
-                }
-            }
-            JournalEvent::SnapshotMarker { .. } => {}
-        }
+    for event in recovered.tail {
+        catalog.apply(event)?;
     }
-    Ok(())
+    Ok(catalog)
 }
 
 impl Server {
@@ -410,19 +304,18 @@ impl Server {
     /// [`DEFAULT_RELATION`], pricing with `pricer`.
     #[must_use]
     pub fn new(pricer: BondPricer, relation: BondRelation, config: ServerConfig) -> Self {
-        let mut catalog = Catalog::new();
-        catalog
-            .create(DEFAULT_RELATION, relation, None)
-            .expect("empty catalog cannot collide");
-        Self {
+        let mut srv = Self {
             pricer,
             config,
-            catalog,
+            catalog: Catalog::new(),
             durability: None,
             recovery: None,
             recovery_emitted: false,
             pending_compactions: Vec::new(),
-        }
+        };
+        srv.create_relation(DEFAULT_RELATION, relation, None)
+            .expect("an empty in-memory catalog refuses no relation");
+        srv
     }
 
     /// A durable server over the data dir at `dir`, asserting that its
@@ -470,11 +363,13 @@ impl Server {
     /// and a fresh dir opens with an empty catalog (create relations over
     /// the protocol, or see [`Server::open_durable`]).
     ///
-    /// Recovery loads the newest valid snapshot, replays the journal tail
-    /// on top (pure bookkeeping — journal events carry executed *outcomes*,
-    /// so replay never re-prices anything), and seeds each relation's
-    /// per-rate warm cache so the next tick at a recovered rate re-admits
-    /// objects at their achieved accuracy. A torn final journal record is
+    /// Recovery loads the newest valid snapshot and replays the journal
+    /// tail on top through [`Catalog::apply`], the function this server
+    /// will commit its own events through (pure bookkeeping — journal
+    /// events carry executed *outcomes*, so replay never re-prices
+    /// anything). That includes each relation's per-rate warm cache, so
+    /// the next tick at a recovered rate re-admits objects at their
+    /// achieved accuracy. A torn final journal record is
     /// truncated and reported (see [`Server::last_recovery`]); anything
     /// worse is a hard [`ServerError::Persist`]: a dir written under
     /// another pricer configuration is a [`PersistError::Mismatch`], one in
@@ -508,8 +403,7 @@ impl Server {
             swept_tmp_files: recovered.swept_tmp_files,
         };
         let events_at_last_snapshot = recovered.snapshot.as_ref().map_or(0, |s| s.journal_events);
-        let mut catalog = Catalog::new();
-        fold_into_catalog(&mut catalog, recovered)?;
+        let catalog = fold_into_catalog(recovered)?;
         // The journal is authoritative and the metadata a cache of it: a
         // fresh dir has none yet, and a crash between a catalog journal
         // append and the metadata rewrite leaves it stale.
@@ -580,18 +474,51 @@ impl Server {
         Ok(())
     }
 
-    /// Creates (and, when durable, journals) a new relation. The
-    /// definition is journaled *before* the catalog commits it, and the
-    /// metadata cache is rewritten after — a crash between the two leaves
-    /// a stale cache that the next open heals from the journal.
+    /// The one write path, in-memory and durable alike. Every method that
+    /// changes tenant state validates its request, builds the
+    /// [`JournalEvent`] that records the outcome, and hands it here: the
+    /// event is journaled (and fsync'd) when the server is durable, then
+    /// applied by [`Catalog::apply`] — the function recovery replays the
+    /// journal through — and a definition event rewrites the metadata
+    /// cache. Write-ahead order: a failed append leaves the catalog exactly
+    /// as the journal describes it, and a crash between the append and the
+    /// metadata rewrite leaves a stale cache that the next open heals.
+    ///
+    /// Stops short of the snapshot check ([`Server::commit`] adds it): a
+    /// bootstrap writes its one journal line whatever `snapshot_every`, and
+    /// a multi-relation tick checks once, after its last relation.
+    fn journal_and_apply(&mut self, event: JournalEvent) -> Result<(), ServerError> {
+        let defines = matches!(
+            event,
+            JournalEvent::CreateRelation(_)
+                | JournalEvent::DropRelation { .. }
+                | JournalEvent::AddBond { .. }
+        );
+        if let Some(d) = &mut self.durability {
+            d.store.append(&event)?;
+        }
+        self.catalog.apply(event)?;
+        if defines {
+            self.rewrite_meta()?;
+        }
+        Ok(())
+    }
+
+    /// [`Server::journal_and_apply`], then a snapshot if one is due.
+    fn commit(&mut self, event: JournalEvent) -> Result<(), ServerError> {
+        self.journal_and_apply(event)?;
+        self.maybe_snapshot()
+    }
+
+    /// Creates a new relation under the next catalog id.
     pub fn create_relation(
         &mut self,
         name: &str,
         relation: BondRelation,
         seed: Option<u64>,
     ) -> Result<RelationId, ServerError> {
-        let id = self.journal_and_create(name, relation, seed)?;
-        self.maybe_snapshot()?;
+        let (id, event) = self.create_event(name, seed, &relation)?;
+        self.commit(event)?;
         Ok(id)
     }
 
@@ -606,47 +533,37 @@ impl Server {
         if !(fresh && self.catalog.is_empty()) {
             return Ok(false);
         }
-        self.journal_and_create(DEFAULT_RELATION, relation, None)?;
+        let (_, event) = self.create_event(DEFAULT_RELATION, None, &relation)?;
+        self.journal_and_apply(event)?;
         Ok(true)
     }
 
-    /// [`Server::create_relation`] short of its snapshot check, which a
-    /// bootstrap must not run: a fresh dir holds its metadata and one
-    /// journal line, whatever `snapshot_every`.
-    fn journal_and_create(
-        &mut self,
+    /// The validated `CreateRelation` event for `relation` under `name`,
+    /// and the id it assigns. Names are the protocol's addressing scheme,
+    /// so a duplicate — which would shadow a live tenant's sessions — is
+    /// refused.
+    fn create_event(
+        &self,
         name: &str,
-        relation: BondRelation,
         seed: Option<u64>,
-    ) -> Result<RelationId, ServerError> {
+        relation: &BondRelation,
+    ) -> Result<(RelationId, JournalEvent), ServerError> {
         if self.catalog.by_name(name).is_some() {
             return Err(ServerError::RelationExists(name.to_string()));
         }
         let id = self.catalog.next_id();
-        if let Some(d) = &mut self.durability {
-            d.store
-                .append(&JournalEvent::CreateRelation(Box::new(RelationRecord {
-                    relation: id.0,
-                    def: def_record(name, seed, &relation),
-                })))?;
-        }
-        let created = self.catalog.create(name, relation, seed)?;
-        debug_assert_eq!(created, id);
-        self.rewrite_meta()?;
-        Ok(id)
+        let record = RelationRecord {
+            relation: id.0,
+            def: def_record(name, seed, relation),
+        };
+        Ok((id, JournalEvent::CreateRelation(Box::new(record))))
     }
 
     /// Drops a relation and everything namespaced under it (sessions,
     /// warm state, history). The relation id stays burned.
     pub fn drop_relation(&mut self, name: &str) -> Result<RelationId, ServerError> {
         let id = self.tenant(name)?.id();
-        if let Some(d) = &mut self.durability {
-            d.store
-                .append(&JournalEvent::DropRelation { relation: id.0 })?;
-        }
-        self.catalog.remove(id);
-        self.rewrite_meta()?;
-        self.maybe_snapshot()?;
+        self.commit(JournalEvent::DropRelation { relation: id.0 })?;
         Ok(id)
     }
 
@@ -663,77 +580,57 @@ impl Server {
         maturity: f64,
         face: f64,
     ) -> Result<u32, ServerError> {
-        let idx = self.tenant_index(name)?;
+        let tenant = self.tenant(name)?;
         let bond_id =
-            u32::try_from(self.catalog.tenants()[idx].relation().len()).map_err(|_| {
-                ServerError::Internal {
-                    detail: "relation grew past u32 bond ids",
-                }
+            u32::try_from(tenant.relation().len()).map_err(|_| ServerError::Internal {
+                detail: "relation grew past u32 bond ids",
             })?;
         let bond =
             Bond::try_new(bond_id, coupon, maturity, face).map_err(ServerError::InvalidBond)?;
-        if let Some(d) = &mut self.durability {
-            d.store.append(&JournalEvent::AddBond {
-                relation: self.catalog.tenants()[idx].id().0,
-                bond,
-            })?;
-        }
-        self.catalog.tenants_mut()[idx].relation.push(bond);
-        self.rewrite_meta()?;
-        self.maybe_snapshot()?;
+        let relation = tenant.id().0;
+        self.commit(JournalEvent::AddBond { relation, bond })?;
         Ok(bond_id)
     }
 
     /// Registers a query against the named relation. Structural validation
     /// (ε positive and finite, weight count, k range, finite constants)
     /// happens here so a malformed subscription fails fast; the `minWidth`
-    /// floor checks run per tick against the live pool.
+    /// floor checks run per tick against the live pool. A crash can lose an
+    /// unacknowledged subscription but never acknowledge one it lost.
     pub fn subscribe_to(
         &mut self,
         name: &str,
         query: Query,
         priority: u32,
     ) -> Result<SessionId, ServerError> {
-        let idx = self.tenant_index(name)?;
-        let n = self.catalog.tenants()[idx].relation().len();
+        let tenant = self.tenant(name)?;
+        let n = tenant.relation().len();
         if n == 0 {
             return Err(ServerError::EmptyRelation);
         }
         validate_query_structure(&query, n)?;
-        // Write-ahead order: the admission is journaled (and fsync'd)
-        // before the registry commits it, so a crash can lose an
-        // unacknowledged subscription but never acknowledge one it lost.
-        if let Some(d) = &mut self.durability {
-            let tenant = &self.catalog.tenants()[idx];
-            d.store.append(&JournalEvent::Subscribe {
-                relation: tenant.id().0,
-                session: tenant.sessions().next_id(),
-                priority: priority.max(1),
-                query: query.clone(),
-            })?;
-        }
-        let id = self.catalog.tenants_mut()[idx]
-            .registry
-            .register(query, priority);
-        self.maybe_snapshot()?;
+        let id = SessionId(tenant.sessions().next_id());
+        let event = JournalEvent::Subscribe {
+            relation: tenant.id().0,
+            session: id.0,
+            priority: priority.max(1),
+            query,
+        };
+        self.commit(event)?;
         Ok(id)
     }
 
     /// Removes a session from the named relation.
     pub fn unsubscribe_in(&mut self, name: &str, id: SessionId) -> Result<(), ServerError> {
-        let idx = self.tenant_index(name)?;
-        if self.catalog.tenants()[idx].sessions().get(id).is_none() {
+        let tenant = self.tenant(name)?;
+        if tenant.sessions().get(id).is_none() {
             return Err(ServerError::UnknownSession(id.0));
         }
-        if let Some(d) = &mut self.durability {
-            d.store.append(&JournalEvent::Unsubscribe {
-                relation: self.catalog.tenants()[idx].id().0,
-                session: id.0,
-            })?;
-        }
-        self.catalog.tenants_mut()[idx].registry.deregister(id);
-        self.maybe_snapshot()?;
-        Ok(())
+        let relation = tenant.id().0;
+        self.commit(JournalEvent::Unsubscribe {
+            relation,
+            session: id.0,
+        })
     }
 
     /// Looks up a session in the named relation for `RESUME`: the live
@@ -755,17 +652,6 @@ impl Server {
             .find(|(aid, _)| *aid == id)
             .map(|(_, a)| a);
         Ok((sess, answer))
-    }
-
-    /// Groups one relation's tick answers by query shape for broadcast
-    /// fan-out (see [`SessionRegistry::broadcast_groups`]): the front-end
-    /// serializes one payload per group instead of one per session.
-    pub fn broadcast_groups_in<'a>(
-        &self,
-        name: &str,
-        answers: &'a [(SessionId, Answer)],
-    ) -> Result<Vec<crate::session::Broadcast<'a>>, ServerError> {
-        Ok(self.tenant(name)?.sessions().broadcast_groups(answers))
     }
 
     /// Run-level accounting for one relation: the fold of every processed
@@ -846,56 +732,45 @@ impl Server {
         Ok(result)
     }
 
-    /// Journals (durable servers) and commits one executed tick into its
-    /// tenant. Write-ahead order: the tick record is fsync'd before
-    /// anything of the tenant moves — session counters, cost model, warm
-    /// state, history — so a failed append leaves the tenant exactly as the
-    /// journal describes it.
+    /// Commits one executed tick: builds the tick record from the tenant's
+    /// counters and the execution's outcome and sends it down the one write
+    /// path, so nothing of the tenant — session counters, cost model, warm
+    /// state, history — moves unless the record is journaled first. The
+    /// snapshot check is the caller's (a multi-relation tick checks once).
     fn commit_tick(&mut self, idx: usize, exec: TickExec) -> Result<TickResult, ServerError> {
         let TickExec {
             outcome,
             stats,
-            warm_now,
+            warm,
             trained,
         } = exec;
-        let tenant = &mut self.catalog.tenants_mut()[idx];
-        if let (Some(d), Some(warm)) = (&mut self.durability, &warm_now) {
-            let (model, predicates) = match &trained {
-                Some((model, predicates)) => (model, predicates),
-                None => (&tenant.calibrator, &tenant.predicates),
-            };
-            d.store.append(&JournalEvent::Tick(Box::new(TickRecord {
-                relation: tenant.id.0,
-                tick: tenant.ticks + 1,
-                rate: stats.rate,
-                shed: tenant.shed,
-                budget_exhausted: outcome.budget_exhausted,
-                stats,
-                sessions: outcome.sessions.clone(),
-                answers: outcome.answers.clone(),
-                warm: warm.clone(),
-                calibration: calibration_state(model, predicates),
-            })))?;
-        }
-        tenant.registry.apply_tick(&outcome.sessions);
-        if let Some((model, predicates)) = trained {
-            tenant.calibrator = model;
-            tenant.predicates = predicates;
-        }
-        if let Some(warm) = warm_now {
-            tenant.warm.insert(stats.rate.to_bits(), warm);
-        }
-        tenant.history.push(stats);
-        tenant.ticks += 1;
-        tenant.last_answers = outcome.answers.clone();
-        Ok(TickResult {
+        let tenant = &self.catalog.tenants()[idx];
+        let (model, predicates) = match &trained {
+            Some((model, predicates)) => (model, predicates),
+            None => (&tenant.calibrator, &tenant.predicates),
+        };
+        let result = TickResult {
             relation: tenant.id,
-            tick: tenant.ticks,
+            tick: tenant.ticks + 1,
             rate: stats.rate,
-            answers: outcome.answers,
+            answers: outcome.answers.clone(),
             stats,
             budget_exhausted: outcome.budget_exhausted,
-        })
+        };
+        let event = JournalEvent::Tick(Box::new(TickRecord {
+            relation: tenant.id.0,
+            tick: result.tick,
+            rate: stats.rate,
+            shed: tenant.shed,
+            budget_exhausted: outcome.budget_exhausted,
+            stats,
+            sessions: outcome.sessions,
+            answers: outcome.answers,
+            warm,
+            calibration: calibration_state(model, predicates),
+        }));
+        self.journal_and_apply(event)?;
+        Ok(result)
     }
 
     /// Processes one tick across several relations under **one** work
@@ -1019,10 +894,7 @@ impl Server {
     /// serve loop) — a `QUIT` from one client is connection-scoped and
     /// does not reach here.
     pub fn shutdown(&mut self) -> Result<(), ServerError> {
-        if self.durability.is_some() {
-            self.write_snapshot()?;
-        }
-        Ok(())
+        self.write_snapshot()
     }
 
     /// Writes a periodic snapshot once enough journal events have
@@ -1043,49 +915,28 @@ impl Server {
     /// every relation's definition, so a snapshot-seeded recovery is as
     /// self-describing as a journal fold.
     fn write_snapshot(&mut self) -> Result<(), ServerError> {
-        let seq = match &self.durability {
-            Some(d) => d.store.next_snapshot_seq(),
-            None => return Ok(()),
+        let Some(d) = &self.durability else {
+            return Ok(());
         };
+        let seq = d.store.next_snapshot_seq();
         // Marker first: the snapshot's event count then covers the marker
         // itself, and recovery's replay tail is empty after a clean write.
-        let snap = {
-            let d = self.durability.as_mut().expect("checked durable above");
-            d.store.append(&JournalEvent::SnapshotMarker { seq })?;
-            SnapshotRecord {
-                seq,
-                journal_events: d.store.journal_events(),
-                // Coverage ends exactly where the journal does right now
-                // (the marker just appended is the last covered byte).
-                coverage: d.store.journal_position(),
-                next_relation_id: self.catalog.next_id().0,
-                relations: self
-                    .catalog
-                    .tenants()
-                    .iter()
-                    .map(|t| RelationSnapshot {
-                        relation: t.id().0,
-                        def: t.def_record(),
-                        next_session_id: t.sessions().next_id(),
-                        ticks: t.ticks,
-                        shed: t.shed,
-                        sessions: t.sessions().sessions().to_vec(),
-                        history: t.history.clone(),
-                        warm: t
-                            .warm
-                            .iter()
-                            .map(|(&bits, objects)| WarmRateRecord {
-                                rate: f64::from_bits(bits),
-                                objects: objects.clone(),
-                            })
-                            .collect(),
-                        answers: t.last_answers.clone(),
-                        calibration: calibration_state(&t.calibrator, &t.predicates),
-                    })
-                    .collect(),
-            }
-        };
+        self.journal_and_apply(JournalEvent::SnapshotMarker { seq })?;
         let d = self.durability.as_mut().expect("checked durable above");
+        let snap = SnapshotRecord {
+            seq,
+            journal_events: d.store.journal_events(),
+            // Coverage ends exactly where the journal does right now
+            // (the marker just appended is the last covered byte).
+            coverage: d.store.journal_position(),
+            next_relation_id: self.catalog.next_id().0,
+            relations: self
+                .catalog
+                .tenants()
+                .iter()
+                .map(Tenant::snapshot)
+                .collect(),
+        };
         let report = d.store.write_snapshot(&snap)?;
         d.events_at_last_snapshot = snap.journal_events;
         if report.segments_deleted > 0 {
@@ -1175,14 +1026,14 @@ impl Server {
 }
 
 /// Everything [`execute_tenant_tick`] produced. Nothing of the tenant has
-/// moved yet: committing — journal append, then session counters, cost
-/// model, warm state and history — is the caller's job, preserving
-/// write-ahead order across both the single- and multi-relation tick paths.
+/// moved yet: that is [`Server::commit_tick`]'s job, on both the single- and
+/// the multi-relation tick path.
 struct TickExec {
     outcome: sched::TickOutcome,
     stats: TickStats,
-    /// End-of-tick state of every pool object (durable servers).
-    warm_now: Option<Vec<WarmObjectRecord>>,
+    /// End-of-tick state of every pool object (durable servers; empty in
+    /// memory, where nothing would ever read it back).
+    warm: Vec<WarmObjectRecord>,
     /// The cost model and predicate counters as this tick trained them
     /// (calibrated servers).
     trained: Option<(Calibrator, PredicateStats)>,
@@ -1233,7 +1084,7 @@ fn execute_tenant_tick<O: ExecObserver>(
     let warm_prior: Option<&Vec<WarmObjectRecord>> = tenant
         .warm
         .get(&rate.to_bits())
-        .filter(|p| durable && p.len() == tenant.relation.bonds().len());
+        .filter(|p| p.len() == tenant.relation.bonds().len());
     let mut pool = match warm_prior {
         Some(objs) => SharedPool::invoke_warm(
             pricer,
@@ -1283,7 +1134,7 @@ fn execute_tenant_tick<O: ExecObserver>(
 
     // End-of-tick object state, with lifetime counters accumulated across
     // warm re-admissions at this rate.
-    let warm_now = durable.then(|| {
+    let warm = if durable {
         (0..pool.len())
             .map(|i| WarmObjectRecord {
                 bounds: pool.bounds(i),
@@ -1292,12 +1143,14 @@ fn execute_tenant_tick<O: ExecObserver>(
                 cost: pool.cumulative_cost(i),
             })
             .collect()
-    });
+    } else {
+        Vec::new()
+    };
 
     Ok(TickExec {
         outcome,
         stats,
-        warm_now,
+        warm,
         trained,
     })
 }
@@ -1323,6 +1176,11 @@ fn validate_query_structure(query: &Query, n: usize) -> Result<(), ServerError> 
                 if !(weight.is_finite() && weight >= 0.0) {
                     return Err(VaoError::InvalidWeight { index, weight }.into());
                 }
+            }
+            // Finite weights can still add up past `f64`, and SUM's bounds
+            // with them (`validate_floor` covers the products).
+            if !weights.iter().sum::<f64>().is_finite() {
+                return Err(ServerError::WeightSumOverflow);
             }
         }
         Query::Ave { epsilon } | Query::Max { epsilon } | Query::Min { epsilon } => {
@@ -1350,14 +1208,20 @@ fn validate_query_structure(query: &Query, n: usize) -> Result<(), ServerError> 
     Ok(())
 }
 
-/// Per-tick ε floor checks against the live pool (footnote 10: ε below
-/// the achievable `minWidth` floor is an error, not a hang).
+/// Per-tick checks of every session against the freshly invoked pool: ε
+/// below the achievable `minWidth` floor is an error, not a hang (footnote
+/// 10), and so is a SUM whose interval is not finite.
 fn validate_floor(registry: &SessionRegistry, pool: &SharedPool) -> Result<(), ServerError> {
     for sess in registry.sessions() {
         match &sess.query {
             Query::Selection { .. } | Query::Count { .. } => {}
             Query::Sum { weights, epsilon } => {
                 PrecisionConstraint::new(*epsilon)?.validate_weighted(pool.objects(), weights)?;
+                // Weights that pass the subscribe-time sum check can still
+                // overflow against the prices (or were journaled before the
+                // check existed): a typed error on every tick until the
+                // session is unsubscribed, not `Bounds::new`'s panic.
+                checked_sum_interval(pool, weights)?;
             }
             Query::Ave { epsilon } => {
                 let uniform = vec![1.0 / pool.len() as f64; pool.len()];
@@ -1484,6 +1348,7 @@ impl<A: ExecObserver, B: ExecObserver> ExecObserver for Fanout<'_, A, B> {
 mod tests {
     use super::*;
     use bondlab::{BondUniverse, RateSeries};
+    use va_persist::record::{RelationSnapshot, WarmRateRecord};
     use vao::cost::{CalCell, CAL_CLASSES};
     use vao::Bounds;
 
@@ -1632,11 +1497,7 @@ mod tests {
             est_sum: 1 << 16,
             actual_sum: 0,
         }; CAL_CLASSES];
-        recovered
-            .catalog
-            .get_mut(RelationId(1))
-            .expect("default tenant")
-            .calibrator = Calibrator::from_cells(poisoned);
+        recovered.catalog.tenants_mut()[0].calibrator = Calibrator::from_cells(poisoned);
 
         let mut rec = Recorder::new();
         let res = recovered
@@ -2343,8 +2204,7 @@ mod tests {
             skipped_snapshots: Vec::new(),
             swept_tmp_files: 0,
         };
-        let mut catalog = Catalog::new();
-        fold_into_catalog(&mut catalog, recovered).unwrap();
+        let catalog = fold_into_catalog(recovered).unwrap();
         assert_eq!(catalog.len(), 2, "relation 2 appears from its tail");
         let warm = &catalog.get(RelationId(1)).unwrap().warm;
         assert_eq!(warm.len(), 2);
@@ -2474,6 +2334,141 @@ mod tests {
             Err(ServerError::Vao(VaoError::EmptyInput))
         ));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journaled_overflowing_sum_opens_and_ticks_to_a_typed_error() {
+        // What a server without the subscribe-time sum check could journal:
+        // finite weights whose weighted interval is `[inf, inf]`, which used
+        // to panic in `Bounds::new` on every tick, restart after restart.
+        let dir = scratch_dir("sum-overflow");
+        let open = || {
+            Server::open_durable(
+                BondPricer::default(),
+                small_relation(),
+                ServerConfig::default(),
+                &dir,
+            )
+        };
+        let sum = |weight: f64| Query::Sum {
+            weights: vec![weight; 8],
+            epsilon: 1e307,
+        };
+        drop(open().unwrap());
+        {
+            let (mut store, _, _) = va_persist::Store::open(&dir).unwrap();
+            store
+                .append(&JournalEvent::Subscribe {
+                    relation: 1,
+                    session: 1,
+                    priority: 1,
+                    query: sum(1e308),
+                })
+                .unwrap();
+        }
+        let mut srv = open().unwrap();
+        let non_finite = |res: Result<TickResult, ServerError>| {
+            matches!(res, Err(ServerError::Vao(VaoError::NonFiniteBounds { .. })))
+        };
+        assert!(non_finite(srv.tick(0.0583)));
+        assert!(matches!(
+            srv.subscribe(sum(1e308), 1),
+            Err(ServerError::WeightSumOverflow)
+        ));
+        // A finite sum can still overflow against the prices: admitted, and
+        // the same typed error per tick.
+        srv.unsubscribe(SessionId(1)).unwrap();
+        let id = srv.subscribe(sum(1e306), 1).unwrap();
+        assert!(non_finite(srv.tick(0.0583)));
+        assert_eq!(srv.ticks(), 0, "a refused tick is not a tick");
+        srv.unsubscribe(id).unwrap();
+        srv.subscribe(Query::Max { epsilon: 0.5 }, 1).unwrap();
+        assert!(srv.tick(0.0583).unwrap().answers[0].1.is_final());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The `"relations"` array of the one snapshot file in `dir`.
+    fn snapshot_relations(dir: &Path) -> String {
+        let mut snapshots = dir_contents(dir)
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("snapshot-"));
+        let (_, bytes) = snapshots.next().expect("a snapshot file");
+        assert!(snapshots.next().is_none(), "one snapshot file");
+        let text = String::from_utf8(bytes).unwrap();
+        text[text.find("\"relations\":").expect("relations field")..].to_string()
+    }
+
+    #[test]
+    fn replaying_the_journal_rebuilds_the_live_state_byte_for_byte() {
+        // One script with every event kind, then the same catalog state by
+        // two routes: the live server that executed it, and a fold of the
+        // journal it wrote (no snapshot to start from). Both end in a
+        // snapshot; every relation section must come out byte-equal.
+        let live_dir = scratch_dir("live");
+        let replay_dir = scratch_dir("replay");
+        let pricer = BondPricer::default();
+        let config = ServerConfig::budgeted(6_000).with_calibration(true);
+        let predicate = Query::Selection {
+            op: vao::ops::selection::CmpOp::Gt,
+            constant: 100.0,
+        };
+        {
+            let mut srv = Server::open_durable_catalog(pricer, config, &live_dir).unwrap();
+            srv.create_relation("rates", relation_of(8, 42), Some(42))
+                .unwrap();
+            srv.create_relation("doomed", relation_of(4, 9), None)
+                .unwrap();
+            srv.subscribe_to("doomed", Query::Min { epsilon: 0.5 }, 1)
+                .unwrap();
+            srv.drop_relation("doomed").unwrap();
+            srv.create_relation("energy", relation_of(6, 7), None)
+                .unwrap();
+            srv.add_bond("energy", 0.05, 10.0, 100.0).unwrap();
+            srv.subscribe_to("rates", Query::Max { epsilon: 0.05 }, 0)
+                .unwrap();
+            srv.subscribe_to("rates", predicate, 3).unwrap();
+            let gone = srv
+                .subscribe_to("rates", Query::Min { epsilon: 0.5 }, 1)
+                .unwrap();
+            srv.subscribe_to("energy", Query::Ave { epsilon: 0.5 }, 1)
+                .unwrap();
+            srv.tick_relation("rates", 0.0583).unwrap();
+            srv.unsubscribe_in("rates", gone).unwrap();
+            srv.tick_multi(&[("rates", 0.0601), ("energy", 0.0583)])
+                .unwrap();
+            // A repeated rate: warm re-admission, accumulated counters.
+            srv.tick_relation("rates", 0.0583).unwrap();
+            srv.shutdown().unwrap();
+        }
+        std::fs::create_dir_all(&replay_dir).unwrap();
+        for (name, bytes) in dir_contents(&live_dir) {
+            if !name.starts_with("snapshot-") {
+                std::fs::write(replay_dir.join(name), bytes).unwrap();
+            }
+        }
+        let mut replayed = Server::open_durable_catalog(pricer, config, &replay_dir).unwrap();
+        let report = replayed.last_recovery().unwrap();
+        assert_eq!(report.snapshot_seq, None);
+        assert_eq!(
+            report.replayed_events, 16,
+            "the whole journal, marker included"
+        );
+        replayed.shutdown().unwrap();
+
+        let live = snapshot_relations(&live_dir);
+        assert_eq!(live, snapshot_relations(&replay_dir));
+        // The script left something in every field a section has.
+        for field in [
+            "\"calibration\":{",
+            "\"warm\":[{",
+            "\"history\":[{",
+            "\"sessions\":[{",
+        ] {
+            assert!(live.contains(field), "{field} missing from {live}");
+        }
+        for dir in [live_dir, replay_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

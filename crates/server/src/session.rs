@@ -31,13 +31,14 @@ impl SessionRegistry {
         }
     }
 
-    /// Registers a query, returning its new session id. Priority is
+    /// Registers a query under the next free id, returning it. Priority is
     /// clamped to ≥ 1 (a zero priority would erase the query's benefits
-    /// from the global score entirely).
+    /// from the global score entirely). A server admits sessions through
+    /// [`SessionRegistry::restore`] — the id and the clamped priority ride
+    /// in its `Subscribe` event — so this is for registries built by hand.
     pub fn register(&mut self, query: Query, priority: u32) -> SessionId {
         let id = SessionId(self.next);
-        self.next += 1;
-        self.sessions.push(Session {
+        self.restore(Session {
             id,
             query,
             priority: priority.max(1),
@@ -48,11 +49,11 @@ impl SessionRegistry {
         id
     }
 
-    /// Re-installs a session restored from a snapshot or journal, keeping
-    /// its original id and counters. The id high-water mark advances past
-    /// the restored id so the recovered server never re-issues it — even
-    /// when the session itself was unsubscribed before the crash and only
-    /// its id survives (see [`SessionRegistry::reserve_through`]). Ids are
+    /// Installs a session under the id it carries: one admitted by a
+    /// `Subscribe` event (counters at zero) or read back from a snapshot
+    /// (counters as captured). The id high-water mark advances past it so
+    /// the id is never issued again — even once the session itself has
+    /// unsubscribed (see [`SessionRegistry::reserve_through`]). Ids are
     /// issued from 1 upward and the record parsers refuse `u64::MAX`, the
     /// one id `+ 1` would overflow on.
     pub fn restore(&mut self, session: Session) {
@@ -61,9 +62,9 @@ impl SessionRegistry {
     }
 
     /// Advances the id high-water mark so no id `<= id` is ever issued
-    /// again. Recovery calls this for journaled subscriptions whose
-    /// sessions are already gone (unsubscribed before the crash): the
-    /// session has no state to restore, but its id must stay burned.
+    /// again. A snapshot restore calls this with the captured high-water
+    /// mark: a session that unsubscribed before the snapshot has no state
+    /// to restore, but its id must stay burned.
     pub fn reserve_through(&mut self, id: SessionId) {
         self.next = self.next.max(id.0 + 1);
     }
@@ -94,10 +95,9 @@ impl SessionRegistry {
         &self.sessions
     }
 
-    /// Applies one executed tick's per-session outcome deltas: the one
-    /// accounting step behind a live commit (after the tick is journaled)
-    /// and behind the replay of its journal record. A delta for a session
-    /// that has since unsubscribed has nothing to count against.
+    /// Applies one executed tick's per-session outcome deltas (the `Tick`
+    /// arm of [`crate::Catalog::apply`]). A delta for a session that has
+    /// since unsubscribed has nothing to count against.
     pub fn apply_tick(&mut self, deltas: &[SessionTickRecord]) {
         for delta in deltas {
             if let Some(sess) = self.sessions.iter_mut().find(|s| s.id.0 == delta.session) {

@@ -370,3 +370,15 @@ fn a_heavyhitters_k_beyond_the_relation_gets_an_error() {
         "operator requires at least one result object",
     );
 }
+
+#[test]
+fn sum_weights_that_overflow_get_an_error() {
+    // Each weight is finite, their sum is not. Used to be SUBSCRIBED (and
+    // journaled), then panic in `Bounds::new` on the next tick's first
+    // weighted interval.
+    let weights = ["1e308"; BONDS].join(",");
+    let line = format!(
+        r#"{{"type":"SUBSCRIBE","query":{{"kind":"sum","epsilon":1e307,"weights":[{weights}]}}}}"#
+    );
+    refused_and_still_serving(&[&line], "SUM weights must add up to a finite number");
+}

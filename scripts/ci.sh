@@ -55,7 +55,10 @@
 #                                  two relations, SIGKILL, restart with *no*
 #                                  relation flags (the dir is
 #                                  self-describing), RESUME both tenants and
-#                                  assert the dropped relation stayed dropped
+#                                  assert the dropped relation stayed dropped;
+#                                  then SIGTERM that server (no "default"
+#                                  relation) and require exit status 0 and
+#                                  the `stopped after` line
 #  11. batched-solver smoke    -- the SoA lane solver must produce answers
 #                                  bit-identical to the scalar executor on a
 #                                  small universe (numerics kernel identity +
@@ -397,8 +400,16 @@ expect "$POST" 'unknown relation \\"gamma\\"' "dropped relation resurfaced"
 expect "$POST" '"type":"TICK_DONE","relation":"alpha"' "no post-recovery alpha tick"
 expect "$POST" '"type":"TICK_DONE","relation":"beta"' "no post-recovery beta tick"
 expect_recovery_line "recovered from .* (2 relations"
+# The one clean stop in this script, on a server with no "default"
+# relation: SIGTERM must write the final snapshot, report the ticks of
+# every hosted relation (two each) and exit 0.
+kill -TERM "$SRV_PID"
+STATUS=0
+wait "$SRV_PID" || STATUS=$?
+[ "$STATUS" -eq 0 ] || { echo "SIGTERM stop exited $STATUS"; cat "$SRV_LOG"; exit 1; }
+grep -q 'stopped after 4 ticks' "$SRV_LOG" || { echo "no stopped-after line"; cat "$SRV_LOG"; exit 1; }
 end_smoke
-echo "    multi-relation tenancy smoke ok (catalog recovered flag-free across SIGKILL)"
+echo "    multi-relation tenancy smoke ok (catalog recovered flag-free across SIGKILL, clean SIGTERM stop)"
 
 echo "==> batched SoA solver == scalar executor smoke, solver and operator goldens"
 cargo test -q -p va-numerics --lib tridiag::tests::batched_solve_is_bit_identical_to_scalar_lanes
