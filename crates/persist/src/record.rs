@@ -222,14 +222,14 @@ pub struct TickRecord {
     pub warm: Vec<WarmObjectRecord>,
     /// End-of-tick cost-calibration state, when the relation runs with
     /// calibration enabled. `None` (the field is absent) while the model
-    /// is cold.
+    /// has observed nothing.
     pub calibration: Option<CalibrationState>,
 }
 
 /// Persisted online cost-calibration state: the scheduler's learned
 /// estimated-vs-actual cost model plus the per-predicate pass/fail
 /// frequencies Selection demand ordering learns from. Versioned, and
-/// absent-when-cold: a record without the field parses as a cold model.
+/// absent while untouched: a record without the field carries no state.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CalibrationState {
     /// Per-magnitude-class `(observations, est_sum, actual_sum)` cells,
@@ -325,7 +325,7 @@ pub struct RelationSnapshot {
     /// Last delivered answer per session, in registration order.
     pub answers: Vec<(SessionId, Answer)>,
     /// Cost-calibration state at snapshot time (`None`, and absent from
-    /// the document, while the model is cold).
+    /// the document, while the model has observed nothing).
     pub calibration: Option<CalibrationState>,
 }
 
@@ -551,8 +551,8 @@ fn calibration_json(c: &CalibrationState) -> String {
 }
 
 /// The `,"calibration":{..}` tail of a tick record or snapshot section:
-/// empty while the model is cold, so an uncalibrated run writes the bytes
-/// a server without calibration would.
+/// empty while the model is untouched, so an uncalibrated run writes the
+/// bytes a server without calibration would.
 fn calibration_field(c: Option<&CalibrationState>) -> String {
     c.map_or(String::new(), |c| {
         format!(",\"calibration\":{}", calibration_json(c))
@@ -1015,7 +1015,7 @@ fn parse_calibration(doc: &Json) -> Result<CalibrationState, String> {
 }
 
 /// The optional `"calibration"` field shared by tick records and snapshot
-/// relation sections: absent (a cold model) parses as `None`.
+/// relation sections: absent (an untouched model) parses as `None`.
 fn parse_calibration_opt(doc: &Json) -> Result<Option<CalibrationState>, String> {
     doc.get("calibration").map(parse_calibration).transpose()
 }
@@ -1103,7 +1103,7 @@ fn parse_relation_snapshot(doc: &Json) -> Result<RelationSnapshot, String> {
 
 impl SnapshotRecord {
     /// Parses a snapshot document. Every field [`SnapshotRecord::to_json`]
-    /// writes is required except the absent-when-cold `calibration`; a
+    /// writes is required except the absent-while-untouched `calibration`; a
     /// document from another generation fails naming the field it lacks.
     pub fn parse(text: &str) -> Result<SnapshotRecord, String> {
         let doc = Json::parse(text)?;

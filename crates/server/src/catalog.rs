@@ -228,15 +228,19 @@ pub(crate) fn def_record(
     }
 }
 
-/// Captures calibration state for persistence, or `None` while the state
-/// is trivially cold. The cold case is deliberately *absent* rather than
-/// serialized: an uncalibrated run's journal bytes are bit-identical to a
-/// pre-calibration server's, and an absent field leaves cold state cold.
+/// Captures calibration state for persistence, or `None` while nothing
+/// has been observed. The untouched case is deliberately *absent* rather
+/// than serialized: an uncalibrated run's journal bytes are bit-identical
+/// to a pre-calibration server's, and an absent field leaves the state as
+/// it is. A model that has observed anything is carried even while every
+/// class is still below [`vao::cost::CAL_MIN_OBSERVATIONS`]: the event
+/// is the only way a tick's training reaches the tenant, so light ticks
+/// accumulate instead of each starting from the default model again.
 pub(crate) fn calibration_state(
     model: &Calibrator,
     predicates: &PredicateStats,
 ) -> Option<CalibrationState> {
-    if model.is_cold() && predicates.is_empty() {
+    if *model == Calibrator::default() && predicates.is_empty() {
         return None;
     }
     Some(CalibrationState {
@@ -324,10 +328,9 @@ impl Catalog {
                 tenant.history.push(t.stats);
                 tenant.registry.apply_tick(&t.sessions);
                 tenant.last_answers = t.answers;
-                // An in-memory server's ticks carry no warm state.
-                if !t.warm.is_empty() {
-                    tenant.warm.insert(t.rate.to_bits(), t.warm);
-                }
+                // An in-memory server's ticks carry an empty `warm`, which
+                // the tick's alignment filter never takes for a prior.
+                tenant.warm.insert(t.rate.to_bits(), t.warm);
                 if let Some(cal) = &t.calibration {
                     tenant.restore_calibration(cal);
                 }

@@ -482,9 +482,11 @@ impl FrontEnd {
         })
     }
 
-    /// The tenant a request addresses, under the name [`FrontEnd::resolve`]
-    /// gives it: the request's one catalog lookup. A miss queues the typed
-    /// unknown-relation `ERROR` line.
+    /// Looks up the tenant a request addresses, under the name
+    /// [`FrontEnd::resolve`] gives it, and on a miss answers the request
+    /// with the typed unknown-relation `ERROR` line. The front end's one
+    /// lookup per request: the name-addressed [`Server`] method the arm
+    /// then calls resolves the name once more, as every such method does.
     fn tenant<'s>(
         &mut self,
         i: usize,

@@ -456,7 +456,7 @@ pub(crate) fn run_tick<O: ExecObserver>(
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)] // mirrors run_tick's knobs
 pub fn audited_tick(
-    registry: &mut SessionRegistry,
+    registry: &SessionRegistry,
     pool: &mut SharedPool,
     relation: &BondRelation,
     workers: usize,

@@ -1349,7 +1349,7 @@ mod tests {
     use super::*;
     use bondlab::{BondUniverse, RateSeries};
     use va_persist::record::{RelationSnapshot, WarmRateRecord};
-    use vao::cost::{CalCell, CAL_CLASSES};
+    use vao::cost::{CalCell, CAL_CLASSES, CAL_MIN_OBSERVATIONS};
     use vao::Bounds;
 
     fn small_server(config: ServerConfig) -> Server {
@@ -2398,6 +2398,17 @@ mod tests {
         text[text.find("\"relations\":").expect("relations field")..].to_string()
     }
 
+    /// Copies the data dir `from` into a new dir `to`, snapshots left out:
+    /// what opens `to` recovers from the journal alone.
+    fn copy_without_snapshots(from: &Path, to: &Path) {
+        std::fs::create_dir_all(to).unwrap();
+        for (name, bytes) in dir_contents(from) {
+            if !name.starts_with("snapshot-") {
+                std::fs::write(to.join(name), bytes).unwrap();
+            }
+        }
+    }
+
     #[test]
     fn replaying_the_journal_rebuilds_the_live_state_byte_for_byte() {
         // One script with every event kind, then the same catalog state by
@@ -2440,12 +2451,7 @@ mod tests {
             srv.tick_relation("rates", 0.0583).unwrap();
             srv.shutdown().unwrap();
         }
-        std::fs::create_dir_all(&replay_dir).unwrap();
-        for (name, bytes) in dir_contents(&live_dir) {
-            if !name.starts_with("snapshot-") {
-                std::fs::write(replay_dir.join(name), bytes).unwrap();
-            }
-        }
+        copy_without_snapshots(&live_dir, &replay_dir);
         let mut replayed = Server::open_durable_catalog(pricer, config, &replay_dir).unwrap();
         let report = replayed.last_recovery().unwrap();
         assert_eq!(report.snapshot_seq, None);
@@ -2466,6 +2472,46 @@ mod tests {
         ] {
             assert!(live.contains(field), "{field} missing from {live}");
         }
+        for dir in [live_dir, replay_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn light_ticks_accumulate_training_live_and_through_the_journal() {
+        // A low-traffic tenant: each tick's budget buys fewer iterations
+        // than `CAL_MIN_OBSERVATIONS`, so no single tick warms a cost class.
+        // The training still has to reach the tenant, and the journal has
+        // to carry it: a server that crashes inside the cold window comes
+        // back with what the live one holds, and on both the second tick
+        // starts from there and warms the model.
+        let live_dir = scratch_dir("light-live");
+        let replay_dir = scratch_dir("light-replay");
+        let pricer = BondPricer::default();
+        let config = ServerConfig::budgeted(1_600).with_calibration(true);
+        let open =
+            |dir: &Path| Server::open_durable(pricer, small_relation(), config, dir).unwrap();
+        let mut live = open(&live_dir);
+        live.subscribe(Query::Max { epsilon: 0.05 }, 1).unwrap();
+        let first = live.tick(0.0583).unwrap().stats.iterations;
+        assert!((1..CAL_MIN_OBSERVATIONS).contains(&first));
+        let model = &live.default_tenant().calibrator;
+        assert!(model.is_cold() && model.observations() == first);
+
+        copy_without_snapshots(&live_dir, &replay_dir);
+        let mut replayed = open(&replay_dir);
+        assert_eq!(&replayed.default_tenant().calibrator, model);
+
+        for srv in [&mut live, &mut replayed] {
+            let second = srv.tick(0.0601).unwrap().stats.iterations;
+            assert!((1..CAL_MIN_OBSERVATIONS).contains(&second));
+            let model = &srv.default_tenant().calibrator;
+            assert!(!model.is_cold() && model.observations() == first + second);
+        }
+        assert_eq!(
+            live.default_tenant().calibrator,
+            replayed.default_tenant().calibrator
+        );
         for dir in [live_dir, replay_dir] {
             let _ = std::fs::remove_dir_all(dir);
         }

@@ -216,7 +216,7 @@ proptest! {
         for &rate in &rates[..if calibrate { 3 } else { 1 }] {
             let mut pool = pool_at(&pricer, &relation, rate, warm, &mut mix);
             let answers = audited_tick(
-                &mut registry,
+                &registry,
                 &mut pool,
                 &relation,
                 workers,
@@ -298,7 +298,7 @@ fn a_batched_round_cannot_leave_the_view_stale() {
         let mut last: Vec<Bounds> = (0..pool.len()).map(|i| pool.bounds(i)).collect();
         let widest_round = Cell::new(0usize);
         audited_tick(
-            &mut registry,
+            &registry,
             &mut pool,
             &relation,
             2,
