@@ -13,7 +13,8 @@ use crate::error::VaoError;
 use crate::interface::ResultObject;
 use crate::ops::drive::Driver;
 use crate::ops::minmax::AggregateConfig;
-use crate::ops::selection::CmpOp;
+use crate::ops::score::View;
+use crate::ops::selection::{decided, probe_benefit, CmpOp};
 use crate::strategy::Candidate;
 use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
 
@@ -85,25 +86,7 @@ pub fn count_vao_traced<R: ResultObject, O: ExecObserver>(
     );
 
     loop {
-        // Classify.
-        let mut count_lo = 0usize;
-        let mut unresolved = Vec::new();
-        for (i, o) in objs.iter().enumerate() {
-            match op.decide(&o.bounds(), constant) {
-                Some(true) => count_lo += 1,
-                Some(false) => {}
-                None => {
-                    if o.converged() {
-                        // minWidth resolution: value treated as equal.
-                        if op.outcome_at_equality() {
-                            count_lo += 1;
-                        }
-                    } else {
-                        unresolved.push(i);
-                    }
-                }
-            }
-        }
+        let (count_lo, unresolved) = classify(&*objs, op, constant);
         if unresolved.len() <= slack {
             return Ok(CountResult {
                 count_lo,
@@ -117,19 +100,27 @@ pub fn count_vao_traced<R: ResultObject, O: ExecObserver>(
         // when the estimate already clears the constant (it would decide).
         let candidates: Vec<Candidate> = unresolved
             .iter()
-            .map(|&i| {
-                let b = objs[i].bounds();
-                let eb = objs[i].est_bounds();
-                let mut benefit = (eb.lo() - b.lo()).max(0.0) + (b.hi() - eb.hi()).max(0.0);
-                if op.decide(&eb, constant).is_some() {
-                    benefit += b.width();
-                }
-                Candidate::of(i, &objs[i], benefit)
-            })
+            .map(|&i| Candidate::of(i, &objs[i], probe_benefit(&*objs, i, op, constant)))
             .collect();
         let chosen = drive.choose(&mut config.policy, &candidates)?;
         drive.step(&mut objs[chosen], chosen)?;
     }
+}
+
+/// COUNT's classification pass: `(proven count, undecided objects)`, an
+/// object counting as proven when it is [`decided`] to satisfy the
+/// predicate (`minWidth` resolution included).
+#[must_use]
+pub fn classify<V: View + ?Sized>(v: &V, op: CmpOp, constant: f64) -> (usize, Vec<usize>) {
+    let mut count_lo = 0usize;
+    let mut unresolved = Vec::new();
+    for i in 0..v.len() {
+        match decided(v, i, op, constant) {
+            Some(d) => count_lo += usize::from(d.satisfied),
+            None => unresolved.push(i),
+        }
+    }
+    (count_lo, unresolved)
 }
 
 #[cfg(test)]

@@ -8,15 +8,15 @@
 //! guarded `iterate()` call — the only one under `ops/`; the heap-indexed
 //! SUM, `calibrate` and `oracle_max` keep their own loops around
 //! [`Driver::step`]. [`separate_top`] is the guess-and-reduce separation of
-//! §5.1 that MAX, MIN, Top-K and the order statistics all run, and
-//! [`refine`] the tail that narrows an identified object to ε.
-
-use std::cmp::Ordering;
+//! §5.1 that MAX, MIN, Top-K and the order statistics all run — the loop
+//! around [`score`](super::score)'s contest and benefits — and [`refine`]
+//! the tail that narrows an identified object to ε.
 
 use crate::bounds::Bounds;
 use crate::cost::{Work, WorkBreakdown, WorkMeter};
 use crate::error::VaoError;
 use crate::interface::ResultObject;
+use crate::ops::score::{by_hi_then_lo, contest, score_separation, separated, RankOrder};
 use crate::precision::PrecisionConstraint;
 use crate::strategy::{Candidate, ChoicePolicy};
 use crate::trace::{ExecObserver, IterationRecord, NoopObserver, OperatorEndRecord, OperatorKind};
@@ -175,84 +175,6 @@ pub(super) fn refine<R: ResultObject, O: ExecObserver>(
     Ok(())
 }
 
-/// Descending rank order of a separation: `Less` ranks first. Exact ties
-/// keep the order of the pool the separation was given.
-pub(super) type RankOrder = fn(Bounds, Bounds) -> Ordering;
-
-/// Highest upper bound first, ties to the higher lower bound: the order of
-/// [`separate_top`].
-pub(super) fn by_hi_then_lo(a: Bounds, b: Bounds) -> Ordering {
-    by_hi(a, b).then(b.lo().total_cmp(&a.lo()))
-}
-
-/// Highest upper bound first and nothing else — over negated views, the
-/// lowest lower bound: the guess of the order statistics' inner MIN phase.
-pub(super) fn by_hi(a: Bounds, b: Bounds) -> Ordering {
-    b.hi().total_cmp(&a.hi())
-}
-
-/// The presumed member set and what still contests it: the `k` first of
-/// `pool` under `order`, the **boundary holder** (the member with the
-/// lowest lower bound θ; the first such in rank order), and the outsiders
-/// whose upper bound still reaches θ, in pool order.
-pub(super) fn contest<R: ResultObject>(
-    objs: &[R],
-    pool: &[usize],
-    k: usize,
-    order: RankOrder,
-) -> (Vec<usize>, usize, Vec<usize>) {
-    // Read each object's bounds once per round, not once per comparison.
-    let bounds: Vec<Bounds> = objs.iter().map(R::bounds).collect();
-    let mut members = pool.to_vec();
-    members.sort_by(|&a, &b| order(bounds[a], bounds[b]));
-    members.truncate(k);
-    let &holder = members
-        .iter()
-        .min_by(|&&a, &&b| bounds[a].lo().total_cmp(&bounds[b].lo()))
-        .expect("k >= 1");
-    let theta = bounds[holder].lo();
-    let unresolved = pool
-        .iter()
-        .copied()
-        .filter(|i| !members.contains(i) && bounds[*i].hi() >= theta)
-        .collect();
-    (members, holder, unresolved)
-}
-
-/// Scores one candidate iteration per non-converged object in contention.
-///
-/// For an outsider `o_i`, only lowering `o_i.H` toward `estH` reduces its
-/// overlap with the boundary, and the reduction is capped by the current
-/// overlap `o_i.H − θ` (§5.1's worked example). For the boundary holder,
-/// raising `L` toward `estL` reduces its overlap with *every* unresolved
-/// outsider simultaneously.
-pub(super) fn score<R: ResultObject>(
-    objs: &[R],
-    holder: usize,
-    unresolved: &[usize],
-) -> Vec<Candidate> {
-    let theta = objs[holder].bounds().lo();
-    let mut candidates = Vec::with_capacity(unresolved.len() + 1);
-    if !objs[holder].converged() {
-        let est_raise = (objs[holder].est_bounds().lo() - theta).max(0.0);
-        let benefit: f64 = unresolved
-            .iter()
-            .map(|&j| (objs[j].bounds().hi() - theta).max(0.0).min(est_raise))
-            .sum();
-        candidates.push(Candidate::of(holder, &objs[holder], benefit));
-    }
-    for &i in unresolved {
-        if objs[i].converged() {
-            continue;
-        }
-        let hi = objs[i].bounds().hi();
-        let overlap = (hi - theta).max(0.0);
-        let est_drop = (hi - objs[i].est_bounds().hi()).max(0.0);
-        candidates.push(Candidate::of(i, &objs[i], overlap.min(est_drop)));
-    }
-    candidates
-}
-
 /// Guess-and-reduce separation (§5.1): iterates until the `k` objects of
 /// `pool` that rank first under `order` are separated from the rest of the
 /// pool — every outsider provably below the members' boundary θ, or
@@ -270,15 +192,15 @@ pub(super) fn separate<R: ResultObject, O: ExecObserver>(
     drive: &mut Driver<'_, O>,
 ) -> Result<(Vec<usize>, Vec<usize>), VaoError> {
     loop {
-        let (members, holder, unresolved) = contest(objs, pool, k, order);
-        // Stopping case 1: nobody reaches θ. Case 2: those who do, and the
-        // holder, are as accurate as they get.
-        let separated = unresolved.is_empty()
-            || (objs[holder].converged() && unresolved.iter().all(|&i| objs[i].converged()));
-        if separated {
+        let (members, holder, unresolved) = contest(&*objs, pool, k, order);
+        if separated(&*objs, holder, &unresolved) {
             return Ok((members, unresolved));
         }
-        let chosen = drive.choose(policy, &score(objs, holder, &unresolved))?;
+        let mut candidates = Vec::with_capacity(unresolved.len() + 1);
+        score_separation(&*objs, holder, &unresolved, |i, benefit| {
+            candidates.push(Candidate::of(i, &objs[i], benefit));
+        });
+        let chosen = drive.choose(policy, &candidates)?;
         drive.step(&mut objs[chosen], chosen)?;
     }
 }
@@ -339,18 +261,6 @@ mod tests {
             .collect();
         assert_eq!(touched.len() as u64, iterations);
         assert!(touched.iter().all(|&i| i < 2));
-    }
-
-    #[test]
-    fn exact_ties_keep_the_pool_order_unless_the_order_breaks_them() {
-        // Equal H; `by_hi_then_lo` prefers the higher L, `by_hi` the pool.
-        let objs = vec![
-            ScriptedObject::converging(&[(90.0, 120.0)], 1, 0.01),
-            ScriptedObject::converging(&[(92.0, 120.0)], 1, 0.01),
-        ];
-        assert_eq!(contest(&objs, &[0, 1], 1, by_hi_then_lo).0, vec![1]);
-        assert_eq!(contest(&objs, &[0, 1], 1, by_hi).0, vec![0]);
-        assert_eq!(contest(&objs, &[1, 0], 1, by_hi).0, vec![1]);
     }
 
     #[test]

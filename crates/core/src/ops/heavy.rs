@@ -34,6 +34,7 @@ use crate::error::VaoError;
 use crate::interface::ResultObject;
 use crate::ops::drive::Driver;
 use crate::ops::minmax::AggregateConfig;
+use crate::ops::score::{est_shrink, View};
 use crate::precision::PrecisionConstraint;
 use crate::strategy::Candidate;
 use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
@@ -132,65 +133,24 @@ pub fn heavy_hitters_vao_traced<R: ResultObject, O: ExecObserver>(
         observer,
     );
 
-    // At most one cell per object can be occupied, so `k` beyond that sizes
-    // nothing (and a hostile `k` allocates nothing).
-    let mut ss = SpaceSaving::new(k.min(objs.len()).saturating_mul(4).max(64));
-    let mut cm_resolved = CountMin::new(COUNTMIN_WIDTH, COUNTMIN_DEPTH);
-    let mut cm_pending = CountMin::new(COUNTMIN_WIDTH, COUNTMIN_DEPTH);
+    let mut summaries = HeavySummaries::new(k, objs.len());
     let mut touched = vec![false; objs.len()];
     loop {
-        ss.clear();
-        cm_resolved.clear();
-        cm_pending.clear();
-        let mut unresolved = Vec::new();
-        for (i, o) in objs.iter().enumerate() {
-            match resolved_cell(o, width) {
-                Some(c) => {
-                    ss.offer(c, 1);
-                    cm_resolved.add(c, 1);
-                }
-                None => unresolved.push(i),
-            }
-        }
-        if unresolved.is_empty() {
-            break;
-        }
-        // Charge every unresolved object to all cells it might land in.
-        for &i in &unresolved {
-            let b = objs[i].bounds();
-            let (c_lo, c_hi) = (cell_of(b.lo(), width), cell_of(b.hi(), width));
-            if c_hi - c_lo <= SPAN_PROBE_CAP {
-                for c in c_lo..=c_hi {
-                    cm_pending.add(c, 1);
-                }
-            }
-        }
-        let threshold = ss.kth_guaranteed(k).max(1);
-
+        let spans: Vec<CellSpan> = (0..objs.len())
+            .map(|i| cell_span(&*objs, i, width))
+            .collect();
+        summaries.rebuild(&spans);
         let mut candidates = Vec::new();
-        for &i in &unresolved {
-            let b = objs[i].bounds();
-            let (c_lo, c_hi) = (cell_of(b.lo(), width), cell_of(b.hi(), width));
-            let contended = c_hi - c_lo > SPAN_PROBE_CAP
-                || (c_lo..=c_hi)
-                    .any(|c| cm_resolved.estimate(c) + cm_pending.estimate(c) >= threshold);
-            if !contended {
-                continue;
-            }
-            let est = objs[i].est_bounds();
-            let shrink = (est.lo() - b.lo()).max(0.0) + (b.hi() - est.hi()).max(0.0);
+        for i in contended(&spans, &summaries, k) {
             // Landing in a single cell is worth a full cell width on top of
             // the raw shrink — it removes the object from the demand set.
-            let resolve_bonus = if cell_of(est.lo(), width) == cell_of(est.hi(), width) {
-                width
-            } else {
-                0.0
-            };
-            candidates.push(Candidate::of(i, &objs[i], shrink + resolve_bonus));
+            let benefit = resolve_benefit(&*objs, i, width, width);
+            candidates.push(Candidate::of(i, &objs[i], benefit));
         }
         if candidates.is_empty() {
-            // Every unresolved object is provably clear of the top-k: the
-            // membership and the member counts are already final.
+            // Nothing unresolved, or every unresolved object is provably
+            // clear of the top-k: the membership and the member counts are
+            // already final.
             break;
         }
         let idx = drive.choose(&mut config.policy, &candidates)?;
@@ -198,20 +158,179 @@ pub fn heavy_hitters_vao_traced<R: ResultObject, O: ExecObserver>(
         touched[idx] = true;
     }
 
-    // Finalize with an exact counting pass over the resolved objects — the
-    // sketches only ever steer iteration, never the reported counts.
-    let mut counts: BTreeMap<i64, u64> = BTreeMap::new();
-    for o in objs.iter() {
-        if let Some(c) = resolved_cell(o, width) {
-            *counts.entry(c).or_default() += 1;
+    let (cells, ties) = rank_cells(cell_counts(&*objs, width).0, k);
+    Ok(HeavyResult {
+        cells,
+        ties,
+        iterations: drive.finish(),
+        refined: touched.iter().filter(|&&t| t).count(),
+    })
+}
+
+/// Where an object stands against the ε-cell grid.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CellSpan {
+    /// The cell the object definitively occupies: whole bounds inside one
+    /// cell, or converged (deterministic midpoint assignment at the
+    /// `minWidth` floor).
+    Resolved(i64),
+    /// Still unresolved: the cells of its lower and upper bound.
+    Pending {
+        /// Cell of the lower bound.
+        lo: i64,
+        /// Cell of the upper bound.
+        hi: i64,
+    },
+}
+
+/// Object `i`'s [`CellSpan`] on the grid of cell width `width`.
+#[must_use]
+pub fn cell_span<V: View + ?Sized>(v: &V, i: usize, width: f64) -> CellSpan {
+    let b = v.bounds(i);
+    let (c_lo, c_hi) = (cell_of(b.lo(), width), cell_of(b.hi(), width));
+    if c_lo == c_hi {
+        CellSpan::Resolved(c_lo)
+    } else if v.converged(i) {
+        CellSpan::Resolved(cell_of(b.mid(), width))
+    } else {
+        CellSpan::Pending { lo: c_lo, hi: c_hi }
+    }
+}
+
+/// The cells an unresolved span is probed at: all of them, or `None` when
+/// the span is past [`SPAN_PROBE_CAP`] — such an object is contended
+/// outright and never charged. The subtraction saturates: extreme bounds
+/// put the two ends at opposite ends of the `i64` range.
+fn probed_cells(lo: i64, hi: i64) -> Option<std::ops::RangeInclusive<i64>> {
+    (hi.saturating_sub(lo) <= SPAN_PROBE_CAP).then_some(lo..=hi)
+}
+
+/// The frequency summaries over price cells that steer HEAVYHITTERS.
+#[derive(Clone, Debug)]
+pub struct HeavySummaries {
+    resolved: SpaceSaving,
+    cm_resolved: CountMin,
+    cm_pending: CountMin,
+}
+
+impl HeavySummaries {
+    /// Summaries for the `k` heaviest cells of `n` objects. At most `n`
+    /// cells can be occupied, so a `k` beyond `n` sizes nothing (and a
+    /// hostile `k` allocates nothing).
+    #[must_use]
+    pub fn new(k: usize, n: usize) -> Self {
+        Self {
+            resolved: SpaceSaving::new(k.min(n).saturating_mul(4).max(64)),
+            cm_resolved: CountMin::new(COUNTMIN_WIDTH, COUNTMIN_DEPTH),
+            cm_pending: CountMin::new(COUNTMIN_WIDTH, COUNTMIN_DEPTH),
         }
     }
+
+    /// Charges one object's span: a resolved object counts towards its
+    /// cell; an unresolved one charges every cell it might land in.
+    pub fn add(&mut self, span: CellSpan) {
+        match span {
+            CellSpan::Resolved(c) => {
+                self.resolved.offer(c, 1);
+                self.cm_resolved.add(c, 1);
+            }
+            CellSpan::Pending { lo, hi } => {
+                for c in probed_cells(lo, hi).into_iter().flatten() {
+                    self.cm_pending.add(c, 1);
+                }
+            }
+        }
+    }
+
+    /// Takes back what [`HeavySummaries::add`] charged for an unresolved
+    /// span — exactly, the grid being a sum of such charges.
+    pub fn remove_pending(&mut self, lo: i64, hi: i64) {
+        for c in probed_cells(lo, hi).into_iter().flatten() {
+            self.cm_pending.remove(c, 1);
+        }
+    }
+
+    /// Clears the summaries and charges `spans` in index order.
+    pub fn rebuild(&mut self, spans: &[CellSpan]) {
+        self.resolved.clear();
+        self.cm_resolved.clear();
+        self.cm_pending.clear();
+        for &span in spans {
+            self.add(span);
+        }
+    }
+
+    /// Whether the resolved-cell summary still equals, whatever the order
+    /// of its offers, a rebuild from the same spans (it has not replaced a
+    /// counter).
+    #[must_use]
+    pub fn is_exact(&self) -> bool {
+        self.resolved.is_exact()
+    }
+}
+
+/// The unresolved objects that are still *contended* under the summaries
+/// `s` (which must hold exactly `spans`), in index order: some cell the
+/// object overlaps could still reach the k-th heaviest count. Counts only
+/// grow as objects resolve, so the SpaceSaving guarantee on the current k-th
+/// count lower-bounds the final one; both sketches only ever overestimate,
+/// so pruning errs toward keeping objects.
+pub fn contended<'a>(
+    spans: &'a [CellSpan],
+    s: &'a HeavySummaries,
+    k: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    let threshold = s.resolved.kth_guaranteed(k).max(1);
+    spans.iter().enumerate().filter_map(move |(i, span)| {
+        let &CellSpan::Pending { lo, hi } = span else {
+            return None;
+        };
+        let reachable = |c| s.cm_resolved.estimate(c) + s.cm_pending.estimate(c) >= threshold;
+        probed_cells(lo, hi)
+            .is_none_or(|mut cells| cells.any(reachable))
+            .then_some(i)
+    })
+}
+
+/// The benefit of iterating contended object `i`: its estimated shrink,
+/// plus `bonus` when the estimate lands in a single cell (the iteration
+/// would resolve it).
+#[must_use]
+pub fn resolve_benefit<V: View + ?Sized>(v: &V, i: usize, width: f64, bonus: f64) -> f64 {
+    let eb = v.est_bounds(i);
+    let resolves = cell_of(eb.lo(), width) == cell_of(eb.hi(), width);
+    est_shrink(v, i) + if resolves { bonus } else { 0.0 }
+}
+
+/// Resolved objects per ε-cell, and how many objects are still unresolved.
+#[must_use]
+pub fn cell_counts<V: View + ?Sized>(v: &V, width: f64) -> (BTreeMap<i64, u64>, u64) {
+    let mut counts: BTreeMap<i64, u64> = BTreeMap::new();
+    let mut unresolved = 0u64;
+    for i in 0..v.len() {
+        match cell_span(v, i, width) {
+            CellSpan::Resolved(c) => *counts.entry(c).or_default() += 1,
+            CellSpan::Pending { .. } => unresolved += 1,
+        }
+    }
+    (counts, unresolved)
+}
+
+/// Exact top-`k` ranking of resolved cell counts — the final counting pass
+/// the sketches only ever steer towards, never decide: the top cells
+/// (descending count, ties by ascending cell) and the non-member cells
+/// tied with the last of them.
+#[must_use]
+pub fn rank_cells(counts: BTreeMap<i64, u64>, k: usize) -> (Vec<HeavyCell>, Vec<i64>) {
     let mut ranked: Vec<HeavyCell> = counts
         .into_iter()
         .map(|(cell, count)| HeavyCell { cell, count })
         .collect();
     ranked.sort_by(|a, b| b.count.cmp(&a.count).then(a.cell.cmp(&b.cell)));
     let take = k.min(ranked.len());
+    if take == 0 {
+        return (Vec::new(), Vec::new());
+    }
     let boundary = ranked[take - 1].count;
     let ties: Vec<i64> = ranked[take..]
         .iter()
@@ -219,27 +338,7 @@ pub fn heavy_hitters_vao_traced<R: ResultObject, O: ExecObserver>(
         .map(|c| c.cell)
         .collect();
     ranked.truncate(take);
-    Ok(HeavyResult {
-        cells: ranked,
-        ties,
-        iterations: drive.finish(),
-        refined: touched.iter().filter(|&&t| t).count(),
-    })
-}
-
-/// The cell an object definitively occupies, if any: its whole bounds fit
-/// in one cell, or it has converged (midpoint assignment at the `minWidth`
-/// floor).
-fn resolved_cell<R: ResultObject>(o: &R, width: f64) -> Option<i64> {
-    let b = o.bounds();
-    let (c_lo, c_hi) = (cell_of(b.lo(), width), cell_of(b.hi(), width));
-    if c_lo == c_hi {
-        Some(c_lo)
-    } else if o.converged() {
-        Some(cell_of(b.mid(), width))
-    } else {
-        None
-    }
+    (ranked, ties)
 }
 
 #[cfg(test)]
@@ -356,6 +455,43 @@ mod tests {
             }
         );
         assert!(res.ties.is_empty());
+    }
+
+    #[test]
+    fn a_span_across_the_whole_cell_range_is_contended_not_walked() {
+        // At ε = 1e-3 the wide object's bounds land in cells `i64::MIN` and
+        // `i64::MAX`: the span test must saturate, not overflow (a panic in
+        // a debug build) or wrap to −1 and probe 2^64 cells (a hang in a
+        // release one). Past the probe cap it is contended outright, gets
+        // iterated, and resolves.
+        let mut objs = vec![
+            ScriptedObject::converging(&[(-1e300, 1e300), (2.0001, 2.0004)], 10, 0.01),
+            ScriptedObject::converging(&[(0.0, 5.0), (2.0002, 2.0006)], 10, 0.01),
+        ];
+        assert_eq!(
+            cell_span(&objs[..], 0, 1e-3),
+            CellSpan::Pending {
+                lo: i64::MIN,
+                hi: i64::MAX
+            }
+        );
+        let mut meter = WorkMeter::new();
+        let res = heavy_hitters_vao(
+            &mut objs,
+            1,
+            PrecisionConstraint::new(1e-3).unwrap(),
+            &mut meter,
+        )
+        .unwrap();
+        assert_eq!(objs[0].position(), 1, "the wide object was contended");
+        assert_eq!(
+            res.cells,
+            vec![HeavyCell {
+                cell: 2000,
+                count: 2
+            }]
+        );
+        assert_eq!((res.iterations, res.refined), (2, 2));
     }
 
     #[test]

@@ -227,7 +227,8 @@ pub fn min_envelope<R: ResultObject>(objs: &[R]) -> Result<Bounds, VaoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::drive::{by_hi_then_lo, contest, score};
+    use crate::ops::score::{by_hi_then_lo, contest, score_separation};
+    use crate::strategy::Candidate;
     use crate::testkit::{ScriptedObject, ScriptedStep};
 
     /// The three objects of the paper's Table 2, with perfect estimates for
@@ -275,11 +276,14 @@ mod tests {
         // §5.1 computes estimated overlap reductions 1, 2 and 3 for o1, o2,
         // o3 and — with equal estCPU — picks o3 (the guess itself).
         let objs = table2_objects();
-        let (guess, holder, unresolved) = contest(&objs, &[0, 1, 2], 1, by_hi_then_lo);
+        let (guess, holder, unresolved) = contest(&objs[..], &[0, 1, 2], 1, by_hi_then_lo);
         assert_eq!(guess, vec![2], "o3 has the highest upper bound");
         assert_eq!(holder, 2);
         assert_eq!(unresolved, vec![0, 1]);
-        let cands = score(&objs, holder, &unresolved);
+        let mut cands = Vec::new();
+        score_separation(&objs[..], holder, &unresolved, |i, benefit| {
+            cands.push(Candidate::of(i, &objs[i], benefit));
+        });
         let find = |idx: usize| cands.iter().find(|c| c.index == idx).unwrap();
         // o1: min(101-100, 101-99) = 1. o2: min(103-100, 103-101) = 2.
         // o3: raising L from 100 to estL 102 clears min(1,2)+min(3,2) = 3.

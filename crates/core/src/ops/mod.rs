@@ -6,11 +6,17 @@
 //! traced choice, the guarded `iterate()` call, and the guess-and-reduce rank
 //! separation that MAX, MIN, Top-K and the order statistics share. An
 //! operator module holds what is its own: input validation, the benefit
-//! function, the stopping rule. Every VAO but the heap-indexed SUM has a
+//! function, the stopping rule. The benefit functions and contest rules
+//! are pure functions over [`score::View`] — the four facts scoring reads
+//! per object — so a columnar store of those facts (`va-server`'s pool)
+//! scores through the same code the loops here do. Every VAO but the
+//! heap-indexed SUM has a
 //! default entry point (`*_vao`: greedy policy, no observer) and a
 //! `*_traced` one taking the [`minmax::AggregateConfig`] and an
 //! [`ExecObserver`](crate::trace::ExecObserver).
 //!
+//! * [`score`] — the view, the two-sided estimated shrink, and the rank
+//!   family's order, contest, stopping test and benefits.
 //! * [`selection`] — predicate evaluation against a constant (§3.2's running
 //!   example; evaluated per result object).
 //! * [`minmax`] — the MIN/MAX aggregate VAOs with the guess-and-reduce
@@ -41,6 +47,7 @@ pub mod minmax;
 pub mod oracle;
 pub mod percentile;
 pub mod quantile;
+pub mod score;
 pub mod selection;
 pub mod sum;
 pub mod sum_heap;

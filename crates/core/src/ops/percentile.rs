@@ -31,6 +31,7 @@ use crate::error::VaoError;
 use crate::interface::ResultObject;
 use crate::ops::drive::Driver;
 use crate::ops::minmax::AggregateConfig;
+use crate::ops::score::{est_shrink, View};
 use crate::precision::PrecisionConstraint;
 use crate::strategy::Candidate;
 use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
@@ -108,38 +109,18 @@ pub fn percentile_vao_traced<R: ResultObject, O: ExecObserver>(
     let mut touched = vec![false; n];
     let mut scratch = Vec::with_capacity(n);
     let bounds = loop {
-        let out_lo = kth_largest(objs.iter().map(|o| o.bounds().lo()), k, &mut scratch);
-        let out_hi = kth_largest(objs.iter().map(|o| o.bounds().hi()), k, &mut scratch);
+        let (out_lo, out_hi) = rank_bracket(&*objs, k, &mut scratch);
         if out_hi - out_lo <= epsilon.epsilon() {
             break Bounds::new(out_lo, out_hi);
         }
 
         // Rebuild the guiding sketch from the live bounds and pull the rank
         // band — a provable superset of the exact [out_lo, out_hi] band.
-        sketch.clear();
-        for o in objs.iter() {
-            let b = o.bounds();
-            sketch.insert(b.lo(), b.hi());
-        }
-        let (band_lo, band_hi) = sketch
-            .rank_band_from_top(k as u64)
-            .expect("rank validated against non-empty input");
-
+        fill_sketch(&mut sketch, &*objs);
         let mut candidates = Vec::new();
-        for (i, o) in objs.iter().enumerate() {
-            if o.converged() {
-                continue;
-            }
-            let b = o.bounds();
-            // Only band straddlers can move the k-th order statistic.
-            if b.hi() < band_lo || b.lo() > band_hi {
-                continue;
-            }
-            let overlap = b.hi().min(band_hi) - b.lo().max(band_lo);
-            let est = o.est_bounds();
-            let shrink = (est.lo() - b.lo()).max(0.0) + (b.hi() - est.hi()).max(0.0);
-            candidates.push(Candidate::of(i, o, overlap.max(0.0).min(shrink)));
-        }
+        band_scan(&*objs, rank_band(&sketch, k), |i, benefit| {
+            candidates.push(Candidate::of(i, &objs[i], benefit));
+        });
         if candidates.is_empty() {
             // Every straddler is at its minWidth floor: ε is unsatisfiable,
             // report the tightest sound interval (SUM's floor behavior).
@@ -158,13 +139,63 @@ pub fn percentile_vao_traced<R: ResultObject, O: ExecObserver>(
     })
 }
 
-/// The `k`-th largest (1-based) of `vals`, using `scratch` to avoid
-/// reallocating across rounds.
-fn kth_largest(vals: impl Iterator<Item = f64>, k: usize, scratch: &mut Vec<f64>) -> f64 {
-    scratch.clear();
-    scratch.extend(vals);
-    scratch.sort_by(|a, b| b.total_cmp(a));
-    scratch[k - 1]
+/// The exact output bounds at rank `k` from the top (1-based, clamped to
+/// the view): `(k-th largest lo, k-th largest hi)`. At most `k − 1` true
+/// values can exceed the `k`-th largest `H`, and at least `k` reach the
+/// `k`-th largest `L`. `scratch` is reused across rounds; the view must not
+/// be empty.
+#[must_use]
+pub fn rank_bracket<V: View + ?Sized>(v: &V, k: usize, scratch: &mut Vec<f64>) -> (f64, f64) {
+    let mut kth_largest = |f: fn(&Bounds) -> f64| {
+        scratch.clear();
+        scratch.extend((0..v.len()).map(|i| f(&v.bounds(i))));
+        scratch.sort_by(|a, b| b.total_cmp(a));
+        scratch[k.clamp(1, scratch.len()) - 1]
+    };
+    (kth_largest(Bounds::lo), kth_largest(Bounds::hi))
+}
+
+/// Rebuilds the guiding sketch from the view's current bounds. The sketch
+/// does not depend on φ, and its buckets keep min/max envelopes a deletion
+/// cannot restore, so it is rebuilt rather than repaired.
+pub fn fill_sketch<V: View + ?Sized>(sketch: &mut IntervalQuantileSketch, v: &V) {
+    sketch.clear();
+    for i in 0..v.len() {
+        let b = v.bounds(i);
+        sketch.insert(b.lo(), b.hi());
+    }
+}
+
+/// The sketch's rank-`k` band. It contains the exact [`rank_bracket`], so
+/// the straddler set [`band_scan`] derives from it is a superset of the
+/// objects that determine the output bounds — pruning by it is sound. A
+/// `None` band cannot happen for 1 ≤ k ≤ N; no pruning if it ever did.
+#[must_use]
+pub fn rank_band(sketch: &IntervalQuantileSketch, k: usize) -> (f64, f64) {
+    sketch
+        .rank_band_from_top(k as u64)
+        .unwrap_or((f64::MIN, f64::MAX))
+}
+
+/// Scores, as `emit(object, benefit)` in index order, every non-converged
+/// object overlapping the rank band — only those can move the k-th order
+/// statistic — by how much of the overlap its estimated shrink could clear.
+pub fn band_scan<V: View + ?Sized>(
+    v: &V,
+    (band_lo, band_hi): (f64, f64),
+    mut emit: impl FnMut(usize, f64),
+) {
+    for i in 0..v.len() {
+        if v.converged(i) {
+            continue;
+        }
+        let b = v.bounds(i);
+        if b.hi() < band_lo || b.lo() > band_hi {
+            continue; // sketch-pruned: cannot move the rank-k band
+        }
+        let overlap = b.hi().min(band_hi) - b.lo().max(band_lo);
+        emit(i, overlap.max(0.0).min(est_shrink(v, i)));
+    }
 }
 
 #[cfg(test)]

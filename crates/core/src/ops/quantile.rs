@@ -23,8 +23,9 @@ use crate::adapters::Negated;
 use crate::cost::WorkMeter;
 use crate::error::VaoError;
 use crate::interface::ResultObject;
-use crate::ops::drive::{by_hi, refine, separate, separate_top, validate_rank, Driver};
+use crate::ops::drive::{refine, separate, separate_top, validate_rank, Driver};
 use crate::ops::minmax::{AggregateConfig, ExtremeResult};
+use crate::ops::score::by_hi;
 use crate::precision::PrecisionConstraint;
 use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
 

@@ -1,0 +1,261 @@
+//! §5's scoring, written once: what an operator reads, and the pure
+//! functions that turn it into benefits, contests and stopping tests.
+//!
+//! Scoring never mutates and reads four facts per object — how many there
+//! are, their bounds, their estimated next bounds, whether they converged.
+//! [`View`] is that read-only surface. A slice of result objects is a view
+//! (the `vao::ops` loops score over `&[R]`), and so is any columnar store
+//! that keeps the same facts flat (`va-server`'s shared pool), so both
+//! score through the functions here and in the operator modules
+//! ([`selection`](super::selection), [`count`](super::count),
+//! [`percentile`](super::percentile), [`heavy`](super::heavy)) instead of
+//! each writing the formulas down. [`Flipped`] reflects a view about zero:
+//! MIN and the order statistics' inner phase are MAX over it.
+//!
+//! What is *not* here: any float sum that decides when a query stops. SUM's
+//! running totals and a store's index-order re-add are different additions;
+//! summation order is part of an answer's bits, so each keeps its own.
+
+use std::cmp::Ordering;
+
+use crate::bounds::Bounds;
+use crate::interface::ResultObject;
+
+/// The facts scoring reads, per object index in `0..len()`.
+pub trait View {
+    /// Number of objects.
+    fn len(&self) -> usize;
+
+    /// Whether there are no objects.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Current bounds of object `i`.
+    fn bounds(&self, i: usize) -> Bounds;
+
+    /// Estimated bounds of object `i` after its next iteration.
+    fn est_bounds(&self, i: usize) -> Bounds;
+
+    /// Whether object `i` has reached its stopping condition.
+    fn converged(&self, i: usize) -> bool;
+}
+
+impl<R: ResultObject> View for [R] {
+    fn len(&self) -> usize {
+        <[R]>::len(self)
+    }
+
+    fn bounds(&self, i: usize) -> Bounds {
+        self[i].bounds()
+    }
+
+    fn est_bounds(&self, i: usize) -> Bounds {
+        self[i].est_bounds()
+    }
+
+    fn converged(&self, i: usize) -> bool {
+        self[i].converged()
+    }
+}
+
+/// A view reflected about zero: `[L, H]` reads as `[−H, −L]`, exactly as
+/// [`Negated`](crate::adapters::Negated) presents one object. The rank
+/// family over a flipped view is MIN over the plain one, tie-breaks
+/// included.
+#[derive(Debug)]
+pub struct Flipped<'a, V: ?Sized>(pub &'a V);
+
+impl<V: View + ?Sized> View for Flipped<'_, V> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn bounds(&self, i: usize) -> Bounds {
+        self.0.bounds(i).negate()
+    }
+
+    fn est_bounds(&self, i: usize) -> Bounds {
+        self.0.est_bounds(i).negate()
+    }
+
+    fn converged(&self, i: usize) -> bool {
+        self.0.converged(i)
+    }
+}
+
+/// The estimated two-sided shrink of object `i`'s bounds from one more
+/// iteration, `(estL − L) + (H − estH)` — the paper's error-reduction term
+/// and the factor every per-object benefit is built on. Each side is
+/// clamped so a wayward estimate cannot produce negative benefit.
+#[must_use]
+pub fn est_shrink<V: View + ?Sized>(v: &V, i: usize) -> f64 {
+    let b = v.bounds(i);
+    let eb = v.est_bounds(i);
+    (eb.lo() - b.lo()).max(0.0) + (b.hi() - eb.hi()).max(0.0)
+}
+
+/// Descending rank order of a separation: `Less` ranks first. Exact ties
+/// keep the order of the pool the separation was given.
+pub type RankOrder = fn(Bounds, Bounds) -> Ordering;
+
+/// Highest upper bound first, ties to the higher lower bound: the member
+/// guess of MAX, Top-K and the order statistics' outer phase (§5.1).
+#[must_use]
+pub fn by_hi_then_lo(a: Bounds, b: Bounds) -> Ordering {
+    by_hi(a, b).then(b.lo().total_cmp(&a.lo()))
+}
+
+/// Highest upper bound first and nothing else — over a flipped view, the
+/// lowest lower bound: the guess of the order statistics' inner MIN phase.
+#[must_use]
+pub fn by_hi(a: Bounds, b: Bounds) -> Ordering {
+    b.hi().total_cmp(&a.hi())
+}
+
+/// `pool` in rank order (a stable sort: exact ties keep the pool's order).
+#[must_use]
+pub fn ranked<V: View + ?Sized>(v: &V, pool: &[usize], order: RankOrder) -> Vec<usize> {
+    let mut ranked = pool.to_vec();
+    ranked.sort_by(|&a, &b| order(v.bounds(a), v.bounds(b)));
+    ranked
+}
+
+/// The **boundary holder** of a member set: the member with the lowest
+/// lower bound θ, the first such in the order given.
+///
+/// # Panics
+///
+/// Panics if `members` is empty (`k ≥ 1` is the callers' precondition).
+#[must_use]
+pub fn boundary_holder<V: View + ?Sized>(v: &V, members: &[usize]) -> usize {
+    *members
+        .iter()
+        .min_by(|&&a, &&b| v.bounds(a).lo().total_cmp(&v.bounds(b).lo()))
+        .expect("k >= 1")
+}
+
+/// Whether object `i`'s upper bound still reaches the boundary `theta` —
+/// it could yet displace a member.
+#[must_use]
+pub fn reaches<V: View + ?Sized>(v: &V, i: usize, theta: f64) -> bool {
+    v.bounds(i).hi() >= theta
+}
+
+/// The objects of `pool` outside `members` that still reach `holder`'s
+/// lower bound, in `pool`'s order.
+pub fn straddlers<'a, V: View + ?Sized>(
+    v: &'a V,
+    pool: impl IntoIterator<Item = usize> + 'a,
+    members: &'a [usize],
+    holder: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    let theta = v.bounds(holder).lo();
+    pool.into_iter()
+        .filter(move |i| !members.contains(i) && reaches(v, *i, theta))
+}
+
+/// The presumed member set and what still contests it: the `k` first of
+/// `pool` under `order`, their [`boundary_holder`], and the outsiders still
+/// reaching its θ, in pool order. `k` must be in `1..=pool.len()`.
+#[must_use]
+pub fn contest<V: View + ?Sized>(
+    v: &V,
+    pool: &[usize],
+    k: usize,
+    order: RankOrder,
+) -> (Vec<usize>, usize, Vec<usize>) {
+    let mut members = ranked(v, pool, order);
+    members.truncate(k);
+    let holder = boundary_holder(v, &members);
+    let unresolved = straddlers(v, pool.iter().copied(), &members, holder).collect();
+    (members, holder, unresolved)
+}
+
+/// The contest every rank operator starts with: the `k` objects with the
+/// highest upper bounds against the whole view — MAX's guess `o'_max` at
+/// `k = 1`, Top-K's member set, the order statistics' outer phase.
+#[must_use]
+pub fn contest_top<V: View + ?Sized>(v: &V, k: usize) -> (Vec<usize>, usize, Vec<usize>) {
+    let everyone: Vec<usize> = (0..v.len()).collect();
+    contest(v, &everyone, k, by_hi_then_lo)
+}
+
+/// Whether a separation is over. Stopping case 1: nobody reaches θ. Case 2:
+/// those who do, and the holder, are as accurate as they get (ties).
+#[must_use]
+pub fn separated<V: View + ?Sized>(v: &V, holder: usize, unresolved: &[usize]) -> bool {
+    unresolved.is_empty() || (v.converged(holder) && unresolved.iter().all(|&i| v.converged(i)))
+}
+
+/// Scores one candidate iteration per non-converged object in contention,
+/// the holder first and then `unresolved` in order, as `emit(object,
+/// benefit)`.
+///
+/// For an outsider `o_i`, only lowering `o_i.H` toward `estH` reduces its
+/// overlap with the boundary, and the reduction is capped by the current
+/// overlap `o_i.H − θ` (§5.1's worked example). For the boundary holder,
+/// raising `L` toward `estL` reduces its overlap with *every* unresolved
+/// outsider simultaneously; that benefit sums over `unresolved` in the
+/// order given.
+pub fn score_separation<V: View + ?Sized>(
+    v: &V,
+    holder: usize,
+    unresolved: &[usize],
+    mut emit: impl FnMut(usize, f64),
+) {
+    let theta = v.bounds(holder).lo();
+    if !v.converged(holder) {
+        let est_raise = (v.est_bounds(holder).lo() - theta).max(0.0);
+        let benefit: f64 = unresolved
+            .iter()
+            .map(|&j| (v.bounds(j).hi() - theta).max(0.0).min(est_raise))
+            .sum();
+        emit(holder, benefit);
+    }
+    for &i in unresolved {
+        if v.converged(i) {
+            continue;
+        }
+        let hi = v.bounds(i).hi();
+        let overlap = (hi - theta).max(0.0);
+        let est_drop = (hi - v.est_bounds(i).hi()).max(0.0);
+        emit(i, overlap.min(est_drop));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testkit::ScriptedObject;
+
+    #[test]
+    fn exact_ties_keep_the_pool_order_unless_the_order_breaks_them() {
+        // Equal H; `by_hi_then_lo` prefers the higher L, `by_hi` the pool.
+        let objs = [
+            ScriptedObject::converging(&[(90.0, 120.0)], 1, 0.01),
+            ScriptedObject::converging(&[(92.0, 120.0)], 1, 0.01),
+        ];
+        assert_eq!(contest(&objs[..], &[0, 1], 1, by_hi_then_lo).0, vec![1]);
+        assert_eq!(contest(&objs[..], &[0, 1], 1, by_hi).0, vec![0]);
+        assert_eq!(contest(&objs[..], &[1, 0], 1, by_hi).0, vec![1]);
+    }
+
+    #[test]
+    fn a_flipped_view_reads_what_negated_objects_report() {
+        use crate::adapters::Negated;
+        let make = || {
+            vec![
+                ScriptedObject::converging(&[(90.0, 120.0), (95.0, 101.0)], 1, 0.01),
+                ScriptedObject::converging(&[(-3.0, 0.0), (-2.0, -1.0)], 1, 0.01),
+            ]
+        };
+        let (objs, mut twins) = (make(), make());
+        let negated: Vec<Negated<&mut ScriptedObject>> = twins.iter_mut().map(Negated).collect();
+        let flipped = Flipped(&objs[..]);
+        for i in 0..objs.len() {
+            assert_eq!(flipped.bounds(i), negated[..].bounds(i));
+            assert_eq!(flipped.est_bounds(i), negated[..].est_bounds(i));
+        }
+    }
+}

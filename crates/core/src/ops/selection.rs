@@ -11,6 +11,7 @@ use crate::cost::WorkMeter;
 use crate::error::VaoError;
 use crate::interface::ResultObject;
 use crate::ops::drive::Driver;
+use crate::ops::score::{est_shrink, View};
 use crate::ops::DEFAULT_ITERATION_LIMIT;
 use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
 
@@ -102,6 +103,46 @@ impl std::fmt::Display for CmpOp {
         };
         f.write_str(s)
     }
+}
+
+/// How a predicate was settled for one object.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Decided {
+    /// Whether the object satisfies the predicate.
+    pub satisfied: bool,
+    /// True when the bounds still contained the constant at the `minWidth`
+    /// stopping condition and the value was treated as equal to it.
+    pub at_min_width: bool,
+}
+
+/// Classifies object `i` against `⟨op⟩ constant` under §3.2's two stopping
+/// conditions: decided from its bounds, or — converged with the constant
+/// still inside — resolved as equality; `None` while neither holds.
+#[must_use]
+pub fn decided<V: View + ?Sized>(v: &V, i: usize, op: CmpOp, constant: f64) -> Option<Decided> {
+    match op.decide(&v.bounds(i), constant) {
+        Some(satisfied) => Some(Decided {
+            satisfied,
+            at_min_width: false,
+        }),
+        None if v.converged(i) => Some(Decided {
+            satisfied: op.outcome_at_equality(),
+            at_min_width: true,
+        }),
+        None => None,
+    }
+}
+
+/// The benefit of probing undecided object `i` once more: its estimated
+/// shrink, plus its whole current width when the estimate already clears
+/// the constant (the iteration would decide it).
+#[must_use]
+pub fn probe_benefit<V: View + ?Sized>(v: &V, i: usize, op: CmpOp, constant: f64) -> f64 {
+    let mut benefit = est_shrink(v, i);
+    if op.decide(&v.est_bounds(i), constant).is_some() {
+        benefit += v.bounds(i).width();
+    }
+    benefit
 }
 
 /// Outcome of evaluating a selection predicate over one result object.
@@ -210,23 +251,17 @@ impl SelectionVao {
             meter,
             observer,
         );
-        let (satisfied, decided_at_min_width, final_bounds) = loop {
-            let bounds = obj.bounds();
-            if let Some(satisfied) = self.op.decide(&bounds, self.constant) {
-                break (satisfied, false, bounds);
-            }
-            if obj.converged() {
-                // Bounds still contain the constant but are as accurate as
-                // possible: treat the value as equal to the constant.
-                break (self.op.outcome_at_equality(), true, bounds);
+        let outcome = loop {
+            if let Some(d) = decided(std::slice::from_ref(&*obj), 0, self.op, self.constant) {
+                break d;
             }
             drive.step(obj, 0)?;
         };
         Ok(SelectionOutcome {
-            satisfied,
-            decided_at_min_width,
+            satisfied: outcome.satisfied,
+            decided_at_min_width: outcome.at_min_width,
             iterations: drive.finish(),
-            final_bounds,
+            final_bounds: obj.bounds(),
         })
     }
 }

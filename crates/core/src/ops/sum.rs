@@ -13,6 +13,7 @@ use crate::error::VaoError;
 use crate::interface::ResultObject;
 use crate::ops::drive::Driver;
 use crate::ops::minmax::AggregateConfig;
+use crate::ops::score::est_shrink;
 use crate::precision::PrecisionConstraint;
 use crate::strategy::Candidate;
 use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
@@ -146,10 +147,7 @@ pub fn weighted_sum_vao_traced<R: ResultObject, O: ExecObserver>(
             if o.converged() {
                 continue;
             }
-            let b = o.bounds();
-            let eb = o.est_bounds();
-            let reduction = (eb.lo() - b.lo()).max(0.0) + (b.hi() - eb.hi()).max(0.0);
-            candidates.push(Candidate::of(i, o, weights[i] * reduction));
+            candidates.push(Candidate::of(i, o, weights[i] * est_shrink(&*objs, i)));
         }
         if candidates.is_empty() {
             // Every object at its stopping condition: the floor.
@@ -242,14 +240,7 @@ mod tests {
         // under AVE weights (1/3 each): the VAO iterates over o3.
         // With equal weights the same ranking holds: reductions 3, 3, 4.
         let objs = trio();
-        let reductions: Vec<f64> = objs
-            .iter()
-            .map(|o| {
-                let b = o.bounds();
-                let eb = o.est_bounds();
-                (eb.lo() - b.lo()).max(0.0) + (b.hi() - eb.hi()).max(0.0)
-            })
-            .collect();
+        let reductions: Vec<f64> = (0..3).map(|i| est_shrink(&objs[..], i)).collect();
         assert_eq!(reductions, vec![3.0, 3.0, 4.0]);
         // Weighted by 1/3: 1, 1, 4/3 — exactly the paper's numbers.
         let weighted: Vec<f64> = reductions.iter().map(|r| r / 3.0).collect();

@@ -18,6 +18,7 @@ use crate::cost::{Work, WorkMeter};
 use crate::error::VaoError;
 use crate::interface::ResultObject;
 use crate::ops::drive::Driver;
+use crate::ops::score::est_shrink;
 use crate::ops::sum::{validate_sum_input, weighted_total, SumResult};
 use crate::ops::DEFAULT_ITERATION_LIMIT;
 use crate::precision::PrecisionConstraint;
@@ -56,12 +57,9 @@ impl Ord for Entry {
     }
 }
 
-fn score_of<R: ResultObject>(obj: &R, weight: f64) -> (f64, f64) {
-    let b = obj.bounds();
-    let eb = obj.est_bounds();
-    let reduction = (eb.lo() - b.lo()).max(0.0) + (b.hi() - eb.hi()).max(0.0);
-    let score = weight * reduction / (obj.est_cpu().max(1) as f64);
-    (score, b.width())
+fn score_of<R: ResultObject>(objs: &[R], i: usize, weight: f64) -> (f64, f64) {
+    let score = weight * est_shrink(objs, i) / (objs[i].est_cpu().max(1) as f64);
+    (score, objs[i].bounds().width())
 }
 
 /// Weighted SUM with a heap-indexed greedy strategy. Semantically
@@ -83,7 +81,7 @@ pub fn weighted_sum_vao_heap<R: ResultObject>(
     let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(n);
     for (i, o) in objs.iter().enumerate() {
         if !o.converged() {
-            let (score, width) = score_of(o, weights[i]);
+            let (score, width) = score_of(objs, i, weights[i]);
             heap.push(Entry {
                 score,
                 width,
@@ -133,7 +131,7 @@ pub fn weighted_sum_vao_heap<R: ResultObject>(
 
         versions[chosen] += 1;
         if !objs[chosen].converged() {
-            let (score, width) = score_of(&objs[chosen], w);
+            let (score, width) = score_of(objs, chosen, w);
             heap.push(Entry {
                 score,
                 width,

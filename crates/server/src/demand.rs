@@ -3,13 +3,17 @@
 //! Each registered query contributes a stateless *demand function*: given
 //! the pool's current bounds, which objects does it still want refined and
 //! what output-bound-width reduction does it expect from each. The benefit
-//! formulas are the §5 per-operator scores, reused unchanged — a MAX query
+//! formulas, contests and stopping tests are the §5 per-operator ones, and
+//! not as a copy: [`SharedPool`] is a [`vao::ops::score::View`], so this
+//! module calls the functions the `vao::ops` loops call — a MAX query
 //! scores overlap reduction against its educated guess, a SUM query scores
 //! weighted width reduction, COUNT/SELECT score expected classification
-//! progress. Demands are recomputed every scheduler round, mirroring the
-//! per-operator loops (which re-derive their guess/unresolved sets after
-//! every iteration), so the shared scheduler inherits their guess-revision
-//! behavior for free.
+//! progress. Demands are re-derived every scheduler round, as the
+//! per-operator loops re-derive their guess/unresolved sets after every
+//! iteration, so the shared scheduler inherits their guess-revision
+//! behavior for free. What stays here is what only a shared pool has: one
+//! list per query instead of one pick, SUM's index-order stopping sum, and
+//! the incremental caches of [`RoundView`].
 //!
 //! The invariant the scheduler builds on: **a query's demand list is empty
 //! exactly when the pool's current bounds let it emit a
@@ -23,46 +27,38 @@
 //! scheduler does not call them per round any more — it keeps a
 //! [`RoundView`] that repairs the same state for the objects a round
 //! iterated — but they remain the public API and the oracle the maintained
-//! lists are tested against, and both paths score through the *same*
-//! per-object and per-phase functions in this file, so a benefit expression
-//! exists exactly once.
+//! lists are tested against, and both paths emit through the *same*
+//! per-object and per-phase functions in this file, which in turn score
+//! through `vao::ops`: a benefit expression exists exactly once in the
+//! workspace.
 
 mod round;
 
 pub use round::RoundView;
 pub use va_persist::record::PassFail;
 
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use va_sketch::{CountMin, IntervalQuantileSketch, SpaceSaving};
+use va_sketch::IntervalQuantileSketch;
 use va_stream::{BondRelation, Query, QueryOutput};
 use vao::error::VaoError;
-use vao::ops::heavy::{cell_of, HeavyCell, COUNTMIN_DEPTH, COUNTMIN_WIDTH, SPAN_PROBE_CAP};
+use vao::ops::count::classify;
+use vao::ops::heavy::{
+    cell_counts, cell_span, contended, rank_cells, resolve_benefit, CellSpan, HeavySummaries,
+};
 use vao::ops::minmax::{max_envelope, min_envelope};
-use vao::ops::percentile::{rank_from_top, SKETCH_ALPHA, SKETCH_BUDGET};
-use vao::ops::selection::CmpOp;
+use vao::ops::percentile::{
+    band_scan, fill_sketch, rank_band, rank_bracket, rank_from_top, SKETCH_ALPHA, SKETCH_BUDGET,
+};
+use vao::ops::score::{
+    by_hi, contest_top, est_shrink, score_separation, separated, straddlers, Flipped, View,
+};
+use vao::ops::selection::{decided, probe_benefit, CmpOp};
 use vao::Bounds;
 
 use crate::answer::Answer;
 use crate::error::ServerError;
 use crate::pool::SharedPool;
-
-/// Descending total order on `f64` keys.
-///
-/// [`Bounds`] rejects non-finite endpoints at construction, so bound
-/// comparisons only ever see finite values — but ordering through
-/// `f64::total_cmp` instead of `partial_cmp(..).expect(..)` means that even
-/// a future pricer bug that smuggles a NaN through produces a deterministic
-/// (if arbitrary) order instead of aborting the whole server mid-tick.
-pub(crate) fn cmp_desc(a: f64, b: f64) -> Ordering {
-    b.total_cmp(&a)
-}
-
-/// Ascending total order on `f64` keys (see [`cmp_desc`]).
-pub(crate) fn cmp_asc(a: f64, b: f64) -> Ordering {
-    a.total_cmp(&b)
-}
 
 /// One query's appetite for refining one pool object.
 #[derive(Clone, Copy, Debug)]
@@ -76,6 +72,11 @@ pub struct Demand {
     pub benefit: f64,
 }
 
+/// The sink the shared scoring functions emit `(object, benefit)` into.
+fn push(out: &mut Vec<Demand>) -> impl FnMut(usize, f64) + '_ {
+    |object, benefit| out.push(Demand { object, benefit })
+}
+
 /// Reusable sketch summaries for the sketch-guided demand functions
 /// (PERCENTILE, HEAVYHITTERS). One per session; a caller that recomputes
 /// repeatedly keeps them so each rebuild reuses allocations. The summaries
@@ -86,62 +87,6 @@ pub struct Demand {
 pub struct SketchState {
     quantile: Option<IntervalQuantileSketch>,
     heavy: Option<HeavySummaries>,
-}
-
-/// The HEAVYHITTERS frequency summaries over price cells.
-#[derive(Clone, Debug)]
-struct HeavySummaries {
-    resolved: SpaceSaving,
-    cm_resolved: CountMin,
-    cm_pending: CountMin,
-}
-
-impl HeavySummaries {
-    /// Summaries for the `k` heaviest cells of `n` objects. At most `n`
-    /// cells can be occupied, so a `k` beyond `n` (a journaled subscription
-    /// can carry one) sizes nothing.
-    fn new(k: usize, n: usize) -> Self {
-        Self {
-            resolved: SpaceSaving::new(k.min(n).saturating_mul(4).max(64)),
-            cm_resolved: CountMin::new(COUNTMIN_WIDTH, COUNTMIN_DEPTH),
-            cm_pending: CountMin::new(COUNTMIN_WIDTH, COUNTMIN_DEPTH),
-        }
-    }
-
-    /// Charges one object's span: a resolved object counts towards its
-    /// cell; an unresolved one charges every cell it might land in (spans
-    /// past [`SPAN_PROBE_CAP`] are never probed, so never charged).
-    fn add(&mut self, span: CellSpan) {
-        match span {
-            CellSpan::Resolved(c) => {
-                self.resolved.offer(c, 1);
-                self.cm_resolved.add(c, 1);
-            }
-            CellSpan::Pending { lo, hi } => {
-                for c in probed_cells(lo, hi) {
-                    self.cm_pending.add(c, 1);
-                }
-            }
-        }
-    }
-
-    /// Takes back what [`HeavySummaries::add`] charged for an unresolved
-    /// span — exactly, the grid being a sum of such charges.
-    fn remove_pending(&mut self, lo: i64, hi: i64) {
-        for c in probed_cells(lo, hi) {
-            self.cm_pending.remove(c, 1);
-        }
-    }
-
-    /// Clears the summaries and charges `spans` in index order.
-    fn rebuild(&mut self, spans: &[CellSpan]) {
-        self.resolved.clear();
-        self.cm_resolved.clear();
-        self.cm_pending.clear();
-        for &span in spans {
-            self.add(span);
-        }
-    }
 }
 
 /// Fills `out` with the query's outstanding demands. Empty ⇔ the query can
@@ -182,9 +127,9 @@ pub fn demands_stateful(
         Query::Ave { epsilon } => {
             demands_sum(pool, uniform(pool.len()), *epsilon, out);
         }
-        Query::Max { epsilon } => demands_rank(pool, 1, *epsilon, false, out),
-        Query::Min { epsilon } => demands_rank(pool, 1, *epsilon, true, out),
-        Query::TopK { k, epsilon } => demands_rank(pool, *k, *epsilon, false, out),
+        Query::Max { epsilon } => demands_rank(pool, 1, *epsilon, out),
+        Query::Min { epsilon } => demands_rank(&Flipped(pool), 1, *epsilon, out),
+        Query::TopK { k, epsilon } => demands_rank(pool, *k, *epsilon, out),
         Query::Median { epsilon } => demands_median(pool, *epsilon, out),
         Query::Percentile { phi, epsilon } => {
             demands_percentile(pool, *phi, *epsilon, state, out);
@@ -201,7 +146,7 @@ pub fn final_output(query: &Query, pool: &SharedPool, relation: &BondRelation) -
         Query::Selection { op, constant } => {
             let mut ids = Vec::new();
             for i in 0..pool.len() {
-                if satisfied(pool, i, *op, *constant) == Some(true) {
+                if decided(pool, i, *op, *constant).is_some_and(|d| d.satisfied) {
                     ids.push(id(i));
                 }
             }
@@ -220,42 +165,24 @@ pub fn final_output(query: &Query, pool: &SharedPool, relation: &BondRelation) -
         Query::Ave { .. } => QueryOutput::Aggregate {
             bounds: weighted_interval(pool, uniform(pool.len())),
         },
-        Query::Max { .. } => extreme_output(pool, relation, false),
-        Query::Min { .. } => extreme_output(pool, relation, true),
+        Query::Max { .. } => extreme_output(pool, pool, relation),
+        Query::Min { .. } => extreme_output(&Flipped(pool), pool, relation),
         Query::TopK { k, .. } => {
-            let v = View { pool, flip: false };
-            let members = member_guess(v, *k);
-            let theta_holder = boundary_member(v, &members);
-            let theta = pool.bounds(theta_holder).lo();
-            let ties: Vec<u32> = (0..pool.len())
-                .filter(|&i| !members.contains(&i) && pool.bounds(i).hi() >= theta)
-                .map(id)
-                .collect();
-            let mut ordered = members;
-            ordered.sort_by(|&a, &b| cmp_desc(pool.bounds(a).hi(), pool.bounds(b).hi()));
+            let (mut members, _, ties) = contest_top(pool, *k);
+            members.sort_by(|&a, &b| by_hi(pool.bounds(a), pool.bounds(b)));
             QueryOutput::Ranked {
-                members: ordered.iter().map(|&i| (id(i), pool.bounds(i))).collect(),
-                ties,
+                members: members.iter().map(|&i| (id(i), pool.bounds(i))).collect(),
+                ties: ties.into_iter().map(id).collect(),
             }
         }
         Query::Median { .. } => {
-            // Mirror the core quantile operator's two separations: the
-            // winner is the boundary member; ties are the converged outer
-            // straddlers plus the members still overlapping the winner.
-            let v = View { pool, flip: false };
-            let members = member_guess(v, pool.len().div_ceil(2));
-            let winner = boundary_member(v, &members);
-            let theta = pool.bounds(winner).lo();
-            let winner_hi = pool.bounds(winner).hi();
-            let mut ties: Vec<u32> = (0..pool.len())
-                .filter(|&i| !members.contains(&i) && pool.bounds(i).hi() >= theta)
-                .map(id)
-                .collect();
+            // The quantile operator's two separations: the winner is the
+            // boundary member; ties are the converged outer straddlers plus
+            // the members still overlapping the winner.
+            let (members, winner, outer) = contest_top(pool, pool.len().div_ceil(2));
+            let mut ties: Vec<u32> = outer.into_iter().map(id).collect();
             ties.extend(
-                members
-                    .iter()
-                    .filter(|&&i| i != winner && pool.bounds(i).lo() <= winner_hi)
-                    .map(|&i| id(i)),
+                straddlers(&Flipped(pool), members.iter().copied(), &[winner], winner).map(id),
             );
             ties.sort_unstable();
             ties.dedup();
@@ -266,88 +193,16 @@ pub fn final_output(query: &Query, pool: &SharedPool, relation: &BondRelation) -
             }
         }
         Query::Percentile { phi, .. } => {
-            let k = rank_from_top(*phi, pool.len());
+            let (lo, hi) = rank_bracket(pool, rank_from_top(*phi, pool.len()), &mut Vec::new());
             QueryOutput::Aggregate {
-                bounds: Bounds::new(
-                    kth_largest(pool, k, |b| b.lo()),
-                    kth_largest(pool, k, |b| b.hi()),
-                ),
+                bounds: Bounds::new(lo, hi),
             }
         }
         Query::HeavyHitters { k, epsilon } => {
-            let (cells, ties) = heavy_cells(pool, *k, *epsilon);
+            let (cells, ties) = rank_cells(cell_counts(pool, *epsilon).0, *k);
             QueryOutput::Heavy { cells, ties }
         }
     }
-}
-
-/// Exact top-`k` ε-cell ranking over the pool's *resolved* objects — the
-/// final counting pass the sketches only ever steer towards, never decide.
-fn heavy_cells(pool: &SharedPool, k: usize, width: f64) -> (Vec<HeavyCell>, Vec<i64>) {
-    let (counts, _) = cell_counts(pool, width);
-    let mut ranked: Vec<HeavyCell> = counts
-        .into_iter()
-        .map(|(cell, count)| HeavyCell { cell, count })
-        .collect();
-    ranked.sort_by(|a, b| b.count.cmp(&a.count).then(a.cell.cmp(&b.cell)));
-    let take = k.min(ranked.len());
-    if take == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    let boundary = ranked[take - 1].count;
-    let ties: Vec<i64> = ranked[take..]
-        .iter()
-        .take_while(|c| c.count == boundary)
-        .map(|c| c.cell)
-        .collect();
-    ranked.truncate(take);
-    (ranked, ties)
-}
-
-/// The cells an unresolved span charges: all of them, or none when the span
-/// is past [`SPAN_PROBE_CAP`] (such an object is contended outright and
-/// never probed).
-fn probed_cells(lo: i64, hi: i64) -> impl Iterator<Item = i64> {
-    (hi.saturating_sub(lo) <= SPAN_PROBE_CAP)
-        .then_some(lo..=hi)
-        .into_iter()
-        .flatten()
-}
-
-/// Where an object stands against the ε-cell grid of a HEAVYHITTERS query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CellSpan {
-    /// The cell the object definitively occupies: whole bounds inside one
-    /// cell, or converged (deterministic midpoint assignment at the
-    /// `minWidth` floor — the caveat shared with the core operator).
-    Resolved(i64),
-    /// Still unresolved: the cells of its lower and upper bound.
-    Pending { lo: i64, hi: i64 },
-}
-
-fn cell_span(pool: &SharedPool, i: usize, width: f64) -> CellSpan {
-    let b = pool.bounds(i);
-    let (c_lo, c_hi) = (cell_of(b.lo(), width), cell_of(b.hi(), width));
-    if c_lo == c_hi {
-        CellSpan::Resolved(c_lo)
-    } else if pool.converged(i) {
-        CellSpan::Resolved(cell_of(b.mid(), width))
-    } else {
-        CellSpan::Pending { lo: c_lo, hi: c_hi }
-    }
-}
-
-/// Resolved objects per ε-cell, and how many objects are still unresolved.
-fn cell_counts(pool: &SharedPool, width: f64) -> (BTreeMap<i64, u64>, u64) {
-    let mut counts: BTreeMap<i64, u64> = BTreeMap::new();
-    let mut unresolved = 0u64;
-    for i in 0..pool.len() {
-        match cell_span(pool, i, width) {
-            CellSpan::Resolved(c) => *counts.entry(c).or_default() += 1,
-            CellSpan::Pending { .. } => unresolved += 1,
-        }
-    }
-    (counts, unresolved)
 }
 
 /// Sound anytime bounds on the query's converged answer value, from the
@@ -407,10 +262,8 @@ fn rank_bounds(pool: &SharedPool, k: usize) -> Result<Bounds, ServerError> {
     if pool.is_empty() {
         return Err(ServerError::EmptyRelation);
     }
-    Ok(Bounds::new(
-        kth_largest(pool, k, |b| b.lo()),
-        kth_largest(pool, k, |b| b.hi()),
-    ))
+    let (lo, hi) = rank_bracket(pool, k, &mut Vec::new());
+    Ok(Bounds::new(lo, hi))
 }
 
 /// Builds the session's answer for the tick: `Final` when the query reached
@@ -497,14 +350,6 @@ pub(crate) fn checked_sum_interval(pool: &SharedPool, weights: &[f64]) -> Result
     Bounds::try_new(lo, hi)
 }
 
-/// The estimated two-sided shrink of object `i`'s bounds from one more
-/// iteration — the factor every per-object benefit below is built on.
-fn est_shrink(pool: &SharedPool, i: usize) -> f64 {
-    let b = pool.bounds(i);
-    let eb = pool.est_bounds(i);
-    (eb.lo() - b.lo()).max(0.0) + (b.hi() - eb.hi()).max(0.0)
-}
-
 /// SUM/AVE stopping condition. Re-added over the whole pool in index order
 /// every time: the interval's exact bits decide when the query stops.
 fn sum_done(pool: &SharedPool, w: Weights<'_>, epsilon: f64) -> bool {
@@ -536,44 +381,14 @@ fn demands_sum(pool: &SharedPool, w: Weights<'_>, epsilon: f64, out: &mut Vec<De
 
 // ---------------------------------------------------- selection and count
 
-/// Per-object predicate outcome under the selection VAO's semantics:
-/// decided from bounds, or resolved as equality at `minWidth` convergence,
-/// or still unknown (`None`).
-fn satisfied(pool: &SharedPool, i: usize, op: CmpOp, constant: f64) -> Option<bool> {
-    match op.decide(&pool.bounds(i), constant) {
-        Some(v) => Some(v),
-        None if pool.converged(i) => Some(op.outcome_at_equality()),
-        None => None,
-    }
-}
-
-/// `(proven count, unresolved non-converged objects)` — the COUNT VAO's
-/// classification pass.
-fn classify(pool: &SharedPool, op: CmpOp, constant: f64) -> (usize, Vec<usize>) {
-    let mut count_lo = 0usize;
-    let mut unresolved = Vec::new();
-    for i in 0..pool.len() {
-        match satisfied(pool, i, op, constant) {
-            Some(true) => count_lo += 1,
-            Some(false) => {}
-            None => unresolved.push(i),
-        }
-    }
-    (count_lo, unresolved)
-}
-
 /// Object `i`'s SELECT/COUNT demand — a function of its own columns only:
 /// demanded while undecided, with the decision bonus when the estimate
 /// would settle the predicate.
 fn classify_entry(pool: &SharedPool, op: CmpOp, constant: f64, i: usize) -> Option<Demand> {
-    if satisfied(pool, i, op, constant).is_some() {
-        return None;
-    }
-    let mut benefit = est_shrink(pool, i);
-    if op.decide(&pool.est_bounds(i), constant).is_some() {
-        benefit += pool.bounds(i).width();
-    }
-    Some(Demand { object: i, benefit })
+    decided(pool, i, op, constant).is_none().then(|| Demand {
+        object: i,
+        benefit: probe_benefit(pool, i, op, constant),
+    })
 }
 
 /// Every object's SELECT/COUNT entry, in index order.
@@ -596,177 +411,56 @@ fn demands_classify(
 
 // ------------------------------------------------------------ max and min
 
-/// Bounds accessor that optionally negates, so MIN shares the MAX logic
-/// exactly like the core operator's `Negated` views (tie-breaks included).
-#[derive(Clone, Copy)]
-struct View<'a> {
-    pool: &'a SharedPool,
-    flip: bool,
-}
-
-impl View<'_> {
-    fn lo(&self, i: usize) -> f64 {
-        let b = self.pool.bounds(i);
-        if self.flip {
-            -b.hi()
-        } else {
-            b.lo()
-        }
-    }
-    fn hi(&self, i: usize) -> f64 {
-        let b = self.pool.bounds(i);
-        if self.flip {
-            -b.lo()
-        } else {
-            b.hi()
-        }
-    }
-    fn est_lo(&self, i: usize) -> f64 {
-        let b = self.pool.est_bounds(i);
-        if self.flip {
-            -b.hi()
-        } else {
-            b.lo()
-        }
-    }
-    fn est_hi(&self, i: usize) -> f64 {
-        let b = self.pool.est_bounds(i);
-        if self.flip {
-            -b.lo()
-        } else {
-            b.hi()
-        }
-    }
-}
-
-/// The K objects with the highest (view) upper bounds — ties to higher
-/// lower bound, then lower index, the extreme-family VAOs' deterministic
-/// member-guess rule (§5.1). `k = 1` is exactly the MAX/MIN educated guess.
-fn member_guess(v: View<'_>, k: usize) -> Vec<usize> {
-    let mut idx = members_sorted(v);
-    idx.truncate(k);
-    idx
-}
-
-/// Every object in member-guess order.
-fn members_sorted(v: View<'_>) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..v.pool.len()).collect();
-    idx.sort_by(|&a, &b| member_order(v, a, b));
-    idx
-}
-
-/// The member-guess order: a strict total order (the index breaks every
-/// tie), so the sorted sequence is unique however it was produced.
-fn member_order(v: View<'_>, a: usize, b: usize) -> Ordering {
-    cmp_desc(v.hi(a), v.hi(b))
-        .then(cmp_desc(v.lo(a), v.lo(b)))
-        .then(a.cmp(&b))
-}
-
-/// The member holding the boundary θ (lowest lower bound; first on ties,
-/// matching the core operator's `min_by`).
-fn boundary_member(v: View<'_>, members: &[usize]) -> usize {
-    *members
-        .iter()
-        .min_by(|&&a, &&b| cmp_asc(v.lo(a), v.lo(b)))
-        .expect("k >= 1")
-}
-
-/// Non-members whose upper bound still reaches past θ — the objects that
-/// could yet displace a guessed member.
-fn straddlers(v: View<'_>, members: &[usize], theta_holder: usize) -> Vec<usize> {
-    let theta = v.lo(theta_holder);
-    (0..v.pool.len())
-        .filter(|&i| !members.contains(&i) && v.hi(i) >= theta)
-        .collect()
-}
-
-/// Stopping case for the separation phase: nothing straddles θ, or all the
-/// contenders (and θ's holder) are converged — the ties outcome.
-fn separation_done(pool: &SharedPool, theta_holder: usize, straddlers: &[usize]) -> bool {
-    straddlers.is_empty()
-        || (pool.converged(theta_holder) && straddlers.iter().all(|&i| pool.converged(i)))
-}
-
-/// §5.1's separation-phase scores: raising θ clears overlap with every
-/// straddler at once; dropping a straddler's upper bound clears its own.
-fn score_separation(v: View<'_>, theta_holder: usize, straddlers: &[usize], out: &mut Vec<Demand>) {
-    let pool = v.pool;
-    let theta = v.lo(theta_holder);
-    if !pool.converged(theta_holder) {
-        let est_raise = (v.est_lo(theta_holder) - theta).max(0.0);
-        let benefit: f64 = straddlers
-            .iter()
-            .map(|&j| (v.hi(j) - theta).max(0.0).min(est_raise))
-            .sum();
-        out.push(Demand {
-            object: theta_holder,
-            benefit,
-        });
-    }
-    for &i in straddlers {
-        if pool.converged(i) {
-            continue;
-        }
-        let overlap = (v.hi(i) - theta).max(0.0);
-        let est_drop = (v.hi(i) - v.est_hi(i)).max(0.0);
-        out.push(Demand {
-            object: i,
-            benefit: overlap.min(est_drop),
-        });
-    }
-}
-
 /// ε-refinement of an identified member (phase 2 of the extreme VAOs):
-/// demand while wider than ε, scored by the estimated two-sided shrink.
-/// Benefit is computed on pool bounds — it is flip-invariant.
-fn refine_to_epsilon(pool: &SharedPool, i: usize, epsilon: f64, out: &mut Vec<Demand>) {
-    if pool.bounds(i).width() > epsilon && !pool.converged(i) {
+/// demand while wider than ε, scored by the estimated two-sided shrink
+/// (widths and shrinks read the same through a flipped view).
+fn refine_to_epsilon<V: View + ?Sized>(v: &V, i: usize, epsilon: f64, out: &mut Vec<Demand>) {
+    if v.bounds(i).width() > epsilon && !v.converged(i) {
         out.push(Demand {
             object: i,
-            benefit: est_shrink(pool, i),
+            benefit: est_shrink(v, i),
         });
     }
 }
 
 /// The unified extreme-family demand function: MAX (`k=1`), MIN (`k=1`,
-/// flipped view) and TOP-K are one separation + refinement pipeline over
-/// the same boundary-candidate selection.
-fn demands_rank(pool: &SharedPool, k: usize, epsilon: f64, flip: bool, out: &mut Vec<Demand>) {
-    let v = View { pool, flip };
-    let members = member_guess(v, k);
-    if members.is_empty() {
-        return; // k == 0 (rejected at subscribe; guarded for direct callers)
+/// over the flipped pool) and TOP-K are one separation + refinement
+/// pipeline over the same contest.
+fn demands_rank<V: View + ?Sized>(v: &V, k: usize, epsilon: f64, out: &mut Vec<Demand>) {
+    if k == 0 {
+        return; // rejected at subscribe; guarded for direct callers
     }
-    let theta_holder = boundary_member(v, &members);
-    let unresolved = straddlers(v, &members, theta_holder);
+    let (members, theta_holder, unresolved) = contest_top(v, k);
     rank_phases(v, &members, theta_holder, &unresolved, epsilon, out);
 }
 
 /// The extreme family's two phases over an already-derived member guess,
 /// θ holder and straddler set: separate, then refine every member to ε.
-fn rank_phases(
-    v: View<'_>,
+fn rank_phases<V: View + ?Sized>(
+    v: &V,
     members: &[usize],
     theta_holder: usize,
     unresolved: &[usize],
     epsilon: f64,
     out: &mut Vec<Demand>,
 ) {
-    if separation_done(v.pool, theta_holder, unresolved) {
+    if separated(v, theta_holder, unresolved) {
         for &m in members {
-            refine_to_epsilon(v.pool, m, epsilon, out);
+            refine_to_epsilon(v, m, epsilon, out);
         }
         return;
     }
-    score_separation(v, theta_holder, unresolved, out);
+    score_separation(v, theta_holder, unresolved, push(out));
 }
 
-fn extreme_output(pool: &SharedPool, relation: &BondRelation, flip: bool) -> QueryOutput {
-    let v = View { pool, flip };
-    let members = member_guess(v, 1);
-    let guess = members[0];
-    let unresolved = straddlers(v, &members, guess);
+/// MAX's (`v` the pool) or MIN's (`v` the flipped pool) final output: the
+/// guess and whatever still reaches it.
+fn extreme_output<V: View + ?Sized>(
+    v: &V,
+    pool: &SharedPool,
+    relation: &BondRelation,
+) -> QueryOutput {
+    let (_, guess, unresolved) = contest_top(v, 1);
     QueryOutput::Extreme {
         bond_id: relation.bonds()[guess].id,
         bounds: pool.bounds(guess),
@@ -776,14 +470,11 @@ fn extreme_output(pool: &SharedPool, relation: &BondRelation, flip: bool) -> Que
 
 // ----------------------------------------------------------------- median
 
-/// MEDIAN's three phases, mirroring the core quantile operator: separate
-/// the top ⌈N/2⌉, then find their minimum (the median holder) through the
-/// flipped view, then refine it to ε.
+/// MEDIAN's three phases, the quantile operator's: separate the top ⌈N/2⌉,
+/// then find their minimum (the median holder) through the flipped pool,
+/// then refine it to ε.
 fn demands_median(pool: &SharedPool, epsilon: f64, out: &mut Vec<Demand>) {
-    let v = View { pool, flip: false };
-    let members = member_guess(v, pool.len().div_ceil(2));
-    let theta_holder = boundary_member(v, &members);
-    let outer = straddlers(v, &members, theta_holder);
+    let (members, theta_holder, outer) = contest_top(pool, pool.len().div_ceil(2));
     median_phases(
         pool,
         &members,
@@ -807,24 +498,23 @@ fn median_phases(
     inner: &mut Vec<usize>,
     out: &mut Vec<Demand>,
 ) {
-    let v = View { pool, flip: false };
-    if !separation_done(pool, theta_holder, outer) {
-        score_separation(v, theta_holder, outer, out);
+    if !separated(pool, theta_holder, outer) {
+        score_separation(pool, theta_holder, outer, push(out));
         return;
     }
     // Inner MIN among the members. The min-lo member is exactly the flipped
-    // view's educated guess, i.e. θ's holder from the outer phase.
-    let vmin = View { pool, flip: true };
+    // pool's educated guess, i.e. θ's holder from the outer phase.
+    let vmin = Flipped(pool);
     let winner = theta_holder;
     inner.clear();
-    inner.extend(
-        members
-            .iter()
-            .copied()
-            .filter(|&j| j != winner && vmin.hi(j) >= vmin.lo(winner)),
-    );
-    if !separation_done(pool, winner, inner) {
-        score_separation(vmin, winner, inner, out);
+    inner.extend(straddlers(
+        &vmin,
+        members.iter().copied(),
+        &[winner],
+        winner,
+    ));
+    if !separated(&vmin, winner, inner) {
+        score_separation(&vmin, winner, inner, push(out));
         return;
     }
     refine_to_epsilon(pool, winner, epsilon, out);
@@ -844,8 +534,7 @@ fn demands_percentile(
     out: &mut Vec<Demand>,
 ) {
     let k = rank_from_top(phi, pool.len());
-    let out_lo = kth_largest(pool, k, |b| b.lo());
-    let out_hi = kth_largest(pool, k, |b| b.hi());
+    let (out_lo, out_hi) = rank_bracket(pool, k, &mut Vec::new());
     if out_hi - out_lo <= epsilon {
         return;
     }
@@ -853,49 +542,7 @@ fn demands_percentile(
         .quantile
         .get_or_insert_with(|| IntervalQuantileSketch::new(SKETCH_ALPHA, SKETCH_BUDGET));
     fill_sketch(sketch, pool);
-    percentile_scan(pool, rank_band(sketch, k), out);
-}
-
-/// Rebuilds the interval sketch from the pool's current bounds. The sketch
-/// does not depend on φ, so one rebuild serves every PERCENTILE session of
-/// a round; its buckets keep min/max envelopes, which a deletion cannot
-/// restore, so it is rebuilt rather than repaired.
-fn fill_sketch(sketch: &mut IntervalQuantileSketch, pool: &SharedPool) {
-    sketch.clear();
-    for i in 0..pool.len() {
-        let b = pool.bounds(i);
-        sketch.insert(b.lo(), b.hi());
-    }
-}
-
-/// The sketch's rank-`k` band. It contains the exact [k-th largest lo,
-/// k-th largest hi], so the straddler set [`percentile_scan`] derives from
-/// it is a superset of the objects that determine the output bounds —
-/// pruning by it is sound. A `None` band cannot happen for 1 ≤ k ≤ N; fall
-/// back to no pruning if it ever did.
-fn rank_band(sketch: &IntervalQuantileSketch, k: usize) -> (f64, f64) {
-    sketch
-        .rank_band_from_top(k as u64)
-        .unwrap_or((f64::MIN, f64::MAX))
-}
-
-/// Demands every non-converged object overlapping the rank band, scored by
-/// how much of the overlap its estimated shrink could clear.
-fn percentile_scan(pool: &SharedPool, (band_lo, band_hi): (f64, f64), out: &mut Vec<Demand>) {
-    for i in 0..pool.len() {
-        if pool.converged(i) {
-            continue;
-        }
-        let b = pool.bounds(i);
-        if b.hi() < band_lo || b.lo() > band_hi {
-            continue; // sketch-pruned: cannot move the rank-k band
-        }
-        let overlap = b.hi().min(band_hi) - b.lo().max(band_lo);
-        out.push(Demand {
-            object: i,
-            benefit: overlap.max(0.0).min(est_shrink(pool, i)),
-        });
-    }
+    band_scan(pool, rank_band(sketch, k), push(out));
 }
 
 // ---------------------------------------------- heavy hitters (sketch-led)
@@ -921,8 +568,9 @@ fn demands_heavy(
     heavy_scan(pool, &spans, s, k, width, out);
 }
 
-/// Demands the unresolved objects that are still *contended* under the
-/// summaries `s` (which must hold exactly `spans`).
+/// Demands the unresolved objects that are still [`contended`] under the
+/// summaries `s` (which must hold exactly `spans`). Resolving is worth the
+/// object's whole current width on top of its shrink.
 fn heavy_scan(
     pool: &SharedPool,
     spans: &[CellSpan],
@@ -931,33 +579,10 @@ fn heavy_scan(
     width: f64,
     out: &mut Vec<Demand>,
 ) {
-    if !spans.iter().any(|s| matches!(s, CellSpan::Pending { .. })) {
-        return;
-    }
-    // Counts only grow as objects resolve, so the SpaceSaving guarantee on
-    // the current k-th count lower-bounds the final one.
-    let threshold = s.resolved.kth_guaranteed(k).max(1);
-    for (i, span) in spans.iter().enumerate() {
-        let &CellSpan::Pending { lo: c_lo, hi: c_hi } = span else {
-            continue;
-        };
-        let contended = c_hi.saturating_sub(c_lo) > SPAN_PROBE_CAP
-            || (c_lo..=c_hi)
-                .any(|c| s.cm_resolved.estimate(c) + s.cm_pending.estimate(c) >= threshold);
-        if !contended {
-            continue; // sketch-pruned: cannot join or displace a top-k cell
-        }
-        let eb = pool.est_bounds(i);
-        let resolve_bonus = if cell_of(eb.lo(), width) == cell_of(eb.hi(), width) {
-            pool.bounds(i).width()
-        } else {
-            0.0
-        };
-        out.push(Demand {
-            object: i,
-            benefit: est_shrink(pool, i) + resolve_bonus,
-        });
-    }
+    out.extend(contended(spans, s, k).map(|i| Demand {
+        object: i,
+        benefit: resolve_benefit(pool, i, width, pool.bounds(i).width()),
+    }));
 }
 
 // ------------------------------------------- predicate outcome learning
@@ -1024,9 +649,9 @@ impl PredicateStats {
             .entry((op_code(op), constant.to_bits()))
             .or_default();
         for i in 0..pool.len() {
-            match satisfied(pool, i, op, constant) {
-                Some(true) => entry.pass += 1,
-                Some(false) => entry.fail += 1,
+            match decided(pool, i, op, constant) {
+                Some(d) if d.satisfied => entry.pass += 1,
+                Some(_) => entry.fail += 1,
                 None => {}
             }
         }
@@ -1099,13 +724,6 @@ impl PredicateStats {
             }
         }
     }
-}
-
-/// The k-th largest of `f(bounds)` over the (non-empty) pool.
-fn kth_largest(pool: &SharedPool, k: usize, f: impl Fn(&Bounds) -> f64) -> f64 {
-    let mut vals: Vec<f64> = (0..pool.len()).map(|i| f(&pool.bounds(i))).collect();
-    vals.sort_by(|a, b| cmp_desc(*a, *b));
-    vals[k.clamp(1, vals.len()) - 1]
 }
 
 #[cfg(test)]
@@ -1382,41 +1000,5 @@ mod tests {
         // one more from the straggler.
         let b = partial_bounds(&q, &pool).unwrap();
         assert_eq!((b.lo(), b.hi()), (4.0, 5.0));
-    }
-
-    mod nan_safe_orderings {
-        use super::super::{cmp_asc, cmp_desc};
-        use proptest::prelude::*;
-
-        /// Any-bits floats: includes NaNs (every payload), ±∞, subnormals
-        /// and negative zero — the values a buggy pricer could smuggle
-        /// into an ordering.
-        fn any_f64() -> impl Strategy<Value = f64> {
-            any::<u64>().prop_map(f64::from_bits)
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(256))]
-
-            #[test]
-            fn comparators_are_total_even_on_non_finite(a in any_f64(), b in any_f64()) {
-                // Totality: never panics, and the two orders are exact
-                // mirrors, so min_by/sort_by see a consistent ordering.
-                prop_assert_eq!(cmp_asc(a, b), cmp_desc(b, a));
-                prop_assert_eq!(cmp_asc(a, b), cmp_asc(b, a).reverse());
-                prop_assert_eq!(cmp_asc(a, a), std::cmp::Ordering::Equal);
-            }
-
-            #[test]
-            fn sorting_non_finite_keys_never_aborts(mut vals in prop::collection::vec(any_f64(), 0..32)) {
-                // The exact property the old partial_cmp().expect() lacked:
-                // a sort over arbitrary bit patterns completes and is
-                // totally ordered under the same comparator.
-                vals.sort_by(|x, y| cmp_desc(*x, *y));
-                for w in vals.windows(2) {
-                    prop_assert!(cmp_desc(w[0], w[1]) != std::cmp::Ordering::Greater);
-                }
-            }
-        }
     }
 }

@@ -29,12 +29,15 @@
 
 use va_sketch::IntervalQuantileSketch;
 use va_stream::Query;
-use vao::ops::percentile::{rank_from_top, SKETCH_ALPHA, SKETCH_BUDGET};
+use vao::ops::heavy::{cell_span, CellSpan, HeavySummaries};
+use vao::ops::percentile::{
+    band_scan, fill_sketch, rank_band, rank_from_top, SKETCH_ALPHA, SKETCH_BUDGET,
+};
+use vao::ops::score::{boundary_holder, by_hi_then_lo, ranked, reaches, Flipped, View};
 
 use super::{
-    boundary_member, cell_span, classify_entries, classify_entry, fill_sketch, heavy_scan,
-    median_phases, member_order, members_sorted, percentile_scan, rank_band, rank_phases, sum_done,
-    sum_entries, sum_entry, uniform, CellSpan, Demand, HeavySummaries, View, Weights,
+    classify_entries, classify_entry, heavy_scan, median_phases, push, rank_phases, sum_done,
+    sum_entries, sum_entry, uniform, Demand, Weights,
 };
 use crate::pool::SharedPool;
 
@@ -90,32 +93,33 @@ struct RankOrders {
 
 impl RankOrders {
     fn build(pool: &SharedPool) -> Self {
+        let everyone: Vec<usize> = (0..pool.len()).collect();
         Self {
-            desc: members_sorted(View { pool, flip: false }),
-            asc: members_sorted(View { pool, flip: true }),
+            desc: ranked(pool, &everyone, by_hi_then_lo),
+            asc: ranked(&Flipped(pool), &everyone, by_hi_then_lo),
         }
     }
 
-    /// Takes the (distinct) `changed` objects out and re-inserts each at its
-    /// new place. Everything else kept its keys, so it is still sorted, and
-    /// the order is strict: the result is the sequence a full sort gives.
     fn repair(&mut self, pool: &SharedPool, changed: &[usize]) {
-        for (order, flip) in [(&mut self.desc, false), (&mut self.asc, true)] {
-            let v = View { pool, flip };
-            order.retain(|i| !changed.contains(i));
-            for &i in changed {
-                let at = order.partition_point(|&j| member_order(v, j, i).is_lt());
-                order.insert(at, i);
-            }
-        }
+        reinsert(&mut self.desc, pool, changed);
+        reinsert(&mut self.asc, &Flipped(pool), changed);
     }
+}
 
-    fn of(&self, flip: bool) -> &[usize] {
-        if flip {
-            &self.asc
-        } else {
-            &self.desc
-        }
+/// Takes the (distinct) `changed` objects out of `order` and re-inserts each
+/// at its new place. Everything else kept its keys, so it is still sorted,
+/// and the order — `by_hi_then_lo`, then the index, which is how the stable
+/// sort over an index-ordered pool leaves exact ties — is strict: the result
+/// is the sequence a full sort gives.
+fn reinsert<V: View + ?Sized>(order: &mut Vec<usize>, v: &V, changed: &[usize]) {
+    order.retain(|i| !changed.contains(i));
+    for &i in changed {
+        let before = |&j: &usize| {
+            by_hi_then_lo(v.bounds(j), v.bounds(i))
+                .then(j.cmp(&i))
+                .is_lt()
+        };
+        order.insert(order.partition_point(before), i);
     }
 }
 
@@ -217,7 +221,7 @@ impl HeavyCache {
             }
         }
         self.summaries.add(new);
-        self.stale = !self.summaries.resolved.is_exact();
+        self.stale = !self.summaries.is_exact();
     }
 
     fn emit(&mut self, pool: &SharedPool, k: usize, width: f64, out: &mut Vec<Demand>) {
@@ -350,10 +354,9 @@ impl RoundView {
                 }
                 (Query::Median { epsilon }, _) => {
                     let Some(orders) = orders else { continue };
-                    let v = View { pool, flip: false };
                     let members = &orders.desc[..n.div_ceil(2)];
-                    let theta_holder = boundary_member(v, members);
-                    run_behind(v, &orders.desc, members.len(), theta_holder, straddlers);
+                    let theta_holder = boundary_holder(pool, members);
+                    run_behind(pool, &orders.desc, members.len(), theta_holder, straddlers);
                     median_phases(
                         pool,
                         members,
@@ -383,36 +386,62 @@ impl RoundView {
                         fill_sketch(sketch, pool);
                         *sketch_fresh = true;
                     }
-                    percentile_scan(pool, rank_band(sketch, k), out);
+                    band_scan(pool, rank_band(sketch, k), push(out));
                 }
                 _ => {
                     let (Some((k, epsilon, flip)), Some(orders)) = (rank_params(query), &orders)
                     else {
                         continue;
                     };
-                    let v = View { pool, flip };
-                    let order = orders.of(flip);
-                    let members = &order[..k.min(n)];
-                    if members.is_empty() {
-                        continue; // k == 0 (rejected at subscribe)
+                    if flip {
+                        rank_round(&Flipped(pool), &orders.asc, k, epsilon, straddlers, out);
+                    } else {
+                        rank_round(pool, &orders.desc, k, epsilon, straddlers, out);
                     }
-                    let theta_holder = boundary_member(v, members);
-                    run_behind(v, order, members.len(), theta_holder, straddlers);
-                    rank_phases(v, members, theta_holder, straddlers, epsilon, out);
                 }
             }
         }
     }
 }
 
+/// One rank-family session's round over the maintained `order` of view
+/// `v`: the members are its `k`-prefix, the straddlers the run behind it.
+fn rank_round<V: View + ?Sized>(
+    v: &V,
+    order: &[usize],
+    k: usize,
+    epsilon: f64,
+    straddlers: &mut Vec<usize>,
+    out: &mut Vec<Demand>,
+) {
+    let members = &order[..k.min(order.len())];
+    if members.is_empty() {
+        return; // k == 0 (rejected at subscribe)
+    }
+    let theta_holder = boundary_holder(v, members);
+    run_behind(v, order, members.len(), theta_holder, straddlers);
+    rank_phases(v, members, theta_holder, straddlers, epsilon, out);
+}
+
 /// The straddlers of a member prefix: the order is by `hi` descending, so
 /// the non-members reaching θ are the run right behind the `k` members.
 /// Returned in index order — the θ holder's benefit sums over them in that
 /// order.
-fn run_behind(v: View<'_>, order: &[usize], k: usize, theta_holder: usize, out: &mut Vec<usize>) {
-    let theta = v.lo(theta_holder);
+fn run_behind<V: View + ?Sized>(
+    v: &V,
+    order: &[usize],
+    k: usize,
+    theta_holder: usize,
+    out: &mut Vec<usize>,
+) {
+    let theta = v.bounds(theta_holder).lo();
     out.clear();
-    out.extend(order[k..].iter().copied().take_while(|&i| v.hi(i) >= theta));
+    out.extend(
+        order[k..]
+            .iter()
+            .copied()
+            .take_while(|&i| reaches(v, i, theta)),
+    );
     out.sort_unstable();
 }
 
@@ -493,7 +522,7 @@ mod tests {
         let schedule: Vec<Vec<usize>> = (0..80).rev().map(|i| vec![i]).collect();
         let view = drive(&mut pool, &queries, &schedule);
         assert!(
-            !heavy_cache(&view, 0).summaries.resolved.is_exact(),
+            !heavy_cache(&view, 0).summaries.is_exact(),
             "the run must have pushed the summary past capacity"
         );
     }

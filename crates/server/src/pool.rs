@@ -14,6 +14,7 @@ use vao::adapters::{WarmStart, WarmStarted};
 use vao::batch::GridShape;
 use vao::cost::{Work, WorkMeter};
 use vao::interface::{ResultObject, VariableAccuracyFn};
+use vao::ops::score::View;
 use vao::Bounds;
 
 /// One tick's worth of shared result objects, aligned with the relation.
@@ -234,6 +235,26 @@ impl SharedPool {
         let after = self.objects[i].iterate(meter);
         self.refresh(i);
         after
+    }
+}
+
+/// The pool as §5's scoring reads it: the flat columns, never the boxed
+/// objects, so the shared scoring functions monomorphise over plain loads.
+impl View for SharedPool {
+    fn len(&self) -> usize {
+        self.objects.len()
+    }
+
+    fn bounds(&self, i: usize) -> Bounds {
+        self.bounds[i]
+    }
+
+    fn est_bounds(&self, i: usize) -> Bounds {
+        self.est_bounds[i]
+    }
+
+    fn converged(&self, i: usize) -> bool {
+        self.converged[i]
     }
 }
 
