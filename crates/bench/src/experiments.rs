@@ -1592,10 +1592,12 @@ pub fn frontend_scaling(lab: &Lab, counts: &[usize]) -> Vec<FrontendScalingRow> 
                 .iter()
                 .map(|(id, a)| proto::result(DEFAULT_RELATION, res.tick, res.rate, *id, a))
                 .collect();
-            expected.push((
-                lines,
-                proto::tick_done(DEFAULT_RELATION, &res, golden.shed_ticks()),
-            ));
+            let shed = golden
+                .catalog()
+                .by_name(DEFAULT_RELATION)
+                .expect("`subscribed` builds a single-relation server")
+                .shed();
+            expected.push((lines, proto::tick_done(DEFAULT_RELATION, &res, shed)));
         }
 
         // Wire run: the front-end on its own thread, N blocking clients

@@ -162,6 +162,13 @@ impl Tenant {
         self.shed
     }
 
+    /// The answer each session received on the most recent tick (or, after
+    /// recovery, on the last journaled tick), in registration order.
+    #[must_use]
+    pub fn last_answers(&self) -> &[(SessionId, Answer)] {
+        &self.last_answers
+    }
+
     /// Run-level accounting: the fold of every processed tick's stats
     /// (the per-session counters are [`Tenant::sessions`]).
     #[must_use]

@@ -459,12 +459,6 @@ impl Server {
             .ok_or_else(|| ServerError::UnknownRelation(name.to_string()))
     }
 
-    fn default_tenant(&self) -> &Tenant {
-        self.catalog
-            .by_name(DEFAULT_RELATION)
-            .expect("server has no \"default\" relation")
-    }
-
     /// Persists the current catalog metadata; no-op on in-memory servers.
     fn rewrite_meta(&self) -> Result<(), ServerError> {
         if let Some(d) = &self.durability {
@@ -950,51 +944,16 @@ impl Server {
         Ok(())
     }
 
-    // --- single-relation compatibility surface -------------------------
+    // --- single-relation surface -----------------------------------------
     //
-    // Every method below resolves the relation named "default", which the
-    // single-relation construction paths always create. They keep PR-1..8
-    // callers (bench harness, experiments, tests) source-compatible and
-    // bit-identical.
-
-    /// The default relation the server prices.
-    ///
-    /// # Panics
-    /// When the server hosts no relation named `"default"` (catalog-only
-    /// servers); use [`Server::catalog`] there.
-    #[must_use]
-    pub fn relation(&self) -> &BondRelation {
-        self.default_tenant().relation()
-    }
-
-    /// The default relation's live session registry (panics like
-    /// [`Server::relation`] on catalog-only servers).
-    #[must_use]
-    pub fn sessions(&self) -> &SessionRegistry {
-        self.default_tenant().sessions()
-    }
+    // The three calls the frozen `benchmark/` package makes without naming
+    // a relation; they resolve `"default"` and answer `UnknownRelation` on a
+    // server that hosts none. Everything else goes through the `_in` /
+    // `*_relation` forms and [`Server::catalog`].
 
     /// Registers a query against the default relation.
     pub fn subscribe(&mut self, query: Query, priority: u32) -> Result<SessionId, ServerError> {
         self.subscribe_to(DEFAULT_RELATION, query, priority)
-    }
-
-    /// Removes a session from the default relation.
-    pub fn unsubscribe(&mut self, id: SessionId) -> Result<(), ServerError> {
-        self.unsubscribe_in(DEFAULT_RELATION, id)
-    }
-
-    /// Looks up a session in the default relation for `RESUME`.
-    pub fn resume(&self, id: SessionId) -> Result<(&Session, Option<&Answer>), ServerError> {
-        self.resume_in(DEFAULT_RELATION, id)
-    }
-
-    /// The answer each default-relation session received on the most
-    /// recent tick (or, after recovery, on the last journaled tick), in
-    /// registration order.
-    #[must_use]
-    pub fn last_answers(&self) -> &[(SessionId, Answer)] {
-        &self.default_tenant().last_answers
     }
 
     /// Processes one rate tick for the default relation.
@@ -1010,18 +969,6 @@ impl Server {
         observer: &mut O,
     ) -> Result<TickResult, ServerError> {
         self.tick_relation_with_observer(DEFAULT_RELATION, rate, observer)
-    }
-
-    /// Ticks shed by coalescing on the default relation so far.
-    #[must_use]
-    pub fn shed_ticks(&self) -> u64 {
-        self.default_tenant().shed()
-    }
-
-    /// Ticks the default relation has processed.
-    #[must_use]
-    pub fn ticks(&self) -> u64 {
-        self.default_tenant().ticks()
     }
 }
 
@@ -1358,6 +1305,11 @@ mod tests {
         Server::new(BondPricer::default(), relation, config)
     }
 
+    /// The tenant of the one relation the single-relation servers host.
+    fn default_tenant(srv: &Server) -> &Tenant {
+        srv.tenant(DEFAULT_RELATION).expect("the default relation")
+    }
+
     fn small_relation() -> BondRelation {
         BondRelation::from_universe(&BondUniverse::generate(8, 42))
     }
@@ -1439,7 +1391,7 @@ mod tests {
         assert_eq!(res.answers[1].0, b);
         let summary = srv.summary_in(DEFAULT_RELATION).unwrap();
         assert_eq!(summary.ticks, 1);
-        let per_session = srv.sessions().sessions();
+        let per_session = default_tenant(&srv).sessions().sessions();
         assert_eq!(per_session.len(), 2);
         assert!(per_session.iter().all(|r| r.finals == 1));
         // Someone must have driven the refinement work.
@@ -1550,7 +1502,7 @@ mod tests {
             "partial {bounds} must bracket converged mid {mid}"
         );
         assert!(partial.stats.total_work() <= full_work);
-        assert_eq!(tight.sessions().sessions()[0].partials, 1);
+        assert_eq!(default_tenant(&tight).sessions().sessions()[0].partials, 1);
     }
 
     #[test]
@@ -1561,14 +1513,14 @@ mod tests {
         for rate in [0.0583, 0.0584, 0.0585] {
             srv.offer_tick_in(DEFAULT_RELATION, rate).unwrap();
         }
-        assert_eq!(srv.shed_ticks(), 2);
+        assert_eq!(default_tenant(&srv).shed(), 2);
         let res = srv.run_queued_in(DEFAULT_RELATION).unwrap().unwrap();
         assert_eq!(res.rate, 0.0585, "only the newest rate is priced");
         assert!(
             srv.run_queued_in(DEFAULT_RELATION).is_none(),
             "queue drained"
         );
-        assert_eq!(srv.ticks(), 1);
+        assert_eq!(default_tenant(&srv).ticks(), 1);
     }
 
     #[test]
@@ -1813,8 +1765,8 @@ mod tests {
         assert!(rec.snapshot_seq.is_some(), "clean shutdown snapshotted");
         assert_eq!(rec.replayed_events, 0, "clean shutdown replays nothing");
         assert_eq!(rec.truncated_bytes, 0);
-        assert_eq!(srv.ticks(), 1);
-        let (sess, answer) = srv.resume(id).unwrap();
+        assert_eq!(default_tenant(&srv).ticks(), 1);
+        let (sess, answer) = srv.resume_in(DEFAULT_RELATION, id).unwrap();
         assert_eq!(sess.priority, 2);
         assert_eq!(sess.finals, 1);
         assert_eq!(answer.unwrap(), &first.answers[0].1);
@@ -2019,13 +1971,13 @@ mod tests {
         assert!(srv.last_recovery().is_none());
         let id = srv.subscribe(Query::Max { epsilon: 0.5 }, 1).unwrap();
         assert!(matches!(
-            srv.resume(SessionId(99)),
+            srv.resume_in(DEFAULT_RELATION, SessionId(99)),
             Err(ServerError::UnknownSession(99))
         ));
-        let (_, none_yet) = srv.resume(id).unwrap();
+        let (_, none_yet) = srv.resume_in(DEFAULT_RELATION, id).unwrap();
         assert!(none_yet.is_none(), "no tick yet, no last answer");
         let res = srv.tick(0.0583).unwrap();
-        let (_, ans) = srv.resume(id).unwrap();
+        let (_, ans) = srv.resume_in(DEFAULT_RELATION, id).unwrap();
         assert_eq!(ans.unwrap(), &res.answers[0].1);
         srv.shutdown().unwrap(); // no-op without a data dir
     }
@@ -2085,7 +2037,7 @@ mod tests {
             &dir,
         )
         .unwrap();
-        assert_eq!(srv.ticks(), 1);
+        assert_eq!(default_tenant(&srv).ticks(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2149,7 +2101,7 @@ mod tests {
         }
         let mut srv =
             Server::open_durable(pricer, relation, ServerConfig::default(), &dir).unwrap();
-        assert_eq!(srv.ticks(), 1, "the forged tick replayed");
+        assert_eq!(default_tenant(&srv).ticks(), 1, "the forged tick replayed");
         srv.subscribe(Query::Max { epsilon: 0.5 }, 1).unwrap();
         let res = srv.tick(rate).unwrap();
         assert!(res.answers[0].1.is_final(), "cold fallback still answers");
@@ -2233,7 +2185,7 @@ mod tests {
             srv
         };
         let mut srv = build();
-        let fresh = srv.sessions().sessions().to_vec();
+        let fresh = default_tenant(&srv).sessions().sessions().to_vec();
         let tenant = &srv.catalog.tenants()[0];
         let exec = execute_tenant_tick(
             &srv.pricer,
@@ -2289,7 +2241,7 @@ mod tests {
             srv.tick_multi(&[(DEFAULT_RELATION, 0.0583), ("energy", 7.0)]),
             Err(ServerError::RateOutOfRange { .. })
         ));
-        assert_eq!(srv.ticks(), 0);
+        assert_eq!(default_tenant(&srv).ticks(), 0);
         assert_eq!(
             srv.tick(0.3).unwrap().tick,
             1,
@@ -2377,11 +2329,15 @@ mod tests {
         ));
         // A finite sum can still overflow against the prices: admitted, and
         // the same typed error per tick.
-        srv.unsubscribe(SessionId(1)).unwrap();
+        srv.unsubscribe_in(DEFAULT_RELATION, SessionId(1)).unwrap();
         let id = srv.subscribe(sum(1e306), 1).unwrap();
         assert!(non_finite(srv.tick(0.0583)));
-        assert_eq!(srv.ticks(), 0, "a refused tick is not a tick");
-        srv.unsubscribe(id).unwrap();
+        assert_eq!(
+            default_tenant(&srv).ticks(),
+            0,
+            "a refused tick is not a tick"
+        );
+        srv.unsubscribe_in(DEFAULT_RELATION, id).unwrap();
         srv.subscribe(Query::Max { epsilon: 0.5 }, 1).unwrap();
         assert!(srv.tick(0.0583).unwrap().answers[0].1.is_final());
         let _ = std::fs::remove_dir_all(&dir);
@@ -2495,22 +2451,22 @@ mod tests {
         live.subscribe(Query::Max { epsilon: 0.05 }, 1).unwrap();
         let first = live.tick(0.0583).unwrap().stats.iterations;
         assert!((1..CAL_MIN_OBSERVATIONS).contains(&first));
-        let model = &live.default_tenant().calibrator;
+        let model = &default_tenant(&live).calibrator;
         assert!(model.is_cold() && model.observations() == first);
 
         copy_without_snapshots(&live_dir, &replay_dir);
         let mut replayed = open(&replay_dir);
-        assert_eq!(&replayed.default_tenant().calibrator, model);
+        assert_eq!(&default_tenant(&replayed).calibrator, model);
 
         for srv in [&mut live, &mut replayed] {
             let second = srv.tick(0.0601).unwrap().stats.iterations;
             assert!((1..CAL_MIN_OBSERVATIONS).contains(&second));
-            let model = &srv.default_tenant().calibrator;
+            let model = &default_tenant(srv).calibrator;
             assert!(!model.is_cold() && model.observations() == first + second);
         }
         assert_eq!(
-            live.default_tenant().calibrator,
-            replayed.default_tenant().calibrator
+            default_tenant(&live).calibrator,
+            default_tenant(&replayed).calibrator
         );
         for dir in [live_dir, replay_dir] {
             let _ = std::fs::remove_dir_all(dir);
@@ -2522,9 +2478,9 @@ mod tests {
         let mut srv = small_server(ServerConfig::default());
         let a = srv.subscribe(Query::Max { epsilon: 0.5 }, 1).unwrap();
         let b = srv.subscribe(Query::Min { epsilon: 0.5 }, 1).unwrap();
-        srv.unsubscribe(a).unwrap();
+        srv.unsubscribe_in(DEFAULT_RELATION, a).unwrap();
         assert!(matches!(
-            srv.unsubscribe(a),
+            srv.unsubscribe_in(DEFAULT_RELATION, a),
             Err(ServerError::UnknownSession(1))
         ));
         let res = srv.tick(0.0583).unwrap();

@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bondlab::{BondPricer, BondUniverse};
-use va_server::{Server, ServerConfig, TickResult, DEFAULT_RELATION};
+use va_server::{Server, ServerConfig, Tenant, TickResult, DEFAULT_RELATION};
 use va_stream::{BondRelation, Query, TickStats};
 use vao::ops::selection::CmpOp;
 
@@ -72,8 +72,16 @@ fn open(dir: &Path) -> Server {
         .expect("open durable server")
 }
 
+/// The tenant of the one relation these servers host.
+fn default_tenant(server: &Server) -> &Tenant {
+    server
+        .catalog()
+        .by_name(DEFAULT_RELATION)
+        .expect("the default relation")
+}
+
 fn subscribe_workload(srv: &mut Server) {
-    for q in workload(srv.relation().bonds().len()) {
+    for q in workload(default_tenant(srv).relation().bonds().len()) {
         srv.subscribe(q, 1).expect("subscribe");
     }
 }

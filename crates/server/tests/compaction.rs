@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bondlab::{BondPricer, BondUniverse};
-use va_server::{Server, ServerConfig, TickResult};
+use va_server::{Server, ServerConfig, Tenant, TickResult, DEFAULT_RELATION};
 use va_stream::{BondRelation, Query, TickStats};
 use vao::ops::selection::CmpOp;
 
@@ -67,8 +67,16 @@ fn open_every(dir: &Path, snapshot_every: u64) -> Server {
     Server::open_durable(BondPricer::default(), relation, config, dir).expect("open durable server")
 }
 
+/// The tenant of the one relation these servers host.
+fn default_tenant(server: &Server) -> &Tenant {
+    server
+        .catalog()
+        .by_name(DEFAULT_RELATION)
+        .expect("the default relation")
+}
+
 fn subscribe_workload(srv: &mut Server) {
-    for q in workload(srv.relation().bonds().len()) {
+    for q in workload(default_tenant(srv).relation().bonds().len()) {
         srv.subscribe(q, 1).expect("subscribe");
     }
 }

@@ -9,11 +9,21 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bondlab::{BondPricer, BondUniverse, RateSeries};
-use va_server::{net::FrontEnd, proto, FrontEndStats, Server, ServerConfig, SessionId};
+use va_server::{
+    net::FrontEnd, proto, FrontEndStats, Server, ServerConfig, SessionId, Tenant, DEFAULT_RELATION,
+};
 use va_stream::{BondRelation, Query};
 
 const BONDS: usize = 12;
 const SEED: u64 = 1994;
+
+/// The tenant of the one relation these servers host.
+fn default_tenant(server: &Server) -> &Tenant {
+    server
+        .catalog()
+        .by_name(DEFAULT_RELATION)
+        .expect("the default relation")
+}
 
 fn fresh_server() -> Server {
     let universe = BondUniverse::generate(BONDS, SEED);
@@ -120,7 +130,11 @@ impl Golden {
                 (*id, line)
             })
             .collect();
-        let done = proto::tick_done(va_server::DEFAULT_RELATION, &res, self.server.shed_ticks());
+        let done = proto::tick_done(
+            va_server::DEFAULT_RELATION,
+            &res,
+            default_tenant(&self.server).shed(),
+        );
         (lines, done)
     }
 }
@@ -183,8 +197,12 @@ fn many_subscribers_get_bit_identical_broadcasts() {
     }
 
     let (server, stats) = harness.stop();
-    assert_eq!(server.ticks(), rates.len() as u64);
-    assert_eq!(server.sessions().len(), 6, "sessions survive disconnects");
+    assert_eq!(default_tenant(&server).ticks(), rates.len() as u64);
+    assert_eq!(
+        default_tenant(&server).sessions().len(),
+        6,
+        "sessions survive disconnects"
+    );
     // The whole point of shape-grouped fan-out: one serialized payload per
     // tick served every subscriber on the shape.
     assert!(
@@ -216,7 +234,7 @@ fn dead_client_mid_tick_keeps_the_listener_serving() {
     assert_eq!(fresh.subscribe_max(), 3);
 
     let (server, stats) = harness.stop();
-    assert_eq!(server.ticks(), 1);
+    assert_eq!(default_tenant(&server).ticks(), 1);
     assert_eq!(stats.accepted, 3);
 }
 
@@ -248,7 +266,7 @@ fn wedged_client_neither_stalls_ticks_nor_kills_accepts() {
     assert_eq!(fresh.subscribe_max(), 3);
 
     let (server, _) = harness.stop();
-    assert_eq!(server.ticks(), 3);
+    assert_eq!(default_tenant(&server).ticks(), 3);
 }
 
 #[test]
@@ -278,8 +296,8 @@ fn quit_is_scoped_to_the_issuing_connection() {
     assert!(resumed.contains("\"status\":\"final\""), "{resumed}");
 
     let (server, stats) = harness.stop();
-    assert_eq!(server.ticks(), 1);
-    assert_eq!(server.sessions().len(), 2);
+    assert_eq!(default_tenant(&server).ticks(), 1);
+    assert_eq!(default_tenant(&server).sessions().len(), 2);
     assert!(stats.closed >= 1);
 }
 
@@ -308,7 +326,7 @@ fn hostile_nesting_gets_an_error_and_the_server_keeps_serving() {
     assert!(second.recv().contains("\"type\":\"TICK_DONE\""));
 
     let (server, stats) = harness.stop();
-    assert_eq!(server.ticks(), 1);
+    assert_eq!(default_tenant(&server).ticks(), 1);
     assert_eq!(stats.accepted, 2);
 }
 
@@ -332,8 +350,16 @@ fn refused_and_still_serving(lines: &[&str], needle: &str) {
     assert!(second.recv().contains("\"type\":\"TICK_DONE\""));
 
     let (server, _) = harness.stop();
-    assert_eq!(server.ticks(), 1, "no refused tick executed");
-    assert_eq!(server.sessions().len(), 1, "no refused query registered");
+    assert_eq!(
+        default_tenant(&server).ticks(),
+        1,
+        "no refused tick executed"
+    );
+    assert_eq!(
+        default_tenant(&server).sessions().len(),
+        1,
+        "no refused query registered"
+    );
     assert_eq!(server.catalog().len(), 1, "no refused relation created");
 }
 

@@ -6,8 +6,16 @@ use std::net::{TcpListener, TcpStream};
 
 use bondlab::{BondPricer, BondUniverse};
 use va_persist::json::Json;
-use va_server::{net, Server, ServerConfig};
+use va_server::{net, Server, ServerConfig, Tenant, DEFAULT_RELATION};
 use va_stream::BondRelation;
+
+/// The tenant of the one relation these servers host.
+fn default_tenant(server: &Server) -> &Tenant {
+    server
+        .catalog()
+        .by_name(DEFAULT_RELATION)
+        .expect("the default relation")
+}
 
 fn spawn_server(
     bonds: usize,
@@ -148,8 +156,8 @@ fn full_protocol_exchange_over_loopback() {
     c.recv_type("BYE");
 
     let server = handle.join().expect("server thread");
-    assert_eq!(server.ticks(), 2);
-    assert_eq!(server.sessions().len(), 2);
+    assert_eq!(default_tenant(&server).ticks(), 2);
+    assert_eq!(default_tenant(&server).sessions().len(), 2);
 }
 
 #[test]

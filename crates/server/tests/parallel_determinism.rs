@@ -17,13 +17,21 @@
 //!    batched rounds charge is visible in the round trace.
 
 use bondlab::{BondPricer, BondUniverse};
-use va_server::{Answer, Server, ServerConfig, ServerError};
+use va_server::{Answer, Server, ServerConfig, ServerError, Tenant, DEFAULT_RELATION};
 use va_stream::{BondRelation, Query, QueryOutput};
 use vao::ops::selection::CmpOp;
 use vao::trace::{Recorder, TraceEvent};
 
 const SEED: u64 = 1994;
 const RATE: f64 = 0.0583;
+
+/// The tenant of the one relation these servers host.
+fn default_tenant(server: &Server) -> &Tenant {
+    server
+        .catalog()
+        .by_name(DEFAULT_RELATION)
+        .expect("the default relation")
+}
 
 /// The bench harness's 8-query server workload (two sessions per §5
 /// benefit family), inlined so this test doesn't depend on va-bench.
@@ -297,12 +305,16 @@ fn meter_total_is_the_sum_of_round_charges() {
 fn empty_relation_subscribe_then_tick_is_a_typed_error() {
     let relation = BondRelation::from_universe(&BondUniverse::generate(0, SEED));
     let mut srv = Server::new(BondPricer::default(), relation, ServerConfig::default());
-    assert!(srv.relation().bonds().is_empty());
+    assert!(default_tenant(&srv).relation().bonds().is_empty());
     assert_eq!(
         srv.subscribe(Query::Max { epsilon: 0.5 }, 1).unwrap_err(),
         ServerError::EmptyRelation
     );
     // Even with the subscribe rejected, a TICK must fail cleanly too.
     assert_eq!(srv.tick(RATE).unwrap_err(), ServerError::EmptyRelation);
-    assert_eq!(srv.ticks(), 0, "failed tick is not counted");
+    assert_eq!(
+        default_tenant(&srv).ticks(),
+        0,
+        "failed tick is not counted"
+    );
 }

@@ -27,7 +27,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bondlab::{BondPricer, BondUniverse};
-use va_server::{Server, ServerConfig, SessionId, TickResult};
+use va_server::{Server, ServerConfig, SessionId, Tenant, TickResult, DEFAULT_RELATION};
 use va_stream::{BondRelation, Query, QueryOutput, TickStats};
 use vao::ops::selection::CmpOp;
 
@@ -91,8 +91,16 @@ fn open(dir: &std::path::Path) -> Server {
     .expect("open durable server")
 }
 
+/// The tenant of the one relation these servers host.
+fn default_tenant(server: &Server) -> &Tenant {
+    server
+        .catalog()
+        .by_name(DEFAULT_RELATION)
+        .expect("the default relation")
+}
+
 fn subscribe_workload(srv: &mut Server) {
-    for q in workload(srv.relation().bonds().len()) {
+    for q in workload(default_tenant(srv).relation().bonds().len()) {
         srv.subscribe(q, 1).expect("subscribe");
     }
 }
@@ -164,25 +172,40 @@ fn recovered_ticks_are_bit_identical_to_the_uninterrupted_golden_run() {
 
     // Recovered accounting matches too: same session counters, and RESUME
     // serves the same last answer the golden server would.
-    assert_eq!(recovered.ticks(), golden.ticks());
-    for (g, r) in golden
+    assert_eq!(
+        default_tenant(&recovered).ticks(),
+        default_tenant(&golden).ticks()
+    );
+    for (g, r) in default_tenant(&golden)
         .sessions()
         .sessions()
         .iter()
-        .zip(recovered.sessions().sessions())
+        .zip(default_tenant(&recovered).sessions().sessions())
     {
         assert_eq!(g.id, r.id);
         assert_eq!(g.finals, r.finals, "session {} finals", g.id);
         assert_eq!(g.partials, r.partials, "session {} partials", g.id);
         assert_eq!(g.driven_iterations, r.driven_iterations);
     }
-    for ((gid, ga), (rid, ra)) in golden.last_answers().iter().zip(recovered.last_answers()) {
+    for ((gid, ga), (rid, ra)) in default_tenant(&golden)
+        .last_answers()
+        .iter()
+        .zip(default_tenant(&recovered).last_answers())
+    {
         assert_eq!(gid, rid);
         assert_eq!(ga, ra, "session {gid} last answer");
     }
-    let (sess, answer) = recovered.resume(SessionId(1)).expect("resume");
+    let (sess, answer) = recovered
+        .resume_in(DEFAULT_RELATION, SessionId(1))
+        .expect("resume");
     assert_eq!(sess.finals + sess.partials, RATES.len() as u64);
-    assert_eq!(answer, golden.last_answers().first().map(|(_, a)| a));
+    assert_eq!(
+        answer,
+        default_tenant(&golden)
+            .last_answers()
+            .first()
+            .map(|(_, a)| a)
+    );
 
     std::fs::remove_dir_all(&golden_dir).ok();
     std::fs::remove_dir_all(&crash_dir).ok();
@@ -356,11 +379,16 @@ fn session_ids_are_never_reissued_across_a_crash() {
     let b = srv.subscribe(Query::Min { epsilon: 0.5 }, 1).expect("b");
     assert_eq!((a, b), (SessionId(1), SessionId(2)));
     // The session dies *before* the crash — its id must stay burned anyway.
-    srv.unsubscribe(b).expect("unsubscribe");
+    srv.unsubscribe_in(DEFAULT_RELATION, b)
+        .expect("unsubscribe");
     drop(srv); // crash: no shutdown, no snapshot
 
     let mut recovered = open(&dir);
-    assert_eq!(recovered.sessions().len(), 1, "only session 1 survives");
+    assert_eq!(
+        default_tenant(&recovered).sessions().len(),
+        1,
+        "only session 1 survives"
+    );
     let c = recovered
         .subscribe(Query::Max { epsilon: 1.0 }, 1)
         .expect("c");
@@ -435,7 +463,11 @@ fn clean_shutdown_recovers_with_zero_journal_replay() {
 
     // The snapshot alone carries the whole state: repeat the tick and it is
     // warm, and the last answers survived byte-for-byte.
-    for ((lid, la), (sid, sa)) in recovered.last_answers().iter().zip(&live.answers) {
+    for ((lid, la), (sid, sa)) in default_tenant(&recovered)
+        .last_answers()
+        .iter()
+        .zip(&live.answers)
+    {
         assert_eq!(lid, sid);
         assert_eq!(la, sa);
     }
