@@ -299,7 +299,7 @@ pub fn contended<'a>(
 pub fn resolve_benefit<V: View + ?Sized>(v: &V, i: usize, width: f64, bonus: f64) -> f64 {
     let eb = v.est_bounds(i);
     let resolves = cell_of(eb.lo(), width) == cell_of(eb.hi(), width);
-    est_shrink(v, i) + if resolves { bonus } else { 0.0 }
+    est_shrink(v.bounds(i), eb) + if resolves { bonus } else { 0.0 }
 }
 
 /// Resolved objects per ε-cell, and how many objects are still unresolved.

@@ -194,7 +194,7 @@ pub fn band_scan<V: View + ?Sized>(
             continue; // sketch-pruned: cannot move the rank-k band
         }
         let overlap = b.hi().min(band_hi) - b.lo().max(band_lo);
-        emit(i, overlap.max(0.0).min(est_shrink(v, i)));
+        emit(i, overlap.max(0.0).min(est_shrink(b, v.est_bounds(i))));
     }
 }
 

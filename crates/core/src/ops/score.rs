@@ -84,14 +84,14 @@ impl<V: View + ?Sized> View for Flipped<'_, V> {
     }
 }
 
-/// The estimated two-sided shrink of object `i`'s bounds from one more
-/// iteration, `(estL − L) + (H − estH)` — the paper's error-reduction term
-/// and the factor every per-object benefit is built on. Each side is
-/// clamped so a wayward estimate cannot produce negative benefit.
+/// The estimated two-sided shrink of bounds `b` from one more iteration
+/// predicted to leave `eb`, `(estL − L) + (H − estH)` — the paper's
+/// error-reduction term and the factor every per-object benefit is built
+/// on. Each side is clamped so a wayward estimate cannot produce negative
+/// benefit. (Reflecting both intervals about zero swaps the two terms, so
+/// the shrink reads the same through a [`Flipped`] view.)
 #[must_use]
-pub fn est_shrink<V: View + ?Sized>(v: &V, i: usize) -> f64 {
-    let b = v.bounds(i);
-    let eb = v.est_bounds(i);
+pub fn est_shrink(b: Bounds, eb: Bounds) -> f64 {
     (eb.lo() - b.lo()).max(0.0) + (b.hi() - eb.hi()).max(0.0)
 }
 

@@ -138,9 +138,10 @@ pub fn decided<V: View + ?Sized>(v: &V, i: usize, op: CmpOp, constant: f64) -> O
 /// the constant (the iteration would decide it).
 #[must_use]
 pub fn probe_benefit<V: View + ?Sized>(v: &V, i: usize, op: CmpOp, constant: f64) -> f64 {
-    let mut benefit = est_shrink(v, i);
-    if op.decide(&v.est_bounds(i), constant).is_some() {
-        benefit += v.bounds(i).width();
+    let (b, eb) = (v.bounds(i), v.est_bounds(i));
+    let mut benefit = est_shrink(b, eb);
+    if op.decide(&eb, constant).is_some() {
+        benefit += b.width();
     }
     benefit
 }

@@ -147,7 +147,11 @@ pub fn weighted_sum_vao_traced<R: ResultObject, O: ExecObserver>(
             if o.converged() {
                 continue;
             }
-            candidates.push(Candidate::of(i, o, weights[i] * est_shrink(&*objs, i)));
+            candidates.push(Candidate::of(
+                i,
+                o,
+                weights[i] * est_shrink(o.bounds(), o.est_bounds()),
+            ));
         }
         if candidates.is_empty() {
             // Every object at its stopping condition: the floor.
@@ -240,7 +244,10 @@ mod tests {
         // under AVE weights (1/3 each): the VAO iterates over o3.
         // With equal weights the same ranking holds: reductions 3, 3, 4.
         let objs = trio();
-        let reductions: Vec<f64> = (0..3).map(|i| est_shrink(&objs[..], i)).collect();
+        let reductions: Vec<f64> = objs
+            .iter()
+            .map(|o| est_shrink(o.bounds(), o.est_bounds()))
+            .collect();
         assert_eq!(reductions, vec![3.0, 3.0, 4.0]);
         // Weighted by 1/3: 1, 1, 4/3 — exactly the paper's numbers.
         let weighted: Vec<f64> = reductions.iter().map(|r| r / 3.0).collect();

@@ -57,9 +57,10 @@ impl Ord for Entry {
     }
 }
 
-fn score_of<R: ResultObject>(objs: &[R], i: usize, weight: f64) -> (f64, f64) {
-    let score = weight * est_shrink(objs, i) / (objs[i].est_cpu().max(1) as f64);
-    (score, objs[i].bounds().width())
+fn score_of<R: ResultObject>(obj: &R, weight: f64) -> (f64, f64) {
+    let b = obj.bounds();
+    let score = weight * est_shrink(b, obj.est_bounds()) / (obj.est_cpu().max(1) as f64);
+    (score, b.width())
 }
 
 /// Weighted SUM with a heap-indexed greedy strategy. Semantically
@@ -81,7 +82,7 @@ pub fn weighted_sum_vao_heap<R: ResultObject>(
     let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(n);
     for (i, o) in objs.iter().enumerate() {
         if !o.converged() {
-            let (score, width) = score_of(objs, i, weights[i]);
+            let (score, width) = score_of(o, weights[i]);
             heap.push(Entry {
                 score,
                 width,
@@ -131,7 +132,7 @@ pub fn weighted_sum_vao_heap<R: ResultObject>(
 
         versions[chosen] += 1;
         if !objs[chosen].converged() {
-            let (score, width) = score_of(objs, chosen, w);
+            let (score, width) = score_of(&objs[chosen], w);
             heap.push(Entry {
                 score,
                 width,

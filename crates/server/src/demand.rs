@@ -364,7 +364,7 @@ fn sum_entry(pool: &SharedPool, w: Weights<'_>, i: usize) -> Option<Demand> {
     }
     Some(Demand {
         object: i,
-        benefit: wi * est_shrink(pool, i),
+        benefit: wi * est_shrink(pool.bounds(i), pool.est_bounds(i)),
     })
 }
 
@@ -415,10 +415,11 @@ fn demands_classify(
 /// demand while wider than ε, scored by the estimated two-sided shrink
 /// (widths and shrinks read the same through a flipped view).
 fn refine_to_epsilon<V: View + ?Sized>(v: &V, i: usize, epsilon: f64, out: &mut Vec<Demand>) {
-    if v.bounds(i).width() > epsilon && !v.converged(i) {
+    let b = v.bounds(i);
+    if b.width() > epsilon && !v.converged(i) {
         out.push(Demand {
             object: i,
-            benefit: est_shrink(v, i),
+            benefit: est_shrink(b, v.est_bounds(i)),
         });
     }
 }

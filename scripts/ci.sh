@@ -11,7 +11,8 @@
 #   4. cargo test -p va-server  -- the server crate's own suite, explicitly,
 #                                  plus the batched-scheduler determinism,
 #                                  crash-recovery, emitted-and-decoded-bytes
-#                                  (codec_bytes) and empty-relation tests by
+#                                  (codec_bytes), per-round demand-list
+#                                  (demand_bits) and empty-relation tests by
 #                                  name (a golden must never be filtered out)
 #   5. va-server --smoke        -- loopback TCP exchange of the line protocol,
 #                                  serial and again with --workers 4; after
@@ -84,7 +85,8 @@
 #  13. cargo doc -D warnings    -- rustdoc must build clean
 #  14. line count (informational) -- non-test, non-comment code lines of
 #                                  every crate under crates/, of
-#                                  crates/core/src/ops on its own line, and of
+#                                  crates/core/src/ops and of the server's
+#                                  demand modules on their own lines, and of
 #                                  crates/server/src + crates/persist/src as
 #                                  one line beside the ROADMAP's target, so a
 #                                  simplicity change has a trajectory to
@@ -105,11 +107,12 @@ cargo test --workspace -q
 echo "==> cargo test -p va-server -q"
 cargo test -p va-server -q
 
-echo "==> batched-scheduler determinism + crash-recovery + codec-bytes + empty-relation tests"
+echo "==> batched-scheduler determinism + crash-recovery + codec-bytes + demand-bits + empty-relation tests"
 cargo test -q -p va-server --test parallel_determinism
 cargo test -q -p va-server --test recovery
 cargo test -q -p va-server --test compaction
 cargo test -q -p va-server --test codec_bytes
+cargo test -q -p va-server --test demand_bits
 cargo test -q -p va-server --lib demand::tests::empty_pool_yields_typed_errors_not_panics
 
 echo "==> va-server loopback smoke (subscribe -> tick -> result -> quit)"
@@ -435,6 +438,7 @@ for crate in crates/*; do
   printf '    %-21s %s\n' "$crate/src:" "$(count $(find "$crate/src" -name '*.rs'))"
 done
 echo "    crates/core/src/ops:  $(count crates/core/src/ops/*.rs)"
+echo "    server demand (demand.rs + demand/round.rs): $(count crates/server/src/demand.rs crates/server/src/demand/round.rs)"
 echo "    server + persist:     $(count $(find crates/server/src crates/persist/src -name '*.rs')) (ROADMAP target: <= 5562)"
 echo "    crates/ total:        $(count $(find crates/*/src -name '*.rs'))"
 
