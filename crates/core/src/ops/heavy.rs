@@ -142,8 +142,9 @@ pub fn heavy_hitters_vao_traced<R: ResultObject, O: ExecObserver>(
         summaries.rebuild(&spans);
         let mut candidates = Vec::new();
         for i in contended(&spans, &summaries, k) {
-            // Landing in a single cell is worth a full cell width on top of
-            // the raw shrink — it removes the object from the demand set.
+            // This operator's resolve bonus is the cell width ε. It is not
+            // the shared rule: `va_server::demand` passes the object's
+            // current width (see `resolve_benefit`).
             let benefit = resolve_benefit(&*objs, i, width, width);
             candidates.push(Candidate::of(i, &objs[i], benefit));
         }
@@ -294,7 +295,16 @@ pub fn contended<'a>(
 
 /// The benefit of iterating contended object `i`: its estimated shrink,
 /// plus `bonus` when the estimate lands in a single cell (the iteration
-/// would resolve it).
+/// would resolve it and remove it from the demand set).
+///
+/// Only the shape of the formula is shared. The two callers disagree on
+/// `bonus` and have since before they shared this function:
+/// [`heavy_hitters_vao`] passes the cell width ε, `va_server::demand`
+/// the object's current width, so the two schedules can order the same
+/// candidates differently. `tests/ops_bits.rs` pins the first and
+/// `crates/server/tests/demand_bits.rs` + `tests/solver_bits.rs` the
+/// second; picking one (and dropping the parameter) re-baselines one of
+/// those goldens and is an open ROADMAP item.
 #[must_use]
 pub fn resolve_benefit<V: View + ?Sized>(v: &V, i: usize, width: f64, bonus: f64) -> f64 {
     let eb = v.est_bounds(i);

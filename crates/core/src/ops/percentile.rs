@@ -31,7 +31,7 @@ use crate::error::VaoError;
 use crate::interface::ResultObject;
 use crate::ops::drive::Driver;
 use crate::ops::minmax::AggregateConfig;
-use crate::ops::score::{est_shrink, View};
+use crate::ops::score::{cmp_desc, est_shrink, View};
 use crate::precision::PrecisionConstraint;
 use crate::strategy::Candidate;
 use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
@@ -149,7 +149,7 @@ pub fn rank_bracket<V: View + ?Sized>(v: &V, k: usize, scratch: &mut Vec<f64>) -
     let mut kth_largest = |f: fn(&Bounds) -> f64| {
         scratch.clear();
         scratch.extend((0..v.len()).map(|i| f(&v.bounds(i))));
-        scratch.sort_by(|a, b| b.total_cmp(a));
+        scratch.sort_by(|a, b| cmp_desc(*a, *b));
         scratch[k.clamp(1, scratch.len()) - 1]
     };
     (kth_largest(Bounds::lo), kth_largest(Bounds::hi))

@@ -95,6 +95,25 @@ pub fn est_shrink(b: Bounds, eb: Bounds) -> f64 {
     (eb.lo() - b.lo()).max(0.0) + (b.hi() - eb.hi()).max(0.0)
 }
 
+/// Descending total order on `f64` keys.
+///
+/// [`Bounds`] rejects non-finite endpoints at construction, so bound
+/// comparisons only ever see finite values — but ordering through
+/// `f64::total_cmp` instead of `partial_cmp(..).expect(..)` means that even
+/// a future pricer bug that smuggles a NaN through produces a deterministic
+/// (if arbitrary) order instead of aborting a server mid-tick. Every order
+/// on bound endpoints in scoring goes through this or [`cmp_asc`].
+#[must_use]
+pub fn cmp_desc(a: f64, b: f64) -> Ordering {
+    b.total_cmp(&a)
+}
+
+/// Ascending total order on `f64` keys (see [`cmp_desc`]).
+#[must_use]
+pub fn cmp_asc(a: f64, b: f64) -> Ordering {
+    a.total_cmp(&b)
+}
+
 /// Descending rank order of a separation: `Less` ranks first. Exact ties
 /// keep the order of the pool the separation was given.
 pub type RankOrder = fn(Bounds, Bounds) -> Ordering;
@@ -103,22 +122,24 @@ pub type RankOrder = fn(Bounds, Bounds) -> Ordering;
 /// guess of MAX, Top-K and the order statistics' outer phase (§5.1).
 #[must_use]
 pub fn by_hi_then_lo(a: Bounds, b: Bounds) -> Ordering {
-    by_hi(a, b).then(b.lo().total_cmp(&a.lo()))
+    by_hi(a, b).then(cmp_desc(a.lo(), b.lo()))
 }
 
 /// Highest upper bound first and nothing else — over a flipped view, the
 /// lowest lower bound: the guess of the order statistics' inner MIN phase.
 #[must_use]
 pub fn by_hi(a: Bounds, b: Bounds) -> Ordering {
-    b.hi().total_cmp(&a.hi())
+    cmp_desc(a.hi(), b.hi())
 }
 
 /// `pool` in rank order (a stable sort: exact ties keep the pool's order).
+/// Each object's bounds are read once, not once per comparison: behind an
+/// adapter (`WarmStarted`, `Negated`) a read is a computation.
 #[must_use]
 pub fn ranked<V: View + ?Sized>(v: &V, pool: &[usize], order: RankOrder) -> Vec<usize> {
-    let mut ranked = pool.to_vec();
-    ranked.sort_by(|&a, &b| order(v.bounds(a), v.bounds(b)));
-    ranked
+    let mut keyed: Vec<(usize, Bounds)> = pool.iter().map(|&i| (i, v.bounds(i))).collect();
+    keyed.sort_by(|a, b| order(a.1, b.1));
+    keyed.into_iter().map(|(i, _)| i).collect()
 }
 
 /// The **boundary holder** of a member set: the member with the lowest
@@ -131,7 +152,7 @@ pub fn ranked<V: View + ?Sized>(v: &V, pool: &[usize], order: RankOrder) -> Vec<
 pub fn boundary_holder<V: View + ?Sized>(v: &V, members: &[usize]) -> usize {
     *members
         .iter()
-        .min_by(|&&a, &&b| v.bounds(a).lo().total_cmp(&v.bounds(b).lo()))
+        .min_by(|&&a, &&b| cmp_asc(v.bounds(a).lo(), v.bounds(b).lo()))
         .expect("k >= 1")
 }
 

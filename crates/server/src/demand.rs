@@ -571,7 +571,9 @@ fn demands_heavy(
 
 /// Demands the unresolved objects that are still [`contended`] under the
 /// summaries `s` (which must hold exactly `spans`). Resolving is worth the
-/// object's whole current width on top of its shrink.
+/// object's whole current width on top of its shrink — the server's bonus,
+/// not `heavy_hitters_vao`'s (the cell width ε): `resolve_benefit` takes
+/// the amount because the two still differ.
 fn heavy_scan(
     pool: &SharedPool,
     spans: &[CellSpan],
@@ -1001,5 +1003,41 @@ mod tests {
         // one more from the straggler.
         let b = partial_bounds(&q, &pool).unwrap();
         assert_eq!((b.lo(), b.hi()), (4.0, 5.0));
+    }
+
+    mod nan_safe_orderings {
+        use proptest::prelude::*;
+        use vao::ops::score::{cmp_asc, cmp_desc};
+
+        /// Any-bits floats: includes NaNs (every payload), ±∞, subnormals
+        /// and negative zero — the values a buggy pricer could smuggle
+        /// into an ordering.
+        fn any_f64() -> impl Strategy<Value = f64> {
+            any::<u64>().prop_map(f64::from_bits)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn comparators_are_total_even_on_non_finite(a in any_f64(), b in any_f64()) {
+                // Totality: never panics, and the two orders are exact
+                // mirrors, so min_by/sort_by see a consistent ordering.
+                prop_assert_eq!(cmp_asc(a, b), cmp_desc(b, a));
+                prop_assert_eq!(cmp_asc(a, b), cmp_asc(b, a).reverse());
+                prop_assert_eq!(cmp_asc(a, a), std::cmp::Ordering::Equal);
+            }
+
+            #[test]
+            fn sorting_non_finite_keys_never_aborts(mut vals in prop::collection::vec(any_f64(), 0..32)) {
+                // The exact property the old partial_cmp().expect() lacked:
+                // a sort over arbitrary bit patterns completes and is
+                // totally ordered under the same comparator.
+                vals.sort_by(|x, y| cmp_desc(*x, *y));
+                for w in vals.windows(2) {
+                    prop_assert!(cmp_desc(w[0], w[1]) != std::cmp::Ordering::Greater);
+                }
+            }
+        }
     }
 }
