@@ -142,10 +142,7 @@ pub fn heavy_hitters_vao_traced<R: ResultObject, O: ExecObserver>(
         summaries.rebuild(&spans);
         let mut candidates = Vec::new();
         for i in contended(&spans, &summaries, k) {
-            // This operator's resolve bonus is the cell width ε. It is not
-            // the shared rule: `va_server::demand` passes the object's
-            // current width (see `resolve_benefit`).
-            let benefit = resolve_benefit(&*objs, i, width, width);
+            let benefit = resolve_benefit(&*objs, i, width);
             candidates.push(Candidate::of(i, &objs[i], benefit));
         }
         if candidates.is_empty() {
@@ -294,22 +291,14 @@ pub fn contended<'a>(
 }
 
 /// The benefit of iterating contended object `i`: its estimated shrink,
-/// plus `bonus` when the estimate lands in a single cell (the iteration
-/// would resolve it and remove it from the demand set).
-///
-/// Only the shape of the formula is shared. The two callers disagree on
-/// `bonus` and have since before they shared this function:
-/// [`heavy_hitters_vao`] passes the cell width ε, `va_server::demand`
-/// the object's current width, so the two schedules can order the same
-/// candidates differently. `tests/ops_bits.rs` pins the first and
-/// `crates/server/tests/demand_bits.rs` + `tests/solver_bits.rs` the
-/// second; picking one (and dropping the parameter) re-baselines one of
-/// those goldens and is an open ROADMAP item.
+/// plus its whole current width when the estimate lands in a single cell
+/// (the iteration would resolve it and remove it from the demand set) —
+/// SELECT/COUNT's decision bonus, on the cell grid.
 #[must_use]
-pub fn resolve_benefit<V: View + ?Sized>(v: &V, i: usize, width: f64, bonus: f64) -> f64 {
-    let eb = v.est_bounds(i);
+pub fn resolve_benefit<V: View + ?Sized>(v: &V, i: usize, width: f64) -> f64 {
+    let (b, eb) = (v.bounds(i), v.est_bounds(i));
     let resolves = cell_of(eb.lo(), width) == cell_of(eb.hi(), width);
-    est_shrink(v.bounds(i), eb) + if resolves { bonus } else { 0.0 }
+    est_shrink(b, eb) + if resolves { b.width() } else { 0.0 }
 }
 
 /// Resolved objects per ε-cell, and how many objects are still unresolved.

@@ -12,9 +12,11 @@
 //! each writing the formulas down. [`Flipped`] reflects a view about zero:
 //! MIN and the order statistics' inner phase are MAX over it.
 //!
-//! What is *not* here: any float sum that decides when a query stops. SUM's
-//! running totals and a store's index-order re-add are different additions;
-//! summation order is part of an answer's bits, so each keeps its own.
+//! The one float sum that decides when a query stops — SUM's interval — is
+//! also a function over the view,
+//! [`sum::weighted_endpoints`](super::sum::weighted_endpoints): summation
+//! order is part of an answer's bits, so the operators and a store that
+//! schedules SUM add it the same way, in index order.
 
 use std::cmp::Ordering;
 

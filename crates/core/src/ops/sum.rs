@@ -13,7 +13,7 @@ use crate::error::VaoError;
 use crate::interface::ResultObject;
 use crate::ops::drive::Driver;
 use crate::ops::minmax::AggregateConfig;
-use crate::ops::score::est_shrink;
+use crate::ops::score::{est_shrink, View};
 use crate::precision::PrecisionConstraint;
 use crate::strategy::Candidate;
 use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
@@ -46,11 +46,12 @@ pub fn ave_vao<R: ResultObject>(
     epsilon: PrecisionConstraint,
     meter: &mut WorkMeter,
 ) -> Result<SumResult, VaoError> {
-    if objs.is_empty() {
-        return Err(VaoError::EmptyInput);
-    }
-    let w = 1.0 / objs.len() as f64;
-    weighted_sum_vao(objs, &vec![w; objs.len()], epsilon, meter)
+    weighted_sum_vao(
+        objs,
+        &vec![ave_weight(objs.len()); objs.len()],
+        epsilon,
+        meter,
+    )
 }
 
 /// Evaluates a weighted SUM with the default greedy configuration.
@@ -132,11 +133,12 @@ pub fn weighted_sum_vao_traced<R: ResultObject, O: ExecObserver>(
         meter,
         observer,
     );
-    let (mut lo_sum, mut hi_sum) = weighted_total(objs, weights);
+    let weight = |i: usize| weights[i];
 
-    let stopped_at_floor = loop {
-        if hi_sum - lo_sum <= epsilon.epsilon() {
-            break false;
+    let (bounds, stopped_at_floor) = loop {
+        let bounds = weighted_interval(&*objs, weight);
+        if bounds.width() <= epsilon.epsilon() {
+            break (bounds, false);
         }
 
         // Candidates: every object that can still be refined; benefit is the
@@ -155,28 +157,30 @@ pub fn weighted_sum_vao_traced<R: ResultObject, O: ExecObserver>(
         }
         if candidates.is_empty() {
             // Every object at its stopping condition: the floor.
-            break true;
+            break (bounds, true);
         }
         let chosen = drive.choose(&mut config.policy, &candidates)?;
-        let (before, after) = drive.step(&mut objs[chosen], chosen)?;
-        // Incremental update of the running totals; resynchronized
-        // periodically to cap floating-point drift.
-        let w = weights[chosen];
-        lo_sum += w * (after.lo() - before.lo());
-        hi_sum += w * (after.hi() - before.hi());
-        if drive.iterations().is_multiple_of(1024) {
-            (lo_sum, hi_sum) = weighted_total(objs, weights);
-        }
+        drive.step(&mut objs[chosen], chosen)?;
     };
     Ok(SumResult {
-        bounds: Bounds::new(lo_sum.min(hi_sum), hi_sum.max(lo_sum)),
+        bounds,
         iterations: drive.finish(),
         stopped_at_floor,
     })
 }
 
-/// Every weight finite and nonnegative.
-pub(super) fn validate_weights(weights: &[f64]) -> Result<(), VaoError> {
+/// What a weighted SUM over `n` objects asks of its weights: something to
+/// sum, one weight per object, each finite and nonnegative.
+pub fn validate_weights(n: usize, weights: &[f64]) -> Result<(), VaoError> {
+    if n == 0 {
+        return Err(VaoError::EmptyInput);
+    }
+    if n != weights.len() {
+        return Err(VaoError::WeightCountMismatch {
+            objects: n,
+            weights: weights.len(),
+        });
+    }
     match weights.iter().position(|w| !w.is_finite() || *w < 0.0) {
         Some(index) => Err(VaoError::InvalidWeight {
             index,
@@ -186,28 +190,48 @@ pub(super) fn validate_weights(weights: &[f64]) -> Result<(), VaoError> {
     }
 }
 
-/// What a weighted SUM checks before it touches an object: a non-empty
-/// set, well-formed weights, one per object, and a reachable ε.
+/// What a weighted SUM checks before it touches an object: well-formed
+/// weights and a reachable ε.
 pub(super) fn validate_sum_input<R: ResultObject>(
     objs: &[R],
     weights: &[f64],
     epsilon: PrecisionConstraint,
 ) -> Result<(), VaoError> {
-    if objs.is_empty() {
-        return Err(VaoError::EmptyInput);
-    }
-    validate_weights(weights)?;
+    validate_weights(objs.len(), weights)?;
     epsilon.validate_weighted(objs, weights)
 }
 
-/// The output interval `[Σ wᵢ·Lᵢ, Σ wᵢ·Hᵢ]`, summed in object order.
-pub(super) fn weighted_total<R: ResultObject>(objs: &[R], weights: &[f64]) -> (f64, f64) {
-    objs.iter()
-        .zip(weights)
-        .fold((0.0, 0.0), |(lo, hi), (o, &w)| {
-            let b = o.bounds();
-            (lo + w * b.lo(), hi + w * b.hi())
-        })
+/// AVE's weight: AVE is the weighted SUM with every weight `1/n`.
+#[must_use]
+pub fn ave_weight(n: usize) -> f64 {
+    1.0 / n.max(1) as f64
+}
+
+/// The endpoints of SUM's output interval, `(Σ wᵢ·Lᵢ, Σ wᵢ·Hᵢ)` with
+/// `wᵢ = weight(i)`, each added from zero in index order.
+///
+/// Summation order is part of an answer's bits, and the interval's width
+/// decides when a SUM stops, so this is the only place the sum is formed:
+/// the operators stop on it, a store that schedules SUM stops on it, and
+/// the answer reports it.
+#[must_use]
+pub fn weighted_endpoints<V: View + ?Sized>(v: &V, weight: impl Fn(usize) -> f64) -> (f64, f64) {
+    (0..v.len()).fold((0.0, 0.0), |(lo, hi), i| {
+        let (w, b) = (weight(i), v.bounds(i));
+        (lo + w * b.lo(), hi + w * b.hi())
+    })
+}
+
+/// SUM's output interval `[Σ wᵢ·Lᵢ, Σ wᵢ·Hᵢ]` (see [`weighted_endpoints`]).
+///
+/// # Panics
+///
+/// Panics if the weights carry a sum past `f64`; nonnegative weights over
+/// ordered bounds cannot invert it.
+#[must_use]
+pub fn weighted_interval<V: View + ?Sized>(v: &V, weight: impl Fn(usize) -> f64) -> Bounds {
+    let (lo, hi) = weighted_endpoints(v, weight);
+    Bounds::new(lo, hi)
 }
 
 #[cfg(test)]

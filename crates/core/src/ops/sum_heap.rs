@@ -13,13 +13,12 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::bounds::Bounds;
 use crate::cost::{Work, WorkMeter};
 use crate::error::VaoError;
 use crate::interface::ResultObject;
 use crate::ops::drive::Driver;
 use crate::ops::score::est_shrink;
-use crate::ops::sum::{validate_sum_input, weighted_total, SumResult};
+use crate::ops::sum::{validate_sum_input, weighted_endpoints, weighted_interval, SumResult};
 use crate::ops::DEFAULT_ITERATION_LIMIT;
 use crate::precision::PrecisionConstraint;
 
@@ -76,7 +75,11 @@ pub fn weighted_sum_vao_heap<R: ResultObject>(
     validate_sum_input(objs, weights, epsilon)?;
 
     let n = objs.len();
-    let (mut lo_sum, mut hi_sum) = weighted_total(objs, weights);
+    let weight = |i: usize| weights[i];
+    // Running totals keep the round at O(log N): they only say when a stop
+    // is worth checking. The interval itself is the shared index-order
+    // re-add, so the heap stops where the scan does and reports its bits.
+    let (mut lo_sum, mut hi_sum) = weighted_endpoints(&*objs, weight);
 
     let mut versions = vec![0u64; n];
     let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(n);
@@ -97,18 +100,22 @@ pub fn weighted_sum_vao_heap<R: ResultObject>(
     let mut drive = Driver::unobserved(DEFAULT_ITERATION_LIMIT, meter);
     loop {
         if hi_sum - lo_sum <= epsilon.epsilon() {
-            return Ok(SumResult {
-                bounds: Bounds::new(lo_sum.min(hi_sum), hi_sum.max(lo_sum)),
-                iterations: drive.iterations(),
-                stopped_at_floor: false,
-            });
+            let bounds = weighted_interval(&*objs, weight);
+            if bounds.width() <= epsilon.epsilon() {
+                return Ok(SumResult {
+                    bounds,
+                    iterations: drive.iterations(),
+                    stopped_at_floor: false,
+                });
+            }
+            (lo_sum, hi_sum) = (bounds.lo(), bounds.hi());
         }
         // Pop the best fresh entry; stale or converged entries are skipped.
         let chosen = loop {
             match heap.pop() {
                 None => {
                     return Ok(SumResult {
-                        bounds: Bounds::new(lo_sum.min(hi_sum), hi_sum.max(lo_sum)),
+                        bounds: weighted_interval(&*objs, weight),
                         iterations: drive.iterations(),
                         stopped_at_floor: true,
                     });
@@ -126,9 +133,6 @@ pub fn weighted_sum_vao_heap<R: ResultObject>(
         let w = weights[chosen];
         lo_sum += w * (after.lo() - before.lo());
         hi_sum += w * (after.hi() - before.hi());
-        if drive.iterations().is_multiple_of(1024) {
-            (lo_sum, hi_sum) = weighted_total(objs, weights);
-        }
 
         versions[chosen] += 1;
         if !objs[chosen].converged() {

@@ -10,10 +10,12 @@
 //! charges only [`crate::ResultObject::standalone_cost`] — the cost of a
 //! single solver run at the final accuracy.
 
+use crate::bounds::Bounds;
 use crate::cost::{Work, WorkMeter};
 use crate::error::VaoError;
 use crate::interface::ResultObject;
 use crate::ops::drive::Driver;
+use crate::ops::score::View;
 use crate::ops::selection::CmpOp;
 use crate::ops::sum::validate_weights;
 use crate::ops::DEFAULT_ITERATION_LIMIT;
@@ -29,6 +31,27 @@ pub struct BlackBoxSpec {
     /// The converged object's final bounds width (strictly below its
     /// `minWidth`).
     pub final_width: f64,
+}
+
+/// A black-box result *is* a result object at its final accuracy: the
+/// specs read as converged points, so the conventional operator over the
+/// values is the §5 answer over this view.
+impl View for [BlackBoxSpec] {
+    fn len(&self) -> usize {
+        <[BlackBoxSpec]>::len(self)
+    }
+
+    fn bounds(&self, i: usize) -> Bounds {
+        Bounds::point(self[i].value)
+    }
+
+    fn est_bounds(&self, i: usize) -> Bounds {
+        self.bounds(i)
+    }
+
+    fn converged(&self, _: usize) -> bool {
+        true
+    }
 }
 
 /// Iterates `obj` to convergence and records its black-box execution spec.
@@ -83,29 +106,13 @@ pub fn traditional_max(
     specs: &[BlackBoxSpec],
     meter: &mut WorkMeter,
 ) -> Result<(usize, f64), VaoError> {
-    traditional_extreme(specs, meter, |candidate, best| candidate > best)
-}
-
-/// Traditional MIN: run every function to full accuracy, take the smallest.
-pub fn traditional_min(
-    specs: &[BlackBoxSpec],
-    meter: &mut WorkMeter,
-) -> Result<(usize, f64), VaoError> {
-    traditional_extreme(specs, meter, |candidate, best| candidate < best)
-}
-
-fn traditional_extreme(
-    specs: &[BlackBoxSpec],
-    meter: &mut WorkMeter,
-    better: impl Fn(f64, f64) -> bool,
-) -> Result<(usize, f64), VaoError> {
     if specs.is_empty() {
         return Err(VaoError::EmptyInput);
     }
     let mut best = (0, black_box_call(&specs[0], meter));
     for (i, s) in specs.iter().enumerate().skip(1) {
         let v = black_box_call(s, meter);
-        if better(v, best.1) {
+        if v > best.1 {
             best = (i, v);
         }
     }
@@ -119,16 +126,7 @@ pub fn traditional_weighted_sum(
     weights: &[f64],
     meter: &mut WorkMeter,
 ) -> Result<f64, VaoError> {
-    if specs.is_empty() {
-        return Err(VaoError::EmptyInput);
-    }
-    if specs.len() != weights.len() {
-        return Err(VaoError::WeightCountMismatch {
-            objects: specs.len(),
-            weights: weights.len(),
-        });
-    }
-    validate_weights(weights)?;
+    validate_weights(specs.len(), weights)?;
     Ok(specs
         .iter()
         .zip(weights)
@@ -204,11 +202,17 @@ mod tests {
 
     #[test]
     fn traditional_max_and_min() {
+        use crate::ops::score::{contest_top, Flipped};
         let specs = vec![spec(95.0, 1), spec(105.0, 1), spec(99.0, 1)];
         let mut m = WorkMeter::new();
         assert_eq!(traditional_max(&specs, &mut m).unwrap(), (1, 105.0));
-        assert_eq!(traditional_min(&specs, &mut m).unwrap(), (0, 95.0));
-        assert_eq!(m.total(), 6, "both aggregates ran every function");
+        assert_eq!(m.total(), 3, "the aggregate ran every function");
+        // MIN has no function of its own: the specs read as converged
+        // points, and MIN is the rank contest over the flipped view.
+        let (_, lowest, ties) = contest_top(&Flipped(&specs[..]), 1);
+        assert_eq!(lowest, 0);
+        assert_eq!(specs[..].bounds(lowest), Bounds::point(95.0));
+        assert!(ties.is_empty() && specs[..].converged(lowest));
         assert!(matches!(
             traditional_max(&[], &mut m),
             Err(VaoError::EmptyInput)

@@ -11,9 +11,11 @@
 //! progress. Demands are re-derived every scheduler round, as the
 //! per-operator loops re-derive their guess/unresolved sets after every
 //! iteration, so the shared scheduler inherits their guess-revision
-//! behavior for free. What stays here is what only a shared pool has: one
-//! list per query instead of one pick, SUM's index-order stopping sum, and
-//! the incremental caches of [`RoundView`].
+//! behavior for free. The answer is shared the same way: a `Final` is
+//! [`Query::output`] over the pool, SUM's stopping interval is
+//! `vao::ops::sum`'s. What stays here is what only a shared pool has: one
+//! list per query instead of one pick, and the incremental caches of
+//! [`RoundView`].
 //!
 //! The invariant the scheduler builds on: **a query's demand list is empty
 //! exactly when the pool's current bounds let it emit a
@@ -40,20 +42,21 @@ pub use va_persist::record::PassFail;
 use std::collections::BTreeMap;
 
 use va_sketch::IntervalQuantileSketch;
-use va_stream::{BondRelation, Query, QueryOutput};
+use va_stream::{BondRelation, Query};
 use vao::error::VaoError;
 use vao::ops::count::classify;
 use vao::ops::heavy::{
-    cell_counts, cell_span, contended, rank_cells, resolve_benefit, CellSpan, HeavySummaries,
+    cell_counts, cell_span, contended, resolve_benefit, CellSpan, HeavySummaries,
 };
 use vao::ops::minmax::{max_envelope, min_envelope};
 use vao::ops::percentile::{
     band_scan, fill_sketch, rank_band, rank_bracket, rank_from_top, SKETCH_ALPHA, SKETCH_BUDGET,
 };
 use vao::ops::score::{
-    by_hi, contest_top, est_shrink, score_separation, separated, straddlers, Flipped, View,
+    contest_top, est_shrink, score_separation, separated, straddlers, Flipped, View,
 };
 use vao::ops::selection::{decided, probe_benefit, CmpOp};
+use vao::ops::sum::{ave_weight, weighted_endpoints, weighted_interval};
 use vao::Bounds;
 
 use crate::answer::Answer;
@@ -138,73 +141,6 @@ pub fn demands_stateful(
     }
 }
 
-/// The exact output the query converged to (call only when [`demands`] is
-/// empty — the pool has reached the query's stopping condition).
-pub fn final_output(query: &Query, pool: &SharedPool, relation: &BondRelation) -> QueryOutput {
-    let id = |i: usize| relation.bonds()[i].id;
-    match query {
-        Query::Selection { op, constant } => {
-            let mut ids = Vec::new();
-            for i in 0..pool.len() {
-                if decided(pool, i, *op, *constant).is_some_and(|d| d.satisfied) {
-                    ids.push(id(i));
-                }
-            }
-            QueryOutput::Selected(ids)
-        }
-        Query::Count { op, constant, .. } => {
-            let (count_lo, unresolved) = classify(pool, *op, *constant);
-            QueryOutput::Count {
-                lo: count_lo,
-                hi: count_lo + unresolved.len(),
-            }
-        }
-        Query::Sum { weights, .. } => QueryOutput::Aggregate {
-            bounds: weighted_interval(pool, Weights::Per(weights)),
-        },
-        Query::Ave { .. } => QueryOutput::Aggregate {
-            bounds: weighted_interval(pool, uniform(pool.len())),
-        },
-        Query::Max { .. } => extreme_output(pool, pool, relation),
-        Query::Min { .. } => extreme_output(&Flipped(pool), pool, relation),
-        Query::TopK { k, .. } => {
-            let (mut members, _, ties) = contest_top(pool, *k);
-            members.sort_by(|&a, &b| by_hi(pool.bounds(a), pool.bounds(b)));
-            QueryOutput::Ranked {
-                members: members.iter().map(|&i| (id(i), pool.bounds(i))).collect(),
-                ties: ties.into_iter().map(id).collect(),
-            }
-        }
-        Query::Median { .. } => {
-            // The quantile operator's two separations: the winner is the
-            // boundary member; ties are the converged outer straddlers plus
-            // the members still overlapping the winner.
-            let (members, winner, outer) = contest_top(pool, pool.len().div_ceil(2));
-            let mut ties: Vec<u32> = outer.into_iter().map(id).collect();
-            ties.extend(
-                straddlers(&Flipped(pool), members.iter().copied(), &[winner], winner).map(id),
-            );
-            ties.sort_unstable();
-            ties.dedup();
-            QueryOutput::Extreme {
-                bond_id: id(winner),
-                bounds: pool.bounds(winner),
-                ties,
-            }
-        }
-        Query::Percentile { phi, .. } => {
-            let (lo, hi) = rank_bracket(pool, rank_from_top(*phi, pool.len()), &mut Vec::new());
-            QueryOutput::Aggregate {
-                bounds: Bounds::new(lo, hi),
-            }
-        }
-        Query::HeavyHitters { k, epsilon } => {
-            let (cells, ties) = rank_cells(cell_counts(pool, *epsilon).0, *k);
-            QueryOutput::Heavy { cells, ties }
-        }
-    }
-}
-
 /// Sound anytime bounds on the query's converged answer value, from the
 /// pool's *current* bounds (the budget-exhausted degradation path).
 ///
@@ -232,8 +168,8 @@ pub fn partial_bounds(query: &Query, pool: &SharedPool) -> Result<Bounds, Server
                 (count_lo + unresolved.len()) as f64,
             ))
         }
-        Query::Sum { weights, .. } => Ok(weighted_interval(pool, Weights::Per(weights))),
-        Query::Ave { .. } => Ok(weighted_interval(pool, uniform(pool.len()))),
+        Query::Sum { weights, .. } => Ok(Weights::Per(weights).interval(pool)),
+        Query::Ave { .. } => Ok(uniform(pool.len()).interval(pool)),
         Query::Max { .. } => max_envelope(pool.objects()).map_err(|_| ServerError::EmptyRelation),
         Query::Min { .. } => min_envelope(pool.objects()).map_err(|_| ServerError::EmptyRelation),
         Query::TopK { k, .. } => rank_bounds(pool, *k),
@@ -266,8 +202,10 @@ fn rank_bounds(pool: &SharedPool, k: usize) -> Result<Bounds, ServerError> {
     Ok(Bounds::new(lo, hi))
 }
 
-/// Builds the session's answer for the tick: `Final` when the query reached
-/// its stopping condition, the anytime `Partial` otherwise.
+/// Builds the session's answer for the tick: `Final` — [`Query::output`]
+/// over the pool, the function the dedicated engine answers with — when
+/// the query reached its stopping condition ([`demands`] is empty), the
+/// anytime `Partial` otherwise.
 ///
 /// # Errors
 ///
@@ -293,7 +231,7 @@ pub fn answer(
         return Err(ServerError::EmptyRelation);
     }
     if done {
-        Ok(Answer::Final(final_output(query, pool, relation)))
+        Ok(Answer::Final(query.output(pool, relation)))
     } else {
         Ok(Answer::Partial {
             bounds: partial_bounds(query, pool)?,
@@ -318,26 +256,16 @@ impl Weights<'_> {
             Weights::Per(ws) => ws[i],
         }
     }
+
+    /// SUM/AVE's interval over the pool: the operators' index-order re-add,
+    /// whose exact bits decide when the query stops.
+    fn interval(self, pool: &SharedPool) -> Bounds {
+        weighted_interval(pool, |i| self.get(i))
+    }
 }
 
 fn uniform(n: usize) -> Weights<'static> {
-    Weights::Uniform(1.0 / n.max(1) as f64)
-}
-
-fn weighted_endpoints(pool: &SharedPool, w: Weights<'_>) -> (f64, f64) {
-    let (mut lo, mut hi) = (0.0f64, 0.0f64);
-    for i in 0..pool.len() {
-        let b = pool.bounds(i);
-        let wi = w.get(i);
-        lo += wi * b.lo();
-        hi += wi * b.hi();
-    }
-    (lo, hi)
-}
-
-fn weighted_interval(pool: &SharedPool, w: Weights<'_>) -> Bounds {
-    let (lo, hi) = weighted_endpoints(pool, w);
-    Bounds::new(lo, hi)
+    Weights::Uniform(ave_weight(n))
 }
 
 /// SUM's interval over a freshly invoked pool, or the typed error when the
@@ -346,14 +274,13 @@ fn weighted_interval(pool: &SharedPool, w: Weights<'_>) -> Bounds {
 /// tick, so an interval that starts finite stays finite, and every later
 /// [`weighted_interval`] of the tick may build its `Bounds` unchecked.
 pub(crate) fn checked_sum_interval(pool: &SharedPool, weights: &[f64]) -> Result<Bounds, VaoError> {
-    let (lo, hi) = weighted_endpoints(pool, Weights::Per(weights));
+    let (lo, hi) = weighted_endpoints(pool, |i| weights[i]);
     Bounds::try_new(lo, hi)
 }
 
-/// SUM/AVE stopping condition. Re-added over the whole pool in index order
-/// every time: the interval's exact bits decide when the query stops.
+/// SUM/AVE stopping condition.
 fn sum_done(pool: &SharedPool, w: Weights<'_>, epsilon: f64) -> bool {
-    weighted_interval(pool, w).width() <= epsilon
+    w.interval(pool).width() <= epsilon
 }
 
 /// Object `i`'s SUM/AVE demand — a function of its own columns only.
@@ -452,21 +379,6 @@ fn rank_phases<V: View + ?Sized>(
         return;
     }
     score_separation(v, theta_holder, unresolved, push(out));
-}
-
-/// MAX's (`v` the pool) or MIN's (`v` the flipped pool) final output: the
-/// guess and whatever still reaches it.
-fn extreme_output<V: View + ?Sized>(
-    v: &V,
-    pool: &SharedPool,
-    relation: &BondRelation,
-) -> QueryOutput {
-    let (_, guess, unresolved) = contest_top(v, 1);
-    QueryOutput::Extreme {
-        bond_id: relation.bonds()[guess].id,
-        bounds: pool.bounds(guess),
-        ties: unresolved.iter().map(|&i| relation.bonds()[i].id).collect(),
-    }
 }
 
 // ----------------------------------------------------------------- median
@@ -570,10 +482,8 @@ fn demands_heavy(
 }
 
 /// Demands the unresolved objects that are still [`contended`] under the
-/// summaries `s` (which must hold exactly `spans`). Resolving is worth the
-/// object's whole current width on top of its shrink — the server's bonus,
-/// not `heavy_hitters_vao`'s (the cell width ε): `resolve_benefit` takes
-/// the amount because the two still differ.
+/// summaries `s` (which must hold exactly `spans`), each at the operator's
+/// [`resolve_benefit`].
 fn heavy_scan(
     pool: &SharedPool,
     spans: &[CellSpan],
@@ -584,7 +494,7 @@ fn heavy_scan(
 ) {
     out.extend(contended(spans, s, k).map(|i| Demand {
         object: i,
-        benefit: resolve_benefit(pool, i, width, pool.bounds(i).width()),
+        benefit: resolve_benefit(pool, i, width),
     }));
 }
 
@@ -990,8 +900,8 @@ mod tests {
             "the straggler cannot contend with the resolved cell: {out:?}"
         );
         let rel = va_stream::BondRelation::from_universe(&bondlab::BondUniverse::generate(5, 1));
-        match final_output(&q, &pool, &rel) {
-            QueryOutput::Heavy { cells, ties } => {
+        match q.output(&pool, &rel) {
+            va_stream::QueryOutput::Heavy { cells, ties } => {
                 assert_eq!(cells.len(), 1);
                 assert_eq!(cells[0].cell, 100);
                 assert_eq!(cells[0].count, 4);

@@ -783,6 +783,10 @@ impl Server {
     /// Journal appends happen after execution, in the caller's tick order,
     /// so the journal stays deterministic regardless of sharding.
     pub fn tick_multi(&mut self, ticks: &[(&str, f64)]) -> Result<Vec<TickResult>, ServerError> {
+        // This path has no observer to hand queued compactions to; they are
+        // dropped here, as a single-relation tick drains them, so a server
+        // driven by multi-relation ticks alone does not accumulate them.
+        self.pending_compactions.clear();
         // Resolve everything up front: an unknown or duplicate relation or
         // an unpriceable rate fails the whole request before any relation
         // executes or anything is journaled.
@@ -1840,6 +1844,42 @@ mod tests {
         assert_eq!(again[0].answers[0].1, first[0].answers[0].1);
         assert_eq!(again[0].tick, 2);
         assert!(again[1].answers[0].1.is_final());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn multi_relation_ticks_drain_the_compaction_queue() {
+        // Only the single-relation tick used to drain `pending_compactions`;
+        // a durable server driven by `tick_multi` alone pushed one record
+        // per compacting snapshot for the life of the process.
+        let dir = scratch_dir("multi-compaction");
+        let config = ServerConfig {
+            snapshot_every: 2,
+            ..ServerConfig::default()
+        };
+        let mut srv = Server::open_durable_catalog(BondPricer::default(), config, &dir).unwrap();
+        srv.create_relation("rates", relation_of(4, 42), None)
+            .unwrap();
+        srv.create_relation("energy", relation_of(4, 7), None)
+            .unwrap();
+        srv.subscribe_to("rates", Query::Max { epsilon: 1.0 }, 1)
+            .unwrap();
+        srv.subscribe_to("energy", Query::Min { epsilon: 1.0 }, 1)
+            .unwrap();
+        let mut compactions = 0;
+        for i in 0..40 {
+            let rate = 0.0583 + f64::from(i % 4) * 0.0005;
+            srv.tick_multi(&[("rates", rate), ("energy", rate)])
+                .unwrap();
+            // At most the record of the snapshot this very call wrote.
+            assert!(
+                srv.pending_compactions.len() <= 1,
+                "call {i} left {} queued compactions",
+                srv.pending_compactions.len()
+            );
+            compactions += srv.pending_compactions.len();
+        }
+        assert!(compactions > 1, "the run must compact more than once");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

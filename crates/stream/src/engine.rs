@@ -20,20 +20,15 @@ use vao::cost::WorkMeter;
 use vao::error::VaoError;
 use vao::interface::{ResultObject, VariableAccuracyFn};
 use vao::ops::count::count_vao_traced;
-use vao::ops::heavy::{cell_of, heavy_hitters_vao_traced, HeavyCell};
-use vao::ops::hybrid::{hybrid_weighted_sum_traced, HybridConfig};
+use vao::ops::heavy::heavy_hitters_vao_traced;
 use vao::ops::minmax::{max_vao_traced, min_vao_traced, AggregateConfig};
-use vao::ops::percentile::{percentile_vao_traced, rank_from_top};
+use vao::ops::percentile::percentile_vao_traced;
 use vao::ops::quantile::quantile_vao_traced;
 use vao::ops::selection::SelectionVao;
-use vao::ops::sum::weighted_sum_vao_traced;
+use vao::ops::sum::{ave_weight, validate_weights, weighted_sum_vao_traced};
 use vao::ops::topk::topk_vao_traced;
-use vao::ops::traditional::{
-    calibrate, traditional_max, traditional_min, traditional_select, traditional_weighted_sum,
-    BlackBoxSpec,
-};
+use vao::ops::traditional::{black_box_call, calibrate, BlackBoxSpec};
 use vao::precision::PrecisionConstraint;
-use vao::Bounds;
 
 use crate::query::{Query, QueryOutput};
 use crate::relation::BondRelation;
@@ -46,9 +41,6 @@ pub enum ExecutionMode {
     Vao,
     /// Black-box functions + conventional operators (the baseline).
     Traditional,
-    /// §6.3's future-work hybrid: SUM queries pick VAO or traditional per
-    /// weight profile; every other query runs as [`ExecutionMode::Vao`].
-    Hybrid,
 }
 
 /// Errors from query evaluation.
@@ -138,7 +130,6 @@ impl ContinuousQueryEngine {
         let output = match self.mode {
             ExecutionMode::Vao => self.eval_vao(rate, &mut meter, &mut obs)?,
             ExecutionMode::Traditional => self.eval_traditional(rate, &mut meter)?,
-            ExecutionMode::Hybrid => self.eval_hybrid(rate, &mut meter, &mut obs)?,
         };
         let stats = TickStats {
             rate,
@@ -166,10 +157,8 @@ impl ContinuousQueryEngine {
             .collect()
     }
 
-    fn bond_id(&self, index: usize) -> u32 {
-        self.relation.bonds()[index].id
-    }
-
+    /// Adaptive mode: the query's operator refines the objects until its
+    /// stopping condition holds; the answer is [`Query::output`] over them.
     fn eval_vao(
         &self,
         rate: f64,
@@ -177,131 +166,72 @@ impl ContinuousQueryEngine {
         obs: &mut TickObserver,
     ) -> Result<QueryOutput, EngineError> {
         let config = &mut AggregateConfig::default();
+        let eps = PrecisionConstraint::new;
+        let mut objs;
         match &self.query {
+            // The paper's pipelined selection: one object at a time, each
+            // dropped once decided, so there is no set to read an answer off.
             Query::Selection { op, constant } => {
                 let vao = SelectionVao::new(*op, *constant)?;
                 let mut selected = Vec::new();
-                for (i, bond) in self.relation.bonds().iter().enumerate() {
+                for bond in self.relation.bonds() {
                     let mut obj = self.pricer.invoke(&(rate, *bond), meter);
-                    let satisfied = vao.evaluate_traced(&mut obj, meter, obs)?.satisfied;
-                    if satisfied {
-                        selected.push(self.bond_id(i));
+                    if vao.evaluate_traced(&mut obj, meter, obs)?.satisfied {
+                        selected.push(bond.id);
                     }
                 }
-                Ok(QueryOutput::Selected(selected))
+                return Ok(QueryOutput::Selected(selected));
             }
-            Query::Max { epsilon } | Query::Min { epsilon } | Query::Median { epsilon } => {
-                let mut objs = self.objects(rate, meter);
-                let eps = PrecisionConstraint::new(*epsilon)?;
-                let res = match &self.query {
-                    Query::Max { .. } => max_vao_traced(&mut objs, eps, config, meter, obs),
-                    Query::Min { .. } => min_vao_traced(&mut objs, eps, config, meter, obs),
-                    _ => {
-                        let k = objs.len().div_ceil(2);
-                        quantile_vao_traced(&mut objs, k, eps, config, meter, obs)
-                    }
-                }?;
-                Ok(QueryOutput::Extreme {
-                    bond_id: self.bond_id(res.argext),
-                    bounds: res.bounds,
-                    ties: res.ties.iter().map(|&i| self.bond_id(i)).collect(),
-                })
+            Query::Max { epsilon } => {
+                objs = self.objects(rate, meter);
+                max_vao_traced(&mut objs, eps(*epsilon)?, config, meter, obs)?;
             }
-            Query::Sum { epsilon, .. } | Query::Ave { epsilon } => {
-                let mut objs = self.objects(rate, meter);
-                // AVE is the weighted sum with weights 1/n (`ave_vao`).
-                let uniform = vec![1.0 / objs.len().max(1) as f64; objs.len()];
-                let weights = match &self.query {
-                    Query::Sum { weights, .. } => weights,
-                    _ => &uniform,
-                };
-                let eps = PrecisionConstraint::new(*epsilon)?;
-                let res = weighted_sum_vao_traced(&mut objs, weights, eps, config, meter, obs)?;
-                Ok(QueryOutput::Aggregate { bounds: res.bounds })
+            Query::Min { epsilon } => {
+                objs = self.objects(rate, meter);
+                min_vao_traced(&mut objs, eps(*epsilon)?, config, meter, obs)?;
+            }
+            Query::Median { epsilon } => {
+                objs = self.objects(rate, meter);
+                let k = objs.len().div_ceil(2);
+                quantile_vao_traced(&mut objs, k, eps(*epsilon)?, config, meter, obs)?;
+            }
+            Query::Sum { weights, epsilon } => {
+                objs = self.objects(rate, meter);
+                weighted_sum_vao_traced(&mut objs, weights, eps(*epsilon)?, config, meter, obs)?;
+            }
+            Query::Ave { epsilon } => {
+                objs = self.objects(rate, meter);
+                let weights = vec![ave_weight(objs.len()); objs.len()];
+                weighted_sum_vao_traced(&mut objs, &weights, eps(*epsilon)?, config, meter, obs)?;
             }
             Query::TopK { k, epsilon } => {
-                let mut objs = self.objects(rate, meter);
-                let eps = PrecisionConstraint::new(*epsilon)?;
-                let res = topk_vao_traced(&mut objs, *k, eps, config, meter, obs)?;
-                Ok(QueryOutput::Ranked {
-                    members: res
-                        .members
-                        .iter()
-                        .zip(&res.bounds)
-                        .map(|(&i, &b)| (self.bond_id(i), b))
-                        .collect(),
-                    ties: res.ties.iter().map(|&i| self.bond_id(i)).collect(),
-                })
+                objs = self.objects(rate, meter);
+                topk_vao_traced(&mut objs, *k, eps(*epsilon)?, config, meter, obs)?;
             }
             Query::Count {
                 op,
                 constant,
                 slack,
             } => {
-                let mut objs = self.objects(rate, meter);
-                let res = count_vao_traced(&mut objs, *op, *constant, *slack, config, meter, obs)?;
-                Ok(QueryOutput::Count {
-                    lo: res.count_lo,
-                    hi: res.count_hi,
-                })
+                objs = self.objects(rate, meter);
+                count_vao_traced(&mut objs, *op, *constant, *slack, config, meter, obs)?;
             }
             Query::Percentile { phi, epsilon } => {
-                let mut objs = self.objects(rate, meter);
-                let eps = PrecisionConstraint::new(*epsilon)?;
-                let res = percentile_vao_traced(&mut objs, *phi, eps, config, meter, obs)?;
-                Ok(QueryOutput::Aggregate { bounds: res.bounds })
+                objs = self.objects(rate, meter);
+                percentile_vao_traced(&mut objs, *phi, eps(*epsilon)?, config, meter, obs)?;
             }
             Query::HeavyHitters { k, epsilon } => {
-                let mut objs = self.objects(rate, meter);
-                let eps = PrecisionConstraint::new(*epsilon)?;
-                let res = heavy_hitters_vao_traced(&mut objs, *k, eps, config, meter, obs)?;
-                Ok(QueryOutput::Heavy {
-                    cells: res.cells,
-                    ties: res.ties,
-                })
+                objs = self.objects(rate, meter);
+                heavy_hitters_vao_traced(&mut objs, *k, eps(*epsilon)?, config, meter, obs)?;
             }
         }
-    }
-
-    /// Hybrid mode: SUM dispatches on the §6.3 decision rule; everything
-    /// else runs adaptively.
-    fn eval_hybrid(
-        &self,
-        rate: f64,
-        meter: &mut WorkMeter,
-        obs: &mut TickObserver,
-    ) -> Result<QueryOutput, EngineError> {
-        match &self.query {
-            Query::Sum { weights, epsilon } => {
-                let mut off_clock = WorkMeter::new();
-                let specs: Vec<BlackBoxSpec> = self
-                    .relation
-                    .bonds()
-                    .iter()
-                    .map(|&bond| {
-                        let mut obj = self.pricer.invoke(&(rate, bond), &mut off_clock);
-                        calibrate(&mut obj, &mut off_clock)
-                    })
-                    .collect::<Result<_, _>>()?;
-                let mut objs = self.objects(rate, meter);
-                let (res, _decision) = hybrid_weighted_sum_traced(
-                    &mut objs,
-                    weights,
-                    &specs,
-                    PrecisionConstraint::new(*epsilon)?,
-                    &HybridConfig::default(),
-                    &mut AggregateConfig::default(),
-                    meter,
-                    obs,
-                )?;
-                Ok(QueryOutput::Aggregate { bounds: res.bounds })
-            }
-            _ => self.eval_vao(rate, meter, obs),
-        }
+        Ok(self.query.output(&objs[..], &self.relation))
     }
 
     /// Calibrates every bond at this rate off the clock (the paper's
-    /// favorable black-box setup) and evaluates with traditional operators.
+    /// favorable black-box setup), charges one black-box call per bond, and
+    /// answers with the conventional operator: [`Query::output`] over the
+    /// values, each a result object already at its final accuracy.
     fn eval_traditional(
         &self,
         rate: f64,
@@ -317,131 +247,23 @@ impl ContinuousQueryEngine {
                 calibrate(&mut obj, &mut off_clock)
             })
             .collect::<Result<_, _>>()?;
-
-        match &self.query {
-            Query::Selection { op, constant } => {
-                let hits = traditional_select(&specs, *op, *constant, meter);
-                Ok(QueryOutput::Selected(
-                    hits.into_iter().map(|i| self.bond_id(i)).collect(),
-                ))
-            }
-            Query::Max { .. } => {
-                let (i, v) = traditional_max(&specs, meter)?;
-                Ok(QueryOutput::Extreme {
-                    bond_id: self.bond_id(i),
-                    bounds: Bounds::point(v),
-                    ties: Vec::new(),
-                })
-            }
-            Query::Min { .. } => {
-                let (i, v) = traditional_min(&specs, meter)?;
-                Ok(QueryOutput::Extreme {
-                    bond_id: self.bond_id(i),
-                    bounds: Bounds::point(v),
-                    ties: Vec::new(),
-                })
-            }
-            Query::Sum { weights, .. } => {
-                let v = traditional_weighted_sum(&specs, weights, meter)?;
-                Ok(QueryOutput::Aggregate {
-                    bounds: Bounds::point(v),
-                })
-            }
-            Query::Ave { .. } => {
-                let weights = vec![1.0 / specs.len().max(1) as f64; specs.len()];
-                let v = traditional_weighted_sum(&specs, &weights, meter)?;
-                Ok(QueryOutput::Aggregate {
-                    bounds: Bounds::point(v),
-                })
-            }
-            Query::TopK { k, .. } => {
-                if specs.is_empty() || *k == 0 || *k > specs.len() {
-                    return Err(EngineError::Operator(VaoError::EmptyInput));
-                }
-                let mut idx: Vec<usize> = (0..specs.len()).collect();
-                idx.sort_by(|&a, &b| {
-                    specs[b]
-                        .value
-                        .partial_cmp(&specs[a].value)
-                        .expect("finite prices")
-                });
-                // Charge the black-box work for every model, as always
-                // (the other arms charge it inside the traditional
-                // operators; here the specs are read directly).
-                for s in &specs {
-                    meter.charge_exec(s.work);
-                }
-                Ok(QueryOutput::Ranked {
-                    members: idx
-                        .iter()
-                        .take(*k)
-                        .map(|&i| (self.bond_id(i), Bounds::point(specs[i].value)))
-                        .collect(),
-                    ties: Vec::new(),
-                })
-            }
-            Query::Count { op, constant, .. } => {
-                let hits = traditional_select(&specs, *op, *constant, meter);
-                Ok(QueryOutput::Count {
-                    lo: hits.len(),
-                    hi: hits.len(),
-                })
-            }
-            Query::Median { .. } | Query::Percentile { .. } => {
-                if specs.is_empty() {
-                    return Err(EngineError::Operator(VaoError::EmptyInput));
-                }
-                let k = match &self.query {
-                    Query::Percentile { phi, .. } => rank_from_top(*phi, specs.len()),
-                    _ => specs.len().div_ceil(2),
-                };
-                let mut idx: Vec<usize> = (0..specs.len()).collect();
-                idx.sort_by(|&a, &b| specs[b].value.total_cmp(&specs[a].value));
-                for s in &specs {
-                    meter.charge_exec(s.work);
-                }
-                let winner = idx[k - 1];
-                let point = Bounds::point(specs[winner].value);
-                match &self.query {
-                    Query::Percentile { .. } => Ok(QueryOutput::Aggregate { bounds: point }),
-                    _ => Ok(QueryOutput::Extreme {
-                        bond_id: self.bond_id(winner),
-                        bounds: point,
-                        ties: Vec::new(),
-                    }),
-                }
-            }
-            Query::HeavyHitters { k, epsilon } => {
-                if specs.is_empty() || *k == 0 {
-                    return Err(EngineError::Operator(VaoError::EmptyInput));
-                }
-                for s in &specs {
-                    meter.charge_exec(s.work);
-                }
-                let mut counts: std::collections::BTreeMap<i64, u64> =
-                    std::collections::BTreeMap::new();
-                for s in &specs {
-                    *counts.entry(cell_of(s.value, *epsilon)).or_default() += 1;
-                }
-                let mut ranked: Vec<HeavyCell> = counts
-                    .into_iter()
-                    .map(|(cell, count)| HeavyCell { cell, count })
-                    .collect();
-                ranked.sort_by(|a, b| b.count.cmp(&a.count).then(a.cell.cmp(&b.cell)));
-                let take = (*k).min(ranked.len());
-                let boundary = ranked[take - 1].count;
-                let ties: Vec<i64> = ranked[take..]
-                    .iter()
-                    .take_while(|c| c.count == boundary)
-                    .map(|c| c.cell)
-                    .collect();
-                ranked.truncate(take);
-                Ok(QueryOutput::Heavy {
-                    cells: ranked,
-                    ties,
-                })
-            }
+        let n = specs.len();
+        if let Query::Sum { weights, .. } = &self.query {
+            validate_weights(n, weights)?;
         }
+        let answerable = match &self.query {
+            Query::Selection { .. } | Query::Count { .. } => true,
+            Query::TopK { k, .. } => (1..=n).contains(k),
+            Query::HeavyHitters { k, .. } => n > 0 && *k > 0,
+            _ => n > 0,
+        };
+        if !answerable {
+            return Err(VaoError::EmptyInput.into());
+        }
+        for spec in &specs {
+            black_box_call(spec, meter);
+        }
+        Ok(self.query.output(&specs[..], &self.relation))
     }
 }
 
@@ -623,25 +445,6 @@ mod tests {
         );
         // The matching accessor still succeeds.
         assert!(out.as_extreme().is_ok());
-    }
-
-    #[test]
-    fn hybrid_mode_answers_sum_like_the_others() {
-        let n = 8;
-        let q = Query::Sum {
-            weights: vec![1.0; n],
-            epsilon: n as f64 * 0.01 * (1.0 + 1e-9),
-        };
-        let (hybrid_out, _) = small_engine(q.clone(), ExecutionMode::Hybrid)
-            .process_rate(0.0583)
-            .unwrap();
-        let (vao_out, _) = small_engine(q, ExecutionMode::Vao)
-            .process_rate(0.0583)
-            .unwrap();
-        let hb = hybrid_out.bounds().unwrap();
-        let vb = vao_out.bounds().unwrap();
-        // Both bound the same true sum: the intervals must overlap.
-        assert!(hb.overlaps(&vb), "{hb} vs {vb}");
     }
 
     #[test]

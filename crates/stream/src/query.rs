@@ -7,12 +7,23 @@
 //!   of bond prices" — [`Query::Sum`].
 //! * **Q3** "Find the best performing (i.e. highest valued) bond" —
 //!   [`Query::Max`].
+//!
+//! §5 defines each operator's *output* as a function of its result
+//! objects' bounds. [`Query::output`] is that function, for every query
+//! kind, over a [`View`]: the engine's adaptive mode calls it with the
+//! objects its operator refined, the black-box baseline with its calibrated
+//! values read as converged points, and `va-server` with its shared pool.
 
-use vao::ops::heavy::HeavyCell;
-use vao::ops::selection::CmpOp;
+use vao::ops::count::classify;
+use vao::ops::heavy::{cell_counts, rank_cells, HeavyCell};
+use vao::ops::percentile::{rank_bracket, rank_from_top};
+use vao::ops::score::{by_hi, contest_top, straddlers, Flipped, View};
+use vao::ops::selection::{decided, CmpOp};
+use vao::ops::sum::{ave_weight, weighted_interval};
 use vao::Bounds;
 
 use crate::engine::EngineError;
+use crate::relation::BondRelation;
 
 /// A continuous query over `model(IR.rate, BD)` results.
 #[derive(Clone, Debug, PartialEq)]
@@ -105,6 +116,86 @@ impl Query {
             Query::Median { .. } => "median",
             Query::Percentile { .. } => "percentile",
             Query::HeavyHitters { .. } => "heavyhitters",
+        }
+    }
+
+    /// The answer the view's current bounds imply: each operator's §5
+    /// output, ids read off `relation` (aligned with the view).
+    ///
+    /// Meaningful once the query's stopping condition holds over `v` —
+    /// whoever refined the objects decides that; nothing here iterates.
+    /// The rank families need a non-empty view (and `1 ≤ k ≤ N` for
+    /// TOP-K); SUM needs one weight per object. Callers reject the rest
+    /// before they refine anything.
+    #[must_use]
+    pub fn output<V: View + ?Sized>(&self, v: &V, relation: &BondRelation) -> QueryOutput {
+        let id = |i: usize| relation.bonds()[i].id;
+        // MAX's (over the view) or MIN's (over the flipped view) contest at
+        // `k = 1`: the guess and whatever still reaches it.
+        let extreme =
+            |(_, guess, unresolved): (Vec<usize>, usize, Vec<usize>)| QueryOutput::Extreme {
+                bond_id: id(guess),
+                bounds: v.bounds(guess),
+                ties: unresolved.into_iter().map(id).collect(),
+            };
+        match self {
+            Query::Selection { op, constant } => QueryOutput::Selected(
+                (0..v.len())
+                    .filter(|&i| decided(v, i, *op, *constant).is_some_and(|d| d.satisfied))
+                    .map(id)
+                    .collect(),
+            ),
+            Query::Count { op, constant, .. } => {
+                let (lo, unresolved) = classify(v, *op, *constant);
+                QueryOutput::Count {
+                    lo,
+                    hi: lo + unresolved.len(),
+                }
+            }
+            Query::Sum { weights, .. } => QueryOutput::Aggregate {
+                bounds: weighted_interval(v, |i| weights[i]),
+            },
+            Query::Ave { .. } => {
+                let w = ave_weight(v.len());
+                QueryOutput::Aggregate {
+                    bounds: weighted_interval(v, |_| w),
+                }
+            }
+            Query::Percentile { phi, .. } => {
+                let (lo, hi) = rank_bracket(v, rank_from_top(*phi, v.len()), &mut Vec::new());
+                QueryOutput::Aggregate {
+                    bounds: Bounds::new(lo, hi),
+                }
+            }
+            Query::Max { .. } => extreme(contest_top(v, 1)),
+            Query::Min { .. } => extreme(contest_top(&Flipped(v), 1)),
+            Query::Median { .. } => {
+                // The quantile operator's two separations: the winner is the
+                // boundary member; ties are the converged outer straddlers
+                // plus the members still overlapping the winner.
+                let (members, winner, outer) = contest_top(v, v.len().div_ceil(2));
+                let mut ties: Vec<u32> = outer.into_iter().map(id).collect();
+                ties.extend(straddlers(&Flipped(v), members, &[winner], winner).map(id));
+                ties.sort_unstable();
+                ties.dedup();
+                QueryOutput::Extreme {
+                    bond_id: id(winner),
+                    bounds: v.bounds(winner),
+                    ties,
+                }
+            }
+            Query::TopK { k, .. } => {
+                let (mut members, _, ties) = contest_top(v, *k);
+                members.sort_by(|&a, &b| by_hi(v.bounds(a), v.bounds(b)));
+                QueryOutput::Ranked {
+                    members: members.iter().map(|&i| (id(i), v.bounds(i))).collect(),
+                    ties: ties.into_iter().map(id).collect(),
+                }
+            }
+            Query::HeavyHitters { k, epsilon } => {
+                let (cells, ties) = rank_cells(cell_counts(v, *epsilon).0, *k);
+                QueryOutput::Heavy { cells, ties }
+            }
         }
     }
 }

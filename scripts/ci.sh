@@ -72,7 +72,10 @@
 #                                  tests/ops_bits.rs (every vao::ops operator's
 #                                  answer, iterations, work components, final
 #                                  bounds and trace as literals: a golden must
-#                                  never be filtered out)
+#                                  never be filtered out) and the stream
+#                                  engine's of tests/engine_bits.rs (every
+#                                  Query kind's QueryOutput, iterations and
+#                                  work components in both execution modes)
 #  12. benchmark gate          -- benchmark/check.sh: the standalone benchmark
 #                                  package's fmt, clippy, unit tests and a
 #                                  `run --quick` of all four workloads (lap-0
@@ -85,8 +88,9 @@
 #  13. cargo doc -D warnings    -- rustdoc must build clean
 #  14. line count (informational) -- non-test, non-comment code lines of
 #                                  every crate under crates/, of
-#                                  crates/core/src/ops and of the server's
-#                                  demand modules on their own lines, and of
+#                                  crates/core/src/ops, of the server's
+#                                  demand modules and of the stream engine
+#                                  on their own lines, and of
 #                                  crates/server/src + crates/persist/src as
 #                                  one line beside the ROADMAP's target, so a
 #                                  simplicity change has a trajectory to
@@ -414,12 +418,13 @@ grep -q 'stopped after 4 ticks' "$SRV_LOG" || { echo "no stopped-after line"; ca
 end_smoke
 echo "    multi-relation tenancy smoke ok (catalog recovered flag-free across SIGKILL, clean SIGTERM stop)"
 
-echo "==> batched SoA solver == scalar executor smoke, solver and operator goldens"
+echo "==> batched SoA solver == scalar executor smoke, solver, operator and engine goldens"
 cargo test -q -p va-numerics --lib tridiag::tests::batched_solve_is_bit_identical_to_scalar_lanes
 cargo test -q -p va-numerics --lib pde::batch::tests::lockstep_solve_is_bit_identical_to_scalar_iterates
 cargo test -q -p va-server --test parallel_determinism batched_solver_matches_scalar_answers
 cargo test -q -p vao-repro --test solver_bits
 cargo test -q -p vao-repro --test ops_bits
+cargo test -q -p vao-repro --test engine_bits
 cargo test -q -p va-numerics --lib pde::batch::tests::singular_lane_caps_alone_and_siblings_match_scalar
 
 echo "==> benchmark package gate (fmt, clippy, unit tests, run --quick)"
@@ -439,6 +444,7 @@ for crate in crates/*; do
 done
 echo "    crates/core/src/ops:  $(count crates/core/src/ops/*.rs)"
 echo "    server demand (demand.rs + demand/round.rs): $(count crates/server/src/demand.rs crates/server/src/demand/round.rs)"
+echo "    stream engine (engine.rs): $(count crates/stream/src/engine.rs)"
 echo "    server + persist:     $(count $(find crates/server/src crates/persist/src -name '*.rs')) (ROADMAP target: <= 5562)"
 echo "    crates/ total:        $(count $(find crates/*/src -name '*.rs'))"
 

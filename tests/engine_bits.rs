@@ -188,15 +188,15 @@ const EIGHT: &[&[u64]] = &[
     // selection, Traditional
     &[0x5c17d66f91d52a64, 0x0, 0x1830000, 0x0, 0x0, 0x0],
     // sum, Vao
-    &[0xe5840079d9ce2a5d, 0x5e, 0x1cf500, 0x8, 0x6e, 0x2f0],
+    &[0xe12c245d4dd06d92, 0x5e, 0x1cf500, 0x8, 0x6e, 0x2f0],
     // sum, Traditional
     &[0x9041fa599a558067, 0x0, 0x1830000, 0x0, 0x0, 0x0],
     // weighted sum, Vao
-    &[0x13a62dc79275c473, 0x51, 0xa6500, 0x8, 0x61, 0x288],
+    &[0xf0ecbf250ac3ae4f, 0x51, 0xa6500, 0x8, 0x61, 0x288],
     // weighted sum, Traditional
     &[0x754e7c559ab65c7b, 0x0, 0x1830000, 0x0, 0x0, 0x0],
     // ave, Vao
-    &[0xafd7495c256bf1d, 0x5e, 0x1cf500, 0x8, 0x6e, 0x2f0],
+    &[0x2317de5743187e92, 0x5e, 0x1cf500, 0x8, 0x6e, 0x2f0],
     // ave, Traditional
     &[0x90b9696a9bb36087, 0x0, 0x1830000, 0x0, 0x0, 0x0],
     // max, Vao
@@ -224,7 +224,7 @@ const EIGHT: &[&[u64]] = &[
     // percentile 0.25, Traditional
     &[0x9282e0b67bc4d1e3, 0x0, 0x1830000, 0x0, 0x0, 0x0],
     // heavyhitters 2, Vao
-    &[0xe452f9e6fc442d4a, 0x48, 0x247f00, 0x8, 0x58, 0x1ba],
+    &[0xe452f9e6fc442d4a, 0x48, 0x247f00, 0x8, 0x58, 0x1bc],
     // heavyhitters 2, Traditional
     &[0xe452f9e6fc442d4a, 0x0, 0x1830000, 0x0, 0x0, 0x0],
 ];
@@ -236,15 +236,15 @@ const TWELVE: &[&[u64]] = &[
     // selection, Traditional
     &[0x1195c166c9924000, 0x0, 0x2040000, 0x0, 0x0, 0x0],
     // sum, Vao
-    &[0x46d6b094f014b00f, 0x8c, 0x295f80, 0xc, 0xa4, 0x690],
+    &[0xabc9336cf1fd85ac, 0x8c, 0x295f80, 0xc, 0xa4, 0x690],
     // sum, Traditional
     &[0x63cfe79f9c6c0ab7, 0x0, 0x2040000, 0x0, 0x0, 0x0],
     // weighted sum, Vao
-    &[0x85510b5db5d1d29, 0x79, 0xf1380, 0xc, 0x91, 0x5ac],
+    &[0xbf466024bac8d632, 0x79, 0xf1380, 0xc, 0x91, 0x5ac],
     // weighted sum, Traditional
     &[0xc649e9cf24fa586b, 0x0, 0x2040000, 0x0, 0x0, 0x0],
     // ave, Vao
-    &[0x3a00869f18035e73, 0x8c, 0x295f80, 0xc, 0xa4, 0x690],
+    &[0xfcd91b1ffbe96d56, 0x8c, 0x295f80, 0xc, 0xa4, 0x690],
     // ave, Traditional
     &[0xc82dbf24b8aa7f5f, 0x0, 0x2040000, 0x0, 0x0, 0x0],
     // max, Vao
@@ -272,7 +272,7 @@ const TWELVE: &[&[u64]] = &[
     // percentile 0.25, Traditional
     &[0x4e9cf70a4edb1a13, 0x0, 0x2040000, 0x0, 0x0, 0x0],
     // heavyhitters 2, Vao
-    &[0xa1ee9eda570861c1, 0x6e, 0x26dd80, 0xc, 0x86, 0x431],
+    &[0xa1ee9eda570861c1, 0x6e, 0x26dd80, 0xc, 0x86, 0x432],
     // heavyhitters 2, Traditional
     &[0xa1ee9eda570861c1, 0x0, 0x2040000, 0x0, 0x0, 0x0],
 ];

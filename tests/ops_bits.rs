@@ -391,11 +391,11 @@ const SCRIPTED: &[&[u64]] = &[
     // min
     &[0x7, 0x4057600000000000, 0x4057604189374bc7, 0x0, 0xe, 0x85, 0xe, 0xe, 0x63, 0x2f7b939ec50b5438, 0xb44392758e0dd869],
     // sum
-    &[0x4089072f1a9fbe76, 0x408909020c49ba60, 0x0, 0x1f, 0x132, 0x1f, 0x1f, 0xe3, 0xe80b46cf4c43c39a, 0xd40c5a7aa89342f9],
+    &[0x4089072f1a9fbe77, 0x408909020c49ba5e, 0x0, 0x1f, 0x132, 0x1f, 0x1f, 0xe3, 0xe80b46cf4c43c39a, 0xd40c5a7aa89342f9],
     // ave
-    &[0x405907fbe76c8b43, 0x4059083d70a3d70c, 0x0, 0x20, 0x13c, 0x20, 0x20, 0xe4, 0xf69bc21f2b7103e0, 0xca68d7f519da6781],
+    &[0x405907fbe76c8b44, 0x4059083d70a3d70a, 0x0, 0x20, 0x13c, 0x20, 0x20, 0xe4, 0xf69bc21f2b7103e0, 0xca68d7f519da6781],
     // hybrid sum
-    &[0x40b31fff7ced9168, 0x40b3202f9db22d0f, 0x0, 0x20, 0x13c, 0x20, 0x20, 0xda, 0xf69bc21f2b7103e0, 0x7bef9a9abe5cfa34],
+    &[0x40b31fff7ced9168, 0x40b3202f9db22d0e, 0x0, 0x20, 0x13c, 0x20, 0x20, 0xda, 0xf69bc21f2b7103e0, 0x7bef9a9abe5cfa34],
     // topk 1
     &[0x1, 0x0, 0x405a400000000000, 0x405a404189374bc7, 0x0, 0x12, 0xbc, 0x12, 0x12, 0x7f, 0x8ae3f8916dd55580],
     // topk 3
@@ -413,7 +413,7 @@ const SCRIPTED: &[&[u64]] = &[
     // percentile 0.9
     &[0x405a400000000000, 0x405a404189374bc7, 0x1, 0x8, 0x12, 0xbc, 0x12, 0x12, 0x76, 0x8ae3f8916dd55580],
     // heavyhitters 3
-    &[0x3, 0x65, 0x2, 0x5d, 0x1, 0x5e, 0x1, 0x4, 0x64, 0x66, 0x68, 0x69, 0x8, 0x1f, 0x12e, 0x1f, 0x1f, 0xd6, 0x3fb2b2357bd9adef],
+    &[0x3, 0x65, 0x2, 0x5d, 0x1, 0x5e, 0x1, 0x4, 0x64, 0x66, 0x68, 0x69, 0x8, 0x1f, 0x12e, 0x1f, 0x1f, 0xd0, 0x3fb2b2357bd9adef],
     // oracle max
     &[0x0, 0x405a400000000000, 0x405a404189374bc7, 0x0, 0x11, 0xae, 0x11, 0x11, 0x0, 0x7c87cc6d713f567],
 ];
@@ -433,11 +433,11 @@ const BONDS: &[&[u64]] = &[
     // min
     &[0x9, 0x4056344252c37384, 0x405634c0f782c407, 0x0, 0x18, 0x40d280, 0x8, 0x10, 0x3e, 0x1bb0ef2d83b3d2cb, 0xa440706d09ce9b1e],
     // sum
-    &[0x40a42b8455ce28b6, 0x40a42de1995010b1, 0x0, 0x119, 0x54be80, 0x18, 0x101, 0x1a58, 0x60f415d2da0806dc, 0x9b0b584ef2965fd7],
+    &[0x40a42b8455ce28ba, 0x40a42de1995010b3, 0x0, 0x119, 0x54be80, 0x18, 0x101, 0x1a58, 0x60f415d2da0806dc, 0x9b0b584ef2965fd7],
     // ave
-    &[0x405ae54fd0f1d5c0, 0x405ae6918d08fedf, 0x0, 0x150, 0x187ae80, 0x18, 0x138, 0x1f80, 0xec08878d1b358496, 0x829546e7aa655805],
+    &[0x405ae54fd0f1d5c0, 0x405ae6918d08fed8, 0x0, 0x150, 0x187ae80, 0x18, 0x138, 0x1f80, 0xec08878d1b358496, 0x829546e7aa655805],
     // hybrid sum
-    &[0x40baf4d389b07352, 0x40baf72fbe1f39e4, 0x0, 0x10b, 0x3fee80, 0x18, 0xf3, 0x1908, 0x9f5647c02b840c31, 0x1a258a2335ae2557],
+    &[0x40baf4d389b07356, 0x40baf72fbe1f39e1, 0x0, 0x10b, 0x3fee80, 0x18, 0xf3, 0x1908, 0x9f5647c02b840c31, 0x1a258a2335ae2557],
     // topk 1
     &[0x1, 0x1, 0x405eca71493f2767, 0x405ecae66a56aa1a, 0x0, 0x30, 0x8181f0, 0x10, 0x20, 0x186, 0x22916fc82fa31e5a],
     // topk 3
@@ -455,7 +455,7 @@ const BONDS: &[&[u64]] = &[
     // percentile 0.9
     &[0x405e5191519335dd, 0x405e54a50a0b90fb, 0x3, 0x10, 0x3a, 0x6c310, 0x10, 0x2a, 0x1d4, 0xcc69b03a1ec9bb21],
     // heavyhitters 3
-    &[0x3, 0x64, 0x3, 0x69, 0x3, 0x65, 0x2, 0x3, 0x68, 0x6e, 0x74, 0x18, 0xcc, 0x174880, 0x18, 0xb4, 0xf97, 0x8083897549cf283e],
+    &[0x3, 0x64, 0x3, 0x69, 0x3, 0x65, 0x2, 0x3, 0x68, 0x6e, 0x74, 0x18, 0xcc, 0x174880, 0x18, 0xb4, 0xf9a, 0x8083897549cf283e],
     // oracle max
     &[0x1, 0x405eca71493f2767, 0x405ecae66a56aa1a, 0x0, 0x25, 0x8161b0, 0x9, 0x1c, 0x0, 0x20d4f42386382825],
 ];

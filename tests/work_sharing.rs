@@ -112,6 +112,57 @@ fn three_concurrent_queries_match_independent_engines() {
 }
 
 #[test]
+fn a_one_session_server_answers_like_the_dedicated_engine_bit_for_bit() {
+    // Both ends build their answer with `Query::output` and stop SUM on the
+    // same index-order interval, so with one session — nothing to share,
+    // the operator's schedule — the outputs are equal, not merely close.
+    let rate = 0.0583;
+    for (n, seed) in [(8, 42), (12, 7)] {
+        let eps = 0.05;
+        let queries = [
+            Query::Selection {
+                op: CmpOp::Gt,
+                constant: 100.0,
+            },
+            Query::Sum {
+                weights: (0..n).map(|i| 1.0 + (i % 3) as f64).collect(),
+                epsilon: n as f64 * 0.25,
+            },
+            Query::Ave { epsilon: eps },
+            Query::Max { epsilon: eps },
+            Query::Min { epsilon: eps },
+            Query::TopK { k: 3, epsilon: eps },
+            Query::Count {
+                op: CmpOp::Gt,
+                constant: 100.0,
+                slack: 1,
+            },
+            Query::Median { epsilon: eps },
+            Query::Percentile {
+                phi: 0.25,
+                epsilon: eps,
+            },
+            Query::HeavyHitters { k: 2, epsilon: 1.0 },
+        ];
+        for q in queries {
+            let (solo, _) = independent_run(n, seed, rate, q.clone());
+            let mut server = Server::new(
+                BondPricer::default(),
+                relation(n, seed),
+                ServerConfig::default(),
+            );
+            server.subscribe(q.clone(), 1).expect("subscribe");
+            let shared = server.tick(rate).expect("shared tick");
+            assert_eq!(
+                shared.answers[0].1.final_output(),
+                Some(&solo),
+                "{q:?} over {n} bonds, seed {seed}"
+            );
+        }
+    }
+}
+
+#[test]
 fn eight_queries_over_500_bonds_share_measurably() {
     let (n, seed) = (500, 1994);
     let rate = RateSeries::january_1994().opening_rate();
