@@ -20,6 +20,7 @@ use va_stream::{BondRelation, Query, RunSummary, TickObserver, TickStats};
 use vao::adapters::WarmStart;
 use vao::cost::{Calibrator, Work, WorkMeter};
 use vao::error::VaoError;
+use vao::ops::sum::ave_weight;
 use vao::trace::{
     BudgetExhaustedRecord, CalibrationRecord, ChoiceRecord, CompactionRecord, ExecObserver,
     HybridDecisionRecord, IterationRecord, NoopObserver, OperatorEndRecord, OperatorKind,
@@ -1175,7 +1176,7 @@ fn validate_floor(registry: &SessionRegistry, pool: &SharedPool) -> Result<(), S
                 checked_sum_interval(pool, weights)?;
             }
             Query::Ave { epsilon } => {
-                let uniform = vec![1.0 / pool.len() as f64; pool.len()];
+                let uniform = vec![ave_weight(pool.len()); pool.len()];
                 PrecisionConstraint::new(*epsilon)?.validate_weighted(pool.objects(), &uniform)?;
             }
             Query::Max { epsilon }

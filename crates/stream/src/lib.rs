@@ -7,7 +7,9 @@
 //!
 //! * [`relation`] — the bond relation (`BD` in the paper's predicate
 //!   `model(IR.rate, BD) > 100`).
-//! * [`query`] — query definitions (Q1–Q3 of §1.2) and their outputs.
+//! * [`query`] — query definitions (Q1–Q3 of §1.2), their outputs, and
+//!   [`Query::output`]: the one function that builds an output from a set
+//!   of bounds, for the engine's two modes and for `va-server` alike.
 //! * [`engine`] — the continuous executor: per rate tick, it evaluates the
 //!   query under either the VAO or the traditional execution mode and
 //!   records per-tick statistics.
