@@ -45,8 +45,7 @@ impl Lab {
         let mut converged = Vec::with_capacity(n);
         let mut specs = Vec::with_capacity(n);
         let mut final_meshes = Vec::with_capacity(n);
-        for &bond in universe.bonds() {
-            let mut obj = pricer.price(bond, rate, &mut off_clock);
+        for mut obj in pricer.price_many(universe.bonds(), rate, &mut off_clock) {
             let spec = calibrate(&mut obj, &mut off_clock).expect("bond model must converge");
             converged.push(spec.value);
             specs.push(spec);
@@ -83,11 +82,8 @@ impl Lab {
     /// Fresh result objects for every bond (work charged to `meter`).
     #[must_use]
     pub fn objects(&self, meter: &mut WorkMeter) -> Vec<PdeResultObject<BondPde>> {
-        self.universe
-            .bonds()
-            .iter()
-            .map(|&b| self.pricer.price(b, self.rate, meter))
-            .collect()
+        self.pricer
+            .price_many(self.universe.bonds(), self.rate, meter)
     }
 
     /// Fresh result objects shifted onto a synthetic distribution.
@@ -98,11 +94,10 @@ impl Lab {
         meter: &mut WorkMeter,
     ) -> Vec<Shifted<PdeResultObject<BondPde>>> {
         assert_eq!(mapping.len(), self.len(), "mapping/universe mismatch");
-        self.universe
-            .bonds()
-            .iter()
+        self.objects(meter)
+            .into_iter()
             .enumerate()
-            .map(|(i, &b)| mapping.wrap(i, self.pricer.price(b, self.rate, meter)))
+            .map(|(i, obj)| mapping.wrap(i, obj))
             .collect()
     }
 

@@ -51,10 +51,35 @@ impl BondPricer {
     #[must_use]
     pub fn price(&self, bond: Bond, rate: f64, meter: &mut WorkMeter) -> PdeResultObject<BondPde> {
         let problem = BondPde::new(bond, self.model, rate);
-        PdeResultObject::new(problem, self.vao, meter)
-            .expect("bond PDE initial solve failed: misconfigured model or mesh")
+        PdeResultObject::new(problem, self.vao, meter).expect(INITIAL_SOLVE_FAILED)
+    }
+
+    /// [`BondPricer::price`] for every bond of a relation at once, in order:
+    /// the coarse trios run as lanes of shared lockstep solves
+    /// ([`PdeResultObject::new_many`]), and each object and every meter
+    /// charge is bit-identical to pricing the bonds one by one.
+    ///
+    /// # Panics
+    ///
+    /// As [`BondPricer::price`], for any bond.
+    #[must_use]
+    pub fn price_many(
+        &self,
+        bonds: &[Bond],
+        rate: f64,
+        meter: &mut WorkMeter,
+    ) -> Vec<PdeResultObject<BondPde>> {
+        let problems = bonds
+            .iter()
+            .map(|&bond| BondPde::new(bond, self.model, rate));
+        PdeResultObject::new_many(problems, self.vao, meter)
+            .into_iter()
+            .map(|slot| slot.expect(INITIAL_SOLVE_FAILED))
+            .collect()
     }
 }
+
+const INITIAL_SOLVE_FAILED: &str = "bond PDE initial solve failed: misconfigured model or mesh";
 
 /// Arguments to the pricing UDF: the streaming rate and the bond tuple.
 pub type PricingArgs = (f64, Bond);

@@ -81,10 +81,12 @@ pub fn step_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pde::extrapolation::TwoTermErrorModel;
     use crate::pde::problem::{DecayProblem, ParabolicPde};
     use crate::pde::solver::{solve_on_mesh, SolveError, SolverConfig};
-    use crate::pde::vao::{PdeResultObject, PdeVaoConfig};
+    use crate::pde::vao::{PdeResultObject, PdeVaoConfig, TRIO_LANES};
     use crate::tridiag::TridiagError;
+    use vao::cost::WorkBreakdown;
     use vao::interface::ResultObject;
 
     fn problems() -> Vec<DecayProblem> {
@@ -121,6 +123,7 @@ mod tests {
     /// two, which makes that cancellation exact and every other `nt`
     /// regular. Without diffusion or drift the columns do not couple, so
     /// away from that boundary this is the plain decay problem.
+    #[derive(Clone, Copy)]
     struct SingularAt {
         decay: DecayProblem,
         nt_star: u32,
@@ -232,6 +235,130 @@ mod tests {
             assert_eq!(meters[lane].breakdown(), m.breakdown());
             assert_eq!(meters[lane].iterations(), m.iterations());
         }
+    }
+
+    /// A lone construction's trio, rebuilt from three scalar solves: the
+    /// bounds it fits, or the first solve's error, and what it charged.
+    fn scalar_trio<P: ParabolicPde>(
+        p: &P,
+        config: &PdeVaoConfig,
+    ) -> (Result<Bounds, SolveError>, WorkBreakdown) {
+        let (nt, nx) = (config.initial_nt, config.initial_nx);
+        let mut meter = WorkMeter::new();
+        let mut f = Vec::new();
+        for (t, x) in [(nt, nx), (2 * nt, nx), (nt, 2 * nx)] {
+            match solve_on_mesh(p, x, t, &config.solver) {
+                Ok(sol) => {
+                    meter.charge_exec(sol.work);
+                    meter.charge_store_state(1);
+                    f.push(sol.value);
+                }
+                Err(e) => return (Err(e), meter.breakdown()),
+            }
+        }
+        let (lo, hi) = p.domain();
+        let (dt, dx) = (p.horizon() / f64::from(nt), (hi - lo) / f64::from(nx));
+        let model = TwoTermErrorModel::fit(f[0], f[1], f[2], dt, dx, config.safety);
+        (Ok(model.bounds_around(f[0], dt, dx)), meter.breakdown())
+    }
+
+    /// Builds every problem's object in one [`PdeResultObject::new_many`]
+    /// and checks each slot against its scalar trio, and the meter against
+    /// the sum of the scalar charges. Returns the slots.
+    fn trio_matches_scalar<P: ParabolicPde + Clone>(
+        problems: &[P],
+        config: PdeVaoConfig,
+    ) -> Vec<Result<PdeResultObject<P>, SolveError>> {
+        let mut meter = WorkMeter::new();
+        let slots = PdeResultObject::new_many(problems.to_vec(), config, &mut meter);
+        assert_eq!(slots.len(), problems.len());
+        let mut charged = WorkBreakdown::default();
+        for (i, (slot, p)) in slots.iter().zip(problems).enumerate() {
+            let (want, work) = scalar_trio(p, &config);
+            charged += work;
+            match (slot, want) {
+                (Ok(obj), Ok(b)) => {
+                    assert_eq!(obj.bounds().lo().to_bits(), b.lo().to_bits(), "slot {i}");
+                    assert_eq!(obj.bounds().hi().to_bits(), b.hi().to_bits(), "slot {i}");
+                    assert_eq!(obj.cumulative_cost(), work.exec_iter, "slot {i}");
+                }
+                (Err(got), Err(want)) => assert_eq!(*got, want, "slot {i}"),
+                (got, want) => panic!("slot {i}: ok {} vs scalar {want:?}", got.is_ok()),
+            }
+        }
+        assert_eq!(meter.breakdown(), charged, "the sum of the scalar charges");
+        slots
+    }
+
+    #[test]
+    fn trio_lanes_fail_a_singular_slot_alone_and_siblings_match_scalar() {
+        let config = PdeVaoConfig::default();
+        let (nt, nx) = (config.initial_nt, config.initial_nx);
+        // Regular at every trio mesh: their boundary pivot is `1 − 1/nt`.
+        let sibling = |i: usize| SingularAt {
+            decay: problems()[i],
+            nt_star: 1,
+        };
+        // Singular at the first trio mesh, then at the second: the failed
+        // slot charges nothing, then the first mesh it did solve.
+        for (nt_star, exec, stores) in [(nt, 0, 0), (2 * nt, u64::from(nt * (nx + 1)), 1)] {
+            let slots =
+                trio_matches_scalar(&[sibling(0), singular_at(nt_star), sibling(1)], config);
+            assert!(slots[0].is_ok() && slots[2].is_ok());
+            assert_eq!(
+                slots[1].as_ref().err(),
+                Some(&SolveError::Singular(TridiagError::ZeroPivot { row: 0 }))
+            );
+            let mut alone = WorkMeter::new();
+            let _ = PdeResultObject::new_many([singular_at(nt_star)], config, &mut alone);
+            assert_eq!(
+                alone.breakdown(),
+                WorkBreakdown {
+                    exec_iter: exec,
+                    store_state: stores,
+                    ..WorkBreakdown::default()
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn trio_lanes_over_the_cell_cap_fail_every_slot_like_scalar() {
+        // The first trio mesh (4 × 9 = 36 cells) fits, the second (72) not.
+        let config = PdeVaoConfig {
+            solver: SolverConfig { max_cells: 40 },
+            ..PdeVaoConfig::default()
+        };
+        let slots = trio_matches_scalar(&problems(), config);
+        for slot in &slots {
+            assert_eq!(
+                slot.as_ref().err(),
+                Some(&SolveError::BadMesh { cells: 72, max: 40 })
+            );
+        }
+    }
+
+    #[test]
+    fn trio_lanes_across_groups_match_scalar() {
+        // Two full groups and a remainder, every problem distinct.
+        let many: Vec<DecayProblem> = (0..2 * TRIO_LANES + 3)
+            .map(|i| DecayProblem {
+                rate: 0.01 + 0.0007 * i as f64,
+                coupon: 3.0 + 0.05 * i as f64,
+                terminal_value: 100.0,
+                horizon: 1.0 + 0.2 * i as f64,
+            })
+            .collect();
+        let slots = trio_matches_scalar(&many, PdeVaoConfig::default());
+        assert!(slots.iter().all(Result::is_ok));
+    }
+
+    #[test]
+    fn trio_lanes_of_nothing_are_nothing() {
+        let mut meter = WorkMeter::new();
+        let none: [DecayProblem; 0] = [];
+        assert!(PdeResultObject::new_many(none, PdeVaoConfig::default(), &mut meter).is_empty());
+        assert_eq!(meter.breakdown(), WorkBreakdown::default());
     }
 
     #[test]

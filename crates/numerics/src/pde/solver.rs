@@ -83,21 +83,7 @@ pub fn solve_on_mesh<P: ParabolicPde>(
     n_t: u32,
     config: &SolverConfig,
 ) -> Result<MeshSolution, SolveError> {
-    problem.validate().map_err(SolveError::Problem)?;
-    if n_x < 2 || n_t < 1 {
-        return Err(SolveError::BadMesh {
-            cells: u64::from(n_t) * (u64::from(n_x) + 1),
-            max: config.max_cells,
-        });
-    }
-    let cells = u64::from(n_t) * (u64::from(n_x) + 1);
-    if cells > config.max_cells {
-        return Err(SolveError::BadMesh {
-            cells,
-            max: config.max_cells,
-        });
-    }
-
+    let cells = check_mesh(problem, n_x, n_t, config)?;
     let n = n_x as usize + 1; // mesh columns
     let (mut sub, mut diag, mut sup) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
     let (mut src, mut g) = (vec![0.0; n], vec![0.0; n]);
@@ -119,6 +105,26 @@ pub fn solve_on_mesh<P: ParabolicPde>(
         value: interpolate(problem, n_x, &g, 1, 0),
         work: cells,
     })
+}
+
+/// The checks every mesh solve makes before it assembles anything, scalar
+/// or lane: the problem's own validation, then the mesh against the cap.
+/// Returns the mesh entries, the work the solve will charge.
+pub(crate) fn check_mesh<P: ParabolicPde>(
+    problem: &P,
+    n_x: u32,
+    n_t: u32,
+    config: &SolverConfig,
+) -> Result<Work, SolveError> {
+    problem.validate().map_err(SolveError::Problem)?;
+    let cells = u64::from(n_t) * (u64::from(n_x) + 1);
+    if n_x < 2 || n_t < 1 || cells > config.max_cells {
+        return Err(SolveError::BadMesh {
+            cells,
+            max: config.max_cells,
+        });
+    }
+    Ok(cells)
 }
 
 /// Assembles one mesh system: the tridiagonal bands of the implicit step,

@@ -13,7 +13,7 @@ use va_stream::BondRelation;
 use vao::adapters::{WarmStart, WarmStarted};
 use vao::batch::GridShape;
 use vao::cost::{Work, WorkMeter};
-use vao::interface::{ResultObject, VariableAccuracyFn};
+use vao::interface::ResultObject;
 use vao::ops::score::View;
 use vao::Bounds;
 
@@ -53,6 +53,8 @@ impl std::fmt::Debug for SharedPool {
 impl SharedPool {
     /// Invokes the pricer once per bond at `rate`, charging the shared
     /// meter. This is the work a per-query engine would repeat K times.
+    /// The whole relation is priced in one [`BondPricer::price_many`], so
+    /// the coarse trios run as lanes.
     #[must_use]
     pub fn invoke(
         pricer: &BondPricer,
@@ -60,10 +62,10 @@ impl SharedPool {
         rate: f64,
         meter: &mut WorkMeter,
     ) -> Self {
-        let objects = relation
-            .bonds()
-            .iter()
-            .map(|&bond| pricer.invoke(&(rate, bond), meter))
+        let objects = pricer
+            .price_many(relation.bonds(), rate, meter)
+            .into_iter()
+            .map(|obj| Box::new(obj) as Box<dyn ResultObject + Send>)
             .collect();
         Self::from_objects(objects, rate)
     }
@@ -89,13 +91,12 @@ impl SharedPool {
         if warm.len() != relation.bonds().len() {
             return Self::invoke(pricer, relation, rate, meter);
         }
-        let objects = relation
-            .bonds()
-            .iter()
+        let objects = pricer
+            .price_many(relation.bonds(), rate, meter)
+            .into_iter()
             .zip(warm)
-            .map(|(&bond, &seed)| {
-                let inner = pricer.invoke(&(rate, bond), meter);
-                Box::new(WarmStarted::new(inner, seed)) as Box<dyn ResultObject + Send>
+            .map(|(obj, &seed)| {
+                Box::new(WarmStarted::new(obj, seed)) as Box<dyn ResultObject + Send>
             })
             .collect();
         Self::from_objects(objects, rate)

@@ -149,11 +149,13 @@ impl ContinuousQueryEngine {
         ticks.iter().map(|t| self.process_rate(t.rate)).collect()
     }
 
+    /// The relation's result objects at `rate`, priced in one relation-wide
+    /// [`BondPricer::price_many`].
     fn objects(&self, rate: f64, meter: &mut WorkMeter) -> Vec<Box<dyn ResultObject + Send>> {
-        self.relation
-            .bonds()
-            .iter()
-            .map(|&bond| self.pricer.invoke(&(rate, bond), meter))
+        self.pricer
+            .price_many(self.relation.bonds(), rate, meter)
+            .into_iter()
+            .map(|obj| Box::new(obj) as Box<dyn ResultObject + Send>)
             .collect()
     }
 
@@ -239,13 +241,10 @@ impl ContinuousQueryEngine {
     ) -> Result<QueryOutput, EngineError> {
         let mut off_clock = WorkMeter::new();
         let specs: Vec<BlackBoxSpec> = self
-            .relation
-            .bonds()
-            .iter()
-            .map(|&bond| {
-                let mut obj = self.pricer.invoke(&(rate, bond), &mut off_clock);
-                calibrate(&mut obj, &mut off_clock)
-            })
+            .pricer
+            .price_many(self.relation.bonds(), rate, &mut off_clock)
+            .into_iter()
+            .map(|mut obj| calibrate(&mut obj, &mut off_clock))
             .collect::<Result<_, _>>()?;
         let n = specs.len();
         if let Query::Sum { weights, .. } = &self.query {
