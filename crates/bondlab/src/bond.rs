@@ -21,30 +21,48 @@ pub struct Bond {
     pub face: f64,
 }
 
+/// Smallest coupon a bond may carry. `1 − e^{−c·T}` in
+/// [`Bond::payment_rate`] loses digits as `c·T` shrinks, and once `c·T`
+/// falls under `2⁻⁵³` it rounds to zero and the price to NaN.
+pub const MIN_COUPON: f64 = 1e-4;
+/// Shortest maturity a bond may have, in years: one day.
+pub const MIN_MATURITY: f64 = 1.0 / 365.0;
+/// Longest maturity a bond may have, in years.
+pub const MAX_MATURITY: f64 = 100.0;
+/// Largest face value a bond may have.
+pub const MAX_FACE: f64 = 1e9;
+
 impl Bond {
     /// Creates a bond, validating its economics: the one definition of
     /// what a priceable bond is, for wire input and journaled records.
     ///
+    /// The box is the one the pricer is finite on: coupon in
+    /// `[MIN_COUPON, 1)`, maturity in `[MIN_MATURITY, MAX_MATURITY]` years
+    /// and face in `(0, MAX_FACE]`. Every generated universe lies inside it.
+    ///
     /// # Errors
     ///
-    /// A non-finite or out-of-range coupon, maturity or face value, named
-    /// in the message.
+    /// A non-finite or out-of-box coupon, maturity or face value, named in
+    /// the message.
     pub fn try_new(
         id: u32,
         coupon: f64,
         years_to_maturity: f64,
         face: f64,
     ) -> Result<Self, String> {
-        if !(coupon.is_finite() && coupon > 0.0 && coupon < 1.0) {
-            return Err(format!("coupon must be a rate in (0, 1), got {coupon}"));
-        }
-        if !(years_to_maturity.is_finite() && years_to_maturity > 0.0) {
+        // `{:?}` keeps a hostile 1e-300 or 1e308 to a few characters.
+        if !(MIN_COUPON..1.0).contains(&coupon) {
             return Err(format!(
-                "maturity must be positive, got {years_to_maturity}"
+                "coupon must be a rate in [{MIN_COUPON}, 1), got {coupon:?}"
             ));
         }
-        if !(face.is_finite() && face > 0.0) {
-            return Err(format!("face must be positive, got {face}"));
+        if !(MIN_MATURITY..=MAX_MATURITY).contains(&years_to_maturity) {
+            return Err(format!(
+                "maturity must be in [1/365, {MAX_MATURITY}] years, got {years_to_maturity:?}"
+            ));
+        }
+        if !(face > 0.0 && face <= MAX_FACE) {
+            return Err(format!("face must be in (0, {MAX_FACE:e}], got {face:?}"));
         }
         Ok(Self {
             id,
@@ -143,6 +161,21 @@ mod tests {
         assert!(Bond::try_new(0, 0.07, f64::INFINITY, 100.0).is_err());
         assert!(Bond::try_new(0, 0.07, 10.0, 0.0).is_err());
         assert!(Bond::try_new(0, 0.07, 10.0, -5.0).is_err());
+    }
+
+    #[test]
+    fn try_new_refuses_bonds_outside_the_priceable_box() {
+        // Each of these once priced to NaN bounds.
+        assert!(Bond::try_new(0, 1e-300, 10.0, 100.0).is_err());
+        assert!(Bond::try_new(0, 0.05, 1e-300, 100.0).is_err());
+        assert!(Bond::try_new(0, 0.05, 10.0, 1e308).is_err());
+        // The box's own edges are in it; a step past each is not.
+        assert!(Bond::try_new(0, MIN_COUPON, MIN_MATURITY, MAX_FACE).is_ok());
+        assert!(Bond::try_new(0, 0.9999, MAX_MATURITY, f64::MIN_POSITIVE).is_ok());
+        assert!(Bond::try_new(0, MIN_COUPON * 0.99, 10.0, 100.0).is_err());
+        assert!(Bond::try_new(0, 0.05, MIN_MATURITY * 0.99, 100.0).is_err());
+        assert!(Bond::try_new(0, 0.05, MAX_MATURITY * 1.01, 100.0).is_err());
+        assert!(Bond::try_new(0, 0.05, 10.0, MAX_FACE * 1.01).is_err());
     }
 
     #[test]

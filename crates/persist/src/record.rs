@@ -1561,6 +1561,21 @@ mod tests {
         assert!(detail.contains("corrupt journaled bond 0"), "{detail}");
     }
 
+    /// A bond outside the box the pricer is finite on is corrupt: such a
+    /// record, once accepted, panicked every tick after every restart.
+    #[test]
+    fn parse_refuses_bonds_the_pricer_cannot_price() {
+        for bond in [
+            r#"{"id":7,"coupon":1e-300,"maturity":10,"face":100}"#,
+            r#"{"id":7,"coupon":0.05,"maturity":1e-300,"face":100}"#,
+            r#"{"id":7,"coupon":0.05,"maturity":10,"face":1e308}"#,
+        ] {
+            let add = format!(r#"{{"ev":"add_bond","relation":1,"bond":{bond}}}"#);
+            let detail = JournalEvent::parse(&add).unwrap_err();
+            assert!(detail.contains("corrupt journaled bond 7"), "{detail}");
+        }
+    }
+
     /// Moved from `va_server::answer` with the type.
     #[test]
     fn accessors_distinguish_variants() {

@@ -398,6 +398,20 @@ fn a_heavyhitters_k_beyond_the_relation_gets_an_error() {
 }
 
 #[test]
+fn a_bond_the_pricer_cannot_price_gets_an_error() {
+    // Each used to be BOND_ADDED (and journaled), then panic the next tick
+    // in `Bounds::new` on the NaN bounds of its coarse trio.
+    refused_and_still_serving(
+        &[
+            r#"{"type":"ADD_BOND","bond":{"coupon":1e-300,"maturity":10,"face":100}}"#,
+            r#"{"type":"ADD_BOND","bond":{"coupon":0.05,"maturity":1e-300,"face":100}}"#,
+            r#"{"type":"ADD_BOND","bond":{"coupon":0.05,"maturity":10,"face":1e308}}"#,
+        ],
+        "invalid bond",
+    );
+}
+
+#[test]
 fn sum_weights_that_overflow_get_an_error() {
     // Each weight is finite, their sum is not. Used to be SUBSCRIBED (and
     // journaled), then panic in `Bounds::new` on the next tick's first
