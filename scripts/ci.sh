@@ -67,7 +67,12 @@
 #                                  must reproduce the literal bit patterns of
 #                                  tests/solver_bits.rs (a joint drift passes
 #                                  every scalar-vs-lane comparison), and a
-#                                  singular lane must cap alone; beside it,
+#                                  singular lane must cap alone; the
+#                                  relation-wide trio constructor's lane
+#                                  tests (a singular slot fails alone, the
+#                                  cell cap fails every slot, as scalar) and
+#                                  the per-tick invoke pinned as literals
+#                                  (tests/invoke_bits.rs); beside them,
 #                                  by name, the operator goldens of
 #                                  tests/ops_bits.rs (every vao::ops operator's
 #                                  answer, iterations, work components, final
@@ -426,6 +431,11 @@ cargo test -q -p vao-repro --test solver_bits
 cargo test -q -p vao-repro --test ops_bits
 cargo test -q -p vao-repro --test engine_bits
 cargo test -q -p va-numerics --lib pde::batch::tests::singular_lane_caps_alone_and_siblings_match_scalar
+# Invoke lanes: the relation-wide trio constructor against its scalar
+# reference (a singular slot, the cell cap, several groups, no input), and
+# the 500-bond cold and warm invokes pinned as literals.
+cargo test -q -p va-numerics --lib pde::batch::tests::trio_lanes_
+cargo test -q -p vao-repro --test invoke_bits
 
 echo "==> benchmark package gate (fmt, clippy, unit tests, run --quick)"
 benchmark/check.sh
