@@ -200,15 +200,15 @@ const EIGHT: &[&[u64]] = &[
     // ave, Traditional
     &[0x90b9696a9bb36087, 0x0, 0x1830000, 0x0, 0x0, 0x0],
     // max, Vao
-    &[0xd8be92cc0ed06448, 0x18, 0x43980, 0x6, 0x2a, 0x4f],
+    &[0xd8be92cc0ed06448, 0x18, 0x43980, 0x6, 0x2a, 0x55],
     // max, Traditional
     &[0xcc6977041a715735, 0x0, 0x1830000, 0x0, 0x0, 0x0],
     // min, Vao
-    &[0x9be24648e0a3b2cb, 0xe, 0x42800, 0x2, 0x24, 0xa],
+    &[0x9be24648e0a3b2cb, 0xe, 0x42800, 0x2, 0x24, 0x13],
     // min, Traditional
     &[0xe6f60e69b9468ef4, 0x0, 0x1830000, 0x0, 0x0, 0x0],
     // topk 3, Vao
-    &[0xc78e9df30f39a812, 0x2d, 0xc74e0, 0x6, 0x3f, 0x3f],
+    &[0xc78e9df30f39a812, 0x2d, 0xc74e0, 0x6, 0x3f, 0x93],
     // topk 3, Traditional
     &[0xfaee20c2cc22802f, 0x0, 0x1830000, 0x0, 0x0, 0x0],
     // count, Vao
@@ -216,7 +216,7 @@ const EIGHT: &[&[u64]] = &[
     // count, Traditional
     &[0x74773623b774e41, 0x0, 0x1830000, 0x0, 0x0, 0x0],
     // median, Vao
-    &[0xca52e52d63873125, 0x1a, 0x433d0, 0x6, 0x2c, 0x39],
+    &[0xca52e52d63873125, 0x1a, 0x433d0, 0x6, 0x2c, 0x40],
     // median, Traditional
     &[0xc1c41740ad50050, 0x0, 0x1830000, 0x0, 0x0, 0x0],
     // percentile 0.25, Vao
@@ -252,11 +252,11 @@ const TWELVE: &[&[u64]] = &[
     // max, Traditional
     &[0x53c95d737a59c91, 0x0, 0x2040000, 0x0, 0x0, 0x0],
     // min, Vao
-    &[0x57c2146bba952dff, 0x18, 0x4b0b0, 0x4, 0x38, 0x3e],
+    &[0x57c2146bba952dff, 0x18, 0x4b0b0, 0x4, 0x38, 0x42],
     // min, Traditional
     &[0x774306f605994296, 0x0, 0x2040000, 0x0, 0x0, 0x0],
     // topk 3, Vao
-    &[0xc36f73b240f1ae0a, 0x2a, 0xc6ea0, 0x8, 0x46, 0x39],
+    &[0xc36f73b240f1ae0a, 0x2a, 0xc6ea0, 0x8, 0x46, 0x90],
     // topk 3, Traditional
     &[0xef0c76743677e913, 0x0, 0x2040000, 0x0, 0x0, 0x0],
     // count, Vao
@@ -264,7 +264,7 @@ const TWELVE: &[&[u64]] = &[
     // count, Traditional
     &[0x674e10e04bc2ea81, 0x0, 0x2040000, 0x0, 0x0, 0x0],
     // median, Vao
-    &[0x4b9ab4aa38884fd9, 0x1d, 0x472a0, 0x7, 0x3a, 0x54],
+    &[0x4b9ab4aa38884fd9, 0x1d, 0x472a0, 0x7, 0x3a, 0x57],
     // median, Traditional
     &[0x39de056e6137c7e0, 0x0, 0x2040000, 0x0, 0x0, 0x0],
     // percentile 0.25, Vao

@@ -7,16 +7,19 @@
 //!    [`ContinuousQueryEngine`] per query produces (exact set/winner
 //!    equality for discrete outputs; ε-respecting overlapping intervals
 //!    for aggregates, which may legitimately stop at different points
-//!    inside the precision constraint).
+//!    inside the precision constraint). With a single session the two
+//!    are one schedule: equal answers, iterations and work, bit for bit.
 //! 2. **Less work.** The shared pool invokes the pricing model once per
 //!    bond per tick instead of once per bond *per query*, so its total
 //!    deterministic work units stay below the sum of the independent runs
 //!    — the server's reason to exist (§1.2's multi-trader workload).
 
+use proptest::prelude::*;
 use va_server::{Answer, Server, ServerConfig};
 use vao_repro::bondlab::{BondPricer, BondUniverse, RateSeries};
 use vao_repro::stream::relation::BondRelation;
 use vao_repro::stream::{ContinuousQueryEngine, ExecutionMode, Query, QueryOutput};
+use vao_repro::vao::cost::WorkBreakdown;
 use vao_repro::vao::ops::selection::CmpOp;
 
 fn relation(n: usize, seed: u64) -> BondRelation {
@@ -111,53 +114,104 @@ fn three_concurrent_queries_match_independent_engines() {
     );
 }
 
+/// Every query kind over `n` bonds, SELECT first.
+fn one_session_queries(n: usize) -> Vec<Query> {
+    let eps = 0.05;
+    vec![
+        Query::Selection {
+            op: CmpOp::Gt,
+            constant: 100.0,
+        },
+        Query::Sum {
+            weights: (0..n).map(|i| 1.0 + (i % 3) as f64).collect(),
+            epsilon: n as f64 * 0.25,
+        },
+        Query::Ave { epsilon: eps },
+        Query::Max { epsilon: eps },
+        Query::Min { epsilon: eps },
+        Query::TopK { k: 3, epsilon: eps },
+        Query::Count {
+            op: CmpOp::Gt,
+            constant: 100.0,
+            slack: 1,
+        },
+        Query::Median { epsilon: eps },
+        Query::Percentile {
+            phi: 0.25,
+            epsilon: eps,
+        },
+        Query::HeavyHitters { k: 2, epsilon: 1.0 },
+    ]
+}
+
+/// What one side of the comparison produced: the answer, `iterations` and
+/// the tick's work components (model invocation included).
+type Execution = (Option<QueryOutput>, u64, WorkBreakdown);
+
+/// `query` over `n` bonds of `seed` at `rate`, on a server holding it as its
+/// only session and on the dedicated engine.
+fn one_session_and_engine(n: usize, seed: u64, rate: f64, query: &Query) -> [Execution; 2] {
+    let mut server = Server::new(
+        BondPricer::default(),
+        relation(n, seed),
+        ServerConfig::default(),
+    );
+    server.subscribe(query.clone(), 1).expect("subscribe");
+    let shared = server.tick(rate).expect("shared tick");
+    let engine = ContinuousQueryEngine::new(
+        BondPricer::default(),
+        relation(n, seed),
+        query.clone(),
+        ExecutionMode::Vao,
+    );
+    let (solo, stats) = engine.process_rate(rate).expect("engine tick");
+    [
+        (
+            shared.answers[0].1.final_output().cloned(),
+            shared.stats.iterations,
+            shared.stats.work,
+        ),
+        (Some(solo), stats.iterations, stats.work),
+    ]
+}
+
 #[test]
 fn a_one_session_server_answers_like_the_dedicated_engine_bit_for_bit() {
-    // Both ends build their answer with `Query::output` and stop SUM on the
-    // same index-order interval, so with one session — nothing to share,
-    // the operator's schedule — the outputs are equal, not merely close.
+    // Both ends build their answer with `Query::output`, stop SUM on the same
+    // index-order interval and make the same §5 choices, so with one session
+    // — nothing to share, the operator's schedule — the outputs are equal,
+    // not merely close, and so are `iterations` and every work component.
+    // SELECT's engine path is pipelined (one object priced and decided at a
+    // time), so only its answer is compared.
     let rate = 0.0583;
-    for (n, seed) in [(8, 42), (12, 7)] {
-        let eps = 0.05;
-        let queries = [
-            Query::Selection {
-                op: CmpOp::Gt,
-                constant: 100.0,
-            },
-            Query::Sum {
-                weights: (0..n).map(|i| 1.0 + (i % 3) as f64).collect(),
-                epsilon: n as f64 * 0.25,
-            },
-            Query::Ave { epsilon: eps },
-            Query::Max { epsilon: eps },
-            Query::Min { epsilon: eps },
-            Query::TopK { k: 3, epsilon: eps },
-            Query::Count {
-                op: CmpOp::Gt,
-                constant: 100.0,
-                slack: 1,
-            },
-            Query::Median { epsilon: eps },
-            Query::Percentile {
-                phi: 0.25,
-                epsilon: eps,
-            },
-            Query::HeavyHitters { k: 2, epsilon: 1.0 },
-        ];
-        for q in queries {
-            let (solo, _) = independent_run(n, seed, rate, q.clone());
-            let mut server = Server::new(
-                BondPricer::default(),
-                relation(n, seed),
-                ServerConfig::default(),
-            );
-            server.subscribe(q.clone(), 1).expect("subscribe");
-            let shared = server.tick(rate).expect("shared tick");
-            assert_eq!(
-                shared.answers[0].1.final_output(),
-                Some(&solo),
-                "{q:?} over {n} bonds, seed {seed}"
-            );
+    for (n, seed) in [(8, 42), (12, 7), (24, 42), (16, 7), (31, 3)] {
+        for q in one_session_queries(n) {
+            let [server, engine] = one_session_and_engine(n, seed, rate, &q);
+            assert_eq!(server.0, engine.0, "{q:?} over {n} bonds, seed {seed}");
+            if !matches!(q, Query::Selection { .. }) {
+                assert_eq!(
+                    (server.1, server.2),
+                    (engine.1, engine.2),
+                    "schedule of {q:?} over {n} bonds, seed {seed}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn a_one_session_server_schedules_like_the_dedicated_engine(
+        n in 4usize..=24,
+        seed in 0u64..1000,
+        grid in 0usize..40,
+    ) {
+        let rate = 0.045 + grid as f64 * 0.001;
+        for q in one_session_queries(n).into_iter().skip(1) {
+            let [server, engine] = one_session_and_engine(n, seed, rate, &q);
+            prop_assert_eq!(&server, &engine, "{:?} over {} bonds, seed {}, rate {}", q, n, seed, rate);
         }
     }
 }
