@@ -11,11 +11,10 @@
 use crate::cost::WorkMeter;
 use crate::error::VaoError;
 use crate::interface::ResultObject;
-use crate::ops::drive::Driver;
+use crate::ops::drive::{operate, Demand};
 use crate::ops::minmax::AggregateConfig;
 use crate::ops::score::View;
 use crate::ops::selection::{decided, probe_benefit, CmpOp};
-use crate::strategy::Candidate;
 use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
 
 /// Result of a COUNT evaluation.
@@ -77,33 +76,53 @@ pub fn count_vao_traced<R: ResultObject, O: ExecObserver>(
     if !constant.is_finite() {
         return Err(VaoError::NonFiniteConstant { value: constant });
     }
-    let mut drive = Driver::begin(
+    let (iterations, _) = operate(
         OperatorKind::Count,
-        objs.len(),
-        config.iteration_limit,
+        objs,
+        config,
         meter,
         observer,
-    );
+        |v, out| {
+            demands_classify(v, op, constant, slack, out);
+        },
+    )?;
+    let (count_lo, unresolved) = classify(&*objs, op, constant);
+    Ok(CountResult {
+        count_lo,
+        count_hi: count_lo + unresolved.len(),
+        unresolved,
+        iterations,
+    })
+}
 
-    loop {
-        let (count_lo, unresolved) = classify(&*objs, op, constant);
-        if unresolved.len() <= slack {
-            return Ok(CountResult {
-                count_lo,
-                count_hi: count_lo + unresolved.len(),
-                unresolved,
-                iterations: drive.finish(),
-            });
-        }
+/// Object `i`'s SELECT/COUNT demand: demanded while undecided, at the probe
+/// benefit — biggest estimated width reduction, with a bonus when the
+/// estimate already clears the constant (it would decide).
+#[must_use]
+pub fn classify_entry<V: View + ?Sized>(
+    v: &V,
+    op: CmpOp,
+    constant: f64,
+    i: usize,
+) -> Option<Demand> {
+    decided(v, i, op, constant).is_none().then(|| Demand {
+        object: i,
+        benefit: probe_benefit(v, i, op, constant),
+    })
+}
 
-        // Greedy: biggest estimated width reduction per cycle, with a bonus
-        // when the estimate already clears the constant (it would decide).
-        let candidates: Vec<Candidate> = unresolved
-            .iter()
-            .map(|&i| Candidate::of(i, &objs[i], probe_benefit(&*objs, i, op, constant)))
-            .collect();
-        let chosen = drive.choose(&mut config.policy, &candidates)?;
-        drive.step(&mut objs[chosen], chosen)?;
+/// COUNT's demand (SELECT's at `slack = 0`), appended to an empty `out`:
+/// every undecided object, or nothing once at most `slack` remain.
+pub fn demands_classify<V: View + ?Sized>(
+    v: &V,
+    op: CmpOp,
+    constant: f64,
+    slack: usize,
+    out: &mut Vec<Demand>,
+) {
+    out.extend((0..v.len()).filter_map(|i| classify_entry(v, op, constant, i)));
+    if out.len() <= slack {
+        out.clear();
     }
 }
 

@@ -32,11 +32,10 @@ use va_sketch::{CountMin, SpaceSaving};
 use crate::cost::WorkMeter;
 use crate::error::VaoError;
 use crate::interface::ResultObject;
-use crate::ops::drive::Driver;
+use crate::ops::drive::{operate, Demand};
 use crate::ops::minmax::AggregateConfig;
 use crate::ops::score::{est_shrink, View};
 use crate::precision::PrecisionConstraint;
-use crate::strategy::Candidate;
 use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
 
 /// Widest unresolved span (in cells) charged cell-by-cell to the pending
@@ -124,45 +123,51 @@ pub fn heavy_hitters_vao_traced<R: ResultObject, O: ExecObserver>(
     if objs.is_empty() || k == 0 {
         return Err(VaoError::EmptyInput);
     }
-    let width = cell.epsilon();
-    let mut drive = Driver::begin(
-        OperatorKind::HeavyHitters,
-        objs.len(),
-        config.iteration_limit,
-        meter,
-        observer,
-    );
-
-    let mut summaries = HeavySummaries::new(k, objs.len());
-    let mut touched = vec![false; objs.len()];
-    loop {
-        let spans: Vec<CellSpan> = (0..objs.len())
-            .map(|i| cell_span(&*objs, i, width))
-            .collect();
-        summaries.rebuild(&spans);
-        let mut candidates = Vec::new();
-        for i in contended(&spans, &summaries, k) {
-            let benefit = resolve_benefit(&*objs, i, width);
-            candidates.push(Candidate::of(i, &objs[i], benefit));
-        }
-        if candidates.is_empty() {
-            // Nothing unresolved, or every unresolved object is provably
-            // clear of the top-k: the membership and the member counts are
-            // already final.
-            break;
-        }
-        let idx = drive.choose(&mut config.policy, &candidates)?;
-        drive.step(&mut objs[idx], idx)?;
-        touched[idx] = true;
-    }
-
+    let (width, mut summaries) = (cell.epsilon(), HeavySummaries::new(k, objs.len()));
+    let kind = OperatorKind::HeavyHitters;
+    let (iterations, touched) = operate(kind, objs, config, meter, observer, |v, out| {
+        demands_heavy(v, k, width, &mut summaries, out);
+    })?;
     let (cells, ties) = rank_cells(cell_counts(&*objs, width).0, k);
     Ok(HeavyResult {
         cells,
         ties,
-        iterations: drive.finish(),
-        refined: touched.iter().filter(|&&t| t).count(),
+        iterations,
+        refined: touched.iter().filter(|&&t| t > 0).count(),
     })
+}
+
+/// HEAVYHITTERS' demand: `summaries` rebuilt from the view's spans, then
+/// [`heavy_scan`]. Empty once nothing is unresolved or every unresolved
+/// object is provably clear of the top-k: the membership and the member
+/// counts are then final.
+pub fn demands_heavy<V: View + ?Sized>(
+    v: &V,
+    k: usize,
+    width: f64,
+    summaries: &mut HeavySummaries,
+    out: &mut Vec<Demand>,
+) {
+    let spans: Vec<CellSpan> = (0..v.len()).map(|i| cell_span(v, i, width)).collect();
+    summaries.rebuild(&spans);
+    heavy_scan(v, &spans, summaries, k, width, out);
+}
+
+/// Demands the unresolved objects that are still [`contended`] under the
+/// summaries `s` (which must hold exactly `spans`), each at its
+/// [`resolve_benefit`].
+pub fn heavy_scan<V: View + ?Sized>(
+    v: &V,
+    spans: &[CellSpan],
+    s: &HeavySummaries,
+    k: usize,
+    width: f64,
+    out: &mut Vec<Demand>,
+) {
+    out.extend(contended(spans, s, k).map(|i| Demand {
+        object: i,
+        benefit: resolve_benefit(v, i, width),
+    }));
 }
 
 /// Where an object stands against the ε-cell grid.

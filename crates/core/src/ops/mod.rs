@@ -2,21 +2,22 @@
 //!
 //! §5 describes one iteration strategy — score the candidate iterations by
 //! benefit / `estCPU`, iterate the best, stop on the operator's condition —
-//! and that loop exists once, in the private `drive` module: the charged and
-//! traced choice, the guarded `iterate()` call, and the guess-and-reduce rank
-//! separation that MAX, MIN, Top-K and the order statistics share. An
-//! operator module holds what is its own: input validation, the benefit
-//! function, the stopping rule. The benefit functions and contest rules
-//! are pure functions over [`score::View`] — the four facts scoring reads
-//! per object — so a columnar store of those facts (`va-server`'s pool)
-//! scores through the same code the loops here do. Every VAO but the
-//! heap-indexed SUM has a
-//! default entry point (`*_vao`: greedy policy, no observer) and a
-//! `*_traced` one taking the [`minmax::AggregateConfig`] and an
+//! and that loop exists once, in [`drive`]: the round loop `va-server`'s
+//! scheduler runs too. An operator module holds what is its own: input
+//! validation, its **demand function** (which objects it still wants
+//! refined, and the benefit it expects from each; empty is its stopping
+//! rule), one call to the loop, and the result read off the final bounds.
+//! The demand functions are pure functions over [`score::View`] — the four
+//! facts scoring reads per object — so a columnar store of those facts
+//! (`va-server`'s pool) demands through the same code the operators do.
+//! Every VAO but the heap-indexed SUM has a default entry point (`*_vao`:
+//! greedy policy, no observer) and a `*_traced` one taking the
+//! [`minmax::AggregateConfig`] and an
 //! [`ExecObserver`](crate::trace::ExecObserver).
 //!
+//! * [`drive`] — the round loop, its pool and demand-source traits.
 //! * [`score`] — the view, the two-sided estimated shrink, and the rank
-//!   family's order, contest, stopping test and benefits.
+//!   family's order, contest, stopping test, benefits and demand.
 //! * [`selection`] — predicate evaluation against a constant (§3.2's running
 //!   example; evaluated per result object).
 //! * [`minmax`] — the MIN/MAX aggregate VAOs with the guess-and-reduce
@@ -40,7 +41,7 @@
 //!   SpaceSaving/count-min demand pruning.
 
 pub mod count;
-mod drive;
+pub mod drive;
 pub mod heavy;
 pub mod hybrid;
 pub mod minmax;

@@ -10,7 +10,7 @@
 use crate::cost::WorkMeter;
 use crate::error::VaoError;
 use crate::interface::ResultObject;
-use crate::ops::drive::{refine, Driver};
+use crate::ops::drive::Driver;
 use crate::ops::minmax::ExtremeResult;
 use crate::ops::DEFAULT_ITERATION_LIMIT;
 use crate::precision::PrecisionConstraint;
@@ -43,8 +43,11 @@ pub fn oracle_max<R: ResultObject>(
     let mut drive = Driver::unobserved(DEFAULT_ITERATION_LIMIT, meter);
 
     // 1. Run the known maximum to the requested precision.
-    refine(&mut objs[true_argmax], true_argmax, epsilon, &mut drive)?;
-    let winner_lo = objs[true_argmax].bounds().lo();
+    let winner = &mut objs[true_argmax];
+    while winner.bounds().width() > epsilon.epsilon() && !winner.converged() {
+        drive.step(winner, true_argmax)?;
+    }
+    let winner_lo = winner.bounds().lo();
 
     // 2. Iterate every other object until it no longer overlaps.
     let mut ties = Vec::new();

@@ -29,11 +29,10 @@ use crate::bounds::Bounds;
 use crate::cost::WorkMeter;
 use crate::error::VaoError;
 use crate::interface::ResultObject;
-use crate::ops::drive::Driver;
+use crate::ops::drive::{operate, push, Demand};
 use crate::ops::minmax::AggregateConfig;
 use crate::ops::score::{cmp_desc, est_shrink, View};
 use crate::precision::PrecisionConstraint;
-use crate::strategy::Candidate;
 use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
 
 /// Relative-error parameter of the guiding sketch. Shared with the server's
@@ -95,48 +94,39 @@ pub fn percentile_vao_traced<R: ResultObject, O: ExecObserver>(
         return Err(VaoError::InvalidQuantile { phi });
     }
     epsilon.validate_single_object(objs)?;
-    let n = objs.len();
-    let k = rank_from_top(phi, n);
-    let mut drive = Driver::begin(
-        OperatorKind::Percentile,
-        n,
-        config.iteration_limit,
-        meter,
-        observer,
-    );
-
+    let (k, eps) = (rank_from_top(phi, objs.len()), epsilon.epsilon());
     let mut sketch = IntervalQuantileSketch::new(SKETCH_ALPHA, SKETCH_BUDGET);
-    let mut touched = vec![false; n];
-    let mut scratch = Vec::with_capacity(n);
-    let bounds = loop {
-        let (out_lo, out_hi) = rank_bracket(&*objs, k, &mut scratch);
-        if out_hi - out_lo <= epsilon.epsilon() {
-            break Bounds::new(out_lo, out_hi);
-        }
-
-        // Rebuild the guiding sketch from the live bounds and pull the rank
-        // band — a provable superset of the exact [out_lo, out_hi] band.
-        fill_sketch(&mut sketch, &*objs);
-        let mut candidates = Vec::new();
-        band_scan(&*objs, rank_band(&sketch, k), |i, benefit| {
-            candidates.push(Candidate::of(i, &objs[i], benefit));
-        });
-        if candidates.is_empty() {
-            // Every straddler is at its minWidth floor: ε is unsatisfiable,
-            // report the tightest sound interval (SUM's floor behavior).
-            break Bounds::new(out_lo, out_hi);
-        }
-        let idx = drive.choose(&mut config.policy, &candidates)?;
-        drive.step(&mut objs[idx], idx)?;
-        touched[idx] = true;
-    };
-
+    let kind = OperatorKind::Percentile;
+    let (iterations, touched) = operate(kind, objs, config, meter, observer, |v, out| {
+        demands_percentile(v, k, eps, &mut sketch, out);
+    })?;
+    let (lo, hi) = rank_bracket(&*objs, k, &mut Vec::new());
     Ok(PercentileResult {
-        bounds,
+        bounds: Bounds::new(lo, hi),
         rank: k,
-        iterations: drive.finish(),
-        refined: touched.iter().filter(|&&t| t).count(),
+        iterations,
+        refined: touched.iter().filter(|&&t| t > 0).count(),
     })
+}
+
+/// PERCENTILE's demand at rank `k` from the top: nothing once the exact
+/// [`rank_bracket`] is within ε; else `sketch` is rebuilt from the live
+/// bounds and every object straddling its rank band — a provable superset
+/// of the bracket — is demanded by [`band_scan`]. When every straddler is
+/// at its `minWidth` floor the demand is empty with the bracket still wider
+/// than ε: the tightest sound interval (SUM's floor behavior).
+pub fn demands_percentile<V: View + ?Sized>(
+    v: &V,
+    k: usize,
+    epsilon: f64,
+    sketch: &mut IntervalQuantileSketch,
+    out: &mut Vec<Demand>,
+) {
+    let (lo, hi) = rank_bracket(v, k, &mut Vec::new());
+    if hi - lo > epsilon {
+        fill_sketch(sketch, v);
+        band_scan(v, rank_band(sketch, k), push(out));
+    }
 }
 
 /// The exact output bounds at rank `k` from the top (1-based, clamped to

@@ -4,7 +4,7 @@
 //! Scoring never mutates and reads four facts per object — how many there
 //! are, their bounds, their estimated next bounds, whether they converged.
 //! [`View`] is that read-only surface. A slice of result objects is a view
-//! (the `vao::ops` loops score over `&[R]`), and so is any columnar store
+//! (the operators score over `&[R]`), and so is any columnar store
 //! that keeps the same facts flat (`va-server`'s shared pool), so both
 //! score through the functions here and in the operator modules
 //! ([`selection`](super::selection), [`count`](super::count),
@@ -22,6 +22,7 @@ use std::cmp::Ordering;
 
 use crate::bounds::Bounds;
 use crate::interface::ResultObject;
+use crate::ops::drive::{push, Demand};
 
 /// The facts scoring reads, per object index in `0..len()`.
 pub trait View {
@@ -116,31 +117,21 @@ pub fn cmp_asc(a: f64, b: f64) -> Ordering {
     a.total_cmp(&b)
 }
 
-/// Descending rank order of a separation: `Less` ranks first. Exact ties
-/// keep the order of the pool the separation was given.
-pub type RankOrder = fn(Bounds, Bounds) -> Ordering;
-
-/// Highest upper bound first, ties to the higher lower bound: the member
-/// guess of MAX, Top-K and the order statistics' outer phase (§5.1).
+/// The rank order of the member guess of MAX, Top-K and the order
+/// statistics' outer phase (§5.1): highest upper bound first, ties to the
+/// higher lower bound. `Less` ranks first.
 #[must_use]
 pub fn by_hi_then_lo(a: Bounds, b: Bounds) -> Ordering {
-    by_hi(a, b).then(cmp_desc(a.lo(), b.lo()))
+    cmp_desc(a.hi(), b.hi()).then(cmp_desc(a.lo(), b.lo()))
 }
 
-/// Highest upper bound first and nothing else — over a flipped view, the
-/// lowest lower bound: the guess of the order statistics' inner MIN phase.
+/// Every object in [`by_hi_then_lo`] order, exact ties by index (a stable
+/// sort). Each object's bounds are read once, not once per comparison:
+/// behind an adapter (`WarmStarted`, `Negated`) a read is a computation.
 #[must_use]
-pub fn by_hi(a: Bounds, b: Bounds) -> Ordering {
-    cmp_desc(a.hi(), b.hi())
-}
-
-/// `pool` in rank order (a stable sort: exact ties keep the pool's order).
-/// Each object's bounds are read once, not once per comparison: behind an
-/// adapter (`WarmStarted`, `Negated`) a read is a computation.
-#[must_use]
-pub fn ranked<V: View + ?Sized>(v: &V, pool: &[usize], order: RankOrder) -> Vec<usize> {
-    let mut keyed: Vec<(usize, Bounds)> = pool.iter().map(|&i| (i, v.bounds(i))).collect();
-    keyed.sort_by(|a, b| order(a.1, b.1));
+pub fn ranked<V: View + ?Sized>(v: &V) -> Vec<usize> {
+    let mut keyed: Vec<(usize, Bounds)> = (0..v.len()).map(|i| (i, v.bounds(i))).collect();
+    keyed.sort_by(|a, b| by_hi_then_lo(a.1, b.1));
     keyed.into_iter().map(|(i, _)| i).collect()
 }
 
@@ -178,30 +169,18 @@ pub fn straddlers<'a, V: View + ?Sized>(
         .filter(move |i| !members.contains(i) && reaches(v, *i, theta))
 }
 
-/// The presumed member set and what still contests it: the `k` first of
-/// `pool` under `order`, their [`boundary_holder`], and the outsiders still
-/// reaching its θ, in pool order. `k` must be in `1..=pool.len()`.
-#[must_use]
-pub fn contest<V: View + ?Sized>(
-    v: &V,
-    pool: &[usize],
-    k: usize,
-    order: RankOrder,
-) -> (Vec<usize>, usize, Vec<usize>) {
-    let mut members = ranked(v, pool, order);
-    members.truncate(k);
-    let holder = boundary_holder(v, &members);
-    let unresolved = straddlers(v, pool.iter().copied(), &members, holder).collect();
-    (members, holder, unresolved)
-}
-
-/// The contest every rank operator starts with: the `k` objects with the
-/// highest upper bounds against the whole view — MAX's guess `o'_max` at
-/// `k = 1`, Top-K's member set, the order statistics' outer phase.
+/// The presumed member set and what still contests it: the `k` first
+/// objects in [`ranked`] order — MAX's guess `o'_max` at `k = 1`, Top-K's
+/// member set, the order statistics' outer phase — their
+/// [`boundary_holder`], and the outsiders still reaching its θ, in index
+/// order. `k` must be in `1..=v.len()`.
 #[must_use]
 pub fn contest_top<V: View + ?Sized>(v: &V, k: usize) -> (Vec<usize>, usize, Vec<usize>) {
-    let everyone: Vec<usize> = (0..v.len()).collect();
-    contest(v, &everyone, k, by_hi_then_lo)
+    let mut members = ranked(v);
+    members.truncate(k);
+    let holder = boundary_holder(v, &members);
+    let unresolved = straddlers(v, 0..v.len(), &members, holder).collect();
+    (members, holder, unresolved)
 }
 
 /// Whether a separation is over. Stopping case 1: nobody reaches θ. Case 2:
@@ -247,21 +226,64 @@ pub fn score_separation<V: View + ?Sized>(
     }
 }
 
+/// ε-refinement of an identified object: demanded while wider than ε and
+/// not converged, at its estimated two-sided shrink (widths and shrinks
+/// read the same through a [`Flipped`] view).
+pub fn refine_to_epsilon<V: View + ?Sized>(v: &V, i: usize, epsilon: f64, out: &mut Vec<Demand>) {
+    let b = v.bounds(i);
+    if b.width() > epsilon && !v.converged(i) {
+        out.push(Demand {
+            object: i,
+            benefit: est_shrink(b, v.est_bounds(i)),
+        });
+    }
+}
+
+/// The rank family's demand: MAX (`k = 1`), MIN (`k = 1` over a
+/// [`Flipped`] view) and TOP-K are one separation and refinement over
+/// [`contest_top`].
+pub fn demands_rank<V: View + ?Sized>(v: &V, k: usize, epsilon: f64, out: &mut Vec<Demand>) {
+    if k == 0 {
+        return; // rejected up front; guarded for direct callers
+    }
+    let (members, holder, unresolved) = contest_top(v, k);
+    rank_phases(v, &members, holder, &unresolved, epsilon, out);
+}
+
+/// The rank family's two phases over an already-derived member guess, θ
+/// holder and straddler set: separate, then refine every member to ε.
+pub fn rank_phases<V: View + ?Sized>(
+    v: &V,
+    members: &[usize],
+    holder: usize,
+    unresolved: &[usize],
+    epsilon: f64,
+    out: &mut Vec<Demand>,
+) {
+    if separated(v, holder, unresolved) {
+        for &m in members {
+            refine_to_epsilon(v, m, epsilon, out);
+        }
+    } else {
+        score_separation(v, holder, unresolved, push(out));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testkit::ScriptedObject;
 
     #[test]
-    fn exact_ties_keep_the_pool_order_unless_the_order_breaks_them() {
-        // Equal H; `by_hi_then_lo` prefers the higher L, `by_hi` the pool.
+    fn exact_ties_on_the_upper_bound_go_to_the_higher_lower_bound_then_the_index() {
         let objs = [
             ScriptedObject::converging(&[(90.0, 120.0)], 1, 0.01),
             ScriptedObject::converging(&[(92.0, 120.0)], 1, 0.01),
+            ScriptedObject::converging(&[(92.0, 120.0)], 1, 0.01),
         ];
-        assert_eq!(contest(&objs[..], &[0, 1], 1, by_hi_then_lo).0, vec![1]);
-        assert_eq!(contest(&objs[..], &[0, 1], 1, by_hi).0, vec![0]);
-        assert_eq!(contest(&objs[..], &[1, 0], 1, by_hi).0, vec![1]);
+        assert_eq!(ranked(&objs[..]), vec![1, 2, 0]);
+        let (members, holder, unresolved) = contest_top(&objs[..], 2);
+        assert_eq!((members, holder, unresolved), (vec![1, 2], 1, vec![0]));
     }
 
     #[test]

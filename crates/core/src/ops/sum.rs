@@ -11,11 +11,10 @@ use crate::bounds::Bounds;
 use crate::cost::WorkMeter;
 use crate::error::VaoError;
 use crate::interface::ResultObject;
-use crate::ops::drive::Driver;
+use crate::ops::drive::{operate, Demand};
 use crate::ops::minmax::AggregateConfig;
 use crate::ops::score::{est_shrink, View};
 use crate::precision::PrecisionConstraint;
-use crate::strategy::Candidate;
 use crate::trace::{ExecObserver, NoopObserver, OperatorKind};
 
 /// Result of a SUM/AVE evaluation.
@@ -126,47 +125,54 @@ pub fn weighted_sum_vao_traced<R: ResultObject, O: ExecObserver>(
     observer: &mut O,
 ) -> Result<SumResult, VaoError> {
     validate_sum_input(objs, weights, epsilon)?;
-    let mut drive = Driver::begin(
+    let (weight, eps) = (|i: usize| weights[i], epsilon.epsilon());
+    let (iterations, _) = operate(
         OperatorKind::Sum,
-        objs.len(),
-        config.iteration_limit,
+        objs,
+        config,
         meter,
         observer,
-    );
-    let weight = |i: usize| weights[i];
-
-    let (bounds, stopped_at_floor) = loop {
-        let bounds = weighted_interval(&*objs, weight);
-        if bounds.width() <= epsilon.epsilon() {
-            break (bounds, false);
-        }
-
-        // Candidates: every object that can still be refined; benefit is the
-        // paper's wᵢ[(estLᵢ − Lᵢ) + (Hᵢ − estHᵢ)], with each term clamped so
-        // a wayward estimate cannot produce negative benefit.
-        let mut candidates = Vec::new();
-        for (i, o) in objs.iter().enumerate() {
-            if o.converged() {
-                continue;
-            }
-            candidates.push(Candidate::of(
-                i,
-                o,
-                weights[i] * est_shrink(o.bounds(), o.est_bounds()),
-            ));
-        }
-        if candidates.is_empty() {
-            // Every object at its stopping condition: the floor.
-            break (bounds, true);
-        }
-        let chosen = drive.choose(&mut config.policy, &candidates)?;
-        drive.step(&mut objs[chosen], chosen)?;
-    };
+        |v, out| {
+            demands_sum(v, weight, eps, out);
+        },
+    )?;
+    let bounds = weighted_interval(&*objs, weight);
     Ok(SumResult {
         bounds,
-        iterations: drive.finish(),
-        stopped_at_floor,
+        iterations,
+        // Demand ends short of ε only when every weighted object converged.
+        stopped_at_floor: bounds.width() > eps,
     })
+}
+
+/// Object `i`'s SUM/AVE demand at weight `w` — a function of its own bounds
+/// only: none at weight zero or once converged, else the paper's
+/// `wᵢ[(estLᵢ − Lᵢ) + (Hᵢ − estHᵢ)]` ([`est_shrink`] clamps each term).
+#[must_use]
+pub fn sum_entry<V: View + ?Sized>(v: &V, w: f64, i: usize) -> Option<Demand> {
+    (w != 0.0 && !v.converged(i)).then(|| Demand {
+        object: i,
+        benefit: w * est_shrink(v.bounds(i), v.est_bounds(i)),
+    })
+}
+
+/// SUM/AVE's stopping rule: the [`weighted_interval`] is no wider than ε.
+#[must_use]
+pub fn sum_done<V: View + ?Sized>(v: &V, weight: impl Fn(usize) -> f64, epsilon: f64) -> bool {
+    weighted_interval(v, weight).width() <= epsilon
+}
+
+/// SUM/AVE's demand: every object's [`sum_entry`] in index order, until
+/// [`sum_done`].
+pub fn demands_sum<V: View + ?Sized>(
+    v: &V,
+    weight: impl Fn(usize) -> f64,
+    epsilon: f64,
+    out: &mut Vec<Demand>,
+) {
+    if !sum_done(v, &weight, epsilon) {
+        out.extend((0..v.len()).filter_map(|i| sum_entry(v, weight(i), i)));
+    }
 }
 
 /// What a weighted SUM over `n` objects asks of its weights: something to

@@ -10,7 +10,6 @@
 //! benchmarks to quantify how much the greedy choice matters.
 
 use crate::cost::Work;
-use crate::interface::ResultObject;
 use crate::trace::{ChoiceRecord, ExecObserver};
 
 /// A scored iteration choice offered to a policy.
@@ -32,19 +31,6 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    /// The candidate "iterate `obj` (object `index`) next", worth `benefit`:
-    /// the cost estimate and the fallback width are the object's own, so
-    /// operators differ in the benefit alone.
-    #[must_use]
-    pub fn of<R: ResultObject>(index: usize, obj: &R, benefit: f64) -> Self {
-        Candidate {
-            index,
-            benefit,
-            est_cpu: obj.est_cpu(),
-            width: obj.bounds().width(),
-        }
-    }
-
     /// Benefit per unit of estimated CPU, the greedy score of §5.
     ///
     /// A zero cost estimate is clamped to one work unit so that essentially
@@ -210,8 +196,7 @@ impl ChoicePolicy {
     }
 
     /// Like [`ChoicePolicy::top_k`], reporting one [`ChoiceRecord`] per
-    /// selected candidate to `observer` (in selection order, so a batch of
-    /// one emits exactly the event stream of the serial `pick_traced`).
+    /// selected candidate to `observer`, in selection order.
     pub fn top_k_traced<O: ExecObserver>(
         &mut self,
         candidates: &[Candidate],
@@ -232,28 +217,6 @@ impl ChoicePolicy {
             }
         }
         picks
-    }
-
-    /// Like [`ChoicePolicy::pick`], but reports the decision — chosen
-    /// object, benefit, `estCPU` and greedy score — to `observer`. With a
-    /// disabled observer this compiles down to a plain `pick`.
-    pub fn pick_traced<O: ExecObserver>(
-        &mut self,
-        candidates: &[Candidate],
-        observer: &mut O,
-    ) -> Option<usize> {
-        let pick = self.pick(candidates)?;
-        if observer.is_enabled() {
-            let c = &candidates[pick];
-            observer.on_choice(&ChoiceRecord {
-                object: c.index,
-                benefit: c.benefit,
-                est_cpu: c.est_cpu,
-                score: c.score(),
-                candidates: candidates.len(),
-            });
-        }
-        Some(pick)
     }
 }
 

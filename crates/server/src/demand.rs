@@ -1,21 +1,17 @@
 //! Per-query refinement demand over the shared pool.
 //!
-//! Each registered query contributes a stateless *demand function*: given
-//! the pool's current bounds, which objects does it still want refined and
-//! what output-bound-width reduction does it expect from each. The benefit
-//! formulas, contests and stopping tests are the §5 per-operator ones, and
-//! not as a copy: [`SharedPool`] is a [`vao::ops::score::View`], so this
-//! module calls the functions the `vao::ops` loops call — a MAX query
-//! scores overlap reduction against its educated guess, a SUM query scores
-//! weighted width reduction, COUNT/SELECT score expected classification
-//! progress. Demands are re-derived every scheduler round, as the
-//! per-operator loops re-derive their guess/unresolved sets after every
-//! iteration, so the shared scheduler inherits their guess-revision
-//! behavior for free. The answer is shared the same way: a `Final` is
-//! [`Query::output`] over the pool, SUM's stopping interval is
-//! `vao::ops::sum`'s. What stays here is what only a shared pool has: one
-//! list per query instead of one pick, and the incremental caches of
-//! [`RoundView`].
+//! Each registered query contributes a *demand list*: given the pool's
+//! current bounds, which objects does it still want refined and what
+//! output-bound-width reduction does it expect from each. The list is the
+//! query's dedicated operator's demand function — `vao::ops` holds each
+//! one once, and a dedicated operator runs the same function through the
+//! same round loop — read over the pool: [`SharedPool`] is a
+//! [`vao::ops::score::View`]. A MAX query scores overlap reduction against
+//! its educated guess, a SUM query weighted width reduction, COUNT/SELECT
+//! expected classification progress. The answer is shared the same way: a
+//! `Final` is [`Query::output`] over the pool. What stays here is the
+//! dispatch from a [`Query`] to its function, the anytime `Partial`, and
+//! the incremental caches of [`RoundView`].
 //!
 //! The invariant the scheduler builds on: **a query's demand list is empty
 //! exactly when the pool's current bounds let it emit a
@@ -26,59 +22,39 @@
 //! [`demands`] / [`demands_stateful`] are the *stateless recompute*: every
 //! set (member guess, straddlers, unresolved objects, order statistics,
 //! sketch summaries) is re-derived from the pool on each call. The
-//! scheduler does not call them per round any more — it keeps a
-//! [`RoundView`] that repairs the same state for the objects a round
-//! iterated — but they remain the public API and the oracle the maintained
-//! lists are tested against, and both paths emit through the *same*
-//! per-object and per-phase functions in this file, which in turn score
-//! through `vao::ops`: a benefit expression exists exactly once in the
-//! workspace.
+//! scheduler does not call them per round — it keeps a [`RoundView`] that
+//! repairs the same state for the objects a round iterated — but they
+//! remain the public API and the oracle the maintained lists are tested
+//! against, and both paths emit through the same per-object and per-phase
+//! functions of `vao::ops`: a benefit expression exists exactly once in
+//! the workspace.
 
 mod round;
 
 pub use round::RoundView;
 pub use va_persist::record::PassFail;
+pub use vao::ops::drive::Demand;
 
 use std::collections::BTreeMap;
 
 use va_sketch::IntervalQuantileSketch;
 use va_stream::{BondRelation, Query};
 use vao::error::VaoError;
-use vao::ops::count::classify;
-use vao::ops::heavy::{
-    cell_counts, cell_span, contended, resolve_benefit, CellSpan, HeavySummaries,
-};
+use vao::ops::count::{classify, demands_classify};
+use vao::ops::heavy::{cell_counts, demands_heavy, HeavySummaries};
 use vao::ops::minmax::{max_envelope, min_envelope};
 use vao::ops::percentile::{
-    band_scan, fill_sketch, rank_band, rank_bracket, rank_from_top, SKETCH_ALPHA, SKETCH_BUDGET,
+    demands_percentile, rank_bracket, rank_from_top, SKETCH_ALPHA, SKETCH_BUDGET,
 };
-use vao::ops::score::{
-    contest_top, est_shrink, score_separation, separated, straddlers, Flipped, View,
-};
-use vao::ops::selection::{decided, probe_benefit, CmpOp};
-use vao::ops::sum::{ave_weight, weighted_endpoints, weighted_interval};
+use vao::ops::quantile::demands_quantile;
+use vao::ops::score::{demands_rank, Flipped};
+use vao::ops::selection::{decided, CmpOp};
+use vao::ops::sum::{ave_weight, demands_sum, weighted_endpoints, weighted_interval};
 use vao::Bounds;
 
 use crate::answer::Answer;
 use crate::error::ServerError;
 use crate::pool::SharedPool;
-
-/// One query's appetite for refining one pool object.
-#[derive(Clone, Copy, Debug)]
-pub struct Demand {
-    /// Pool object index.
-    pub object: usize,
-    /// Expected output-bound-width reduction, in the query's output units
-    /// (§5's benefit estimate). May be zero when the object's own estimate
-    /// predicts no progress; the scheduler's widest-first fallback still
-    /// guarantees progress then.
-    pub benefit: f64,
-}
-
-/// The sink the shared scoring functions emit `(object, benefit)` into.
-fn push(out: &mut Vec<Demand>) -> impl FnMut(usize, f64) + '_ {
-    |object, benefit| out.push(Demand { object, benefit })
-}
 
 /// Reusable sketch summaries for the sketch-guided demand functions
 /// (PERCENTILE, HEAVYHITTERS). One per session; a caller that recomputes
@@ -112,7 +88,8 @@ pub fn demands_stateful(
     out: &mut Vec<Demand>,
 ) {
     out.clear();
-    if pool.is_empty() {
+    let n = pool.len();
+    if n == 0 {
         // Nothing to refine; the answer path reports the empty relation as
         // a typed error for the shapes that have no answer over ∅.
         return;
@@ -124,20 +101,27 @@ pub fn demands_stateful(
             constant,
             slack,
         } => demands_classify(pool, *op, *constant, *slack, out),
-        Query::Sum { weights, epsilon } => {
-            demands_sum(pool, Weights::Per(weights), *epsilon, out);
-        }
+        Query::Sum { weights, epsilon } => demands_sum(pool, |i| weights[i], *epsilon, out),
         Query::Ave { epsilon } => {
-            demands_sum(pool, uniform(pool.len()), *epsilon, out);
+            let w = ave_weight(n);
+            demands_sum(pool, |_| w, *epsilon, out);
         }
         Query::Max { epsilon } => demands_rank(pool, 1, *epsilon, out),
         Query::Min { epsilon } => demands_rank(&Flipped(pool), 1, *epsilon, out),
         Query::TopK { k, epsilon } => demands_rank(pool, *k, *epsilon, out),
-        Query::Median { epsilon } => demands_median(pool, *epsilon, out),
+        Query::Median { epsilon } => demands_quantile(pool, n.div_ceil(2), *epsilon, out),
         Query::Percentile { phi, epsilon } => {
-            demands_percentile(pool, *phi, *epsilon, state, out);
+            let sketch = state
+                .quantile
+                .get_or_insert_with(|| IntervalQuantileSketch::new(SKETCH_ALPHA, SKETCH_BUDGET));
+            demands_percentile(pool, rank_from_top(*phi, n), *epsilon, sketch, out);
         }
-        Query::HeavyHitters { k, epsilon } => demands_heavy(pool, *k, *epsilon, state, out),
+        Query::HeavyHitters { k, epsilon } => {
+            let summaries = state
+                .heavy
+                .get_or_insert_with(|| HeavySummaries::new(*k, n));
+            demands_heavy(pool, *k, *epsilon, summaries, out);
+        }
     }
 }
 
@@ -168,8 +152,11 @@ pub fn partial_bounds(query: &Query, pool: &SharedPool) -> Result<Bounds, Server
                 (count_lo + unresolved.len()) as f64,
             ))
         }
-        Query::Sum { weights, .. } => Ok(Weights::Per(weights).interval(pool)),
-        Query::Ave { .. } => Ok(uniform(pool.len()).interval(pool)),
+        Query::Sum { weights, .. } => Ok(weighted_interval(pool, |i| weights[i])),
+        Query::Ave { .. } => {
+            let w = ave_weight(pool.len());
+            Ok(weighted_interval(pool, |_| w))
+        }
         Query::Max { .. } => max_envelope(pool.objects()).map_err(|_| ServerError::EmptyRelation),
         Query::Min { .. } => min_envelope(pool.objects()).map_err(|_| ServerError::EmptyRelation),
         Query::TopK { k, .. } => rank_bounds(pool, *k),
@@ -239,35 +226,6 @@ pub fn answer(
     }
 }
 
-// ---------------------------------------------------------------- weights
-
-/// Weight source for SUM-family demands, without materializing a vector
-/// per scheduler round.
-#[derive(Clone, Copy)]
-enum Weights<'a> {
-    Uniform(f64),
-    Per(&'a [f64]),
-}
-
-impl Weights<'_> {
-    fn get(&self, i: usize) -> f64 {
-        match self {
-            Weights::Uniform(w) => *w,
-            Weights::Per(ws) => ws[i],
-        }
-    }
-
-    /// SUM/AVE's interval over the pool: the operators' index-order re-add,
-    /// whose exact bits decide when the query stops.
-    fn interval(self, pool: &SharedPool) -> Bounds {
-        weighted_interval(pool, |i| self.get(i))
-    }
-}
-
-fn uniform(n: usize) -> Weights<'static> {
-    Weights::Uniform(ave_weight(n))
-}
-
 /// SUM's interval over a freshly invoked pool, or the typed error when the
 /// weights carry it past `f64` (`weights` already sized to the pool). The
 /// tick's floor validation asks once: per-object bounds only shrink within a
@@ -276,226 +234,6 @@ fn uniform(n: usize) -> Weights<'static> {
 pub(crate) fn checked_sum_interval(pool: &SharedPool, weights: &[f64]) -> Result<Bounds, VaoError> {
     let (lo, hi) = weighted_endpoints(pool, |i| weights[i]);
     Bounds::try_new(lo, hi)
-}
-
-/// SUM/AVE stopping condition.
-fn sum_done(pool: &SharedPool, w: Weights<'_>, epsilon: f64) -> bool {
-    w.interval(pool).width() <= epsilon
-}
-
-/// Object `i`'s SUM/AVE demand — a function of its own columns only.
-fn sum_entry(pool: &SharedPool, w: Weights<'_>, i: usize) -> Option<Demand> {
-    let wi = w.get(i);
-    if wi == 0.0 || pool.converged(i) {
-        return None;
-    }
-    Some(Demand {
-        object: i,
-        benefit: wi * est_shrink(pool.bounds(i), pool.est_bounds(i)),
-    })
-}
-
-/// Every object's SUM/AVE entry, in index order.
-fn sum_entries(pool: &SharedPool, w: Weights<'_>, out: &mut Vec<Demand>) {
-    out.extend((0..pool.len()).filter_map(|i| sum_entry(pool, w, i)));
-}
-
-fn demands_sum(pool: &SharedPool, w: Weights<'_>, epsilon: f64, out: &mut Vec<Demand>) {
-    if !sum_done(pool, w, epsilon) {
-        sum_entries(pool, w, out);
-    }
-}
-
-// ---------------------------------------------------- selection and count
-
-/// Object `i`'s SELECT/COUNT demand — a function of its own columns only:
-/// demanded while undecided, with the decision bonus when the estimate
-/// would settle the predicate.
-fn classify_entry(pool: &SharedPool, op: CmpOp, constant: f64, i: usize) -> Option<Demand> {
-    decided(pool, i, op, constant).is_none().then(|| Demand {
-        object: i,
-        benefit: probe_benefit(pool, i, op, constant),
-    })
-}
-
-/// Every object's SELECT/COUNT entry, in index order.
-fn classify_entries(pool: &SharedPool, op: CmpOp, constant: f64, out: &mut Vec<Demand>) {
-    out.extend((0..pool.len()).filter_map(|i| classify_entry(pool, op, constant, i)));
-}
-
-fn demands_classify(
-    pool: &SharedPool,
-    op: CmpOp,
-    constant: f64,
-    slack: usize,
-    out: &mut Vec<Demand>,
-) {
-    classify_entries(pool, op, constant, out);
-    if out.len() <= slack {
-        out.clear();
-    }
-}
-
-// ------------------------------------------------------------ max and min
-
-/// ε-refinement of an identified member (phase 2 of the extreme VAOs):
-/// demand while wider than ε, scored by the estimated two-sided shrink
-/// (widths and shrinks read the same through a flipped view).
-fn refine_to_epsilon<V: View + ?Sized>(v: &V, i: usize, epsilon: f64, out: &mut Vec<Demand>) {
-    let b = v.bounds(i);
-    if b.width() > epsilon && !v.converged(i) {
-        out.push(Demand {
-            object: i,
-            benefit: est_shrink(b, v.est_bounds(i)),
-        });
-    }
-}
-
-/// The unified extreme-family demand function: MAX (`k=1`), MIN (`k=1`,
-/// over the flipped pool) and TOP-K are one separation + refinement
-/// pipeline over the same contest.
-fn demands_rank<V: View + ?Sized>(v: &V, k: usize, epsilon: f64, out: &mut Vec<Demand>) {
-    if k == 0 {
-        return; // rejected at subscribe; guarded for direct callers
-    }
-    let (members, theta_holder, unresolved) = contest_top(v, k);
-    rank_phases(v, &members, theta_holder, &unresolved, epsilon, out);
-}
-
-/// The extreme family's two phases over an already-derived member guess,
-/// θ holder and straddler set: separate, then refine every member to ε.
-fn rank_phases<V: View + ?Sized>(
-    v: &V,
-    members: &[usize],
-    theta_holder: usize,
-    unresolved: &[usize],
-    epsilon: f64,
-    out: &mut Vec<Demand>,
-) {
-    if separated(v, theta_holder, unresolved) {
-        for &m in members {
-            refine_to_epsilon(v, m, epsilon, out);
-        }
-        return;
-    }
-    score_separation(v, theta_holder, unresolved, push(out));
-}
-
-// ----------------------------------------------------------------- median
-
-/// MEDIAN's three phases, the quantile operator's: separate the top ⌈N/2⌉,
-/// then find their minimum (the median holder) through the flipped pool,
-/// then refine it to ε.
-fn demands_median(pool: &SharedPool, epsilon: f64, out: &mut Vec<Demand>) {
-    let (members, theta_holder, outer) = contest_top(pool, pool.len().div_ceil(2));
-    median_phases(
-        pool,
-        &members,
-        theta_holder,
-        &outer,
-        epsilon,
-        &mut Vec::new(),
-        out,
-    );
-}
-
-/// MEDIAN's phases over an already-derived member guess (in member-guess
-/// order — the inner θ benefit sums over it), θ holder and outer straddler
-/// set. `inner` is scratch for the inner contenders.
-fn median_phases(
-    pool: &SharedPool,
-    members: &[usize],
-    theta_holder: usize,
-    outer: &[usize],
-    epsilon: f64,
-    inner: &mut Vec<usize>,
-    out: &mut Vec<Demand>,
-) {
-    if !separated(pool, theta_holder, outer) {
-        score_separation(pool, theta_holder, outer, push(out));
-        return;
-    }
-    // Inner MIN among the members. The min-lo member is exactly the flipped
-    // pool's educated guess, i.e. θ's holder from the outer phase.
-    let vmin = Flipped(pool);
-    let winner = theta_holder;
-    inner.clear();
-    inner.extend(straddlers(
-        &vmin,
-        members.iter().copied(),
-        &[winner],
-        winner,
-    ));
-    if !separated(&vmin, winner, inner) {
-        score_separation(&vmin, winner, inner, push(out));
-        return;
-    }
-    refine_to_epsilon(pool, winner, epsilon, out);
-}
-
-// ------------------------------------------------- percentile (sketch-led)
-
-/// PERCENTILE's sketch-guided demand: the output bounds are the rank-k
-/// order statistics of the pool's lower and upper bounds; only objects
-/// straddling the sketch's rank-k band can move them, so everything else
-/// is pruned from the demand set without touching its bounds.
-fn demands_percentile(
-    pool: &SharedPool,
-    phi: f64,
-    epsilon: f64,
-    state: &mut SketchState,
-    out: &mut Vec<Demand>,
-) {
-    let k = rank_from_top(phi, pool.len());
-    let (out_lo, out_hi) = rank_bracket(pool, k, &mut Vec::new());
-    if out_hi - out_lo <= epsilon {
-        return;
-    }
-    let sketch = state
-        .quantile
-        .get_or_insert_with(|| IntervalQuantileSketch::new(SKETCH_ALPHA, SKETCH_BUDGET));
-    fill_sketch(sketch, pool);
-    band_scan(pool, rank_band(sketch, k), push(out));
-}
-
-// ---------------------------------------------- heavy hitters (sketch-led)
-
-/// HEAVYHITTERS' sketch-guided demand. Resolved objects feed a SpaceSaving
-/// summary (for the admission threshold) and a count-min of settled cells;
-/// unresolved objects charge every cell they might land in into a second
-/// count-min. An object is *contended* — and demanded — only if some cell
-/// it overlaps could still reach the k-th heaviest count. Both sketches
-/// only ever overestimate, so pruning errs toward keeping objects.
-fn demands_heavy(
-    pool: &SharedPool,
-    k: usize,
-    width: f64,
-    state: &mut SketchState,
-    out: &mut Vec<Demand>,
-) {
-    let s = state
-        .heavy
-        .get_or_insert_with(|| HeavySummaries::new(k, pool.len()));
-    let spans: Vec<CellSpan> = (0..pool.len()).map(|i| cell_span(pool, i, width)).collect();
-    s.rebuild(&spans);
-    heavy_scan(pool, &spans, s, k, width, out);
-}
-
-/// Demands the unresolved objects that are still [`contended`] under the
-/// summaries `s` (which must hold exactly `spans`), each at the operator's
-/// [`resolve_benefit`].
-fn heavy_scan(
-    pool: &SharedPool,
-    spans: &[CellSpan],
-    s: &HeavySummaries,
-    k: usize,
-    width: f64,
-    out: &mut Vec<Demand>,
-) {
-    out.extend(contended(spans, s, k).map(|i| Demand {
-        object: i,
-        benefit: resolve_benefit(pool, i, width),
-    }));
 }
 
 // ------------------------------------------- predicate outcome learning

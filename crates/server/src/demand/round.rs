@@ -29,16 +29,19 @@
 
 use va_sketch::IntervalQuantileSketch;
 use va_stream::Query;
-use vao::ops::heavy::{cell_span, CellSpan, HeavySummaries};
+use vao::ops::count::classify_entry;
+use vao::ops::drive::push;
+use vao::ops::heavy::{cell_span, heavy_scan, CellSpan, HeavySummaries};
 use vao::ops::percentile::{
     band_scan, fill_sketch, rank_band, rank_from_top, SKETCH_ALPHA, SKETCH_BUDGET,
 };
-use vao::ops::score::{boundary_holder, by_hi_then_lo, ranked, reaches, Flipped, View};
-
-use super::{
-    classify_entries, classify_entry, heavy_scan, median_phases, push, rank_phases, sum_done,
-    sum_entries, sum_entry, uniform, Demand, Weights,
+use vao::ops::quantile::quantile_phases;
+use vao::ops::score::{
+    boundary_holder, by_hi_then_lo, rank_phases, ranked, reaches, Flipped, View,
 };
+use vao::ops::sum::{ave_weight, sum_done, sum_entry};
+
+use super::Demand;
 use crate::pool::SharedPool;
 
 /// Every session's outstanding demands over one tick's pool, maintained
@@ -93,10 +96,9 @@ struct RankOrders {
 
 impl RankOrders {
     fn build(pool: &SharedPool) -> Self {
-        let everyone: Vec<usize> = (0..pool.len()).collect();
         Self {
-            desc: ranked(pool, &everyone, by_hi_then_lo),
-            asc: ranked(&Flipped(pool), &everyone, by_hi_then_lo),
+            desc: ranked(pool),
+            asc: ranked(&Flipped(pool)),
         }
     }
 
@@ -138,29 +140,35 @@ fn reads_orders(query: &Query) -> bool {
     rank_params(query).is_some() || matches!(query, Query::Median { .. } | Query::Percentile { .. })
 }
 
-/// Every object's entry for an entry-cached query shape, in index order
-/// (dispatching on the query once, not per object).
+/// Every object's entry for an entry-cached query shape, in index order,
+/// dispatching on the query once rather than per object: a tick of SELECTs
+/// over a whole relation is mostly this.
 fn all_entries(query: &Query, pool: &SharedPool) -> Vec<Demand> {
-    let mut entries = Vec::new();
+    let objects = 0..pool.len();
     match query {
-        Query::Selection { op, constant } | Query::Count { op, constant, .. } => {
-            classify_entries(pool, *op, *constant, &mut entries);
+        Query::Selection { op, constant } | Query::Count { op, constant, .. } => objects
+            .filter_map(|i| classify_entry(pool, *op, *constant, i))
+            .collect(),
+        Query::Sum { weights, .. } => objects
+            .filter_map(|i| sum_entry(pool, weights[i], i))
+            .collect(),
+        Query::Ave { .. } => {
+            let w = ave_weight(pool.len());
+            objects.filter_map(|i| sum_entry(pool, w, i)).collect()
         }
-        Query::Sum { weights, .. } => sum_entries(pool, Weights::Per(weights), &mut entries),
-        Query::Ave { .. } => sum_entries(pool, uniform(pool.len()), &mut entries),
-        _ => {}
+        _ => Vec::new(),
     }
-    entries
 }
 
-/// Object `i`'s entry for an entry-cached query shape.
+/// Object `i`'s entry for an entry-cached query shape: a function of its
+/// own columns only.
 fn entry_of(query: &Query, pool: &SharedPool, i: usize) -> Option<Demand> {
     match query {
         Query::Selection { op, constant } | Query::Count { op, constant, .. } => {
             classify_entry(pool, *op, *constant, i)
         }
-        Query::Sum { weights, .. } => sum_entry(pool, Weights::Per(weights), i),
-        Query::Ave { .. } => sum_entry(pool, uniform(pool.len()), i),
+        Query::Sum { weights, .. } => sum_entry(pool, weights[i], i),
+        Query::Ave { .. } => sum_entry(pool, ave_weight(pool.len()), i),
         _ => None,
     }
 }
@@ -171,8 +179,11 @@ fn entry_of(query: &Query, pool: &SharedPool, i: usize) -> Option<Demand> {
 fn entries_demanded(query: &Query, pool: &SharedPool, entries: &[Demand]) -> bool {
     match query {
         Query::Count { slack, .. } => entries.len() > *slack,
-        Query::Sum { weights, epsilon } => !sum_done(pool, Weights::Per(weights), *epsilon),
-        Query::Ave { epsilon } => !sum_done(pool, uniform(pool.len()), *epsilon),
+        Query::Sum { weights, epsilon } => !sum_done(pool, |i| weights[i], *epsilon),
+        Query::Ave { epsilon } => {
+            let w = ave_weight(pool.len());
+            !sum_done(pool, |_| w, *epsilon)
+        }
         _ => true,
     }
 }
@@ -357,7 +368,7 @@ impl RoundView {
                     let members = &orders.desc[..n.div_ceil(2)];
                     let theta_holder = boundary_holder(pool, members);
                     run_behind(pool, &orders.desc, members.len(), theta_holder, straddlers);
-                    median_phases(
+                    quantile_phases(
                         pool,
                         members,
                         theta_holder,

@@ -6,7 +6,11 @@ use vao::error::VaoError;
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServerError {
     /// An operator-level failure (invalid ε, weight mismatch, …), surfaced
-    /// at subscription validation or during a tick.
+    /// at subscription validation or during a tick. A tick whose scheduler
+    /// stalls — hits its defensive iteration cap, or iterates an
+    /// unconverged object without moving it, which only an object violating
+    /// its progress contract can cause — fails with
+    /// [`VaoError::IterationLimitExceeded`], as a dedicated operator does.
     Vao(VaoError),
     /// A request referenced a session id that is not registered.
     UnknownSession(u64),
@@ -43,15 +47,8 @@ pub enum ServerError {
     /// subscribe and tick time instead of panicking deep in the
     /// demand/answer path.
     EmptyRelation,
-    /// The scheduler hit its defensive iteration cap without every query
-    /// reaching its stopping condition — only possible when a result object
-    /// violates its progress contract.
-    Stalled {
-        /// The iteration cap that was in force.
-        limit: u64,
-    },
-    /// An internal scheduler invariant did not hold (e.g. outstanding
-    /// demand produced no candidates). The tick fails with this error and
+    /// An internal scheduler invariant did not hold (e.g. a worker thread
+    /// panicked during a round). The tick fails with this error and
     /// the server lives on to process the next tick — invariant violations
     /// degrade one tick instead of aborting the process.
     Internal {
@@ -86,9 +83,6 @@ impl std::fmt::Display for ServerError {
             }
             ServerError::EmptyRelation => {
                 write!(f, "empty relation: no bonds to price or bound")
-            }
-            ServerError::Stalled { limit } => {
-                write!(f, "scheduler stalled: iteration limit {limit} exceeded")
             }
             ServerError::Internal { detail } => {
                 write!(f, "internal scheduler invariant violated: {detail}")
@@ -132,9 +126,6 @@ mod tests {
         assert!(ServerError::InvalidBond("coupon must be in (0, 1)".into())
             .to_string()
             .contains("invalid bond: coupon"));
-        assert!(ServerError::Stalled { limit: 10 }
-            .to_string()
-            .contains("10"));
         let e: ServerError = VaoError::EmptyInput.into();
         assert!(matches!(e, ServerError::Vao(VaoError::EmptyInput)));
         assert!(e.to_string().contains("operator error"));

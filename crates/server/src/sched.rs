@@ -1,47 +1,43 @@
-//! The cross-query budgeted greedy scheduler — the server's core.
+//! The server's half of §5's round loop, and budget arbitration.
 //!
 //! §5's operators make a *per-operator* greedy choice: iterate the result
-//! object with the highest estimated benefit per `estCPU`. This module
-//! lifts that choice *across queries*: every round, every registered
-//! session's outstanding demands over the shared pool are brought up to
-//! date (a [`RoundView`], repaired for the objects the previous round
-//! iterated — bit-identical to recomputing them), the demands on the same
-//! object are accumulated (priority-weighted), and the globally best
-//! iterations run on the shared meter. An iteration that one query
-//! pays for tightens the same bounds every other query reads — work sharing
-//! falls out of the pooling rather than needing any cross-query
-//! bookkeeping.
+//! object with the highest estimated benefit per `estCPU`. A tick lifts
+//! that choice *across queries* by running the operators' own loop,
+//! [`vao::ops::drive::run_rounds`], over two server-side pieces: the
+//! sessions' priority-weighted demand lists over the shared pool
+//! ([`Sessions`], kept current by a [`RoundView`](crate::demand::RoundView)
+//! that repairs what a round changed), and [`TickPool`], the pool as the
+//! loop sees it. An iteration that one query pays for tightens the same
+//! bounds every other query reads — work sharing falls out of the pooling
+//! rather than needing any cross-query bookkeeping.
 //!
-//! **Batched rounds.** Instead of picking one object per round, the
-//! scheduler picks the top-`batch` candidates on *distinct* objects
-//! (via [`ChoicePolicy::top_k`]), admits the longest prefix whose summed
-//! `estCPU` fits the remaining budget, and runs the admitted `iterate()`
-//! calls — on `std::thread::scope` worker threads when `workers > 1`,
-//! inline otherwise. Demand and choice run once per *round* rather than
-//! once per *iteration*. With `batch = 1` the loop degenerates to exactly the
-//! historical serial schedule (same picks, same meter charges, same
-//! trace), and for a fixed batch the results are bit-identical regardless
-//! of worker count: workers only change *who* executes an already-chosen
-//! batch, never what is chosen, and work counters are additive.
+//! **Batched rounds.** The loop picks the top-`batch` candidates on
+//! *distinct* objects and admits the longest prefix whose summed `estCPU`
+//! fits the remaining budget; [`TickPool`] runs the admitted `iterate()`
+//! calls — inline for one object, otherwise same-shape refinements as
+//! lanes of one SoA solve and the rest scalar, on `std::thread::scope`
+//! workers when `workers > 1`. With `batch = 1` a one-session tick is the
+//! dedicated operator's schedule, and for a fixed batch the results are
+//! bit-identical regardless of worker count or route: workers only change
+//! *who* executes an already-chosen batch, never what is chosen, and work
+//! counters are additive.
 //!
 //! The per-tick **work budget** bounds the tick in deterministic work
-//! units. The scheduler stops *before* any `iterate()` whose `estCPU`
-//! would overrun the budget; sessions still demanding refinement then
-//! degrade to anytime [`Answer::Partial`] bounds instead of blocking the
-//! tick (§7's graceful degradation, applied to scheduling).
+//! units. The loop stops *before* any round whose `estCPU` would overrun
+//! it; sessions still demanding refinement then degrade to anytime
+//! [`Answer::Partial`] bounds instead of blocking the tick (§7's graceful
+//! degradation, applied to scheduling).
 
 use va_numerics::pde::step_batch;
 use va_persist::record::SessionTickRecord;
 use va_stream::{BondRelation, Query};
 use vao::batch::{BatchLane, GridShape};
-use vao::cost::{Calibrator, Work, WorkBreakdown, WorkMeter};
+use vao::cost::{Calibrator, Work, WorkMeter};
 use vao::interface::ResultObject;
+use vao::ops::drive::{run_rounds, Demand, DemandSource, Pool, Schedule, Step};
 use vao::ops::DEFAULT_ITERATION_LIMIT;
-use vao::strategy::{Candidate, ChoicePolicy};
-use vao::trace::{
-    BudgetExhaustedRecord, CalibrationRecord, ExecObserver, IterationRecord, OperatorEndRecord,
-    OperatorKind, RoundRecord,
-};
+use vao::strategy::ChoicePolicy;
+use vao::trace::{CalibrationRecord, ExecObserver, OperatorEndRecord, OperatorKind};
 use vao::Bounds;
 
 use crate::answer::Answer;
@@ -120,21 +116,6 @@ pub fn arbitrate_budget(total: Option<Work>, weights: &[u64]) -> Vec<Option<Work
     out.into_iter().map(Some).collect()
 }
 
-/// The calibration state a tick trains, threaded through when the server
-/// runs with calibration enabled (`None` reproduces the uncalibrated
-/// schedule bit-identically — no corrected estimates, no observations, no
-/// demand reordering). The server passes tick-local copies of the tenant's
-/// state and installs them once the tick is journaled.
-///
-/// `model` corrects `estCPU` before admission and budget accounting and is
-/// fed every `(raw estimate, measured cost)` pair the tick executes;
-/// `predicates` accumulates SELECT/COUNT pass/fail outcomes and reorders
-/// probe demands by the learned correlation.
-pub(crate) struct Calibration<'a> {
-    pub model: &'a mut Calibrator,
-    pub predicates: &'a mut PredicateStats,
-}
-
 /// A probe called with the pool and the round view at the top of every
 /// scheduling round, right after the view was built or repaired (and before
 /// any per-round boost) — the seam the differential tests check the
@@ -146,15 +127,9 @@ fn queries(registry: &SessionRegistry) -> impl Iterator<Item = &Query> + Clone {
     registry.sessions().iter().map(|s| &s.query)
 }
 
-/// One executed iteration, resolved back into pick order.
-struct IterDone {
-    before: Bounds,
-    after: Bounds,
-    work: WorkBreakdown,
-}
-
-/// Runs the global greedy loop over an invoked pool until every session
-/// reaches its stopping condition or the budget runs out.
+/// Runs the round loop over an invoked pool until every session reaches
+/// its stopping condition or the budget runs out, then answers every
+/// session.
 ///
 /// `meter` must be the tick's meter (already charged with the pool
 /// invocation); the budget applies to its running total, so model
@@ -168,6 +143,14 @@ struct IterDone {
 /// solve ([`run_batch_lanes`]); per-lane arithmetic is bit-identical to
 /// the scalar path, so this too never affects results. The defensive
 /// `iterate()` cap is [`DEFAULT_ITERATION_LIMIT`].
+///
+/// `calibration` is the state a calibrated server trains, as tick-local
+/// copies the caller installs once the tick is journaled (`None`
+/// reproduces the uncalibrated schedule bit-identically): the cost model
+/// corrects `estCPU` before admission and budget accounting and is fed
+/// every `(raw estimate, measured cost)` pair the tick executes; the
+/// predicate stats reorder probe demands by the learned correlation and
+/// tally this tick's SELECT/COUNT outcomes.
 #[allow(clippy::too_many_arguments)] // one call site; the knobs are the API
 pub(crate) fn run_tick<O: ExecObserver>(
     registry: &SessionRegistry,
@@ -177,269 +160,68 @@ pub(crate) fn run_tick<O: ExecObserver>(
     workers: usize,
     batch: usize,
     batch_solver: bool,
-    calibration: Option<Calibration<'_>>,
+    calibration: Option<(&mut Calibrator, &mut PredicateStats)>,
     meter: &mut WorkMeter,
     observer: &mut O,
-    mut audit: Option<RoundAudit<'_>>,
+    audit: Option<RoundAudit<'_>>,
 ) -> Result<TickOutcome, ServerError> {
     observer.on_operator_start(OperatorKind::SharedPool, pool.len());
     let entry = meter.snapshot();
-    let workers = workers.max(1);
-    let batch = batch.max(1);
-    let (mut cal_model, cal_preds) = match calibration {
-        Some(c) => (Some(c.model), Some(c.predicates)),
-        None => (None, None),
+    let (model, predicates) = calibration.unzip();
+    let mut sessions = Sessions {
+        registry,
+        view: RoundView::build(queries(registry), pool),
+        predicates: predicates.as_deref(),
+        audit,
     };
-    let mut policy = ChoicePolicy::greedy();
-    // Every session's demand against the pool's current bounds — the
-    // analogue of the per-operator loops re-deriving their guess/unresolved
-    // sets after each iteration. Derived in full once, here; after each
-    // round the view repairs only what the round's iterations changed (see
-    // `demand::RoundView`). In a batched round that runs once per *batch*,
-    // not once per iteration.
-    let mut view = RoundView::build(queries(registry), pool);
-    let n = pool.len();
-    let mut weighted = vec![0.0f64; n];
-    let mut demanded = vec![false; n];
-    let mut candidates: Vec<Candidate> = Vec::new();
-    let mut raw_ests: Vec<Work> = Vec::new();
-    let mut iterations = 0u64;
-    let mut driven = vec![0u64; registry.len()];
-    let mut per_object_iterations = vec![0u64; n];
-    let mut seq = 0u64;
-    let mut round = 0u64;
-    let mut budget_exhausted = false;
-
-    loop {
-        if let Some(audit) = audit.as_deref_mut() {
-            audit(pool, &view);
-        }
-        let outstanding = view.outstanding();
-        if outstanding == 0 {
-            break; // every session can answer Final
-        }
-        if iterations >= DEFAULT_ITERATION_LIMIT {
-            return Err(ServerError::Stalled {
-                limit: DEFAULT_ITERATION_LIMIT,
-            });
-        }
-        // Learned-correlation reordering (calibrated servers only): boost
-        // the probe demands whose estimated bounds lean the way the
-        // predicate historically decides. The boost edits this round's
-        // lists; the next repair re-derives them, so it never compounds.
-        if let Some(preds) = cal_preds.as_deref() {
-            for (s_idx, sess) in registry.sessions().iter().enumerate() {
-                preds.boost(&sess.query, pool, view.demands_mut(s_idx));
-            }
-        }
-        let round_snap = meter.snapshot();
-
-        // Accumulate priority-weighted benefits per object: the global
-        // benefit of iterating an object is the sum of what every demanding
-        // query expects from it.
-        weighted.fill(0.0);
-        demanded.fill(false);
-        for (s_idx, sess) in registry.sessions().iter().enumerate() {
-            let w = f64::from(sess.priority);
-            for d in view.demands(s_idx) {
-                weighted[d.object] += w * d.benefit;
-                demanded[d.object] = true;
-            }
-        }
-        // Candidates carry the *calibrated* cost when a model is threaded
-        // in: admission, budget accounting and the greedy benefit/cost
-        // ranking all see `corrected = model(estCPU)`. The raw estimates
-        // stay alongside (by candidate position) because the model must be
-        // trained on what the object *claimed*, not on its own correction.
-        candidates.clear();
-        raw_ests.clear();
-        for i in (0..n).filter(|&i| demanded[i]) {
-            let raw = pool.est_cpu(i);
-            raw_ests.push(raw);
-            candidates.push(Candidate {
-                index: i,
-                benefit: weighted[i],
-                est_cpu: match cal_model.as_deref() {
-                    Some(m) => m.correct(raw),
-                    None => raw,
-                },
-                width: pool.bounds(i).width(),
-            });
-        }
-        meter.charge_choose(candidates.len() as Work);
-        if candidates.is_empty() {
-            // Outstanding demand names objects, so candidates cannot be
-            // empty; if the invariant breaks anyway, fail this tick with a
-            // typed error instead of killing the process.
-            return Err(ServerError::Internal {
-                detail: "outstanding demand produced no candidates",
-            });
-        }
-
-        // Select up to `batch` distinct objects, best first (never past the
-        // defensive iteration cap).
-        let room = (DEFAULT_ITERATION_LIMIT - iterations).min(batch as u64) as usize;
-        let selected = policy.top_k_traced(&candidates, room, observer);
-
-        // Budget admission, up front for the whole batch: admit the
-        // longest prefix (in pick order) whose cumulative estCPU fits.
-        // Graceful degradation: if not even the best pick fits, stop the
-        // tick; the view stays current for Partial answers.
-        let spent = meter.total();
-        let mut admitted: Vec<usize> = Vec::with_capacity(selected.len());
-        let mut admitted_est: Work = 0;
-        for &p in &selected {
-            let est = candidates[p].est_cpu;
-            if let Some(b) = budget {
-                if spent + admitted_est + est > b {
-                    break;
-                }
-            }
-            admitted_est += est;
-            admitted.push(p);
-        }
-        if admitted.is_empty() {
-            if observer.is_enabled() {
-                observer.on_budget_exhausted(&BudgetExhaustedRecord {
-                    budget: budget.unwrap_or(0),
-                    spent,
-                    deferred: outstanding,
-                });
-            }
-            budget_exhausted = true;
-            break;
-        }
-        let objs: Vec<usize> = admitted.iter().map(|&p| candidates[p].index).collect();
-
-        // Credit each admitted iteration to the session that wanted it
-        // most (highest priority-weighted benefit on that object;
-        // registration order breaks ties, and a zero-benefit fallback pick
-        // goes to its first demander).
-        for &chosen in &objs {
-            let mut claimant: Option<usize> = None;
-            let mut claim_w = -1.0f64;
-            for (s_idx, sess) in registry.sessions().iter().enumerate() {
-                if let Some(d) = view.demands(s_idx).iter().find(|d| d.object == chosen) {
-                    let w = f64::from(sess.priority) * d.benefit;
-                    if claimant.is_none() || w > claim_w {
-                        claimant = Some(s_idx);
-                        claim_w = w;
-                    }
-                }
-            }
-            if let Some(s_idx) = claimant {
-                driven[s_idx] += 1;
-            }
-        }
-
-        // Execute the batch. One admitted object (every round of the
-        // default config) iterates inline; anything wider goes through the
-        // round executor, which groups same-shape refinements into SoA
-        // lanes when the batched solver is on and fans the units out over
-        // scoped worker threads when there are workers to fan out to.
-        let done: Vec<IterDone> = if let [chosen] = objs[..] {
-            let before = pool.bounds(chosen);
-            let snap = meter.snapshot();
-            let after = pool.iterate(chosen, meter);
-            vec![IterDone {
-                before,
-                after,
-                work: meter.since(&snap),
-            }]
-        } else {
-            run_batch_lanes(pool, &objs, workers, batch_solver, meter)?
-        };
-
-        // Emit records and check the progress contract in pick order, so
-        // the trace is independent of which thread ran which object.
-        for (slot, &chosen) in objs.iter().enumerate() {
-            let d = &done[slot];
-            iterations += 1;
-            per_object_iterations[chosen] += 1;
-            seq += 1;
-            if observer.is_enabled() {
-                observer.on_iteration(&IterationRecord {
-                    object: chosen,
-                    seq,
-                    before: d.before,
-                    after: d.after,
-                    est_cpu: candidates[admitted[slot]].est_cpu,
-                    actual_cpu: d.work.total(),
-                });
-            }
-            // An iterate() that moves nothing on a non-converged object
-            // would loop forever: the object broke its progress contract.
-            if d.after == d.before && !pool.converged(chosen) {
-                return Err(ServerError::Stalled {
-                    limit: DEFAULT_ITERATION_LIMIT,
-                });
-            }
-        }
-        // Train the model on this round's (claimed, measured) pairs in
-        // pick order — deterministic, and already effective for the next
-        // round of the same tick — surfacing each observation to the trace.
-        if let Some(m) = cal_model.as_deref_mut() {
-            for (slot, &p) in admitted.iter().enumerate() {
-                let raw = raw_ests[p];
-                let actual = done[slot].work.total();
-                m.observe(raw, actual);
-                if observer.is_enabled() {
-                    observer.on_calibration(&CalibrationRecord {
-                        observations: m.observations(),
-                        gain_ppm: m.gain_ppm(),
-                        raw_est: raw,
-                        corrected_est: candidates[p].est_cpu,
-                        actual,
-                    });
-                }
-            }
-        }
-        round += 1;
-        if observer.is_enabled() {
-            observer.on_round(&RoundRecord {
-                round,
-                candidates: candidates.len(),
-                selected: selected.len(),
-                admitted: objs.len(),
-                est_cpu: admitted_est,
-                work: meter.since(&round_snap).total(),
-            });
-        }
-        view.repair(queries(registry), pool, &objs);
-    }
+    sessions.settle(pool);
+    let schedule = Schedule {
+        policy: &mut ChoicePolicy::greedy(),
+        batch,
+        budget,
+        limit: DEFAULT_ITERATION_LIMIT,
+    };
+    let mut tick_pool = TickPool {
+        pool,
+        model,
+        workers: workers.max(1),
+        batch_solver,
+    };
+    let rounds = run_rounds(&mut tick_pool, &mut sessions, schedule, meter, observer)?;
+    let view = sessions.view;
 
     // Tally every SELECT/COUNT predicate's decided outcomes against the
     // tick's final bounds — the pass/fail frequencies that order probe
     // demands on later ticks.
-    if let Some(preds) = cal_preds {
+    if let Some(preds) = predicates {
         for sess in registry.sessions() {
             preds.record_query(&sess.query, pool);
         }
     }
 
     let mut answers = Vec::with_capacity(registry.len());
-    let mut sessions = Vec::with_capacity(registry.len());
-    for (s_idx, sess) in registry.sessions().iter().enumerate() {
-        let done = view.demands(s_idx).is_empty();
+    let mut records = Vec::with_capacity(registry.len());
+    for (s, sess) in registry.sessions().iter().enumerate() {
+        let done = view.demands(s).is_empty();
         answers.push((sess.id, demand::answer(&sess.query, pool, relation, done)?));
-        sessions.push(SessionTickRecord {
+        records.push(SessionTickRecord {
             session: sess.id.0,
             is_final: done,
-            driven: driven[s_idx],
+            driven: rounds.driven[s],
         });
     }
 
     observer.on_operator_end(&OperatorEndRecord {
         kind: OperatorKind::SharedPool,
-        iterations,
+        iterations: rounds.iterations,
         work: meter.since(&entry),
     });
 
     Ok(TickOutcome {
         answers,
-        sessions,
-        per_object_iterations,
-        budget_exhausted,
+        sessions: records,
+        per_object_iterations: rounds.per_object,
+        budget_exhausted: rounds.budget_exhausted,
     })
 }
 
@@ -473,12 +255,115 @@ pub fn audited_tick(
         workers,
         batch,
         batch_solver,
-        calibration.map(|(model, predicates)| Calibration { model, predicates }),
+        calibration,
         &mut WorkMeter::new(),
         &mut vao::trace::NoopObserver,
         Some(audit),
     )?;
     Ok(outcome.answers)
+}
+
+/// The sessions as the round loop's demand source: one list per session,
+/// weighted by its priority, kept current by a [`RoundView`]. After the
+/// view is built or repaired the audit (if any) sees it, then a calibrated
+/// server's learned predicate correlation boosts the SELECT/COUNT lists —
+/// an edit of this round's lists only, which the next repair re-derives.
+struct Sessions<'a, 'b> {
+    registry: &'a SessionRegistry,
+    view: RoundView,
+    predicates: Option<&'a PredicateStats>,
+    audit: Option<RoundAudit<'b>>,
+}
+
+impl Sessions<'_, '_> {
+    /// Runs after the view was built or repaired.
+    fn settle(&mut self, pool: &SharedPool) {
+        if let Some(audit) = self.audit.as_deref_mut() {
+            audit(pool, &self.view);
+        }
+        if let Some(preds) = self.predicates {
+            for (s, sess) in self.registry.sessions().iter().enumerate() {
+                preds.boost(&sess.query, pool, self.view.demands_mut(s));
+            }
+        }
+    }
+}
+
+impl DemandSource<SharedPool> for Sessions<'_, '_> {
+    fn lists(&self) -> usize {
+        self.registry.len()
+    }
+
+    fn list(&self, s: usize) -> (f64, &[Demand]) {
+        let priority = self.registry.sessions()[s].priority;
+        (f64::from(priority), self.view.demands(s))
+    }
+
+    fn outstanding(&self) -> usize {
+        self.view.outstanding()
+    }
+
+    fn repair(&mut self, pool: &SharedPool, changed: &[usize]) {
+        self.view.repair(queries(self.registry), pool, changed);
+        self.settle(pool);
+    }
+}
+
+/// The pool as the round loop sees it during a tick: `estCPU` corrected by
+/// the cost model when one is threaded in, and an admitted round run by
+/// [`run_batch_lanes`]. The model is trained on each round's `(claimed,
+/// measured)` pairs in pick order — deterministic, and already effective
+/// for the next round.
+struct TickPool<'a> {
+    pool: &'a mut SharedPool,
+    model: Option<&'a mut Calibrator>,
+    workers: usize,
+    batch_solver: bool,
+}
+
+impl Pool for TickPool<'_> {
+    type View = SharedPool;
+    type Error = ServerError;
+
+    fn view(&self) -> &SharedPool {
+        self.pool
+    }
+
+    fn est_cpu(&self, i: usize) -> Work {
+        let raw = self.pool.est_cpu(i);
+        self.model.as_deref().map_or(raw, |m| m.correct(raw))
+    }
+
+    fn execute<O: ExecObserver>(
+        &mut self,
+        objs: &[usize],
+        meter: &mut WorkMeter,
+        observer: &mut O,
+    ) -> Result<Vec<Step>, ServerError> {
+        // The model learns what the object *claimed*, not its own
+        // correction of it: both are read before the round runs.
+        let claims: Vec<(Work, Work)> = objs
+            .iter()
+            .map(|&i| (self.pool.est_cpu(i), self.est_cpu(i)))
+            .collect();
+        let steps = run_batch_lanes(self.pool, objs, self.workers, self.batch_solver, meter)?;
+        if let Some(m) = self.model.as_deref_mut() {
+            for (&(raw_est, corrected_est), step) in claims.iter().zip(&steps) {
+                let actual = step.work.total();
+                m.observe(raw_est, actual);
+                if observer.is_enabled() {
+                    observer.on_calibration(&CalibrationRecord {
+                        observations: m.observations(),
+                        gain_ppm: m.gain_ppm(),
+                        raw_est,
+                        corrected_est,
+                        actual,
+                    });
+                }
+            }
+        }
+        Ok(steps)
+    }
 }
 
 /// One schedulable piece of an admitted round: either a group of
@@ -499,11 +384,11 @@ enum ExecUnit<'p> {
 }
 
 /// Steps one object through plain `iterate()`, charging `scratch`.
-fn iterate_scalar(obj: &mut (dyn ResultObject + Send), scratch: &mut WorkMeter) -> IterDone {
+fn iterate_scalar(obj: &mut (dyn ResultObject + Send), scratch: &mut WorkMeter) -> Step {
     let before = obj.bounds();
     let snap = scratch.snapshot();
     let after = obj.iterate(scratch);
-    IterDone {
+    Step {
         before,
         after,
         work: scratch.since(&snap),
@@ -514,7 +399,7 @@ fn iterate_scalar(obj: &mut (dyn ResultObject + Send), scratch: &mut WorkMeter) 
 /// tagged with their pick-order slots.
 ///
 /// For a lane group, each lane commits on its own fresh meter (so the
-/// per-object `IterDone::work` is exactly what the scalar path would have
+/// per-object `Step::work` is exactly what the scalar path would have
 /// charged) and the lane meters are then absorbed into `scratch`. The
 /// post-iteration bounds are re-read through the pool object — not taken
 /// from the lane commit — because adapters (negation, shifts) transform
@@ -523,7 +408,7 @@ fn iterate_scalar(obj: &mut (dyn ResultObject + Send), scratch: &mut WorkMeter) 
 /// A group with a member that reports a `batch_shape()` but hands out no
 /// lane has broken the protocol's promise; the group is stepped scalar,
 /// which computes the same thing.
-fn exec_unit(unit: ExecUnit<'_>, scratch: &mut WorkMeter) -> Vec<(usize, IterDone)> {
+fn exec_unit(unit: ExecUnit<'_>, scratch: &mut WorkMeter) -> Vec<(usize, Step)> {
     match unit {
         ExecUnit::Scalar { slot, obj } => vec![(slot, iterate_scalar(obj, scratch))],
         ExecUnit::Lanes {
@@ -553,7 +438,7 @@ fn exec_unit(unit: ExecUnit<'_>, scratch: &mut WorkMeter) -> Vec<(usize, IterDon
                     scratch.absorb(&m);
                     (
                         slot,
-                        IterDone {
+                        Step {
                             before,
                             after: obj.bounds(),
                             work: m.breakdown(),
@@ -587,7 +472,7 @@ fn run_batch_lanes(
     workers: usize,
     batch_solver: bool,
     meter: &mut WorkMeter,
-) -> Result<Vec<IterDone>, ServerError> {
+) -> Result<Vec<Step>, ServerError> {
     // Probe shapes through the shared-borrow API *before* splitting the
     // pool into disjoint `&mut` borrows (with_disjoint_mut wants strictly
     // ascending indices; remember pick-order slots to map results back).
@@ -612,7 +497,7 @@ fn exec_lane_groups(
     shapes: &[Option<GridShape>],
     workers: usize,
     meter: &mut WorkMeter,
-) -> Result<Vec<IterDone>, ServerError> {
+) -> Result<Vec<Step>, ServerError> {
     // Group same-shape objects; shapeless ones go scalar immediately.
     let mut groups: Vec<(GridShape, Vec<usize>, Vec<&mut (dyn ResultObject + Send)>)> = Vec::new();
     let mut scalars: Vec<(usize, &mut (dyn ResultObject + Send))> = Vec::new();
@@ -649,7 +534,7 @@ fn exec_lane_groups(
             .map(|(slot, obj)| ExecUnit::Scalar { slot, obj }),
     );
 
-    let mut done: Vec<Option<IterDone>> = (0..order.len()).map(|_| None).collect();
+    let mut done: Vec<Option<Step>> = (0..order.len()).map(|_| None).collect();
     if workers <= 1 || units.len() == 1 {
         for unit in units {
             for (slot, d) in exec_unit(unit, meter) {

@@ -1067,7 +1067,7 @@ fn execute_tenant_tick<O: ExecObserver>(
         config.batch_solver,
         trained
             .as_mut()
-            .map(|(model, predicates)| sched::Calibration { model, predicates }),
+            .map(|(model, predicates)| (model, predicates)),
         &mut meter,
         &mut fan,
         None,

@@ -17,7 +17,7 @@
 use vao::ops::count::classify;
 use vao::ops::heavy::{cell_counts, rank_cells, HeavyCell};
 use vao::ops::percentile::{rank_bracket, rank_from_top};
-use vao::ops::score::{by_hi, contest_top, straddlers, Flipped, View};
+use vao::ops::score::{contest_top, straddlers, Flipped, View};
 use vao::ops::selection::{decided, CmpOp};
 use vao::ops::sum::{ave_weight, weighted_interval};
 use vao::Bounds;
@@ -191,8 +191,8 @@ impl Query {
                 }
             }
             Query::TopK { k, .. } => {
-                let (mut members, _, ties) = contest_top(v, *k);
-                members.sort_by(|&a, &b| by_hi(v.bounds(a), v.bounds(b)));
+                // The member guess is in rank order: descending upper bound.
+                let (members, _, ties) = contest_top(v, *k);
                 QueryOutput::Ranked {
                     members: members.iter().map(|&i| (id(i), v.bounds(i))).collect(),
                     ties: ties.into_iter().map(id).collect(),
