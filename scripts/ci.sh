@@ -77,10 +77,14 @@
 #                                  tests/ops_bits.rs (every vao::ops operator's
 #                                  answer, iterations, work components, final
 #                                  bounds and trace as literals: a golden must
-#                                  never be filtered out) and the stream
+#                                  never be filtered out), the stream
 #                                  engine's of tests/engine_bits.rs (every
 #                                  Query kind's QueryOutput, iterations and
 #                                  work components in both execution modes)
+#                                  and tests/work_sharing.rs (a one-session
+#                                  server and the dedicated engine run one
+#                                  schedule: equal answers, iterations and
+#                                  work components)
 #  12. benchmark gate          -- benchmark/check.sh: the standalone benchmark
 #                                  package's fmt, clippy, unit tests and a
 #                                  `run --quick` of all four workloads (lap-0
@@ -94,12 +98,14 @@
 #  14. line count (informational) -- non-test, non-comment code lines of
 #                                  every crate under crates/, of
 #                                  crates/core/src/ops, of the server's
-#                                  demand modules and of the stream engine
-#                                  on their own lines, and of
-#                                  crates/server/src + crates/persist/src as
-#                                  one line beside the ROADMAP's target, so a
-#                                  simplicity change has a trajectory to
-#                                  compare against
+#                                  demand modules, of its sched.rs, of the
+#                                  three together (the round loop, the demand
+#                                  functions and the server's side of both)
+#                                  and of the stream engine on their own
+#                                  lines, and of crates/server/src +
+#                                  crates/persist/src as one line beside the
+#                                  ROADMAP's target, so a simplicity change
+#                                  has a trajectory to compare against
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -423,13 +429,14 @@ grep -q 'stopped after 4 ticks' "$SRV_LOG" || { echo "no stopped-after line"; ca
 end_smoke
 echo "    multi-relation tenancy smoke ok (catalog recovered flag-free across SIGKILL, clean SIGTERM stop)"
 
-echo "==> batched SoA solver == scalar executor smoke, solver, operator and engine goldens"
+echo "==> batched SoA solver == scalar executor smoke, solver, operator, engine and one-schedule goldens"
 cargo test -q -p va-numerics --lib tridiag::tests::batched_solve_is_bit_identical_to_scalar_lanes
 cargo test -q -p va-numerics --lib pde::batch::tests::lockstep_solve_is_bit_identical_to_scalar_iterates
 cargo test -q -p va-server --test parallel_determinism batched_solver_matches_scalar_answers
 cargo test -q -p vao-repro --test solver_bits
 cargo test -q -p vao-repro --test ops_bits
 cargo test -q -p vao-repro --test engine_bits
+cargo test -q -p vao-repro --test work_sharing
 cargo test -q -p va-numerics --lib pde::batch::tests::singular_lane_caps_alone_and_siblings_match_scalar
 # Invoke lanes: the relation-wide trio constructor against its scalar
 # reference (a singular slot, the cell cap, several groups, no input), and
@@ -454,6 +461,8 @@ for crate in crates/*; do
 done
 echo "    crates/core/src/ops:  $(count crates/core/src/ops/*.rs)"
 echo "    server demand (demand.rs + demand/round.rs): $(count crates/server/src/demand.rs crates/server/src/demand/round.rs)"
+echo "    server sched.rs:      $(count crates/server/src/sched.rs)"
+echo "    ops + demand + sched: $(count crates/core/src/ops/*.rs crates/server/src/demand.rs crates/server/src/demand/round.rs crates/server/src/sched.rs)"
 echo "    stream engine (engine.rs): $(count crates/stream/src/engine.rs)"
 echo "    server + persist:     $(count $(find crates/server/src crates/persist/src -name '*.rs')) (ROADMAP target: <= 5562)"
 echo "    crates/ total:        $(count $(find crates/*/src -name '*.rs'))"
