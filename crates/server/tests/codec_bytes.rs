@@ -291,7 +291,182 @@ fn journal_pins() -> Vec<(&'static str, String, &'static str)> {
             expected,
         ));
     }
+    pins.extend(edge_journal_pins());
     pins
+}
+
+/// The float spellings every writer must keep: negative zero, a value
+/// whose shortest form is a long integer, a small fraction, the smallest
+/// subnormal and the largest finite value.
+fn edge_floats() -> [f64; 5] {
+    [-0.0, 1e21, 1e-7, f64::from_bits(1), f64::MAX]
+}
+
+/// One answer per array field at zero and one element, and the edge
+/// floats inside bounds.
+fn edge_answers() -> Vec<(SessionId, Answer)> {
+    let [neg_zero, big, small, subnormal, max] = edge_floats();
+    let outputs = [
+        QueryOutput::Selected(Vec::new()),
+        QueryOutput::Selected(vec![5]),
+        QueryOutput::Extreme {
+            bond_id: 0,
+            bounds: Bounds::new(neg_zero, max),
+            ties: Vec::new(),
+        },
+        QueryOutput::Extreme {
+            bond_id: 4,
+            bounds: Bounds::new(subnormal, small),
+            ties: vec![3],
+        },
+        QueryOutput::Aggregate {
+            bounds: Bounds::new(small, big),
+        },
+        QueryOutput::Ranked {
+            members: Vec::new(),
+            ties: Vec::new(),
+        },
+        QueryOutput::Ranked {
+            members: vec![(8, Bounds::new(neg_zero, subnormal))],
+            ties: vec![2],
+        },
+        QueryOutput::Heavy {
+            cells: Vec::new(),
+            ties: Vec::new(),
+        },
+        QueryOutput::Heavy {
+            cells: vec![HeavyCell { cell: -1, count: 1 }],
+            ties: vec![0],
+        },
+    ];
+    outputs
+        .into_iter()
+        .zip(1..)
+        .map(|(out, session)| (SessionId(session), Answer::Final(out)))
+        .collect()
+}
+
+/// Journal lines with every array field empty and with one element, and
+/// with the edge floats wherever a record carries a float.
+fn edge_journal_pins() -> Vec<(&'static str, String, &'static str)> {
+    let [neg_zero, big, small, subnormal, max] = edge_floats();
+    let edge_stats = TickStats {
+        rate: neg_zero,
+        iter_histogram: IterHistogram::from_buckets([0; 9]),
+        cpu_est: CpuEstimation {
+            iterations: 0,
+            pct_iterations: 0,
+            mean_abs_error: big,
+            mean_abs_pct_error: subnormal,
+        },
+        ..stats()
+    };
+    let empty_tick = JournalEvent::Tick(Box::new(TickRecord {
+        relation: 1,
+        tick: 1,
+        rate: neg_zero,
+        shed: 0,
+        budget_exhausted: false,
+        stats: edge_stats,
+        sessions: Vec::new(),
+        answers: Vec::new(),
+        warm: Vec::new(),
+        calibration: Some(CalibrationState {
+            cells: [CalCell::default(); CAL_CLASSES],
+            predicates: Vec::new(),
+        }),
+    }));
+    let one_tick = JournalEvent::Tick(Box::new(TickRecord {
+        relation: 1,
+        tick: 2,
+        rate: small,
+        shed: 0,
+        budget_exhausted: false,
+        stats: edge_stats,
+        sessions: vec![SessionTickRecord {
+            session: 3,
+            is_final: true,
+            driven: 1,
+        }],
+        answers: vec![(
+            SessionId(3),
+            Answer::Partial {
+                bounds: Bounds::new(neg_zero, max),
+            },
+        )],
+        warm: vec![WarmObjectRecord {
+            bounds: Bounds::new(subnormal, big),
+            converged: false,
+            iters: 1,
+            cost: 1,
+        }],
+        calibration: Some(CalibrationState {
+            cells: [CalCell::default(); CAL_CLASSES],
+            predicates: vec![(CmpOp::Lt, max, PassFail { pass: 1, fail: 0 })],
+        }),
+    }));
+    let answers_tick = JournalEvent::Tick(Box::new(TickRecord {
+        relation: 1,
+        tick: 3,
+        rate: 0.05,
+        shed: 0,
+        budget_exhausted: false,
+        stats: stats(),
+        sessions: Vec::new(),
+        answers: edge_answers(),
+        warm: Vec::new(),
+        calibration: None,
+    }));
+    let sum = |weights: Vec<f64>| JournalEvent::Subscribe {
+        relation: 1,
+        session: 2,
+        priority: 1,
+        query: Query::Sum {
+            weights,
+            epsilon: 0.5,
+        },
+    };
+    vec![
+        (
+            "tick, every array empty, edge floats",
+            empty_tick.to_line(),
+            r#"{"ev":"tick","relation":1,"tick":1,"rate":-0,"shed":0,"budget_exhausted":false,"stats":{"rate":-0,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[0,0,0,0,0,0,0,0,0],"cpu":{"iterations":0,"pct_iterations":0,"mae":1000000000000000000000,"mape":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005}},"sessions":[],"answers":[],"warm":[],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[]}}"#,
+        ),
+        (
+            "tick, every array one element, edge floats",
+            one_tick.to_line(),
+            r#"{"ev":"tick","relation":1,"tick":2,"rate":0.0000001,"shed":0,"budget_exhausted":false,"stats":{"rate":-0,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[0,0,0,0,0,0,0,0,0],"cpu":{"iterations":0,"pct_iterations":0,"mae":1000000000000000000000,"mape":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005}},"sessions":[{"session":3,"final":true,"driven":1}],"answers":[{"session":3,"answer":{"status":"partial","lo":-0,"hi":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000}}],"warm":[{"lo":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"hi":1000000000000000000000,"converged":false,"iters":1,"cost":1}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":"<","constant":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,"pass":1,"fail":0}]}}"#,
+        ),
+        (
+            "tick, every output array empty and one element",
+            answers_tick.to_line(),
+            r#"{"ev":"tick","relation":1,"tick":3,"rate":0.05,"shed":0,"budget_exhausted":false,"stats":{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}},"sessions":[],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"selected","ids":[]}}},{"session":2,"answer":{"status":"final","output":{"shape":"selected","ids":[5]}}},{"session":3,"answer":{"status":"final","output":{"shape":"extreme","bond":0,"lo":-0,"hi":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,"ties":[]}}},{"session":4,"answer":{"status":"final","output":{"shape":"extreme","bond":4,"lo":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"hi":0.0000001,"ties":[3]}}},{"session":5,"answer":{"status":"final","output":{"shape":"aggregate","lo":0.0000001,"hi":1000000000000000000000}}},{"session":6,"answer":{"status":"final","output":{"shape":"ranked","members":[],"ties":[]}}},{"session":7,"answer":{"status":"final","output":{"shape":"ranked","members":[{"bond":8,"lo":-0,"hi":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005}],"ties":[2]}}},{"session":8,"answer":{"status":"final","output":{"shape":"heavy","cells":[],"ties":[]}}},{"session":9,"answer":{"status":"final","output":{"shape":"heavy","cells":[{"cell":-1,"count":1}],"ties":[0]}}}],"warm":[]}"#,
+        ),
+        (
+            "subscribe, SUM without weights",
+            sum(Vec::new()).to_line(),
+            r#"{"ev":"subscribe","relation":1,"session":2,"priority":1,"query":{"kind":"sum","epsilon":0.5,"weights":[]}}"#,
+        ),
+        (
+            "subscribe, SUM with one weight",
+            sum(vec![1.5]).to_line(),
+            r#"{"ev":"subscribe","relation":1,"session":2,"priority":1,"query":{"kind":"sum","epsilon":0.5,"weights":[1.5]}}"#,
+        ),
+        (
+            "subscribe, SUM with the edge floats",
+            sum(edge_floats().to_vec()).to_line(),
+            r#"{"ev":"subscribe","relation":1,"session":2,"priority":1,"query":{"kind":"sum","epsilon":0.5,"weights":[-0,1000000000000000000000,0.0000001,0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000]}}"#,
+        ),
+        (
+            "create_relation with one bond",
+            JournalEvent::CreateRelation(Box::new(RelationRecord {
+                relation: 4,
+                def: def("one", None, 1),
+            }))
+            .to_line(),
+            r#"{"ev":"create_relation","relation":4,"def":{"name":"one","bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100}]}}"#,
+        ),
+    ]
 }
 
 #[test]
@@ -377,6 +552,92 @@ fn snapshot_pin() -> (&'static str, String, &'static str) {
     )
 }
 
+/// Snapshots with no relation, and with one relation whose every array
+/// field holds zero or one element, with the edge floats.
+fn edge_snapshot_pins() -> Vec<(&'static str, String, &'static str)> {
+    let [neg_zero, big, small, subnormal, max] = edge_floats();
+    let empty = SnapshotRecord {
+        seq: 1,
+        journal_events: 0,
+        coverage: SegmentPosition {
+            segment: 1,
+            bytes: 0,
+        },
+        next_relation_id: 1,
+        relations: Vec::new(),
+    };
+    let one = SnapshotRecord {
+        seq: 2,
+        journal_events: 5,
+        coverage: SegmentPosition {
+            segment: 2,
+            bytes: 0,
+        },
+        next_relation_id: 2,
+        relations: vec![RelationSnapshot {
+            relation: 1,
+            def: def("one", Some(7), 1),
+            next_session_id: 2,
+            ticks: 1,
+            shed: 0,
+            sessions: vec![Session {
+                id: SessionId(1),
+                query: Query::Sum {
+                    weights: vec![max],
+                    epsilon: small,
+                },
+                priority: 1,
+                finals: 1,
+                partials: 0,
+                driven_iterations: 0,
+            }],
+            history: vec![TickStats {
+                rate: subnormal,
+                iter_histogram: IterHistogram::from_buckets([0, 0, 0, 0, 0, 0, 0, 0, 1]),
+                cpu_est: CpuEstimation {
+                    mean_abs_error: neg_zero,
+                    ..stats().cpu_est
+                },
+                ..stats()
+            }],
+            warm: vec![
+                WarmRateRecord {
+                    rate: neg_zero,
+                    objects: Vec::new(),
+                },
+                WarmRateRecord {
+                    rate: big,
+                    objects: vec![WarmObjectRecord {
+                        bounds: Bounds::new(neg_zero, max),
+                        converged: true,
+                        iters: 0,
+                        cost: 0,
+                    }],
+                },
+            ],
+            answers: vec![(
+                SessionId(1),
+                Answer::Final(QueryOutput::Aggregate {
+                    bounds: Bounds::new(subnormal, big),
+                }),
+            )],
+            calibration: None,
+        }],
+    };
+    vec![
+        (
+            "snapshot with no relation",
+            empty.to_json(),
+            r#"{"seq":1,"journal_events":0,"segment":1,"segment_bytes":0,"next_relation_id":1,"relations":[]}"#,
+        ),
+        (
+            "snapshot, one relation, one-element arrays, edge floats",
+            one.to_json(),
+            r#"{"seq":2,"journal_events":5,"segment":2,"segment_bytes":0,"next_relation_id":2,"relations":[{"relation":1,"def":{"name":"one","seed":7,"bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100}]},"next_session_id":2,"ticks":1,"shed":0,"sessions":[{"session":1,"priority":1,"finals":1,"partials":0,"driven":0,"query":{"kind":"sum","epsilon":0.0000001,"weights":[179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000]}}],"history":[{"rate":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[0,0,0,0,0,0,0,0,1],"cpu":{"iterations":319,"pct_iterations":301,"mae":-0,"mape":0.03}}],"warm":[{"rate":-0,"objects":[]},{"rate":1000000000000000000000,"objects":[{"lo":-0,"hi":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,"converged":true,"iters":0,"cost":0}]}],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"aggregate","lo":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"hi":1000000000000000000000}}}]}]}"#,
+        ),
+    ]
+}
+
 #[test]
 fn snapshot_and_meta_documents() {
     let meta = Meta {
@@ -396,7 +657,8 @@ fn snapshot_and_meta_documents() {
         pricer: 5,
         relations: Vec::new(),
     };
-    check(&[
+    let mut pins = edge_snapshot_pins();
+    pins.extend([
         snapshot_pin(),
         (
             "catalog meta",
@@ -408,7 +670,20 @@ fn snapshot_and_meta_documents() {
             empty_meta.to_json(),
             r#"{"version":2,"pricer":5,"relations":[]}"#,
         ),
+        (
+            "one-relation meta",
+            Meta {
+                pricer: 5,
+                relations: vec![MetaRelation {
+                    relation: 1,
+                    fingerprint: 0,
+                }],
+            }
+            .to_json(),
+            r#"{"version":2,"pricer":5,"relations":[{"relation":1,"fingerprint":0}]}"#,
+        ),
     ]);
+    check(&pins);
 }
 
 /// The decoder, pinned against the same literals: every journal line and
@@ -420,9 +695,10 @@ fn pinned_records_parse_back_to_their_bytes() {
         let event = JournalEvent::parse(line).unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(event.to_line(), line, "{what}");
     }
-    let (what, _, text) = snapshot_pin();
-    let snap = SnapshotRecord::parse(text).unwrap_or_else(|e| panic!("{what}: {e}"));
-    assert_eq!(snap.to_json(), text, "{what}");
+    for (what, _, text) in edge_snapshot_pins().into_iter().chain([snapshot_pin()]) {
+        let snap = SnapshotRecord::parse(text).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(snap.to_json(), text, "{what}");
+    }
 }
 
 fn session() -> Session {
@@ -587,6 +863,74 @@ fn protocol_responses() {
             expected,
         ));
     }
+    let edge_payloads = [
+        r#""relation":"default","tick":4,"rate":0.05,"status":"final","output":{"shape":"selected","ids":[]}"#,
+        r#""relation":"default","tick":4,"rate":0.05,"status":"final","output":{"shape":"selected","ids":[5]}"#,
+        r#""relation":"default","tick":4,"rate":0.05,"status":"final","output":{"shape":"extreme","bond":0,"lo":-0,"hi":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,"ties":[]}"#,
+        r#""relation":"default","tick":4,"rate":0.05,"status":"final","output":{"shape":"extreme","bond":4,"lo":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"hi":0.0000001,"ties":[3]}"#,
+        r#""relation":"default","tick":4,"rate":0.05,"status":"final","output":{"shape":"aggregate","lo":0.0000001,"hi":1000000000000000000000}"#,
+        r#""relation":"default","tick":4,"rate":0.05,"status":"final","output":{"shape":"ranked","members":[],"ties":[]}"#,
+        r#""relation":"default","tick":4,"rate":0.05,"status":"final","output":{"shape":"ranked","members":[{"bond":8,"lo":-0,"hi":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005}],"ties":[2]}"#,
+        r#""relation":"default","tick":4,"rate":0.05,"status":"final","output":{"shape":"heavy","cells":[],"ties":[]}"#,
+        r#""relation":"default","tick":4,"rate":0.05,"status":"final","output":{"shape":"heavy","cells":[{"cell":-1,"count":1}],"ties":[0]}"#,
+    ];
+    for ((_, answer), expected) in edge_answers().into_iter().zip(edge_payloads) {
+        pins.push((
+            "RESULT payload, empty or one-element arrays, edge floats",
+            proto::result_payload("default", 4, 0.05, &answer),
+            expected,
+        ));
+    }
+    let [neg_zero, big, small, subnormal, max] = edge_floats();
+    let mut one = Server::new(
+        bondlab::BondPricer::default(),
+        BondRelation::from_universe(&bondlab::BondUniverse::generate(1, 7)),
+        ServerConfig::default(),
+    );
+    one.subscribe(Query::Min { epsilon: 0.5 }, 1).unwrap();
+    pins.extend([
+        (
+            "RESULT line, partial, edge floats",
+            proto::result(
+                "default",
+                1,
+                neg_zero,
+                SessionId(1),
+                &Answer::Partial {
+                    bounds: Bounds::new(neg_zero, max),
+                },
+            ),
+            r#"{"type":"RESULT","session":1,"relation":"default","tick":1,"rate":-0,"status":"partial","bounds":{"lo":-0,"hi":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000}}"#,
+        ),
+        (
+            "RESULT line, final, edge floats",
+            proto::result(
+                "default",
+                2,
+                small,
+                SessionId(2),
+                &Answer::Final(QueryOutput::Aggregate {
+                    bounds: Bounds::new(subnormal, big),
+                }),
+            ),
+            r#"{"type":"RESULT","session":2,"relation":"default","tick":2,"rate":0.0000001,"status":"final","output":{"shape":"aggregate","lo":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"hi":1000000000000000000000}}"#,
+        ),
+        (
+            "RELATIONS, one relation",
+            proto::relations(one.catalog()),
+            r#"{"type":"RELATIONS","relations":[{"name":"default","id":1,"bonds":1,"sessions":1,"ticks":0}]}"#,
+        ),
+        (
+            "STATS, one session",
+            proto::stats(one.catalog().by_name("default").unwrap()),
+            r#"{"type":"STATS","relation":"default","ticks":0,"shed_ticks":0,"work_units":0,"iterations":0,"calibration":{"observations":0,"gain_ppm":1000000},"sessions":[{"session":1,"operator":"min","priority":1,"finals":0,"partials":0,"driven_iterations":0}]}"#,
+        ),
+        (
+            "STATS, no session",
+            proto::stats(server.catalog().by_name("fx \"spot\"").unwrap()),
+            r#"{"type":"STATS","relation":"fx \"spot\"","ticks":0,"shed_ticks":0,"work_units":0,"iterations":0,"calibration":{"observations":0,"gain_ppm":1000000},"sessions":[]}"#,
+        ),
+    ]);
     check(&pins);
 }
 
@@ -745,6 +1089,55 @@ fn rendered_requests() {
         r#"{"type":"SUBSCRIBE","query":{"kind":"percentile","phi":0.95,"epsilon":0.25},"priority":3,"relation":"f\"x"}"#,
         r#"{"type":"SUBSCRIBE","query":{"kind":"heavyhitters","k":3,"epsilon":0.5},"priority":3}"#,
     ];
+    pins.extend([
+        (
+            "TICKS, one rate",
+            proto::render_request(&Request::Ticks {
+                relation: None,
+                rates: vec![0.05],
+            }),
+            r#"{"type":"TICKS","rates":[0.05]}"#,
+        ),
+        (
+            "TICK_MULTI, one relation",
+            proto::render_request(&Request::TickMulti {
+                ticks: vec![("default".to_string(), 0.05)],
+            }),
+            r#"{"type":"TICK_MULTI","ticks":[{"relation":"default","rate":0.05}]}"#,
+        ),
+        (
+            "CREATE_RELATION, one bond",
+            proto::render_request(&Request::CreateRelation {
+                name: "one".to_string(),
+                spec: RelationSpec::Bonds(vec![wire_bond]),
+            }),
+            r#"{"type":"CREATE_RELATION","name":"one","bonds":[{"coupon":0.0625,"maturity":30,"face":1000}]}"#,
+        ),
+        (
+            "SUBSCRIBE, SUM with one weight",
+            proto::render_request(&Request::Subscribe {
+                relation: None,
+                query: WireQuery::Sum {
+                    weights: Some(vec![2.0]),
+                    epsilon: 0.5,
+                },
+                priority: 1,
+            }),
+            r#"{"type":"SUBSCRIBE","query":{"kind":"sum","epsilon":0.5,"weights":[2]},"priority":1}"#,
+        ),
+        (
+            "SUBSCRIBE, SUM with no weight",
+            proto::render_request(&Request::Subscribe {
+                relation: None,
+                query: WireQuery::Sum {
+                    weights: Some(Vec::new()),
+                    epsilon: 0.5,
+                },
+                priority: 1,
+            }),
+            r#"{"type":"SUBSCRIBE","query":{"kind":"sum","epsilon":0.5,"weights":[]},"priority":1}"#,
+        ),
+    ]);
     for (i, (query, expected)) in wire_queries().into_iter().zip(subscribes).enumerate() {
         pins.push((
             "SUBSCRIBE",
