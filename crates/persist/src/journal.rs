@@ -77,6 +77,9 @@ pub struct Coverage {
     pub events: u64,
 }
 
+/// The most encode-buffer capacity a journal keeps between appends.
+const RETAINED_BUF_BYTES: usize = 1 << 20;
+
 /// An open journal, positioned for appending to the active segment.
 pub struct Journal {
     dir: PathBuf,
@@ -85,6 +88,9 @@ pub struct Journal {
     segment: u64,
     segment_bytes: u64,
     events: u64,
+    /// The encode buffer every append reuses: a group of records is
+    /// encoded here, then written with one `write` and one `fdatasync`.
+    buf: String,
     /// Set when a failed append could not be rolled back: the durable file
     /// may hold bytes past `segment_bytes`, so further appends would land
     /// mid-garbage and turn a transient I/O error into permanent
@@ -264,6 +270,7 @@ impl Journal {
             segment: last,
             segment_bytes,
             events: total_events,
+            buf: String::new(),
             poisoned: false,
             #[cfg(test)]
             fail_sync_after_write: 0,
@@ -280,19 +287,30 @@ impl Journal {
     }
 
     /// Appends one event and makes it durable (`write` + `fdatasync`)
-    /// before returning.
-    ///
-    /// On failure the append is rolled back: the file is truncated to the
-    /// last committed byte and the in-memory event/byte accounting is left
-    /// untouched, so [`Journal::position`] keeps matching the durable
-    /// bytes and a later snapshot cannot record coverage that ends inside
-    /// a half-written record. If the rollback itself fails, the journal is
-    /// **poisoned** — every further append fails fast — because appending
-    /// after an unremoved partial write would interleave a new record into
-    /// the middle of garbage and upgrade a transient I/O error into hard
-    /// corruption on the next recovery. Reopening the journal recovers:
-    /// `open` truncates the torn tail and rebuilds accounting from disk.
+    /// before returning: [`Journal::append_all`] of one event.
     pub fn append(&mut self, event: &JournalEvent) -> Result<(), PersistError> {
+        self.append_all(std::slice::from_ref(event))
+    }
+
+    /// Appends `events` as one **group**: every record is encoded into the
+    /// journal's reused buffer, one line each, and the buffer is made
+    /// durable with one `write` and one `fdatasync`. The bytes are the ones
+    /// appending the events one by one would write, and recovery reads
+    /// them back one record at a time; a crash mid-group leaves the whole
+    /// records before the tear.
+    ///
+    /// On failure the whole group is rolled back: the file is truncated
+    /// to the last committed byte and the in-memory event/byte accounting
+    /// is left untouched, so [`Journal::position`] keeps matching the
+    /// durable bytes and a later snapshot cannot record coverage that ends
+    /// inside a half-written record. If the rollback itself fails, the
+    /// journal is **poisoned** — every further append fails fast — because
+    /// appending after an unremoved partial write would interleave a new
+    /// record into the middle of garbage and upgrade a transient I/O error
+    /// into hard corruption on the next recovery. Reopening the journal
+    /// recovers: `open` truncates the torn tail and rebuilds accounting
+    /// from disk.
+    pub fn append_all(&mut self, events: &[JournalEvent]) -> Result<(), PersistError> {
         if self.poisoned {
             return Err(PersistError::io(
                 &self.path,
@@ -302,12 +320,28 @@ impl Journal {
                 ),
             ));
         }
-        let mut line = event.to_line();
-        line.push('\n');
-        match self.write_durable(line.as_bytes()) {
+        if events.is_empty() {
+            return Ok(());
+        }
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        for event in events {
+            event
+                .write_line(&mut buf)
+                .expect("writing to a String cannot fail");
+            buf.push('\n');
+        }
+        let written = self.write_durable(buf.as_bytes());
+        let len = buf.len() as u64;
+        // Keep the buffer for the next append unless one outsized record
+        // (a relation definition carrying every bond) grew it.
+        if buf.capacity() <= RETAINED_BUF_BYTES {
+            self.buf = buf;
+        }
+        match written {
             Ok(()) => {
-                self.segment_bytes += line.len() as u64;
-                self.events += 1;
+                self.segment_bytes += len;
+                self.events += events.len() as u64;
                 Ok(())
             }
             Err(e) => {
@@ -329,7 +363,7 @@ impl Journal {
     }
 
     /// Whether a failed append rollback has poisoned the journal (see
-    /// [`Journal::append`]).
+    /// [`Journal::append_all`]).
     #[must_use]
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
@@ -792,6 +826,95 @@ mod tests {
         let (mut j, _) = open_fresh(&dir);
         assert!(!j.is_poisoned());
         j.append(&ev(4)).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_group_is_one_write_of_the_bytes_single_appends_write() {
+        let dir = tmp_dir("group");
+        let single = dir.join("single");
+        let grouped = dir.join("grouped");
+        fs::create_dir_all(&single).unwrap();
+        fs::create_dir_all(&grouped).unwrap();
+        {
+            let (mut j, _) = open_fresh(&single);
+            for s in 1..=4 {
+                j.append(&ev(s)).unwrap();
+            }
+            let (mut g, _) = open_fresh(&grouped);
+            g.append(&ev(1)).unwrap();
+            g.append_all(&[ev(2), ev(3), ev(4)]).unwrap();
+            g.append_all(&[]).unwrap();
+            assert_eq!(g.events(), 4);
+            assert_eq!(g.position(), j.position());
+        }
+        assert_eq!(
+            fs::read(single.join(segment_file(1))).unwrap(),
+            fs::read(grouped.join(segment_file(1))).unwrap()
+        );
+        let (_, load) = open_fresh(&grouped);
+        assert_eq!(load.events, (1..=4).map(ev).collect::<Vec<_>>());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_group_sync_leaves_no_byte_of_the_group() {
+        let dir = tmp_dir("group-fail");
+        {
+            let (mut j, _) = open_fresh(&dir);
+            j.append(&ev(1)).unwrap();
+            let committed = j.position();
+            let committed_events = j.events();
+            let committed_bytes = fs::read(dir.join(segment_file(1))).unwrap();
+
+            // All three records reach the file, then the one sync fails.
+            j.fail_sync_after_write = 1;
+            assert!(j.append_all(&[ev(2), ev(3), ev(4)]).is_err());
+
+            assert_eq!(j.position(), committed);
+            assert_eq!(j.events(), committed_events);
+            assert_eq!(
+                fs::read(dir.join(segment_file(1))).unwrap(),
+                committed_bytes,
+                "no byte of the failed group may remain"
+            );
+            assert!(!j.is_poisoned());
+
+            // The next group appends cleanly behind the committed bytes.
+            j.append_all(&[ev(5), ev(6)]).unwrap();
+            assert_eq!(j.events(), committed_events + 2);
+            assert_eq!(
+                fs::metadata(dir.join(segment_file(1))).unwrap().len(),
+                j.position().bytes
+            );
+        }
+        let (_, load) = open_fresh(&dir);
+        assert_eq!(load.events, vec![ev(1), ev(5), ev(6)]);
+        assert_eq!(load.truncated_bytes, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_group_rollback_poisons_the_journal() {
+        let dir = tmp_dir("group-poison");
+        {
+            let (mut j, _) = open_fresh(&dir);
+            j.append(&ev(1)).unwrap();
+            j.fail_sync_after_write = 1;
+            j.fail_rollback = true;
+            assert!(j.append_all(&[ev(2), ev(3), ev(4)]).is_err());
+            assert!(j.is_poisoned());
+            assert_eq!(j.events(), 1);
+            // The next group is refused, injections cleared or not.
+            j.fail_rollback = false;
+            let err = j.append_all(&[ev(5), ev(6)]).unwrap_err();
+            assert!(format!("{err}").contains("poisoned"), "{err}");
+            assert_eq!(j.events(), 1);
+        }
+        // Reopening re-derives accounting from disk and appends again.
+        let (mut j, _) = open_fresh(&dir);
+        assert!(!j.is_poisoned());
+        j.append_all(&[ev(7), ev(8)]).unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
 

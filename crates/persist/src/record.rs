@@ -23,6 +23,7 @@
 //! a record that parsed holds only valid values, and the recovery fold
 //! trusts it.
 
+use std::fmt::{self, Write};
 use std::time::Duration;
 
 use va_stream::stats::{IterHistogram, TickStats, ITER_BUCKETS};
@@ -33,7 +34,7 @@ use vao::ops::selection::CmpOp;
 use vao::trace::CpuEstimation;
 use vao::Bounds;
 
-use crate::json::{array, escape, Json};
+use crate::json::{render, write_array, Escaped, Json};
 
 /// Identifies one registered query for its lifetime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -340,15 +341,21 @@ pub struct WarmRateRecord {
 
 // ----------------------------------------------------------------- encode
 //
-// The shape writers below (`cmp_op_str`, `query_json`, `ids_json`,
-// `bounds_fields`, `output_json`, `bond_json`, `answer_json`) are the only
-// emitters of those shapes in the workspace: the journal, the snapshot and
-// the wire protocol (`va_server::proto`) all call them. Field names and
-// their order are theirs, not the structs'.
+// One writer per shape, `write_*(out, ..)`: it appends the shape's JSON to
+// the caller's buffer through `fmt::Write`, in one pass, and renders no
+// element or section into a `String` of its own. The writers below are the
+// only emitters of those shapes in the workspace: the journal, the
+// snapshot and the wire protocol (`va_server::proto`) all call them. Field
+// names and their order are theirs, not the structs'.
 
-fn num(x: f64) -> String {
-    debug_assert!(x.is_finite(), "persisted floats must be finite");
-    format!("{x}")
+/// A persisted float: Rust's shortest round-trip `Display` spelling.
+struct Num(f64);
+
+impl fmt::Display for Num {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        debug_assert!(self.0.is_finite(), "persisted floats must be finite");
+        self.0.fmt(f)
+    }
 }
 
 /// The wire and journal spelling of a comparison operator.
@@ -362,12 +369,12 @@ pub fn cmp_op_str(op: CmpOp) -> &'static str {
     }
 }
 
-/// Serializes a [`Query`] to its `{"kind":...}` object shape (SUM weights
-/// always concrete; the wire's weight-less SUM is a protocol envelope).
-#[must_use]
-pub fn query_json(q: &Query) -> String {
+/// Writes a [`Query`] as its `{"kind":...}` object (SUM weights always
+/// concrete; the wire's weight-less SUM is a protocol envelope).
+pub fn write_query(out: &mut String, q: &Query) -> fmt::Result {
     match q {
-        Query::Selection { op, constant } => format!(
+        Query::Selection { op, constant } => write!(
+            out,
             "{{\"kind\":\"selection\",\"op\":\"{}\",\"constant\":{constant}}}",
             cmp_op_str(*op)
         ),
@@ -375,283 +382,350 @@ pub fn query_json(q: &Query) -> String {
             op,
             constant,
             slack,
-        } => format!(
+        } => write!(
+            out,
             "{{\"kind\":\"count\",\"op\":\"{}\",\"constant\":{constant},\"slack\":{slack}}}",
             cmp_op_str(*op)
         ),
-        Query::Sum { weights, epsilon } => format!(
-            "{{\"kind\":\"sum\",\"epsilon\":{epsilon},\"weights\":{}}}",
-            array(weights, f64::to_string)
-        ),
-        Query::Ave { epsilon } => format!("{{\"kind\":\"ave\",\"epsilon\":{epsilon}}}"),
-        Query::Max { epsilon } => format!("{{\"kind\":\"max\",\"epsilon\":{epsilon}}}"),
-        Query::Min { epsilon } => format!("{{\"kind\":\"min\",\"epsilon\":{epsilon}}}"),
+        Query::Sum { weights, epsilon } => {
+            write!(out, "{{\"kind\":\"sum\",\"epsilon\":{epsilon},\"weights\":")?;
+            write_array(out, weights, |out, w| write!(out, "{w}"))?;
+            out.write_char('}')
+        }
+        Query::Ave { epsilon } => write!(out, "{{\"kind\":\"ave\",\"epsilon\":{epsilon}}}"),
+        Query::Max { epsilon } => write!(out, "{{\"kind\":\"max\",\"epsilon\":{epsilon}}}"),
+        Query::Min { epsilon } => write!(out, "{{\"kind\":\"min\",\"epsilon\":{epsilon}}}"),
         Query::TopK { k, epsilon } => {
-            format!("{{\"kind\":\"topk\",\"k\":{k},\"epsilon\":{epsilon}}}")
+            write!(out, "{{\"kind\":\"topk\",\"k\":{k},\"epsilon\":{epsilon}}}")
         }
-        Query::Median { epsilon } => format!("{{\"kind\":\"median\",\"epsilon\":{epsilon}}}"),
-        Query::Percentile { phi, epsilon } => {
-            format!("{{\"kind\":\"percentile\",\"phi\":{phi},\"epsilon\":{epsilon}}}")
+        Query::Median { epsilon } => {
+            write!(out, "{{\"kind\":\"median\",\"epsilon\":{epsilon}}}")
         }
-        Query::HeavyHitters { k, epsilon } => {
-            format!("{{\"kind\":\"heavyhitters\",\"k\":{k},\"epsilon\":{epsilon}}}")
-        }
+        Query::Percentile { phi, epsilon } => write!(
+            out,
+            "{{\"kind\":\"percentile\",\"phi\":{phi},\"epsilon\":{epsilon}}}"
+        ),
+        Query::HeavyHitters { k, epsilon } => write!(
+            out,
+            "{{\"kind\":\"heavyhitters\",\"k\":{k},\"epsilon\":{epsilon}}}"
+        ),
     }
 }
 
-/// Serializes a bond id list.
-#[must_use]
-pub fn ids_json(ids: &[u32]) -> String {
-    array(ids, u32::to_string)
+/// Writes a bond id list.
+pub fn write_ids(out: &mut String, ids: &[u32]) -> fmt::Result {
+    write_array(out, ids, |out, id| write!(out, "{id}"))
 }
 
-/// The `"lo":L,"hi":H` field pair of an interval (no braces — the caller
-/// decides what else shares the object).
-#[must_use]
-pub fn bounds_fields(b: &Bounds) -> String {
-    format!("\"lo\":{},\"hi\":{}", b.lo(), b.hi())
+/// Writes the `"lo":L,"hi":H` field pair of an interval (no braces — the
+/// caller decides what else shares the object).
+pub fn write_bounds(out: &mut String, b: &Bounds) -> fmt::Result {
+    write!(out, "\"lo\":{},\"hi\":{}", b.lo(), b.hi())
 }
 
-/// Serializes a [`QueryOutput`] to its `{"shape":...}` object shape.
-#[must_use]
-pub fn output_json(out: &QueryOutput) -> String {
-    match out {
+/// Writes a [`QueryOutput`] as its `{"shape":...}` object.
+pub fn write_output(out: &mut String, output: &QueryOutput) -> fmt::Result {
+    match output {
         QueryOutput::Selected(ids) => {
-            format!("{{\"shape\":\"selected\",\"ids\":{}}}", ids_json(ids))
+            out.write_str("{\"shape\":\"selected\",\"ids\":")?;
+            write_ids(out, ids)?;
         }
         QueryOutput::Extreme {
             bond_id,
             bounds,
             ties,
-        } => format!(
-            "{{\"shape\":\"extreme\",\"bond\":{bond_id},{},\"ties\":{}}}",
-            bounds_fields(bounds),
-            ids_json(ties)
-        ),
+        } => {
+            write!(out, "{{\"shape\":\"extreme\",\"bond\":{bond_id},")?;
+            write_bounds(out, bounds)?;
+            out.write_str(",\"ties\":")?;
+            write_ids(out, ties)?;
+        }
         QueryOutput::Aggregate { bounds } => {
-            format!("{{\"shape\":\"aggregate\",{}}}", bounds_fields(bounds))
+            out.write_str("{\"shape\":\"aggregate\",")?;
+            write_bounds(out, bounds)?;
         }
-        QueryOutput::Ranked { members, ties } => format!(
-            "{{\"shape\":\"ranked\",\"members\":{},\"ties\":{}}}",
-            array(members, |(id, b)| format!(
-                "{{\"bond\":{id},{}}}",
-                bounds_fields(b)
-            )),
-            ids_json(ties)
-        ),
+        QueryOutput::Ranked { members, ties } => {
+            out.write_str("{\"shape\":\"ranked\",\"members\":")?;
+            write_array(out, members, |out, (id, b)| {
+                write!(out, "{{\"bond\":{id},")?;
+                write_bounds(out, b)?;
+                out.write_char('}')
+            })?;
+            out.write_str(",\"ties\":")?;
+            write_ids(out, ties)?;
+        }
         QueryOutput::Count { lo, hi } => {
-            format!("{{\"shape\":\"count\",\"lo\":{lo},\"hi\":{hi}}}")
+            write!(out, "{{\"shape\":\"count\",\"lo\":{lo},\"hi\":{hi}")?;
         }
-        QueryOutput::Heavy { cells, ties } => format!(
-            "{{\"shape\":\"heavy\",\"cells\":{},\"ties\":{}}}",
-            array(cells, |c| format!(
-                "{{\"cell\":{},\"count\":{}}}",
-                c.cell, c.count
-            )),
-            array(ties, i64::to_string)
-        ),
+        QueryOutput::Heavy { cells, ties } => {
+            out.write_str("{\"shape\":\"heavy\",\"cells\":")?;
+            write_array(out, cells, |out, c| {
+                write!(out, "{{\"cell\":{},\"count\":{}}}", c.cell, c.count)
+            })?;
+            out.write_str(",\"ties\":")?;
+            write_array(out, ties, |out, t| write!(out, "{t}"))?;
+        }
     }
+    out.write_char('}')
 }
 
-/// The answer object of journal records, snapshots and `RESUMED` (a
-/// `RESULT` line nests a partial answer's bounds under `"bounds"` instead).
-#[must_use]
-pub fn answer_json(a: &Answer) -> String {
+/// Writes the answer object of journal records, snapshots and `RESUMED`
+/// (a `RESULT` line nests a partial answer's bounds under `"bounds"`
+/// instead).
+pub fn write_answer(out: &mut String, a: &Answer) -> fmt::Result {
     match a {
-        Answer::Final(out) => format!("{{\"status\":\"final\",\"output\":{}}}", output_json(out)),
+        Answer::Final(output) => {
+            out.write_str("{\"status\":\"final\",\"output\":")?;
+            write_output(out, output)?;
+        }
         Answer::Partial { bounds } => {
-            format!("{{\"status\":\"partial\",{}}}", bounds_fields(bounds))
+            out.write_str("{\"status\":\"partial\",")?;
+            write_bounds(out, bounds)?;
         }
     }
+    out.write_char('}')
 }
 
-fn answers_json(answers: &[(SessionId, Answer)]) -> String {
-    array(answers, |(session, answer)| {
-        format!(
-            "{{\"session\":{session},\"answer\":{}}}",
-            answer_json(answer)
+fn write_answers(out: &mut String, answers: &[(SessionId, Answer)]) -> fmt::Result {
+    write_array(out, answers, |out, (session, answer)| {
+        write!(out, "{{\"session\":{session},\"answer\":")?;
+        write_answer(out, answer)?;
+        out.write_char('}')
+    })
+}
+
+fn write_warm_objects(out: &mut String, objs: &[WarmObjectRecord]) -> fmt::Result {
+    write_array(out, objs, |out, w| {
+        out.write_char('{')?;
+        write_bounds(out, &w.bounds)?;
+        write!(
+            out,
+            ",\"converged\":{},\"iters\":{},\"cost\":{}}}",
+            w.converged, w.iters, w.cost
         )
     })
 }
 
-fn warm_objects_json(objs: &[WarmObjectRecord]) -> String {
-    array(objs, |w| {
-        format!(
-            "{{{},\"converged\":{},\"iters\":{},\"cost\":{}}}",
-            bounds_fields(&w.bounds),
-            w.converged,
-            w.iters,
-            w.cost
-        )
-    })
-}
-
-/// Serializes a bond's terms, led by its `"id"` when the bond has one (a
-/// bond on the wire does not: the server assigns ids).
-#[must_use]
-pub fn bond_json(id: Option<u32>, coupon: f64, maturity: f64, face: f64) -> String {
-    let id = id.map_or(String::new(), |id| format!("\"id\":{id},"));
-    format!("{{{id}\"coupon\":{coupon},\"maturity\":{maturity},\"face\":{face}}}")
-}
-
-fn stored_bond_json(b: &Bond) -> String {
-    bond_json(Some(b.id), b.coupon, b.years_to_maturity, b.face)
-}
-
-/// Serializes a relation definition (without its catalog id).
-#[must_use]
-pub fn relation_def_json(def: &RelationDefRecord) -> String {
-    let seed = def.seed.map_or(String::new(), |s| format!("\"seed\":{s},"));
-    format!(
-        "{{\"name\":\"{}\",{}\"bonds\":{}}}",
-        escape(&def.name),
-        seed,
-        array(&def.bonds, stored_bond_json)
+/// Writes a bond's terms, led by its `"id"` when the bond has one (a bond
+/// on the wire does not: the server assigns ids).
+pub fn write_bond(
+    out: &mut String,
+    id: Option<u32>,
+    coupon: f64,
+    maturity: f64,
+    face: f64,
+) -> fmt::Result {
+    out.write_char('{')?;
+    if let Some(id) = id {
+        write!(out, "\"id\":{id},")?;
+    }
+    write!(
+        out,
+        "\"coupon\":{coupon},\"maturity\":{maturity},\"face\":{face}}}"
     )
 }
 
-fn stats_json(s: &TickStats) -> String {
-    format!(
-        "{{\"rate\":{},\"work\":{{\"exec\":{},\"get\":{},\"store\":{},\"choose\":{}}},\"wall_nanos\":{},\"iterations\":{},\"operator\":\"{}\",\"objects\":{},\"hist\":{},\"cpu\":{{\"iterations\":{},\"pct_iterations\":{},\"mae\":{},\"mape\":{}}}}}",
-        num(s.rate),
+fn write_stored_bond(out: &mut String, b: &Bond) -> fmt::Result {
+    write_bond(out, Some(b.id), b.coupon, b.years_to_maturity, b.face)
+}
+
+/// Writes a relation definition (without its catalog id).
+pub fn write_relation_def(out: &mut String, def: &RelationDefRecord) -> fmt::Result {
+    write!(out, "{{\"name\":\"{}\",", Escaped(&def.name))?;
+    if let Some(seed) = def.seed {
+        write!(out, "\"seed\":{seed},")?;
+    }
+    out.write_str("\"bonds\":")?;
+    write_array(out, &def.bonds, write_stored_bond)?;
+    out.write_char('}')
+}
+
+fn write_stats(out: &mut String, s: &TickStats) -> fmt::Result {
+    write!(
+        out,
+        "{{\"rate\":{},\"work\":{{\"exec\":{},\"get\":{},\"store\":{},\"choose\":{}}},\"wall_nanos\":{},\"iterations\":{},\"operator\":\"{}\",\"objects\":{},\"hist\":",
+        Num(s.rate),
         s.work.exec_iter,
         s.work.get_state,
         s.work.store_state,
         s.work.choose_iter,
         u64::try_from(s.wall.as_nanos()).unwrap_or(u64::MAX),
         s.iterations,
-        escape(s.operator),
+        Escaped(s.operator),
         s.objects,
-        array(s.iter_histogram.buckets(), u64::to_string),
+    )?;
+    write_array(out, s.iter_histogram.buckets(), |out, n| write!(out, "{n}"))?;
+    write!(
+        out,
+        ",\"cpu\":{{\"iterations\":{},\"pct_iterations\":{},\"mae\":{},\"mape\":{}}}}}",
         s.cpu_est.iterations,
         s.cpu_est.pct_iterations,
-        num(s.cpu_est.mean_abs_error),
-        num(s.cpu_est.mean_abs_pct_error),
+        Num(s.cpu_est.mean_abs_error),
+        Num(s.cpu_est.mean_abs_pct_error),
     )
 }
 
-/// Serializes calibration state. Cells ride as compact
-/// `[observations, est_sum, actual_sum]` triples; the `"v"` field
+/// Writes the `,"calibration":{..}` tail of a tick record or snapshot
+/// section: nothing while the model is untouched, so an uncalibrated run
+/// writes the bytes a server without calibration would. Cells ride as
+/// compact `[observations, est_sum, actual_sum]` triples; the `"v"` field
 /// versions the object so future layouts can be told apart from this one.
-fn calibration_json(c: &CalibrationState) -> String {
-    format!(
-        "{{\"v\":1,\"cells\":{},\"predicates\":{}}}",
-        array(&c.cells, |cell| format!(
+fn write_calibration_field(out: &mut String, c: Option<&CalibrationState>) -> fmt::Result {
+    let Some(c) = c else {
+        return Ok(());
+    };
+    out.write_str(",\"calibration\":{\"v\":1,\"cells\":")?;
+    write_array(out, &c.cells, |out, cell| {
+        write!(
+            out,
             "[{},{},{}]",
             cell.observations, cell.est_sum, cell.actual_sum
-        )),
-        array(&c.predicates, |(op, constant, pf)| format!(
+        )
+    })?;
+    out.write_str(",\"predicates\":")?;
+    write_array(out, &c.predicates, |out, (op, constant, pf)| {
+        write!(
+            out,
             "{{\"op\":\"{}\",\"constant\":{},\"pass\":{},\"fail\":{}}}",
             cmp_op_str(*op),
-            num(*constant),
+            Num(*constant),
             pf.pass,
             pf.fail
-        ))
-    )
-}
-
-/// The `,"calibration":{..}` tail of a tick record or snapshot section:
-/// empty while the model is untouched, so an uncalibrated run writes the
-/// bytes a server without calibration would.
-fn calibration_field(c: Option<&CalibrationState>) -> String {
-    c.map_or(String::new(), |c| {
-        format!(",\"calibration\":{}", calibration_json(c))
-    })
+        )
+    })?;
+    out.write_char('}')
 }
 
 impl JournalEvent {
-    /// Serializes the event to its single journal line (no newline).
-    #[must_use]
-    pub fn to_line(&self) -> String {
+    /// Writes the event's single journal line (no newline).
+    pub fn write_line(&self, out: &mut String) -> fmt::Result {
         match self {
-            JournalEvent::CreateRelation(r) => format!(
-                "{{\"ev\":\"create_relation\",\"relation\":{},\"def\":{}}}",
-                r.relation,
-                relation_def_json(&r.def)
-            ),
-            JournalEvent::DropRelation { relation } => {
-                format!("{{\"ev\":\"drop_relation\",\"relation\":{relation}}}")
+            JournalEvent::CreateRelation(r) => {
+                write!(
+                    out,
+                    "{{\"ev\":\"create_relation\",\"relation\":{},\"def\":",
+                    r.relation
+                )?;
+                write_relation_def(out, &r.def)?;
             }
-            JournalEvent::AddBond { relation, bond } => format!(
-                "{{\"ev\":\"add_bond\",\"relation\":{relation},\"bond\":{}}}",
-                stored_bond_json(bond)
-            ),
+            JournalEvent::DropRelation { relation } => {
+                write!(out, "{{\"ev\":\"drop_relation\",\"relation\":{relation}")?;
+            }
+            JournalEvent::AddBond { relation, bond } => {
+                write!(
+                    out,
+                    "{{\"ev\":\"add_bond\",\"relation\":{relation},\"bond\":"
+                )?;
+                write_stored_bond(out, bond)?;
+            }
             JournalEvent::Subscribe {
                 relation,
                 session,
                 priority,
                 query,
-            } => format!(
-                "{{\"ev\":\"subscribe\",\"relation\":{relation},\"session\":{session},\"priority\":{priority},\"query\":{}}}",
-                query_json(query)
-            ),
-            JournalEvent::Unsubscribe { relation, session } => {
-                format!("{{\"ev\":\"unsubscribe\",\"relation\":{relation},\"session\":{session}}}")
+            } => {
+                write!(
+                    out,
+                    "{{\"ev\":\"subscribe\",\"relation\":{relation},\"session\":{session},\"priority\":{priority},\"query\":"
+                )?;
+                write_query(out, query)?;
             }
-            JournalEvent::Tick(t) => format!(
-                "{{\"ev\":\"tick\",\"relation\":{},\"tick\":{},\"rate\":{},\"shed\":{},\"budget_exhausted\":{},\"stats\":{},\"sessions\":{},\"answers\":{},\"warm\":{}{}}}",
-                t.relation,
-                t.tick,
-                num(t.rate),
-                t.shed,
-                t.budget_exhausted,
-                stats_json(&t.stats),
-                array(&t.sessions, |s| format!(
-                    "{{\"session\":{},\"final\":{},\"driven\":{}}}",
-                    s.session, s.is_final, s.driven
-                )),
-                answers_json(&t.answers),
-                warm_objects_json(&t.warm),
-                calibration_field(t.calibration.as_ref()),
-            ),
+            JournalEvent::Unsubscribe { relation, session } => {
+                write!(
+                    out,
+                    "{{\"ev\":\"unsubscribe\",\"relation\":{relation},\"session\":{session}"
+                )?;
+            }
+            JournalEvent::Tick(t) => {
+                write!(
+                    out,
+                    "{{\"ev\":\"tick\",\"relation\":{},\"tick\":{},\"rate\":{},\"shed\":{},\"budget_exhausted\":{},\"stats\":",
+                    t.relation,
+                    t.tick,
+                    Num(t.rate),
+                    t.shed,
+                    t.budget_exhausted,
+                )?;
+                write_stats(out, &t.stats)?;
+                out.write_str(",\"sessions\":")?;
+                write_array(out, &t.sessions, |out, s| {
+                    write!(
+                        out,
+                        "{{\"session\":{},\"final\":{},\"driven\":{}}}",
+                        s.session, s.is_final, s.driven
+                    )
+                })?;
+                out.write_str(",\"answers\":")?;
+                write_answers(out, &t.answers)?;
+                out.write_str(",\"warm\":")?;
+                write_warm_objects(out, &t.warm)?;
+                write_calibration_field(out, t.calibration.as_ref())?;
+            }
             JournalEvent::SnapshotMarker { seq } => {
-                format!("{{\"ev\":\"snapshot\",\"seq\":{seq}}}")
+                write!(out, "{{\"ev\":\"snapshot\",\"seq\":{seq}")?;
             }
         }
+        out.write_char('}')
+    }
+
+    /// The event's single journal line (no newline).
+    #[must_use]
+    pub fn to_line(&self) -> String {
+        render(|out| self.write_line(out))
     }
 }
 
-fn relation_snapshot_json(r: &RelationSnapshot) -> String {
-    format!(
-        "{{\"relation\":{},\"def\":{},\"next_session_id\":{},\"ticks\":{},\"shed\":{},\"sessions\":{},\"history\":{},\"warm\":{},\"answers\":{}{}}}",
-        r.relation,
-        relation_def_json(&r.def),
-        r.next_session_id,
-        r.ticks,
-        r.shed,
-        array(&r.sessions, |s| format!(
-            "{{\"session\":{},\"priority\":{},\"finals\":{},\"partials\":{},\"driven\":{},\"query\":{}}}",
-            s.id,
-            s.priority,
-            s.finals,
-            s.partials,
-            s.driven_iterations,
-            query_json(&s.query)
-        )),
-        array(&r.history, stats_json),
-        array(&r.warm, |w| format!(
-            "{{\"rate\":{},\"objects\":{}}}",
-            num(w.rate),
-            warm_objects_json(&w.objects)
-        )),
-        answers_json(&r.answers),
-        calibration_field(r.calibration.as_ref()),
-    )
+fn write_relation_snapshot(out: &mut String, r: &RelationSnapshot) -> fmt::Result {
+    write!(out, "{{\"relation\":{},\"def\":", r.relation)?;
+    write_relation_def(out, &r.def)?;
+    write!(
+        out,
+        ",\"next_session_id\":{},\"ticks\":{},\"shed\":{},\"sessions\":",
+        r.next_session_id, r.ticks, r.shed
+    )?;
+    write_array(out, &r.sessions, |out, s| {
+        write!(
+            out,
+            "{{\"session\":{},\"priority\":{},\"finals\":{},\"partials\":{},\"driven\":{},\"query\":",
+            s.id, s.priority, s.finals, s.partials, s.driven_iterations
+        )?;
+        write_query(out, &s.query)?;
+        out.write_char('}')
+    })?;
+    out.write_str(",\"history\":")?;
+    write_array(out, &r.history, write_stats)?;
+    out.write_str(",\"warm\":")?;
+    write_array(out, &r.warm, |out, w| {
+        write!(out, "{{\"rate\":{},\"objects\":", Num(w.rate))?;
+        write_warm_objects(out, &w.objects)?;
+        out.write_char('}')
+    })?;
+    out.write_str(",\"answers\":")?;
+    write_answers(out, &r.answers)?;
+    write_calibration_field(out, r.calibration.as_ref())?;
+    out.write_char('}')
 }
 
 impl SnapshotRecord {
-    /// Serializes the snapshot to one JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"seq\":{},\"journal_events\":{},\"segment\":{},\"segment_bytes\":{},\"next_relation_id\":{},\"relations\":{}}}",
+    /// Writes the snapshot as one JSON document (no newline).
+    pub fn write_json(&self, out: &mut String) -> fmt::Result {
+        write!(
+            out,
+            "{{\"seq\":{},\"journal_events\":{},\"segment\":{},\"segment_bytes\":{},\"next_relation_id\":{},\"relations\":",
             self.seq,
             self.journal_events,
             self.coverage.segment,
             self.coverage.bytes,
             self.next_relation_id,
-            array(&self.relations, relation_snapshot_json),
-        )
+        )?;
+        write_array(out, &self.relations, write_relation_snapshot)?;
+        out.write_char('}')
+    }
+
+    /// The snapshot as one JSON document (no newline).
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        render(|out| self.write_json(out))
     }
 }
 
@@ -1362,7 +1436,7 @@ mod tests {
             QueryOutput::Count { lo: 37, hi: 41 },
         ];
         for out in &outputs {
-            let text = output_json(out);
+            let text = render(|o| write_output(o, out));
             let back = parse_output(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(&back, out, "{text}");
         }
@@ -1445,7 +1519,7 @@ mod tests {
     #[test]
     fn stats_record_restores_tick_stats() {
         let rec = sample_stats();
-        let stats = parse_stats(&Json::parse(&stats_json(&rec)).unwrap()).unwrap();
+        let stats = parse_stats(&Json::parse(&render(|o| write_stats(o, &rec))).unwrap()).unwrap();
         assert_eq!(stats.operator, "shared_pool");
         assert_eq!(stats.wall, Duration::from_nanos(123_456_789));
         assert_eq!(stats.iter_histogram.buckets(), &[1, 2, 3, 4, 5, 6, 7, 8, 9]);
@@ -1489,8 +1563,9 @@ mod tests {
     #[test]
     fn calibration_state_round_trips_bit_exactly() {
         let cal = sample_calibration();
-        let text = calibration_json(&cal);
-        let back = parse_calibration(&Json::parse(&text).unwrap()).unwrap();
+        let field = render(|o| write_calibration_field(o, Some(&cal)));
+        let text = field.strip_prefix(",\"calibration\":").unwrap();
+        let back = parse_calibration(&Json::parse(text).unwrap()).unwrap();
         assert_eq!(back, cal);
         // The predicate constant is float: assert bit identity explicitly.
         assert_eq!(

@@ -17,10 +17,12 @@
 //! applies, falling back to `"default"`. Responses echo the resolved
 //! relation so multiplexed clients can demux.
 
-use va_persist::json::{array, escape, Json};
+use std::fmt::{self, Write};
+
+use va_persist::json::{render, write_array, Escaped, Json};
 use va_persist::record::{
-    self, bond_json, bounds_fields, finite, finite_field, output_json, parse_bond_terms,
-    parse_cmp_op,
+    self, finite, finite_field, parse_bond_terms, parse_cmp_op, write_bond, write_bounds,
+    write_output,
 };
 use va_stream::Query;
 use vao::ops::selection::CmpOp;
@@ -436,170 +438,264 @@ fn parse_wire_query(doc: &Json) -> Result<WireQuery, String> {
 }
 
 // -------------------------------------------------------------- requests
+//
+// Every line has one writer, `write_*(out, ..)`, appending it to the
+// caller's buffer in one pass through `fmt::Write` (the idiom of the shape
+// writers in `va_persist::record`, which they nest), and a `String` form
+// that renders the writer into a fresh buffer. The front end writes
+// straight into each connection's write buffer.
 
-/// Serializes a [`WireQuery`] to the object shape [`parse_request`]
-/// accepts (omitted SUM weights stay omitted).
-fn wire_query_json(q: &WireQuery) -> String {
+/// Writes a [`WireQuery`] as the object shape [`parse_request`] accepts
+/// (omitted SUM weights stay omitted).
+fn write_wire_query(out: &mut String, q: &WireQuery) -> fmt::Result {
     match q {
         WireQuery::Sum {
             weights: None,
             epsilon,
-        } => format!("{{\"kind\":\"sum\",\"epsilon\":{epsilon}}}"),
-        resolved => record::query_json(&resolved.clone().into_query(0)),
+        } => write!(out, "{{\"kind\":\"sum\",\"epsilon\":{epsilon}}}"),
+        resolved => record::write_query(out, &resolved.clone().into_query(0)),
     }
 }
 
-/// Serializes a [`Request`] to one protocol line that [`parse_request`]
+/// The `,"relation":"..."` tail of a request that names its relation.
+fn write_relation_field(out: &mut String, relation: Option<&String>) -> fmt::Result {
+    match relation {
+        None => Ok(()),
+        Some(name) => write!(out, ",\"relation\":\"{}\"", Escaped(name)),
+    }
+}
+
+fn write_wire_bond(out: &mut String, b: &WireBond) -> fmt::Result {
+    write_bond(out, None, b.coupon, b.maturity, b.face)
+}
+
+/// Writes a [`Request`] as one protocol line that [`parse_request`]
 /// parses back to an equal value — the round-trip contract the protocol
 /// property tests pin down.
-#[must_use]
-pub fn render_request(req: &Request) -> String {
-    let rel = |relation: &Option<String>| match relation {
-        None => String::new(),
-        Some(name) => format!(",\"relation\":\"{}\"", escape(name)),
-    };
+pub fn write_request(out: &mut String, req: &Request) -> fmt::Result {
     match req {
         Request::Subscribe {
             relation,
             query,
             priority,
-        } => format!(
-            "{{\"type\":\"SUBSCRIBE\",\"query\":{},\"priority\":{priority}{}}}",
-            wire_query_json(query),
-            rel(relation)
-        ),
+        } => {
+            out.write_str("{\"type\":\"SUBSCRIBE\",\"query\":")?;
+            write_wire_query(out, query)?;
+            write!(out, ",\"priority\":{priority}")?;
+            write_relation_field(out, relation.as_ref())?;
+        }
         Request::Unsubscribe { relation, session } => {
-            format!(
-                "{{\"type\":\"UNSUBSCRIBE\",\"session\":{session}{}}}",
-                rel(relation)
-            )
+            write!(out, "{{\"type\":\"UNSUBSCRIBE\",\"session\":{session}")?;
+            write_relation_field(out, relation.as_ref())?;
         }
         Request::Resume { relation, session } => {
-            format!(
-                "{{\"type\":\"RESUME\",\"session\":{session}{}}}",
-                rel(relation)
-            )
+            write!(out, "{{\"type\":\"RESUME\",\"session\":{session}")?;
+            write_relation_field(out, relation.as_ref())?;
         }
         Request::Tick { relation, rate } => {
-            format!("{{\"type\":\"TICK\",\"rate\":{rate}{}}}", rel(relation))
+            write!(out, "{{\"type\":\"TICK\",\"rate\":{rate}")?;
+            write_relation_field(out, relation.as_ref())?;
         }
-        Request::Ticks { relation, rates } => format!(
-            "{{\"type\":\"TICKS\",\"rates\":{}{}}}",
-            array(rates, f64::to_string),
-            rel(relation)
-        ),
-        Request::TickMulti { ticks } => format!(
-            "{{\"type\":\"TICK_MULTI\",\"ticks\":{}}}",
-            array(ticks, |(name, rate)| format!(
-                "{{\"relation\":\"{}\",\"rate\":{rate}}}",
-                escape(name)
-            ))
-        ),
-        Request::Stats { relation } => format!("{{\"type\":\"STATS\"{}}}", rel(relation)),
-        Request::CreateRelation { name, spec } => match spec {
-            RelationSpec::Seeded { seed, count } => format!(
-                "{{\"type\":\"CREATE_RELATION\",\"name\":\"{}\",\"seed\":{seed},\"count\":{count}}}",
-                escape(name)
-            ),
-            RelationSpec::Bonds(bonds) => format!(
-                "{{\"type\":\"CREATE_RELATION\",\"name\":\"{}\",\"bonds\":{}}}",
-                escape(name),
-                array(bonds, wire_bond_json)
-            ),
-        },
+        Request::Ticks { relation, rates } => {
+            out.write_str("{\"type\":\"TICKS\",\"rates\":")?;
+            write_array(out, rates, |out, r| write!(out, "{r}"))?;
+            write_relation_field(out, relation.as_ref())?;
+        }
+        Request::TickMulti { ticks } => {
+            out.write_str("{\"type\":\"TICK_MULTI\",\"ticks\":")?;
+            write_array(out, ticks, |out, (name, rate)| {
+                write!(
+                    out,
+                    "{{\"relation\":\"{}\",\"rate\":{rate}}}",
+                    Escaped(name)
+                )
+            })?;
+        }
+        Request::Stats { relation } => {
+            out.write_str("{\"type\":\"STATS\"")?;
+            write_relation_field(out, relation.as_ref())?;
+        }
+        Request::CreateRelation { name, spec } => {
+            write!(
+                out,
+                "{{\"type\":\"CREATE_RELATION\",\"name\":\"{}\"",
+                Escaped(name)
+            )?;
+            match spec {
+                RelationSpec::Seeded { seed, count } => {
+                    write!(out, ",\"seed\":{seed},\"count\":{count}")?;
+                }
+                RelationSpec::Bonds(bonds) => {
+                    out.write_str(",\"bonds\":")?;
+                    write_array(out, bonds, write_wire_bond)?;
+                }
+            }
+        }
         Request::DropRelation { name } => {
-            format!("{{\"type\":\"DROP_RELATION\",\"name\":\"{}\"}}", escape(name))
+            write!(
+                out,
+                "{{\"type\":\"DROP_RELATION\",\"name\":\"{}\"",
+                Escaped(name)
+            )?;
         }
-        Request::AddBond { relation, bond } => format!(
-            "{{\"type\":\"ADD_BOND\",\"bond\":{}{}}}",
-            wire_bond_json(bond),
-            rel(relation)
-        ),
-        Request::Use { name } => format!("{{\"type\":\"USE\",\"name\":\"{}\"}}", escape(name)),
-        Request::Relations => "{\"type\":\"RELATIONS\"}".to_string(),
-        Request::Quit => "{\"type\":\"QUIT\"}".to_string(),
+        Request::AddBond { relation, bond } => {
+            out.write_str("{\"type\":\"ADD_BOND\",\"bond\":")?;
+            write_wire_bond(out, bond)?;
+            write_relation_field(out, relation.as_ref())?;
+        }
+        Request::Use { name } => {
+            write!(out, "{{\"type\":\"USE\",\"name\":\"{}\"", Escaped(name))?;
+        }
+        Request::Relations => out.write_str("{\"type\":\"RELATIONS\"")?,
+        Request::Quit => out.write_str("{\"type\":\"QUIT\"")?,
     }
+    out.write_char('}')
 }
 
-fn wire_bond_json(b: &WireBond) -> String {
-    bond_json(None, b.coupon, b.maturity, b.face)
+/// [`write_request`] into a fresh `String`.
+#[must_use]
+pub fn render_request(req: &Request) -> String {
+    render(|out| write_request(out, req))
 }
 
 // ------------------------------------------------------------- responses
 
-/// `SUBSCRIBED` response line, echoing the resolved relation.
+/// Writes the `SUBSCRIBED` response line, echoing the resolved relation.
+pub fn write_subscribed(out: &mut String, relation: &str, id: SessionId) -> fmt::Result {
+    write!(
+        out,
+        "{{\"type\":\"SUBSCRIBED\",\"relation\":\"{}\",\"session\":{id}}}",
+        Escaped(relation)
+    )
+}
+
+/// [`write_subscribed`] into a fresh `String`.
 #[must_use]
 pub fn subscribed(relation: &str, id: SessionId) -> String {
-    format!(
-        "{{\"type\":\"SUBSCRIBED\",\"relation\":\"{}\",\"session\":{id}}}",
-        escape(relation)
+    render(|out| write_subscribed(out, relation, id))
+}
+
+/// Writes the `UNSUBSCRIBED` response line.
+pub fn write_unsubscribed(out: &mut String, relation: &str, id: u64) -> fmt::Result {
+    write!(
+        out,
+        "{{\"type\":\"UNSUBSCRIBED\",\"relation\":\"{}\",\"session\":{id}}}",
+        Escaped(relation)
     )
 }
 
-/// `UNSUBSCRIBED` response line.
+/// [`write_unsubscribed`] into a fresh `String`.
 #[must_use]
 pub fn unsubscribed(relation: &str, id: u64) -> String {
-    format!(
-        "{{\"type\":\"UNSUBSCRIBED\",\"relation\":\"{}\",\"session\":{id}}}",
-        escape(relation)
+    render(|out| write_unsubscribed(out, relation, id))
+}
+
+/// Writes the `CREATED` response line after `CREATE_RELATION`.
+pub fn write_created(out: &mut String, relation: &str, id: u64, bonds: usize) -> fmt::Result {
+    write!(
+        out,
+        "{{\"type\":\"CREATED\",\"relation\":\"{}\",\"id\":{id},\"bonds\":{bonds}}}",
+        Escaped(relation)
     )
 }
 
-/// `CREATED` response line after `CREATE_RELATION`.
+/// [`write_created`] into a fresh `String`.
 #[must_use]
 pub fn created(relation: &str, id: u64, bonds: usize) -> String {
-    format!(
-        "{{\"type\":\"CREATED\",\"relation\":\"{}\",\"id\":{id},\"bonds\":{bonds}}}",
-        escape(relation)
+    render(|out| write_created(out, relation, id, bonds))
+}
+
+/// Writes the `DROPPED` response line after `DROP_RELATION`.
+pub fn write_dropped(out: &mut String, relation: &str, id: u64) -> fmt::Result {
+    write!(
+        out,
+        "{{\"type\":\"DROPPED\",\"relation\":\"{}\",\"id\":{id}}}",
+        Escaped(relation)
     )
 }
 
-/// `DROPPED` response line after `DROP_RELATION`.
+/// [`write_dropped`] into a fresh `String`.
 #[must_use]
 pub fn dropped(relation: &str, id: u64) -> String {
-    format!(
-        "{{\"type\":\"DROPPED\",\"relation\":\"{}\",\"id\":{id}}}",
-        escape(relation)
+    render(|out| write_dropped(out, relation, id))
+}
+
+/// Writes the `BOND_ADDED` response line after `ADD_BOND`.
+pub fn write_bond_added(out: &mut String, relation: &str, bond: u32, bonds: usize) -> fmt::Result {
+    write!(
+        out,
+        "{{\"type\":\"BOND_ADDED\",\"relation\":\"{}\",\"bond\":{bond},\"bonds\":{bonds}}}",
+        Escaped(relation)
     )
 }
 
-/// `BOND_ADDED` response line after `ADD_BOND`.
+/// [`write_bond_added`] into a fresh `String`.
 #[must_use]
 pub fn bond_added(relation: &str, bond: u32, bonds: usize) -> String {
-    format!(
-        "{{\"type\":\"BOND_ADDED\",\"relation\":\"{}\",\"bond\":{bond},\"bonds\":{bonds}}}",
-        escape(relation)
+    render(|out| write_bond_added(out, relation, bond, bonds))
+}
+
+/// Writes the `USING` response line after `USE`.
+pub fn write_using(out: &mut String, relation: &str) -> fmt::Result {
+    write!(
+        out,
+        "{{\"type\":\"USING\",\"relation\":\"{}\"}}",
+        Escaped(relation)
     )
 }
 
-/// `USING` response line after `USE`.
+/// [`write_using`] into a fresh `String`.
 #[must_use]
 pub fn using(relation: &str) -> String {
-    format!(
-        "{{\"type\":\"USING\",\"relation\":\"{}\"}}",
-        escape(relation)
-    )
+    render(|out| write_using(out, relation))
 }
 
-/// `RELATIONS` response line listing the catalog.
-#[must_use]
-pub fn relations(catalog: &Catalog) -> String {
-    format!(
-        "{{\"type\":\"RELATIONS\",\"relations\":{}}}",
-        array(catalog.tenants(), |t| format!(
+/// Writes the `RELATIONS` response line listing the catalog.
+pub fn write_relations(out: &mut String, catalog: &Catalog) -> fmt::Result {
+    out.write_str("{\"type\":\"RELATIONS\",\"relations\":")?;
+    write_array(out, catalog.tenants(), |out, t| {
+        write!(
+            out,
             "{{\"name\":\"{}\",\"id\":{},\"bonds\":{},\"sessions\":{},\"ticks\":{}}}",
-            escape(t.name()),
+            Escaped(t.name()),
             t.id().0,
             t.relation().len(),
             t.sessions().sessions().len(),
             t.ticks()
-        ))
-    )
+        )
+    })?;
+    out.write_char('}')
 }
 
-/// `RESUMED` response line: the session's registration, its lifetime
-/// counters, the relation's tick counter, and — when the session has been
-/// answered at least once — its most recent answer.
+/// [`write_relations`] into a fresh `String`.
+#[must_use]
+pub fn relations(catalog: &Catalog) -> String {
+    render(|out| write_relations(out, catalog))
+}
+
+/// Writes the `RESUMED` response line: the session's registration, its
+/// lifetime counters, the relation's tick counter, and — when the session
+/// has been answered at least once — its most recent answer.
+pub fn write_resumed(
+    out: &mut String,
+    relation: &str,
+    sess: &crate::session::Session,
+    tick: u64,
+    answer: Option<&Answer>,
+) -> fmt::Result {
+    write!(
+        out,
+        "{{\"type\":\"RESUMED\",\"relation\":\"{}\",\"session\":{},\"operator\":\"{}\",\"priority\":{},\"finals\":{},\"partials\":{},\"tick\":{}",
+        Escaped(relation), sess.id, sess.query.operator_name(), sess.priority, sess.finals, sess.partials, tick
+    )?;
+    if let Some(a) = answer {
+        out.write_str(",\"answer\":")?;
+        record::write_answer(out, a)?;
+    }
+    out.write_char('}')
+}
+
+/// [`write_resumed`] into a fresh `String`.
 #[must_use]
 pub fn resumed(
     relation: &str,
@@ -607,67 +703,98 @@ pub fn resumed(
     tick: u64,
     answer: Option<&Answer>,
 ) -> String {
-    let answer_field = answer.map_or(String::new(), |a| {
-        format!(",\"answer\":{}", record::answer_json(a))
-    });
-    format!(
-        "{{\"type\":\"RESUMED\",\"relation\":\"{}\",\"session\":{},\"operator\":\"{}\",\"priority\":{},\"finals\":{},\"partials\":{},\"tick\":{}{answer_field}}}",
-        escape(relation), sess.id, sess.query.operator_name(), sess.priority, sess.finals, sess.partials, tick
+    render(|out| write_resumed(out, relation, sess, tick, answer))
+}
+
+/// Writes the `ERROR` response line.
+pub fn write_error(out: &mut String, message: &str) -> fmt::Result {
+    write!(
+        out,
+        "{{\"type\":\"ERROR\",\"message\":\"{}\"}}",
+        Escaped(message)
     )
 }
 
-/// `ERROR` response line.
+/// [`write_error`] into a fresh `String`.
 #[must_use]
 pub fn error(message: &str) -> String {
-    format!("{{\"type\":\"ERROR\",\"message\":\"{}\"}}", escape(message))
+    render(|out| write_error(out, message))
 }
 
-/// `BYE` response line (connection closing).
+/// Writes the `BYE` response line (connection closing).
+pub fn write_bye(out: &mut String) -> fmt::Result {
+    out.write_str("{\"type\":\"BYE\"}")
+}
+
+/// [`write_bye`] into a fresh `String`.
 #[must_use]
 pub fn bye() -> String {
-    "{\"type\":\"BYE\"}".to_string()
+    render(write_bye)
 }
 
-/// The session-independent fragment of a `RESULT` line: everything after
-/// the `"session"` field. The broadcast fan-out serializes this once per
+/// Writes the session-independent fragment of a `RESULT` line: everything
+/// after the `"session"` field. The broadcast fan-out writes this once per
 /// (relation, tick, query shape) group and wraps it per session with
-/// [`result_line`], so N subscribers on one shape cost one
+/// [`write_result_line`], so N subscribers on one shape cost one
 /// serialization, not N.
-#[must_use]
-pub fn result_payload(relation: &str, tick: u64, rate: f64, answer: &Answer) -> String {
-    let rel = escape(relation);
+pub fn write_result_payload(
+    out: &mut String,
+    relation: &str,
+    tick: u64,
+    rate: f64,
+    answer: &Answer,
+) -> fmt::Result {
+    write!(
+        out,
+        "\"relation\":\"{}\",\"tick\":{tick},\"rate\":{rate},",
+        Escaped(relation)
+    )?;
     match answer {
-        Answer::Final(out) => format!(
-            "\"relation\":\"{rel}\",\"tick\":{tick},\"rate\":{rate},\"status\":\"final\",\"output\":{}",
-            output_json(out)
-        ),
-        Answer::Partial { bounds } => format!(
-            "\"relation\":\"{rel}\",\"tick\":{tick},\"rate\":{rate},\"status\":\"partial\",\"bounds\":{{{}}}",
-            bounds_fields(bounds)
-        ),
+        Answer::Final(output) => {
+            out.write_str("\"status\":\"final\",\"output\":")?;
+            write_output(out, output)
+        }
+        Answer::Partial { bounds } => {
+            out.write_str("\"status\":\"partial\",\"bounds\":{")?;
+            write_bounds(out, bounds)?;
+            out.write_char('}')
+        }
     }
 }
 
-/// Wraps a [`result_payload`] fragment into one session's `RESULT` line.
+/// [`write_result_payload`] into a fresh `String`.
 #[must_use]
-pub fn result_line(session: SessionId, payload: &str) -> String {
-    format!("{{\"type\":\"RESULT\",\"session\":{session},{payload}}}")
+pub fn result_payload(relation: &str, tick: u64, rate: f64, answer: &Answer) -> String {
+    render(|out| write_result_payload(out, relation, tick, rate, answer))
+}
+
+/// Writes one session's `RESULT` line around a [`write_result_payload`]
+/// fragment.
+pub fn write_result_line(out: &mut String, session: SessionId, payload: &str) -> fmt::Result {
+    write!(out, "{{\"type\":\"RESULT\",\"session\":{session},")?;
+    out.write_str(payload)?;
+    out.write_char('}')
 }
 
 /// One `RESULT` line for one session's answer on one tick — the
-/// composition of [`result_payload`] and [`result_line`], byte-identical
-/// to what the broadcast path emits.
+/// composition of [`write_result_payload`] and [`write_result_line`],
+/// byte-identical to what the broadcast path emits.
 #[must_use]
 pub fn result(relation: &str, tick: u64, rate: f64, session: SessionId, answer: &Answer) -> String {
-    result_line(session, &result_payload(relation, tick, rate, answer))
+    render(|out| write_result_line(out, session, &result_payload(relation, tick, rate, answer)))
 }
 
-/// `TICK_DONE` trailer after a tick's `RESULT` lines.
-#[must_use]
-pub fn tick_done(relation: &str, res: &TickResult, shed: u64) -> String {
-    format!(
+/// Writes the `TICK_DONE` trailer after a tick's `RESULT` lines.
+pub fn write_tick_done(
+    out: &mut String,
+    relation: &str,
+    res: &TickResult,
+    shed: u64,
+) -> fmt::Result {
+    write!(
+        out,
         "{{\"type\":\"TICK_DONE\",\"relation\":\"{}\",\"tick\":{},\"rate\":{},\"work_units\":{},\"iterations\":{},\"budget_exhausted\":{},\"shed\":{shed}}}",
-        escape(relation),
+        Escaped(relation),
         res.tick,
         res.rate,
         res.stats.total_work(),
@@ -676,28 +803,44 @@ pub fn tick_done(relation: &str, res: &TickResult, shed: u64) -> String {
     )
 }
 
-/// `STATS` response line summarizing one relation's run so far.
+/// [`write_tick_done`] into a fresh `String`.
 #[must_use]
-pub fn stats(tenant: &Tenant) -> String {
+pub fn tick_done(relation: &str, res: &TickResult, shed: u64) -> String {
+    render(|out| write_tick_done(out, relation, res, shed))
+}
+
+/// Writes the `STATS` response line summarizing one relation's run so far.
+pub fn write_stats(out: &mut String, tenant: &Tenant) -> fmt::Result {
     let summary = tenant.summary();
     // Calibration progress rides STATS so an operator (and the CI smoke
     // test) can confirm a recovered server kept its learned model without
     // reading the journal: observation count and the pooled actual/claimed
     // cost ratio in ppm (1e6 = identity/cold).
-    format!(
-        "{{\"type\":\"STATS\",\"relation\":\"{}\",\"ticks\":{},\"shed_ticks\":{},\"work_units\":{},\"iterations\":{},\"calibration\":{{\"observations\":{},\"gain_ppm\":{}}},\"sessions\":{}}}",
-        escape(tenant.name()),
+    write!(
+        out,
+        "{{\"type\":\"STATS\",\"relation\":\"{}\",\"ticks\":{},\"shed_ticks\":{},\"work_units\":{},\"iterations\":{},\"calibration\":{{\"observations\":{},\"gain_ppm\":{}}},\"sessions\":",
+        Escaped(tenant.name()),
         summary.ticks,
         tenant.shed(),
         summary.work.total(),
         summary.iterations,
         tenant.calibration_observations(),
         tenant.calibration_gain_ppm(),
-        array(tenant.sessions().sessions(), |s| format!(
+    )?;
+    write_array(out, tenant.sessions().sessions(), |out, s| {
+        write!(
+            out,
             "{{\"session\":{},\"operator\":\"{}\",\"priority\":{},\"finals\":{},\"partials\":{},\"driven_iterations\":{}}}",
             s.id, s.query.operator_name(), s.priority, s.finals, s.partials, s.driven_iterations
-        ))
-    )
+        )
+    })?;
+    out.write_char('}')
+}
+
+/// [`write_stats`] into a fresh `String`.
+#[must_use]
+pub fn stats(tenant: &Tenant) -> String {
+    render(|out| write_stats(out, tenant))
 }
 
 #[cfg(test)]
@@ -1051,7 +1194,7 @@ mod tests {
             let payload = result_payload("default", 7, 0.0584, answer);
             for session in [SessionId(1), SessionId(40)] {
                 assert_eq!(
-                    result_line(session, &payload),
+                    render(|out| write_result_line(out, session, &payload)),
                     result("default", 7, 0.0584, session, answer),
                     "broadcast wrap must stay byte-identical to the direct line"
                 );
@@ -1088,6 +1231,7 @@ mod tests {
 
     #[test]
     fn responses_are_single_line_json() {
+        let output = |o: &QueryOutput| render(|out| write_output(out, o));
         let lines = [
             subscribed("default", SessionId(7)),
             unsubscribed("default", 7),
@@ -1106,18 +1250,18 @@ mod tests {
                     bounds: Bounds::new(1.0, 2.0),
                 },
             ),
-            output_json(&QueryOutput::Extreme {
+            output(&QueryOutput::Extreme {
                 bond_id: 5,
                 bounds: Bounds::new(99.0, 99.5),
                 ties: vec![6, 7],
             }),
-            output_json(&QueryOutput::Ranked {
+            output(&QueryOutput::Ranked {
                 members: vec![(1, Bounds::new(2.0, 3.0))],
                 ties: vec![],
             }),
-            output_json(&QueryOutput::Selected(vec![1, 2])),
-            output_json(&QueryOutput::Count { lo: 2, hi: 4 }),
-            output_json(&QueryOutput::Heavy {
+            output(&QueryOutput::Selected(vec![1, 2])),
+            output(&QueryOutput::Count { lo: 2, hi: 4 }),
+            output(&QueryOutput::Heavy {
                 cells: vec![vao::ops::heavy::HeavyCell { cell: -3, count: 7 }],
                 ties: vec![-2, 5],
             }),

@@ -471,37 +471,44 @@ impl Server {
 
     /// The one write path, in-memory and durable alike. Every method that
     /// changes tenant state validates its request, builds the
-    /// [`JournalEvent`] that records the outcome, and hands it here: the
-    /// event is journaled (and fsync'd) when the server is durable, then
-    /// applied by [`Catalog::apply`] — the function recovery replays the
-    /// journal through — and a definition event rewrites the metadata
-    /// cache. Write-ahead order: a failed append leaves the catalog exactly
-    /// as the journal describes it, and a crash between the append and the
-    /// metadata rewrite leaves a stale cache that the next open heals.
+    /// [`JournalEvent`]s that record the outcome, and hands them here: the
+    /// events are journaled as one group (one write, one `fdatasync`) when
+    /// the server is durable, then applied in order by [`Catalog::apply`] —
+    /// the function recovery replays the journal through — and a
+    /// definition event rewrites the metadata cache. Write-ahead order: a
+    /// failed append rolls the whole group back and leaves the catalog
+    /// exactly as the journal describes it, and a crash between the append
+    /// and the metadata rewrite leaves a stale cache that the next open
+    /// heals.
     ///
     /// Stops short of the snapshot check ([`Server::commit`] adds it): a
     /// bootstrap writes its one journal line whatever `snapshot_every`, and
-    /// a multi-relation tick checks once, after its last relation.
-    fn journal_and_apply(&mut self, event: JournalEvent) -> Result<(), ServerError> {
-        let defines = matches!(
-            event,
-            JournalEvent::CreateRelation(_)
-                | JournalEvent::DropRelation { .. }
-                | JournalEvent::AddBond { .. }
-        );
+    /// a multi-relation tick checks once, after its group.
+    fn journal_and_apply(&mut self, events: Vec<JournalEvent>) -> Result<(), ServerError> {
+        let defines = events.iter().any(|event| {
+            matches!(
+                event,
+                JournalEvent::CreateRelation(_)
+                    | JournalEvent::DropRelation { .. }
+                    | JournalEvent::AddBond { .. }
+            )
+        });
         if let Some(d) = &mut self.durability {
-            d.store.append(&event)?;
+            d.store.append_all(&events)?;
         }
-        self.catalog.apply(event)?;
+        for event in events {
+            self.catalog.apply(event)?;
+        }
         if defines {
             self.rewrite_meta()?;
         }
         Ok(())
     }
 
-    /// [`Server::journal_and_apply`], then a snapshot if one is due.
+    /// [`Server::journal_and_apply`] of one event, then a snapshot if one
+    /// is due.
     fn commit(&mut self, event: JournalEvent) -> Result<(), ServerError> {
-        self.journal_and_apply(event)?;
+        self.journal_and_apply(vec![event])?;
         self.maybe_snapshot()
     }
 
@@ -529,7 +536,7 @@ impl Server {
             return Ok(false);
         }
         let (_, event) = self.create_event(DEFAULT_RELATION, None, &relation)?;
-        self.journal_and_apply(event)?;
+        self.journal_and_apply(vec![event])?;
         Ok(true)
     }
 
@@ -722,17 +729,18 @@ impl Server {
             self.durability.is_some(),
             observer,
         )?;
-        let result = self.commit_tick(idx, exec)?;
+        let (result, event) = self.tick_record(idx, exec);
+        self.journal_and_apply(vec![event])?;
         self.maybe_snapshot()?;
         Ok(result)
     }
 
-    /// Commits one executed tick: builds the tick record from the tenant's
-    /// counters and the execution's outcome and sends it down the one write
-    /// path, so nothing of the tenant — session counters, cost model, warm
-    /// state, history — moves unless the record is journaled first. The
-    /// snapshot check is the caller's (a multi-relation tick checks once).
-    fn commit_tick(&mut self, idx: usize, exec: TickExec) -> Result<TickResult, ServerError> {
+    /// The tick record of one executed tick, built from the tenant's
+    /// counters and the execution's outcome, and the result it answers
+    /// with. Nothing of the tenant — session counters, cost model, warm
+    /// state, history — moves until the record goes down the one write
+    /// path ([`Server::journal_and_apply`]) and is journaled first.
+    fn tick_record(&self, idx: usize, exec: TickExec) -> (TickResult, JournalEvent) {
         let TickExec {
             outcome,
             stats,
@@ -764,8 +772,7 @@ impl Server {
             warm,
             calibration: calibration_state(model, predicates),
         }));
-        self.journal_and_apply(event)?;
-        Ok(result)
+        (result, event)
     }
 
     /// Processes one tick across several relations under **one** work
@@ -781,8 +788,13 @@ impl Server {
     /// results are bit-identical to the sequential path, and to N isolated
     /// single-relation servers given the same per-relation budgets.
     ///
-    /// Journal appends happen after execution, in the caller's tick order,
-    /// so the journal stays deterministic regardless of sharding.
+    /// The relations' tick records are **group-committed** after
+    /// execution: journaled in the caller's tick order with one write and
+    /// one `fdatasync` for the whole group, then applied in that order, so
+    /// the journal stays deterministic regardless of sharding and no reply
+    /// precedes durability. The request is all or nothing: when a relation
+    /// fails to execute, or the group's append fails (and is rolled back),
+    /// no relation advances.
     pub fn tick_multi(&mut self, ticks: &[(&str, f64)]) -> Result<Vec<TickResult>, ServerError> {
         // This path has no observer to hand queued compactions to; they are
         // dropped here, as a single-relation tick drains them, so a server
@@ -874,12 +886,15 @@ impl Server {
             shards.into_iter().flatten().collect()
         };
 
-        // Commit in the caller's tick order: journal appends, then tenant
-        // state, one relation at a time.
-        let mut out = Vec::with_capacity(ticks.len());
-        for (exec, &idx) in execs.into_iter().zip(&indices) {
-            out.push(self.commit_tick(idx, exec?)?);
-        }
+        // One group in the caller's tick order: every record is built
+        // before any is journaled, and every tenant moves after all are.
+        let execs = execs.into_iter().collect::<Result<Vec<TickExec>, _>>()?;
+        let (out, events): (Vec<TickResult>, Vec<JournalEvent>) = execs
+            .into_iter()
+            .zip(&indices)
+            .map(|(exec, &idx)| self.tick_record(idx, exec))
+            .unzip();
+        self.journal_and_apply(events)?;
         self.maybe_snapshot()?;
         Ok(out)
     }
@@ -920,7 +935,7 @@ impl Server {
         let seq = d.store.next_snapshot_seq();
         // Marker first: the snapshot's event count then covers the marker
         // itself, and recovery's replay tail is empty after a clean write.
-        self.journal_and_apply(JournalEvent::SnapshotMarker { seq })?;
+        self.journal_and_apply(vec![JournalEvent::SnapshotMarker { seq }])?;
         let d = self.durability.as_mut().expect("checked durable above");
         let snap = SnapshotRecord {
             seq,
@@ -978,8 +993,8 @@ impl Server {
 }
 
 /// Everything [`execute_tenant_tick`] produced. Nothing of the tenant has
-/// moved yet: that is [`Server::commit_tick`]'s job, on both the single- and
-/// the multi-relation tick path.
+/// moved yet: [`Server::tick_record`] turns it into the record that moves
+/// it, on both the single- and the multi-relation tick path.
 struct TickExec {
     outcome: sched::TickOutcome,
     stats: TickStats,
@@ -2243,7 +2258,8 @@ mod tests {
         assert_eq!(tenant.registry.sessions(), fresh);
         assert!(tenant.calibrator.is_cold() && tenant.predicates.is_empty());
         assert_eq!((tenant.ticks, tenant.history.len()), (0, 0));
-        srv.commit_tick(0, exec).unwrap();
+        let (_, event) = srv.tick_record(0, exec);
+        srv.journal_and_apply(vec![event]).unwrap();
         // Committed: the state an ordinary tick leaves.
         let mut twin = build();
         twin.tick(rate).unwrap();

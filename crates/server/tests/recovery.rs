@@ -597,3 +597,83 @@ fn multi_relation_catalog_recovers_every_tenant_bit_identically() {
     std::fs::remove_dir_all(&golden_dir).ok();
     std::fs::remove_dir_all(&crash_dir).ok();
 }
+
+/// Group commit: a multi-relation tick is one journal write of one record
+/// per relation. A crash can tear that write anywhere, so cut the journal
+/// at every byte offset inside the last group and reopen: recovery must
+/// replay exactly the whole records before the cut (the group's leading
+/// relations advance, a torn one does not), report the torn bytes, and
+/// answer the next multi-relation tick.
+#[test]
+fn a_torn_tick_multi_group_recovers_its_whole_records() {
+    let dir = scratch_dir("group");
+    let open_catalog = |dir: &std::path::Path| {
+        Server::open_durable_catalog(BondPricer::default(), ServerConfig::default(), dir)
+            .expect("open catalog server")
+    };
+    let mut srv = open_catalog(&dir);
+    for (name, bonds, seed) in [("alpha", 3, SEED), ("beta", 2, 7)] {
+        srv.create_relation(
+            name,
+            BondRelation::from_universe(&BondUniverse::generate(bonds, seed)),
+            Some(seed),
+        )
+        .expect("create");
+        srv.subscribe_to(name, Query::Max { epsilon: 0.5 }, 1)
+            .expect("subscribe");
+    }
+    srv.tick_multi(&[("alpha", RATE), ("beta", RATE)])
+        .expect("first group");
+    let journal = dir.join("journal-1.jsonl");
+    let group_start = std::fs::metadata(&journal).expect("journal").len() as usize;
+    srv.tick_multi(&[("alpha", 0.0601), ("beta", 0.0601)])
+        .expect("last group");
+    drop(srv); // crash: no shutdown, no snapshot
+    assert!(
+        !dir.join("journal-2.jsonl").exists(),
+        "no snapshot rotated the journal"
+    );
+
+    let bytes = std::fs::read(&journal).expect("read journal");
+    let group = &bytes[group_start..];
+    assert_eq!(
+        group.iter().filter(|&&b| b == b'\n').count(),
+        2,
+        "one record per relation"
+    );
+    let first_end = group_start + group.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let meta = std::fs::read(dir.join("meta.json")).expect("read meta");
+    for cut in group_start..bytes.len() {
+        let torn = scratch_dir("group-cut");
+        std::fs::create_dir_all(&torn).expect("mkdir");
+        std::fs::write(torn.join("meta.json"), &meta).expect("copy meta");
+        std::fs::write(torn.join("journal-1.jsonl"), &bytes[..cut]).expect("cut journal");
+
+        let mut recovered = open_catalog(&torn);
+        let rec = recovered.last_recovery().expect("recovery record");
+        let whole = bytes[..cut].iter().filter(|&&b| b == b'\n').count() as u64;
+        assert_eq!(rec.replayed_events, whole, "cut at byte {cut}");
+        let last_end = bytes[..cut]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |p| p + 1);
+        assert_eq!(
+            rec.truncated_bytes,
+            (cut - last_end) as u64,
+            "cut at byte {cut}"
+        );
+        let ticks = |name: &str| recovered.catalog().by_name(name).expect(name).ticks();
+        let alpha_ticks = if cut >= first_end { 2 } else { 1 };
+        assert_eq!(ticks("alpha"), alpha_ticks, "cut at byte {cut}");
+        assert_eq!(ticks("beta"), 1, "cut at byte {cut}");
+
+        let next = recovered
+            .tick_multi(&[("alpha", RATE), ("beta", RATE)])
+            .expect("the next group after recovery");
+        assert_eq!(next[0].tick, alpha_ticks + 1);
+        assert_eq!(next[1].tick, 2);
+        drop(recovered);
+        std::fs::remove_dir_all(&torn).ok();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
