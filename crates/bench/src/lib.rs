@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod compare;
 pub mod experiments;
 pub mod report;
 pub mod setup;

@@ -11,9 +11,12 @@
 #   4. cargo test -p va-server  -- the server crate's own suite, explicitly,
 #                                  plus the batched-scheduler determinism,
 #                                  crash-recovery, emitted-and-decoded-bytes
-#                                  (codec_bytes), per-round demand-list
-#                                  (demand_bits) and empty-relation tests by
-#                                  name (a golden must never be filtered out)
+#                                  (codec_bytes), group-commit (a failed
+#                                  group sync or rollback, a torn
+#                                  TICK_MULTI group at every byte),
+#                                  per-round demand-list (demand_bits) and
+#                                  empty-relation tests by name (a golden
+#                                  must never be filtered out)
 #   5. va-server --smoke        -- loopback TCP exchange of the line protocol,
 #                                  serial and again with --workers 4; after
 #                                  RELATIONS it sends the three one-line
@@ -122,11 +125,15 @@ cargo test --workspace -q
 echo "==> cargo test -p va-server -q"
 cargo test -p va-server -q
 
-echo "==> batched-scheduler determinism + crash-recovery + codec-bytes + demand-bits + empty-relation tests"
+echo "==> batched-scheduler determinism + crash-recovery + codec-bytes + group-commit + demand-bits + empty-relation tests"
 cargo test -q -p va-server --test parallel_determinism
 cargo test -q -p va-server --test recovery
 cargo test -q -p va-server --test compaction
 cargo test -q -p va-server --test codec_bytes
+cargo test -q -p va-persist --lib journal::tests::a_group_is_one_write_of_the_bytes_single_appends_write
+cargo test -q -p va-persist --lib journal::tests::a_failed_group_sync_leaves_no_byte_of_the_group
+cargo test -q -p va-persist --lib journal::tests::a_failed_group_rollback_poisons_the_journal
+cargo test -q -p va-server --test recovery a_torn_tick_multi_group_recovers_its_whole_records
 cargo test -q -p va-server --test demand_bits
 cargo test -q -p va-server --lib demand::tests::empty_pool_yields_typed_errors_not_panics
 
