@@ -116,6 +116,12 @@ impl ParabolicPde for BondPde {
     fn x_query(&self) -> f64 {
         self.current_rate
     }
+
+    // Every coefficient, the source, the terminal condition and the domain
+    // read only the bond and the model: the current rate is the query
+    // point and nothing else, so a bond's column at a mesh serves every
+    // rate.
+    const QUERY_FREE_COLUMN: bool = true;
 }
 
 #[cfg(test)]

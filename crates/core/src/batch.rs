@@ -119,6 +119,21 @@ pub trait BatchLane {
     /// impossible).
     fn lane_shape(&self) -> Option<GridShape>;
 
+    /// Whether this lane's finished `state` plane is independent of the
+    /// point the object's value is read at, so a state solved for one
+    /// evaluation may be committed, through [`lane_commit`], for another
+    /// evaluation of the same function at the same shape. (For the PDE
+    /// objects: the `t = 0` column does not depend on the query point,
+    /// which enters only when the commit interpolates.) A dispatcher may
+    /// then keep a lane's finished state and commit a later refinement at
+    /// that shape from it without solving; the commit charges exactly what
+    /// the solve would have. Default `false`: no state is ever reused.
+    ///
+    /// [`lane_commit`]: BatchLane::lane_commit
+    fn column_reusable(&self) -> bool {
+        false
+    }
+
     /// Writes everything the solve needs from this lane, all of it
     /// independent of the time step: the system coefficients into the
     /// `sub`/`diag`/`sup` band planes, the per-step source term (already

@@ -44,6 +44,25 @@ pub fn step_batch(
     lanes: &mut [&mut dyn BatchLane],
     meters: &mut [WorkMeter],
 ) -> Vec<Bounds> {
+    step_batch_keeping(shape, lanes, meters, None)
+}
+
+/// [`step_batch`], also lending `keep` the finished `t = 0` column of
+/// every lane that solved (no [`LaneFailure`]) and reports
+/// [`BatchLane::column_reusable`], as `(lane index, column)` with the
+/// column's `shape.rows()` entries dense. Committing that column later
+/// with `lane_commit(shape, &column, 1, 0, None, meter)` is what the
+/// lane's commit here did, bit for bit: same interpolation, same charges.
+///
+/// # Panics
+///
+/// Panics if `lanes` and `meters` have different lengths.
+pub fn step_batch_keeping(
+    shape: GridShape,
+    lanes: &mut [&mut dyn BatchLane],
+    meters: &mut [WorkMeter],
+    mut keep: Option<&mut dyn FnMut(usize, Box<[f64]>)>,
+) -> Vec<Bounds> {
     assert_eq!(lanes.len(), meters.len(), "one meter per lane");
     let k = lanes.len();
     if k == 0 {
@@ -73,6 +92,11 @@ pub fn step_batch(
         .enumerate()
         .map(|(idx, (lane, meter))| {
             let failure = solver.first_bad_row(idx).map(|row| LaneFailure { row });
+            if let Some(keep) = keep.as_deref_mut() {
+                if failure.is_none() && lane.column_reusable() {
+                    keep(idx, (0..rows).map(|i| state[i * k + idx]).collect());
+                }
+            }
             lane.lane_commit(shape, &state, k, idx, failure, meter)
         })
         .collect()

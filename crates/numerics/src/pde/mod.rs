@@ -15,7 +15,10 @@
 //! [`::vao::ResultObject`] whose `iterate()` halves whichever step size the
 //! error model blames most. [`batch`] advances many such objects whose next
 //! refinements share a grid shape in lockstep, as lanes of one
-//! struct-of-arrays sweep, bit-identically to their scalar iterations.
+//! struct-of-arrays sweep, bit-identically to their scalar iterations, and
+//! can lend back each lane's finished `t = 0` column: for a problem marked
+//! [`ParabolicPde::QUERY_FREE_COLUMN`] that column is the same at every
+//! query point, so a later refinement at the same mesh can commit from it.
 
 pub mod batch;
 pub mod extrapolation;
@@ -23,7 +26,7 @@ pub mod problem;
 pub mod solver;
 pub mod vao;
 
-pub use batch::step_batch;
+pub use batch::{step_batch, step_batch_keeping};
 pub use extrapolation::{StepKind, TwoTermErrorModel};
 pub use problem::ParabolicPde;
 pub use solver::{solve_on_mesh, MeshSolution, SolverConfig};

@@ -421,6 +421,10 @@ impl<P: ParabolicPde> BatchLane for PdeResultObject<P> {
         Some(GridShape { nt, nx })
     }
 
+    fn column_reusable(&self) -> bool {
+        P::QUERY_FREE_COLUMN
+    }
+
     fn lane_init(
         &self,
         shape: GridShape,

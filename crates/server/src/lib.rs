@@ -49,7 +49,7 @@ pub use catalog::{Catalog, RelationId, Tenant, DEFAULT_RELATION};
 pub use error::ServerError;
 pub use net::{FrontEnd, FrontEndConfig, FrontEndStats};
 pub use pool::SharedPool;
-pub use sched::arbitrate_budget;
+pub use sched::{arbitrate_budget, ColumnStats, COLUMN_STORE_BYTES};
 #[doc(hidden)]
 pub use sched::{audited_tick, RoundAudit};
 pub use server::{

@@ -75,7 +75,13 @@
 #                                  tests (a singular slot fails alone, the
 #                                  cell cap fails every slot, as scalar) and
 #                                  the per-tick invoke pinned as literals
-#                                  (tests/invoke_bits.rs); beside them,
+#                                  (tests/invoke_bits.rs); the column
+#                                  contract (tests/column_bits.rs: a kept
+#                                  column commits like a fresh solve) and
+#                                  the store's invisibility (crates/server/
+#                                  tests/column_store.rs: long-lived ==
+#                                  fresh ticks, recovered == uninterrupted
+#                                  ticks and journal); beside them,
 #                                  by name, the operator goldens of
 #                                  tests/ops_bits.rs (every vao::ops operator's
 #                                  answer, iterations, work components, final
@@ -450,6 +456,11 @@ cargo test -q -p va-numerics --lib pde::batch::tests::singular_lane_caps_alone_a
 # the 500-bond cold and warm invokes pinned as literals.
 cargo test -q -p va-numerics --lib pde::batch::tests::trio_lanes_
 cargo test -q -p vao-repro --test invoke_bits
+# Kept columns: a column lane-solved at one rate commits like a fresh solve
+# at another, only marked problems lend one, and a server that keeps them
+# ticks like a fresh server and recovers like the uninterrupted run.
+cargo test -q -p vao-repro --test column_bits
+cargo test -q -p va-server --test column_store
 
 echo "==> benchmark package gate (fmt, clippy, unit tests, run --quick)"
 benchmark/check.sh
