@@ -12,15 +12,14 @@ use std::time::Instant;
 
 use va_bench::experiments::{
     ablation_choose_cost, ablation_choose_index, ablation_strategies, batch_scaling,
-    batch_scaling_table, calibration_scaling, calibration_table, choose_cost_table,
-    choose_index_table, compaction_growth, compaction_table, fig10_selection_stress,
-    fig11_max_stress, fig12_sum_hotcold, frontend_scaling, frontend_scaling_table, hot_cold_table,
-    max_rows_table, max_table_traced, parallel_scaling, parallel_scaling_table,
-    recovery_comparison, recovery_table, selection_sweep_traced, selection_table, server_scaling,
-    server_scaling_table, sketch_scaling, sketch_scaling_table, strategy_table, stress_table,
-    tenant_scaling, tenant_scaling_table, tick_amortization, tick_table, CALIBRATION_TICKS,
-    CONNECTION_COUNTS, HOT_SHARES, QUERY_COUNTS, ROUND_BATCHES, SELECTIVITIES, STD_DEVS,
-    TENANT_COUNTS, WORKER_COUNTS,
+    batch_scaling_table, choose_cost_table, choose_index_table, compaction_growth,
+    compaction_table, fig10_selection_stress, fig11_max_stress, fig12_sum_hotcold,
+    frontend_scaling, frontend_scaling_table, hot_cold_table, max_rows_table, max_table_traced,
+    parallel_scaling, parallel_scaling_table, recovery_comparison, recovery_table,
+    selection_sweep_traced, selection_table, server_scaling, server_scaling_table, sketch_scaling,
+    sketch_scaling_table, strategy_table, stress_table, tenant_scaling, tenant_scaling_table,
+    tick_amortization, tick_table, CONNECTION_COUNTS, HOT_SHARES, QUERY_COUNTS, ROUND_BATCHES,
+    SELECTIVITIES, STD_DEVS, TENANT_COUNTS, WORKER_COUNTS,
 };
 use va_bench::report::{fmt_speedup, Table, TraceWriter};
 use va_bench::Lab;
@@ -95,7 +94,6 @@ const TARGETS: &[Target] = &[
     target("batch-scaling", &["batch_scaling.csv"], batch),
     target("sketch-scaling", &["sketch_scaling.csv"], sketch),
     target("tenant-scaling", &["tenant_scaling.csv"], tenants),
-    target("calibration-scaling", &["calibration.csv"], calibration),
     target("recovery", &["recovery.csv"], recovery),
     target("compaction", &["compaction.csv"], compaction),
 ];
@@ -472,45 +470,6 @@ fn tenants(ctx: &mut Ctx) -> Vec<Artifact> {
     vec![artifact]
 }
 
-fn calibration(ctx: &mut Ctx) -> Vec<Artifact> {
-    let rows = calibration_scaling(&ctx.lab, CALIBRATION_TICKS, ctx.seed);
-    let mut artifact = Artifact::new(
-        "Extension: cost calibration, budget admission error before vs after",
-        calibration_table(&rows),
-    );
-    for r in rows.iter().filter(|r| !r.off_identical) {
-        artifact.failures.push(format!(
-            "tick {}: calibrate-off replay diverged from the uncalibrated run",
-            r.tick
-        ));
-    }
-    let mean = |err: u64, rounds: u64| err as f64 / rounds.max(1) as f64;
-    let raw_mean = mean(
-        rows.iter().map(|r| r.raw_abs_error).sum(),
-        rows.iter().map(|r| r.raw_rounds).sum(),
-    );
-    let cal_mean = mean(
-        rows.iter().map(|r| r.calibrated_abs_error).sum(),
-        rows.iter().map(|r| r.calibrated_rounds).sum(),
-    );
-    if cal_mean >= raw_mean {
-        artifact.failures.push(format!(
-            "calibration failed to lower mean admission error: {cal_mean:.3} vs {raw_mean:.3}"
-        ));
-    }
-    let raw_partials: u64 = rows.iter().map(|r| r.raw_partials).sum();
-    let cal_partials: u64 = rows.iter().map(|r| r.calibrated_partials).sum();
-    if cal_partials > raw_partials {
-        artifact.failures.push(format!(
-            "calibration cost answers at fixed budget: {cal_partials} vs {raw_partials} Partials"
-        ));
-    }
-    artifact.notes.push(format!(
-        "  mean |estCPU - work| per round: {raw_mean:.3} raw vs {cal_mean:.3} calibrated ({raw_partials} vs {cal_partials} Partial answers)"
-    ));
-    vec![artifact]
-}
-
 /// Runs `f` over a scratch directory private to this process and removes
 /// it afterwards.
 fn with_scratch<R>(tag: &str, f: impl FnOnce(&Path) -> R) -> R {
@@ -599,7 +558,7 @@ mod tests {
             on_disk.iter().map(String::as_str).collect::<BTreeSet<_>>(),
             "TARGETS and results/ disagree"
         );
-        assert_eq!(declared.len(), 19);
+        assert_eq!(declared.len(), 18);
 
         let doc = std::fs::read_to_string(repo_file("docs/RESULTS.md")).unwrap();
         for csv in declared {

@@ -23,7 +23,7 @@ use vao::ops::sum_heap::weighted_sum_vao_heap;
 use vao::ops::traditional::{traditional_max, traditional_weighted_sum};
 use vao::precision::PrecisionConstraint;
 use vao::strategy::ChoicePolicy;
-use vao::trace::{CpuEstimation, Recorder, TraceEvent};
+use vao::trace::{CpuEstimation, Recorder};
 
 use crate::report::{fmt_speedup, Table, TraceWriter};
 
@@ -858,7 +858,7 @@ fn subscribed(
 }
 
 /// Everything observable about a tick except wall time (measured, not
-/// derived): the bit-identity key of the tenancy and calibration sweeps.
+/// derived): the bit-identity key of the tenancy sweep.
 fn tick_key(res: &TickResult) -> String {
     let s = &res.stats;
     format!(
@@ -1841,158 +1841,6 @@ pub fn tenant_scaling(lab: &Lab, counts: &[usize], seed: u64) -> Vec<TenantScali
     rows
 }
 
-/// Ticks run by [`calibration_scaling`] — long enough for every warm
-/// magnitude class to clear [`vao::cost::CAL_MIN_OBSERVATIONS`].
-pub const CALIBRATION_TICKS: usize = 10;
-
-/// One tick of the cost-calibration comparison: the same workload and
-/// rate sequence run on an uncalibrated and a calibrated server at the
-/// same fixed budget, plus a third calibrate-off replay proving the
-/// default path is bit-identical (the `--calibrate off` golden contract).
-#[derive(Clone, Copy, Debug)]
-pub struct CalibrationScalingRow {
-    /// 1-based tick ordinal.
-    pub tick: u64,
-    /// Scheduler rounds the uncalibrated tick ran.
-    pub raw_rounds: u64,
-    /// Σ |admitted estCPU − metered work| across uncalibrated rounds —
-    /// the budget-admission error raw estimates accumulate per tick.
-    pub raw_abs_error: u64,
-    /// Answers the uncalibrated tick degraded to anytime `Partial`s.
-    pub raw_partials: u64,
-    /// Scheduler rounds the calibrated tick ran.
-    pub calibrated_rounds: u64,
-    /// Σ |admitted estCPU − metered work| across calibrated rounds.
-    pub calibrated_abs_error: u64,
-    /// Answers the calibrated tick degraded to anytime `Partial`s.
-    pub calibrated_partials: u64,
-    /// Calibrator observations accumulated after the calibrated tick.
-    pub observations: u64,
-    /// Pooled learned `actual/est` ratio (ppm) after the calibrated tick.
-    pub gain_ppm: u64,
-    /// Whether the calibrate-off replay matched the uncalibrated run
-    /// bit for bit (answers, stats, exhaustion).
-    pub off_identical: bool,
-}
-
-impl CalibrationScalingRow {
-    /// Mean absolute budget-admission error per uncalibrated round.
-    #[must_use]
-    pub fn raw_mean_error(&self) -> f64 {
-        self.raw_abs_error as f64 / self.raw_rounds.max(1) as f64
-    }
-
-    /// Mean absolute budget-admission error per calibrated round.
-    #[must_use]
-    pub fn calibrated_mean_error(&self) -> f64 {
-        self.calibrated_abs_error as f64 / self.calibrated_rounds.max(1) as f64
-    }
-}
-
-/// `calibration.csv`.
-#[must_use]
-pub fn calibration_table(rows: &[CalibrationScalingRow]) -> Table {
-    Table::of(
-        "tick,raw_rounds,raw_abs_error,raw_mean_error,raw_partials,cal_rounds,\
-         cal_abs_error,cal_mean_error,cal_partials,observations,gain_ppm,off_identical",
-        rows,
-        |r| {
-            vec![
-                r.tick.to_string(),
-                r.raw_rounds.to_string(),
-                r.raw_abs_error.to_string(),
-                format!("{:.3}", r.raw_mean_error()),
-                r.raw_partials.to_string(),
-                r.calibrated_rounds.to_string(),
-                r.calibrated_abs_error.to_string(),
-                format!("{:.3}", r.calibrated_mean_error()),
-                r.calibrated_partials.to_string(),
-                r.observations.to_string(),
-                r.gain_ppm.to_string(),
-                r.off_identical.to_string(),
-            ]
-        },
-    )
-}
-
-/// Runs the cost-calibration comparison: three servers over the same
-/// 16-bond relation and subscription set — calibration off, off again
-/// (the determinism control), and on — ticked through the same rate
-/// path at a fixed per-tick budget. Per tick it folds every scheduler
-/// round's `|estCPU − work|` gap from the trace, counts `Partial`
-/// answers, and snapshots the calibrator's observation count and pooled
-/// gain, so the emitted table shows the admission error closing as the
-/// per-class model warms while the budget and answers stay comparable.
-pub fn calibration_scaling(lab: &Lab, ticks: usize, seed: u64) -> Vec<CalibrationScalingRow> {
-    const BONDS: usize = 16;
-    const SUBSCRIPTIONS: usize = 8;
-    const BUDGET: u64 = 12_000;
-
-    let relation = BondRelation::from_universe(&BondUniverse::generate(BONDS, seed));
-    let config = |calibrate: bool| {
-        ServerConfig {
-            budget: Some(BUDGET),
-            workers: 1,
-            batch: Some(4),
-            ..ServerConfig::default()
-        }
-        .with_calibration(calibrate)
-    };
-    let workload = server_workload(BONDS, SUBSCRIPTIONS);
-
-    let mut raw = subscribed(lab, &relation, config(false), &workload);
-    let mut golden = subscribed(lab, &relation, config(false), &workload);
-    let mut calibrated = subscribed(lab, &relation, config(true), &workload);
-
-    // Per-round admission error: how far the summed estCPU the budget
-    // gate admitted landed from the work the meter then charged.
-    let round_error = |rec: &Recorder| {
-        let mut rounds = 0u64;
-        let mut err = 0u64;
-        for e in rec.events() {
-            if let TraceEvent::Round(r) = e {
-                rounds += 1;
-                err += r.est_cpu.abs_diff(r.work);
-            }
-        }
-        (rounds, err)
-    };
-
-    let mut rows = Vec::new();
-    for t in 0..ticks {
-        let rate = lab.rate + t as f64 * 5e-4;
-        let mut raw_rec = Recorder::new();
-        let raw_res = raw
-            .tick_with_observer(rate, &mut raw_rec)
-            .expect("uncalibrated tick");
-        let golden_res = golden.tick(rate).expect("golden tick");
-        let mut cal_rec = Recorder::new();
-        let cal_res = calibrated
-            .tick_with_observer(rate, &mut cal_rec)
-            .expect("calibrated tick");
-
-        let (raw_rounds, raw_abs_error) = round_error(&raw_rec);
-        let (calibrated_rounds, calibrated_abs_error) = round_error(&cal_rec);
-        let tenant = calibrated
-            .catalog()
-            .by_name(DEFAULT_RELATION)
-            .expect("default relation");
-        rows.push(CalibrationScalingRow {
-            tick: raw_res.tick,
-            raw_rounds,
-            raw_abs_error,
-            raw_partials: partials(&raw_res),
-            calibrated_rounds,
-            calibrated_abs_error,
-            calibrated_partials: partials(&cal_res),
-            observations: tenant.calibration_observations(),
-            gain_ppm: tenant.calibration_gain_ppm(),
-            off_identical: tick_key(&golden_res) == tick_key(&raw_res),
-        });
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2000,36 +1848,6 @@ mod tests {
 
     fn lab() -> Lab {
         Lab::new(24, 7)
-    }
-
-    #[test]
-    fn calibration_closes_admission_error_without_costing_answers() {
-        let lab = lab();
-        let rows = calibration_scaling(&lab, 6, 7);
-        assert_eq!(rows.len(), 6);
-        assert!(
-            rows.iter().all(|r| r.off_identical),
-            "calibrate-off replay must be bit-identical"
-        );
-        let raw_rounds: u64 = rows.iter().map(|r| r.raw_rounds).sum();
-        let raw_err: u64 = rows.iter().map(|r| r.raw_abs_error).sum();
-        let cal_rounds: u64 = rows.iter().map(|r| r.calibrated_rounds).sum();
-        let cal_err: u64 = rows.iter().map(|r| r.calibrated_abs_error).sum();
-        let raw_mean = raw_err as f64 / raw_rounds.max(1) as f64;
-        let cal_mean = cal_err as f64 / cal_rounds.max(1) as f64;
-        assert!(
-            cal_mean < raw_mean,
-            "calibration must strictly lower mean |estCPU - work| per round: {cal_mean:.3} vs {raw_mean:.3}"
-        );
-        let raw_partials: u64 = rows.iter().map(|r| r.raw_partials).sum();
-        let cal_partials: u64 = rows.iter().map(|r| r.calibrated_partials).sum();
-        assert!(
-            cal_partials <= raw_partials,
-            "calibration must not cost answers at fixed budget: {cal_partials} vs {raw_partials}"
-        );
-        let last = rows.last().expect("rows");
-        assert!(last.observations > 0, "model must have warmed");
-        assert!(last.gain_ppm > 0);
     }
 
     #[test]

@@ -194,10 +194,6 @@ impl TraceWriter {
                 r.skipped_snapshots,
                 r.swept_tmp_files
             ),
-            TraceEvent::Calibration(c) => format!(
-                "\"event\":\"calibration\",\"observations\":{},\"gain_ppm\":{},\"raw_est\":{},\"corrected_est\":{},\"actual\":{}",
-                c.observations, c.gain_ppm, c.raw_est, c.corrected_est, c.actual
-            ),
             TraceEvent::Compaction(c) => format!(
                 "\"event\":\"compaction\",\"snapshot_seq\":{},\"segments_deleted\":{},\"bytes_reclaimed\":{},\"live_segments\":{}",
                 c.snapshot_seq, c.segments_deleted, c.bytes_reclaimed, c.live_segments

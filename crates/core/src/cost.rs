@@ -162,151 +162,6 @@ impl WorkMeter {
     }
 }
 
-/// Number of magnitude classes a [`Calibrator`] learns over: class `k`
-/// covers estimates whose bit length is `k` (i.e. `2^(k-1) ≤ est < 2^k`),
-/// with everything `≥ 2^(CAL_CLASSES-1)` clamped into the top class.
-pub const CAL_CLASSES: usize = 16;
-
-/// Observations a class needs before [`Calibrator::correct`] trusts its
-/// ratio. Below this the calibrator returns the raw estimate unchanged.
-pub const CAL_MIN_OBSERVATIONS: u64 = 8;
-
-/// Decay threshold: when any counter in a cell would exceed this, the whole
-/// cell is halved, so the learned ratio tracks drift instead of averaging
-/// over all history. Power of two; halving is exact integer arithmetic.
-const CAL_DECAY_LIMIT: u64 = 1 << 20;
-
-/// One magnitude class of a [`Calibrator`]: integer sums of observed
-/// estimated and actual iteration costs. All-integer state makes persisted
-/// calibration trivially bit-exact across crash recovery.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CalCell {
-    /// Number of `(est, actual)` pairs folded into this cell.
-    pub observations: u64,
-    /// Sum of the estimated costs observed.
-    pub est_sum: Work,
-    /// Sum of the actual (metered) costs observed.
-    pub actual_sum: Work,
-}
-
-/// Online multiplicative calibration of `estCPU` against metered cost.
-///
-/// The paper's scheduler (§5) admits work by trusting each object's
-/// `estCPU`; the trace layer (PR 1) measures how wrong that trust is
-/// (`cpu_mae` / `cpu_mape_pct`) but never feeds it back. The calibrator
-/// closes the loop, GRACEFUL-style: per magnitude class of the raw
-/// estimate it maintains integer sums of estimated and actual cost, and
-/// [`correct`](Calibrator::correct) rescales a raw estimate by the
-/// class's observed `actual/est` ratio once the class has seen enough
-/// observations. Cold classes return the estimate unchanged, so an
-/// uncalibrated (or freshly recovered legacy) model is exactly the
-/// identity function.
-///
-/// Determinism: all state is integer, updates are order-dependent only in
-/// the trivial additive sense, and the correction uses round-half-up
-/// integer division — replaying the same observation stream rebuilds the
-/// model bit-identically.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Calibrator {
-    cells: [CalCell; CAL_CLASSES],
-}
-
-impl Calibrator {
-    /// A cold (identity) calibrator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Restores a calibrator from persisted cells.
-    #[must_use]
-    pub fn from_cells(cells: [CalCell; CAL_CLASSES]) -> Self {
-        Self { cells }
-    }
-
-    /// The per-class state, for persistence.
-    #[must_use]
-    pub fn cells(&self) -> &[CalCell; CAL_CLASSES] {
-        &self.cells
-    }
-
-    /// Magnitude class of a raw estimate: its bit length, clamped to the
-    /// top class. `class(0) == 0`, `class(1) == 1`, `class(2..=3) == 2`, …
-    fn class(est: Work) -> usize {
-        let bits = (Work::BITS - est.leading_zeros()) as usize;
-        bits.min(CAL_CLASSES - 1)
-    }
-
-    /// Folds one `(estimated, actual)` iteration-cost pair into the model.
-    pub fn observe(&mut self, est: Work, actual: Work) {
-        let cell = &mut self.cells[Self::class(est)];
-        cell.observations += 1;
-        cell.est_sum += est;
-        cell.actual_sum += actual;
-        if cell.observations >= CAL_DECAY_LIMIT
-            || cell.est_sum >= CAL_DECAY_LIMIT
-            || cell.actual_sum >= CAL_DECAY_LIMIT
-        {
-            cell.observations /= 2;
-            cell.est_sum /= 2;
-            cell.actual_sum /= 2;
-        }
-    }
-
-    /// Rescales a raw estimate by its class's learned `actual/est` ratio.
-    ///
-    /// Identity while the class is cold (fewer than
-    /// [`CAL_MIN_OBSERVATIONS`] observations, or a zero `est_sum`).
-    /// A positive raw estimate never corrects below 1 work unit: a learned
-    /// ratio of ~0 must not make admission free, or a recovered warm pool
-    /// could re-admit converged objects past their achieved accuracy.
-    #[must_use]
-    pub fn correct(&self, est: Work) -> Work {
-        let cell = &self.cells[Self::class(est)];
-        if est == 0 || cell.observations < CAL_MIN_OBSERVATIONS || cell.est_sum == 0 {
-            return est;
-        }
-        let corrected = (u128::from(est) * u128::from(cell.actual_sum)
-            + u128::from(cell.est_sum / 2))
-            / u128::from(cell.est_sum);
-        Work::try_from(corrected).unwrap_or(Work::MAX).max(1)
-    }
-
-    /// Total observations across all classes.
-    #[must_use]
-    pub fn observations(&self) -> u64 {
-        self.cells.iter().map(|c| c.observations).sum()
-    }
-
-    /// Whether no class has learned anything yet (the model is the
-    /// identity everywhere).
-    #[must_use]
-    pub fn is_cold(&self) -> bool {
-        self.cells
-            .iter()
-            .all(|c| c.observations < CAL_MIN_OBSERVATIONS || c.est_sum == 0)
-    }
-
-    /// Overall `actual/est` ratio in parts-per-million across warm
-    /// classes, for budget arbitration and STATS. `1_000_000` (ratio 1.0)
-    /// while cold.
-    #[must_use]
-    pub fn gain_ppm(&self) -> u64 {
-        let mut est: u128 = 0;
-        let mut actual: u128 = 0;
-        for c in &self.cells {
-            if c.observations >= CAL_MIN_OBSERVATIONS && c.est_sum > 0 {
-                est += u128::from(c.est_sum);
-                actual += u128::from(c.actual_sum);
-            }
-        }
-        if est == 0 {
-            return 1_000_000;
-        }
-        u64::try_from((actual * 1_000_000 + est / 2) / est).unwrap_or(u64::MAX)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,80 +240,5 @@ mod tests {
         assert_eq!(c.store_state, 33);
         assert_eq!(c.choose_iter, 44);
         assert_eq!(c.total(), 110);
-    }
-
-    #[test]
-    fn cold_calibrator_is_the_identity() {
-        let cal = Calibrator::new();
-        assert!(cal.is_cold());
-        assert_eq!(cal.observations(), 0);
-        assert_eq!(cal.gain_ppm(), 1_000_000);
-        for est in [0, 1, 7, 100, 1_000_000] {
-            assert_eq!(cal.correct(est), est);
-        }
-    }
-
-    #[test]
-    fn calibrator_stays_identity_below_min_observations() {
-        let mut cal = Calibrator::new();
-        for _ in 0..(CAL_MIN_OBSERVATIONS - 1) {
-            cal.observe(100, 200);
-        }
-        assert_eq!(cal.correct(100), 100, "class still cold");
-        cal.observe(100, 200);
-        assert_eq!(cal.correct(100), 200, "class warmed at the threshold");
-        assert!(!cal.is_cold());
-    }
-
-    #[test]
-    fn calibrator_learns_a_per_class_ratio() {
-        let mut cal = Calibrator::new();
-        // Small estimates run 2x over; large estimates run at half cost.
-        for _ in 0..16 {
-            cal.observe(100, 200);
-            cal.observe(10_000, 5_000);
-        }
-        assert_eq!(cal.correct(100), 200);
-        assert_eq!(cal.correct(120), 240, "same class, scaled");
-        assert_eq!(cal.correct(10_000), 5_000);
-        // An estimate in a class never observed is untouched.
-        assert_eq!(cal.correct(3), 3);
-        // Overall gain pools both warm classes.
-        let gain = cal.gain_ppm();
-        assert!(gain > 0 && gain < 1_000_000, "{gain}");
-    }
-
-    #[test]
-    fn calibrator_correction_never_reaches_zero_for_positive_estimates() {
-        let mut cal = Calibrator::new();
-        for _ in 0..32 {
-            cal.observe(1_000, 0);
-        }
-        // Learned ratio ~0 must still charge at least one unit.
-        assert_eq!(cal.correct(1_000), 1);
-        // And a zero estimate stays zero (identity on the untracked class).
-        assert_eq!(cal.correct(0), 0);
-    }
-
-    #[test]
-    fn calibrator_round_trips_through_cells() {
-        let mut cal = Calibrator::new();
-        for i in 0..100u64 {
-            cal.observe(50 + i, 90 + i);
-        }
-        let restored = Calibrator::from_cells(*cal.cells());
-        assert_eq!(restored, cal);
-        assert_eq!(restored.correct(64), cal.correct(64));
-    }
-
-    #[test]
-    fn calibrator_decay_preserves_the_ratio_and_bounds_state() {
-        let mut cal = Calibrator::new();
-        let big = CAL_DECAY_LIMIT / 2 + 7;
-        cal.observe(big, big * 2 / 3);
-        cal.observe(big, big * 2 / 3); // crosses the limit -> halved
-        let cell = cal.cells()[Calibrator::class(big)];
-        assert!(cell.est_sum < CAL_DECAY_LIMIT);
-        assert!(cell.actual_sum < CAL_DECAY_LIMIT);
     }
 }

@@ -336,13 +336,6 @@ pub trait ExecObserver {
         let _ = record;
     }
 
-    /// A calibrated scheduler finished folding one tick's cost
-    /// observations into its model.
-    #[inline]
-    fn on_calibration(&mut self, record: &CalibrationRecord) {
-        let _ = record;
-    }
-
     /// An operator evaluation finished (successfully).
     #[inline]
     fn on_operator_end(&mut self, end: &OperatorEndRecord) {
@@ -399,11 +392,6 @@ impl<O: ExecObserver + ?Sized> ExecObserver for &mut O {
     }
 
     #[inline]
-    fn on_calibration(&mut self, record: &CalibrationRecord) {
-        (**self).on_calibration(record);
-    }
-
-    #[inline]
     fn on_operator_end(&mut self, end: &OperatorEndRecord) {
         (**self).on_operator_end(end);
     }
@@ -448,9 +436,6 @@ pub enum TraceEvent {
     Recovery(RecoveryRecord),
     /// A durable server reclaimed journal segments behind a snapshot.
     Compaction(CompactionRecord),
-    /// A calibrated scheduler folded a tick's cost observations into its
-    /// model.
-    Calibration(CalibrationRecord),
     /// An operator evaluation finished.
     OperatorEnd(OperatorEndRecord),
 }
@@ -473,27 +458,6 @@ pub struct CpuEstimation {
     /// eligible iterations, as a fraction: 0.07 means estimates were off
     /// by 7 % on average. Defined as 0.0 when `pct_iterations == 0`.
     pub mean_abs_pct_error: f64,
-}
-
-/// One observation folded into the scheduler's online cost calibration.
-///
-/// Emitted by calibrated schedulers once per admitted iteration, right
-/// after the `(est, actual)` pair updates the model, so traces show the
-/// model warming up and the admission gain it currently applies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CalibrationRecord {
-    /// Total `(est, actual)` observations folded into the model so far,
-    /// including this one.
-    pub observations: u64,
-    /// Overall learned `actual/est` ratio in parts-per-million
-    /// (1_000_000 = identity / cold model).
-    pub gain_ppm: u64,
-    /// The iteration's raw `estCPU` as the object reported it.
-    pub raw_est: Work,
-    /// Its calibrated `estCPU` — what budget admission actually charged.
-    pub corrected_est: Work,
-    /// Work the iteration actually metered.
-    pub actual: Work,
 }
 
 /// An [`ExecObserver`] that records every event for later inspection.
@@ -655,10 +619,6 @@ impl ExecObserver for Recorder {
         self.events.push(TraceEvent::Compaction(*record));
     }
 
-    fn on_calibration(&mut self, record: &CalibrationRecord) {
-        self.events.push(TraceEvent::Calibration(*record));
-    }
-
     fn on_operator_end(&mut self, end: &OperatorEndRecord) {
         self.events.push(TraceEvent::OperatorEnd(*end));
     }
@@ -775,26 +735,6 @@ mod tests {
         // The mean is over eligible iterations only, not diluted by the
         // zero-cost one.
         assert!((est.mean_abs_pct_error - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn recorder_captures_calibration_events() {
-        let mut rec = Recorder::new();
-        let record = CalibrationRecord {
-            observations: 42,
-            gain_ppm: 1_250_000,
-            raw_est: 900,
-            corrected_est: 1_125,
-            actual: 1_110,
-        };
-        let mut fwd = &mut rec;
-        ExecObserver::on_calibration(&mut fwd, &record);
-        assert!(matches!(
-            rec.events(),
-            [TraceEvent::Calibration(r)] if *r == record
-        ));
-        // The default hook is a no-op: a NoopObserver accepts it.
-        NoopObserver.on_calibration(&record);
     }
 
     #[test]

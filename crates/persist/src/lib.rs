@@ -561,7 +561,6 @@ mod tests {
                 iters: tick,
                 cost: 10 * tick,
             }],
-            calibration: None,
         }))
     }
 
@@ -581,7 +580,6 @@ mod tests {
             history: Vec::new(),
             warm,
             answers: Vec::new(),
-            calibration: None,
         }
     }
 

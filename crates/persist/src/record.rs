@@ -14,12 +14,11 @@
 //! bit-identical to the uninterrupted run.
 //!
 //! **One type per fact.** The records carry the domain types themselves —
-//! [`Answer`], [`Session`], [`TickStats`], [`Bond`], [`Bounds`],
-//! [`PassFail`] — and the ones both sides of the durability seam need but
-//! no lower crate defines ([`Answer`], [`Session`], [`SessionId`],
-//! [`PassFail`]) are defined here and re-exported by `va-server`. Every
-//! domain check (interval order, bond economics, ids that were never
-//! issued, the calibration cell count) is made once, by the parsers below:
+//! [`Answer`], [`Session`], [`TickStats`], [`Bond`], [`Bounds`] — and the
+//! ones both sides of the durability seam need but no lower crate defines
+//! ([`Answer`], [`Session`], [`SessionId`]) are defined here and
+//! re-exported by `va-server`. Every domain check (interval order, bond
+//! economics, ids that were never issued) is made once, by the parsers below:
 //! a record that parsed holds only valid values, and the recovery fold
 //! trusts it.
 
@@ -28,7 +27,7 @@ use std::time::Duration;
 
 use va_stream::stats::{IterHistogram, TickStats, ITER_BUCKETS};
 use va_stream::{Bond, Query, QueryOutput};
-use vao::cost::{CalCell, WorkBreakdown, CAL_CLASSES};
+use vao::cost::WorkBreakdown;
 use vao::ops::heavy::HeavyCell;
 use vao::ops::selection::CmpOp;
 use vao::trace::CpuEstimation;
@@ -113,15 +112,6 @@ impl Answer {
             Answer::Final(_) => None,
         }
     }
-}
-
-/// Pass/fail tallies for one `(op, constant)` predicate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PassFail {
-    /// Objects whose bounds decided the predicate *true*.
-    pub pass: u64,
-    /// Objects whose bounds decided the predicate *false*.
-    pub fail: u64,
 }
 
 /// One control-plane event in the write-ahead journal.
@@ -221,25 +211,6 @@ pub struct TickRecord {
     pub answers: Vec<(SessionId, Answer)>,
     /// End-of-tick state of every pool object, aligned with the relation.
     pub warm: Vec<WarmObjectRecord>,
-    /// End-of-tick cost-calibration state, when the relation runs with
-    /// calibration enabled. `None` (the field is absent) while the model
-    /// has observed nothing.
-    pub calibration: Option<CalibrationState>,
-}
-
-/// Persisted online cost-calibration state: the scheduler's learned
-/// estimated-vs-actual cost model plus the per-predicate pass/fail
-/// frequencies Selection demand ordering learns from. Versioned, and
-/// absent while untouched: a record without the field carries no state.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CalibrationState {
-    /// Per-magnitude-class `(observations, est_sum, actual_sum)` cells,
-    /// aligned with [`vao::cost::Calibrator::cells`].
-    pub cells: [CalCell; CAL_CLASSES],
-    /// Learned pass/fail counters per `(op, constant)` predicate (the
-    /// constant bit-exact through the decimal codec), ascending by the
-    /// counters' key order.
-    pub predicates: Vec<(CmpOp, f64, PassFail)>,
 }
 
 /// One session's outcome delta for one tick.
@@ -325,9 +296,6 @@ pub struct RelationSnapshot {
     pub warm: Vec<WarmRateRecord>,
     /// Last delivered answer per session, in registration order.
     pub answers: Vec<(SessionId, Answer)>,
-    /// Cost-calibration state at snapshot time (`None`, and absent from
-    /// the document, while the model has observed nothing).
-    pub calibration: Option<CalibrationState>,
 }
 
 /// The warm-start objects for one rate.
@@ -565,37 +533,6 @@ fn write_stats(out: &mut String, s: &TickStats) -> fmt::Result {
     )
 }
 
-/// Writes the `,"calibration":{..}` tail of a tick record or snapshot
-/// section: nothing while the model is untouched, so an uncalibrated run
-/// writes the bytes a server without calibration would. Cells ride as
-/// compact `[observations, est_sum, actual_sum]` triples; the `"v"` field
-/// versions the object so future layouts can be told apart from this one.
-fn write_calibration_field(out: &mut String, c: Option<&CalibrationState>) -> fmt::Result {
-    let Some(c) = c else {
-        return Ok(());
-    };
-    out.write_str(",\"calibration\":{\"v\":1,\"cells\":")?;
-    write_array(out, &c.cells, |out, cell| {
-        write!(
-            out,
-            "[{},{},{}]",
-            cell.observations, cell.est_sum, cell.actual_sum
-        )
-    })?;
-    out.write_str(",\"predicates\":")?;
-    write_array(out, &c.predicates, |out, (op, constant, pf)| {
-        write!(
-            out,
-            "{{\"op\":\"{}\",\"constant\":{},\"pass\":{},\"fail\":{}}}",
-            cmp_op_str(*op),
-            Num(*constant),
-            pf.pass,
-            pf.fail
-        )
-    })?;
-    out.write_char('}')
-}
-
 impl JournalEvent {
     /// Writes the event's single journal line (no newline).
     pub fn write_line(&self, out: &mut String) -> fmt::Result {
@@ -659,7 +596,6 @@ impl JournalEvent {
                 write_answers(out, &t.answers)?;
                 out.write_str(",\"warm\":")?;
                 write_warm_objects(out, &t.warm)?;
-                write_calibration_field(out, t.calibration.as_ref())?;
             }
             JournalEvent::SnapshotMarker { seq } => {
                 write!(out, "{{\"ev\":\"snapshot\",\"seq\":{seq}")?;
@@ -702,7 +638,6 @@ fn write_relation_snapshot(out: &mut String, r: &RelationSnapshot) -> fmt::Resul
     })?;
     out.write_str(",\"answers\":")?;
     write_answers(out, &r.answers)?;
-    write_calibration_field(out, r.calibration.as_ref())?;
     out.write_char('}')
 }
 
@@ -1026,72 +961,26 @@ fn parse_stats(doc: &Json) -> Result<TickStats, String> {
         operator: static_operator(str_field(doc, "operator")?),
         objects: u64_field(doc, "objects")?,
         iter_histogram: IterHistogram::from_buckets(hist),
-        cpu_est: {
-            let iterations = u64_field(cpu, "iterations")?;
-            CpuEstimation {
-                iterations,
-                // Records from before the eligible-iteration count weighted
-                // every iteration equally, so an absent field means the total
-                // (`calibration_roundtrip.rs` keeps such a record readable).
-                pct_iterations: match cpu.get("pct_iterations") {
-                    None => iterations,
-                    Some(v) => v.as_u64().ok_or("non-integer \"pct_iterations\"")?,
-                },
-                mean_abs_error: f64_field(cpu, "mae")?,
-                mean_abs_pct_error: f64_field(cpu, "mape")?,
-            }
+        cpu_est: CpuEstimation {
+            iterations: u64_field(cpu, "iterations")?,
+            pct_iterations: u64_field(cpu, "pct_iterations")?,
+            mean_abs_error: f64_field(cpu, "mae")?,
+            mean_abs_pct_error: f64_field(cpu, "mape")?,
         },
     })
 }
 
-/// Parses persisted calibration state. Only version 1 exists; a record
-/// with an unknown version is from a newer build and refused rather than
-/// silently misread.
-fn parse_calibration(doc: &Json) -> Result<CalibrationState, String> {
-    let version = u64_field(doc, "v")?;
-    if version != 1 {
-        return Err(format!("unknown calibration version {version}"));
+/// Refuses a member that an earlier layout wrote and this one no longer
+/// has. Unknown members are otherwise ignored, so without this a tick
+/// record or snapshot section from a calibrating server would load with
+/// its model silently dropped; refused, it takes the foreign-record path
+/// (corrupt mid-journal, a torn tail as the final record, a skipped
+/// snapshot).
+fn refuse_retired(doc: &Json) -> Result<(), String> {
+    if doc.get("calibration").is_some() {
+        return Err("retired field \"calibration\"".to_string());
     }
-    let cells: [CalCell; CAL_CLASSES] = list_field(doc, "cells", |c| {
-        let triple = c.as_array().ok_or("non-array calibration cell")?;
-        if triple.len() != 3 {
-            return Err(format!(
-                "calibration cell needs 3 entries, got {}",
-                triple.len()
-            ));
-        }
-        let int = |i: usize| -> Result<u64, String> {
-            triple[i]
-                .as_u64()
-                .ok_or_else(|| "non-integer calibration cell entry".to_string())
-        };
-        Ok(CalCell {
-            observations: int(0)?,
-            est_sum: int(1)?,
-            actual_sum: int(2)?,
-        })
-    })?
-    .try_into()
-    .map_err(|cells: Vec<CalCell>| {
-        format!("calibration needs {CAL_CLASSES} cells, got {}", cells.len())
-    })?;
-    let predicates = list_field(doc, "predicates", |p| {
-        Ok((
-            parse_cmp_op(p)?,
-            f64_field(p, "constant")?,
-            PassFail {
-                pass: u64_field(p, "pass")?,
-                fail: u64_field(p, "fail")?,
-            },
-        ))
-    })?;
-    Ok(CalibrationState { cells, predicates })
-}
-
-/// The optional `"calibration"` field shared by tick records and snapshot
-/// relation sections: absent (an untouched model) parses as `None`.
-fn parse_calibration_opt(doc: &Json) -> Result<Option<CalibrationState>, String> {
-    doc.get("calibration").map(parse_calibration).transpose()
+    Ok(())
 }
 
 impl JournalEvent {
@@ -1120,24 +1009,26 @@ impl JournalEvent {
                 relation: id_field(&doc, "relation")?,
                 session: id_field(&doc, "session")?,
             }),
-            "tick" => Ok(JournalEvent::Tick(Box::new(TickRecord {
-                relation: id_field(&doc, "relation")?,
-                tick: u64_field(&doc, "tick")?,
-                rate: f64_field(&doc, "rate")?,
-                shed: u64_field(&doc, "shed")?,
-                budget_exhausted: bool_field(&doc, "budget_exhausted")?,
-                stats: parse_stats(doc.get("stats").ok_or("missing \"stats\"")?)?,
-                sessions: list_field(&doc, "sessions", |s| {
-                    Ok(SessionTickRecord {
-                        session: id_field(s, "session")?,
-                        is_final: bool_field(s, "final")?,
-                        driven: u64_field(s, "driven")?,
-                    })
-                })?,
-                answers: parse_answers(&doc)?,
-                warm: list_field(&doc, "warm", parse_warm_object)?,
-                calibration: parse_calibration_opt(&doc)?,
-            }))),
+            "tick" => {
+                refuse_retired(&doc)?;
+                Ok(JournalEvent::Tick(Box::new(TickRecord {
+                    relation: id_field(&doc, "relation")?,
+                    tick: u64_field(&doc, "tick")?,
+                    rate: f64_field(&doc, "rate")?,
+                    shed: u64_field(&doc, "shed")?,
+                    budget_exhausted: bool_field(&doc, "budget_exhausted")?,
+                    stats: parse_stats(doc.get("stats").ok_or("missing \"stats\"")?)?,
+                    sessions: list_field(&doc, "sessions", |s| {
+                        Ok(SessionTickRecord {
+                            session: id_field(s, "session")?,
+                            is_final: bool_field(s, "final")?,
+                            driven: u64_field(s, "driven")?,
+                        })
+                    })?,
+                    answers: parse_answers(&doc)?,
+                    warm: list_field(&doc, "warm", parse_warm_object)?,
+                })))
+            }
             "snapshot" => Ok(JournalEvent::SnapshotMarker {
                 seq: u64_field(&doc, "seq")?,
             }),
@@ -1147,6 +1038,7 @@ impl JournalEvent {
 }
 
 fn parse_relation_snapshot(doc: &Json) -> Result<RelationSnapshot, String> {
+    refuse_retired(doc)?;
     Ok(RelationSnapshot {
         relation: id_field(doc, "relation")?,
         def: parse_relation_def(doc.get("def").ok_or("missing \"def\"")?)?,
@@ -1171,14 +1063,13 @@ fn parse_relation_snapshot(doc: &Json) -> Result<RelationSnapshot, String> {
             })
         })?,
         answers: parse_answers(doc)?,
-        calibration: parse_calibration_opt(doc)?,
     })
 }
 
 impl SnapshotRecord {
     /// Parses a snapshot document. Every field [`SnapshotRecord::to_json`]
-    /// writes is required except the absent-while-untouched `calibration`; a
-    /// document from another generation fails naming the field it lacks.
+    /// writes is required; a document from another generation fails naming
+    /// the field it lacks or the retired field it carries.
     pub fn parse(text: &str) -> Result<SnapshotRecord, String> {
         let doc = Json::parse(text)?;
         Ok(SnapshotRecord {
@@ -1243,31 +1134,6 @@ mod tests {
         }
     }
 
-    fn sample_calibration() -> CalibrationState {
-        let mut cells = [CalCell::default(); CAL_CLASSES];
-        cells[7] = CalCell {
-            observations: 41,
-            est_sum: 5_120,
-            actual_sum: 7_730,
-        };
-        cells[9] = CalCell {
-            observations: 3,
-            est_sum: 900,
-            actual_sum: 450,
-        };
-        CalibrationState {
-            cells,
-            predicates: vec![
-                (CmpOp::Gt, 100.25, PassFail { pass: 18, fail: 30 }),
-                (
-                    CmpOp::Le,
-                    99.058_300_000_000_01,
-                    PassFail { pass: 0, fail: 7 },
-                ),
-            ],
-        }
-    }
-
     fn sample_tick() -> TickRecord {
         TickRecord {
             relation: 1,
@@ -1318,7 +1184,6 @@ mod tests {
                     cost: 512,
                 },
             ],
-            calibration: Some(sample_calibration()),
         }
     }
 
@@ -1482,7 +1347,6 @@ mod tests {
                             bounds: Bounds::new(1.0, 2.0),
                         },
                     )],
-                    calibration: Some(sample_calibration()),
                 },
                 RelationSnapshot {
                     relation: 2,
@@ -1494,7 +1358,6 @@ mod tests {
                     history: Vec::new(),
                     warm: Vec::new(),
                     answers: Vec::new(),
-                    calibration: None,
                 },
             ],
         };
@@ -1527,51 +1390,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_tick_without_calibration_or_pct_iterations_parses_cold() {
-        // A tick record exactly as PR 4–9 servers wrote it: no
-        // "calibration" field and a "cpu" object without "pct_iterations".
+    fn a_tick_without_pct_iterations_is_refused_by_name() {
+        // A tick record as the servers before the eligible-iteration count
+        // wrote it: a "cpu" object without "pct_iterations".
         let line = r#"{"ev":"tick","relation":1,"tick":3,"rate":0.05,"shed":0,"budget_exhausted":false,"stats":{"rate":0.05,"work":{"exec":10,"get":1,"store":1,"choose":2},"wall_nanos":5,"iterations":4,"operator":"shared_pool","objects":2,"hist":[1,1,0,0,0,0,0,0,0],"cpu":{"iterations":4,"mae":1.5,"mape":0.2}},"sessions":[],"answers":[],"warm":[]}"#;
-        match JournalEvent::parse(line).unwrap() {
-            JournalEvent::Tick(t) => {
-                assert_eq!(t.calibration, None, "legacy ticks are uncalibrated");
-                assert_eq!(
-                    t.stats.cpu_est.pct_iterations, 4,
-                    "legacy pct weighting defaults to the total iteration count"
-                );
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn snapshot_relation_without_calibration_parses_cold() {
-        let text = r#"{"seq":1,"journal_events":0,"segment":1,"segment_bytes":0,"next_relation_id":2,"relations":[{"relation":1,"def":{"name":"default","bonds":[]},"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[]}]}"#;
-        let snap = SnapshotRecord::parse(text).unwrap();
-        assert_eq!(snap.relations[0].calibration, None);
-    }
-
-    #[test]
-    fn malformed_calibration_is_rejected_not_defaulted() {
-        let bad_version = r#"{"seq":1,"journal_events":0,"segment":1,"segment_bytes":0,"next_relation_id":2,"relations":[{"relation":1,"def":{"name":"default","bonds":[]},"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[],"calibration":{"v":9,"cells":[],"predicates":[]}}]}"#;
-        let err = SnapshotRecord::parse(bad_version).unwrap_err();
-        assert!(err.contains("calibration version"), "{err}");
-        let wrong_cells = r#"{"seq":1,"journal_events":0,"segment":1,"segment_bytes":0,"next_relation_id":2,"relations":[{"relation":1,"def":{"name":"default","bonds":[]},"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[],"calibration":{"v":1,"cells":[[1,2,3]],"predicates":[]}}]}"#;
-        let err = SnapshotRecord::parse(wrong_cells).unwrap_err();
-        assert!(err.contains("cells"), "{err}");
-    }
-
-    #[test]
-    fn calibration_state_round_trips_bit_exactly() {
-        let cal = sample_calibration();
-        let field = render(|o| write_calibration_field(o, Some(&cal)));
-        let text = field.strip_prefix(",\"calibration\":").unwrap();
-        let back = parse_calibration(&Json::parse(text).unwrap()).unwrap();
-        assert_eq!(back, cal);
-        // The predicate constant is float: assert bit identity explicitly.
-        assert_eq!(
-            back.predicates[1].1.to_bits(),
-            cal.predicates[1].1.to_bits()
+        let err = JournalEvent::parse(line).unwrap_err();
+        assert!(err.contains("\"pct_iterations\""), "{err}");
+        let modern = line.replace(
+            r#""iterations":4,"mae""#,
+            r#""iterations":4,"pct_iterations":4,"mae""#,
         );
+        assert!(JournalEvent::parse(&modern).is_ok(), "{modern}");
     }
 
     #[test]

@@ -156,7 +156,6 @@ mod tests {
                 history: Vec::new(),
                 warm: Vec::new(),
                 answers: Vec::new(),
-                calibration: None,
             }],
         }
     }

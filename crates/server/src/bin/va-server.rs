@@ -3,8 +3,7 @@
 //! ```text
 //! va-server [--addr HOST:PORT] [--bonds N] [--seed S] [--budget W]
 //!           [--workers N] [--data-dir PATH] [--snapshot-every N]
-//!           [--calibrate on|off] [--catalog] [--smoke]
-//!           [--client HOST:PORT]
+//!           [--catalog] [--smoke] [--client HOST:PORT]
 //! ```
 //!
 //! `--budget` sets the per-tick work budget in deterministic work units
@@ -18,12 +17,7 @@
 //! in-memory one). `--snapshot-every` sets how many journaled ticks elapse
 //! between snapshots (default 64); smaller values bound recovery replay —
 //! and, with segmented journal compaction, on-disk journal size — more
-//! tightly at the cost of more frequent snapshot writes. `--calibrate on`
-//! enables the online cost calibrator: admission and budget accounting use
-//! model-corrected `estCPU`, SELECT/COUNT probes are ordered by learned
-//! pass/fail correlation, and on a durable server the learned state is
-//! journaled so recovery resumes it bit-identically (default `off`, which
-//! is bit-identical to the pre-calibration server).
+//! tightly at the cost of more frequent snapshot writes.
 //!
 //! A data dir is self-describing: every relation definition is replayed
 //! from the journal, and `--bonds`/`--seed` are ignored on reopen. They
@@ -63,7 +57,6 @@ struct Args {
     workers: usize,
     data_dir: Option<String>,
     snapshot_every: u64,
-    calibrate: bool,
     catalog: bool,
     smoke: bool,
     client: Option<String>,
@@ -78,7 +71,6 @@ fn parse_args() -> Result<Args, String> {
         workers: 1,
         data_dir: None,
         snapshot_every: va_server::DEFAULT_SNAPSHOT_EVERY,
-        calibrate: false,
         catalog: false,
         smoke: false,
         client: None,
@@ -122,19 +114,12 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--snapshot-every must be at least 1".to_string());
                 }
             }
-            "--calibrate" => {
-                args.calibrate = match value("--calibrate")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--calibrate expects on|off, got {other}")),
-                };
-            }
             "--catalog" => args.catalog = true,
             "--smoke" => args.smoke = true,
             "--client" => args.client = Some(value("--client")?),
             "--help" | "-h" => {
                 println!(
-                    "usage: va-server [--addr HOST:PORT] [--bonds N] [--seed S] [--budget W] [--workers N] [--data-dir PATH] [--snapshot-every N] [--calibrate on|off] [--catalog] [--smoke] [--client HOST:PORT]"
+                    "usage: va-server [--addr HOST:PORT] [--bonds N] [--seed S] [--budget W] [--workers N] [--data-dir PATH] [--snapshot-every N] [--catalog] [--smoke] [--client HOST:PORT]"
                 );
                 std::process::exit(0);
             }
@@ -149,7 +134,6 @@ fn build_server(args: &Args) -> Result<Server, String> {
         budget: args.budget,
         workers: args.workers,
         snapshot_every: args.snapshot_every,
-        calibrate: args.calibrate,
         ..ServerConfig::default()
     };
     let Some(dir) = &args.data_dir else {

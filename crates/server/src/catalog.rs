@@ -21,15 +21,11 @@
 //! embed one per relation, and the tail carries the `CREATE` of anything
 //! newer.
 
-use va_persist::record::{
-    CalibrationState, JournalEvent, RelationDefRecord, RelationSnapshot, WarmRateRecord,
-};
+use va_persist::record::{JournalEvent, RelationDefRecord, RelationSnapshot, WarmRateRecord};
 use va_persist::WarmMap;
 use va_stream::{BondRelation, RunSummary, TickStats};
-use vao::cost::Calibrator;
 
 use crate::answer::Answer;
-use crate::demand::PredicateStats;
 use crate::error::ServerError;
 use crate::session::{Session, SessionId, SessionRegistry};
 
@@ -76,14 +72,6 @@ pub struct Tenant {
     /// inside the tenant (not globally) so relations never warm-start from
     /// each other's bounds.
     pub(crate) warm: WarmMap,
-    /// The online predicted-vs-actual iteration-cost model (PR 10). Per
-    /// tenant — one relation's cost bias never leaks into another's
-    /// admission. Mutated only when the server runs with calibration
-    /// enabled; stays cold (identity) otherwise.
-    pub(crate) calibrator: Calibrator,
-    /// Learned SELECT/COUNT pass/fail frequencies — the predicate half of
-    /// the calibration state, same enablement rules as `calibrator`.
-    pub(crate) predicates: PredicateStats,
 }
 
 impl Tenant {
@@ -100,8 +88,6 @@ impl Tenant {
             shed: 0,
             last_answers: Vec::new(),
             warm: WarmMap::new(),
-            calibrator: Calibrator::new(),
-            predicates: PredicateStats::new(),
         }
     }
 
@@ -128,20 +114,6 @@ impl Tenant {
     #[must_use]
     pub fn seed(&self) -> Option<u64> {
         self.seed
-    }
-
-    /// Total `(claimed, measured)` cost pairs the tenant's calibrator has
-    /// absorbed (0 on an uncalibrated or fresh tenant).
-    #[must_use]
-    pub fn calibration_observations(&self) -> u64 {
-        self.calibrator.observations()
-    }
-
-    /// The calibrator's pooled measured/claimed cost ratio in parts per
-    /// million (`1_000_000` = identity, i.e. cold or perfectly estimated).
-    #[must_use]
-    pub fn calibration_gain_ppm(&self) -> u64 {
-        self.calibrator.gain_ppm()
     }
 
     /// The tenant's live session registry.
@@ -206,17 +178,6 @@ impl Tenant {
                 })
                 .collect(),
             answers: self.last_answers.clone(),
-            calibration: calibration_state(&self.calibrator, &self.predicates),
-        }
-    }
-
-    /// Replaces the calibration state with a persisted one (a later tick's
-    /// state supersedes the snapshot's: last wins).
-    fn restore_calibration(&mut self, state: &CalibrationState) {
-        self.calibrator = Calibrator::from_cells(state.cells);
-        self.predicates = PredicateStats::new();
-        for &(op, constant, counters) in &state.predicates {
-            self.predicates.restore_counter(op, constant, counters);
         }
     }
 }
@@ -233,27 +194,6 @@ pub(crate) fn def_record(
         seed,
         bonds: relation.bonds().to_vec(),
     }
-}
-
-/// Captures calibration state for persistence, or `None` while nothing
-/// has been observed. The untouched case is deliberately *absent* rather
-/// than serialized: an uncalibrated run's journal bytes are bit-identical
-/// to a pre-calibration server's, and an absent field leaves the state as
-/// it is. A model that has observed anything is carried even while every
-/// class is still below [`vao::cost::CAL_MIN_OBSERVATIONS`]: the event
-/// is the only way a tick's training reaches the tenant, so light ticks
-/// accumulate instead of each starting from the default model again.
-pub(crate) fn calibration_state(
-    model: &Calibrator,
-    predicates: &PredicateStats,
-) -> Option<CalibrationState> {
-    if *model == Calibrator::default() && predicates.is_empty() {
-        return None;
-    }
-    Some(CalibrationState {
-        cells: *model.cells(),
-        predicates: predicates.entries().collect(),
-    })
 }
 
 /// The set of relations one server hosts, addressed by name (protocol) or
@@ -289,9 +229,9 @@ impl Catalog {
     /// by value and its contents move into the tenant.
     ///
     /// Events carry executed *outcomes* — assigned ids, clamped priorities,
-    /// a tick's answers, counters, warm bounds and trained cost model — so
-    /// applying one never validates a request or prices anything. The only
-    /// refusals are structural, and on a live server unreachable (requests
+    /// a tick's answers, counters and warm bounds — so applying one never
+    /// validates a request or prices anything. The only refusals are
+    /// structural, and on a live server unreachable (requests
     /// are validated before their event is built, let alone journaled): a
     /// definition at or below the id high-water mark, and an event for a
     /// relation no definition covers.
@@ -338,9 +278,6 @@ impl Catalog {
                 // An in-memory server's ticks carry an empty `warm`, which
                 // the tick's alignment filter never takes for a prior.
                 tenant.warm.insert(t.rate.to_bits(), t.warm);
-                if let Some(cal) = &t.calibration {
-                    tenant.restore_calibration(cal);
-                }
             }
             JournalEvent::SnapshotMarker { .. } => {}
         }
@@ -374,9 +311,6 @@ impl Catalog {
                 .into_iter()
                 .map(|w| (w.rate.to_bits(), w.objects))
                 .collect();
-            if let Some(cal) = &rel.calibration {
-                tenant.restore_calibration(cal);
-            }
         }
         self.next = self.next.max(next_relation_id);
         Ok(())

@@ -32,10 +32,7 @@
 mod round;
 
 pub use round::RoundView;
-pub use va_persist::record::PassFail;
 pub use vao::ops::drive::Demand;
-
-use std::collections::BTreeMap;
 
 use va_sketch::IntervalQuantileSketch;
 use va_stream::{BondRelation, Query};
@@ -48,7 +45,6 @@ use vao::ops::percentile::{
 };
 use vao::ops::quantile::demands_quantile;
 use vao::ops::score::{demands_rank, Flipped};
-use vao::ops::selection::{decided, CmpOp};
 use vao::ops::sum::{ave_weight, demands_sum, weighted_endpoints, weighted_interval};
 use vao::Bounds;
 
@@ -236,150 +232,10 @@ pub(crate) fn checked_sum_interval(pool: &SharedPool, weights: &[f64]) -> Result
     Bounds::try_new(lo, hi)
 }
 
-// ------------------------------------------- predicate outcome learning
-
-/// Decided predicate outcomes required before the learned frequencies are
-/// trusted to reorder probe demands. Below this the boost is inert, so a
-/// couple of early coin-flip outcomes cannot skew the schedule.
-pub const PRED_MIN_OUTCOMES: u64 = 16;
-
-/// Per-predicate pass/fail frequencies accumulated across ticks, keyed by
-/// the exact `(op, constant)` pair — the constant by bit pattern, so two
-/// predicates that merely compare equal never share a counter.
-///
-/// This is the selection-VAO half of the tenant's calibration state (the
-/// cost half is [`vao::cost::Calibrator`]): each tick the scheduler tallies
-/// how every registered SELECT/COUNT predicate decided over the pool, and
-/// on later ticks [`PredicateStats::boost`] multiplies the probe demand of
-/// an unresolved object whose *estimated* bounds agree with the learned
-/// majority direction — ordering probes by learned selectivity correlation
-/// rather than treating every undecided object alike (after Joglekar et
-/// al.'s correlated-predicate ordering). The counters are journaled with
-/// the cost model, so a recovered server resumes with the same ordering.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PredicateStats {
-    counters: BTreeMap<(u8, u64), PassFail>,
-}
-
-/// Stable per-op code used only as a map key / persistence tag.
-fn op_code(op: CmpOp) -> u8 {
-    match op {
-        CmpOp::Gt => 0,
-        CmpOp::Ge => 1,
-        CmpOp::Lt => 2,
-        CmpOp::Le => 3,
-    }
-}
-
-impl PredicateStats {
-    /// Empty (untrained) state.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether no outcome has ever been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
-
-    /// Tallies the query's predicate outcomes over the pool's current
-    /// bounds (SELECT/COUNT only; every other shape is a no-op). Each tick
-    /// re-counts the decided objects — the counters are frequencies, not a
-    /// census, and only their *ratio* steers the boost.
-    pub fn record_query(&mut self, query: &Query, pool: &SharedPool) {
-        let (op, constant) = match query {
-            Query::Selection { op, constant } | Query::Count { op, constant, .. } => {
-                (*op, *constant)
-            }
-            _ => return,
-        };
-        let entry = self
-            .counters
-            .entry((op_code(op), constant.to_bits()))
-            .or_default();
-        for i in 0..pool.len() {
-            match decided(pool, i, op, constant) {
-                Some(d) if d.satisfied => entry.pass += 1,
-                Some(_) => entry.fail += 1,
-                None => {}
-            }
-        }
-    }
-
-    /// The learned counters for one predicate, if any.
-    #[must_use]
-    pub fn counter(&self, op: CmpOp, constant: f64) -> Option<PassFail> {
-        self.counters
-            .get(&(op_code(op), constant.to_bits()))
-            .copied()
-    }
-
-    /// Restores one counter verbatim (recovery path). Later recoveries of
-    /// the same predicate overwrite — journal replay is last-wins.
-    pub fn restore_counter(&mut self, op: CmpOp, constant: f64, pf: PassFail) {
-        self.counters.insert((op_code(op), constant.to_bits()), pf);
-    }
-
-    /// Iterates `(op, constant, counters)` in deterministic key order —
-    /// the persistence layer serializes exactly this sequence.
-    pub fn entries(&self) -> impl Iterator<Item = (CmpOp, f64, PassFail)> + '_ {
-        self.counters.iter().map(|(&(code, bits), &pf)| {
-            let op = match code {
-                0 => CmpOp::Gt,
-                1 => CmpOp::Ge,
-                2 => CmpOp::Lt,
-                _ => CmpOp::Le,
-            };
-            (op, f64::from_bits(bits), pf)
-        })
-    }
-
-    /// `(majority outcome, correlation strength in ppm)` for a predicate,
-    /// or `None` while under [`PRED_MIN_OUTCOMES`] or perfectly balanced.
-    /// Strength is `|pass − fail| / (pass + fail)` scaled to 1e6 —
-    /// all-integer, so recovered state replays to identical boosts.
-    #[must_use]
-    pub fn majority(&self, op: CmpOp, constant: f64) -> Option<(bool, u64)> {
-        let pf = self.counter(op, constant)?;
-        let total = pf.pass + pf.fail;
-        if total < PRED_MIN_OUTCOMES || pf.pass == pf.fail {
-            return None;
-        }
-        let diff = pf.pass.abs_diff(pf.fail);
-        let ppm = (u128::from(diff) * 1_000_000 / u128::from(total)) as u64;
-        Some((pf.pass > pf.fail, ppm))
-    }
-
-    /// Reorders a SELECT/COUNT demand list by learned correlation: an
-    /// unresolved object whose *estimated* bounds would decide in the
-    /// majority direction gets its benefit scaled by `1 + strength`, so
-    /// the greedy scheduler probes the objects most likely to resolve the
-    /// way the data historically leans first. Non-predicate queries and
-    /// untrained predicates pass through untouched.
-    pub fn boost(&self, query: &Query, pool: &SharedPool, out: &mut [Demand]) {
-        let (op, constant) = match query {
-            Query::Selection { op, constant } | Query::Count { op, constant, .. } => {
-                (*op, *constant)
-            }
-            _ => return,
-        };
-        let Some((majority, ppm)) = self.majority(op, constant) else {
-            return;
-        };
-        let factor = 1.0 + ppm as f64 / 1e6;
-        for d in out {
-            if op.decide(&pool.est_bounds(d.object), constant) == Some(majority) {
-                d.benefit *= factor;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vao::ops::selection::CmpOp;
     use vao::testkit::ScriptedObject;
 
     /// The paper's Table 2 objects (see `vao::ops::minmax` tests), boxed

@@ -322,13 +322,6 @@ impl RoundView {
         &self.sessions[s].list
     }
 
-    /// This round's list for session `s`, for a per-round adjustment
-    /// (the learned-correlation boost): the next repair re-derives the
-    /// list from the caches, so an edit never carries into a later round.
-    pub(crate) fn demands_mut(&mut self, s: usize) -> &mut [Demand] {
-        &mut self.sessions[s].list
-    }
-
     /// Sessions whose demand list is non-empty.
     #[must_use]
     pub fn outstanding(&self) -> usize {

@@ -812,20 +812,14 @@ pub fn tick_done(relation: &str, res: &TickResult, shed: u64) -> String {
 /// Writes the `STATS` response line summarizing one relation's run so far.
 pub fn write_stats(out: &mut String, tenant: &Tenant) -> fmt::Result {
     let summary = tenant.summary();
-    // Calibration progress rides STATS so an operator (and the CI smoke
-    // test) can confirm a recovered server kept its learned model without
-    // reading the journal: observation count and the pooled actual/claimed
-    // cost ratio in ppm (1e6 = identity/cold).
     write!(
         out,
-        "{{\"type\":\"STATS\",\"relation\":\"{}\",\"ticks\":{},\"shed_ticks\":{},\"work_units\":{},\"iterations\":{},\"calibration\":{{\"observations\":{},\"gain_ppm\":{}}},\"sessions\":",
+        "{{\"type\":\"STATS\",\"relation\":\"{}\",\"ticks\":{},\"shed_ticks\":{},\"work_units\":{},\"iterations\":{},\"sessions\":",
         Escaped(tenant.name()),
         summary.ticks,
         tenant.shed(),
         summary.work.total(),
         summary.iterations,
-        tenant.calibration_observations(),
-        tenant.calibration_gain_ppm(),
     )?;
     write_array(out, tenant.sessions().sessions(), |out, s| {
         write!(

@@ -46,16 +46,16 @@ use va_numerics::pde::step_batch_keeping;
 use va_persist::record::SessionTickRecord;
 use va_stream::{BondRelation, Query};
 use vao::batch::{BatchLane, GridShape};
-use vao::cost::{Calibrator, Work, WorkMeter};
+use vao::cost::{Work, WorkMeter};
 use vao::interface::ResultObject;
 use vao::ops::drive::{run_rounds, Demand, DemandSource, Pool, Schedule, Step};
 use vao::ops::DEFAULT_ITERATION_LIMIT;
 use vao::strategy::ChoicePolicy;
-use vao::trace::{CalibrationRecord, ExecObserver, OperatorEndRecord, OperatorKind};
+use vao::trace::{ExecObserver, OperatorEndRecord, OperatorKind};
 use vao::Bounds;
 
 use crate::answer::Answer;
-use crate::demand::{self, PredicateStats, RoundView};
+use crate::demand::{self, RoundView};
 use crate::error::ServerError;
 use crate::pool::SharedPool;
 use crate::session::{SessionId, SessionRegistry};
@@ -235,9 +235,9 @@ pub fn arbitrate_budget(total: Option<Work>, weights: &[u64]) -> Vec<Option<Work
 }
 
 /// A probe called with the pool and the round view at the top of every
-/// scheduling round, right after the view was built or repaired (and before
-/// any per-round boost) — the seam the differential tests check the
-/// maintained demand state through. The server passes `None`.
+/// scheduling round, right after the view was built or repaired — the seam
+/// the differential tests check the maintained demand state through. The
+/// server passes `None`.
 pub type RoundAudit<'a> = &'a mut dyn FnMut(&SharedPool, &RoundView);
 
 /// The sessions' queries, in registration order.
@@ -266,14 +266,6 @@ fn queries(registry: &SessionRegistry) -> impl Iterator<Item = &Query> + Clone {
 /// refinement whose column it holds commits from it; every other reusable
 /// lane solve's column comes back in [`TickOutcome::columns`]. Neither
 /// changes any result, so an empty store ticks exactly like a full one.
-///
-/// `calibration` is the state a calibrated server trains, as tick-local
-/// copies the caller installs once the tick is journaled (`None`
-/// reproduces the uncalibrated schedule bit-identically): the cost model
-/// corrects `estCPU` before admission and budget accounting and is fed
-/// every `(raw estimate, measured cost)` pair the tick executes; the
-/// predicate stats reorder probe demands by the learned correlation and
-/// tally this tick's SELECT/COUNT outcomes.
 #[allow(clippy::too_many_arguments)] // one call site; the knobs are the API
 pub(crate) fn run_tick<O: ExecObserver>(
     registry: &SessionRegistry,
@@ -284,18 +276,15 @@ pub(crate) fn run_tick<O: ExecObserver>(
     batch: usize,
     batch_solver: bool,
     columns: &ColumnStore,
-    calibration: Option<(&mut Calibrator, &mut PredicateStats)>,
     meter: &mut WorkMeter,
     observer: &mut O,
     audit: Option<RoundAudit<'_>>,
 ) -> Result<TickOutcome, ServerError> {
     observer.on_operator_start(OperatorKind::SharedPool, pool.len());
     let entry = meter.snapshot();
-    let (model, predicates) = calibration.unzip();
     let mut sessions = Sessions {
         registry,
         view: RoundView::build(queries(registry), pool),
-        predicates: predicates.as_deref(),
         audit,
     };
     sessions.settle(pool);
@@ -307,7 +296,6 @@ pub(crate) fn run_tick<O: ExecObserver>(
     };
     let mut tick_pool = TickPool {
         pool,
-        model,
         workers: workers.max(1),
         batch_solver,
         store: columns,
@@ -316,15 +304,6 @@ pub(crate) fn run_tick<O: ExecObserver>(
     let rounds = run_rounds(&mut tick_pool, &mut sessions, schedule, meter, observer)?;
     let columns = tick_pool.columns;
     let view = sessions.view;
-
-    // Tally every SELECT/COUNT predicate's decided outcomes against the
-    // tick's final bounds — the pass/fail frequencies that order probe
-    // demands on later ticks.
-    if let Some(preds) = predicates {
-        for sess in registry.sessions() {
-            preds.record_query(&sess.query, pool);
-        }
-    }
 
     let mut answers = Vec::with_capacity(registry.len());
     let mut records = Vec::with_capacity(registry.len());
@@ -355,16 +334,14 @@ pub(crate) fn run_tick<O: ExecObserver>(
 
 /// [`run_tick`] over a caller-built registry and pool with a [`RoundAudit`]
 /// attached: the scheduler exactly as the server runs it (unbudgeted, the
-/// default iteration cap, `calibration` as `(cost model, predicate stats)`),
-/// observable round by round. Exists for the differential tests; returns
-/// the tick's answers (the per-session counter deltas are a commit's to
-/// apply, and nothing here commits).
+/// default iteration cap), observable round by round. Exists for the
+/// differential tests; returns the tick's answers (the per-session counter
+/// deltas are a commit's to apply, and nothing here commits).
 ///
 /// # Errors
 ///
 /// Whatever the tick fails with.
 #[doc(hidden)]
-#[allow(clippy::too_many_arguments)] // mirrors run_tick's knobs
 pub fn audited_tick(
     registry: &SessionRegistry,
     pool: &mut SharedPool,
@@ -372,7 +349,6 @@ pub fn audited_tick(
     workers: usize,
     batch: usize,
     batch_solver: bool,
-    calibration: Option<(&mut Calibrator, &mut PredicateStats)>,
     audit: RoundAudit<'_>,
 ) -> Result<Vec<(SessionId, Answer)>, ServerError> {
     let outcome = run_tick(
@@ -384,7 +360,6 @@ pub fn audited_tick(
         batch,
         batch_solver,
         &ColumnStore::default(),
-        calibration,
         &mut WorkMeter::new(),
         &mut vao::trace::NoopObserver,
         Some(audit),
@@ -394,13 +369,10 @@ pub fn audited_tick(
 
 /// The sessions as the round loop's demand source: one list per session,
 /// weighted by its priority, kept current by a [`RoundView`]. After the
-/// view is built or repaired the audit (if any) sees it, then a calibrated
-/// server's learned predicate correlation boosts the SELECT/COUNT lists —
-/// an edit of this round's lists only, which the next repair re-derives.
+/// view is built or repaired the audit (if any) sees it.
 struct Sessions<'a, 'b> {
     registry: &'a SessionRegistry,
     view: RoundView,
-    predicates: Option<&'a PredicateStats>,
     audit: Option<RoundAudit<'b>>,
 }
 
@@ -409,11 +381,6 @@ impl Sessions<'_, '_> {
     fn settle(&mut self, pool: &SharedPool) {
         if let Some(audit) = self.audit.as_deref_mut() {
             audit(pool, &self.view);
-        }
-        if let Some(preds) = self.predicates {
-            for (s, sess) in self.registry.sessions().iter().enumerate() {
-                preds.boost(&sess.query, pool, self.view.demands_mut(s));
-            }
         }
     }
 }
@@ -438,14 +405,10 @@ impl DemandSource<SharedPool> for Sessions<'_, '_> {
     }
 }
 
-/// The pool as the round loop sees it during a tick: `estCPU` corrected by
-/// the cost model when one is threaded in, and an admitted round run by
-/// [`run_batch_lanes`]. The model is trained on each round's `(claimed,
-/// measured)` pairs in pick order — deterministic, and already effective
-/// for the next round.
+/// The pool as the round loop sees it during a tick: an admitted round run
+/// by [`run_batch_lanes`].
 struct TickPool<'a> {
     pool: &'a mut SharedPool,
-    model: Option<&'a mut Calibrator>,
     workers: usize,
     batch_solver: bool,
     store: &'a ColumnStore,
@@ -461,46 +424,23 @@ impl Pool for TickPool<'_> {
     }
 
     fn est_cpu(&self, i: usize) -> Work {
-        let raw = self.pool.est_cpu(i);
-        self.model.as_deref().map_or(raw, |m| m.correct(raw))
+        self.pool.est_cpu(i)
     }
 
     fn execute<O: ExecObserver>(
         &mut self,
         objs: &[usize],
         meter: &mut WorkMeter,
-        observer: &mut O,
+        _observer: &mut O,
     ) -> Result<Vec<Step>, ServerError> {
-        // The model learns what the object *claimed*, not its own
-        // correction of it: both are read before the round runs.
-        let claims: Vec<(Work, Work)> = objs
-            .iter()
-            .map(|&i| (self.pool.est_cpu(i), self.est_cpu(i)))
-            .collect();
-        let steps = run_batch_lanes(
+        run_batch_lanes(
             self.pool,
             objs,
             self.workers,
             self.batch_solver,
             (self.store, &mut self.columns),
             meter,
-        )?;
-        if let Some(m) = self.model.as_deref_mut() {
-            for (&(raw_est, corrected_est), step) in claims.iter().zip(&steps) {
-                let actual = step.work.total();
-                m.observe(raw_est, actual);
-                if observer.is_enabled() {
-                    observer.on_calibration(&CalibrationRecord {
-                        observations: m.observations(),
-                        gain_ppm: m.gain_ppm(),
-                        raw_est,
-                        corrected_est,
-                        actual,
-                    });
-                }
-            }
-        }
-        Ok(steps)
+        )
     }
 }
 
@@ -561,7 +501,7 @@ enum Served {
 
 /// Commits `obj`'s refinement at `shape` from the store's column for
 /// `position`, if its lane's columns are reusable and one is held: the
-/// lane's own commit of a one-lane state, so bounds, model and charges are
+/// lane's own commit of a one-lane state, so bounds and charges are
 /// what its solve would have produced.
 fn serve_column(
     obj: &mut (dyn ResultObject + Send),

@@ -19,21 +19,18 @@ use va_persist::record::{
 use va_persist::{Meta, MetaRelation, PersistError, Recovery, Store, META_FILE};
 use va_stream::{BondRelation, Query, RunSummary, TickObserver, TickStats};
 use vao::adapters::WarmStart;
-use vao::cost::{Calibrator, Work, WorkMeter};
+use vao::cost::{Work, WorkMeter};
 use vao::error::VaoError;
 use vao::ops::sum::ave_weight;
 use vao::trace::{
-    BudgetExhaustedRecord, CalibrationRecord, ChoiceRecord, CompactionRecord, ExecObserver,
-    HybridDecisionRecord, IterationRecord, NoopObserver, OperatorEndRecord, OperatorKind,
-    RecoveryRecord, RoundRecord,
+    BudgetExhaustedRecord, ChoiceRecord, CompactionRecord, ExecObserver, HybridDecisionRecord,
+    IterationRecord, NoopObserver, OperatorEndRecord, OperatorKind, RecoveryRecord, RoundRecord,
 };
 use vao::PrecisionConstraint;
 
 use crate::answer::Answer;
-use crate::catalog::{
-    calibration_state, def_record, Catalog, RelationId, Tenant, DEFAULT_RELATION,
-};
-use crate::demand::{checked_sum_interval, PredicateStats};
+use crate::catalog::{def_record, Catalog, RelationId, Tenant, DEFAULT_RELATION};
+use crate::demand::checked_sum_interval;
 use crate::error::ServerError;
 use crate::pool::SharedPool;
 use crate::sched::{self, ColumnStats, ColumnStore, COLUMN_STORE_BYTES};
@@ -75,15 +72,6 @@ pub struct ServerConfig {
     /// trades more frequent snapshot writes for faster restarts and a
     /// smaller data dir.
     pub snapshot_every: u64,
-    /// Whether the scheduler runs with online cost calibration (PR 10):
-    /// admission, budget accounting and cross-tenant arbitration use
-    /// `corrected = model(estCPU)` from a per-tenant
-    /// [`vao::cost::Calibrator`] trained on every executed iteration, and
-    /// SELECT/COUNT probe demands are reordered by learned pass/fail
-    /// correlation. Default **off** — and with it off every code path is
-    /// bit-identical to the uncalibrated server, which is the golden
-    /// contract `--calibrate off` tests pin.
-    pub calibrate: bool,
 }
 
 /// Default for [`ServerConfig::snapshot_every`]: small enough that
@@ -99,7 +87,6 @@ impl Default for ServerConfig {
             batch: None,
             batch_solver: true,
             snapshot_every: DEFAULT_SNAPSHOT_EVERY,
-            calibrate: false,
         }
     }
 }
@@ -119,13 +106,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Returns `self` with online cost calibration switched on or off.
-    #[must_use]
-    pub fn with_calibration(mut self, calibrate: bool) -> Self {
-        self.calibrate = calibrate;
         self
     }
 
@@ -777,8 +757,8 @@ impl Server {
 
     /// The tick record of one executed tick, built from the tenant's
     /// counters and the execution's outcome, and the result it answers
-    /// with. Nothing of the tenant — session counters, cost model, warm
-    /// state, history — moves until the record goes down the one write
+    /// with. Nothing of the tenant — session counters, warm state,
+    /// history — moves until the record goes down the one write
     /// path ([`Server::journal_and_apply`]) and is journaled first. The
     /// tick's columns come back beside them, for the caller to merge once
     /// the record is committed.
@@ -791,14 +771,9 @@ impl Server {
             mut outcome,
             stats,
             warm,
-            trained,
         } = exec;
         let columns = std::mem::take(&mut outcome.columns);
         let tenant = &self.catalog.tenants()[idx];
-        let (model, predicates) = match &trained {
-            Some((model, predicates)) => (model, predicates),
-            None => (&tenant.calibrator, &tenant.predicates),
-        };
         let result = TickResult {
             relation: tenant.id,
             tick: tenant.ticks + 1,
@@ -817,7 +792,6 @@ impl Server {
             sessions: outcome.sessions,
             answers: outcome.answers,
             warm,
-            calibration: calibration_state(model, predicates),
         }));
         (result, event, columns)
     }
@@ -867,24 +841,12 @@ impl Server {
         let weights: Vec<u64> = indices
             .iter()
             .map(|&i| {
-                let t = &self.catalog.tenants()[i];
-                let base: u64 = t
+                self.catalog.tenants()[i]
                     .sessions()
                     .sessions()
                     .iter()
                     .map(|s| u64::from(s.priority))
-                    .sum();
-                if self.config.calibrate {
-                    // Calibrated arbitration: a tenant whose iterations
-                    // measure costlier than claimed (gain > 1e6 ppm) draws
-                    // a proportionally larger slice, so its slice buys the
-                    // same *intended* work as its co-tenants'. Cold models
-                    // report exactly 1e6 — identity.
-                    let scaled = u128::from(base) * u128::from(t.calibrator.gain_ppm()) / 1_000_000;
-                    u64::try_from(scaled).unwrap_or(u64::MAX)
-                } else {
-                    base
-                }
+                    .sum()
             })
             .collect();
         let budgets = sched::arbitrate_budget(self.config.budget, &weights);
@@ -1058,9 +1020,6 @@ struct TickExec {
     /// End-of-tick state of every pool object (durable servers; empty in
     /// memory, where nothing would ever read it back).
     warm: Vec<WarmObjectRecord>,
-    /// The cost model and predicate counters as this tick trained them
-    /// (calibrated servers).
-    trained: Option<(Calibrator, PredicateStats)>,
 }
 
 /// The rates the pricer's grid covers: anything else is refused here, as a
@@ -1077,10 +1036,9 @@ fn check_rate(pricer: &BondPricer, rate: f64) -> Result<(), ServerError> {
 /// Executes one relation's tick: pool invocation (warm-seeded when the
 /// tenant has journaled this rate), floor validation, the budgeted
 /// scheduler, and stats assembly. Only reads `tenant` and its relation's
-/// column store (empty before its first committed tick) — the scheduler
-/// trains tick-local copies of its cost model, and the columns it solves
-/// come back in the outcome — so independent tenants execute on separate
-/// threads and a tick that fails to journal leaves no trace.
+/// column store (empty before its first committed tick) — the columns it
+/// solves come back in the outcome — so independent tenants execute on
+/// separate threads and a tick that fails to journal leaves no trace.
 #[allow(clippy::too_many_arguments)] // two call sites; the knobs are the API
 fn execute_tenant_tick<O: ExecObserver>(
     pricer: &BondPricer,
@@ -1126,12 +1084,6 @@ fn execute_tenant_tick<O: ExecObserver>(
 
     let mut tick_obs = TickObserver::new();
     let mut fan = Fanout(&mut tick_obs, observer);
-    // Calibration threads copies of the tenant's own model through the
-    // scheduler — `None` (the default) leaves every admission decision
-    // bit-identical to the uncalibrated server.
-    let mut trained = config
-        .calibrate
-        .then(|| (tenant.calibrator.clone(), tenant.predicates.clone()));
     let outcome = sched::run_tick(
         &tenant.registry,
         &mut pool,
@@ -1141,9 +1093,6 @@ fn execute_tenant_tick<O: ExecObserver>(
         config.effective_batch(),
         config.batch_solver,
         columns,
-        trained
-            .as_mut()
-            .map(|(model, predicates)| (model, predicates)),
         &mut meter,
         &mut fan,
         None,
@@ -1179,7 +1128,6 @@ fn execute_tenant_tick<O: ExecObserver>(
         outcome,
         stats,
         warm,
-        trained,
     })
 }
 
@@ -1354,14 +1302,6 @@ impl<A: ExecObserver, B: ExecObserver> ExecObserver for Fanout<'_, A, B> {
             self.1.on_round(round);
         }
     }
-    fn on_calibration(&mut self, record: &CalibrationRecord) {
-        if self.0.is_enabled() {
-            self.0.on_calibration(record);
-        }
-        if self.1.is_enabled() {
-            self.1.on_calibration(record);
-        }
-    }
     fn on_operator_end(&mut self, end: &OperatorEndRecord) {
         if self.0.is_enabled() {
             self.0.on_operator_end(end);
@@ -1377,7 +1317,6 @@ mod tests {
     use super::*;
     use bondlab::{BondUniverse, RateSeries};
     use va_persist::record::{RelationSnapshot, WarmRateRecord};
-    use vao::cost::{CalCell, CAL_CLASSES, CAL_MIN_OBSERVATIONS};
     use vao::Bounds;
 
     fn small_server(config: ServerConfig) -> Server {
@@ -1626,85 +1565,6 @@ mod tests {
         assert!(per_session.iter().all(|r| r.finals == 1));
         // Someone must have driven the refinement work.
         assert!(per_session.iter().map(|r| r.driven_iterations).sum::<u64>() > 0);
-    }
-
-    #[test]
-    fn poisoned_downward_calibration_never_frees_admission_for_warm_pools() {
-        use vao::trace::{Recorder, TraceEvent};
-
-        let dir = scratch_dir("poisoned-cal");
-        let rate = RateSeries::january_1994().opening_rate();
-        let config = ServerConfig {
-            budget: Some(6_000),
-            batch: Some(2),
-            ..ServerConfig::default()
-        }
-        .with_calibration(true);
-
-        let mut srv = Server::open_durable(BondPricer::default(), relation_of(8, 42), config, &dir)
-            .expect("open durable server");
-        srv.subscribe(Query::Max { epsilon: 1.0 }, 1).unwrap();
-        srv.subscribe(
-            Query::Selection {
-                op: vao::ops::selection::CmpOp::Gt,
-                constant: 100.0,
-            },
-            1,
-        )
-        .unwrap();
-        // Repeat the rate until the loose sessions converge: the warm
-        // state a restart re-admits for free.
-        let mut pre = None;
-        for _ in 0..4 {
-            pre = Some(srv.tick(rate).expect("pre-crash tick"));
-        }
-        let pre = pre.expect("at least one tick");
-        assert!(
-            pre.answers.iter().any(|(_, a)| a.is_final()),
-            "warm state must contain at least one converged session"
-        );
-        drop(srv);
-
-        let mut recovered =
-            Server::open_durable(BondPricer::default(), relation_of(8, 42), config, &dir)
-                .expect("reopen durable server");
-        // Corrupt the recovered model into claiming every iteration is
-        // nearly free (`actual ≈ 0` in every warm class). The `.max(1)`
-        // clamp in `Calibrator::correct` is the guard under test: a
-        // positive raw estimate must never correct to zero, or budget
-        // admission would become free and a recovered warm pool could
-        // re-admit objects past their achieved accuracy without bound.
-        let poisoned = [CalCell {
-            observations: 64,
-            est_sum: 1 << 16,
-            actual_sum: 0,
-        }; CAL_CLASSES];
-        recovered.catalog.tenants_mut()[0].calibrator = Calibrator::from_cells(poisoned);
-
-        let mut rec = Recorder::new();
-        let res = recovered
-            .tick_with_observer(rate, &mut rec)
-            .expect("poisoned tick");
-        for e in rec.events() {
-            if let TraceEvent::Round(r) = e {
-                assert!(
-                    r.est_cpu >= r.admitted as u64,
-                    "admission went free: {} objects admitted for estCPU {}",
-                    r.admitted,
-                    r.est_cpu
-                );
-            }
-        }
-        // Converged sessions answer from warm state at their achieved
-        // accuracy — the poisoned model must not degrade them.
-        for ((pid, pa), (rid, ra)) in pre.answers.iter().zip(&res.answers) {
-            assert_eq!(pid, rid);
-            if pa.is_final() {
-                assert_eq!(pa, ra, "session {pid} lost its converged answer");
-            }
-        }
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2334,7 +2194,6 @@ mod tests {
             sessions: Vec::new(),
             answers: Vec::new(),
             warm,
-            calibration: None,
         }))
     }
 
@@ -2407,7 +2266,6 @@ mod tests {
                         },
                     ],
                     answers: Vec::new(),
-                    calibration: None,
                 }],
             }),
             tail: vec![
@@ -2441,7 +2299,7 @@ mod tests {
     fn a_tick_moves_its_tenant_only_at_commit() {
         let rate = RateSeries::january_1994().opening_rate();
         let build = || {
-            let mut srv = small_server(ServerConfig::budgeted(6_000).with_calibration(true));
+            let mut srv = small_server(ServerConfig::budgeted(6_000));
             srv.subscribe(Query::Max { epsilon: 0.05 }, 2).unwrap();
             let predicate = Query::Selection {
                 op: vao::ops::selection::CmpOp::Gt,
@@ -2467,7 +2325,6 @@ mod tests {
         .unwrap();
         // Executed, not committed: what a failed journal append leaves.
         assert_eq!(tenant.registry.sessions(), fresh);
-        assert!(tenant.calibrator.is_cold() && tenant.predicates.is_empty());
         assert_eq!((tenant.ticks, tenant.history.len()), (0, 0));
         let (_, event, _) = srv.tick_record(0, exec);
         srv.journal_and_apply(vec![event]).unwrap();
@@ -2476,13 +2333,10 @@ mod tests {
         twin.tick(rate).unwrap();
         let (tenant, expected) = (&srv.catalog.tenants()[0], &twin.catalog.tenants()[0]);
         assert_eq!(tenant.registry.sessions(), expected.registry.sessions());
-        assert_eq!(tenant.calibrator, expected.calibrator);
-        assert_eq!(tenant.predicates, expected.predicates);
         assert_eq!(tenant.last_answers, expected.last_answers);
         let sessions = tenant.registry.sessions();
         assert!(sessions.iter().all(|s| s.finals + s.partials == 1));
         assert!(sessions.iter().any(|s| s.driven_iterations > 0));
-        assert!(tenant.calibrator.observations() > 0 && !tenant.predicates.is_empty());
     }
 
     #[test]
@@ -2642,7 +2496,7 @@ mod tests {
         let live_dir = scratch_dir("live");
         let replay_dir = scratch_dir("replay");
         let pricer = BondPricer::default();
-        let config = ServerConfig::budgeted(6_000).with_calibration(true);
+        let config = ServerConfig::budgeted(6_000);
         let predicate = Query::Selection {
             op: vao::ops::selection::CmpOp::Gt,
             constant: 100.0,
@@ -2688,54 +2542,9 @@ mod tests {
         let live = snapshot_relations(&live_dir);
         assert_eq!(live, snapshot_relations(&replay_dir));
         // The script left something in every field a section has.
-        for field in [
-            "\"calibration\":{",
-            "\"warm\":[{",
-            "\"history\":[{",
-            "\"sessions\":[{",
-        ] {
+        for field in ["\"warm\":[{", "\"history\":[{", "\"sessions\":[{"] {
             assert!(live.contains(field), "{field} missing from {live}");
         }
-        for dir in [live_dir, replay_dir] {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-
-    #[test]
-    fn light_ticks_accumulate_training_live_and_through_the_journal() {
-        // A low-traffic tenant: each tick's budget buys fewer iterations
-        // than `CAL_MIN_OBSERVATIONS`, so no single tick warms a cost class.
-        // The training still has to reach the tenant, and the journal has
-        // to carry it: a server that crashes inside the cold window comes
-        // back with what the live one holds, and on both the second tick
-        // starts from there and warms the model.
-        let live_dir = scratch_dir("light-live");
-        let replay_dir = scratch_dir("light-replay");
-        let pricer = BondPricer::default();
-        let config = ServerConfig::budgeted(1_600).with_calibration(true);
-        let open =
-            |dir: &Path| Server::open_durable(pricer, small_relation(), config, dir).unwrap();
-        let mut live = open(&live_dir);
-        live.subscribe(Query::Max { epsilon: 0.05 }, 1).unwrap();
-        let first = live.tick(0.0583).unwrap().stats.iterations;
-        assert!((1..CAL_MIN_OBSERVATIONS).contains(&first));
-        let model = &default_tenant(&live).calibrator;
-        assert!(model.is_cold() && model.observations() == first);
-
-        copy_without_snapshots(&live_dir, &replay_dir);
-        let mut replayed = open(&replay_dir);
-        assert_eq!(&default_tenant(&replayed).calibrator, model);
-
-        for srv in [&mut live, &mut replayed] {
-            let second = srv.tick(0.0601).unwrap().stats.iterations;
-            assert!((1..CAL_MIN_OBSERVATIONS).contains(&second));
-            let model = &default_tenant(srv).calibrator;
-            assert!(!model.is_cold() && model.observations() == first + second);
-        }
-        assert_eq!(
-            default_tenant(&live).calibrator,
-            default_tenant(&replayed).calibrator
-        );
         for dir in [live_dir, replay_dir] {
             let _ = std::fs::remove_dir_all(dir);
         }

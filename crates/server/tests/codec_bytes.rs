@@ -4,10 +4,12 @@
 //! probes); none says what the emitters actually write. This file does:
 //! one literal expected string per journal event, snapshot, metadata
 //! file, protocol response and rendered request. A change to field order,
-//! float formatting, escaping or an absent-when-cold field fails here
-//! first, with the exact line in the diff. The journal and snapshot
-//! literals are also read back: each must parse, and what it parses to
-//! must write the bytes it came from.
+//! float formatting or escaping fails here first, with the exact line in
+//! the diff. The journal and snapshot literals are also read back: each
+//! must parse, and what it parses to must write the bytes it came from.
+//! The records a server with cost calibration wrote stay pinned as it
+//! wrote them, as records every parser refuses by the retired field's
+//! name.
 //!
 //! The literals are the contract. Constructor expressions may change when
 //! a type does; the strings may not.
@@ -16,15 +18,14 @@ use std::time::Duration;
 
 use bondlab::Bond;
 use va_persist::record::{
-    CalibrationState, JournalEvent, PassFail, RelationDefRecord, RelationRecord, RelationSnapshot,
-    SegmentPosition, SessionTickRecord, SnapshotRecord, TickRecord, WarmObjectRecord,
-    WarmRateRecord,
+    JournalEvent, RelationDefRecord, RelationRecord, RelationSnapshot, SegmentPosition,
+    SessionTickRecord, SnapshotRecord, TickRecord, WarmObjectRecord, WarmRateRecord,
 };
-use va_persist::{Meta, MetaRelation};
+use va_persist::{Meta, MetaRelation, PersistError, Store};
 use va_server::proto::{self, RelationSpec, Request, WireBond, WireQuery};
 use va_server::{Answer, RelationId, Server, ServerConfig, Session, SessionId, TickResult};
 use va_stream::{BondRelation, IterHistogram, Query, QueryOutput, TickStats};
-use vao::cost::{CalCell, WorkBreakdown, CAL_CLASSES};
+use vao::cost::WorkBreakdown;
 use vao::ops::heavy::HeavyCell;
 use vao::ops::selection::CmpOp;
 use vao::trace::CpuEstimation;
@@ -69,26 +70,6 @@ fn stats() -> TickStats {
             mean_abs_error: 12.5,
             mean_abs_pct_error: 0.03,
         },
-    }
-}
-
-fn calibration() -> CalibrationState {
-    let mut cells = [CalCell::default(); CAL_CLASSES];
-    cells[7] = CalCell {
-        observations: 41,
-        est_sum: 5_120,
-        actual_sum: 7_730,
-    };
-    CalibrationState {
-        cells,
-        predicates: vec![
-            (CmpOp::Gt, 100.25, PassFail { pass: 18, fail: 30 }),
-            (
-                CmpOp::Le,
-                99.058_300_000_000_01,
-                PassFail { pass: 0, fail: 7 },
-            ),
-        ],
     }
 }
 
@@ -151,7 +132,7 @@ fn warm() -> Vec<WarmObjectRecord> {
     ]
 }
 
-fn tick(calibration: Option<CalibrationState>) -> JournalEvent {
+fn tick() -> JournalEvent {
     JournalEvent::Tick(Box::new(TickRecord {
         relation: 2,
         tick: 7,
@@ -173,7 +154,6 @@ fn tick(calibration: Option<CalibrationState>) -> JournalEvent {
         ],
         answers: answers(),
         warm: warm(),
-        calibration,
     }))
 }
 
@@ -251,13 +231,8 @@ fn journal_pins() -> Vec<(&'static str, String, &'static str)> {
             r#"{"ev":"unsubscribe","relation":1,"session":4}"#,
         ),
         (
-            "tick with calibration",
-            tick(Some(calibration())).to_line(),
-            r#"{"ev":"tick","relation":2,"tick":7,"rate":0.0583,"shed":2,"budget_exhausted":true,"stats":{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}},"sessions":[{"session":1,"final":true,"driven":100},{"session":7,"final":false,"driven":0}],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"selected","ids":[1,2,37]}}},{"session":2,"answer":{"status":"final","output":{"shape":"extreme","bond":45,"lo":123.3181270500031,"hi":123.56660774898366,"ties":[2,9]}}},{"session":3,"answer":{"status":"final","output":{"shape":"aggregate","lo":5132.538654318307,"hi":5174.8478309089305}}},{"session":4,"answer":{"status":"final","output":{"shape":"ranked","members":[{"bond":45,"lo":123.3,"hi":123.6},{"bond":9,"lo":88.8,"hi":88.9}],"ties":[3]}}},{"session":5,"answer":{"status":"final","output":{"shape":"count","lo":37,"hi":41}}},{"session":6,"answer":{"status":"final","output":{"shape":"heavy","cells":[{"cell":-3,"count":7},{"cell":12,"count":2}],"ties":[-2,5]}}},{"session":7,"answer":{"status":"partial","lo":5132.5,"hi":5174.8}}],"warm":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[41,5120,7730],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":">","constant":100.25,"pass":18,"fail":30},{"op":"<=","constant":99.05830000000002,"pass":0,"fail":7}]}}"#,
-        ),
-        (
-            "tick without calibration",
-            tick(None).to_line(),
+            "tick",
+            tick().to_line(),
             r#"{"ev":"tick","relation":2,"tick":7,"rate":0.0583,"shed":2,"budget_exhausted":true,"stats":{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}},"sessions":[{"session":1,"final":true,"driven":100},{"session":7,"final":false,"driven":0}],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"selected","ids":[1,2,37]}}},{"session":2,"answer":{"status":"final","output":{"shape":"extreme","bond":45,"lo":123.3181270500031,"hi":123.56660774898366,"ties":[2,9]}}},{"session":3,"answer":{"status":"final","output":{"shape":"aggregate","lo":5132.538654318307,"hi":5174.8478309089305}}},{"session":4,"answer":{"status":"final","output":{"shape":"ranked","members":[{"bond":45,"lo":123.3,"hi":123.6},{"bond":9,"lo":88.8,"hi":88.9}],"ties":[3]}}},{"session":5,"answer":{"status":"final","output":{"shape":"count","lo":37,"hi":41}}},{"session":6,"answer":{"status":"final","output":{"shape":"heavy","cells":[{"cell":-3,"count":7},{"cell":12,"count":2}],"ties":[-2,5]}}},{"session":7,"answer":{"status":"partial","lo":5132.5,"hi":5174.8}}],"warm":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}]}"#,
         ),
         (
@@ -347,64 +322,9 @@ fn edge_answers() -> Vec<(SessionId, Answer)> {
 }
 
 /// Journal lines with every array field empty and with one element, and
-/// with the edge floats wherever a record carries a float.
+/// with the edge floats wherever a record carries a float (the ticks that
+/// carry them are in [`calibrated_pins`]).
 fn edge_journal_pins() -> Vec<(&'static str, String, &'static str)> {
-    let [neg_zero, big, small, subnormal, max] = edge_floats();
-    let edge_stats = TickStats {
-        rate: neg_zero,
-        iter_histogram: IterHistogram::from_buckets([0; 9]),
-        cpu_est: CpuEstimation {
-            iterations: 0,
-            pct_iterations: 0,
-            mean_abs_error: big,
-            mean_abs_pct_error: subnormal,
-        },
-        ..stats()
-    };
-    let empty_tick = JournalEvent::Tick(Box::new(TickRecord {
-        relation: 1,
-        tick: 1,
-        rate: neg_zero,
-        shed: 0,
-        budget_exhausted: false,
-        stats: edge_stats,
-        sessions: Vec::new(),
-        answers: Vec::new(),
-        warm: Vec::new(),
-        calibration: Some(CalibrationState {
-            cells: [CalCell::default(); CAL_CLASSES],
-            predicates: Vec::new(),
-        }),
-    }));
-    let one_tick = JournalEvent::Tick(Box::new(TickRecord {
-        relation: 1,
-        tick: 2,
-        rate: small,
-        shed: 0,
-        budget_exhausted: false,
-        stats: edge_stats,
-        sessions: vec![SessionTickRecord {
-            session: 3,
-            is_final: true,
-            driven: 1,
-        }],
-        answers: vec![(
-            SessionId(3),
-            Answer::Partial {
-                bounds: Bounds::new(neg_zero, max),
-            },
-        )],
-        warm: vec![WarmObjectRecord {
-            bounds: Bounds::new(subnormal, big),
-            converged: false,
-            iters: 1,
-            cost: 1,
-        }],
-        calibration: Some(CalibrationState {
-            cells: [CalCell::default(); CAL_CLASSES],
-            predicates: vec![(CmpOp::Lt, max, PassFail { pass: 1, fail: 0 })],
-        }),
-    }));
     let answers_tick = JournalEvent::Tick(Box::new(TickRecord {
         relation: 1,
         tick: 3,
@@ -415,7 +335,6 @@ fn edge_journal_pins() -> Vec<(&'static str, String, &'static str)> {
         sessions: Vec::new(),
         answers: edge_answers(),
         warm: Vec::new(),
-        calibration: None,
     }));
     let sum = |weights: Vec<f64>| JournalEvent::Subscribe {
         relation: 1,
@@ -427,16 +346,6 @@ fn edge_journal_pins() -> Vec<(&'static str, String, &'static str)> {
         },
     };
     vec![
-        (
-            "tick, every array empty, edge floats",
-            empty_tick.to_line(),
-            r#"{"ev":"tick","relation":1,"tick":1,"rate":-0,"shed":0,"budget_exhausted":false,"stats":{"rate":-0,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[0,0,0,0,0,0,0,0,0],"cpu":{"iterations":0,"pct_iterations":0,"mae":1000000000000000000000,"mape":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005}},"sessions":[],"answers":[],"warm":[],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[]}}"#,
-        ),
-        (
-            "tick, every array one element, edge floats",
-            one_tick.to_line(),
-            r#"{"ev":"tick","relation":1,"tick":2,"rate":0.0000001,"shed":0,"budget_exhausted":false,"stats":{"rate":-0,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[0,0,0,0,0,0,0,0,0],"cpu":{"iterations":0,"pct_iterations":0,"mae":1000000000000000000000,"mape":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005}},"sessions":[{"session":3,"final":true,"driven":1}],"answers":[{"session":3,"answer":{"status":"partial","lo":-0,"hi":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000}}],"warm":[{"lo":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"hi":1000000000000000000000,"converged":false,"iters":1,"cost":1}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":"<","constant":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,"pass":1,"fail":0}]}}"#,
-        ),
         (
             "tick, every output array empty and one element",
             answers_tick.to_line(),
@@ -474,9 +383,89 @@ fn journal_lines() {
     check(&journal_pins());
 }
 
-/// The two-relation snapshot as `(what, emitted, expected)`.
-fn snapshot_pin() -> (&'static str, String, &'static str) {
-    let snap = SnapshotRecord {
+/// `literal` with its `,"calibration":{..}` member cut out.
+fn without_calibration(literal: &str) -> String {
+    let start = literal
+        .find(",\"calibration\":")
+        .expect("a calibration member");
+    let open = start + ",\"calibration\":".len();
+    let mut depth = 0;
+    let end = literal[open..]
+        .char_indices()
+        .find_map(|(i, c)| {
+            match c {
+                '{' => depth += 1,
+                '}' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Some(open + i + 1);
+                    }
+                }
+                _ => {}
+            }
+            None
+        })
+        .expect("a closed member");
+    format!("{}{}", &literal[..start], &literal[end..])
+}
+
+/// A tick with every array empty and one with every array one element,
+/// with the edge floats wherever a tick carries a float.
+fn edge_ticks() -> [JournalEvent; 2] {
+    let [neg_zero, big, small, subnormal, max] = edge_floats();
+    let edge_stats = TickStats {
+        rate: neg_zero,
+        iter_histogram: IterHistogram::from_buckets([0; 9]),
+        cpu_est: CpuEstimation {
+            iterations: 0,
+            pct_iterations: 0,
+            mean_abs_error: big,
+            mean_abs_pct_error: subnormal,
+        },
+        ..stats()
+    };
+    let empty_tick = JournalEvent::Tick(Box::new(TickRecord {
+        relation: 1,
+        tick: 1,
+        rate: neg_zero,
+        shed: 0,
+        budget_exhausted: false,
+        stats: edge_stats,
+        sessions: Vec::new(),
+        answers: Vec::new(),
+        warm: Vec::new(),
+    }));
+    let one_tick = JournalEvent::Tick(Box::new(TickRecord {
+        relation: 1,
+        tick: 2,
+        rate: small,
+        shed: 0,
+        budget_exhausted: false,
+        stats: edge_stats,
+        sessions: vec![SessionTickRecord {
+            session: 3,
+            is_final: true,
+            driven: 1,
+        }],
+        answers: vec![(
+            SessionId(3),
+            Answer::Partial {
+                bounds: Bounds::new(neg_zero, max),
+            },
+        )],
+        warm: vec![WarmObjectRecord {
+            bounds: Bounds::new(subnormal, big),
+            converged: false,
+            iters: 1,
+            cost: 1,
+        }],
+    }));
+    [empty_tick, one_tick]
+}
+
+/// A two-relation snapshot, one section holding something in every field.
+fn two_relation_snapshot() -> SnapshotRecord {
+    SnapshotRecord {
         seq: 3,
         journal_events: 41,
         coverage: SegmentPosition {
@@ -529,7 +518,6 @@ fn snapshot_pin() -> (&'static str, String, &'static str) {
                         Answer::Final(QueryOutput::Count { lo: 3, hi: 3 }),
                     ),
                 ],
-                calibration: Some(calibration()),
             },
             RelationSnapshot {
                 relation: 3,
@@ -541,15 +529,90 @@ fn snapshot_pin() -> (&'static str, String, &'static str) {
                 history: Vec::new(),
                 warm: Vec::new(),
                 answers: Vec::new(),
-                calibration: None,
             },
         ],
-    };
-    (
-        "two-relation snapshot",
-        snap.to_json(),
-        r#"{"seq":3,"journal_events":41,"segment":4,"segment_bytes":1234,"next_relation_id":4,"relations":[{"relation":1,"def":{"name":"default","seed":42,"bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100},{"id":1,"coupon":0.0425,"maturity":7.5,"face":100}]},"next_session_id":9,"ticks":12,"shed":1,"sessions":[{"session":2,"priority":4,"finals":10,"partials":2,"driven":4021,"query":{"kind":"max","epsilon":0.0101}},{"session":8,"priority":1,"finals":0,"partials":0,"driven":0,"query":{"kind":"sum","epsilon":0.5,"weights":[1,2]}}],"history":[{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}},{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}}],"warm":[{"rate":0.0583,"objects":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}]}],"answers":[{"session":2,"answer":{"status":"partial","lo":1,"hi":2}},{"session":8,"answer":{"status":"final","output":{"shape":"count","lo":3,"hi":3}}}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[41,5120,7730],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":">","constant":100.25,"pass":18,"fail":30},{"op":"<=","constant":99.05830000000002,"pass":0,"fail":7}]}},{"relation":3,"def":{"name":"fx","bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100}]},"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[]}]}"#,
-    )
+    }
+}
+
+/// Records as a server with cost calibration wrote them, each carrying the
+/// retired `"calibration"` member, as `(what, emitted, literal)`: what the
+/// emitter writes for the same record is the literal without the member.
+fn calibrated_pins() -> Vec<(&'static str, String, &'static str)> {
+    let [empty_tick, one_tick] = edge_ticks();
+    vec![
+        (
+            "tick with calibration",
+            tick().to_line(),
+            r#"{"ev":"tick","relation":2,"tick":7,"rate":0.0583,"shed":2,"budget_exhausted":true,"stats":{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}},"sessions":[{"session":1,"final":true,"driven":100},{"session":7,"final":false,"driven":0}],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"selected","ids":[1,2,37]}}},{"session":2,"answer":{"status":"final","output":{"shape":"extreme","bond":45,"lo":123.3181270500031,"hi":123.56660774898366,"ties":[2,9]}}},{"session":3,"answer":{"status":"final","output":{"shape":"aggregate","lo":5132.538654318307,"hi":5174.8478309089305}}},{"session":4,"answer":{"status":"final","output":{"shape":"ranked","members":[{"bond":45,"lo":123.3,"hi":123.6},{"bond":9,"lo":88.8,"hi":88.9}],"ties":[3]}}},{"session":5,"answer":{"status":"final","output":{"shape":"count","lo":37,"hi":41}}},{"session":6,"answer":{"status":"final","output":{"shape":"heavy","cells":[{"cell":-3,"count":7},{"cell":12,"count":2}],"ties":[-2,5]}}},{"session":7,"answer":{"status":"partial","lo":5132.5,"hi":5174.8}}],"warm":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[41,5120,7730],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":">","constant":100.25,"pass":18,"fail":30},{"op":"<=","constant":99.05830000000002,"pass":0,"fail":7}]}}"#,
+        ),
+        (
+            "tick, every array empty, edge floats",
+            empty_tick.to_line(),
+            r#"{"ev":"tick","relation":1,"tick":1,"rate":-0,"shed":0,"budget_exhausted":false,"stats":{"rate":-0,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[0,0,0,0,0,0,0,0,0],"cpu":{"iterations":0,"pct_iterations":0,"mae":1000000000000000000000,"mape":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005}},"sessions":[],"answers":[],"warm":[],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[]}}"#,
+        ),
+        (
+            "tick, every array one element, edge floats",
+            one_tick.to_line(),
+            r#"{"ev":"tick","relation":1,"tick":2,"rate":0.0000001,"shed":0,"budget_exhausted":false,"stats":{"rate":-0,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[0,0,0,0,0,0,0,0,0],"cpu":{"iterations":0,"pct_iterations":0,"mae":1000000000000000000000,"mape":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005}},"sessions":[{"session":3,"final":true,"driven":1}],"answers":[{"session":3,"answer":{"status":"partial","lo":-0,"hi":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000}}],"warm":[{"lo":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"hi":1000000000000000000000,"converged":false,"iters":1,"cost":1}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":"<","constant":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,"pass":1,"fail":0}]}}"#,
+        ),
+        (
+            "two-relation snapshot",
+            two_relation_snapshot().to_json(),
+            r#"{"seq":3,"journal_events":41,"segment":4,"segment_bytes":1234,"next_relation_id":4,"relations":[{"relation":1,"def":{"name":"default","seed":42,"bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100},{"id":1,"coupon":0.0425,"maturity":7.5,"face":100}]},"next_session_id":9,"ticks":12,"shed":1,"sessions":[{"session":2,"priority":4,"finals":10,"partials":2,"driven":4021,"query":{"kind":"max","epsilon":0.0101}},{"session":8,"priority":1,"finals":0,"partials":0,"driven":0,"query":{"kind":"sum","epsilon":0.5,"weights":[1,2]}}],"history":[{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}},{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}}],"warm":[{"rate":0.0583,"objects":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}]}],"answers":[{"session":2,"answer":{"status":"partial","lo":1,"hi":2}},{"session":8,"answer":{"status":"final","output":{"shape":"count","lo":3,"hi":3}}}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[41,5120,7730],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":">","constant":100.25,"pass":18,"fail":30},{"op":"<=","constant":99.05830000000002,"pass":0,"fail":7}]}},{"relation":3,"def":{"name":"fx","bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100}]},"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[]}]}"#,
+        ),
+    ]
+}
+
+/// The emitter writes each calibrated record without its member, and
+/// that record reads back to its bytes; the record with the member is
+/// refused, the error naming it.
+#[test]
+fn calibrated_records_are_refused_naming_the_field() {
+    for (what, emitted, literal) in calibrated_pins() {
+        assert_eq!(emitted, without_calibration(literal), "{what}");
+        let refused = if literal.starts_with("{\"ev\"") {
+            assert_eq!(JournalEvent::parse(&emitted).unwrap().to_line(), emitted);
+            JournalEvent::parse(literal).unwrap_err()
+        } else {
+            assert_eq!(SnapshotRecord::parse(&emitted).unwrap().to_json(), emitted);
+            SnapshotRecord::parse(literal).unwrap_err()
+        };
+        assert!(refused.contains("\"calibration\""), "{what}: {refused}");
+    }
+}
+
+/// A data dir holding them takes the foreign-record path: a calibrated
+/// tick is corrupt mid-journal and a torn tail as the final record, a
+/// calibrated snapshot is skipped and reported.
+#[test]
+fn a_calibrating_servers_records_take_the_foreign_record_path() {
+    let pins = calibrated_pins();
+    let (tick, snapshot) = (pins[0].2, pins[3].2);
+    let unsubscribe = "{\"ev\":\"unsubscribe\",\"relation\":1,\"session\":4}\n";
+    let dir = std::env::temp_dir().join(format!("va-codec-calibrated-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("journal-1.jsonl");
+    std::fs::write(&journal, format!("{unsubscribe}{tick}\n{unsubscribe}")).unwrap();
+    match Store::open(&dir) {
+        Err(PersistError::Corrupt { detail, .. }) => {
+            assert!(
+                detail.contains("event 1") && detail.contains("\"calibration\""),
+                "{detail}"
+            );
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    std::fs::write(&journal, format!("{unsubscribe}{tick}\n")).unwrap();
+    let (_, recovery, _) = Store::open(&dir).expect("torn tail opens");
+    assert_eq!(recovery.replayed_events(), 1);
+    assert_eq!(recovery.truncated_bytes, tick.len() as u64 + 1);
+    std::fs::write(dir.join("snapshot-3.json"), snapshot).unwrap();
+    let (_, recovery, _) = Store::open(&dir).expect("open past the calibrated snapshot");
+    assert_eq!(recovery.snapshot_seq(), None);
+    assert_eq!(recovery.skipped_snapshot_count(), 1);
+    assert_eq!(recovery.replayed_events(), 1);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Snapshots with no relation, and with one relation whose every array
@@ -621,7 +684,6 @@ fn edge_snapshot_pins() -> Vec<(&'static str, String, &'static str)> {
                     bounds: Bounds::new(subnormal, big),
                 }),
             )],
-            calibration: None,
         }],
     };
     vec![
@@ -659,7 +721,6 @@ fn snapshot_and_meta_documents() {
     };
     let mut pins = edge_snapshot_pins();
     pins.extend([
-        snapshot_pin(),
         (
             "catalog meta",
             meta.to_json(),
@@ -695,7 +756,7 @@ fn pinned_records_parse_back_to_their_bytes() {
         let event = JournalEvent::parse(line).unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(event.to_line(), line, "{what}");
     }
-    for (what, _, text) in edge_snapshot_pins().into_iter().chain([snapshot_pin()]) {
+    for (what, _, text) in edge_snapshot_pins() {
         let snap = SnapshotRecord::parse(text).unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(snap.to_json(), text, "{what}");
     }
@@ -845,7 +906,7 @@ fn protocol_responses() {
         (
             "STATS",
             proto::stats(server.catalog().by_name("default").unwrap()),
-            r#"{"type":"STATS","relation":"default","ticks":0,"shed_ticks":0,"work_units":0,"iterations":0,"calibration":{"observations":0,"gain_ppm":1000000},"sessions":[{"session":1,"operator":"max","priority":2,"finals":0,"partials":0,"driven_iterations":0},{"session":2,"operator":"count","priority":1,"finals":0,"partials":0,"driven_iterations":0}]}"#,
+            r#"{"type":"STATS","relation":"default","ticks":0,"shed_ticks":0,"work_units":0,"iterations":0,"sessions":[{"session":1,"operator":"max","priority":2,"finals":0,"partials":0,"driven_iterations":0},{"session":2,"operator":"count","priority":1,"finals":0,"partials":0,"driven_iterations":0}]}"#,
         ),
     ];
     let payloads = [
@@ -923,12 +984,12 @@ fn protocol_responses() {
         (
             "STATS, one session",
             proto::stats(one.catalog().by_name("default").unwrap()),
-            r#"{"type":"STATS","relation":"default","ticks":0,"shed_ticks":0,"work_units":0,"iterations":0,"calibration":{"observations":0,"gain_ppm":1000000},"sessions":[{"session":1,"operator":"min","priority":1,"finals":0,"partials":0,"driven_iterations":0}]}"#,
+            r#"{"type":"STATS","relation":"default","ticks":0,"shed_ticks":0,"work_units":0,"iterations":0,"sessions":[{"session":1,"operator":"min","priority":1,"finals":0,"partials":0,"driven_iterations":0}]}"#,
         ),
         (
             "STATS, no session",
             proto::stats(server.catalog().by_name("fx \"spot\"").unwrap()),
-            r#"{"type":"STATS","relation":"fx \"spot\"","ticks":0,"shed_ticks":0,"work_units":0,"iterations":0,"calibration":{"observations":0,"gain_ppm":1000000},"sessions":[]}"#,
+            r#"{"type":"STATS","relation":"fx \"spot\"","ticks":0,"shed_ticks":0,"work_units":0,"iterations":0,"sessions":[]}"#,
         ),
     ]);
     check(&pins);

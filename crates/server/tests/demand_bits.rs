@@ -156,7 +156,6 @@ fn tick_digests(batch: usize) -> Vec<u64> {
         1,
         batch,
         false,
-        None,
         &mut |_, view| {
             rounds += 1;
             for (s, digest) in lists.iter_mut().enumerate() {

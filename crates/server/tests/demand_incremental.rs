@@ -16,11 +16,11 @@ use std::cell::Cell;
 use proptest::prelude::*;
 
 use bondlab::{BondPricer, BondUniverse};
-use va_server::demand::{self, Demand, PredicateStats, RoundView};
+use va_server::demand::{self, Demand, RoundView};
 use va_server::{audited_tick, SessionRegistry, SharedPool};
 use va_stream::{BondRelation, Query};
 use vao::adapters::WarmStart;
-use vao::cost::{Calibrator, WorkMeter};
+use vao::cost::WorkMeter;
 use vao::ops::selection::CmpOp;
 use vao::Bounds;
 
@@ -190,10 +190,10 @@ proptest! {
         mix_seed in any::<u64>(),
         batch_pick in 0usize..3,
         workers in 1usize..=2,
-        flags in 0usize..8,
+        flags in 0usize..4,
     ) {
         let batch = [1usize, 4, 16][batch_pick];
-        let (batch_solver, warm, calibrate) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+        let (batch_solver, warm) = (flags & 1 != 0, flags & 2 != 0);
         let mut mix = Mix(mix_seed);
         let pricer = BondPricer::default();
         let relation = BondRelation::from_universe(&BondUniverse::generate(bonds, universe_seed));
@@ -204,38 +204,26 @@ proptest! {
             registry.register(query, priority);
         }
 
-        // A calibrated server learns across ticks (the predicate boost needs
-        // 16 decided outcomes, the cost model 8 observations), so tick three
-        // times over one model; the revisited rate runs with both trained.
-        let base = 0.045 + rate_off as f64 * 0.001;
-        let rates = [base, base + 0.0007, base];
-        let mut model = Calibrator::new();
-        let mut predicates = PredicateStats::new();
+        let rate = 0.045 + rate_off as f64 * 0.001;
         let mut oracle = Vec::new();
         let mut rounds = 0u64;
-        for &rate in &rates[..if calibrate { 3 } else { 1 }] {
-            let mut pool = pool_at(&pricer, &relation, rate, warm, &mut mix);
-            let answers = audited_tick(
-                &registry,
-                &mut pool,
-                &relation,
-                workers,
-                batch,
-                batch_solver,
-                calibrate.then_some((&mut model, &mut predicates)),
-                &mut |pool, view| {
-                    rounds += 1;
-                    audit_round(&queries, pool, view, &mut oracle);
-                },
-            )
-            .expect("tick");
-            prop_assert_eq!(answers.len(), queries.len());
-            prop_assert!(answers.iter().all(|(_, a)| a.is_final()), "unbudgeted ticks finish");
-        }
+        let mut pool = pool_at(&pricer, &relation, rate, warm, &mut mix);
+        let answers = audited_tick(
+            &registry,
+            &mut pool,
+            &relation,
+            workers,
+            batch,
+            batch_solver,
+            &mut |pool, view| {
+                rounds += 1;
+                audit_round(&queries, pool, view, &mut oracle);
+            },
+        )
+        .expect("tick");
+        prop_assert_eq!(answers.len(), queries.len());
+        prop_assert!(answers.iter().all(|(_, a)| a.is_final()), "unbudgeted ticks finish");
         prop_assert!(rounds > 0);
-        if calibrate {
-            prop_assert!(model.observations() > 0, "the calibrated path ran");
-        }
     }
 }
 
@@ -304,7 +292,6 @@ fn a_batched_round_cannot_leave_the_view_stale() {
             2,
             16,
             batch_solver,
-            None,
             &mut |pool, view| {
                 audit_round(&queries, pool, view, &mut Vec::new());
                 let now: Vec<Bounds> = (0..pool.len()).map(|i| pool.bounds(i)).collect();

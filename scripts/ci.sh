@@ -28,16 +28,16 @@
 #   6. kill-and-recover smoke   -- start a --data-dir server, subscribe and
 #                                  tick over TCP, SIGKILL it, restart on the
 #                                  same dir, RESUME the session and tick again
-#   6b. calibration gate        -- the cost-calibration tests by name, then
-#                                  the calibration-scaling harness target
-#                                  (which asserts a strict admission-error
-#                                  improvement and off-mode bit-identity);
-#                                  a mistyped harness target must exit
-#                                  non-zero, not run nothing and exit 0
-#   6c. calibrated recovery     -- stage 6 again with --calibrate on: the
-#                                  STATS calibration counters must be
-#                                  bit-identical across the SIGKILL before
-#                                  any post-restart tick
+#   6b. harness smoke           -- the tenant-scaling harness target (which
+#                                  asserts co-hosted relations tick
+#                                  bit-identically to isolated servers) must
+#                                  write its CSV, and a mistyped harness
+#                                  target must exit non-zero, not run
+#                                  nothing and exit 0
+#   6c. budgeted recovery       -- stage 6 again with --budget 9000: the
+#                                  whole STATS line taken before any
+#                                  post-restart tick must be bit-identical
+#                                  to the one taken before the SIGKILL
 #   7. sketch-query smoke       -- SUBSCRIBE PERCENTILE and HEAVYHITTERS over
 #                                  TCP, tick, SIGKILL, restart on the same
 #                                  dir, RESUME both sessions and tick again
@@ -226,56 +226,48 @@ expect_recovery_line
 end_smoke
 echo "    kill-and-recover smoke ok (session resumed across SIGKILL)"
 
-echo "==> cost-calibration tests + harness (strict admission-error improvement)"
-cargo test -q -p vao --lib cost::
-cargo test -q -p va-persist --test calibration_roundtrip
-cargo test -q -p va-server --test calibration
-cargo test -q -p va-server --lib server::tests::poisoned_downward_calibration_never_frees_admission_for_warm_pools
-CAL_OUT=$(mktemp -d)
-cargo run -q -p va-bench --bin harness -- --bonds 24 --seed 7 --out "$CAL_OUT" calibration-scaling
-[ -s "$CAL_OUT/calibration.csv" ] || { echo "harness wrote no calibration.csv"; ls "$CAL_OUT"; exit 1; }
-rm -rf "$CAL_OUT"
+echo "==> harness smoke (one target end to end, a mistyped target refused)"
+HARNESS_OUT=$(mktemp -d)
+cargo run -q -p va-bench --bin harness -- --bonds 24 --seed 7 --out "$HARNESS_OUT" tenant-scaling
+[ -s "$HARNESS_OUT/tenant_scaling.csv" ] || { echo "harness wrote no tenant_scaling.csv"; ls "$HARNESS_OUT"; exit 1; }
+rm -rf "$HARNESS_OUT"
 if cargo run -q -p va-bench --bin harness -- no-such-target 2>/dev/null; then
   echo "harness accepted an unknown target"; exit 1
 fi
 
-echo "==> va-server calibrated kill-and-recover smoke (--calibrate on, model survives SIGKILL)"
+echo "==> va-server budgeted kill-and-recover smoke (--budget 9000, STATS survives SIGKILL)"
 begin_smoke
-start_server --bonds 24 --seed 42 --budget 9000 --calibrate on
-# Two ticks warm the cost model; STATS exports its counters.
+start_server --bonds 24 --seed 42 --budget 9000
 PRE=$(ask \
   '{"type":"SUBSCRIBE","query":{"kind":"max","epsilon":0.5},"priority":2}' \
   '{"type":"TICK","rate":0.0583}' \
   '{"type":"TICK","rate":0.0601}' \
   '{"type":"STATS"}')
 expect "$PRE" '"type":"RESULT"' "no RESULT"
-PRE_CAL=$(echo "$PRE" | sed -n 's/.*"calibration":{\([^}]*\)}.*/\1/p')
-[ -n "$PRE_CAL" ] || { echo "no calibration object in STATS: $PRE"; exit 1; }
-if echo "$PRE_CAL" | grep -q '"observations":0,'; then
-  echo "calibrated ticks left the model cold: $PRE_CAL"; exit 1
-fi
+PRE_STATS=$(echo "$PRE" | grep '"type":"STATS"') || { echo "no pre-kill STATS: $PRE"; exit 1; }
+expect "$PRE_STATS" '"ticks":2,' "the budgeted ticks were not counted"
 stop_server
 
-start_server --bonds 24 --seed 42 --budget 9000 --calibrate on
-# STATS *before* any post-restart tick: the counters must come from the
-# journal, bit-identical to the pre-kill model, and the session resumes.
+start_server --bonds 24 --seed 42 --budget 9000
+# STATS *before* any post-restart tick: every counter must come from the
+# journal, bit-identical to the pre-kill line, and the session resumes.
 POST=$(ask \
   '{"type":"STATS"}' \
   '{"type":"RESUME","session":1}' \
   '{"type":"TICK","rate":0.0584}' \
   '{"type":"QUIT"}')
-POST_CAL=$(echo "$POST" | sed -n 's/.*"calibration":{\([^}]*\)}.*/\1/p')
-[ "$PRE_CAL" = "$POST_CAL" ] || {
-  echo "calibration state diverged across SIGKILL:"
-  echo "  pre:  $PRE_CAL"
-  echo "  post: $POST_CAL"
+POST_STATS=$(echo "$POST" | grep '"type":"STATS"') || { echo "no post-kill STATS: $POST"; exit 1; }
+[ "$PRE_STATS" = "$POST_STATS" ] || {
+  echo "STATS diverged across SIGKILL:"
+  echo "  pre:  $PRE_STATS"
+  echo "  post: $POST_STATS"
   exit 1
 }
 expect "$POST" '"type":"RESUMED"' "no RESUMED"
 expect "$POST" '"type":"RESULT"' "no post-recovery RESULT"
 expect_recovery_line
 end_smoke
-echo "    calibrated kill-and-recover smoke ok (cost model bit-identical across SIGKILL)"
+echo "    budgeted kill-and-recover smoke ok (STATS bit-identical across SIGKILL)"
 
 echo "==> va-server sketch-query smoke (PERCENTILE + HEAVYHITTERS across SIGKILL)"
 begin_smoke
