@@ -862,18 +862,8 @@ fn subscribed(
 fn tick_key(res: &TickResult) -> String {
     let s = &res.stats;
     format!(
-        "tick={} rate={:?} answers={:?} exhausted={} stats=({:?} {:?} {} {} {} {:?} {:?})",
-        res.tick,
-        res.rate,
-        res.answers,
-        res.budget_exhausted,
-        s.rate,
-        s.work,
-        s.iterations,
-        s.operator,
-        s.objects,
-        s.iter_histogram,
-        s.cpu_est
+        "tick={} rate={:?} answers={:?} exhausted={} stats=({:?} {:?} {})",
+        res.tick, res.rate, res.answers, res.budget_exhausted, s.rate, s.work, s.iterations,
     )
 }
 

@@ -7,14 +7,14 @@
 //! `docs/PERSISTENCE.md` documents every field.
 //!
 //! The journal is a **redo log of outcomes**, not intents: a
-//! [`TickRecord`] carries the executed tick's statistics, per-session
-//! outcomes, answers, and the end-of-tick warm-start state of every pool
-//! object. Replay is therefore pure bookkeeping — no model is re-invoked
-//! and no iteration re-run — which is what makes recovered accounting
-//! bit-identical to the uninterrupted run.
+//! [`TickRecord`] carries the executed tick's work and iteration counts,
+//! per-session outcomes, answers, and the end-of-tick warm-start state of
+//! every pool object. Replay is therefore pure bookkeeping — no model is
+//! re-invoked and no iteration re-run — which is what makes recovered
+//! accounting bit-identical to the uninterrupted run.
 //!
 //! **One type per fact.** The records carry the domain types themselves —
-//! [`Answer`], [`Session`], [`TickStats`], [`Bond`], [`Bounds`] — and the
+//! [`Answer`], [`Session`], [`WorkBreakdown`], [`Bond`], [`Bounds`] — and the
 //! ones both sides of the durability seam need but no lower crate defines
 //! ([`Answer`], [`Session`], [`SessionId`]) are defined here and
 //! re-exported by `va-server`. Every domain check (interval order, bond
@@ -23,14 +23,11 @@
 //! trusts it.
 
 use std::fmt::{self, Write};
-use std::time::Duration;
 
-use va_stream::stats::{IterHistogram, TickStats, ITER_BUCKETS};
 use va_stream::{Bond, Query, QueryOutput};
 use vao::cost::WorkBreakdown;
 use vao::ops::heavy::HeavyCell;
 use vao::ops::selection::CmpOp;
-use vao::trace::CpuEstimation;
 use vao::Bounds;
 
 use crate::json::{render, write_array, Escaped, Json};
@@ -201,10 +198,10 @@ pub struct TickRecord {
     pub shed: u64,
     /// Whether the work budget ran out mid-tick.
     pub budget_exhausted: bool,
-    /// The tick's execution statistics (`wall` rides as `"wall_nanos"`,
-    /// the `operator` tag as a string mapped back to the known static
-    /// names on load).
-    pub stats: TickStats,
+    /// The tick's logical work, by component.
+    pub work: WorkBreakdown,
+    /// The tick's `iterate()` calls.
+    pub iterations: u64,
     /// Per-session outcome deltas, in registration order.
     pub sessions: Vec<SessionTickRecord>,
     /// Per-session answers, in registration order.
@@ -290,8 +287,10 @@ pub struct RelationSnapshot {
     pub shed: u64,
     /// Live sessions, in registration order.
     pub sessions: Vec<Session>,
-    /// Per-tick statistics history.
-    pub history: Vec<TickStats>,
+    /// Work summed over every tick processed so far.
+    pub work: WorkBreakdown,
+    /// `iterate()` calls summed over every tick processed so far.
+    pub iterations: u64,
     /// Warm-start state per rate (rates in ascending bit order).
     pub warm: Vec<WarmRateRecord>,
     /// Last delivered answer per session, in registration order.
@@ -508,28 +507,13 @@ pub fn write_relation_def(out: &mut String, def: &RelationDefRecord) -> fmt::Res
     out.write_char('}')
 }
 
-fn write_stats(out: &mut String, s: &TickStats) -> fmt::Result {
+/// Writes the `"work":{...},"iterations":N` field pair of a tick record's
+/// `stats` object and of a snapshot section (no braces).
+fn write_work(out: &mut String, work: &WorkBreakdown, iterations: u64) -> fmt::Result {
     write!(
         out,
-        "{{\"rate\":{},\"work\":{{\"exec\":{},\"get\":{},\"store\":{},\"choose\":{}}},\"wall_nanos\":{},\"iterations\":{},\"operator\":\"{}\",\"objects\":{},\"hist\":",
-        Num(s.rate),
-        s.work.exec_iter,
-        s.work.get_state,
-        s.work.store_state,
-        s.work.choose_iter,
-        u64::try_from(s.wall.as_nanos()).unwrap_or(u64::MAX),
-        s.iterations,
-        Escaped(s.operator),
-        s.objects,
-    )?;
-    write_array(out, s.iter_histogram.buckets(), |out, n| write!(out, "{n}"))?;
-    write!(
-        out,
-        ",\"cpu\":{{\"iterations\":{},\"pct_iterations\":{},\"mae\":{},\"mape\":{}}}}}",
-        s.cpu_est.iterations,
-        s.cpu_est.pct_iterations,
-        Num(s.cpu_est.mean_abs_error),
-        Num(s.cpu_est.mean_abs_pct_error),
+        "\"work\":{{\"exec\":{},\"get\":{},\"store\":{},\"choose\":{}}},\"iterations\":{iterations}",
+        work.exec_iter, work.get_state, work.store_state, work.choose_iter,
     )
 }
 
@@ -583,8 +567,9 @@ impl JournalEvent {
                     t.shed,
                     t.budget_exhausted,
                 )?;
-                write_stats(out, &t.stats)?;
-                out.write_str(",\"sessions\":")?;
+                out.write_char('{')?;
+                write_work(out, &t.work, t.iterations)?;
+                out.write_str("},\"sessions\":")?;
                 write_array(out, &t.sessions, |out, s| {
                     write!(
                         out,
@@ -628,8 +613,8 @@ fn write_relation_snapshot(out: &mut String, r: &RelationSnapshot) -> fmt::Resul
         write_query(out, &s.query)?;
         out.write_char('}')
     })?;
-    out.write_str(",\"history\":")?;
-    write_array(out, &r.history, write_stats)?;
+    out.write_char(',')?;
+    write_work(out, &r.work, r.iterations)?;
     out.write_str(",\"warm\":")?;
     write_array(out, &r.warm, |out, w| {
         write!(out, "{{\"rate\":{},\"objects\":", Num(w.rate))?;
@@ -934,39 +919,15 @@ pub fn parse_relation_def(doc: &Json) -> Result<RelationDefRecord, String> {
     })
 }
 
-fn parse_stats(doc: &Json) -> Result<TickStats, String> {
+/// Parses the `"work"` object of a tick record's `stats` or a snapshot
+/// section.
+fn parse_work(doc: &Json) -> Result<WorkBreakdown, String> {
     let work = doc.get("work").ok_or("missing \"work\"")?;
-    let cpu = doc.get("cpu").ok_or("missing \"cpu\"")?;
-    let hist: [u64; ITER_BUCKETS] = list_field(doc, "hist", |item| {
-        item.as_u64()
-            .ok_or_else(|| "non-integer histogram bucket".to_string())
-    })?
-    .try_into()
-    .map_err(|items: Vec<u64>| {
-        format!(
-            "\"hist\" must have {ITER_BUCKETS} buckets, got {}",
-            items.len()
-        )
-    })?;
-    Ok(TickStats {
-        rate: f64_field(doc, "rate")?,
-        work: WorkBreakdown {
-            exec_iter: u64_field(work, "exec")?,
-            get_state: u64_field(work, "get")?,
-            store_state: u64_field(work, "store")?,
-            choose_iter: u64_field(work, "choose")?,
-        },
-        wall: Duration::from_nanos(u64_field(doc, "wall_nanos")?),
-        iterations: u64_field(doc, "iterations")?,
-        operator: static_operator(str_field(doc, "operator")?),
-        objects: u64_field(doc, "objects")?,
-        iter_histogram: IterHistogram::from_buckets(hist),
-        cpu_est: CpuEstimation {
-            iterations: u64_field(cpu, "iterations")?,
-            pct_iterations: u64_field(cpu, "pct_iterations")?,
-            mean_abs_error: f64_field(cpu, "mae")?,
-            mean_abs_pct_error: f64_field(cpu, "mape")?,
-        },
+    Ok(WorkBreakdown {
+        exec_iter: u64_field(work, "exec")?,
+        get_state: u64_field(work, "get")?,
+        store_state: u64_field(work, "store")?,
+        choose_iter: u64_field(work, "choose")?,
     })
 }
 
@@ -1011,13 +972,15 @@ impl JournalEvent {
             }),
             "tick" => {
                 refuse_retired(&doc)?;
+                let stats = doc.get("stats").ok_or("missing \"stats\"")?;
                 Ok(JournalEvent::Tick(Box::new(TickRecord {
                     relation: id_field(&doc, "relation")?,
                     tick: u64_field(&doc, "tick")?,
                     rate: f64_field(&doc, "rate")?,
                     shed: u64_field(&doc, "shed")?,
                     budget_exhausted: bool_field(&doc, "budget_exhausted")?,
-                    stats: parse_stats(doc.get("stats").ok_or("missing \"stats\"")?)?,
+                    work: parse_work(stats)?,
+                    iterations: u64_field(stats, "iterations")?,
                     sessions: list_field(&doc, "sessions", |s| {
                         Ok(SessionTickRecord {
                             session: id_field(s, "session")?,
@@ -1055,7 +1018,8 @@ fn parse_relation_snapshot(doc: &Json) -> Result<RelationSnapshot, String> {
                 driven_iterations: u64_field(s, "driven")?,
             })
         })?,
-        history: list_field(doc, "history", parse_stats)?,
+        work: parse_work(doc)?,
+        iterations: u64_field(doc, "iterations")?,
         warm: list_field(doc, "warm", |w| {
             Ok(WarmRateRecord {
                 rate: f64_field(w, "rate")?,
@@ -1085,52 +1049,16 @@ impl SnapshotRecord {
     }
 }
 
-/// Maps a persisted operator tag back to the known static names (the
-/// in-memory [`TickStats`] carries `&'static str`). Unrecognized tags fall
-/// back to `"shared_pool"`, the only operator the server's shared scheduler
-/// reports today.
-#[must_use]
-pub fn static_operator(name: &str) -> &'static str {
-    match name {
-        "selection" => "selection",
-        "sum" => "sum",
-        "ave" => "ave",
-        "max" => "max",
-        "min" => "min",
-        "topk" => "topk",
-        "count" => "count",
-        "hybrid_sum" => "hybrid_sum",
-        "median" => "median",
-        "percentile" => "percentile",
-        "heavyhitters" => "heavyhitters",
-        _ => "shared_pool",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_stats() -> TickStats {
-        TickStats {
-            rate: 0.0583,
-            work: WorkBreakdown {
-                exec_iter: 921_088,
-                get_state: 48,
-                store_state: 415,
-                choose_iter: 13_937,
-            },
-            wall: Duration::from_nanos(123_456_789),
-            iterations: 319,
-            operator: "shared_pool",
-            objects: 48,
-            iter_histogram: IterHistogram::from_buckets([1, 2, 3, 4, 5, 6, 7, 8, 9]),
-            cpu_est: CpuEstimation {
-                iterations: 319,
-                pct_iterations: 301,
-                mean_abs_error: 12.5,
-                mean_abs_pct_error: 0.03,
-            },
+    fn sample_work() -> WorkBreakdown {
+        WorkBreakdown {
+            exec_iter: 921_088,
+            get_state: 48,
+            store_state: 415,
+            choose_iter: 13_937,
         }
     }
 
@@ -1141,7 +1069,8 @@ mod tests {
             rate: 0.0583,
             shed: 2,
             budget_exhausted: true,
-            stats: sample_stats(),
+            work: sample_work(),
+            iterations: 319,
             sessions: vec![
                 SessionTickRecord {
                     session: 1,
@@ -1336,7 +1265,8 @@ mod tests {
                         partials: 2,
                         driven_iterations: 4_021,
                     }],
-                    history: vec![sample_stats(), sample_stats()],
+                    work: sample_work(),
+                    iterations: 638,
                     warm: vec![WarmRateRecord {
                         rate: 0.0583,
                         objects: sample_tick().warm,
@@ -1355,7 +1285,8 @@ mod tests {
                     ticks: 0,
                     shed: 0,
                     sessions: Vec::new(),
-                    history: Vec::new(),
+                    work: WorkBreakdown::default(),
+                    iterations: 0,
                     warm: Vec::new(),
                     answers: Vec::new(),
                 },
@@ -1377,36 +1308,6 @@ mod tests {
             JournalEvent::Tick(t) => assert_eq!(t.rate.to_bits(), rate.to_bits()),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn stats_record_restores_tick_stats() {
-        let rec = sample_stats();
-        let stats = parse_stats(&Json::parse(&render(|o| write_stats(o, &rec))).unwrap()).unwrap();
-        assert_eq!(stats.operator, "shared_pool");
-        assert_eq!(stats.wall, Duration::from_nanos(123_456_789));
-        assert_eq!(stats.iter_histogram.buckets(), &[1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        assert_eq!(stats, rec);
-    }
-
-    #[test]
-    fn a_tick_without_pct_iterations_is_refused_by_name() {
-        // A tick record as the servers before the eligible-iteration count
-        // wrote it: a "cpu" object without "pct_iterations".
-        let line = r#"{"ev":"tick","relation":1,"tick":3,"rate":0.05,"shed":0,"budget_exhausted":false,"stats":{"rate":0.05,"work":{"exec":10,"get":1,"store":1,"choose":2},"wall_nanos":5,"iterations":4,"operator":"shared_pool","objects":2,"hist":[1,1,0,0,0,0,0,0,0],"cpu":{"iterations":4,"mae":1.5,"mape":0.2}},"sessions":[],"answers":[],"warm":[]}"#;
-        let err = JournalEvent::parse(line).unwrap_err();
-        assert!(err.contains("\"pct_iterations\""), "{err}");
-        let modern = line.replace(
-            r#""iterations":4,"mae""#,
-            r#""iterations":4,"pct_iterations":4,"mae""#,
-        );
-        assert!(JournalEvent::parse(&modern).is_ok(), "{modern}");
-    }
-
-    #[test]
-    fn unknown_operator_tags_degrade_to_shared_pool() {
-        assert_eq!(static_operator("mystery"), "shared_pool");
-        assert_eq!(static_operator("max"), "max");
     }
 
     #[test]

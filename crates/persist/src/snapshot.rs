@@ -153,7 +153,8 @@ mod tests {
                 ticks: seq,
                 shed: 0,
                 sessions: Vec::new(),
-                history: Vec::new(),
+                work: vao::cost::WorkBreakdown::default(),
+                iterations: 0,
                 warm: Vec::new(),
                 answers: Vec::new(),
             }],

@@ -3,7 +3,7 @@
 //! Two refusals are file-level and happen in [`Store::open`] before it
 //! creates, sweeps, truncates or renames anything — a dir holding a
 //! single-file `journal.jsonl`, or a `meta.json` that is not
-//! `"version":2` — and surface as [`PersistError::Layout`] with the dir
+//! `"version":3` — and surface as [`PersistError::Layout`] with the dir
 //! left byte-for-byte as it was. The rest are record-level: the parsers
 //! return an error naming the field a foreign record lacks, which the
 //! journal scan turns into `Corrupt` (or a torn tail) and the snapshot
@@ -54,7 +54,7 @@ fn foreign_files_are_refused_before_the_dir_is_touched() {
                 ("journal-1.jsonl", &torn),
                 (
                     "meta.json",
-                    "{\"version\":2,\"pricer\":5,\"relations\":[]}\n",
+                    "{\"version\":3,\"pricer\":5,\"relations\":[]}\n",
                 ),
                 ("snapshot-3.json.tmp", "{half"),
             ],
@@ -70,10 +70,10 @@ fn foreign_files_are_refused_before_the_dir_is_touched() {
             "meta.json",
         ),
         (
-            "meta-v3",
+            "meta-v4",
             vec![(
                 "meta.json",
-                "{\"version\":3,\"pricer\":5,\"relations\":[]}\n",
+                "{\"version\":4,\"pricer\":5,\"relations\":[]}\n",
             )],
             "meta.json",
         ),
@@ -101,7 +101,7 @@ fn foreign_files_are_refused_before_the_dir_is_touched() {
 
 #[test]
 fn foreign_records_fail_naming_the_missing_field() {
-    let section = r#""next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[]"#;
+    let section = r#""next_session_id":1,"ticks":0,"shed":0,"sessions":[],"work":{"exec":0,"get":0,"store":0,"choose":0},"iterations":0,"warm":[],"answers":[]"#;
     let def = r#""def":{"name":"default","bonds":[]}"#;
     let snapshots = [
         (
@@ -136,7 +136,7 @@ fn foreign_records_fail_naming_the_missing_field() {
         assert!(err.contains(field), "{what}: {err}");
     }
 
-    let stats = r#"{"rate":0.05,"work":{"exec":0,"get":0,"store":0,"choose":0},"wall_nanos":1,"iterations":0,"operator":"shared_pool","objects":0,"hist":[0,0,0,0,0,0,0,0,0],"cpu":{"iterations":0,"pct_iterations":0,"mae":0,"mape":0}}"#;
+    let stats = r#"{"work":{"exec":0,"get":0,"store":0,"choose":0},"iterations":0}"#;
     let events = [
         r#"{"ev":"subscribe","session":4,"priority":2,"query":{"kind":"max","epsilon":0.5}}"#
             .to_string(),

@@ -2,7 +2,7 @@
 //!
 //! A [`Catalog`] holds one [`Tenant`] per relation the server hosts. Every
 //! piece of state that used to be implicitly global on the single-relation
-//! server — the session registry, tick/shed counters, stats history, last
+//! server — the session registry, tick/shed counters, run totals, last
 //! answers, and the per-rate warm-start cache — lives *inside* its tenant,
 //! so two relations can never observe each other through shared state.
 //! That containment is what makes the tenancy bit-identity guarantee hold:
@@ -23,7 +23,7 @@
 
 use va_persist::record::{JournalEvent, RelationDefRecord, RelationSnapshot, WarmRateRecord};
 use va_persist::WarmMap;
-use va_stream::{BondRelation, RunSummary, TickStats};
+use va_stream::{BondRelation, RunSummary};
 
 use crate::answer::Answer;
 use crate::error::ServerError;
@@ -63,8 +63,8 @@ pub struct Tenant {
     pub(crate) relation: BondRelation,
     pub(crate) seed: Option<u64>,
     pub(crate) registry: SessionRegistry,
-    pub(crate) history: Vec<TickStats>,
-    pub(crate) ticks: u64,
+    /// The tick counter and the running work and iteration totals.
+    pub(crate) summary: RunSummary,
     pub(crate) queued: Option<f64>,
     pub(crate) shed: u64,
     pub(crate) last_answers: Vec<(SessionId, Answer)>,
@@ -82,8 +82,7 @@ impl Tenant {
             relation: BondRelation::from_bonds(def.bonds),
             seed: def.seed,
             registry: SessionRegistry::new(),
-            history: Vec::new(),
-            ticks: 0,
+            summary: RunSummary::default(),
             queued: None,
             shed: 0,
             last_answers: Vec::new(),
@@ -125,7 +124,7 @@ impl Tenant {
     /// Ticks this tenant has processed.
     #[must_use]
     pub fn ticks(&self) -> u64 {
-        self.ticks
+        self.summary.ticks
     }
 
     /// Ticks shed by coalescing for this tenant.
@@ -141,11 +140,11 @@ impl Tenant {
         &self.last_answers
     }
 
-    /// Run-level accounting: the fold of every processed tick's stats
-    /// (the per-session counters are [`Tenant::sessions`]).
+    /// Run-level accounting: ticks processed and their summed work and
+    /// iterations (the per-session counters are [`Tenant::sessions`]).
     #[must_use]
     pub fn summary(&self) -> RunSummary {
-        RunSummary::from_ticks(&self.history)
+        self.summary
     }
 
     /// The persisted definition record for this tenant: name, seed, and
@@ -165,10 +164,11 @@ impl Tenant {
             relation: self.id.0,
             def: self.def_record(),
             next_session_id: self.registry.next_id(),
-            ticks: self.ticks,
+            ticks: self.summary.ticks,
             shed: self.shed,
             sessions: self.registry.sessions().to_vec(),
-            history: self.history.clone(),
+            work: self.summary.work,
+            iterations: self.summary.iterations,
             warm: self
                 .warm
                 .iter()
@@ -270,9 +270,10 @@ impl Catalog {
             }
             JournalEvent::Tick(t) => {
                 let tenant = self.tenant_mut(t.relation)?;
-                tenant.ticks = t.tick;
+                tenant.summary.ticks = t.tick;
+                tenant.summary.work += t.work;
+                tenant.summary.iterations += t.iterations;
                 tenant.shed = t.shed;
-                tenant.history.push(t.stats);
                 tenant.registry.apply_tick(&t.sessions);
                 tenant.last_answers = t.answers;
                 // An in-memory server's ticks carry an empty `warm`, which
@@ -302,9 +303,12 @@ impl Catalog {
             for session in rel.sessions {
                 tenant.registry.restore(session);
             }
-            tenant.ticks = rel.ticks;
+            tenant.summary = RunSummary {
+                ticks: rel.ticks,
+                work: rel.work,
+                iterations: rel.iterations,
+            };
             tenant.shed = rel.shed;
-            tenant.history = rel.history;
             tenant.last_answers = rel.answers;
             tenant.warm = rel
                 .warm

@@ -17,15 +17,12 @@ use va_persist::record::{
     JournalEvent, RelationRecord, SnapshotRecord, TickRecord, WarmObjectRecord,
 };
 use va_persist::{Meta, MetaRelation, PersistError, Recovery, Store, META_FILE};
-use va_stream::{BondRelation, Query, RunSummary, TickObserver, TickStats};
+use va_stream::{BondRelation, Query, RunSummary, TickStats};
 use vao::adapters::WarmStart;
 use vao::cost::{Work, WorkMeter};
 use vao::error::VaoError;
 use vao::ops::sum::ave_weight;
-use vao::trace::{
-    BudgetExhaustedRecord, ChoiceRecord, CompactionRecord, ExecObserver, HybridDecisionRecord,
-    IterationRecord, NoopObserver, OperatorEndRecord, OperatorKind, RecoveryRecord, RoundRecord,
-};
+use vao::trace::{CompactionRecord, ExecObserver, NoopObserver, RecoveryRecord};
 use vao::PrecisionConstraint;
 
 use crate::answer::Answer;
@@ -135,7 +132,7 @@ pub struct TickResult {
     pub rate: f64,
     /// Per-session answers, in registration order.
     pub answers: Vec<(SessionId, Answer)>,
-    /// Work/iteration accounting for the tick (operator `"shared_pool"`).
+    /// Work/iteration accounting for the tick.
     pub stats: TickStats,
     /// Whether the budget ran out and some answers degraded to `Partial`.
     pub budget_exhausted: bool,
@@ -578,7 +575,7 @@ impl Server {
     }
 
     /// Drops a relation and everything namespaced under it (sessions,
-    /// warm state, history). The relation id stays burned.
+    /// warm state, run totals). The relation id stays burned.
     pub fn drop_relation(&mut self, name: &str) -> Result<RelationId, ServerError> {
         let id = self.tenant(name)?.id();
         self.commit(JournalEvent::DropRelation { relation: id.0 })?;
@@ -758,7 +755,7 @@ impl Server {
     /// The tick record of one executed tick, built from the tenant's
     /// counters and the execution's outcome, and the result it answers
     /// with. Nothing of the tenant — session counters, warm state,
-    /// history — moves until the record goes down the one write
+    /// run totals — moves until the record goes down the one write
     /// path ([`Server::journal_and_apply`]) and is journaled first. The
     /// tick's columns come back beside them, for the caller to merge once
     /// the record is committed.
@@ -776,7 +773,7 @@ impl Server {
         let tenant = &self.catalog.tenants()[idx];
         let result = TickResult {
             relation: tenant.id,
-            tick: tenant.ticks + 1,
+            tick: tenant.ticks() + 1,
             rate: stats.rate,
             answers: outcome.answers.clone(),
             stats,
@@ -788,7 +785,8 @@ impl Server {
             rate: stats.rate,
             shed: tenant.shed,
             budget_exhausted: outcome.budget_exhausted,
-            stats,
+            work: stats.work,
+            iterations: stats.iterations,
             sessions: outcome.sessions,
             answers: outcome.answers,
             warm,
@@ -1082,8 +1080,6 @@ fn execute_tenant_tick<O: ExecObserver>(
     };
     validate_floor(&tenant.registry, &pool)?;
 
-    let mut tick_obs = TickObserver::new();
-    let mut fan = Fanout(&mut tick_obs, observer);
     let outcome = sched::run_tick(
         &tenant.registry,
         &mut pool,
@@ -1094,7 +1090,7 @@ fn execute_tenant_tick<O: ExecObserver>(
         config.batch_solver,
         columns,
         &mut meter,
-        &mut fan,
+        observer,
         None,
     )?;
 
@@ -1103,10 +1099,6 @@ fn execute_tenant_tick<O: ExecObserver>(
         work: meter.breakdown(),
         wall: start.elapsed(),
         iterations: meter.iterations(),
-        operator: OperatorKind::SharedPool.name(),
-        objects: tick_obs.objects(),
-        iter_histogram: tick_obs.histogram(),
-        cpu_est: tick_obs.cpu_estimation(),
     };
 
     // End-of-tick object state, with lifetime counters accumulated across
@@ -1228,88 +1220,6 @@ fn warm_seeds(objs: &[WarmObjectRecord]) -> Vec<WarmStart> {
             prior_cost: w.cost,
         })
         .collect()
-}
-
-/// Fans trace events out to the server's internal [`TickObserver`] and the
-/// caller's observer in one pass.
-struct Fanout<'a, A: ExecObserver, B: ExecObserver>(&'a mut A, &'a mut B);
-
-impl<A: ExecObserver, B: ExecObserver> ExecObserver for Fanout<'_, A, B> {
-    fn is_enabled(&self) -> bool {
-        self.0.is_enabled() || self.1.is_enabled()
-    }
-    fn on_operator_start(&mut self, kind: OperatorKind, objects: usize) {
-        if self.0.is_enabled() {
-            self.0.on_operator_start(kind, objects);
-        }
-        if self.1.is_enabled() {
-            self.1.on_operator_start(kind, objects);
-        }
-    }
-    fn on_choice(&mut self, choice: &ChoiceRecord) {
-        if self.0.is_enabled() {
-            self.0.on_choice(choice);
-        }
-        if self.1.is_enabled() {
-            self.1.on_choice(choice);
-        }
-    }
-    fn on_iteration(&mut self, iteration: &IterationRecord) {
-        if self.0.is_enabled() {
-            self.0.on_iteration(iteration);
-        }
-        if self.1.is_enabled() {
-            self.1.on_iteration(iteration);
-        }
-    }
-    fn on_hybrid_decision(&mut self, decision: &HybridDecisionRecord) {
-        if self.0.is_enabled() {
-            self.0.on_hybrid_decision(decision);
-        }
-        if self.1.is_enabled() {
-            self.1.on_hybrid_decision(decision);
-        }
-    }
-    fn on_budget_exhausted(&mut self, record: &BudgetExhaustedRecord) {
-        if self.0.is_enabled() {
-            self.0.on_budget_exhausted(record);
-        }
-        if self.1.is_enabled() {
-            self.1.on_budget_exhausted(record);
-        }
-    }
-    fn on_recovery(&mut self, record: &RecoveryRecord) {
-        if self.0.is_enabled() {
-            self.0.on_recovery(record);
-        }
-        if self.1.is_enabled() {
-            self.1.on_recovery(record);
-        }
-    }
-    fn on_compaction(&mut self, record: &CompactionRecord) {
-        if self.0.is_enabled() {
-            self.0.on_compaction(record);
-        }
-        if self.1.is_enabled() {
-            self.1.on_compaction(record);
-        }
-    }
-    fn on_round(&mut self, round: &RoundRecord) {
-        if self.0.is_enabled() {
-            self.0.on_round(round);
-        }
-        if self.1.is_enabled() {
-            self.1.on_round(round);
-        }
-    }
-    fn on_operator_end(&mut self, end: &OperatorEndRecord) {
-        if self.0.is_enabled() {
-            self.0.on_operator_end(end);
-        }
-        if self.1.is_enabled() {
-            self.1.on_operator_end(end);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1552,7 +1462,6 @@ mod tests {
         assert_eq!(res.relation, RelationId(1));
         assert_eq!(res.answers.len(), 2);
         assert!(!res.budget_exhausted);
-        assert_eq!(res.stats.operator, "shared_pool");
         for (id, ans) in &res.answers {
             assert!(ans.is_final(), "session {id} should be final");
         }
@@ -2181,16 +2090,8 @@ mod tests {
             rate,
             shed: 0,
             budget_exhausted: false,
-            stats: TickStats {
-                rate,
-                work: vao::cost::WorkBreakdown::default(),
-                wall: std::time::Duration::from_nanos(1),
-                iterations: 0,
-                operator: "shared_pool",
-                objects: 0,
-                iter_histogram: va_stream::IterHistogram::new(),
-                cpu_est: vao::trace::CpuEstimation::default(),
-            },
+            work: vao::cost::WorkBreakdown::default(),
+            iterations: 0,
             sessions: Vec::new(),
             answers: Vec::new(),
             warm,
@@ -2254,7 +2155,8 @@ mod tests {
                     ticks: 0,
                     shed: 0,
                     sessions: Vec::new(),
-                    history: Vec::new(),
+                    work: vao::cost::WorkBreakdown::default(),
+                    iterations: 0,
                     warm: vec![
                         WarmRateRecord {
                             rate: 0.05,
@@ -2325,7 +2227,7 @@ mod tests {
         .unwrap();
         // Executed, not committed: what a failed journal append leaves.
         assert_eq!(tenant.registry.sessions(), fresh);
-        assert_eq!((tenant.ticks, tenant.history.len()), (0, 0));
+        assert_eq!(tenant.summary, RunSummary::default());
         let (_, event, _) = srv.tick_record(0, exec);
         srv.journal_and_apply(vec![event]).unwrap();
         // Committed: the state an ordinary tick leaves.
@@ -2542,9 +2444,13 @@ mod tests {
         let live = snapshot_relations(&live_dir);
         assert_eq!(live, snapshot_relations(&replay_dir));
         // The script left something in every field a section has.
-        for field in ["\"warm\":[{", "\"history\":[{", "\"sessions\":[{"] {
+        for field in ["\"warm\":[{", "\"sessions\":[{"] {
             assert!(live.contains(field), "{field} missing from {live}");
         }
+        assert!(
+            live.matches(",\"warm\":").count() > live.matches("\"iterations\":0,\"warm\"").count(),
+            "every section's run totals are empty: {live}"
+        );
         for dir in [live_dir, replay_dir] {
             let _ = std::fs::remove_dir_all(dir);
         }

@@ -7,9 +7,8 @@
 //! float formatting or escaping fails here first, with the exact line in
 //! the diff. The journal and snapshot literals are also read back: each
 //! must parse, and what it parses to must write the bytes it came from.
-//! The records a server with cost calibration wrote stay pinned as it
-//! wrote them, as records every parser refuses by the retired field's
-//! name.
+//! Records carrying the retired `"calibration"` member stay pinned, as
+//! records every parser refuses by that member's name.
 //!
 //! The literals are the contract. Constructor expressions may change when
 //! a type does; the strings may not.
@@ -24,11 +23,10 @@ use va_persist::record::{
 use va_persist::{Meta, MetaRelation, PersistError, Store};
 use va_server::proto::{self, RelationSpec, Request, WireBond, WireQuery};
 use va_server::{Answer, RelationId, Server, ServerConfig, Session, SessionId, TickResult};
-use va_stream::{BondRelation, IterHistogram, Query, QueryOutput, TickStats};
+use va_stream::{BondRelation, Query, QueryOutput, TickStats};
 use vao::cost::WorkBreakdown;
 use vao::ops::heavy::HeavyCell;
 use vao::ops::selection::CmpOp;
-use vao::trace::CpuEstimation;
 use vao::Bounds;
 
 /// Asserts each `(what, emitted, expected)` triple.
@@ -50,26 +48,13 @@ fn def(name: &str, seed: Option<u64>, bonds: u32) -> RelationDefRecord {
     }
 }
 
-fn stats() -> TickStats {
-    TickStats {
-        rate: 0.0583,
-        work: WorkBreakdown {
-            exec_iter: 921_088,
-            get_state: 48,
-            store_state: 415,
-            choose_iter: 13_937,
-        },
-        wall: Duration::from_nanos(123_456_789),
-        iterations: 319,
-        operator: "shared_pool",
-        objects: 48,
-        iter_histogram: IterHistogram::from_buckets([1, 2, 3, 4, 5, 6, 7, 8, 9]),
-        cpu_est: CpuEstimation {
-            iterations: 319,
-            pct_iterations: 301,
-            mean_abs_error: 12.5,
-            mean_abs_pct_error: 0.03,
-        },
+/// The work of the pinned ticks; each of them made 319 iterations.
+fn work() -> WorkBreakdown {
+    WorkBreakdown {
+        exec_iter: 921_088,
+        get_state: 48,
+        store_state: 415,
+        choose_iter: 13_937,
     }
 }
 
@@ -139,7 +124,8 @@ fn tick() -> JournalEvent {
         rate: 0.0583,
         shed: 2,
         budget_exhausted: true,
-        stats: stats(),
+        work: work(),
+        iterations: 319,
         sessions: vec![
             SessionTickRecord {
                 session: 1,
@@ -233,7 +219,7 @@ fn journal_pins() -> Vec<(&'static str, String, &'static str)> {
         (
             "tick",
             tick().to_line(),
-            r#"{"ev":"tick","relation":2,"tick":7,"rate":0.0583,"shed":2,"budget_exhausted":true,"stats":{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}},"sessions":[{"session":1,"final":true,"driven":100},{"session":7,"final":false,"driven":0}],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"selected","ids":[1,2,37]}}},{"session":2,"answer":{"status":"final","output":{"shape":"extreme","bond":45,"lo":123.3181270500031,"hi":123.56660774898366,"ties":[2,9]}}},{"session":3,"answer":{"status":"final","output":{"shape":"aggregate","lo":5132.538654318307,"hi":5174.8478309089305}}},{"session":4,"answer":{"status":"final","output":{"shape":"ranked","members":[{"bond":45,"lo":123.3,"hi":123.6},{"bond":9,"lo":88.8,"hi":88.9}],"ties":[3]}}},{"session":5,"answer":{"status":"final","output":{"shape":"count","lo":37,"hi":41}}},{"session":6,"answer":{"status":"final","output":{"shape":"heavy","cells":[{"cell":-3,"count":7},{"cell":12,"count":2}],"ties":[-2,5]}}},{"session":7,"answer":{"status":"partial","lo":5132.5,"hi":5174.8}}],"warm":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}]}"#,
+            r#"{"ev":"tick","relation":2,"tick":7,"rate":0.0583,"shed":2,"budget_exhausted":true,"stats":{"work":{"exec":921088,"get":48,"store":415,"choose":13937},"iterations":319},"sessions":[{"session":1,"final":true,"driven":100},{"session":7,"final":false,"driven":0}],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"selected","ids":[1,2,37]}}},{"session":2,"answer":{"status":"final","output":{"shape":"extreme","bond":45,"lo":123.3181270500031,"hi":123.56660774898366,"ties":[2,9]}}},{"session":3,"answer":{"status":"final","output":{"shape":"aggregate","lo":5132.538654318307,"hi":5174.8478309089305}}},{"session":4,"answer":{"status":"final","output":{"shape":"ranked","members":[{"bond":45,"lo":123.3,"hi":123.6},{"bond":9,"lo":88.8,"hi":88.9}],"ties":[3]}}},{"session":5,"answer":{"status":"final","output":{"shape":"count","lo":37,"hi":41}}},{"session":6,"answer":{"status":"final","output":{"shape":"heavy","cells":[{"cell":-3,"count":7},{"cell":12,"count":2}],"ties":[-2,5]}}},{"session":7,"answer":{"status":"partial","lo":5132.5,"hi":5174.8}}],"warm":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}]}"#,
         ),
         (
             "snapshot marker",
@@ -331,7 +317,8 @@ fn edge_journal_pins() -> Vec<(&'static str, String, &'static str)> {
         rate: 0.05,
         shed: 0,
         budget_exhausted: false,
-        stats: stats(),
+        work: work(),
+        iterations: 319,
         sessions: Vec::new(),
         answers: edge_answers(),
         warm: Vec::new(),
@@ -349,7 +336,7 @@ fn edge_journal_pins() -> Vec<(&'static str, String, &'static str)> {
         (
             "tick, every output array empty and one element",
             answers_tick.to_line(),
-            r#"{"ev":"tick","relation":1,"tick":3,"rate":0.05,"shed":0,"budget_exhausted":false,"stats":{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}},"sessions":[],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"selected","ids":[]}}},{"session":2,"answer":{"status":"final","output":{"shape":"selected","ids":[5]}}},{"session":3,"answer":{"status":"final","output":{"shape":"extreme","bond":0,"lo":-0,"hi":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,"ties":[]}}},{"session":4,"answer":{"status":"final","output":{"shape":"extreme","bond":4,"lo":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"hi":0.0000001,"ties":[3]}}},{"session":5,"answer":{"status":"final","output":{"shape":"aggregate","lo":0.0000001,"hi":1000000000000000000000}}},{"session":6,"answer":{"status":"final","output":{"shape":"ranked","members":[],"ties":[]}}},{"session":7,"answer":{"status":"final","output":{"shape":"ranked","members":[{"bond":8,"lo":-0,"hi":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005}],"ties":[2]}}},{"session":8,"answer":{"status":"final","output":{"shape":"heavy","cells":[],"ties":[]}}},{"session":9,"answer":{"status":"final","output":{"shape":"heavy","cells":[{"cell":-1,"count":1}],"ties":[0]}}}],"warm":[]}"#,
+            r#"{"ev":"tick","relation":1,"tick":3,"rate":0.05,"shed":0,"budget_exhausted":false,"stats":{"work":{"exec":921088,"get":48,"store":415,"choose":13937},"iterations":319},"sessions":[],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"selected","ids":[]}}},{"session":2,"answer":{"status":"final","output":{"shape":"selected","ids":[5]}}},{"session":3,"answer":{"status":"final","output":{"shape":"extreme","bond":0,"lo":-0,"hi":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,"ties":[]}}},{"session":4,"answer":{"status":"final","output":{"shape":"extreme","bond":4,"lo":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"hi":0.0000001,"ties":[3]}}},{"session":5,"answer":{"status":"final","output":{"shape":"aggregate","lo":0.0000001,"hi":1000000000000000000000}}},{"session":6,"answer":{"status":"final","output":{"shape":"ranked","members":[],"ties":[]}}},{"session":7,"answer":{"status":"final","output":{"shape":"ranked","members":[{"bond":8,"lo":-0,"hi":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005}],"ties":[2]}}},{"session":8,"answer":{"status":"final","output":{"shape":"heavy","cells":[],"ties":[]}}},{"session":9,"answer":{"status":"final","output":{"shape":"heavy","cells":[{"cell":-1,"count":1}],"ties":[0]}}}],"warm":[]}"#,
         ),
         (
             "subscribe, SUM without weights",
@@ -413,24 +400,14 @@ fn without_calibration(literal: &str) -> String {
 /// with the edge floats wherever a tick carries a float.
 fn edge_ticks() -> [JournalEvent; 2] {
     let [neg_zero, big, small, subnormal, max] = edge_floats();
-    let edge_stats = TickStats {
-        rate: neg_zero,
-        iter_histogram: IterHistogram::from_buckets([0; 9]),
-        cpu_est: CpuEstimation {
-            iterations: 0,
-            pct_iterations: 0,
-            mean_abs_error: big,
-            mean_abs_pct_error: subnormal,
-        },
-        ..stats()
-    };
     let empty_tick = JournalEvent::Tick(Box::new(TickRecord {
         relation: 1,
         tick: 1,
         rate: neg_zero,
         shed: 0,
         budget_exhausted: false,
-        stats: edge_stats,
+        work: work(),
+        iterations: 319,
         sessions: Vec::new(),
         answers: Vec::new(),
         warm: Vec::new(),
@@ -441,7 +418,8 @@ fn edge_ticks() -> [JournalEvent; 2] {
         rate: small,
         shed: 0,
         budget_exhausted: false,
-        stats: edge_stats,
+        work: work(),
+        iterations: 319,
         sessions: vec![SessionTickRecord {
             session: 3,
             is_final: true,
@@ -501,7 +479,8 @@ fn two_relation_snapshot() -> SnapshotRecord {
                         driven_iterations: 0,
                     },
                 ],
-                history: vec![stats(), stats()],
+                work: work() + work(),
+                iterations: 638,
                 warm: vec![WarmRateRecord {
                     rate: 0.0583,
                     objects: warm(),
@@ -526,7 +505,8 @@ fn two_relation_snapshot() -> SnapshotRecord {
                 ticks: 0,
                 shed: 0,
                 sessions: Vec::new(),
-                history: Vec::new(),
+                work: WorkBreakdown::default(),
+                iterations: 0,
                 warm: Vec::new(),
                 answers: Vec::new(),
             },
@@ -534,31 +514,31 @@ fn two_relation_snapshot() -> SnapshotRecord {
     }
 }
 
-/// Records as a server with cost calibration wrote them, each carrying the
-/// retired `"calibration"` member, as `(what, emitted, literal)`: what the
-/// emitter writes for the same record is the literal without the member.
+/// Records carrying the retired `"calibration"` member, as
+/// `(what, emitted, literal)`: what the emitter writes for the same record
+/// is the literal without the member.
 fn calibrated_pins() -> Vec<(&'static str, String, &'static str)> {
     let [empty_tick, one_tick] = edge_ticks();
     vec![
         (
             "tick with calibration",
             tick().to_line(),
-            r#"{"ev":"tick","relation":2,"tick":7,"rate":0.0583,"shed":2,"budget_exhausted":true,"stats":{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}},"sessions":[{"session":1,"final":true,"driven":100},{"session":7,"final":false,"driven":0}],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"selected","ids":[1,2,37]}}},{"session":2,"answer":{"status":"final","output":{"shape":"extreme","bond":45,"lo":123.3181270500031,"hi":123.56660774898366,"ties":[2,9]}}},{"session":3,"answer":{"status":"final","output":{"shape":"aggregate","lo":5132.538654318307,"hi":5174.8478309089305}}},{"session":4,"answer":{"status":"final","output":{"shape":"ranked","members":[{"bond":45,"lo":123.3,"hi":123.6},{"bond":9,"lo":88.8,"hi":88.9}],"ties":[3]}}},{"session":5,"answer":{"status":"final","output":{"shape":"count","lo":37,"hi":41}}},{"session":6,"answer":{"status":"final","output":{"shape":"heavy","cells":[{"cell":-3,"count":7},{"cell":12,"count":2}],"ties":[-2,5]}}},{"session":7,"answer":{"status":"partial","lo":5132.5,"hi":5174.8}}],"warm":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[41,5120,7730],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":">","constant":100.25,"pass":18,"fail":30},{"op":"<=","constant":99.05830000000002,"pass":0,"fail":7}]}}"#,
+            r#"{"ev":"tick","relation":2,"tick":7,"rate":0.0583,"shed":2,"budget_exhausted":true,"stats":{"work":{"exec":921088,"get":48,"store":415,"choose":13937},"iterations":319},"sessions":[{"session":1,"final":true,"driven":100},{"session":7,"final":false,"driven":0}],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"selected","ids":[1,2,37]}}},{"session":2,"answer":{"status":"final","output":{"shape":"extreme","bond":45,"lo":123.3181270500031,"hi":123.56660774898366,"ties":[2,9]}}},{"session":3,"answer":{"status":"final","output":{"shape":"aggregate","lo":5132.538654318307,"hi":5174.8478309089305}}},{"session":4,"answer":{"status":"final","output":{"shape":"ranked","members":[{"bond":45,"lo":123.3,"hi":123.6},{"bond":9,"lo":88.8,"hi":88.9}],"ties":[3]}}},{"session":5,"answer":{"status":"final","output":{"shape":"count","lo":37,"hi":41}}},{"session":6,"answer":{"status":"final","output":{"shape":"heavy","cells":[{"cell":-3,"count":7},{"cell":12,"count":2}],"ties":[-2,5]}}},{"session":7,"answer":{"status":"partial","lo":5132.5,"hi":5174.8}}],"warm":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[41,5120,7730],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":">","constant":100.25,"pass":18,"fail":30},{"op":"<=","constant":99.05830000000002,"pass":0,"fail":7}]}}"#,
         ),
         (
             "tick, every array empty, edge floats",
             empty_tick.to_line(),
-            r#"{"ev":"tick","relation":1,"tick":1,"rate":-0,"shed":0,"budget_exhausted":false,"stats":{"rate":-0,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[0,0,0,0,0,0,0,0,0],"cpu":{"iterations":0,"pct_iterations":0,"mae":1000000000000000000000,"mape":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005}},"sessions":[],"answers":[],"warm":[],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[]}}"#,
+            r#"{"ev":"tick","relation":1,"tick":1,"rate":-0,"shed":0,"budget_exhausted":false,"stats":{"work":{"exec":921088,"get":48,"store":415,"choose":13937},"iterations":319},"sessions":[],"answers":[],"warm":[],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[]}}"#,
         ),
         (
             "tick, every array one element, edge floats",
             one_tick.to_line(),
-            r#"{"ev":"tick","relation":1,"tick":2,"rate":0.0000001,"shed":0,"budget_exhausted":false,"stats":{"rate":-0,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[0,0,0,0,0,0,0,0,0],"cpu":{"iterations":0,"pct_iterations":0,"mae":1000000000000000000000,"mape":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005}},"sessions":[{"session":3,"final":true,"driven":1}],"answers":[{"session":3,"answer":{"status":"partial","lo":-0,"hi":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000}}],"warm":[{"lo":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"hi":1000000000000000000000,"converged":false,"iters":1,"cost":1}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":"<","constant":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,"pass":1,"fail":0}]}}"#,
+            r#"{"ev":"tick","relation":1,"tick":2,"rate":0.0000001,"shed":0,"budget_exhausted":false,"stats":{"work":{"exec":921088,"get":48,"store":415,"choose":13937},"iterations":319},"sessions":[{"session":3,"final":true,"driven":1}],"answers":[{"session":3,"answer":{"status":"partial","lo":-0,"hi":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000}}],"warm":[{"lo":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"hi":1000000000000000000000,"converged":false,"iters":1,"cost":1}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":"<","constant":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,"pass":1,"fail":0}]}}"#,
         ),
         (
             "two-relation snapshot",
             two_relation_snapshot().to_json(),
-            r#"{"seq":3,"journal_events":41,"segment":4,"segment_bytes":1234,"next_relation_id":4,"relations":[{"relation":1,"def":{"name":"default","seed":42,"bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100},{"id":1,"coupon":0.0425,"maturity":7.5,"face":100}]},"next_session_id":9,"ticks":12,"shed":1,"sessions":[{"session":2,"priority":4,"finals":10,"partials":2,"driven":4021,"query":{"kind":"max","epsilon":0.0101}},{"session":8,"priority":1,"finals":0,"partials":0,"driven":0,"query":{"kind":"sum","epsilon":0.5,"weights":[1,2]}}],"history":[{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}},{"rate":0.0583,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[1,2,3,4,5,6,7,8,9],"cpu":{"iterations":319,"pct_iterations":301,"mae":12.5,"mape":0.03}}],"warm":[{"rate":0.0583,"objects":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}]}],"answers":[{"session":2,"answer":{"status":"partial","lo":1,"hi":2}},{"session":8,"answer":{"status":"final","output":{"shape":"count","lo":3,"hi":3}}}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[41,5120,7730],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":">","constant":100.25,"pass":18,"fail":30},{"op":"<=","constant":99.05830000000002,"pass":0,"fail":7}]}},{"relation":3,"def":{"name":"fx","bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100}]},"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"history":[],"warm":[],"answers":[]}]}"#,
+            r#"{"seq":3,"journal_events":41,"segment":4,"segment_bytes":1234,"next_relation_id":4,"relations":[{"relation":1,"def":{"name":"default","seed":42,"bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100},{"id":1,"coupon":0.0425,"maturity":7.5,"face":100}]},"next_session_id":9,"ticks":12,"shed":1,"sessions":[{"session":2,"priority":4,"finals":10,"partials":2,"driven":4021,"query":{"kind":"max","epsilon":0.0101}},{"session":8,"priority":1,"finals":0,"partials":0,"driven":0,"query":{"kind":"sum","epsilon":0.5,"weights":[1,2]}}],"work":{"exec":1842176,"get":96,"store":830,"choose":27874},"iterations":638,"warm":[{"rate":0.0583,"objects":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}]}],"answers":[{"session":2,"answer":{"status":"partial","lo":1,"hi":2}},{"session":8,"answer":{"status":"final","output":{"shape":"count","lo":3,"hi":3}}}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[41,5120,7730],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":">","constant":100.25,"pass":18,"fail":30},{"op":"<=","constant":99.05830000000002,"pass":0,"fail":7}]}},{"relation":3,"def":{"name":"fx","bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100}]},"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"work":{"exec":0,"get":0,"store":0,"choose":0},"iterations":0,"warm":[],"answers":[]}]}"#,
         ),
     ]
 }
@@ -654,15 +634,8 @@ fn edge_snapshot_pins() -> Vec<(&'static str, String, &'static str)> {
                 partials: 0,
                 driven_iterations: 0,
             }],
-            history: vec![TickStats {
-                rate: subnormal,
-                iter_histogram: IterHistogram::from_buckets([0, 0, 0, 0, 0, 0, 0, 0, 1]),
-                cpu_est: CpuEstimation {
-                    mean_abs_error: neg_zero,
-                    ..stats().cpu_est
-                },
-                ..stats()
-            }],
+            work: work(),
+            iterations: 319,
             warm: vec![
                 WarmRateRecord {
                     rate: neg_zero,
@@ -695,7 +668,7 @@ fn edge_snapshot_pins() -> Vec<(&'static str, String, &'static str)> {
         (
             "snapshot, one relation, one-element arrays, edge floats",
             one.to_json(),
-            r#"{"seq":2,"journal_events":5,"segment":2,"segment_bytes":0,"next_relation_id":2,"relations":[{"relation":1,"def":{"name":"one","seed":7,"bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100}]},"next_session_id":2,"ticks":1,"shed":0,"sessions":[{"session":1,"priority":1,"finals":1,"partials":0,"driven":0,"query":{"kind":"sum","epsilon":0.0000001,"weights":[179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000]}}],"history":[{"rate":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"work":{"exec":921088,"get":48,"store":415,"choose":13937},"wall_nanos":123456789,"iterations":319,"operator":"shared_pool","objects":48,"hist":[0,0,0,0,0,0,0,0,1],"cpu":{"iterations":319,"pct_iterations":301,"mae":-0,"mape":0.03}}],"warm":[{"rate":-0,"objects":[]},{"rate":1000000000000000000000,"objects":[{"lo":-0,"hi":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,"converged":true,"iters":0,"cost":0}]}],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"aggregate","lo":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"hi":1000000000000000000000}}}]}]}"#,
+            r#"{"seq":2,"journal_events":5,"segment":2,"segment_bytes":0,"next_relation_id":2,"relations":[{"relation":1,"def":{"name":"one","seed":7,"bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100}]},"next_session_id":2,"ticks":1,"shed":0,"sessions":[{"session":1,"priority":1,"finals":1,"partials":0,"driven":0,"query":{"kind":"sum","epsilon":0.0000001,"weights":[179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000]}}],"work":{"exec":921088,"get":48,"store":415,"choose":13937},"iterations":319,"warm":[{"rate":-0,"objects":[]},{"rate":1000000000000000000000,"objects":[{"lo":-0,"hi":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,"converged":true,"iters":0,"cost":0}]}],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"aggregate","lo":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"hi":1000000000000000000000}}}]}]}"#,
         ),
     ]
 }
@@ -724,12 +697,12 @@ fn snapshot_and_meta_documents() {
         (
             "catalog meta",
             meta.to_json(),
-            r#"{"version":2,"pricer":18369614221190020847,"relations":[{"relation":1,"fingerprint":77},{"relation":3,"fingerprint":18446744073709551615}]}"#,
+            r#"{"version":3,"pricer":18369614221190020847,"relations":[{"relation":1,"fingerprint":77},{"relation":3,"fingerprint":18446744073709551615}]}"#,
         ),
         (
             "empty meta",
             empty_meta.to_json(),
-            r#"{"version":2,"pricer":5,"relations":[]}"#,
+            r#"{"version":3,"pricer":5,"relations":[]}"#,
         ),
         (
             "one-relation meta",
@@ -741,7 +714,7 @@ fn snapshot_and_meta_documents() {
                 }],
             }
             .to_json(),
-            r#"{"version":2,"pricer":5,"relations":[{"relation":1,"fingerprint":0}]}"#,
+            r#"{"version":3,"pricer":5,"relations":[{"relation":1,"fingerprint":0}]}"#,
         ),
     ]);
     check(&pins);
@@ -789,10 +762,6 @@ fn tick_result() -> TickResult {
             },
             wall: Duration::from_nanos(5),
             iterations: 17,
-            operator: "shared_pool",
-            objects: 4,
-            iter_histogram: IterHistogram::from_buckets([0; 9]),
-            cpu_est: CpuEstimation::default(),
         },
         budget_exhausted: true,
     }

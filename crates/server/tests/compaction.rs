@@ -89,14 +89,9 @@ fn tick_key(res: &TickResult) -> String {
         work,
         wall: _,
         iterations,
-        operator,
-        objects,
-        iter_histogram,
-        cpu_est,
     } = &res.stats;
     format!(
-        "tick={} rate={:?} answers={:?} exhausted={} stats=({rate:?} {work:?} {iterations} \
-         {operator} {objects} {iter_histogram:?} {cpu_est:?})",
+        "tick={} rate={:?} answers={:?} exhausted={} stats=({rate:?} {work:?} {iterations})",
         res.tick, res.rate, res.answers, res.budget_exhausted
     )
 }

@@ -24,7 +24,7 @@ use va_server::proto::{self, RelationSpec, Request, WireBond, WireQuery};
 use va_server::{
     Answer, RelationId, Server, ServerConfig, Session, SessionId, TickResult, DEFAULT_RELATION,
 };
-use va_stream::{BondRelation, IterHistogram, Query, QueryOutput, TickStats};
+use va_stream::{BondRelation, Query, QueryOutput, TickStats};
 use vao::cost::WorkBreakdown;
 use vao::ops::selection::CmpOp;
 use vao::Bounds;
@@ -308,10 +308,6 @@ proptest! {
                 work,
                 wall: Duration::ZERO,
                 iterations: finals + partials,
-                operator: "shared_pool",
-                objects: ids.len() as u64,
-                iter_histogram: IterHistogram::default(),
-                cpu_est: Default::default(),
             },
             budget_exhausted: answer_sel % 2 == 0,
         };

@@ -13,7 +13,7 @@
 //! * [`engine`] — the continuous executor: per rate tick, it evaluates the
 //!   query under either the VAO or the traditional execution mode and
 //!   records per-tick statistics.
-//! * [`stats`] — work/time accounting per tick.
+//! * [`stats`] — work/time accounting per tick and its run-level fold.
 //! * [`casper`] — a CASPER-style predicate result-range cache over
 //!   selection ticks (§2's related work, integrated as an extension).
 
@@ -32,4 +32,4 @@ pub use bondlab::Bond;
 pub use engine::{ContinuousQueryEngine, EngineError, ExecutionMode};
 pub use query::{Query, QueryOutput};
 pub use relation::BondRelation;
-pub use stats::{IterHistogram, RunSummary, TickObserver, TickStats};
+pub use stats::{RunSummary, TickStats};
