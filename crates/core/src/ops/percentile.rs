@@ -23,7 +23,7 @@
 //! wider interval, mirroring SUM's behavior under an unsatisfiable ε.
 
 pub use va_sketch::rank_from_top;
-use va_sketch::IntervalQuantileSketch;
+use va_sketch::{BucketKey, IntervalQuantileSketch, LogGrid};
 
 use crate::bounds::Bounds;
 use crate::cost::WorkMeter;
@@ -147,7 +147,9 @@ pub fn rank_bracket<V: View + ?Sized>(v: &V, k: usize, scratch: &mut Vec<f64>) -
 
 /// Rebuilds the guiding sketch from the view's current bounds. The sketch
 /// does not depend on φ, and its buckets keep min/max envelopes a deletion
-/// cannot restore, so it is rebuilt rather than repaired.
+/// cannot restore, so it is rebuilt rather than repaired; a scheduler that
+/// keeps state across rounds reads the same band from [`BucketKeys`]
+/// instead, while the view fits one sketch budget.
 pub fn fill_sketch<V: View + ?Sized>(sketch: &mut IntervalQuantileSketch, v: &V) {
     sketch.clear();
     for i in 0..v.len() {
@@ -165,6 +167,96 @@ pub fn rank_band(sketch: &IntervalQuantileSketch, k: usize) -> (f64, f64) {
     sketch
         .rank_band_from_top(k as u64)
         .unwrap_or((f64::MIN, f64::MAX))
+}
+
+/// Each object's bucket in the two endpoint sketches [`fill_sketch`] fills,
+/// kept across rounds so that [`rank_band`]'s answer is read without
+/// refilling.
+///
+/// While the view holds at most [`SKETCH_BUDGET`] objects, neither endpoint
+/// sketch can hold more buckets than its budget, so neither collapses: each
+/// endpoint lands in its [`LogGrid::key`] bucket at [`SKETCH_ALPHA`], and a
+/// bucket's envelope is the smallest and largest endpoint carrying its key.
+/// Only an iterated object's keys change, so [`BucketKeys::repair`] takes
+/// just those. Larger views keep the fill.
+#[derive(Clone, Debug)]
+pub struct BucketKeys {
+    grid: LogGrid,
+    lo: Vec<BucketKey>,
+    hi: Vec<BucketKey>,
+}
+
+impl BucketKeys {
+    /// Every object's endpoint keys, or `None` past [`SKETCH_BUDGET`]
+    /// objects, where a sketch may collapse.
+    #[must_use]
+    pub fn new<V: View + ?Sized>(v: &V) -> Option<Self> {
+        if v.len() > SKETCH_BUDGET {
+            return None;
+        }
+        let grid = LogGrid::new(SKETCH_ALPHA);
+        let (lo, hi) = (0..v.len())
+            .map(|i| {
+                let b = v.bounds(i);
+                (grid.key(b.lo()), grid.key(b.hi()))
+            })
+            .unzip();
+        Some(Self { grid, lo, hi })
+    }
+
+    /// Re-keys the objects `changed`, whose bounds moved.
+    pub fn repair<V: View + ?Sized>(&mut self, v: &V, changed: &[usize]) {
+        for &i in changed {
+            let b = v.bounds(i);
+            self.lo[i] = self.grid.key(b.lo());
+            self.hi[i] = self.grid.key(b.hi());
+        }
+    }
+
+    /// What [`rank_band`] reads at rank `k` (in `1..=N`) from a sketch
+    /// [`fill_sketch`] filled with `v`, bit for bit. `desc` must order the
+    /// objects by upper bound descending and `asc` by lower bound ascending
+    /// ([`ranked`](crate::ops::score::ranked) over the view and over its
+    /// [`Flipped`](crate::ops::score::Flipped) reflection do).
+    ///
+    /// The sketch walks its buckets from the top and stops in the bucket of
+    /// the `k`-th largest endpoint: `asc[N − k]`'s lower bound and
+    /// `desc[k − 1]`'s upper bound. Keys grow with the value, so a bucket is
+    /// a run of its order, and its envelope end is where that run starts.
+    #[must_use]
+    pub fn rank_band<V: View + ?Sized>(
+        &self,
+        v: &V,
+        asc: &[usize],
+        desc: &[usize],
+        k: usize,
+    ) -> (f64, f64) {
+        let lo = run_start(&self.lo, asc, v.len() - k);
+        let hi = run_start(&self.hi, desc, k - 1);
+        let lo = if self.lo[lo] == BucketKey::Zero {
+            0.0
+        } else {
+            v.bounds(lo).lo()
+        };
+        let hi = if self.hi[hi] == BucketKey::Zero {
+            0.0
+        } else {
+            v.bounds(hi).hi()
+        };
+        // The sketch's own normalization of the band.
+        (lo.min(hi), hi.max(lo))
+    }
+}
+
+/// The first object of the run of `order` around position `at` whose keys
+/// equal `keys[order[at]]`.
+fn run_start(keys: &[BucketKey], order: &[usize], at: usize) -> usize {
+    let key = keys[order[at]];
+    let start = order[..at]
+        .iter()
+        .rposition(|&j| keys[j] != key)
+        .map_or(0, |p| p + 1);
+    order[start]
 }
 
 /// Scores, as `emit(object, benefit)` in index order, every non-converged

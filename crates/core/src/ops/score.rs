@@ -1,8 +1,9 @@
 //! §5's scoring, written once: what an operator reads, and the pure
 //! functions that turn it into benefits, contests and stopping tests.
 //!
-//! Scoring never mutates and reads four facts per object — how many there
-//! are, their bounds, their estimated next bounds, whether they converged.
+//! Scoring never mutates and reads five facts per object — how many there
+//! are, their bounds, their estimated next bounds, whether they converged,
+//! and what their next iteration is estimated to cost.
 //! [`View`] is that read-only surface. A slice of result objects is a view
 //! (the operators score over `&[R]`), and so is any columnar store
 //! that keeps the same facts flat (`va-server`'s shared pool), so both
@@ -21,6 +22,7 @@
 use std::cmp::Ordering;
 
 use crate::bounds::Bounds;
+use crate::cost::Work;
 use crate::interface::ResultObject;
 use crate::ops::drive::{push, Demand};
 
@@ -42,6 +44,10 @@ pub trait View {
 
     /// Whether object `i` has reached its stopping condition.
     fn converged(&self, i: usize) -> bool;
+
+    /// Estimated cost of object `i`'s next iteration (`estCPU`), which the
+    /// round loop ranks and admits by.
+    fn est_cpu(&self, i: usize) -> Work;
 }
 
 impl<R: ResultObject> View for [R] {
@@ -59,6 +65,10 @@ impl<R: ResultObject> View for [R] {
 
     fn converged(&self, i: usize) -> bool {
         self[i].converged()
+    }
+
+    fn est_cpu(&self, i: usize) -> Work {
+        self[i].est_cpu()
     }
 }
 
@@ -84,6 +94,10 @@ impl<V: View + ?Sized> View for Flipped<'_, V> {
 
     fn converged(&self, i: usize) -> bool {
         self.0.converged(i)
+    }
+
+    fn est_cpu(&self, i: usize) -> Work {
+        self.0.est_cpu(i)
     }
 }
 

@@ -52,6 +52,11 @@ impl View for [BlackBoxSpec] {
     fn converged(&self, _: usize) -> bool {
         true
     }
+
+    /// A converged object has no next iteration to pay for.
+    fn est_cpu(&self, _: usize) -> Work {
+        0
+    }
 }
 
 /// Iterates `obj` to convergence and records its black-box execution spec.

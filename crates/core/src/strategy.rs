@@ -153,22 +153,23 @@ impl ChoicePolicy {
         }
         match self {
             ChoicePolicy::Greedy => {
-                let mut order: Vec<usize> = (0..candidates.len()).collect();
                 // Positive scores first (descending), then zero-score
-                // candidates widest-first; index breaks every tie so the
-                // selection is deterministic and `top_k(c, 1) == pick(c)`.
-                order.sort_by(|&a, &b| {
-                    let (ca, cb) = (&candidates[a], &candidates[b]);
-                    let (sa, sb) = (ca.score(), cb.score());
-                    match (sa > 0.0, sb > 0.0) {
-                        (true, false) => std::cmp::Ordering::Less,
-                        (false, true) => std::cmp::Ordering::Greater,
-                        (true, true) => sb.total_cmp(&sa).then(a.cmp(&b)),
-                        (false, false) => cb.width.total_cmp(&ca.width).then(a.cmp(&b)),
-                    }
-                });
-                order.truncate(k);
-                order
+                // candidates widest-first; index breaks every tie, so the
+                // order is strict and total: selecting the `k` best gives
+                // the first `k` of a full sort, and `top_k(c, 1) == pick(c)`.
+                // Each score is computed once, not once per comparison.
+                let keys = candidates.iter().enumerate().map(GreedyKey::of);
+                if k == 1 {
+                    let best = keys.min_by(GreedyKey::rank);
+                    return best.map(|key| key.at).into_iter().collect();
+                }
+                let mut keyed: Vec<GreedyKey> = keys.collect();
+                if k < keyed.len() {
+                    keyed.select_nth_unstable_by(k - 1, GreedyKey::rank);
+                    keyed.truncate(k);
+                }
+                keyed.sort_unstable_by(GreedyKey::rank);
+                keyed.into_iter().map(|key| key.at).collect()
             }
             ChoicePolicy::RoundRobin { .. }
             | ChoicePolicy::Random { .. }
@@ -217,6 +218,37 @@ impl ChoicePolicy {
             }
         }
         picks
+    }
+}
+
+/// A candidate's place in the greedy order, computed once: its position in
+/// the slice, whether its score is positive, and what it ranks by (the
+/// score, or the width when the score gives no signal).
+#[derive(Clone, Copy)]
+struct GreedyKey {
+    at: usize,
+    positive: bool,
+    value: f64,
+}
+
+impl GreedyKey {
+    fn of((at, c): (usize, &Candidate)) -> Self {
+        let score = c.score();
+        let positive = score > 0.0;
+        Self {
+            at,
+            positive,
+            value: if positive { score } else { c.width },
+        }
+    }
+
+    /// The greedy order (`Less` ranks first): positive scores before the
+    /// rest, larger values first, the earlier position on a tie.
+    fn rank(a: &Self, b: &Self) -> std::cmp::Ordering {
+        b.positive
+            .cmp(&a.positive)
+            .then(b.value.total_cmp(&a.value))
+            .then(a.at.cmp(&b.at))
     }
 }
 

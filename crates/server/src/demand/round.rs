@@ -10,12 +10,16 @@
 //!   session (MAX/MIN/TOPK/MEDIAN/PERCENTILE) reads are kept once per tick
 //!   and repaired by re-inserting the iterated objects; members are a
 //!   prefix, straddlers the run behind it, the PERCENTILE output bracket two
-//!   positions. The interval sketch is rebuilt at most once per round for
+//!   positions. PERCENTILE's rank band is read from the same orders and
+//!   each object's endpoint bucket keys, re-keyed for the iterated objects
+//!   ([`BucketKeys`]); past [`SKETCH_BUDGET`] objects, where a sketch may
+//!   collapse, the interval sketch is refilled at most once per round for
 //!   all PERCENTILE sessions.
 //! * **Patched per session** — SELECT/COUNT/SUM/AVE entries are functions of
 //!   one object's own columns, so only the iterated objects' entries change;
 //!   a HEAVYHITTERS session keeps each object's cell span and moves its
-//!   count-min charges by exact ±1 deltas.
+//!   count-min charges by exact ±1 deltas, and keeps its demand list while
+//!   no span moves, recomputing only the iterated objects' benefits.
 //! * **Recomputed per round** — the list-level stopping conditions, and
 //!   every float *sum* (the SUM/AVE interval in index order, a θ holder's
 //!   benefit over its straddlers in index order): those bits decide picks
@@ -24,16 +28,20 @@
 //!
 //! State that cannot be proven equal to its rebuild falls back to the
 //! rebuild, selected by the condition that breaks the proof: a SpaceSaving
-//! summary that has replaced a counter is order-dependent, and a resolved
-//! cell that moves cannot be retracted from it.
+//! summary that has replaced a counter is order-dependent, a resolved cell
+//! that moves cannot be retracted from it, and a sketch over more objects
+//! than its budget may collapse.
+//!
+//! From the lists, the round loop *selects* its picks
+//! (`ChoicePolicy::top_k`) rather than sorting every candidate.
 
 use va_sketch::IntervalQuantileSketch;
 use va_stream::Query;
 use vao::ops::count::classify_entry;
 use vao::ops::drive::push;
-use vao::ops::heavy::{cell_span, heavy_scan, CellSpan, HeavySummaries};
+use vao::ops::heavy::{cell_span, heavy_scan, resolve_benefit, CellSpan, HeavySummaries};
 use vao::ops::percentile::{
-    band_scan, fill_sketch, rank_band, rank_from_top, SKETCH_ALPHA, SKETCH_BUDGET,
+    band_scan, fill_sketch, rank_band, rank_from_top, BucketKeys, SKETCH_ALPHA, SKETCH_BUDGET,
 };
 use vao::ops::quantile::quantile_phases;
 use vao::ops::score::{
@@ -52,10 +60,8 @@ pub struct RoundView {
     sessions: Vec<SessionDemand>,
     /// Built iff some session is rank-family.
     orders: Option<RankOrders>,
-    /// The PERCENTILE sessions' shared sketch and whether it already holds
-    /// this round's bounds.
-    sketch: Option<IntervalQuantileSketch>,
-    sketch_fresh: bool,
+    /// Built iff some session is PERCENTILE.
+    band: Option<BandSource>,
     straddlers: Vec<usize>,
     inner: Vec<usize>,
 }
@@ -84,6 +90,50 @@ struct HeavyCache {
     summaries: HeavySummaries,
     /// The summaries no longer provably equal a rebuild from `spans`.
     stale: bool,
+    /// The session's list holds the contended set of `spans` under
+    /// `summaries`: no span moved since it was scanned.
+    listed: bool,
+}
+
+/// Where the PERCENTILE sessions read their rank band from.
+#[derive(Debug)]
+enum BandSource {
+    /// Pools of at most [`SKETCH_BUDGET`] objects: each object's endpoint
+    /// buckets, re-keyed for the iterated objects only.
+    Keys(BucketKeys),
+    /// Larger pools, where the sketch may collapse: the sketch itself,
+    /// refilled at most once per round (`fresh` once it holds this round's
+    /// bounds).
+    Sketch {
+        sketch: IntervalQuantileSketch,
+        fresh: bool,
+    },
+}
+
+impl BandSource {
+    fn build(pool: &SharedPool) -> Self {
+        BucketKeys::new(pool).map_or_else(
+            || BandSource::Sketch {
+                sketch: IntervalQuantileSketch::new(SKETCH_ALPHA, SKETCH_BUDGET),
+                fresh: false,
+            },
+            BandSource::Keys,
+        )
+    }
+
+    /// The rank-`k` band [`rank_band`] reads from a sketch of the pool.
+    fn rank_band(&mut self, pool: &SharedPool, orders: &RankOrders, k: usize) -> (f64, f64) {
+        match self {
+            BandSource::Keys(keys) => keys.rank_band(pool, &orders.asc, &orders.desc, k),
+            BandSource::Sketch { sketch, fresh } => {
+                if !*fresh {
+                    fill_sketch(sketch, pool);
+                    *fresh = true;
+                }
+                rank_band(sketch, k)
+            }
+        }
+    }
 }
 
 /// The member-guess orders: `desc` is the plain view's `(hi desc, lo desc,
@@ -211,6 +261,25 @@ impl HeavyCache {
             spans,
             summaries,
             stale: false,
+            listed: false,
+        }
+    }
+
+    /// Brings the cache and the session's `list` up to date after the
+    /// objects `changed` were iterated. The contended set is a function of
+    /// the spans and the summaries, and the summaries of the spans: while
+    /// no span moves the list keeps its objects, and only the iterated
+    /// ones' benefits change.
+    fn repair(&mut self, pool: &SharedPool, changed: &[usize], width: f64, list: &mut [Demand]) {
+        for &i in changed {
+            self.move_span(pool, i, width);
+        }
+        if self.listed {
+            for &i in changed {
+                if let Ok(at) = list.binary_search_by_key(&i, |d| d.object) {
+                    list[at].benefit = resolve_benefit(pool, i, width);
+                }
+            }
         }
     }
 
@@ -218,10 +287,14 @@ impl HeavyCache {
     /// count-min grids are sums of per-object charges, so ±1 is exact. The
     /// SpaceSaving summary only takes offers: exact (and order-free) until
     /// it replaces a counter, and a resolved cell cannot be taken back.
-    fn repair(&mut self, pool: &SharedPool, i: usize, width: f64) {
+    fn move_span(&mut self, pool: &SharedPool, i: usize, width: f64) {
         let new = cell_span(pool, i, width);
         let old = std::mem::replace(&mut self.spans[i], new);
-        if old == new || self.stale {
+        if old == new {
+            return;
+        }
+        self.listed = false;
+        if self.stale {
             return;
         }
         match old {
@@ -235,12 +308,19 @@ impl HeavyCache {
         self.stale = !self.summaries.is_exact();
     }
 
+    /// Rescans the contended set into `out` unless it is still listed
+    /// there.
     fn emit(&mut self, pool: &SharedPool, k: usize, width: f64, out: &mut Vec<Demand>) {
+        if self.listed {
+            return;
+        }
         if self.stale {
             self.summaries.rebuild(&self.spans);
             self.stale = false;
         }
+        out.clear();
         heavy_scan(pool, &self.spans, &self.summaries, k, width, out);
+        self.listed = true;
     }
 }
 
@@ -276,8 +356,11 @@ impl RoundView {
                 .into_iter()
                 .any(reads_orders)
                 .then(|| RankOrders::build(pool)),
-            sketch: None,
-            sketch_fresh: false,
+            band: queries
+                .clone()
+                .into_iter()
+                .any(|q| matches!(q, Query::Percentile { .. }))
+                .then(|| BandSource::build(pool)),
             straddlers: Vec::new(),
             inner: Vec::new(),
         };
@@ -297,6 +380,11 @@ impl RoundView {
         if let Some(orders) = &mut self.orders {
             orders.repair(pool, changed);
         }
+        match &mut self.band {
+            Some(BandSource::Keys(keys)) => keys.repair(pool, changed),
+            Some(BandSource::Sketch { fresh, .. }) => *fresh = false,
+            None => {}
+        }
         for (sess, query) in self.sessions.iter_mut().zip(queries.clone()) {
             match (&mut sess.cache, query) {
                 (Cache::Entries(entries), _) => {
@@ -305,9 +393,7 @@ impl RoundView {
                     }
                 }
                 (Cache::Heavy(heavy), Query::HeavyHitters { epsilon, .. }) => {
-                    for &i in changed {
-                        heavy.repair(pool, i, *epsilon);
-                    }
+                    heavy.repair(pool, changed, *epsilon, &mut sess.list);
                 }
                 _ => {}
             }
@@ -334,15 +420,19 @@ impl RoundView {
         let Self {
             sessions,
             orders,
-            sketch,
-            sketch_fresh,
+            band,
             straddlers,
             inner,
         } = self;
-        *sketch_fresh = false;
         let n = pool.len();
         for (sess, query) in sessions.iter_mut().zip(queries) {
             let out = &mut sess.list;
+            if let (Query::HeavyHitters { k, epsilon }, Cache::Heavy(heavy)) =
+                (query, &mut sess.cache)
+            {
+                heavy.emit(pool, *k, *epsilon, out);
+                continue;
+            }
             out.clear();
             if n == 0 {
                 continue;
@@ -352,9 +442,6 @@ impl RoundView {
                     if entries_demanded(query, pool, entries) {
                         out.extend_from_slice(entries);
                     }
-                }
-                (Query::HeavyHitters { k, epsilon }, Cache::Heavy(heavy)) => {
-                    heavy.emit(pool, *k, *epsilon, out);
                 }
                 (Query::Median { epsilon }, _) => {
                     let Some(orders) = orders else { continue };
@@ -372,7 +459,9 @@ impl RoundView {
                     );
                 }
                 (Query::Percentile { phi, epsilon }, _) => {
-                    let Some(orders) = orders else { continue };
+                    let (Some(orders), Some(band)) = (&*orders, &mut *band) else {
+                        continue;
+                    };
                     // The k-th largest hi and lo are positions in the two
                     // orders (ties carry equal values, so any tie order
                     // reads the same bits).
@@ -383,14 +472,7 @@ impl RoundView {
                     if out_hi - out_lo <= *epsilon {
                         continue;
                     }
-                    let sketch = sketch.get_or_insert_with(|| {
-                        IntervalQuantileSketch::new(SKETCH_ALPHA, SKETCH_BUDGET)
-                    });
-                    if !*sketch_fresh {
-                        fill_sketch(sketch, pool);
-                        *sketch_fresh = true;
-                    }
-                    band_scan(pool, rank_band(sketch, k), push(out));
+                    band_scan(pool, band.rank_band(pool, orders, k), push(out));
                 }
                 _ => {
                     let (Some((k, epsilon, flip)), Some(orders)) = (rank_params(query), &orders)
@@ -600,6 +682,106 @@ mod tests {
             vec![7], // already converged: iterating it changes nothing
         ];
         drive(&mut pool, &queries, &schedule);
+    }
+
+    /// The one HEAVYHITTERS entry `object`'s benefit bits in session 0.
+    fn heavy_benefit(view: &RoundView, object: usize) -> Option<u64> {
+        let list = view.demands(0);
+        let entry = list.iter().find(|d| d.object == object);
+        entry.map(|d| d.benefit.to_bits())
+    }
+
+    #[test]
+    fn a_heavy_benefit_that_moves_inside_its_span_is_patched() {
+        // Object 0 narrows without leaving cells 9..=11: its span, and so
+        // the summaries and the contended set, stay; its benefit (the
+        // estimated shrink, 0.2 then 0.6) moves. The two resolved
+        // singletons keep it contended.
+        let scripts = vec![
+            vec![(9.5, 11.5), (9.6, 11.4), (9.9, 11.1), (10.2, 10.3)],
+            vec![(10.3, 10.4)],
+            vec![(11.1, 11.2)],
+        ];
+        let mut pool = pool_of(&scripts);
+        let queries = [Query::HeavyHitters { k: 1, epsilon: 1.0 }];
+        let mut view = RoundView::build(&queries, &pool);
+        let (span, before) = (cell_span(&pool, 0, 1.0), heavy_benefit(&view, 0));
+        assert!(before.is_some(), "object 0 starts contended");
+        pool.iterate(0, &mut WorkMeter::new());
+        view.repair(&queries, &pool, &[0]);
+        assert_eq!(cell_span(&pool, 0, 1.0), span, "the span did not move");
+        assert!(heavy_cache(&view, 0).listed, "the list was kept");
+        assert_ne!(heavy_benefit(&view, 0), before, "the benefit moved");
+        assert_matches_recompute(&view, &queries, &pool);
+    }
+
+    #[test]
+    fn a_heavy_span_that_moves_rescans_the_list() {
+        // Object 0 resolves into cell 10 and leaves the contended set.
+        // Object 3, straddling 11..=12, stays: landing in cell 11 would
+        // tie cell 10's count of 2.
+        let scripts = vec![
+            vec![(9.5, 11.5), (10.2, 10.8)],
+            vec![(10.3, 10.4)],
+            vec![(11.1, 11.2)],
+            vec![(11.5, 12.5), (11.6, 12.4)],
+        ];
+        let mut pool = pool_of(&scripts);
+        let queries = [Query::HeavyHitters { k: 1, epsilon: 1.0 }];
+        let mut view = RoundView::build(&queries, &pool);
+        let listed =
+            |v: &RoundView| -> Vec<usize> { v.demands(0).iter().map(|d| d.object).collect() };
+        assert_eq!(listed(&view), vec![0, 3]);
+        pool.iterate(0, &mut WorkMeter::new());
+        view.repair(&queries, &pool, &[0]);
+        assert_eq!(cell_span(&pool, 0, 1.0), CellSpan::Resolved(10));
+        assert_eq!(listed(&view), vec![3]);
+        assert_matches_recompute(&view, &queries, &pool);
+    }
+
+    /// `n` objects around 100, a few cents apart, each narrowing twice.
+    fn percentile_pool(n: usize) -> SharedPool {
+        let scripts: Vec<Vec<(f64, f64)>> = (0..n)
+            .map(|i| {
+                let c = 100.0 + 0.03 * i as f64;
+                vec![
+                    (c - 2.0, c + 2.0),
+                    (c - 0.4, c + 0.3),
+                    (c - 0.002, c + 0.002),
+                ]
+            })
+            .collect();
+        pool_of(&scripts)
+    }
+
+    #[test]
+    fn percentile_bands_come_from_kept_keys_up_to_the_sketch_budget() {
+        // At the budget the keys serve the band; one object more and a
+        // sketch could collapse, so it is filled instead. Either way every
+        // round equals the recompute, which always fills.
+        let queries = [
+            Query::Percentile {
+                phi: 0.5,
+                epsilon: 0.01,
+            },
+            Query::Percentile {
+                phi: 0.9,
+                epsilon: 0.01,
+            },
+        ];
+        for (n, keyed) in [(SKETCH_BUDGET, true), (SKETCH_BUDGET + 1, false)] {
+            let mut pool = percentile_pool(n);
+            let schedule: Vec<Vec<usize>> = [n / 2, n / 10, n / 2 + 1, n / 2, 3, n - 1]
+                .into_iter()
+                .map(|i| vec![i])
+                .collect();
+            let view = drive(&mut pool, &queries, &schedule);
+            assert_eq!(
+                matches!(view.band, Some(BandSource::Keys(_))),
+                keyed,
+                "{n} objects"
+            );
+        }
     }
 
     #[test]

@@ -257,6 +257,10 @@ impl View for SharedPool {
     fn converged(&self, i: usize) -> bool {
         self.converged[i]
     }
+
+    fn est_cpu(&self, i: usize) -> Work {
+        self.est_cpu[i]
+    }
 }
 
 #[cfg(test)]

@@ -423,10 +423,6 @@ impl Pool for TickPool<'_> {
         self.pool
     }
 
-    fn est_cpu(&self, i: usize) -> Work {
-        self.pool.est_cpu(i)
-    }
-
     fn execute<O: ExecObserver>(
         &mut self,
         objs: &[usize],

@@ -16,7 +16,10 @@
 //!
 //! Everything is `std`-only, deterministic, and allocation-reusing
 //! (`clear()` keeps capacity), because the `va-server` demand functions
-//! rebuild their summaries from the live pool every scheduler round.
+//! rebuild their summaries from the live pool whenever a kept summary
+//! cannot be repaired. A caller that keeps per-value bucket keys
+//! ([`LogGrid::key`]) can read a never-collapsed quantile sketch's buckets
+//! without filling it.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -26,7 +29,7 @@ pub mod quantile;
 pub mod spacesaving;
 
 pub use countmin::CountMin;
-pub use quantile::{IntervalQuantileSketch, QuantileSketch};
+pub use quantile::{BucketKey, IntervalQuantileSketch, LogGrid, QuantileSketch};
 pub use spacesaving::SpaceSaving;
 
 /// Clamped rank-from-top for the `phi`-quantile over `n` observations:

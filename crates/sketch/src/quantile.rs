@@ -49,6 +49,56 @@ impl Bucket {
     }
 }
 
+/// The bucket a finite value lands in on a [`LogGrid`]: its sign and, for
+/// a nonzero value, its log key `⌈ln |v| / ln γ⌉`. Both zeros share one
+/// bucket.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BucketKey {
+    /// A negative value, keyed by its magnitude.
+    Neg(i64),
+    /// `0.0` or `-0.0`.
+    Zero,
+    /// A positive value.
+    Pos(i64),
+}
+
+/// The log-domain bucket grid of relative error `α`: `γ = (1 + α)/(1 − α)`.
+/// A sketch that never collapsed (at most its budget of distinct buckets
+/// ingested) buckets every value by [`LogGrid::key`] on the grid of its
+/// construction-time `α`, so a caller that keeps per-value keys can read
+/// the sketch's buckets without building it.
+#[derive(Clone, Copy, Debug)]
+pub struct LogGrid {
+    ln_gamma: f64,
+}
+
+impl LogGrid {
+    /// The grid of relative error `alpha` (`0 < α < 1`).
+    #[must_use]
+    pub fn new(alpha: f64) -> Self {
+        let gamma = (1.0 + alpha) / (1.0 - alpha);
+        Self {
+            ln_gamma: gamma.ln(),
+        }
+    }
+
+    /// The bucket finite `v` lands in.
+    #[must_use]
+    pub fn key(&self, v: f64) -> BucketKey {
+        if v == 0.0 {
+            return BucketKey::Zero;
+        }
+        // ⌈ln m / ln γ⌉; the per-bucket min/max envelope makes rank answers
+        // immune to the boundary rounding this computation can suffer.
+        let key = (v.abs().ln() / self.ln_gamma).ceil() as i64;
+        if v > 0.0 {
+            BucketKey::Pos(key)
+        } else {
+            BucketKey::Neg(key)
+        }
+    }
+}
+
 /// A bounded-relative-error quantile sketch over point observations.
 ///
 /// `α` is the *current* relative-error guarantee: any reported rank interval
@@ -58,8 +108,8 @@ impl Bucket {
 /// the post-ingest guarantee from [`QuantileSketch::alpha`].
 #[derive(Clone, Debug)]
 pub struct QuantileSketch {
-    /// ln γ for the current collapse level.
-    ln_gamma: f64,
+    /// The bucket grid of the current collapse level.
+    grid: LogGrid,
     /// Current relative-error guarantee.
     alpha: f64,
     /// Construction-time guarantee, restored by [`QuantileSketch::clear`].
@@ -92,9 +142,8 @@ impl QuantileSketch {
             "alpha must be in (0, 1), got {alpha}"
         );
         assert!(max_buckets >= 2, "need at least 2 buckets");
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
         Self {
-            ln_gamma: gamma.ln(),
+            grid: LogGrid::new(alpha),
             alpha,
             alpha0: alpha,
             max_buckets,
@@ -139,9 +188,8 @@ impl QuantileSketch {
     /// Drops all observations but keeps the *initial* accuracy and budget
     /// (the collapse level resets along with the data).
     pub fn clear(&mut self) {
-        let gamma = (1.0 + self.alpha0) / (1.0 - self.alpha0);
         self.alpha = self.alpha0;
-        self.ln_gamma = gamma.ln();
+        self.grid = LogGrid::new(self.alpha0);
         self.pos.clear();
         self.neg.clear();
         self.zeros = 0;
@@ -158,15 +206,13 @@ impl QuantileSketch {
     pub fn insert(&mut self, v: f64) {
         assert!(v.is_finite(), "sketch observations must be finite, got {v}");
         self.count += 1;
-        if v == 0.0 {
-            self.zeros += 1;
-            return;
-        }
-        let key = self.key_of(v.abs());
-        let store = if v > 0.0 {
-            &mut self.pos
-        } else {
-            &mut self.neg
+        let (store, key) = match self.grid.key(v) {
+            BucketKey::Zero => {
+                self.zeros += 1;
+                return;
+            }
+            BucketKey::Pos(key) => (&mut self.pos, key),
+            BucketKey::Neg(key) => (&mut self.neg, key),
         };
         store
             .entry(key)
@@ -177,15 +223,9 @@ impl QuantileSketch {
         }
     }
 
-    fn key_of(&self, magnitude: f64) -> i64 {
-        // ⌈ln m / ln γ⌉; the per-bucket min/max envelope makes rank answers
-        // immune to the boundary rounding this computation can suffer.
-        (magnitude.ln() / self.ln_gamma).ceil() as i64
-    }
-
     /// γ ← γ², merging key `k` into `⌈k/2⌉`. Halves the table, doubles α.
     fn collapse(&mut self) {
-        self.ln_gamma *= 2.0;
+        self.grid.ln_gamma *= 2.0;
         self.alpha = 2.0 * self.alpha / (1.0 + self.alpha * self.alpha);
         self.collapses += 1;
         for store in [&mut self.pos, &mut self.neg] {

@@ -19,7 +19,11 @@
 #                                  group-commit (a failed
 #                                  group sync or rollback, a torn
 #                                  TICK_MULTI group at every byte),
-#                                  per-round demand-list (demand_bits) and
+#                                  per-round demand-list (demand_bits), the
+#                                  maintained-versus-recomputed demand audit
+#                                  (demand_incremental: the round view's kept
+#                                  lists, orders and bucket keys against a
+#                                  recompute after every round) and
 #                                  empty-relation tests by name (a golden
 #                                  must never be filtered out)
 #   5. va-server --smoke        -- loopback TCP exchange of the line protocol,
@@ -151,6 +155,7 @@ cargo test -q -p va-persist --lib journal::tests::a_failed_group_sync_leaves_no_
 cargo test -q -p va-persist --lib journal::tests::a_failed_group_rollback_poisons_the_journal
 cargo test -q -p va-server --test recovery a_torn_tick_multi_group_recovers_its_whole_records
 cargo test -q -p va-server --test demand_bits
+cargo test -q -p va-server --test demand_incremental
 cargo test -q -p va-server --lib demand::tests::empty_pool_yields_typed_errors_not_panics
 
 echo "==> va-server loopback smoke (subscribe -> tick -> result -> quit)"
