@@ -19,17 +19,19 @@ use crate::interface::ResultObject;
 /// converged, and the work it had accumulated.
 ///
 /// This is the core-side "warm start hook": the persistence layer stores
-/// one of these per pool object per rate, and a recovering server wraps its
-/// freshly invoked objects in [`WarmStarted`] seeded from them.
+/// the bounds and converged flag of one of these per pool object per rate,
+/// and a recovering server wraps its freshly invoked objects in
+/// [`WarmStarted`] seeded from them.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WarmStart {
     /// The bounds the previous run last reported.
     pub bounds: Bounds,
     /// Whether the previous run had reached the stopping condition.
     pub converged: bool,
-    /// Work units the object had charged in the previous run (carried into
-    /// [`ResultObject::cumulative_cost`] so lifetime accounting survives
-    /// the restart).
+    /// Work units the object had charged in the previous run, added to
+    /// [`ResultObject::cumulative_cost`]. `va-server` seeds 0: its warm
+    /// records keep only bounds and converged state, and nothing it
+    /// schedules or reports reads an object's lifetime cost.
     pub prior_cost: Work,
 }
 

@@ -13,8 +13,8 @@
 //! * periodic atomic **snapshots** ([`snapshot`]) capturing the session
 //!   registry (queries, priorities, the monotone `SessionId` high-water
 //!   mark), run-level work and iteration totals, last answers, and
-//!   per-rate **warm-start state**: each pool object's last bounds, iteration depth
-//!   and accumulated work, so a recovered server re-admits objects at
+//!   per-rate **warm-start state**: each pool object's last bounds and
+//!   whether it converged, so a recovered server re-admits objects at
 //!   their achieved accuracy instead of re-iterating from scratch.
 //!
 //! The journal is a *redo log of outcomes*: tick events record what
@@ -41,7 +41,7 @@ use std::path::{Path, PathBuf};
 
 pub use journal::CompactionReport;
 use journal::{Coverage, Journal};
-use record::{JournalEvent, SegmentPosition, SnapshotRecord, WarmObjectRecord};
+use record::{JournalEvent, SegmentPosition, SnapshotRecord, WarmMemo, WarmObjectRecord};
 
 /// Errors raised by the durability layer.
 ///
@@ -198,10 +198,10 @@ impl Recovery {
 pub const META_FILE: &str = "meta.json";
 
 /// The `"version"` [`META_FILE`] carries: the generation of the journal
-/// and snapshot formats in the dir. Version 3 journals a tick's work and
-/// iterations only and snapshots their running totals; a dir of any other
-/// version is refused.
-pub const META_VERSION: u64 = 3;
+/// and snapshot formats in the dir. Version 4 records a warm object as its
+/// bounds and converged flag only (version 3 also carried its `iters` and
+/// `cost`); a dir of any other version is refused.
+pub const META_VERSION: u64 = 4;
 
 /// Name of the single-file journal written before segmentation. Nothing
 /// reads it any more; [`Store::open`] only looks for it to refuse the dir.
@@ -217,7 +217,7 @@ pub struct MetaRelation {
 }
 
 /// The identity metadata persisted in [`META_FILE`]:
-/// `{"version":3,"pricer":P,"relations":[{"relation":N,"fingerprint":F},..]}`.
+/// `{"version":4,"pricer":P,"relations":[{"relation":N,"fingerprint":F},..]}`.
 ///
 /// The pricer fingerprint is strictly validated at open. The per-relation
 /// entries are *cached* from the authoritative journal: a crash between a
@@ -374,6 +374,9 @@ pub struct Store {
     /// step holds the old and the new buffer at once. Zero before the
     /// first snapshot.
     snapshot_capacity: usize,
+    /// The last snapshot's encoded warm sections, which the next snapshot
+    /// copies where its records have not moved. Empty at every open.
+    warm_memo: WarmMemo,
 }
 
 impl Store {
@@ -426,6 +429,7 @@ impl Store {
                 bad_snapshots: snapshots.skipped,
                 newest_coverage,
                 snapshot_capacity: 0,
+                warm_memo: WarmMemo::default(),
             },
             Recovery {
                 snapshot: snapshots.newest,
@@ -477,7 +481,10 @@ impl Store {
 
     /// Writes `snap` atomically, advances the snapshot sequence, prunes
     /// superseded/corrupt snapshot files, rotates the journal onto a fresh
-    /// segment, and compacts segments no retained snapshot needs.
+    /// segment, and compacts segments no retained snapshot needs. A warm
+    /// section whose records have not moved since the last snapshot is
+    /// copied from [`Store::warm_memo`], not re-encoded; the file holds
+    /// [`SnapshotRecord::to_json`]'s bytes either way.
     ///
     /// The caller appends a [`JournalEvent::SnapshotMarker`] *first* (so
     /// `snap.journal_events` covers the marker); a clean shutdown thereby
@@ -503,7 +510,8 @@ impl Store {
                 ),
             ));
         }
-        let (_, len) = snapshot::write_sized(&self.dir, snap, self.snapshot_capacity)?;
+        let (_, len) =
+            snapshot::write_sized(&self.dir, snap, self.snapshot_capacity, &mut self.warm_memo)?;
         self.snapshot_capacity = len + len / 4;
         self.next_seq = snap.seq + 1;
         snapshot::prune(&self.dir, &self.bad_snapshots);
@@ -527,6 +535,14 @@ impl Store {
     #[must_use]
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// The warm sections of the last snapshot this store wrote, which the
+    /// next one copies where they have not moved (derived state: empty at
+    /// every open).
+    #[must_use]
+    pub fn warm_memo(&self) -> &WarmMemo {
+        &self.warm_memo
     }
 }
 
@@ -559,8 +575,6 @@ mod tests {
             warm: vec![record::WarmObjectRecord {
                 bounds: vao::Bounds::new(lo, lo + 1.0),
                 converged: false,
-                iters: tick,
-                cost: 10 * tick,
             }],
         }))
     }
@@ -621,8 +635,6 @@ mod tests {
                             objects: vec![record::WarmObjectRecord {
                                 bounds: vao::Bounds::new(10.0, 11.0),
                                 converged: false,
-                                iters: 1,
-                                cost: 10,
                             }],
                         }],
                     )],
@@ -904,13 +916,13 @@ mod tests {
     }
 
     #[test]
-    fn unreadable_version_3_meta_is_corrupt() {
+    fn unreadable_version_4_meta_is_corrupt() {
         let dir = tmp_dir("meta-corrupt");
         fs::create_dir_all(&dir).unwrap();
         for text in [
             "not json",
-            r#"{"version":3,"relations":[]}"#,
-            r#"{"version":3,"pricer":1,"relations":[{"relation":1}]}"#,
+            r#"{"version":4,"relations":[]}"#,
+            r#"{"version":4,"pricer":1,"relations":[{"relation":1}]}"#,
         ] {
             fs::write(dir.join(META_FILE), text).unwrap();
             assert!(

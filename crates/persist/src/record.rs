@@ -22,6 +22,7 @@
 //! a record that parsed holds only valid values, and the recovery fold
 //! trusts it.
 
+use std::collections::BTreeMap;
 use std::fmt::{self, Write};
 
 use va_stream::{Bond, Query, QueryOutput};
@@ -230,12 +231,6 @@ pub struct WarmObjectRecord {
     pub bounds: Bounds,
     /// Whether the object had reached its stopping condition.
     pub converged: bool,
-    /// Cumulative `iterate()` calls across the object's lifetime at this
-    /// rate (accumulated across warm re-admissions).
-    pub iters: u64,
-    /// Cumulative work units the object charged (accumulated across warm
-    /// re-admissions).
-    pub cost: u64,
 }
 
 /// Where in the segmented journal a snapshot's coverage ends: the last
@@ -465,11 +460,7 @@ fn write_warm_objects(out: &mut String, objs: &[WarmObjectRecord]) -> fmt::Resul
     write_array(out, objs, |out, w| {
         out.write_char('{')?;
         write_bounds(out, &w.bounds)?;
-        write!(
-            out,
-            ",\"converged\":{},\"iters\":{},\"cost\":{}}}",
-            w.converged, w.iters, w.cost
-        )
+        write!(out, ",\"converged\":{}}}", w.converged)
     })
 }
 
@@ -596,7 +587,53 @@ impl JournalEvent {
     }
 }
 
-fn write_relation_snapshot(out: &mut String, r: &RelationSnapshot) -> fmt::Result {
+/// The warm sections of the last snapshot a writer encoded, by `(relation
+/// id, rate bits)`: each section's records and the `"objects"` array bytes
+/// written for them.
+///
+/// Derived state, never persisted. The snapshot writer copies a section's
+/// bytes when its records are bit-identical to the memo's and encodes it
+/// otherwise, so a memo changes no byte it writes: it only spares
+/// re-encoding the sections that did not move since the last snapshot. An
+/// empty memo ([`SnapshotRecord::write_json`]) encodes every section.
+#[derive(Debug, Default)]
+pub struct WarmMemo {
+    sections: BTreeMap<(u64, u64), WarmSection>,
+}
+
+#[derive(Debug, Default)]
+struct WarmSection {
+    objects: Vec<WarmObjectRecord>,
+    bytes: String,
+}
+
+impl WarmMemo {
+    /// The `(relation id, rate bits)` key of every section held, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.sections.keys().copied()
+    }
+}
+
+/// Whether `a` and `b` are written as the same bytes: equal bit patterns,
+/// not `==`, which holds for `-0.0` and `0.0` although the two are spelled
+/// `-0` and `0`.
+fn same_bits(a: &[WarmObjectRecord], b: &[WarmObjectRecord]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.converged == y.converged
+                && x.bounds.lo().to_bits() == y.bounds.lo().to_bits()
+                && x.bounds.hi().to_bits() == y.bounds.hi().to_bits()
+        })
+}
+
+/// Writes one relation's section, taking each warm section's bytes from
+/// `last` when its records match and recording every section in `next`.
+fn write_relation_snapshot(
+    out: &mut String,
+    r: &RelationSnapshot,
+    last: &mut BTreeMap<(u64, u64), WarmSection>,
+    next: &mut BTreeMap<(u64, u64), WarmSection>,
+) -> fmt::Result {
     write!(out, "{{\"relation\":{},\"def\":", r.relation)?;
     write_relation_def(out, &r.def)?;
     write!(
@@ -618,7 +655,21 @@ fn write_relation_snapshot(out: &mut String, r: &RelationSnapshot) -> fmt::Resul
     out.write_str(",\"warm\":")?;
     write_array(out, &r.warm, |out, w| {
         write!(out, "{{\"rate\":{},\"objects\":", Num(w.rate))?;
-        write_warm_objects(out, &w.objects)?;
+        let key = (r.relation, w.rate.to_bits());
+        let section = match last.remove(&key) {
+            Some(kept) if same_bits(&kept.objects, &w.objects) => kept,
+            stale => {
+                // Re-encode into the stale section's buffers.
+                let mut section = stale.unwrap_or_default();
+                section.objects.clear();
+                section.objects.extend_from_slice(&w.objects);
+                section.bytes.clear();
+                write_warm_objects(&mut section.bytes, &w.objects)?;
+                section
+            }
+        };
+        out.push_str(&section.bytes);
+        next.insert(key, section);
         out.write_char('}')
     })?;
     out.write_str(",\"answers\":")?;
@@ -627,8 +678,17 @@ fn write_relation_snapshot(out: &mut String, r: &RelationSnapshot) -> fmt::Resul
 }
 
 impl SnapshotRecord {
-    /// Writes the snapshot as one JSON document (no newline).
+    /// Writes the snapshot as one JSON document (no newline): the writer a
+    /// [`crate::Store`] runs through its [`WarmMemo`], with an empty memo.
     pub fn write_json(&self, out: &mut String) -> fmt::Result {
+        self.write_json_memo(out, &mut WarmMemo::default())
+    }
+
+    /// Writes the snapshot as one JSON document (no newline), copying each
+    /// warm section `memo` holds bit-identical records for, and leaves in
+    /// `memo` exactly this snapshot's warm sections.
+    pub(crate) fn write_json_memo(&self, out: &mut String, memo: &mut WarmMemo) -> fmt::Result {
+        let mut last = std::mem::take(&mut memo.sections);
         write!(
             out,
             "{{\"seq\":{},\"journal_events\":{},\"segment\":{},\"segment_bytes\":{},\"next_relation_id\":{},\"relations\":",
@@ -638,7 +698,9 @@ impl SnapshotRecord {
             self.coverage.bytes,
             self.next_relation_id,
         )?;
-        write_array(out, &self.relations, write_relation_snapshot)?;
+        write_array(out, &self.relations, |out, r| {
+            write_relation_snapshot(out, r, &mut last, &mut memo.sections)
+        })?;
         out.write_char('}')
     }
 
@@ -885,8 +947,6 @@ fn parse_warm_object(doc: &Json) -> Result<WarmObjectRecord, String> {
     Ok(WarmObjectRecord {
         bounds: parse_bounds(doc)?,
         converged: bool_field(doc, "converged")?,
-        iters: u64_field(doc, "iters")?,
-        cost: u64_field(doc, "cost")?,
     })
 }
 
@@ -931,19 +991,6 @@ fn parse_work(doc: &Json) -> Result<WorkBreakdown, String> {
     })
 }
 
-/// Refuses a member that an earlier layout wrote and this one no longer
-/// has. Unknown members are otherwise ignored, so without this a tick
-/// record or snapshot section from a calibrating server would load with
-/// its model silently dropped; refused, it takes the foreign-record path
-/// (corrupt mid-journal, a torn tail as the final record, a skipped
-/// snapshot).
-fn refuse_retired(doc: &Json) -> Result<(), String> {
-    if doc.get("calibration").is_some() {
-        return Err("retired field \"calibration\"".to_string());
-    }
-    Ok(())
-}
-
 impl JournalEvent {
     /// Parses one journal line.
     pub fn parse(line: &str) -> Result<JournalEvent, String> {
@@ -971,7 +1018,6 @@ impl JournalEvent {
                 session: id_field(&doc, "session")?,
             }),
             "tick" => {
-                refuse_retired(&doc)?;
                 let stats = doc.get("stats").ok_or("missing \"stats\"")?;
                 Ok(JournalEvent::Tick(Box::new(TickRecord {
                     relation: id_field(&doc, "relation")?,
@@ -1001,7 +1047,6 @@ impl JournalEvent {
 }
 
 fn parse_relation_snapshot(doc: &Json) -> Result<RelationSnapshot, String> {
-    refuse_retired(doc)?;
     Ok(RelationSnapshot {
         relation: id_field(doc, "relation")?,
         def: parse_relation_def(doc.get("def").ok_or("missing \"def\"")?)?,
@@ -1033,7 +1078,8 @@ fn parse_relation_snapshot(doc: &Json) -> Result<RelationSnapshot, String> {
 impl SnapshotRecord {
     /// Parses a snapshot document. Every field [`SnapshotRecord::to_json`]
     /// writes is required; a document from another generation fails naming
-    /// the field it lacks or the retired field it carries.
+    /// the field it lacks. (One that only carries more fields is refused
+    /// earlier, by the data dir's `meta.json` version.)
     pub fn parse(text: &str) -> Result<SnapshotRecord, String> {
         let doc = Json::parse(text)?;
         Ok(SnapshotRecord {
@@ -1103,14 +1149,10 @@ mod tests {
                 WarmObjectRecord {
                     bounds: Bounds::new(88.80101456519986, 88.85679684433053),
                     converged: true,
-                    iters: 17,
-                    cost: 40_231,
                 },
                 WarmObjectRecord {
                     bounds: Bounds::new(90.0, 110.0),
                     converged: false,
-                    iters: 0,
-                    cost: 512,
                 },
             ],
         }
@@ -1317,10 +1359,10 @@ mod tests {
         assert!(JournalEvent::parse(r#"{"ev":"subscribe","session":1}"#).is_err());
         assert!(SnapshotRecord::parse(r#"{"seq":1}"#).is_err());
         // Inverted bounds are corrupt, not a panic.
-        assert!(parse_warm_object(
-            &Json::parse(r#"{"lo":2,"hi":1,"converged":false,"iters":0,"cost":0}"#).unwrap()
-        )
-        .is_err());
+        assert!(
+            parse_warm_object(&Json::parse(r#"{"lo":2,"hi":1,"converged":false}"#).unwrap())
+                .is_err()
+        );
         // Likewise every other domain check: a record that parses holds
         // only values the fold can apply without looking at them again.
         let tick = JournalEvent::Tick(Box::new(sample_tick())).to_line();

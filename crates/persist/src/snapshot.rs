@@ -14,7 +14,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::record::SnapshotRecord;
+use crate::record::{SnapshotRecord, WarmMemo};
 use crate::PersistError;
 
 /// Lists `(seq, path)` for every snapshot file in `dir`, ascending by seq.
@@ -42,21 +42,23 @@ fn list(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
 /// a separate step ([`prune`]) so the caller controls the ordering of
 /// durability, pruning, and journal compaction.
 pub fn write(dir: &Path, snap: &SnapshotRecord) -> Result<PathBuf, PersistError> {
-    write_sized(dir, snap, 0).map(|(path, _)| path)
+    write_sized(dir, snap, 0, &mut WarmMemo::default()).map(|(path, _)| path)
 }
 
-/// [`write`], encoding into a buffer of `capacity` bytes to start with.
-/// Also returns the file's length.
+/// [`write`], encoding into a buffer of `capacity` bytes to start with and
+/// copying the warm sections `memo` holds unchanged. Also returns the
+/// file's length.
 pub(crate) fn write_sized(
     dir: &Path,
     snap: &SnapshotRecord,
     capacity: usize,
+    memo: &mut WarmMemo,
 ) -> Result<(PathBuf, usize), PersistError> {
     crate::write_atomic(
         dir,
         &format!("snapshot-{}.json", snap.seq),
         capacity,
-        |out| snap.write_json(out),
+        |out| snap.write_json_memo(out, memo),
     )
 }
 

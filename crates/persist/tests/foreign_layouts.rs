@@ -3,7 +3,7 @@
 //! Two refusals are file-level and happen in [`Store::open`] before it
 //! creates, sweeps, truncates or renames anything — a dir holding a
 //! single-file `journal.jsonl`, or a `meta.json` that is not
-//! `"version":3` — and surface as [`PersistError::Layout`] with the dir
+//! `"version":4` — and surface as [`PersistError::Layout`] with the dir
 //! left byte-for-byte as it was. The rest are record-level: the parsers
 //! return an error naming the field a foreign record lacks, which the
 //! journal scan turns into `Corrupt` (or a torn tail) and the snapshot
@@ -54,7 +54,7 @@ fn foreign_files_are_refused_before_the_dir_is_touched() {
                 ("journal-1.jsonl", &torn),
                 (
                     "meta.json",
-                    "{\"version\":3,\"pricer\":5,\"relations\":[]}\n",
+                    "{\"version\":4,\"pricer\":5,\"relations\":[]}\n",
                 ),
                 ("snapshot-3.json.tmp", "{half"),
             ],
@@ -70,10 +70,18 @@ fn foreign_files_are_refused_before_the_dir_is_touched() {
             "meta.json",
         ),
         (
-            "meta-v4",
+            "meta-v3",
             vec![(
                 "meta.json",
-                "{\"version\":4,\"pricer\":5,\"relations\":[]}\n",
+                "{\"version\":3,\"pricer\":5,\"relations\":[]}\n",
+            )],
+            "meta.json",
+        ),
+        (
+            "meta-v5",
+            vec![(
+                "meta.json",
+                "{\"version\":5,\"pricer\":5,\"relations\":[]}\n",
             )],
             "meta.json",
         ),

@@ -26,7 +26,7 @@
 //! asks for it to start empty, with relations created over the protocol
 //! (`CREATE_RELATION`) instead. A dir in a layout this build does not
 //! read (a single-file `journal.jsonl`, a `meta.json` that is not
-//! `"version":3`) is refused with a layout error and left untouched.
+//! `"version":4`) is refused with a layout error and left untouched.
 //! `--smoke` runs a self-contained loopback exchange —
 //! subscribe, tick, stats, the catalog requests, three requests that must
 //! be refused with an `ERROR`, quit, against an ephemeral port — and exits

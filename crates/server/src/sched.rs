@@ -71,10 +71,6 @@ pub(crate) struct TickOutcome {
     /// in registration order: the journal record's `sessions` array and
     /// the argument of [`SessionRegistry::apply_tick`].
     pub sessions: Vec<SessionTickRecord>,
-    /// Iterations issued per pool object this tick, aligned with the pool.
-    /// The durability layer folds these into its per-rate warm-start
-    /// records; sums to the `iterate()` calls the tick's meter counted.
-    pub per_object_iterations: Vec<u64>,
     /// Whether the work budget ran out with demand still outstanding.
     pub budget_exhausted: bool,
     /// What the tick read from and solved for the relation's column store.
@@ -326,7 +322,6 @@ pub(crate) fn run_tick<O: ExecObserver>(
     Ok(TickOutcome {
         answers,
         sessions: records,
-        per_object_iterations: rounds.per_object,
         budget_exhausted: rounds.budget_exhausted,
         columns,
     })

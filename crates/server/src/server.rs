@@ -1062,8 +1062,7 @@ fn execute_tenant_tick<O: ExecObserver>(
     // server and a crashed-and-recovered one seed identical pools —
     // which is what makes their subsequent ticks bit-identical.
     // A prior that is not aligned with the relation (a journal record
-    // damaged in a way that still parses) is discarded wholesale, both
-    // for seeding and for the per-object accumulation below.
+    // damaged in a way that still parses) is discarded wholesale.
     let warm_prior: Option<&Vec<WarmObjectRecord>> = tenant
         .warm
         .get(&rate.to_bits())
@@ -1101,15 +1100,12 @@ fn execute_tenant_tick<O: ExecObserver>(
         iterations: meter.iterations(),
     };
 
-    // End-of-tick object state, with lifetime counters accumulated across
-    // warm re-admissions at this rate.
+    // End-of-tick object state: what the next tick at this rate seeds from.
     let warm = if durable {
         (0..pool.len())
             .map(|i| WarmObjectRecord {
                 bounds: pool.bounds(i),
                 converged: pool.converged(i),
-                iters: warm_prior.map_or(0, |p| p[i].iters) + outcome.per_object_iterations[i],
-                cost: pool.cumulative_cost(i),
             })
             .collect()
     } else {
@@ -1211,13 +1207,14 @@ fn validate_floor(registry: &SessionRegistry, pool: &SharedPool) -> Result<(), S
     Ok(())
 }
 
-/// Projects journaled per-object records onto [`WarmStart`] seeds.
+/// Projects journaled per-object records onto [`WarmStart`] seeds. No
+/// record carries a prior cost, so each seed's is 0.
 fn warm_seeds(objs: &[WarmObjectRecord]) -> Vec<WarmStart> {
     objs.iter()
         .map(|w| WarmStart {
             bounds: w.bounds,
             converged: w.converged,
-            prior_cost: w.cost,
+            prior_cost: 0,
         })
         .collect()
 }
@@ -2098,12 +2095,10 @@ mod tests {
         }))
     }
 
-    fn warm_object(lo: f64, hi: f64, converged: bool, iters: u64, cost: u64) -> WarmObjectRecord {
+    fn warm_object(lo: f64, hi: f64, converged: bool) -> WarmObjectRecord {
         WarmObjectRecord {
             bounds: Bounds::new(lo, hi),
             converged,
-            iters,
-            cost,
         }
     }
 
@@ -2111,8 +2106,7 @@ mod tests {
     fn misaligned_warm_record_falls_back_to_a_cold_tick() {
         // A journal record can be damaged in a way that still parses —
         // e.g. a warm array shorter than the relation. The tick must
-        // discard the prior (seeding *and* iteration accumulation), not
-        // index past its end.
+        // discard the prior, not index past its end.
         let dir = scratch_dir("shortwarm");
         let relation = small_relation();
         let pricer = BondPricer::default();
@@ -2122,7 +2116,7 @@ mod tests {
         );
         {
             let (mut store, _, _) = va_persist::Store::open(&dir).unwrap();
-            let short = vec![warm_object(0.0, 1.0, true, 3, 5)];
+            let short = vec![warm_object(0.0, 1.0, true)];
             store.append(&forged_tick(1, 1, rate, short)).unwrap();
         }
         let mut srv =
@@ -2160,7 +2154,7 @@ mod tests {
                     warm: vec![
                         WarmRateRecord {
                             rate: 0.05,
-                            objects: vec![warm_object(1.0, 2.0, true, 4, 40)],
+                            objects: vec![warm_object(1.0, 2.0, true)],
                         },
                         WarmRateRecord {
                             rate: 0.07,
@@ -2171,12 +2165,12 @@ mod tests {
                 }],
             }),
             tail: vec![
-                forged_tick(1, 5, 0.05, vec![warm_object(99.0, 100.0, false, 5, 50)]),
+                forged_tick(1, 5, 0.05, vec![warm_object(99.0, 100.0, false)]),
                 JournalEvent::CreateRelation(Box::new(RelationRecord {
                     relation: 2,
                     def: def("second"),
                 })),
-                forged_tick(2, 5, 0.05, vec![warm_object(7.0, 8.0, false, 5, 50)]),
+                forged_tick(2, 5, 0.05, vec![warm_object(7.0, 8.0, false)]),
             ],
             truncated_bytes: 0,
             skipped_snapshots: Vec::new(),

@@ -7,8 +7,6 @@
 //! float formatting or escaping fails here first, with the exact line in
 //! the diff. The journal and snapshot literals are also read back: each
 //! must parse, and what it parses to must write the bytes it came from.
-//! Records carrying the retired `"calibration"` member stay pinned, as
-//! records every parser refuses by that member's name.
 //!
 //! The literals are the contract. Constructor expressions may change when
 //! a type does; the strings may not.
@@ -20,7 +18,7 @@ use va_persist::record::{
     JournalEvent, RelationDefRecord, RelationRecord, RelationSnapshot, SegmentPosition,
     SessionTickRecord, SnapshotRecord, TickRecord, WarmObjectRecord, WarmRateRecord,
 };
-use va_persist::{Meta, MetaRelation, PersistError, Store};
+use va_persist::{Meta, MetaRelation};
 use va_server::proto::{self, RelationSpec, Request, WireBond, WireQuery};
 use va_server::{Answer, RelationId, Server, ServerConfig, Session, SessionId, TickResult};
 use va_stream::{BondRelation, Query, QueryOutput, TickStats};
@@ -105,14 +103,10 @@ fn warm() -> Vec<WarmObjectRecord> {
         WarmObjectRecord {
             bounds: Bounds::new(88.80101456519986, 88.85679684433053),
             converged: true,
-            iters: 17,
-            cost: 40_231,
         },
         WarmObjectRecord {
             bounds: Bounds::new(90.0, 110.0),
             converged: false,
-            iters: 0,
-            cost: 512,
         },
     ]
 }
@@ -219,7 +213,7 @@ fn journal_pins() -> Vec<(&'static str, String, &'static str)> {
         (
             "tick",
             tick().to_line(),
-            r#"{"ev":"tick","relation":2,"tick":7,"rate":0.0583,"shed":2,"budget_exhausted":true,"stats":{"work":{"exec":921088,"get":48,"store":415,"choose":13937},"iterations":319},"sessions":[{"session":1,"final":true,"driven":100},{"session":7,"final":false,"driven":0}],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"selected","ids":[1,2,37]}}},{"session":2,"answer":{"status":"final","output":{"shape":"extreme","bond":45,"lo":123.3181270500031,"hi":123.56660774898366,"ties":[2,9]}}},{"session":3,"answer":{"status":"final","output":{"shape":"aggregate","lo":5132.538654318307,"hi":5174.8478309089305}}},{"session":4,"answer":{"status":"final","output":{"shape":"ranked","members":[{"bond":45,"lo":123.3,"hi":123.6},{"bond":9,"lo":88.8,"hi":88.9}],"ties":[3]}}},{"session":5,"answer":{"status":"final","output":{"shape":"count","lo":37,"hi":41}}},{"session":6,"answer":{"status":"final","output":{"shape":"heavy","cells":[{"cell":-3,"count":7},{"cell":12,"count":2}],"ties":[-2,5]}}},{"session":7,"answer":{"status":"partial","lo":5132.5,"hi":5174.8}}],"warm":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}]}"#,
+            r#"{"ev":"tick","relation":2,"tick":7,"rate":0.0583,"shed":2,"budget_exhausted":true,"stats":{"work":{"exec":921088,"get":48,"store":415,"choose":13937},"iterations":319},"sessions":[{"session":1,"final":true,"driven":100},{"session":7,"final":false,"driven":0}],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"selected","ids":[1,2,37]}}},{"session":2,"answer":{"status":"final","output":{"shape":"extreme","bond":45,"lo":123.3181270500031,"hi":123.56660774898366,"ties":[2,9]}}},{"session":3,"answer":{"status":"final","output":{"shape":"aggregate","lo":5132.538654318307,"hi":5174.8478309089305}}},{"session":4,"answer":{"status":"final","output":{"shape":"ranked","members":[{"bond":45,"lo":123.3,"hi":123.6},{"bond":9,"lo":88.8,"hi":88.9}],"ties":[3]}}},{"session":5,"answer":{"status":"final","output":{"shape":"count","lo":37,"hi":41}}},{"session":6,"answer":{"status":"final","output":{"shape":"heavy","cells":[{"cell":-3,"count":7},{"cell":12,"count":2}],"ties":[-2,5]}}},{"session":7,"answer":{"status":"partial","lo":5132.5,"hi":5174.8}}],"warm":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true},{"lo":90,"hi":110,"converged":false}]}"#,
         ),
         (
             "snapshot marker",
@@ -308,8 +302,7 @@ fn edge_answers() -> Vec<(SessionId, Answer)> {
 }
 
 /// Journal lines with every array field empty and with one element, and
-/// with the edge floats wherever a record carries a float (the ticks that
-/// carry them are in [`calibrated_pins`]).
+/// with the edge floats wherever a record carries a float.
 fn edge_journal_pins() -> Vec<(&'static str, String, &'static str)> {
     let answers_tick = JournalEvent::Tick(Box::new(TickRecord {
         relation: 1,
@@ -332,7 +325,18 @@ fn edge_journal_pins() -> Vec<(&'static str, String, &'static str)> {
             epsilon: 0.5,
         },
     };
+    let [empty_tick, one_tick] = edge_ticks();
     vec![
+        (
+            "tick, every array empty, edge floats",
+            empty_tick.to_line(),
+            r#"{"ev":"tick","relation":1,"tick":1,"rate":-0,"shed":0,"budget_exhausted":false,"stats":{"work":{"exec":921088,"get":48,"store":415,"choose":13937},"iterations":319},"sessions":[],"answers":[],"warm":[]}"#,
+        ),
+        (
+            "tick, every array one element, edge floats",
+            one_tick.to_line(),
+            r#"{"ev":"tick","relation":1,"tick":2,"rate":0.0000001,"shed":0,"budget_exhausted":false,"stats":{"work":{"exec":921088,"get":48,"store":415,"choose":13937},"iterations":319},"sessions":[{"session":3,"final":true,"driven":1}],"answers":[{"session":3,"answer":{"status":"partial","lo":-0,"hi":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000}}],"warm":[{"lo":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"hi":1000000000000000000000,"converged":false}]}"#,
+        ),
         (
             "tick, every output array empty and one element",
             answers_tick.to_line(),
@@ -368,32 +372,6 @@ fn edge_journal_pins() -> Vec<(&'static str, String, &'static str)> {
 #[test]
 fn journal_lines() {
     check(&journal_pins());
-}
-
-/// `literal` with its `,"calibration":{..}` member cut out.
-fn without_calibration(literal: &str) -> String {
-    let start = literal
-        .find(",\"calibration\":")
-        .expect("a calibration member");
-    let open = start + ",\"calibration\":".len();
-    let mut depth = 0;
-    let end = literal[open..]
-        .char_indices()
-        .find_map(|(i, c)| {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(open + i + 1);
-                    }
-                }
-                _ => {}
-            }
-            None
-        })
-        .expect("a closed member");
-    format!("{}{}", &literal[..start], &literal[end..])
 }
 
 /// A tick with every array empty and one with every array one element,
@@ -434,8 +412,6 @@ fn edge_ticks() -> [JournalEvent; 2] {
         warm: vec![WarmObjectRecord {
             bounds: Bounds::new(subnormal, big),
             converged: false,
-            iters: 1,
-            cost: 1,
         }],
     }));
     [empty_tick, one_tick]
@@ -514,89 +490,8 @@ fn two_relation_snapshot() -> SnapshotRecord {
     }
 }
 
-/// Records carrying the retired `"calibration"` member, as
-/// `(what, emitted, literal)`: what the emitter writes for the same record
-/// is the literal without the member.
-fn calibrated_pins() -> Vec<(&'static str, String, &'static str)> {
-    let [empty_tick, one_tick] = edge_ticks();
-    vec![
-        (
-            "tick with calibration",
-            tick().to_line(),
-            r#"{"ev":"tick","relation":2,"tick":7,"rate":0.0583,"shed":2,"budget_exhausted":true,"stats":{"work":{"exec":921088,"get":48,"store":415,"choose":13937},"iterations":319},"sessions":[{"session":1,"final":true,"driven":100},{"session":7,"final":false,"driven":0}],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"selected","ids":[1,2,37]}}},{"session":2,"answer":{"status":"final","output":{"shape":"extreme","bond":45,"lo":123.3181270500031,"hi":123.56660774898366,"ties":[2,9]}}},{"session":3,"answer":{"status":"final","output":{"shape":"aggregate","lo":5132.538654318307,"hi":5174.8478309089305}}},{"session":4,"answer":{"status":"final","output":{"shape":"ranked","members":[{"bond":45,"lo":123.3,"hi":123.6},{"bond":9,"lo":88.8,"hi":88.9}],"ties":[3]}}},{"session":5,"answer":{"status":"final","output":{"shape":"count","lo":37,"hi":41}}},{"session":6,"answer":{"status":"final","output":{"shape":"heavy","cells":[{"cell":-3,"count":7},{"cell":12,"count":2}],"ties":[-2,5]}}},{"session":7,"answer":{"status":"partial","lo":5132.5,"hi":5174.8}}],"warm":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[41,5120,7730],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":">","constant":100.25,"pass":18,"fail":30},{"op":"<=","constant":99.05830000000002,"pass":0,"fail":7}]}}"#,
-        ),
-        (
-            "tick, every array empty, edge floats",
-            empty_tick.to_line(),
-            r#"{"ev":"tick","relation":1,"tick":1,"rate":-0,"shed":0,"budget_exhausted":false,"stats":{"work":{"exec":921088,"get":48,"store":415,"choose":13937},"iterations":319},"sessions":[],"answers":[],"warm":[],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[]}}"#,
-        ),
-        (
-            "tick, every array one element, edge floats",
-            one_tick.to_line(),
-            r#"{"ev":"tick","relation":1,"tick":2,"rate":0.0000001,"shed":0,"budget_exhausted":false,"stats":{"work":{"exec":921088,"get":48,"store":415,"choose":13937},"iterations":319},"sessions":[{"session":3,"final":true,"driven":1}],"answers":[{"session":3,"answer":{"status":"partial","lo":-0,"hi":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000}}],"warm":[{"lo":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"hi":1000000000000000000000,"converged":false,"iters":1,"cost":1}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":"<","constant":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,"pass":1,"fail":0}]}}"#,
-        ),
-        (
-            "two-relation snapshot",
-            two_relation_snapshot().to_json(),
-            r#"{"seq":3,"journal_events":41,"segment":4,"segment_bytes":1234,"next_relation_id":4,"relations":[{"relation":1,"def":{"name":"default","seed":42,"bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100},{"id":1,"coupon":0.0425,"maturity":7.5,"face":100}]},"next_session_id":9,"ticks":12,"shed":1,"sessions":[{"session":2,"priority":4,"finals":10,"partials":2,"driven":4021,"query":{"kind":"max","epsilon":0.0101}},{"session":8,"priority":1,"finals":0,"partials":0,"driven":0,"query":{"kind":"sum","epsilon":0.5,"weights":[1,2]}}],"work":{"exec":1842176,"get":96,"store":830,"choose":27874},"iterations":638,"warm":[{"rate":0.0583,"objects":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true,"iters":17,"cost":40231},{"lo":90,"hi":110,"converged":false,"iters":0,"cost":512}]}],"answers":[{"session":2,"answer":{"status":"partial","lo":1,"hi":2}},{"session":8,"answer":{"status":"final","output":{"shape":"count","lo":3,"hi":3}}}],"calibration":{"v":1,"cells":[[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[41,5120,7730],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"predicates":[{"op":">","constant":100.25,"pass":18,"fail":30},{"op":"<=","constant":99.05830000000002,"pass":0,"fail":7}]}},{"relation":3,"def":{"name":"fx","bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100}]},"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"work":{"exec":0,"get":0,"store":0,"choose":0},"iterations":0,"warm":[],"answers":[]}]}"#,
-        ),
-    ]
-}
-
-/// The emitter writes each calibrated record without its member, and
-/// that record reads back to its bytes; the record with the member is
-/// refused, the error naming it.
-#[test]
-fn calibrated_records_are_refused_naming_the_field() {
-    for (what, emitted, literal) in calibrated_pins() {
-        assert_eq!(emitted, without_calibration(literal), "{what}");
-        let refused = if literal.starts_with("{\"ev\"") {
-            assert_eq!(JournalEvent::parse(&emitted).unwrap().to_line(), emitted);
-            JournalEvent::parse(literal).unwrap_err()
-        } else {
-            assert_eq!(SnapshotRecord::parse(&emitted).unwrap().to_json(), emitted);
-            SnapshotRecord::parse(literal).unwrap_err()
-        };
-        assert!(refused.contains("\"calibration\""), "{what}: {refused}");
-    }
-}
-
-/// A data dir holding them takes the foreign-record path: a calibrated
-/// tick is corrupt mid-journal and a torn tail as the final record, a
-/// calibrated snapshot is skipped and reported.
-#[test]
-fn a_calibrating_servers_records_take_the_foreign_record_path() {
-    let pins = calibrated_pins();
-    let (tick, snapshot) = (pins[0].2, pins[3].2);
-    let unsubscribe = "{\"ev\":\"unsubscribe\",\"relation\":1,\"session\":4}\n";
-    let dir = std::env::temp_dir().join(format!("va-codec-calibrated-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let journal = dir.join("journal-1.jsonl");
-    std::fs::write(&journal, format!("{unsubscribe}{tick}\n{unsubscribe}")).unwrap();
-    match Store::open(&dir) {
-        Err(PersistError::Corrupt { detail, .. }) => {
-            assert!(
-                detail.contains("event 1") && detail.contains("\"calibration\""),
-                "{detail}"
-            );
-        }
-        other => panic!("expected Corrupt, got {other:?}"),
-    }
-    std::fs::write(&journal, format!("{unsubscribe}{tick}\n")).unwrap();
-    let (_, recovery, _) = Store::open(&dir).expect("torn tail opens");
-    assert_eq!(recovery.replayed_events(), 1);
-    assert_eq!(recovery.truncated_bytes, tick.len() as u64 + 1);
-    std::fs::write(dir.join("snapshot-3.json"), snapshot).unwrap();
-    let (_, recovery, _) = Store::open(&dir).expect("open past the calibrated snapshot");
-    assert_eq!(recovery.snapshot_seq(), None);
-    assert_eq!(recovery.skipped_snapshot_count(), 1);
-    assert_eq!(recovery.replayed_events(), 1);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Snapshots with no relation, and with one relation whose every array
-/// field holds zero or one element, with the edge floats.
+/// Snapshots with two relations, with none, and with one relation whose
+/// every array field holds zero or one element, with the edge floats.
 fn edge_snapshot_pins() -> Vec<(&'static str, String, &'static str)> {
     let [neg_zero, big, small, subnormal, max] = edge_floats();
     let empty = SnapshotRecord {
@@ -646,8 +541,6 @@ fn edge_snapshot_pins() -> Vec<(&'static str, String, &'static str)> {
                     objects: vec![WarmObjectRecord {
                         bounds: Bounds::new(neg_zero, max),
                         converged: true,
-                        iters: 0,
-                        cost: 0,
                     }],
                 },
             ],
@@ -661,6 +554,11 @@ fn edge_snapshot_pins() -> Vec<(&'static str, String, &'static str)> {
     };
     vec![
         (
+            "two-relation snapshot",
+            two_relation_snapshot().to_json(),
+            r#"{"seq":3,"journal_events":41,"segment":4,"segment_bytes":1234,"next_relation_id":4,"relations":[{"relation":1,"def":{"name":"default","seed":42,"bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100},{"id":1,"coupon":0.0425,"maturity":7.5,"face":100}]},"next_session_id":9,"ticks":12,"shed":1,"sessions":[{"session":2,"priority":4,"finals":10,"partials":2,"driven":4021,"query":{"kind":"max","epsilon":0.0101}},{"session":8,"priority":1,"finals":0,"partials":0,"driven":0,"query":{"kind":"sum","epsilon":0.5,"weights":[1,2]}}],"work":{"exec":1842176,"get":96,"store":830,"choose":27874},"iterations":638,"warm":[{"rate":0.0583,"objects":[{"lo":88.80101456519986,"hi":88.85679684433053,"converged":true},{"lo":90,"hi":110,"converged":false}]}],"answers":[{"session":2,"answer":{"status":"partial","lo":1,"hi":2}},{"session":8,"answer":{"status":"final","output":{"shape":"count","lo":3,"hi":3}}}]},{"relation":3,"def":{"name":"fx","bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100}]},"next_session_id":1,"ticks":0,"shed":0,"sessions":[],"work":{"exec":0,"get":0,"store":0,"choose":0},"iterations":0,"warm":[],"answers":[]}]}"#,
+        ),
+        (
             "snapshot with no relation",
             empty.to_json(),
             r#"{"seq":1,"journal_events":0,"segment":1,"segment_bytes":0,"next_relation_id":1,"relations":[]}"#,
@@ -668,7 +566,7 @@ fn edge_snapshot_pins() -> Vec<(&'static str, String, &'static str)> {
         (
             "snapshot, one relation, one-element arrays, edge floats",
             one.to_json(),
-            r#"{"seq":2,"journal_events":5,"segment":2,"segment_bytes":0,"next_relation_id":2,"relations":[{"relation":1,"def":{"name":"one","seed":7,"bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100}]},"next_session_id":2,"ticks":1,"shed":0,"sessions":[{"session":1,"priority":1,"finals":1,"partials":0,"driven":0,"query":{"kind":"sum","epsilon":0.0000001,"weights":[179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000]}}],"work":{"exec":921088,"get":48,"store":415,"choose":13937},"iterations":319,"warm":[{"rate":-0,"objects":[]},{"rate":1000000000000000000000,"objects":[{"lo":-0,"hi":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,"converged":true,"iters":0,"cost":0}]}],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"aggregate","lo":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"hi":1000000000000000000000}}}]}]}"#,
+            r#"{"seq":2,"journal_events":5,"segment":2,"segment_bytes":0,"next_relation_id":2,"relations":[{"relation":1,"def":{"name":"one","seed":7,"bonds":[{"id":0,"coupon":0.0325,"maturity":7.5,"face":100}]},"next_session_id":2,"ticks":1,"shed":0,"sessions":[{"session":1,"priority":1,"finals":1,"partials":0,"driven":0,"query":{"kind":"sum","epsilon":0.0000001,"weights":[179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000]}}],"work":{"exec":921088,"get":48,"store":415,"choose":13937},"iterations":319,"warm":[{"rate":-0,"objects":[]},{"rate":1000000000000000000000,"objects":[{"lo":-0,"hi":179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,"converged":true}]}],"answers":[{"session":1,"answer":{"status":"final","output":{"shape":"aggregate","lo":0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,"hi":1000000000000000000000}}}]}]}"#,
         ),
     ]
 }
@@ -697,12 +595,12 @@ fn snapshot_and_meta_documents() {
         (
             "catalog meta",
             meta.to_json(),
-            r#"{"version":3,"pricer":18369614221190020847,"relations":[{"relation":1,"fingerprint":77},{"relation":3,"fingerprint":18446744073709551615}]}"#,
+            r#"{"version":4,"pricer":18369614221190020847,"relations":[{"relation":1,"fingerprint":77},{"relation":3,"fingerprint":18446744073709551615}]}"#,
         ),
         (
             "empty meta",
             empty_meta.to_json(),
-            r#"{"version":3,"pricer":5,"relations":[]}"#,
+            r#"{"version":4,"pricer":5,"relations":[]}"#,
         ),
         (
             "one-relation meta",
@@ -714,7 +612,7 @@ fn snapshot_and_meta_documents() {
                 }],
             }
             .to_json(),
-            r#"{"version":3,"pricer":5,"relations":[{"relation":1,"fingerprint":0}]}"#,
+            r#"{"version":4,"pricer":5,"relations":[{"relation":1,"fingerprint":0}]}"#,
         ),
     ]);
     check(&pins);

@@ -3,8 +3,12 @@
 #
 #   PR=<n> scripts/bench.sh <parent> <change> [seed...]
 #
-# Builds the benchmark of both commits in temporary checkouts (git
-# archive: committed files only), then for each seed (default 7) and each
+# Builds the benchmark of both commits from temporary checkouts (git
+# archive: committed files only), each at the same build path: cargo
+# derives a path dependency's `-C metadata`, and so every symbol name and
+# the code layout, from its directory, so two paths would move timings
+# that no source change made. Each side's binary is copied into its own
+# checkout, which its runs cd into. Then for each seed (default 7) and each
 # workload runs PAIRS alternating pairs of
 #   va-benchmark run --workload W --seed S --seconds 24 --trace 0
 # (the side that runs first alternates from pair to pair), plus one
@@ -46,20 +50,27 @@ BENCH_DIR=${BENCH_DIR:-${TMPDIR:-/tmp}/va-bench-${parent:0:12}-${change:0:12}}
 OUT=${OUT:-BENCH_${PR}.json}
 mkdir -p "$BENCH_DIR"
 
-checkout() { # rev -> directory holding a built benchmark of that commit
-    local dir=$BENCH_DIR/${1:0:12}
-    if [[ ! -x $dir/benchmark/target/release/va-benchmark ]]; then
-        rm -rf "$dir"
-        mkdir -p "$dir"
-        git archive "$1" | tar -x -C "$dir"
-        echo "==> building the benchmark of ${1:0:12}" >&2
-        cargo build --release --offline -q --manifest-path "$dir/benchmark/Cargo.toml" >&2
+build=$BENCH_DIR/build
+checkout() { # side rev -> directory holding a built benchmark of that commit
+    local dir=$BENCH_DIR/$1-${2:0:12}
+    local bin=benchmark/target/release/va-benchmark
+    if [[ ! -x $dir/$bin ]]; then
+        rm -rf "$dir" "$build"
+        mkdir -p "$dir" "$build"
+        git archive "$2" | tar -x -C "$dir"
+        git archive "$2" | tar -x -C "$build"
+        echo "==> building the benchmark of ${2:0:12} ($1) in $build" >&2
+        cargo build --release --offline -q --manifest-path "$build/benchmark/Cargo.toml" \
+            --target-dir "$build/benchmark/target" >&2
+        mkdir -p "$(dirname "$dir/$bin")"
+        cp "$build/$bin" "$dir/$bin"
     fi
     echo "$dir"
 }
 declare -A dirs
-dirs[parent]=$(checkout "$parent")
-dirs[change]=$(checkout "$change")
+dirs[parent]=$(checkout parent "$parent")
+dirs[change]=$(checkout change "$change")
+rm -rf "$build"
 echo "==> building bench-report" >&2
 cargo build --release --offline -q -p va-bench --bin bench-report
 

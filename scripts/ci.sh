@@ -13,8 +13,14 @@
 #                                  crash-recovery, emitted-and-decoded-bytes
 #                                  (codec_bytes), data-dir bytes (data_dir:
 #                                  one script leaves one dir, a snapshot does
-#                                  not grow with uptime, a version-2 dir is
-#                                  refused untouched), STATS and TICK_DONE
+#                                  not grow with uptime, a server reopened
+#                                  from a crashed dir snapshots the bytes a
+#                                  running one does, version-2 and version-3
+#                                  dirs are refused untouched), the
+#                                  snapshot's warm-section memo
+#                                  (warm_memo_proptest: every file is
+#                                  to_json's bytes, the memo holds only the
+#                                  last snapshot's sections), STATS and TICK_DONE
 #                                  across a crash (durable_stats),
 #                                  group-commit (a failed
 #                                  group sync or rollback, a torn
@@ -143,12 +149,13 @@ cargo test --workspace -q
 echo "==> cargo test -p va-server -q"
 cargo test -p va-server -q
 
-echo "==> batched-scheduler determinism + crash-recovery + codec-bytes + data-dir + group-commit + demand-bits + empty-relation tests"
+echo "==> batched-scheduler determinism + crash-recovery + codec-bytes + data-dir + warm-memo + group-commit + demand-bits + empty-relation tests"
 cargo test -q -p va-server --test parallel_determinism
 cargo test -q -p va-server --test recovery
 cargo test -q -p va-server --test compaction
 cargo test -q -p va-server --test codec_bytes
 cargo test -q -p va-server --test data_dir
+cargo test -q -p va-persist --test warm_memo_proptest
 cargo test -q -p va-server --test durable_stats
 cargo test -q -p va-persist --lib journal::tests::a_group_is_one_write_of_the_bytes_single_appends_write
 cargo test -q -p va-persist --lib journal::tests::a_failed_group_sync_leaves_no_byte_of_the_group
