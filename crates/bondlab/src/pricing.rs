@@ -5,7 +5,7 @@
 //! result object whose bounds tighten on demand. `minWidth` defaults to
 //! \$0.01 — "since prices can only be accurate to \$.01 anyway" (§1.2).
 
-use va_numerics::pde::{PdeResultObject, PdeVaoConfig};
+use va_numerics::pde::{PdeResultObject, PdeVaoConfig, TrioColumns};
 use vao::cost::WorkMeter;
 use vao::interface::{ResultObject, VariableAccuracyFn};
 
@@ -69,10 +69,31 @@ impl BondPricer {
         rate: f64,
         meter: &mut WorkMeter,
     ) -> Vec<PdeResultObject<BondPde>> {
+        self.price_many_with(bonds, rate, None, meter)
+    }
+
+    /// [`BondPricer::price_many`] through kept trio columns, by bond
+    /// position in `bonds` ([`PdeResultObject::new_many_with`]): a held
+    /// column is committed instead of solved, a solved one is lent to
+    /// `columns`, and each object and every meter charge is still
+    /// bit-identical to pricing the bonds one by one. A bond's column does
+    /// not depend on the rate, so columns kept at one rate serve another.
+    ///
+    /// # Panics
+    ///
+    /// As [`BondPricer::price`], for any bond.
+    #[must_use]
+    pub fn price_many_with(
+        &self,
+        bonds: &[Bond],
+        rate: f64,
+        columns: Option<&mut dyn TrioColumns>,
+        meter: &mut WorkMeter,
+    ) -> Vec<PdeResultObject<BondPde>> {
         let problems = bonds
             .iter()
             .map(|&bond| BondPde::new(bond, self.model, rate));
-        PdeResultObject::new_many(problems, self.vao, meter)
+        PdeResultObject::new_many_with(problems, self.vao, columns, meter)
             .into_iter()
             .map(|slot| slot.expect(INITIAL_SOLVE_FAILED))
             .collect()

@@ -9,6 +9,7 @@
 //! any live query places on it.
 
 use bondlab::BondPricer;
+use va_numerics::pde::TrioColumns;
 use va_stream::BondRelation;
 use vao::adapters::{WarmStart, WarmStarted};
 use vao::batch::GridShape;
@@ -54,7 +55,8 @@ impl SharedPool {
     /// Invokes the pricer once per bond at `rate`, charging the shared
     /// meter. This is the work a per-query engine would repeat K times.
     /// The whole relation is priced in one [`BondPricer::price_many`], so
-    /// the coarse trios run as lanes.
+    /// the coarse trios run as lanes. [`SharedPool::invoke_with`] with
+    /// neither seeds nor held columns.
     #[must_use]
     pub fn invoke(
         pricer: &BondPricer,
@@ -62,12 +64,7 @@ impl SharedPool {
         rate: f64,
         meter: &mut WorkMeter,
     ) -> Self {
-        let objects = pricer
-            .price_many(relation.bonds(), rate, meter)
-            .into_iter()
-            .map(|obj| Box::new(obj) as Box<dyn ResultObject + Send>)
-            .collect();
-        Self::from_objects(objects, rate)
+        Self::invoke_with(pricer, relation, rate, None, None, meter)
     }
 
     /// Like [`SharedPool::invoke`], but wraps every freshly invoked object
@@ -80,6 +77,7 @@ impl SharedPool {
     /// `warm` must be aligned with the relation (one entry per bond);
     /// mismatched lengths fall back to a cold invoke, since a stale seed
     /// set (e.g. after the universe changed) must never corrupt answers.
+    /// [`SharedPool::invoke_with`] with no held columns.
     #[must_use]
     pub fn invoke_warm(
         pricer: &BondPricer,
@@ -88,17 +86,39 @@ impl SharedPool {
         warm: &[WarmStart],
         meter: &mut WorkMeter,
     ) -> Self {
-        if warm.len() != relation.bonds().len() {
-            return Self::invoke(pricer, relation, rate, meter);
-        }
+        Self::invoke_with(pricer, relation, rate, Some(warm), None, meter)
+    }
+
+    /// The one invocation path: [`SharedPool::invoke_warm`] when `warm` is
+    /// given (and aligned), else [`SharedPool::invoke`], pricing through
+    /// `columns` ([`BondPricer::price_many_with`], by bond position). A
+    /// server tick passes its relation's column store: the trio columns it
+    /// holds are committed instead of solved, and the ones solved are lent
+    /// back. The pool and every meter charge are the same bits with or
+    /// without columns.
+    #[must_use]
+    pub fn invoke_with(
+        pricer: &BondPricer,
+        relation: &BondRelation,
+        rate: f64,
+        warm: Option<&[WarmStart]>,
+        columns: Option<&mut dyn TrioColumns>,
+        meter: &mut WorkMeter,
+    ) -> Self {
         let objects = pricer
-            .price_many(relation.bonds(), rate, meter)
-            .into_iter()
-            .zip(warm)
-            .map(|(obj, &seed)| {
-                Box::new(WarmStarted::new(obj, seed)) as Box<dyn ResultObject + Send>
-            })
-            .collect();
+            .price_many_with(relation.bonds(), rate, columns, meter)
+            .into_iter();
+        let objects = match warm.filter(|w| w.len() == relation.bonds().len()) {
+            Some(warm) => objects
+                .zip(warm)
+                .map(|(obj, &seed)| {
+                    Box::new(WarmStarted::new(obj, seed)) as Box<dyn ResultObject + Send>
+                })
+                .collect(),
+            None => objects
+                .map(|obj| Box::new(obj) as Box<dyn ResultObject + Send>)
+                .collect(),
+        };
         Self::from_objects(objects, rate)
     }
 

@@ -11,7 +11,9 @@
 //!    for field (wall time aside), the first tick of a fresh server with
 //!    the same subscriptions at that rate — at rates it has seen, and at
 //!    rates it has not. Pinned serially, with lane batches on two workers,
-//!    and under a budget that runs out.
+//!    under a budget that runs out, and with sessions that every bond
+//!    resolves on its initial bounds, where the pool invocation's
+//!    construction trio is all the store serves.
 //! 2. **Recovery reproduces the uninterrupted run.** A crashed durable
 //!    server restarts with nothing but its journal and snapshots. Its
 //!    post-crash ticks, and the journal it goes on to write, must equal the
@@ -53,8 +55,22 @@ fn workload() -> Vec<Query> {
     ]
 }
 
+/// Threshold SELECTs far below every price: each resolves at iteration 0.
+fn trio_only_workload() -> Vec<Query> {
+    (0..6)
+        .map(|i| Query::Selection {
+            op: CmpOp::Gt,
+            constant: 20.0 + f64::from(i),
+        })
+        .collect()
+}
+
 fn subscribe(srv: &mut Server) {
-    for q in workload() {
+    subscribe_to(srv, workload());
+}
+
+fn subscribe_to(srv: &mut Server, queries: Vec<Query>) {
+    for q in queries {
         srv.subscribe(q, 1).expect("subscribe");
     }
 }
@@ -91,13 +107,18 @@ fn script() -> Vec<f64> {
 /// against a fresh server's first tick at the same rate. Returns how many
 /// ticks ran out of budget.
 fn long_lived_matches_fresh(config: ServerConfig) -> usize {
+    long_lived_matches_fresh_on(config, workload)
+}
+
+/// [`long_lived_matches_fresh`] with the sessions `queries` makes.
+fn long_lived_matches_fresh_on(config: ServerConfig, queries: fn() -> Vec<Query>) -> usize {
     let mut long = Server::new(BondPricer::default(), relation(), config);
-    subscribe(&mut long);
+    subscribe_to(&mut long, queries());
     let mut exhausted = 0;
     for (i, rate) in script().into_iter().enumerate() {
         let got = long.tick(rate).expect("long-lived tick");
         let mut fresh = Server::new(BondPricer::default(), relation(), config);
-        subscribe(&mut fresh);
+        subscribe_to(&mut fresh, queries());
         let want = fresh.tick(rate).expect("fresh tick");
         assert_eq!(
             tick_key(&got),
@@ -137,6 +158,27 @@ fn a_long_lived_budgeted_server_ticks_like_a_fresh_one() {
         long_lived_matches_fresh(config) > 0,
         "the budget must run out on some tick for this to pin admission"
     );
+}
+
+#[test]
+fn a_long_lived_server_whose_sessions_resolve_at_once_ticks_like_a_fresh_one() {
+    // Every bond resolves on its initial bounds, so no tick refines: the
+    // only column traffic is the invocation's trio, served from the
+    // second tick on.
+    for config in [
+        ServerConfig::default(),
+        ServerConfig {
+            batch: Some(16),
+            ..ServerConfig::default().with_workers(2)
+        },
+    ] {
+        long_lived_matches_fresh_on(config, trio_only_workload);
+        let mut srv = Server::new(BondPricer::default(), relation(), config);
+        subscribe_to(&mut srv, trio_only_workload());
+        for rate in rates(0.0550) {
+            assert_eq!(srv.tick(rate).expect("tick").stats.iterations, 0);
+        }
+    }
 }
 
 /// A per-tick budget that the script's deeper ticks overrun.
