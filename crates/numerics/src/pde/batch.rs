@@ -47,10 +47,14 @@ pub fn step_batch(
     step_batch_keeping(shape, lanes, meters, None)
 }
 
+/// What [`step_batch_keeping`] lends each kept lane's column to:
+/// `(lane index, column)`, the column valid for the call.
+pub type KeepColumn<'a> = dyn FnMut(usize, &[f64]) + 'a;
+
 /// [`step_batch`], also lending `keep` the finished `t = 0` column of
 /// every lane that solved (no [`LaneFailure`]) and reports
 /// [`BatchLane::column_reusable`], as `(lane index, column)` with the
-/// column's `shape.rows()` entries dense. Committing that column later
+/// column's `shape.rows()` entries dense (lent for the call). Committing that column later
 /// with `lane_commit(shape, &column, 1, 0, None, meter)` is what the
 /// lane's commit here did, bit for bit: same interpolation, same charges.
 ///
@@ -61,7 +65,7 @@ pub fn step_batch_keeping(
     shape: GridShape,
     lanes: &mut [&mut dyn BatchLane],
     meters: &mut [WorkMeter],
-    mut keep: Option<&mut dyn FnMut(usize, Box<[f64]>)>,
+    mut keep: Option<&mut KeepColumn<'_>>,
 ) -> Vec<Bounds> {
     assert_eq!(lanes.len(), meters.len(), "one meter per lane");
     let k = lanes.len();
@@ -76,6 +80,7 @@ pub fn step_batch_keeping(
     let rows = shape.rows();
     let mut src = vec![0.0; rows * k];
     let mut state = vec![0.0; rows * k];
+    let mut column = Vec::new();
     let mut solver = BatchThomasSolver::new();
     solver.factor(rows, k, |sub, diag, sup| {
         for (idx, lane) in lanes.iter().enumerate() {
@@ -94,7 +99,9 @@ pub fn step_batch_keeping(
             let failure = solver.first_bad_row(idx).map(|row| LaneFailure { row });
             if let Some(keep) = keep.as_deref_mut() {
                 if failure.is_none() && lane.column_reusable() {
-                    keep(idx, (0..rows).map(|i| state[i * k + idx]).collect());
+                    column.clear();
+                    column.extend((0..rows).map(|i| state[i * k + idx]));
+                    keep(idx, &column);
                 }
             }
             lane.lane_commit(shape, &state, k, idx, failure, meter)
