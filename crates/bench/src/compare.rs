@@ -15,14 +15,16 @@
 //!
 //! * `failed` — the change failed a larger share of its attempted
 //!   operations than the parent, so no gain counts and no bound holds;
-//! * `gain` — the change wins at least nine tenths of the pairs (ties
-//!   count for neither side) and the medians differ by more than the
-//!   parent's inter-quartile range;
+//! * `gain` — the series has at least [`GAIN_PAIRS`] pairs, the change
+//!   wins at least nine tenths of them (ties count for neither side) and
+//!   the medians differ by more than the parent's inter-quartile range;
 //! * `regressed` — the change's median is worse than the parent's by more
 //!   than the metric's bound;
-//! * `unresolved` — the parent's own inter-quartile range exceeds the
-//!   bound, so "within bound" could not be told apart from noise (unless
-//!   every change run beats every parent run);
+//! * `unresolved` — a shorter series that would read `gain` (one won pair
+//!   clears nine tenths of one, over a parent spread of zero), or the
+//!   parent's own inter-quartile range exceeds the bound, so "within bound"
+//!   could not be told apart from noise (unless every change run beats
+//!   every parent run);
 //! * `equal` — every run of both sides reads the same value (the work
 //!   counters);
 //! * `within_bound` — otherwise.
@@ -224,6 +226,9 @@ pub struct Comparison {
     pub verdict: Verdict,
 }
 
+/// Pairs a series needs before it can read `gain`.
+pub const GAIN_PAIRS: usize = 10;
+
 /// Compares paired values of one metric (`pairs[i]` = parent, change),
 /// given the share of its attempted operations each side failed
 /// (`failed_share` = `[parent, change]`) over the same runs.
@@ -251,6 +256,9 @@ pub fn compare(pairs: &[(f64, f64)], bound: &Bound, failed_share: [f64; 2]) -> C
     let all_better = change_values
         .iter()
         .all(|&c| parent_values.iter().all(|&p| better(c, p)));
+    let gain = won * 10 >= pairs.len() * 9
+        && better(change[1], parent[1])
+        && (change[1] - parent[1]).abs() > parent_iqr;
     let first = parent_values[0];
     let verdict = if parent_values
         .iter()
@@ -260,14 +268,11 @@ pub fn compare(pairs: &[(f64, f64)], bound: &Bound, failed_share: [f64; 2]) -> C
         Verdict::Equal
     } else if failed_share[1] > failed_share[0] {
         Verdict::Failed
-    } else if won * 10 >= pairs.len() * 9
-        && better(change[1], parent[1])
-        && (change[1] - parent[1]).abs() > parent_iqr
-    {
+    } else if gain && pairs.len() >= GAIN_PAIRS {
         Verdict::Gain
     } else if worse_by > bound.bound {
         Verdict::Regressed
-    } else if parent_iqr > bound.bound * parent[1].abs() && !all_better {
+    } else if gain || (parent_iqr > bound.bound * parent[1].abs() && !all_better) {
         Verdict::Unresolved
     } else {
         Verdict::WithinBound
@@ -534,6 +539,38 @@ mod tests {
     }
 
     #[test]
+    fn a_series_shorter_than_ten_pairs_never_reads_gain() {
+        // One won pair is every pair of a one-pair series, and the parent's
+        // spread over one run is zero.
+        let won = [(1.0, 0.6)];
+        let cmp = compare(&won, &p50(), NO_FAILURES);
+        assert_eq!((cmp.won, cmp.lost), (1, 0));
+        assert_eq!(cmp.verdict, Verdict::Unresolved);
+        // The other verdicts read as in a full series.
+        assert_eq!(
+            compare(&[(1.0, 1.0)], &p50(), NO_FAILURES).verdict,
+            Verdict::Equal
+        );
+        assert_eq!(compare(&won, &p50(), [0.0, 1e-4]).verdict, Verdict::Failed);
+        assert_eq!(
+            compare(&[(1.0, 1.2)], &p50(), NO_FAILURES).verdict,
+            Verdict::Regressed
+        );
+        assert_eq!(
+            compare(&[(1.0, 1.1)], &p50(), NO_FAILURES).verdict,
+            Verdict::WithinBound
+        );
+        // Nine pairs are still too few; the tenth makes the gain.
+        let nine: Vec<(f64, f64)> = (0..9).map(|i| (1.0 + 0.01 * f64::from(i), 0.6)).collect();
+        assert_eq!(
+            compare(&nine, &p50(), NO_FAILURES).verdict,
+            Verdict::Unresolved
+        );
+        let ten: Vec<(f64, f64)> = (0..10).map(|i| (1.0 + 0.01 * f64::from(i), 0.6)).collect();
+        assert_eq!(compare(&ten, &p50(), NO_FAILURES).verdict, Verdict::Gain);
+    }
+
+    #[test]
     fn identical_counters_are_equal() {
         let pairs = [(89_500.0, 89_500.0); 10];
         assert_eq!(compare(&pairs, &p50(), NO_FAILURES).verdict, Verdict::Equal);
@@ -575,14 +612,15 @@ mod tests {
         assert_eq!(series.len(), 1);
         let metric = &series[0].get("metrics").unwrap().as_array().unwrap()[0];
         assert_eq!(metric.get("pairs_won").unwrap().as_u64(), Some(2));
-        assert_eq!(metric.get("verdict").unwrap().as_str(), Some("gain"));
+        // Two won pairs of two: a gain's shape, but too few pairs to read one.
+        assert_eq!(metric.get("verdict").unwrap().as_str(), Some("unresolved"));
         assert_eq!(
             parsed.get("runs").unwrap().as_array().unwrap().len(),
             5,
             "every raw line is kept"
         );
         assert!(parse_runs("parent\tw\t7\n").is_err());
-        // One failed request of the change's turns the same gain into
+        // One failed request of the change's turns the same series into
         // `failed`.
         let doc = summarize(&header, &[p50()], &parse_runs(&raw(1)).unwrap());
         let parsed = Json::parse(&doc).unwrap();

@@ -61,12 +61,6 @@ impl Lab {
         }
     }
 
-    /// The paper-scale lab: 500 bonds.
-    #[must_use]
-    pub fn paper_scale() -> Self {
-        Self::new(BondUniverse::PAPER_SIZE, 1994)
-    }
-
     /// Number of bonds.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -48,9 +48,11 @@ pub enum ServerError {
     /// demand/answer path.
     EmptyRelation,
     /// An internal scheduler invariant did not hold (e.g. a worker thread
-    /// panicked during a round). The tick fails with this error and
-    /// the server lives on to process the next tick — invariant violations
-    /// degrade one tick instead of aborting the process.
+    /// panicked during a round or a multi-relation tick). The tick fails
+    /// with this error and the server lives on to process the next tick —
+    /// invariant violations degrade one tick instead of aborting the
+    /// process. That holds for panics on worker threads: a panic on the
+    /// calling thread (one worker, or a unit run inline) still unwinds.
     Internal {
         /// Which invariant was violated.
         detail: &'static str,

@@ -441,9 +441,11 @@ fn parse_wire_query(doc: &Json) -> Result<WireQuery, String> {
 //
 // Every line has one writer, `write_*(out, ..)`, appending it to the
 // caller's buffer in one pass through `fmt::Write` (the idiom of the shape
-// writers in `va_persist::record`, which they nest), and a `String` form
-// that renders the writer into a fresh buffer. The front end writes
-// straight into each connection's write buffer.
+// writers in `va_persist::record`, which they nest). The front end writes
+// straight into each connection's write buffer; `va_persist::json::render`
+// renders a writer into a fresh `String`. The few lines the benchmark
+// builds as strings (`render_request`, `result`, `result_payload`,
+// `tick_done`) keep a `String` form.
 
 /// Writes a [`WireQuery`] as the object shape [`parse_request`] accepts
 /// (omitted SUM weights stay omitted).
@@ -569,12 +571,6 @@ pub fn write_subscribed(out: &mut String, relation: &str, id: SessionId) -> fmt:
     )
 }
 
-/// [`write_subscribed`] into a fresh `String`.
-#[must_use]
-pub fn subscribed(relation: &str, id: SessionId) -> String {
-    render(|out| write_subscribed(out, relation, id))
-}
-
 /// Writes the `UNSUBSCRIBED` response line.
 pub fn write_unsubscribed(out: &mut String, relation: &str, id: u64) -> fmt::Result {
     write!(
@@ -582,12 +578,6 @@ pub fn write_unsubscribed(out: &mut String, relation: &str, id: u64) -> fmt::Res
         "{{\"type\":\"UNSUBSCRIBED\",\"relation\":\"{}\",\"session\":{id}}}",
         Escaped(relation)
     )
-}
-
-/// [`write_unsubscribed`] into a fresh `String`.
-#[must_use]
-pub fn unsubscribed(relation: &str, id: u64) -> String {
-    render(|out| write_unsubscribed(out, relation, id))
 }
 
 /// Writes the `CREATED` response line after `CREATE_RELATION`.
@@ -599,12 +589,6 @@ pub fn write_created(out: &mut String, relation: &str, id: u64, bonds: usize) ->
     )
 }
 
-/// [`write_created`] into a fresh `String`.
-#[must_use]
-pub fn created(relation: &str, id: u64, bonds: usize) -> String {
-    render(|out| write_created(out, relation, id, bonds))
-}
-
 /// Writes the `DROPPED` response line after `DROP_RELATION`.
 pub fn write_dropped(out: &mut String, relation: &str, id: u64) -> fmt::Result {
     write!(
@@ -612,12 +596,6 @@ pub fn write_dropped(out: &mut String, relation: &str, id: u64) -> fmt::Result {
         "{{\"type\":\"DROPPED\",\"relation\":\"{}\",\"id\":{id}}}",
         Escaped(relation)
     )
-}
-
-/// [`write_dropped`] into a fresh `String`.
-#[must_use]
-pub fn dropped(relation: &str, id: u64) -> String {
-    render(|out| write_dropped(out, relation, id))
 }
 
 /// Writes the `BOND_ADDED` response line after `ADD_BOND`.
@@ -629,12 +607,6 @@ pub fn write_bond_added(out: &mut String, relation: &str, bond: u32, bonds: usiz
     )
 }
 
-/// [`write_bond_added`] into a fresh `String`.
-#[must_use]
-pub fn bond_added(relation: &str, bond: u32, bonds: usize) -> String {
-    render(|out| write_bond_added(out, relation, bond, bonds))
-}
-
 /// Writes the `USING` response line after `USE`.
 pub fn write_using(out: &mut String, relation: &str) -> fmt::Result {
     write!(
@@ -642,12 +614,6 @@ pub fn write_using(out: &mut String, relation: &str) -> fmt::Result {
         "{{\"type\":\"USING\",\"relation\":\"{}\"}}",
         Escaped(relation)
     )
-}
-
-/// [`write_using`] into a fresh `String`.
-#[must_use]
-pub fn using(relation: &str) -> String {
-    render(|out| write_using(out, relation))
 }
 
 /// Writes the `RELATIONS` response line listing the catalog.
@@ -665,12 +631,6 @@ pub fn write_relations(out: &mut String, catalog: &Catalog) -> fmt::Result {
         )
     })?;
     out.write_char('}')
-}
-
-/// [`write_relations`] into a fresh `String`.
-#[must_use]
-pub fn relations(catalog: &Catalog) -> String {
-    render(|out| write_relations(out, catalog))
 }
 
 /// Writes the `RESUMED` response line: the session's registration, its
@@ -695,17 +655,6 @@ pub fn write_resumed(
     out.write_char('}')
 }
 
-/// [`write_resumed`] into a fresh `String`.
-#[must_use]
-pub fn resumed(
-    relation: &str,
-    sess: &crate::session::Session,
-    tick: u64,
-    answer: Option<&Answer>,
-) -> String {
-    render(|out| write_resumed(out, relation, sess, tick, answer))
-}
-
 /// Writes the `ERROR` response line.
 pub fn write_error(out: &mut String, message: &str) -> fmt::Result {
     write!(
@@ -715,21 +664,9 @@ pub fn write_error(out: &mut String, message: &str) -> fmt::Result {
     )
 }
 
-/// [`write_error`] into a fresh `String`.
-#[must_use]
-pub fn error(message: &str) -> String {
-    render(|out| write_error(out, message))
-}
-
 /// Writes the `BYE` response line (connection closing).
 pub fn write_bye(out: &mut String) -> fmt::Result {
     out.write_str("{\"type\":\"BYE\"}")
-}
-
-/// [`write_bye`] into a fresh `String`.
-#[must_use]
-pub fn bye() -> String {
-    render(write_bye)
 }
 
 /// Writes the session-independent fragment of a `RESULT` line: everything
@@ -829,12 +766,6 @@ pub fn write_stats(out: &mut String, tenant: &Tenant) -> fmt::Result {
         )
     })?;
     out.write_char('}')
-}
-
-/// [`write_stats`] into a fresh `String`.
-#[must_use]
-pub fn stats(tenant: &Tenant) -> String {
-    render(|out| write_stats(out, tenant))
 }
 
 #[cfg(test)]
@@ -1206,7 +1137,7 @@ mod tests {
             partials: 1,
             driven_iterations: 90,
         };
-        let none = resumed("default", &sess, 8, None);
+        let none = render(|o| write_resumed(o, "default", &sess, 8, None));
         assert!(Json::parse(&none).is_ok(), "{none}");
         assert!(!none.contains("\"answer\""));
         assert!(none.contains("\"operator\":\"max\""));
@@ -1214,11 +1145,11 @@ mod tests {
         let partial = Answer::Partial {
             bounds: Bounds::new(1.0, 2.0),
         };
-        let line = resumed("default", &sess, 8, Some(&partial));
+        let line = render(|o| write_resumed(o, "default", &sess, 8, Some(&partial)));
         assert!(Json::parse(&line).is_ok(), "{line}");
         assert!(line.contains("\"status\":\"partial\""));
         let fin = Answer::Final(QueryOutput::Count { lo: 3, hi: 3 });
-        let line = resumed("default", &sess, 8, Some(&fin));
+        let line = render(|o| write_resumed(o, "default", &sess, 8, Some(&fin)));
         assert!(line.contains("\"status\":\"final\""));
         assert!(line.contains("\"shape\":\"count\""));
     }
@@ -1227,14 +1158,14 @@ mod tests {
     fn responses_are_single_line_json() {
         let output = |o: &QueryOutput| render(|out| write_output(out, o));
         let lines = [
-            subscribed("default", SessionId(7)),
-            unsubscribed("default", 7),
-            created("energy", 2, 16),
-            dropped("energy", 2),
-            bond_added("default", 8, 9),
-            using("energy"),
-            error("bad \"thing\"\nhappened"),
-            bye(),
+            render(|o| write_subscribed(o, "default", SessionId(7))),
+            render(|o| write_unsubscribed(o, "default", 7)),
+            render(|o| write_created(o, "energy", 2, 16)),
+            render(|o| write_dropped(o, "energy", 2)),
+            render(|o| write_bond_added(o, "default", 8, 9)),
+            render(|o| write_using(o, "energy")),
+            render(|o| write_error(o, "bad \"thing\"\nhappened")),
+            render(write_bye),
             result(
                 "default",
                 3,

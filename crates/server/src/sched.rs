@@ -15,8 +15,8 @@
 //! *distinct* objects and admits the longest prefix whose summed `estCPU`
 //! fits the remaining budget; [`TickPool`] runs the admitted `iterate()`
 //! calls — inline for one object, otherwise same-shape refinements as
-//! lanes of one SoA solve and the rest scalar, on `std::thread::scope`
-//! workers when `workers > 1` (a refinement that solves nothing always
+//! lanes of one SoA solve and the rest scalar, on scoped worker threads
+//! when `workers > 1` (a refinement that solves nothing always
 //! runs inline). With `batch = 1` a one-session tick is the
 //! dedicated operator's schedule, and for a fixed batch the results are
 //! bit-identical regardless of worker count or route: workers only change
@@ -778,17 +778,6 @@ fn run_batch_lanes(
     })
 }
 
-/// One shape's members of an admitted round: pick-order slots, pool
-/// positions and objects, aligned, and whether their finished columns are
-/// worth keeping.
-struct LaneGroup<'p> {
-    shape: GridShape,
-    slots: Vec<usize>,
-    positions: Vec<usize>,
-    objs: Vec<&'p mut (dyn ResultObject + Send)>,
-    keep: bool,
-}
-
 /// The body of [`run_batch_lanes`] over the already-split borrows: `parts`,
 /// `order` (each part's pick-order slot), `positions` (its pool position)
 /// and `shapes` are aligned.
@@ -804,7 +793,7 @@ fn exec_lane_groups(
     let mut done: Vec<Option<Step>> = (0..order.len()).map(|_| None).collect();
     // Serve what the store holds; group the other same-shape objects;
     // shapeless ones go scalar immediately.
-    let mut groups: Vec<LaneGroup<'_>> = Vec::new();
+    let mut groups: Vec<ExecUnit<'_>> = Vec::new();
     let mut scalars: Vec<(usize, &mut (dyn ResultObject + Send))> = Vec::new();
     for (((&slot, &position), obj), shape) in order.iter().zip(positions).zip(parts).zip(shapes) {
         let Some(shape) = *shape else {
@@ -827,38 +816,42 @@ fn exec_lane_groups(
             }
             Served::No => false,
         };
-        let group = match groups.iter().position(|g| g.shape == shape) {
-            Some(g) => &mut groups[g],
-            None => {
-                groups.push(LaneGroup {
-                    shape,
-                    slots: Vec::new(),
-                    positions: Vec::new(),
-                    objs: Vec::new(),
-                    keep: false,
-                });
-                groups.last_mut().expect("just pushed")
+        let same_shape =
+            |g: &&mut ExecUnit<'_>| matches!(g, ExecUnit::Lanes { shape: s, .. } if *s == shape);
+        match groups.iter_mut().find(same_shape) {
+            Some(ExecUnit::Lanes {
+                slots,
+                positions,
+                objs,
+                keep: group_keep,
+                ..
+            }) => {
+                slots.push(slot);
+                positions.push(position);
+                objs.push(obj);
+                *group_keep |= keep;
             }
-        };
-        group.slots.push(slot);
-        group.positions.push(position);
-        group.objs.push(obj);
-        group.keep |= keep;
+            _ => groups.push(ExecUnit::Lanes {
+                shape,
+                slots: vec![slot],
+                positions: vec![position],
+                objs: vec![obj],
+                keep,
+            }),
+        }
     }
     // A singleton group gains nothing from the SoA layout — demote it,
     // unless it solves a column worth keeping.
     let mut units: Vec<ExecUnit<'_>> = Vec::new();
     for group in groups {
-        if group.slots.len() >= 2 || group.keep {
-            units.push(ExecUnit::Lanes {
-                shape: group.shape,
-                slots: group.slots,
-                positions: group.positions,
-                objs: group.objs,
-                keep: group.keep,
-            });
-        } else {
-            scalars.extend(group.slots.into_iter().zip(group.objs));
+        match group {
+            ExecUnit::Lanes {
+                slots,
+                objs,
+                keep: false,
+                ..
+            } if slots.len() < 2 => scalars.extend(slots.into_iter().zip(objs)),
+            group => units.push(group),
         }
     }
     units.extend(
@@ -874,33 +867,19 @@ fn exec_lane_groups(
             }
         }
     } else {
-        // Fan the units out over scoped threads: scratch meters merge by
+        // Fan the units out over the workers: scratch meters merge by
         // addition, results re-sort by slot, so the outcome is
         // bit-identical to inline execution.
-        let threads = workers.min(units.len());
-        let chunk = units.len().div_ceil(threads);
-        let mut units = units;
-        let joined: Vec<_> = std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(threads);
-            while !units.is_empty() {
-                let take = chunk.min(units.len());
-                let mine: Vec<_> = units.drain(..take).collect();
-                handles.push(s.spawn(move || {
-                    let mut scratch = WorkMeter::new();
-                    let mut kept = TickColumns::default();
-                    let mut out = Vec::new();
-                    for unit in mine {
-                        out.extend(exec_unit(unit, &mut scratch, &mut kept));
-                    }
-                    (out, scratch, kept)
-                }));
-            }
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        for j in joined {
-            let (out, scratch, mut theirs) = j.map_err(|_| ServerError::Internal {
-                detail: "worker thread panicked during a scheduling round",
-            })?;
+        let stepped = fan_out(
+            units,
+            workers,
+            "worker thread panicked during a scheduling round",
+            |unit| {
+                let (mut scratch, mut kept) = (WorkMeter::new(), TickColumns::default());
+                (exec_unit(unit, &mut scratch, &mut kept), scratch, kept)
+            },
+        )?;
+        for (out, scratch, mut theirs) in stepped {
             meter.absorb(&scratch);
             tick.append(&mut theirs);
             for (slot, d) in out {
@@ -915,6 +894,36 @@ fn exec_lane_groups(
             })
         })
         .collect()
+}
+
+/// Runs `work` on every item on scoped worker threads and returns the
+/// results in item order: the items split into at most `threads`
+/// contiguous chunks of `len.div_ceil(threads)`, one thread a chunk, joined
+/// in spawn order. The one thread fan-out of a tick, for a round's units
+/// and a multi-relation tick's relations alike. Every thread is joined, and
+/// a panic on one fails the call with [`ServerError::Internal`] carrying
+/// `detail` instead of unwinding into the caller.
+pub(crate) fn fan_out<T: Send, R: Send>(
+    mut items: Vec<T>,
+    threads: usize,
+    detail: &'static str,
+    work: impl Fn(T) -> R + Sync,
+) -> Result<Vec<R>, ServerError> {
+    let chunk = items.len().div_ceil(threads.min(items.len()).max(1));
+    let work = &work;
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        while !items.is_empty() {
+            let mine: Vec<T> = items.drain(..chunk.min(items.len())).collect();
+            handles.push(scope.spawn(move || mine.into_iter().map(work).collect::<Vec<R>>()));
+        }
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut out = Vec::new();
+    for shard in joined {
+        out.extend(shard.map_err(|_| ServerError::Internal { detail })?);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1167,6 +1176,13 @@ mod tests {
         // Largest remainder first; the tie between equal remainders goes
         // to the lower-indexed relation.
         assert_eq!(out, vec![Some(4), Some(3), Some(3)]);
+        // A lone relation takes the whole budget whatever its weight: a
+        // single-relation tick runs on the configured budget.
+        for weight in [0, 1, 7, u64::MAX] {
+            for total in [0, 1, 9_000, u64::MAX] {
+                assert_eq!(arbitrate_budget(Some(total), &[weight]), vec![Some(total)]);
+            }
+        }
     }
 
     #[test]

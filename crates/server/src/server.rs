@@ -496,7 +496,7 @@ impl Server {
     ///
     /// Stops short of the snapshot check ([`Server::commit`] adds it): a
     /// bootstrap writes its one journal line whatever `snapshot_every`, and
-    /// a multi-relation tick checks once, after its group.
+    /// a tick checks once, after its group.
     fn journal_and_apply(&mut self, events: Vec<JournalEvent>) -> Result<(), ServerError> {
         let defines = events.iter().any(|event| {
             matches!(
@@ -706,13 +706,67 @@ impl Server {
     /// Like [`Server::tick_relation`], additionally streaming scheduler
     /// trace events (choices, iterations, budget exhaustion) to `observer`
     /// — this is how the bench harness lands server runs in the JSONL
-    /// trace.
+    /// trace. It runs the one tick driver every entry point runs, as a
+    /// group of one, so it journals, merges and snapshots exactly as a
+    /// one-relation [`Server::tick_multi`] does.
     pub fn tick_relation_with_observer<O: ExecObserver>(
         &mut self,
         name: &str,
         rate: f64,
         observer: &mut O,
     ) -> Result<TickResult, ServerError> {
+        let mut results = self.tick_group(&[(name, rate)], observer)?;
+        Ok(results.pop().expect("a one-relation group answers once"))
+    }
+
+    /// Processes one tick across several relations under **one** work
+    /// budget: [`crate::sched::arbitrate_budget`] splits
+    /// [`ServerConfig::budget`] across the listed relations in proportion
+    /// to their §5 demand weight (the sum of their sessions' priorities),
+    /// and each relation then runs an ordinary tick inside its slice.
+    ///
+    /// Independent relations are sharded across the scoped worker threads
+    /// when `workers > 1`; each shard executes with an inner worker count
+    /// of 1 while the batch size stays [`ServerConfig::effective_batch`],
+    /// so sharding never changes any relation's schedule — per-relation
+    /// results are bit-identical to the sequential path, and to N isolated
+    /// single-relation servers given the same per-relation budgets.
+    ///
+    /// The relations' tick records are **group-committed** after
+    /// execution: journaled in the caller's tick order with one write and
+    /// one `fdatasync` for the whole group, then applied in that order, so
+    /// the journal stays deterministic regardless of sharding and no reply
+    /// precedes durability. The request is all or nothing: when a relation
+    /// fails to execute, or the group's append fails (and is rolled back),
+    /// no relation advances. A one-relation request is
+    /// [`Server::tick_relation`], byte for byte.
+    pub fn tick_multi(&mut self, ticks: &[(&str, f64)]) -> Result<Vec<TickResult>, ServerError> {
+        self.tick_group(ticks, &mut NoopObserver)
+    }
+
+    /// The one tick driver: every tick entry point is a call of it, a
+    /// single-relation tick with a group of one.
+    ///
+    /// 1. The recovery report (once per server) and the compactions queued
+    ///    since the last tick go to `observer`; a disabled one drops them,
+    ///    so an untraced server does not accumulate them.
+    /// 2. Every entry is resolved before anything executes: an unknown
+    ///    relation, a relation listed twice, a rate off the pricer's grid
+    ///    or an empty relation fails the whole request, checked in that
+    ///    order per entry.
+    /// 3. [`sched::arbitrate_budget`] splits the budget (a lone relation
+    ///    gets all of it, whatever its weight).
+    /// 4. The relations execute in order on this thread when there is one
+    ///    worker or one relation, or when `observer` is enabled (a trace is
+    ///    one ordered stream); otherwise they shard across the workers.
+    /// 5. Every record is built, then the group is committed once, the
+    ///    column stores merge in tick order, and a snapshot is written if
+    ///    one is due.
+    fn tick_group<O: ExecObserver>(
+        &mut self,
+        ticks: &[(&str, f64)],
+        observer: &mut O,
+    ) -> Result<Vec<TickResult>, ServerError> {
         // Surface the recovery report (once) into the same trace stream the
         // tick lands in, so a JSONL trace of a recovered run shows *why*
         // its first tick starts warm.
@@ -732,24 +786,77 @@ impl Server {
                 observer.on_compaction(&c);
             }
         }
-        let idx = self.tenant_index(name)?;
-        let tenant = &self.catalog.tenants()[idx];
-        let exec = execute_tenant_tick(
-            &self.pricer,
-            &self.config,
-            tenant,
-            self.columns_of(tenant.id),
-            rate,
-            self.config.budget,
-            self.config.workers,
-            self.durability.is_some(),
-            observer,
-        )?;
-        let (result, event, columns) = self.tick_record(idx, exec);
-        self.journal_and_apply(vec![event])?;
-        self.merge_columns(result.relation, columns);
+        // Resolve everything up front: a request that fails here executes
+        // and journals nothing.
+        let mut group: Vec<(usize, f64)> = Vec::with_capacity(ticks.len());
+        for &(name, rate) in ticks {
+            let idx = self.tenant_index(name)?;
+            if group.iter().any(|&(held, _)| held == idx) {
+                return Err(ServerError::Internal {
+                    detail: "duplicate relation in a multi-relation tick",
+                });
+            }
+            check_rate(&self.pricer, rate)?;
+            if self.catalog.tenants()[idx].relation().is_empty() {
+                return Err(ServerError::EmptyRelation);
+            }
+            group.push((idx, rate));
+        }
+        let weights: Vec<u64> = group
+            .iter()
+            .map(|&(i, _)| {
+                self.catalog.tenants()[i]
+                    .sessions()
+                    .sessions()
+                    .iter()
+                    .map(|s| u64::from(s.priority))
+                    .sum()
+            })
+            .collect();
+        let budgets = sched::arbitrate_budget(self.config.budget, &weights);
+        let workers = self.config.workers.max(1);
+        let execs = if workers <= 1 || group.len() == 1 || observer.is_enabled() {
+            group
+                .iter()
+                .zip(&budgets)
+                .map(|(&entry, &budget)| {
+                    self.execute_tenant_tick(entry, budget, workers, &mut *observer)
+                })
+                .collect::<Result<Vec<_>, _>>()?
+        } else {
+            // Execution only reads its tenant, so independent relations
+            // shard across the workers by shared reference. Each shard
+            // executes with workers = 1, which cannot change results: the
+            // schedule is fixed by the (unchanged) batch size, and workers
+            // only decide who runs an admitted batch.
+            sched::fan_out(
+                (0..group.len()).collect(),
+                workers,
+                "worker thread panicked during a multi-relation tick",
+                |slot| self.execute_tenant_tick(group[slot], budgets[slot], 1, &mut NoopObserver),
+            )?
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?
+        };
+
+        // One group in the caller's tick order: every record is built
+        // before any is journaled, and every tenant moves after all are.
+        let mut out = Vec::with_capacity(execs.len());
+        let mut events = Vec::with_capacity(execs.len());
+        let mut columns = Vec::with_capacity(execs.len());
+        for (exec, &(idx, _)) in execs.into_iter().zip(&group) {
+            let (result, event, cols) = self.tick_record(idx, exec);
+            columns.push((result.relation, cols));
+            out.push(result);
+            events.push(event);
+        }
+        self.journal_and_apply(events)?;
+        // Merged one relation at a time, in tick order.
+        for (relation, cols) in columns {
+            self.merge_columns(relation, cols);
+        }
         self.maybe_snapshot()?;
-        Ok(result)
+        Ok(out)
     }
 
     /// The tick record of one executed tick, built from the tenant's
@@ -794,126 +901,90 @@ impl Server {
         (result, event, columns)
     }
 
-    /// Processes one tick across several relations under **one** work
-    /// budget: [`crate::sched::arbitrate_budget`] splits
-    /// [`ServerConfig::budget`] across the listed relations in proportion
-    /// to their §5 demand weight (the sum of their sessions' priorities),
-    /// and each relation then runs an ordinary tick inside its slice.
-    ///
-    /// Independent relations are sharded across the scoped worker threads
-    /// when `workers > 1`; each shard executes with an inner worker count
-    /// of 1 while the batch size stays [`ServerConfig::effective_batch`],
-    /// so sharding never changes any relation's schedule — per-relation
-    /// results are bit-identical to the sequential path, and to N isolated
-    /// single-relation servers given the same per-relation budgets.
-    ///
-    /// The relations' tick records are **group-committed** after
-    /// execution: journaled in the caller's tick order with one write and
-    /// one `fdatasync` for the whole group, then applied in that order, so
-    /// the journal stays deterministic regardless of sharding and no reply
-    /// precedes durability. The request is all or nothing: when a relation
-    /// fails to execute, or the group's append fails (and is rolled back),
-    /// no relation advances.
-    pub fn tick_multi(&mut self, ticks: &[(&str, f64)]) -> Result<Vec<TickResult>, ServerError> {
-        // This path has no observer to hand queued compactions to; they are
-        // dropped here, as a single-relation tick drains them, so a server
-        // driven by multi-relation ticks alone does not accumulate them.
-        self.pending_compactions.clear();
-        // Resolve everything up front: an unknown or duplicate relation or
-        // an unpriceable rate fails the whole request before any relation
-        // executes or anything is journaled.
-        let mut indices = Vec::with_capacity(ticks.len());
-        for &(name, rate) in ticks {
-            check_rate(&self.pricer, rate)?;
-            let idx = self.tenant_index(name)?;
-            if indices.contains(&idx) {
-                return Err(ServerError::Internal {
-                    detail: "duplicate relation in a multi-relation tick",
-                });
-            }
-            if self.catalog.tenants()[idx].relation().is_empty() {
-                return Err(ServerError::EmptyRelation);
-            }
-            indices.push(idx);
-        }
-        let weights: Vec<u64> = indices
-            .iter()
-            .map(|&i| {
-                self.catalog.tenants()[i]
-                    .sessions()
-                    .sessions()
-                    .iter()
-                    .map(|s| u64::from(s.priority))
-                    .sum()
-            })
-            .collect();
-        let budgets = sched::arbitrate_budget(self.config.budget, &weights);
-        let durable = self.durability.is_some();
-        let workers = self.config.workers.max(1);
+    /// Executes one relation's tick — `(tenant index, rate)` as
+    /// [`Server::tick_group`] resolved it, under `budget`: pool invocation
+    /// (warm-seeded when the tenant has journaled this rate, its trio read
+    /// from and lent to the column store), floor validation, the budgeted
+    /// scheduler, and stats assembly. Only reads the tenant and its
+    /// relation's column store (empty before its first committed tick) —
+    /// the columns it solves come back in the outcome — so independent
+    /// tenants execute on separate threads and a tick that fails to
+    /// journal leaves no trace.
+    fn execute_tenant_tick<O: ExecObserver>(
+        &self,
+        (idx, rate): (usize, f64),
+        budget: Option<Work>,
+        workers: usize,
+        observer: &mut O,
+    ) -> Result<TickExec, ServerError> {
+        let tenant = &self.catalog.tenants()[idx];
+        let columns = self.columns_of(tenant.id);
+        let start = Instant::now();
+        let mut meter = WorkMeter::new();
 
-        // Execution only reads its tenant, so independent relations shard
-        // across the scoped worker pool by shared reference. Each shard
-        // executes with workers = 1, which cannot change results: the
-        // schedule is fixed by the (unchanged) batch size, and workers only
-        // decide who runs an admitted batch.
-        let tenants = self.catalog.tenants();
-        let run = |slot: usize, inner_workers: usize| {
-            let tenant = &tenants[indices[slot]];
-            execute_tenant_tick(
-                &self.pricer,
-                &self.config,
-                tenant,
-                self.columns_of(tenant.id),
-                ticks[slot].1,
-                budgets[slot],
-                inner_workers,
-                durable,
-                &mut NoopObserver,
-            )
+        // A durable server that has journaled a tick at this exact rate
+        // re-admits every object at its achieved accuracy. The warm cache
+        // is a deterministic fold of the journal, so an uninterrupted
+        // server and a crashed-and-recovered one seed identical pools —
+        // which is what makes their subsequent ticks bit-identical.
+        // A prior that is not aligned with the relation (a journal record
+        // damaged in a way that still parses) is discarded wholesale by
+        // `invoke_with`.
+        let warm: Option<Vec<WarmStart>> = tenant
+            .warm
+            .get(&rate.to_bits())
+            .map(|objs| warm_seeds(objs));
+        // The trio's columns come from, and go to, the relation's store.
+        let mut invoked = sched::TickColumns::default();
+        let mut pool = SharedPool::invoke_with(
+            &self.pricer,
+            &tenant.relation,
+            rate,
+            warm.as_deref(),
+            Some(&mut columns.lend(&mut invoked)),
+            &mut meter,
+        );
+        validate_floor(&tenant.registry, &pool)?;
+
+        let outcome = sched::run_tick(
+            &tenant.registry,
+            &mut pool,
+            &tenant.relation,
+            budget,
+            workers,
+            self.config.effective_batch(),
+            self.config.batch_solver,
+            (columns, invoked),
+            &mut meter,
+            observer,
+            None,
+        )?;
+
+        let stats = TickStats {
+            rate,
+            work: meter.breakdown(),
+            wall: start.elapsed(),
+            iterations: meter.iterations(),
         };
-        let execs: Vec<Result<TickExec, ServerError>> = if workers <= 1 || indices.len() == 1 {
-            (0..indices.len()).map(|slot| run(slot, workers)).collect()
+
+        // End-of-tick object state: what the next tick at this rate seeds
+        // from.
+        let warm = if self.durability.is_some() {
+            (0..pool.len())
+                .map(|i| WarmObjectRecord {
+                    bounds: pool.bounds(i),
+                    converged: pool.converged(i),
+                })
+                .collect()
         } else {
-            let slots: Vec<usize> = (0..indices.len()).collect();
-            let chunk = slots.len().div_ceil(workers.min(slots.len()));
-            let run = &run;
-            let joined: Result<Vec<Vec<_>>, _> = std::thread::scope(|scope| {
-                let handles: Vec<_> = slots
-                    .chunks(chunk)
-                    .map(|mine| {
-                        scope.spawn(move || {
-                            mine.iter().map(|&slot| run(slot, 1)).collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join()).collect()
-            });
-            let shards = joined.map_err(|_| ServerError::Internal {
-                detail: "worker thread panicked during a multi-relation tick",
-            })?;
-            // Contiguous slot ranges, joined in spawn order: slot order.
-            shards.into_iter().flatten().collect()
+            Vec::new()
         };
 
-        // One group in the caller's tick order: every record is built
-        // before any is journaled, and every tenant moves after all are.
-        let execs = execs.into_iter().collect::<Result<Vec<TickExec>, _>>()?;
-        let mut out = Vec::with_capacity(execs.len());
-        let mut events = Vec::with_capacity(execs.len());
-        let mut columns = Vec::with_capacity(execs.len());
-        for (exec, &idx) in execs.into_iter().zip(&indices) {
-            let (result, event, cols) = self.tick_record(idx, exec);
-            columns.push((result.relation, cols));
-            out.push(result);
-            events.push(event);
-        }
-        self.journal_and_apply(events)?;
-        // Merged one relation at a time, in tick order.
-        for (relation, cols) in columns {
-            self.merge_columns(relation, cols);
-        }
-        self.maybe_snapshot()?;
-        Ok(out)
+        Ok(TickExec {
+            outcome,
+            stats,
+            warm,
+        })
     }
 
     /// Flushes durable state for a clean shutdown: appends a snapshot
@@ -1009,9 +1080,9 @@ impl Server {
     }
 }
 
-/// Everything [`execute_tenant_tick`] produced. Nothing of the tenant has
-/// moved yet: [`Server::tick_record`] turns it into the record that moves
-/// it, on both the single- and the multi-relation tick path.
+/// Everything [`Server::execute_tenant_tick`] produced. Nothing of the
+/// tenant has moved yet: [`Server::tick_record`] turns it into the record
+/// that moves it.
 struct TickExec {
     outcome: sched::TickOutcome,
     stats: TickStats,
@@ -1029,96 +1100,6 @@ fn check_rate(pricer: &BondPricer, rate: f64) -> Result<(), ServerError> {
     } else {
         Err(ServerError::RateOutOfRange { rate, min, max })
     }
-}
-
-/// Executes one relation's tick: pool invocation (warm-seeded when the
-/// tenant has journaled this rate, its trio read from and lent to the
-/// column store), floor validation, the budgeted scheduler, and stats
-/// assembly. Only reads `tenant` and its relation's
-/// column store (empty before its first committed tick) — the columns it
-/// solves come back in the outcome — so independent tenants execute on
-/// separate threads and a tick that fails to journal leaves no trace.
-#[allow(clippy::too_many_arguments)] // two call sites; the knobs are the API
-fn execute_tenant_tick<O: ExecObserver>(
-    pricer: &BondPricer,
-    config: &ServerConfig,
-    tenant: &Tenant,
-    columns: &ColumnStore,
-    rate: f64,
-    budget: Option<Work>,
-    workers: usize,
-    durable: bool,
-    observer: &mut O,
-) -> Result<TickExec, ServerError> {
-    check_rate(pricer, rate)?;
-    if tenant.relation.bonds().is_empty() {
-        return Err(ServerError::EmptyRelation);
-    }
-    let start = Instant::now();
-    let mut meter = WorkMeter::new();
-
-    // A durable server that has journaled a tick at this exact rate
-    // re-admits every object at its achieved accuracy. The warm cache
-    // is a deterministic fold of the journal, so an uninterrupted
-    // server and a crashed-and-recovered one seed identical pools —
-    // which is what makes their subsequent ticks bit-identical.
-    // A prior that is not aligned with the relation (a journal record
-    // damaged in a way that still parses) is discarded wholesale by
-    // `invoke_with`.
-    let warm: Option<Vec<WarmStart>> = tenant
-        .warm
-        .get(&rate.to_bits())
-        .map(|objs| warm_seeds(objs));
-    // The trio's columns come from, and go to, the relation's store.
-    let mut invoked = sched::TickColumns::default();
-    let mut pool = SharedPool::invoke_with(
-        pricer,
-        &tenant.relation,
-        rate,
-        warm.as_deref(),
-        Some(&mut columns.lend(&mut invoked)),
-        &mut meter,
-    );
-    validate_floor(&tenant.registry, &pool)?;
-
-    let outcome = sched::run_tick(
-        &tenant.registry,
-        &mut pool,
-        &tenant.relation,
-        budget,
-        workers,
-        config.effective_batch(),
-        config.batch_solver,
-        (columns, invoked),
-        &mut meter,
-        observer,
-        None,
-    )?;
-
-    let stats = TickStats {
-        rate,
-        work: meter.breakdown(),
-        wall: start.elapsed(),
-        iterations: meter.iterations(),
-    };
-
-    // End-of-tick object state: what the next tick at this rate seeds from.
-    let warm = if durable {
-        (0..pool.len())
-            .map(|i| WarmObjectRecord {
-                bounds: pool.bounds(i),
-                converged: pool.converged(i),
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    Ok(TickExec {
-        outcome,
-        stats,
-        warm,
-    })
 }
 
 /// Structural subscription validation against a relation of `n` bonds.
@@ -1927,9 +1908,9 @@ mod tests {
 
     #[test]
     fn multi_relation_ticks_drain_the_compaction_queue() {
-        // Only the single-relation tick used to drain `pending_compactions`;
-        // a durable server driven by `tick_multi` alone pushed one record
-        // per compacting snapshot for the life of the process.
+        // Every tick drains `pending_compactions` into its observer, so a
+        // durable server driven by `tick_multi` alone, which has none, keeps
+        // at most the record of the snapshot its last call wrote.
         let dir = scratch_dir("multi-compaction");
         let config = ServerConfig {
             snapshot_every: 2,
@@ -2293,18 +2274,9 @@ mod tests {
         let mut srv = build();
         let fresh = default_tenant(&srv).sessions().sessions().to_vec();
         let tenant = &srv.catalog.tenants()[0];
-        let exec = execute_tenant_tick(
-            &srv.pricer,
-            &srv.config,
-            tenant,
-            srv.columns_of(tenant.id),
-            rate,
-            srv.config.budget,
-            1,
-            false,
-            &mut NoopObserver,
-        )
-        .unwrap();
+        let exec = srv
+            .execute_tenant_tick((0, rate), srv.config.budget, 1, &mut NoopObserver)
+            .unwrap();
         // Executed, not committed: what a failed journal append leaves.
         assert_eq!(tenant.registry.sessions(), fresh);
         assert_eq!(tenant.summary, RunSummary::default());
@@ -2344,6 +2316,21 @@ mod tests {
         assert!(matches!(
             srv.tick_multi(&[(DEFAULT_RELATION, 0.0583), ("energy", 7.0)]),
             Err(ServerError::RateOutOfRange { .. })
+        ));
+        // An unknown relation is named before its rate is checked, by
+        // every entry point.
+        for ticks in [
+            &[("nowhere", 7.0)][..],
+            &[(DEFAULT_RELATION, 0.0583), ("nowhere", 7.0)],
+        ] {
+            assert!(matches!(
+                srv.tick_multi(ticks),
+                Err(ServerError::UnknownRelation(name)) if name == "nowhere"
+            ));
+        }
+        assert!(matches!(
+            srv.tick_relation("nowhere", 7.0),
+            Err(ServerError::UnknownRelation(_))
         ));
         assert_eq!(default_tenant(&srv).ticks(), 0);
         assert_eq!(

@@ -14,6 +14,7 @@
 use std::time::Duration;
 
 use bondlab::Bond;
+use va_persist::json::render;
 use va_persist::record::{
     JournalEvent, RelationDefRecord, RelationRecord, RelationSnapshot, SegmentPosition,
     SessionTickRecord, SnapshotRecord, TickRecord, WarmObjectRecord, WarmRateRecord,
@@ -701,60 +702,60 @@ fn protocol_responses() {
     let mut pins = vec![
         (
             "SUBSCRIBED",
-            proto::subscribed("default", SessionId(7)),
+            render(|o| proto::write_subscribed(o, "default", SessionId(7))),
             r#"{"type":"SUBSCRIBED","relation":"default","session":7}"#,
         ),
         (
             "UNSUBSCRIBED",
-            proto::unsubscribed("default", 7),
+            render(|o| proto::write_unsubscribed(o, "default", 7)),
             r#"{"type":"UNSUBSCRIBED","relation":"default","session":7}"#,
         ),
         (
             "CREATED",
-            proto::created("energy", 2, 16),
+            render(|o| proto::write_created(o, "energy", 2, 16)),
             r#"{"type":"CREATED","relation":"energy","id":2,"bonds":16}"#,
         ),
         (
             "DROPPED",
-            proto::dropped("energy", 2),
+            render(|o| proto::write_dropped(o, "energy", 2)),
             r#"{"type":"DROPPED","relation":"energy","id":2}"#,
         ),
         (
             "BOND_ADDED",
-            proto::bond_added("default", 8, 9),
+            render(|o| proto::write_bond_added(o, "default", 8, 9)),
             r#"{"type":"BOND_ADDED","relation":"default","bond":8,"bonds":9}"#,
         ),
         (
             "USING",
-            proto::using("ener\"gy"),
+            render(|o| proto::write_using(o, "ener\"gy")),
             r#"{"type":"USING","relation":"ener\"gy"}"#,
         ),
         (
             "RELATIONS",
-            proto::relations(server.catalog()),
+            render(|o| proto::write_relations(o, server.catalog())),
             r#"{"type":"RELATIONS","relations":[{"name":"default","id":1,"bonds":4,"sessions":2,"ticks":0},{"name":"fx \"spot\"","id":2,"bonds":3,"sessions":0,"ticks":0}]}"#,
         ),
         (
             "RESUMED, never answered",
-            proto::resumed("default", &session(), 8, None),
+            render(|o| proto::write_resumed(o, "default", &session(), 8, None)),
             r#"{"type":"RESUMED","relation":"default","session":4,"operator":"max","priority":2,"finals":7,"partials":1,"tick":8}"#,
         ),
         (
             "RESUMED, partial",
-            proto::resumed("default", &session(), 8, Some(&partial)),
+            render(|o| proto::write_resumed(o, "default", &session(), 8, Some(&partial))),
             r#"{"type":"RESUMED","relation":"default","session":4,"operator":"max","priority":2,"finals":7,"partials":1,"tick":8,"answer":{"status":"partial","lo":1,"hi":2.5}}"#,
         ),
         (
             "RESUMED, final",
-            proto::resumed("default", &session(), 8, Some(&fin)),
+            render(|o| proto::write_resumed(o, "default", &session(), 8, Some(&fin))),
             r#"{"type":"RESUMED","relation":"default","session":4,"operator":"max","priority":2,"finals":7,"partials":1,"tick":8,"answer":{"status":"final","output":{"shape":"extreme","bond":5,"lo":99,"hi":99.5,"ties":[6,7]}}}"#,
         ),
         (
             "ERROR with escapes",
-            proto::error("bad \"thing\"\nhappened\t\\ \u{1}"),
+            render(|o| proto::write_error(o, "bad \"thing\"\nhappened\t\\ \u{1}")),
             r#"{"type":"ERROR","message":"bad \"thing\"\nhappened\t\\ \u0001"}"#,
         ),
-        ("BYE", proto::bye(), r#"{"type":"BYE"}"#),
+        ("BYE", render(proto::write_bye), r#"{"type":"BYE"}"#),
         (
             "RESULT payload, partial",
             proto::result_payload("default", 7, 0.0584, &partial),
@@ -772,7 +773,7 @@ fn protocol_responses() {
         ),
         (
             "STATS",
-            proto::stats(server.catalog().by_name("default").unwrap()),
+            render(|o| proto::write_stats(o, server.catalog().by_name("default").unwrap())),
             r#"{"type":"STATS","relation":"default","ticks":0,"shed_ticks":0,"work_units":0,"iterations":0,"sessions":[{"session":1,"operator":"max","priority":2,"finals":0,"partials":0,"driven_iterations":0},{"session":2,"operator":"count","priority":1,"finals":0,"partials":0,"driven_iterations":0}]}"#,
         ),
     ];
@@ -845,17 +846,17 @@ fn protocol_responses() {
         ),
         (
             "RELATIONS, one relation",
-            proto::relations(one.catalog()),
+            render(|o| proto::write_relations(o, one.catalog())),
             r#"{"type":"RELATIONS","relations":[{"name":"default","id":1,"bonds":1,"sessions":1,"ticks":0}]}"#,
         ),
         (
             "STATS, one session",
-            proto::stats(one.catalog().by_name("default").unwrap()),
+            render(|o| proto::write_stats(o, one.catalog().by_name("default").unwrap())),
             r#"{"type":"STATS","relation":"default","ticks":0,"shed_ticks":0,"work_units":0,"iterations":0,"sessions":[{"session":1,"operator":"min","priority":1,"finals":0,"partials":0,"driven_iterations":0}]}"#,
         ),
         (
             "STATS, no session",
-            proto::stats(server.catalog().by_name("fx \"spot\"").unwrap()),
+            render(|o| proto::write_stats(o, server.catalog().by_name("fx \"spot\"").unwrap())),
             r#"{"type":"STATS","relation":"fx \"spot\"","ticks":0,"shed_ticks":0,"work_units":0,"iterations":0,"sessions":[]}"#,
         ),
     ]);

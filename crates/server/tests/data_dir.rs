@@ -18,15 +18,19 @@
 //!    `meta.json` says `"version":2` or `"version":3`; the open fails with
 //!    `PersistError::Layout` before anything in the dir is truncated,
 //!    swept or written.
+//! 5. **A one-relation tick is one tick, whichever way it is issued.**
+//!    `tick_relation` and a one-relation `tick_multi` leave the same dir
+//!    and answer the same results, wall time aside.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use bondlab::{BondPricer, BondUniverse};
 use va_persist::{PersistError, Store};
-use va_server::{durability_fingerprint, pricer_fingerprint, Server, ServerConfig};
-use va_stream::{BondRelation, Query};
+use va_server::{durability_fingerprint, pricer_fingerprint, Server, ServerConfig, TickResult};
+use va_stream::{BondRelation, Query, TickStats};
 use vao::ops::selection::CmpOp;
 
 /// A fresh scratch directory under the system temp dir; unique per call.
@@ -58,9 +62,36 @@ fn open(dir: &Path) -> Server {
     Server::open_durable_catalog(BondPricer::default(), config, dir).expect("open durable catalog")
 }
 
-/// Two relations with their sessions, multi-relation ticks with repeated
-/// rates, a crash and a reopen, more ticks and a clean shutdown.
-fn run_script(dir: &Path) {
+/// How a script issues its ticks.
+#[derive(Clone, Copy)]
+enum Issue {
+    /// Both relations in one `tick_multi` request.
+    Pair,
+    /// One relation a request, through `tick_relation`.
+    Relation,
+    /// One relation a request, through a one-relation `tick_multi`.
+    OneRelationMulti,
+}
+
+/// Ticks every `(relation, rate)` of `ticks` the way `issue` says.
+fn tick(srv: &mut Server, issue: Issue, ticks: &[(&str, f64)]) -> Vec<TickResult> {
+    match issue {
+        Issue::Pair => srv.tick_multi(ticks).expect("multi tick"),
+        Issue::Relation => ticks
+            .iter()
+            .map(|&(name, rate)| srv.tick_relation(name, rate).expect("tick"))
+            .collect(),
+        Issue::OneRelationMulti => ticks
+            .iter()
+            .flat_map(|&entry| srv.tick_multi(&[entry]).expect("one-relation multi tick"))
+            .collect(),
+    }
+}
+
+/// Two relations with their sessions, ticks with repeated rates issued as
+/// `issue` says, a crash and a reopen, more ticks and a clean shutdown.
+/// Returns every tick's result.
+fn run_script(dir: &Path, issue: Issue) -> Vec<TickResult> {
     let mut srv = open(dir);
     let alpha = BondRelation::from_universe(&BondUniverse::generate(6, 7));
     let beta = BondRelation::from_universe(&BondUniverse::generate(4, 9));
@@ -80,25 +111,23 @@ fn run_script(dir: &Path) {
     )
     .expect("subscribe beta");
     let rates = [(0.0583, 0.0601), (0.0601, 0.0583), (0.0583, 0.0601)];
+    let mut results = Vec::new();
     for (a, b) in rates {
-        srv.tick_multi(&[("alpha", a), ("beta", b)])
-            .expect("multi tick");
+        results.extend(tick(&mut srv, issue, &[("alpha", a), ("beta", b)]));
     }
     drop(srv);
     let mut srv = open(dir);
     for (a, b) in rates {
-        srv.tick_multi(&[("alpha", b), ("beta", a)])
-            .expect("multi tick after the reopen");
+        results.extend(tick(&mut srv, issue, &[("alpha", b), ("beta", a)]));
     }
     srv.shutdown().expect("clean shutdown");
+    results
 }
 
-#[test]
-fn one_script_into_two_fresh_dirs_leaves_identical_bytes() {
-    let (first, second) = (scratch_dir("first"), scratch_dir("second"));
-    run_script(&first);
-    run_script(&second);
-    let (a, b) = (contents(&first), contents(&second));
+/// Asserts that the dirs hold the same files with the same bytes, at least
+/// one snapshot among them.
+fn assert_same_files(first: &Path, second: &Path) {
+    let (a, b) = (contents(first), contents(second));
     assert!(
         a.keys().any(|name| name.starts_with("snapshot-")),
         "{:?}",
@@ -117,7 +146,40 @@ fn one_script_into_two_fresh_dirs_leaves_identical_bytes() {
             String::from_utf8_lossy(&b[name])
         );
     }
+}
+
+#[test]
+fn one_script_into_two_fresh_dirs_leaves_identical_bytes() {
+    let (first, second) = (scratch_dir("first"), scratch_dir("second"));
+    run_script(&first, Issue::Pair);
+    run_script(&second, Issue::Pair);
+    assert_same_files(&first, &second);
     for dir in [first, second] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+#[test]
+fn a_one_relation_tick_is_the_same_through_either_entry_point() {
+    let (single, multi) = (scratch_dir("single"), scratch_dir("one-multi"));
+    let by_relation = run_script(&single, Issue::Relation);
+    let by_multi = run_script(&multi, Issue::OneRelationMulti);
+    assert_same_files(&single, &multi);
+    assert_eq!(by_relation.len(), 12);
+    assert_eq!(by_relation.len(), by_multi.len());
+    for (a, b) in by_relation.iter().zip(&by_multi) {
+        assert_eq!(
+            (a.relation, a.tick, a.rate.to_bits(), a.budget_exhausted),
+            (b.relation, b.tick, b.rate.to_bits(), b.budget_exhausted)
+        );
+        assert_eq!(a.answers, b.answers);
+        let timeless = |r: &TickResult| TickStats {
+            wall: Duration::ZERO,
+            ..r.stats
+        };
+        assert_eq!(timeless(a), timeless(b));
+    }
+    for dir in [single, multi] {
         std::fs::remove_dir_all(dir).ok();
     }
 }
@@ -250,20 +312,7 @@ fn a_reopened_server_writes_the_snapshots_a_running_one_does() {
     }
     running.shutdown().expect("running shutdown");
     reopened.shutdown().expect("reopened shutdown");
-    let (a, b) = (contents(&running_dir), contents(&crashed_dir));
-    assert_eq!(
-        a.keys().collect::<Vec<_>>(),
-        b.keys().collect::<Vec<_>>(),
-        "the two dirs hold different files"
-    );
-    for (name, bytes) in &a {
-        assert!(
-            *bytes == b[name],
-            "{name} differs:\n{}\n{}",
-            String::from_utf8_lossy(bytes),
-            String::from_utf8_lossy(&b[name])
-        );
-    }
+    assert_same_files(&running_dir, &crashed_dir);
     for dir in [running_dir, crashed_dir] {
         std::fs::remove_dir_all(dir).ok();
     }

@@ -15,6 +15,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bondlab::{BondPricer, BondUniverse};
+use va_persist::json::render;
 use va_server::{proto, Server, ServerConfig};
 use va_stream::{BondRelation, Query};
 use vao::ops::selection::CmpOp;
@@ -86,7 +87,9 @@ fn tick(srv: &mut Server, rates: &[(f64, f64)]) -> Vec<String> {
 
 /// Both relations' `STATS` lines.
 fn stats(srv: &Server) -> [String; 2] {
-    ["alpha", "beta"].map(|name| proto::stats(srv.catalog().by_name(name).expect("relation")))
+    ["alpha", "beta"].map(|name| {
+        render(|o| proto::write_stats(o, srv.catalog().by_name(name).expect("relation")))
+    })
 }
 
 const BEFORE: [(f64, f64); 6] = [

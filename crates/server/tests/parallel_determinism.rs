@@ -15,12 +15,25 @@
 //!    the sum of per-round `RoundRecord::work` charges, and the admitted
 //!    counts sum to the scheduler's iteration count — every unit the
 //!    batched rounds charge is visible in the round trace.
+//! 4. **A panicking worker degrades one tick.** An `iterate()` that panics
+//!    on a worker thread fails its tick with `ServerError::Internal`
+//!    instead of aborting the process; on the calling thread
+//!    (`workers = 1`) the panic still unwinds.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bondlab::{BondPricer, BondUniverse};
-use va_server::{Answer, Server, ServerConfig, ServerError, Tenant, DEFAULT_RELATION};
+use va_server::{
+    audited_tick, Answer, Server, ServerConfig, ServerError, SessionRegistry, SharedPool, Tenant,
+    DEFAULT_RELATION,
+};
 use va_stream::{BondRelation, Query, QueryOutput};
+use vao::cost::{Work, WorkMeter};
+use vao::interface::ResultObject;
 use vao::ops::selection::CmpOp;
+use vao::testkit::ScriptedObject;
 use vao::trace::{Recorder, TraceEvent};
+use vao::Bounds;
 
 const SEED: u64 = 1994;
 const RATE: f64 = 0.0583;
@@ -317,4 +330,78 @@ fn empty_relation_subscribe_then_tick_is_a_typed_error() {
         0,
         "failed tick is not counted"
     );
+}
+
+/// A scripted object whose `iterate()` panics.
+struct Panicking(ScriptedObject);
+
+impl ResultObject for Panicking {
+    fn bounds(&self) -> Bounds {
+        self.0.bounds()
+    }
+
+    fn min_width(&self) -> f64 {
+        self.0.min_width()
+    }
+
+    fn iterate(&mut self, _meter: &mut WorkMeter) -> Bounds {
+        panic!("iterate() fails on purpose");
+    }
+
+    fn est_cpu(&self) -> Work {
+        self.0.est_cpu()
+    }
+
+    fn est_bounds(&self) -> Bounds {
+        self.0.est_bounds()
+    }
+
+    fn standalone_cost(&self) -> Work {
+        self.0.standalone_cost()
+    }
+
+    fn cumulative_cost(&self) -> Work {
+        self.0.cumulative_cost()
+    }
+}
+
+#[test]
+fn a_panicking_worker_fails_its_tick_with_internal() {
+    // Two overlapping shapeless objects that each cost more than a cache
+    // read: a MAX demands both, so a batch of two admits both as scalar
+    // units of one round, one per worker.
+    let script = [(90.0, 110.0), (99.0, 101.0), (99.9, 100.1)];
+    let pool = || {
+        SharedPool::from_objects(
+            vec![
+                Box::new(ScriptedObject::converging(&script, 10, 0.01)),
+                Box::new(Panicking(ScriptedObject::converging(&script, 10, 0.01))),
+            ],
+            RATE,
+        )
+    };
+    let mut registry = SessionRegistry::new();
+    registry.register(Query::Max { epsilon: 0.05 }, 1);
+    let relation = BondRelation::from_universe(&BondUniverse::generate(2, SEED));
+    let tick = |workers: usize| {
+        audited_tick(
+            &registry,
+            &mut pool(),
+            &relation,
+            workers,
+            2,
+            true,
+            &mut |_, _| {},
+        )
+    };
+    for _ in 0..3 {
+        match tick(2) {
+            Err(ServerError::Internal { detail }) => {
+                assert_eq!(detail, "worker thread panicked during a scheduling round");
+            }
+            other => panic!("expected ServerError::Internal, got {other:?}"),
+        }
+    }
+    // Inline, nothing stands between the panic and the caller.
+    assert!(catch_unwind(AssertUnwindSafe(|| tick(1))).is_err());
 }

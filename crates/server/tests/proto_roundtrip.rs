@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use va_persist::json::Json;
+use va_persist::json::{render, Json};
 use va_server::proto::{self, RelationSpec, Request, WireBond, WireQuery};
 use va_server::{
     Answer, RelationId, Server, ServerConfig, Session, SessionId, TickResult, DEFAULT_RELATION,
@@ -197,35 +197,35 @@ proptest! {
         };
 
         // SUBSCRIBED / UNSUBSCRIBED / BYE.
-        let line = proto::subscribed(&relation, SessionId(session));
+        let line = render(|o| proto::write_subscribed(o, &relation, SessionId(session)));
         typed(&line, "SUBSCRIBED");
         echoes_relation(&line);
         prop_assert_eq!(field(&line, "session").as_u64(), Some(session));
-        let line = proto::unsubscribed(&relation, session);
+        let line = render(|o| proto::write_unsubscribed(o, &relation, session));
         typed(&line, "UNSUBSCRIBED");
         echoes_relation(&line);
         prop_assert_eq!(field(&line, "session").as_u64(), Some(session));
-        typed(&proto::bye(), "BYE");
+        typed(&render(proto::write_bye), "BYE");
 
         // Catalog responses: CREATED / DROPPED / BOND_ADDED / USING.
-        let line = proto::created(&relation, session % 1000, ids.len());
+        let line = render(|o| proto::write_created(o, &relation, session % 1000, ids.len()));
         typed(&line, "CREATED");
         echoes_relation(&line);
         prop_assert_eq!(field(&line, "id").as_u64(), Some(session % 1000));
         prop_assert_eq!(field(&line, "bonds").as_u64(), Some(ids.len() as u64));
-        let line = proto::dropped(&relation, session % 1000);
+        let line = render(|o| proto::write_dropped(o, &relation, session % 1000));
         typed(&line, "DROPPED");
         echoes_relation(&line);
-        let line = proto::bond_added(&relation, ids.first().copied().unwrap_or(3), ids.len());
+        let line = render(|o| proto::write_bond_added(o, &relation, ids.first().copied().unwrap_or(3), ids.len()));
         typed(&line, "BOND_ADDED");
         echoes_relation(&line);
-        let line = proto::using(&relation);
+        let line = render(|o| proto::write_using(o, &relation));
         typed(&line, "USING");
         echoes_relation(&line);
 
         // ERROR escapes quotes, backslashes and newlines losslessly.
         let message = format!("fail {message_salt} \"quoted\\path\"\nsecond line");
-        let line = proto::error(&message);
+        let line = render(|o| proto::write_error(o, &message));
         typed(&line, "ERROR");
         prop_assert!(!line.contains('\n'));
         let echoed = field(&line, "message");
@@ -273,7 +273,7 @@ proptest! {
             partials,
             driven_iterations: finals + partials,
         };
-        let line = proto::resumed(&relation, &sess, tick, None);
+        let line = render(|o| proto::write_resumed(o, &relation, &sess, tick, None));
         typed(&line, "RESUMED");
         echoes_relation(&line);
         prop_assert_eq!(field(&line, "finals").as_u64(), Some(finals));
@@ -284,7 +284,7 @@ proptest! {
             0 => Answer::Final(out),
             _ => Answer::Partial { bounds },
         };
-        let line = proto::resumed(&relation, &sess, tick, Some(&answer));
+        let line = render(|o| proto::write_resumed(o, &relation, &sess, tick, Some(&answer)));
         let status = field(&line, "answer").get("status").and_then(|s| s.as_str().map(String::from));
         prop_assert_eq!(
             status.as_deref(),
@@ -331,7 +331,9 @@ fn stats_line_reports_live_counters() {
         .expect("subscribe");
     let res = srv.tick(0.0583).expect("tick");
 
-    let line = proto::stats(srv.catalog().by_name(DEFAULT_RELATION).expect("default"));
+    let line = render(|o| {
+        proto::write_stats(o, srv.catalog().by_name(DEFAULT_RELATION).expect("default"))
+    });
     let doc = Json::parse(&line).expect("stats is valid JSON");
     assert_eq!(doc.get("type").and_then(Json::as_str), Some("STATS"));
     assert_eq!(

@@ -21,7 +21,9 @@
 #
 # Environment:
 #   PR            the number the output file is named after (required)
-#   PAIRS         pairs per workload and seed (default 10)
+#   PAIRS         pairs per workload and seed (default 10); a series of
+#                 fewer than 10 never reads `gain` (bench-report says
+#                 `unresolved` instead), so a shorter one only smoke-tests
 #   WORKLOADS     default "solver_deep demand_wide wire_fanout durable_tenants"
 #   BENCH_DIR     checkouts and raw runs (default: a directory under
 #                 ${TMPDIR:-/tmp} named after both commits; kept afterwards)

@@ -31,7 +31,13 @@
 #                                  lists, orders and bucket keys against a
 #                                  recompute after every round) and
 #                                  empty-relation tests by name (a golden
-#                                  must never be filtered out)
+#                                  must never be filtered out); the one
+#                                  tick driver's pins (tick_relation and a
+#                                  one-relation tick_multi leave one dir,
+#                                  unknown relation before rate, a lone
+#                                  relation's whole budget, a panicking
+#                                  worker fails one tick) and bench-report's
+#                                  short-series rule, by name
 #   5. va-server --smoke        -- loopback TCP exchange of the line protocol,
 #                                  serial and again with --workers 4; after
 #                                  RELATIONS it sends the three one-line
@@ -175,6 +181,16 @@ cargo test -q -p va-server --test recovery a_torn_tick_multi_group_recovers_its_
 cargo test -q -p va-server --test demand_bits
 cargo test -q -p va-server --test demand_incremental
 cargo test -q -p va-server --lib demand::tests::empty_pool_yields_typed_errors_not_panics
+# One tick driver: a one-relation tick leaves the same dir and results
+# through tick_relation and tick_multi, an unknown relation is named before
+# its rate, a lone relation gets the whole budget, a panicking worker fails
+# one tick; and bench-report reads no gain from a short series.
+cargo test -q -p va-server --test data_dir a_one_relation_tick_is_the_same_through_either_entry_point
+cargo test -q -p va-server --lib server::tests::a_rate_off_the_pricer_grid_is_refused_before_anything_executes
+cargo test -q -p va-server --lib sched::tests::slices_are_proportional_and_sum_exactly
+cargo test -q -p va-server --test parallel_determinism a_panicking_worker_fails_its_tick_with_internal
+cargo test -q -p va-bench --lib compare::tests::a_series_shorter_than_ten_pairs_never_reads_gain
+cargo test -q -p va-bench --lib compare::tests::raw_runs_pair_up_and_summarize_to_json
 
 echo "==> va-server loopback smoke (subscribe -> tick -> result -> quit)"
 cargo run -q -p va-server -- --smoke --bonds 24 --seed 42
