@@ -33,6 +33,7 @@
 #![deny(unsafe_code)]
 
 pub mod answer;
+mod bits;
 pub mod catalog;
 pub mod demand;
 pub mod error;
@@ -56,4 +57,4 @@ pub use server::{
     durability_fingerprint, pricer_fingerprint, Server, ServerConfig, TickResult,
     DEFAULT_SNAPSHOT_EVERY,
 };
-pub use session::{Broadcast, Session, SessionId, SessionRegistry};
+pub use session::{broadcast_groups, Broadcast, Session, SessionId, SessionRegistry};

@@ -18,10 +18,11 @@
 //!   bounded per-connection write buffer and flushed as the socket
 //!   drains; a connection whose buffer overflows
 //!   ([`FrontEndConfig::max_write_buffer`]) is evicted, not waited on.
-//! * **Fan-out is batched per query shape.** A tick's answers are grouped
-//!   by [`broadcast_groups`](crate::session::SessionRegistry::broadcast_groups):
-//!   sessions sharing a query shape share one serialized payload, and the
-//!   per-session `RESULT` line is a cheap prefix wrap around it.
+//! * **Fan-out is one payload per distinct answer per tick.** A tick's
+//!   answers are grouped by [`broadcast_groups`] on their bits: sessions
+//!   whose answers are bit-equal — whatever their queries — share one
+//!   serialized payload, and the per-session `RESULT` line is a cheap
+//!   prefix wrap around it.
 //!
 //! `QUIT` is connection-scoped: it closes that connection (after its
 //! replies flush) and leaves the server — and every other client —
@@ -42,7 +43,7 @@ use crate::error::ServerError;
 use crate::poll::{self, PollSet};
 use crate::proto::{self, RelationSpec, Request};
 use crate::server::{Server, TickResult};
-use crate::session::SessionId;
+use crate::session::{broadcast_groups, SessionId};
 
 /// Front-end tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -87,8 +88,8 @@ pub struct FrontEndStats {
     pub dropped_io: u64,
     /// `RESULT` lines queued to connections.
     pub results_delivered: u64,
-    /// Result payloads serialized — one per (tick, query shape) group,
-    /// however many sessions and connections received it.
+    /// Result payloads serialized: one payload per distinct answer per
+    /// tick, however many sessions and connections received it.
     pub payloads_serialized: u64,
 }
 
@@ -333,24 +334,25 @@ impl FrontEnd {
                 }
             }
         }
-        while let Some(pos) = self.conns[i].rbuf.iter().position(|&b| b == b'\n') {
-            let rest = self.conns[i].rbuf.split_off(pos + 1);
-            let mut raw = std::mem::replace(&mut self.conns[i].rbuf, rest);
-            raw.pop();
-            if raw.last() == Some(&b'\r') {
-                raw.pop();
-            }
-            let line = String::from_utf8_lossy(&raw).into_owned();
+        // Lines are consumed through a cursor and the buffer is compacted
+        // once, after the last: cutting each line off the front would copy
+        // the rest of a pipelined burst once per line.
+        let mut start = 0;
+        while let Some(len) = self.conns[i].rbuf[start..].iter().position(|&b| b == b'\n') {
+            let raw = &self.conns[i].rbuf[start..start + len];
+            let line = String::from_utf8_lossy(raw.strip_suffix(b"\r").unwrap_or(raw)).into_owned();
+            start += len + 1;
             if line.trim().is_empty() {
                 continue;
             }
             if self.conns[i].dead || !self.dispatch(i, &line, server) {
                 // `QUIT` (or an eviction mid-dispatch): pipelined input
                 // after it is discarded, matching the old front-end.
-                self.conns[i].rbuf.clear();
+                start = self.conns[i].rbuf.len();
                 break;
             }
         }
+        self.conns[i].rbuf.drain(..start);
         if !self.conns[i].read_closed && self.conns[i].rbuf.len() > self.config.max_line_bytes {
             let msg = format!("request line exceeds {} bytes", self.config.max_line_bytes);
             self.queue(i, |out| proto::write_error(out, &msg));
@@ -554,16 +556,14 @@ impl FrontEnd {
 
     /// Fans one relation's tick answers out to every attached connection,
     /// and the `TICK_DONE` trailer to the connection that drove the tick.
-    /// Each query shape's payload (see
-    /// [`crate::SessionRegistry::broadcast_groups`]) is encoded once, into
-    /// a buffer reused across ticks, and every receiver's `RESULT` line is
-    /// written around it straight into that receiver's write buffer.
+    /// Each distinct answer's payload (see [`broadcast_groups`]) is encoded
+    /// once, into a buffer reused across ticks, and every receiver's
+    /// `RESULT` line is written around it straight into that receiver's
+    /// write buffer.
     fn broadcast(&mut self, server: &Server, name: &str, res: &TickResult, origin: usize) {
         let rel_id = res.relation.0;
-        let tenant = server.catalog().get(res.relation);
-        let groups = tenant.map_or_else(Vec::new, |t| t.sessions().broadcast_groups(&res.answers));
         let mut payload = std::mem::take(&mut self.payload);
-        for group in groups {
+        for group in broadcast_groups(&res.answers) {
             payload.clear();
             proto::write_result_payload(&mut payload, name, res.tick, res.rate, group.answer)
                 .expect(STRING_WRITE);
@@ -579,7 +579,7 @@ impl FrontEnd {
             }
         }
         self.payload = payload;
-        let shed = tenant.map_or(0, Tenant::shed);
+        let shed = server.catalog().get(res.relation).map_or(0, Tenant::shed);
         self.queue(origin, |out| proto::write_tick_done(out, name, res, shed));
     }
 
@@ -906,6 +906,48 @@ mod tests {
             lines[9]
         );
         assert_eq!(lines.len(), 10, "{lines:?}");
+    }
+
+    #[test]
+    fn a_pipelined_burst_of_100k_requests_gets_every_reply_in_order() {
+        const REQUESTS: usize = 100_000;
+        let mut front = FrontEnd::new(FrontEndConfig {
+            // Every reply may queue before the first flush.
+            max_write_buffer: 1 << 26,
+            ..FrontEndConfig::default()
+        });
+        let client = adopted(&mut front);
+        let mut server = tiny_server();
+        // Each request names a different relation, so each reply says
+        // which request it answers.
+        let burst: String = (0..REQUESTS)
+            .map(|k| format!("{{\"type\":\"USE\",\"name\":\"r{k}\"}}\n"))
+            .collect();
+        let mut writer = client.try_clone().expect("clone");
+        let sender = std::thread::spawn(move || {
+            writer.write_all(burst.as_bytes()).expect("write the burst");
+            writer
+                .shutdown(std::net::Shutdown::Write)
+                .expect("half-close");
+        });
+        let receiver = std::thread::spawn(move || {
+            let reader = std::io::BufReader::new(client);
+            std::io::BufRead::lines(reader)
+                .map(|l| l.expect("read reply"))
+                .collect::<Vec<_>>()
+        });
+        while front.connections() > 0 {
+            front.turn(None, &mut server).expect("turn");
+        }
+        sender.join().expect("sender");
+        let replies = receiver.join().expect("receiver");
+        assert_eq!(replies.len(), REQUESTS);
+        for (k, reply) in replies.iter().enumerate() {
+            let e = ServerError::UnknownRelation(format!("r{k}"));
+            let want = va_persist::json::render(|out| proto::write_error(out, &e.to_string()));
+            assert_eq!(reply, &want);
+        }
+        assert_eq!(front.stats().evicted_slow, 0);
     }
 
     #[test]

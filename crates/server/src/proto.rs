@@ -670,10 +670,10 @@ pub fn write_bye(out: &mut String) -> fmt::Result {
 }
 
 /// Writes the session-independent fragment of a `RESULT` line: everything
-/// after the `"session"` field. The broadcast fan-out writes this once per
-/// (relation, tick, query shape) group and wraps it per session with
-/// [`write_result_line`], so N subscribers on one shape cost one
-/// serialization, not N.
+/// after the `"session"` field. The broadcast fan-out writes one payload per
+/// distinct answer per tick (see [`crate::broadcast_groups`]) and wraps it
+/// per session with [`write_result_line`], so N subscribers whose answers
+/// are bit-equal cost one serialization, not N.
 pub fn write_result_payload(
     out: &mut String,
     relation: &str,

@@ -59,6 +59,7 @@ use vao::trace::{ExecObserver, OperatorEndRecord, OperatorKind};
 use vao::Bounds;
 
 use crate::answer::Answer;
+use crate::bits::{self, BitIndex};
 use crate::demand::{self, RoundView};
 use crate::error::ServerError;
 use crate::pool::SharedPool;
@@ -441,11 +442,23 @@ pub(crate) fn run_tick<O: ExecObserver>(
     let columns = tick_pool.columns;
     let view = sessions.view;
 
-    let mut answers = Vec::with_capacity(registry.len());
+    // An answer is a function of the query, the pool and `done` alone, so
+    // a session whose query is bit-equal to an earlier one's (and as done)
+    // takes a copy of that session's answer.
+    let mut answers: Vec<(SessionId, Answer)> = Vec::with_capacity(registry.len());
     let mut records = Vec::with_capacity(registry.len());
+    let mut asked = BitIndex::default();
     for (s, sess) in registry.sessions().iter().enumerate() {
         let done = view.demands(s).is_empty();
-        answers.push((sess.id, demand::answer(&sess.query, pool, relation, done)?));
+        let first = asked.slot(answers.len(), |w| {
+            w.push(u64::from(done));
+            bits::query_words(&sess.query, w);
+        });
+        let answer = match answers.get(first) {
+            Some((_, earlier)) => earlier.clone(),
+            None => demand::answer(&sess.query, pool, relation, done)?,
+        };
+        answers.push((sess.id, answer));
         records.push(SessionTickRecord {
             session: sess.id.0,
             is_final: done,

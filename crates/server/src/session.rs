@@ -7,6 +7,7 @@ pub use va_persist::record::{Session, SessionId};
 use va_stream::Query;
 
 use crate::answer::Answer;
+use crate::bits::{self, BitIndex};
 
 /// Registry of live sessions, in deterministic registration order.
 #[derive(Clone, Debug)]
@@ -122,50 +123,38 @@ impl SessionRegistry {
     pub fn is_empty(&self) -> bool {
         self.sessions.is_empty()
     }
-
-    /// Groups a tick's answers for broadcast fan-out: sessions whose
-    /// queries have the same shape share one group — and, because the
-    /// shared pool executes deterministically, the same answer — so the
-    /// front-end serializes each group's payload exactly once however
-    /// many sessions (and connections) receive it. Groups and the
-    /// sessions within them keep first-occurrence (registration) order.
-    #[must_use]
-    pub fn broadcast_groups<'a>(&self, answers: &'a [(SessionId, Answer)]) -> Vec<Broadcast<'a>> {
-        let mut groups: Vec<(Option<&Query>, Broadcast<'a>)> = Vec::new();
-        for (id, answer) in answers {
-            let query = self.get(*id).map(|s| &s.query);
-            let existing =
-                query.and_then(|q| groups.iter_mut().find(|(gq, _)| gq.is_some_and(|g| g == q)));
-            match existing {
-                Some((_, group)) => {
-                    debug_assert_eq!(
-                        group.answer, answer,
-                        "same query shape must share one deterministic answer"
-                    );
-                    group.sessions.push(*id);
-                }
-                // An answer for a session the registry no longer knows
-                // (or a unique shape) gets its own group.
-                None => groups.push((
-                    query,
-                    Broadcast {
-                        sessions: vec![*id],
-                        answer,
-                    },
-                )),
-            }
-        }
-        groups.into_iter().map(|(_, g)| g).collect()
-    }
 }
 
-/// One broadcast fan-out group from
-/// [`SessionRegistry::broadcast_groups`]: every session that shares this
-/// answer, so the serialized payload can be rendered once for all of
-/// them.
+/// Groups a tick's answers for broadcast fan-out: sessions whose answers
+/// are bit-equal — integers by value, every `f64` by its bits, so `-0.0`
+/// and `0.0` (printed `-0` and `0`) stay apart — share one group, and the
+/// front-end serializes each distinct answer's payload once however many
+/// sessions (and connections) receive it. Groups and the sessions within
+/// them keep first-occurrence order. Linear in the answers' total size:
+/// answers are bucketed by a hash of their bits and compared only on a hit.
+#[must_use]
+pub fn broadcast_groups(answers: &[(SessionId, Answer)]) -> Vec<Broadcast<'_>> {
+    let mut index = BitIndex::default();
+    let mut groups: Vec<Broadcast<'_>> = Vec::new();
+    for (id, answer) in answers {
+        let g = index.slot(groups.len(), |w| bits::answer_words(answer, w));
+        if g == groups.len() {
+            groups.push(Broadcast {
+                sessions: Vec::new(),
+                answer,
+            });
+        }
+        groups[g].sessions.push(*id);
+    }
+    groups
+}
+
+/// One broadcast fan-out group from [`broadcast_groups`]: every session
+/// whose answer has these bits, so the serialized payload can be rendered
+/// once for all of them.
 #[derive(Debug)]
 pub struct Broadcast<'a> {
-    /// Sessions receiving this payload, in registration order.
+    /// Sessions receiving this payload, in the order the answers came.
     pub sessions: Vec<SessionId>,
     /// The answer they share.
     pub answer: &'a Answer,
@@ -174,6 +163,9 @@ pub struct Broadcast<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use va_stream::QueryOutput;
+    use vao::Bounds;
 
     #[test]
     fn ids_are_monotone_and_never_reused() {
@@ -219,9 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_groups_share_payloads_by_query_shape() {
-        use vao::Bounds;
-
+    fn broadcast_groups_share_one_payload_per_distinct_answer() {
         let mut reg = SessionRegistry::new();
         let a = reg.register(Query::Max { epsilon: 0.1 }, 1);
         let b = reg.register(Query::Min { epsilon: 0.1 }, 1);
@@ -233,18 +223,145 @@ mod tests {
             bounds: Bounds::new(0.0, 1.0),
         };
         let answers = vec![(a, shared.clone()), (b, other.clone()), (c, shared.clone())];
-        let groups = reg.broadcast_groups(&answers);
-        assert_eq!(groups.len(), 2, "two distinct shapes, two groups");
-        assert_eq!(groups[0].sessions, vec![a, c], "same shape coalesces");
+        let groups = broadcast_groups(&answers);
+        assert_eq!(groups.len(), 2, "two distinct answers, two groups");
+        assert_eq!(groups[0].sessions, vec![a, c], "equal answers coalesce");
         assert_eq!(groups[0].answer, &shared);
         assert_eq!(groups[1].sessions, vec![b]);
         assert_eq!(groups[1].answer, &other);
 
-        // An answer for a session the registry no longer tracks still gets
-        // delivered — as its own group.
+        // Grouping reads no registry: the answer of a session since
+        // deregistered still joins the group of its equal.
         reg.deregister(c);
-        let groups = reg.broadcast_groups(&answers);
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[2].sessions, vec![c]);
+        let groups = broadcast_groups(&answers);
+        assert_eq!(groups.len(), 2);
+        assert_eq!(groups[0].sessions, vec![a, c]);
+    }
+
+    #[test]
+    fn answers_apart_only_in_the_sign_of_zero_get_two_payloads() {
+        let payload = |a: &Answer| crate::proto::result_payload("default", 1, 0.05, a);
+        let partial = |lo: f64| Answer::Partial {
+            bounds: Bounds::new(lo, 1.0),
+        };
+        let aggregate = |lo: f64| {
+            Answer::Final(QueryOutput::Aggregate {
+                bounds: Bounds::new(lo, 1.0),
+            })
+        };
+        for answer in [partial, aggregate] {
+            let (neg, pos) = (answer(-0.0), answer(0.0));
+            assert_eq!(neg, pos, "PartialEq cannot tell them apart");
+            assert_ne!(payload(&neg), payload(&pos), "their bytes differ");
+            let answers = vec![(SessionId(1), neg), (SessionId(2), pos)];
+            let groups = broadcast_groups(&answers);
+            assert_eq!(groups.len(), 2);
+            assert_eq!(groups[0].sessions, vec![SessionId(1)]);
+            assert_eq!(groups[1].sessions, vec![SessionId(2)]);
+        }
+
+        // Different query shapes with equal answers share one payload: a
+        // SELECT and a TOP-K cannot answer alike, but two SELECTs with
+        // different constants that pick the same bonds, or a MAX and a MIN
+        // over one bond, do.
+        let all = Answer::Final(QueryOutput::Selected(vec![0, 1, 2]));
+        let answers = vec![(SessionId(3), all.clone()), (SessionId(9), all)];
+        let groups = broadcast_groups(&answers);
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].sessions, vec![SessionId(3), SessionId(9)]);
+    }
+
+    /// A small alphabet of answers, so a drawn list repeats some: every
+    /// output shape, and pairs apart only in the sign of a zero.
+    fn alphabet() -> Vec<Answer> {
+        let b = |lo: f64, hi: f64| Bounds::new(lo, hi);
+        let fin = Answer::Final;
+        vec![
+            Answer::Partial {
+                bounds: b(-0.0, 0.0),
+            },
+            Answer::Partial {
+                bounds: b(0.0, 0.0),
+            },
+            Answer::Partial {
+                bounds: b(1.0, 2.5),
+            },
+            fin(QueryOutput::Aggregate {
+                bounds: b(-0.0, 1.0),
+            }),
+            fin(QueryOutput::Aggregate {
+                bounds: b(0.0, 1.0),
+            }),
+            fin(QueryOutput::Selected(vec![])),
+            fin(QueryOutput::Selected(vec![0, 1])),
+            fin(QueryOutput::Selected(vec![1, 0])),
+            fin(QueryOutput::Count { lo: 0, hi: 1 }),
+            fin(QueryOutput::Count { lo: 1, hi: 1 }),
+            fin(QueryOutput::Extreme {
+                bond_id: 1,
+                bounds: b(99.0, 99.5),
+                ties: vec![0],
+            }),
+            fin(QueryOutput::Extreme {
+                bond_id: 1,
+                bounds: b(99.0, 99.5),
+                ties: vec![],
+            }),
+            fin(QueryOutput::Ranked {
+                members: vec![(1, b(99.0, 99.5)), (0, b(98.0, 98.5))],
+                ties: vec![2],
+            }),
+            fin(QueryOutput::Heavy {
+                cells: vec![vao::ops::heavy::HeavyCell { cell: -1, count: 3 }],
+                ties: vec![0],
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn groups_follow_the_payload_bytes(picks in prop::collection::vec(0usize..14, 0..24)) {
+            use crate::proto;
+            let alphabet = alphabet();
+            let answers: Vec<(SessionId, Answer)> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| (SessionId(i as u64 + 1), alphabet[p].clone()))
+                .collect();
+            let groups = broadcast_groups(&answers);
+
+            // The groups partition the sessions, in first-occurrence order.
+            let firsts: Vec<SessionId> = groups.iter().map(|g| g.sessions[0]).collect();
+            let mut sorted = firsts.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(&firsts, &sorted);
+            let mut seen: Vec<SessionId> = groups.iter().flat_map(|g| g.sessions.clone()).collect();
+            seen.sort_unstable();
+            let ids: Vec<SessionId> = answers.iter().map(|(id, _)| *id).collect();
+            prop_assert_eq!(&seen, &ids);
+            for g in &groups {
+                prop_assert!(g.sessions.windows(2).all(|w| w[0] < w[1]));
+            }
+
+            // One group per distinct payload string.
+            let payload = |a: &Answer| proto::result_payload("default", 4, 0.0583, a);
+            let mut distinct: Vec<String> = answers.iter().map(|(_, a)| payload(a)).collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            prop_assert_eq!(groups.len(), distinct.len());
+
+            // Every session's line is the line of its own answer.
+            for g in &groups {
+                let shared = payload(g.answer);
+                for &sid in &g.sessions {
+                    let mut line = String::new();
+                    proto::write_result_line(&mut line, sid, &shared).unwrap();
+                    let own = &answers[sid.0 as usize - 1].1;
+                    prop_assert_eq!(line, proto::result("default", 4, 0.0583, sid, own));
+                }
+            }
+        }
     }
 }

@@ -191,6 +191,15 @@ cargo test -q -p va-server --lib sched::tests::slices_are_proportional_and_sum_e
 cargo test -q -p va-server --test parallel_determinism a_panicking_worker_fails_its_tick_with_internal
 cargo test -q -p va-bench --lib compare::tests::a_series_shorter_than_ten_pairs_never_reads_gain
 cargo test -q -p va-bench --lib compare::tests::raw_runs_pair_up_and_summarize_to_json
+# One payload per distinct answer per tick: grouping by answer bits (the
+# sign of a zero splits, a different query shape does not), one answer per
+# distinct query, and a pipelined burst read through a cursor.
+cargo test -q -p va-server --lib session::tests::broadcast_groups_share_one_payload_per_distinct_answer
+cargo test -q -p va-server --lib session::tests::answers_apart_only_in_the_sign_of_zero_get_two_payloads
+cargo test -q -p va-server --lib session::tests::groups_follow_the_payload_bytes
+cargo test -q -p va-server --test frontend equal_answers_share_one_payload_per_tick_across_connections
+cargo test -q -p va-server --test frontend sessions_sharing_an_answer_answer_as_each_would_alone
+cargo test -q -p va-server --lib net::tests::a_pipelined_burst_of_100k_requests_gets_every_reply_in_order
 
 echo "==> va-server loopback smoke (subscribe -> tick -> result -> quit)"
 cargo run -q -p va-server -- --smoke --bonds 24 --seed 42
